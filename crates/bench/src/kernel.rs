@@ -30,12 +30,15 @@
 //!             "occupancy": 0.9, "fallback_rate": 0.02},
 //!   "session": {"warm": {...}, "cold": {...}, "setup_saving_frac": 0.05},
 //!   "parent_comparison": {"commit": "abc1234", "insertion_ops_per_sec": 0.0,
-//!                         "insertion_speedup": 0.0}
+//!                         "insertion_speedup": 0.0,
+//!                         "removal_ops_per_sec": 0.0, "removal_speedup": 0.0}
 //! }
 //! ```
 //!
 //! `parent_comparison` is optional: an A/B record of an older kernel run on
-//! the identical insertion workload (`--parent-commit`/`--parent-insertion`).
+//! the identical insertion workload (`--parent-commit`/`--parent-insertion`);
+//! the removal pair of keys appears only when `--parent-removal` was given
+//! too.
 //!
 //! `refinement.ops` counts finished tetrahedra (elements/second); the other
 //! two count committed kernel operations.
@@ -208,6 +211,8 @@ pub struct ParentComparison {
     pub commit: String,
     /// Its single-thread insertion throughput.
     pub insertion_ops_per_sec: f64,
+    /// Its single-thread removal throughput (`--parent-removal`).
+    pub removal_ops_per_sec: Option<f64>,
 }
 
 /// The full report of one `pi2m bench` run.
@@ -280,19 +285,19 @@ impl KernelBenchReport {
             ("session", self.session.to_json()),
         ];
         if let Some(p) = &self.parent {
-            let speedup = if p.insertion_ops_per_sec > 0.0 {
-                self.insertion.ops_per_sec() / p.insertion_ops_per_sec
-            } else {
-                0.0
-            };
-            fields.push((
-                "parent_comparison",
-                Json::obj(vec![
-                    ("commit", Json::str(&p.commit)),
-                    ("insertion_ops_per_sec", Json::num(p.insertion_ops_per_sec)),
-                    ("insertion_speedup", Json::num(speedup)),
-                ]),
-            ));
+            let speedup = |now: f64, then: f64| if then > 0.0 { now / then } else { 0.0 };
+            let ins = speedup(self.insertion.ops_per_sec(), p.insertion_ops_per_sec);
+            let mut block = vec![
+                ("commit", Json::str(&p.commit)),
+                ("insertion_ops_per_sec", Json::num(p.insertion_ops_per_sec)),
+                ("insertion_speedup", Json::num(ins)),
+            ];
+            if let Some(then) = p.removal_ops_per_sec {
+                let rem = speedup(self.removal.ops_per_sec(), then);
+                block.push(("removal_ops_per_sec", Json::num(then)));
+                block.push(("removal_speedup", Json::num(rem)));
+            }
+            fields.push(("parent_comparison", Json::obj(block)));
         }
         Json::obj(fields)
     }
@@ -368,10 +373,12 @@ pub fn run_kernel_bench(opts: KernelBenchOpts) -> KernelBenchReport {
         seconds: t0.elapsed().as_secs_f64(),
     };
 
-    // ---- removal: every 4th inserted vertex, same mesh ----
+    // ---- removal: every 4th inserted vertex (every 2nd in quick mode, so
+    // the row is not a ~20 ms sample), same mesh ----
+    let stride = if opts.quick { 2 } else { 4 };
     let t0 = Instant::now();
     let mut removed = 0u64;
-    for v in inserted.iter().copied().step_by(4) {
+    for v in inserted.iter().copied().step_by(stride) {
         if let Ok(r) = ctx.remove(v) {
             removed += 1;
             ctx.recycle_remove(r);
@@ -590,6 +597,29 @@ pub fn check_flight_overhead(report: &KernelBenchReport, max_frac: f64) -> Resul
     }
 }
 
+/// How many insertions one removal may cost before `--check` fails.
+pub const REMOVAL_COST_GATE: f64 = 8.0;
+
+/// Host-independent gate on the *shape* of the kernel: both rates come from
+/// the same run on the same mesh, so their ratio does not move with the
+/// machine. A removal retriangulates a ball about the size of an insertion's
+/// cavity; one that costs more than [`REMOVAL_COST_GATE`] insertions is
+/// doing per-operation work that does not belong there (it was ÷47 when
+/// every removal rebuilt an auxiliary box triangulation). Returns the
+/// comparison line; `Err` carries the same line when the gate fails.
+pub fn check_removal_cost(report: &KernelBenchReport) -> Result<String, String> {
+    let (ins, rem) = (report.insertion.ops_per_sec(), report.removal.ops_per_sec());
+    let line = format!(
+        "removal    {rem:>12.0} ops/s vs insertion {ins:>12.0} (one removal = {:.1} insertions, gate {REMOVAL_COST_GATE:.0})",
+        ins / rem
+    );
+    if rem * REMOVAL_COST_GATE >= ins {
+        Ok(line)
+    } else {
+        Err(line)
+    }
+}
+
 /// Compare a fresh report against a checked-in baseline JSON: each workload's
 /// `ops_per_sec` must be at least `(1 - tolerance)` of the baseline's.
 /// Returns the human-readable comparison lines; `Err` lists the regressions.
@@ -728,12 +758,36 @@ mod tests {
         r.parent = Some(ParentComparison {
             commit: "abc1234".into(),
             insertion_ops_per_sec: 1000.0,
+            removal_ops_per_sec: None,
         });
         let j = pi2m_obs::json::parse(&r.to_json_string()).unwrap();
         let p = j.get("parent_comparison").expect("parent block");
         assert_eq!(p.get("commit").unwrap().as_str(), Some("abc1234"));
         // 1000 ops / 0.5 s = 2000 ops/s now vs 1000 then: 2x
         assert_eq!(p.get("insertion_speedup").unwrap().as_f64(), Some(2.0));
+        assert!(p.get("removal_ops_per_sec").is_none());
+
+        r.parent.as_mut().unwrap().removal_ops_per_sec = Some(40.0);
+        let j = pi2m_obs::json::parse(&r.to_json_string()).unwrap();
+        let p = j.get("parent_comparison").unwrap();
+        // 100 ops / 0.25 s = 400 ops/s now vs 40 then: 10x
+        assert_eq!(p.get("removal_ops_per_sec").unwrap().as_f64(), Some(40.0));
+        assert_eq!(p.get("removal_speedup").unwrap().as_f64(), Some(10.0));
+    }
+
+    #[test]
+    fn removal_cost_gate_is_a_ratio_within_one_run() {
+        // 2000 insertions/s vs 400 removals/s: one removal = 5 insertions
+        let mut r = tiny_report();
+        assert!(check_removal_cost(&r).unwrap().contains("5.0 insertions"));
+        // the pre-filler shape: one removal = 47 insertions
+        r.removal.seconds = 0.25 * 47.0 / 5.0;
+        let err = check_removal_cost(&r).unwrap_err();
+        assert!(err.contains("47.0 insertions"), "{err}");
+        // a uniformly slower host moves both rates, not the verdict
+        r.removal.seconds = 0.25 * 10.0;
+        r.insertion.seconds = 0.5 * 10.0;
+        check_removal_cost(&r).unwrap();
     }
 
     #[test]

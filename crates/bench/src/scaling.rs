@@ -283,7 +283,8 @@ pub fn run_scaling_bench(opts: ScalingBenchOpts) -> ScalingReport {
                     &out.flight,
                     threads,
                     out.stats.wall_time,
-                ),
+                )
+                .with_dropped(out.flight_dropped),
             };
             let better = best
                 .as_ref()

@@ -1,6 +1,6 @@
 //! The virtual box: corner layout, its Delaunay subdivision (paper Figure
-//! 1a), and brute-force adjacency wiring used at initialization time and by
-//! the small local triangulations.
+//! 1a), and brute-force adjacency wiring. Initialization only: nothing here
+//! is called after [`crate::SharedMesh::with_box`] returns.
 //!
 //! The 8 corners of a box are exactly cospherical, so "the" Delaunay
 //! subdivision is ambiguous. The whole kernel resolves degeneracies with the
@@ -8,7 +8,8 @@
 //! timestamps), which makes the triangulation of any vertex set *unique*;
 //! the initial subdivision must therefore be the SoS-Delaunay triangulation
 //! of the corners under their keys — computed here by brute force over all
-//! 4-subsets (70 candidates; runs once per triangulation).
+//! 4-subsets (70 candidates, each an exact-arithmetic tie — ~0.4 ms, which
+//! is why it runs once per mesh and never per operation).
 
 use pi2m_geometry::{insphere_sos, orient3d_sign, signed_volume, Aabb, Point3};
 
@@ -190,7 +191,8 @@ mod tests {
 
     #[test]
     fn different_keys_still_tile() {
-        // aux-style keys (huge) must also produce a valid tiling
+        // any key assignment (here huge, in another order of magnitude than
+        // the init keys) must also produce a valid tiling
         let mut keys = [0u64; 8];
         for (k, slot) in keys.iter_mut().enumerate() {
             *slot = u64::MAX - 8 + k as u64;

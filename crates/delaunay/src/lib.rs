@@ -1,10 +1,9 @@
 //! # pi2m-delaunay
 //!
 //! The concurrent 3D Delaunay triangulation kernel underpinning PI2M:
-//! speculative Bowyer–Watson **insertions** and ball-re-triangulation
+//! speculative Bowyer–Watson **insertions** and star-hole-filling
 //! **removals** over a shared mesh, synchronized by per-vertex try-locks
-//! with rollback (paper §4.2), plus the small sequential [`local::LocalDt`]
-//! used for removals and reusable for tests and baselines.
+//! with rollback (paper §4.2).
 //!
 //! Typical use:
 //!
@@ -22,7 +21,6 @@
 pub mod boxinit;
 pub mod fxhash;
 pub mod ids;
-pub mod local;
 pub mod mesh;
 pub mod pool;
 pub mod scratch;

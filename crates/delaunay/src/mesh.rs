@@ -47,8 +47,6 @@ pub enum KernelError {
     MissingBackPointer,
     /// A gathered ball cell no longer contains the vertex being removed.
     BallLostVertex,
-    /// A link face of a removal is not realized by any fill cell.
-    UnrealizedLinkFace,
     /// The triangulation has no alive cells to walk from.
     NoAliveCells,
     /// A synthetic failure forced by the fault-injection plan.
@@ -60,7 +58,6 @@ impl std::fmt::Display for KernelError {
         match self {
             KernelError::MissingBackPointer => write!(f, "neighbor lacks a back-pointer"),
             KernelError::BallLostVertex => write!(f, "ball cell lost its removal vertex"),
-            KernelError::UnrealizedLinkFace => write!(f, "link face not realized by fill"),
             KernelError::NoAliveCells => write!(f, "triangulation has no alive cells"),
             KernelError::Injected => write!(f, "synthetic fault-plan failure"),
         }
@@ -87,8 +84,9 @@ pub enum OpError {
     OutsideDomain,
     /// The point coincides exactly with an existing vertex.
     Duplicate(VertexId),
-    /// A removal could not be glued safely (degenerate local triangulation);
-    /// the vertex stays. Removal is best-effort (paper: ~2% of operations).
+    /// The hole left by a removal could not be filled (see `remove.rs`): a
+    /// broken SoS-Delaunay invariant, never a legitimate input. The vertex
+    /// stays and nothing was mutated.
     RemovalBlocked,
     /// Unrecoverable geometric degeneracy for this element; skip it.
     Degenerate,

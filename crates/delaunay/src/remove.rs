@@ -3,29 +3,40 @@
 //! Removal is the operation that distinguishes PI2M from prior parallel
 //! refiners (paper §1: "none of the parallel Delaunay refinement algorithms
 //! support point removals"). The ball `B(p)` — all cells incident to `p` —
-//! is gathered under vertex locks; the link vertices are re-triangulated in
-//! a *local* Delaunay triangulation, inserting them in **global timestamp
-//! order** so that degenerate (cospherical) configurations resolve exactly
-//! as a sequential run would (paper §4.2); the sub-triangulation filling the
-//! star of `p` is identified by a wall-bounded flood fill, validated by a
-//! volume identity, and glued in place of the ball.
+//! is gathered under vertex locks, and the star-shaped hole it leaves is
+//! filled **directly**: the link faces start out as open faces, and each open
+//! face is closed by gift-wrapping — among the link vertices strictly on its
+//! inner side, the apex is the one whose perturbed circumsphere contains none
+//! of the others. The new cell's other three faces either close an open face
+//! already waiting in the open-face map or become open themselves; the hole
+//! is filled when no open face remains. Only the cells that get glued are
+//! ever built.
 //!
-//! If any validation fails (a link face missing from the local triangulation,
-//! an auxiliary vertex leaking into the fill region, or a volume mismatch)
-//! the removal aborts with [`OpError::RemovalBlocked`] and the mesh is left
-//! untouched — removal is best-effort, mirroring the paper where removals
-//! are ~2% of operations.
+//! Every in-sphere test runs under the **global** vertex-id SoS keys, and the
+//! SoS-Delaunay triangulation of a vertex set is unique, so the fill is
+//! exactly the part of `DT(S ∖ {p})` inside the hole whatever order the faces
+//! are visited in — the property the paper's §4.2 buys by re-inserting the
+//! link vertices into a local triangulation in global timestamp order.
 //!
-//! All transient buffers — including the [`LocalDt`] itself — live in the
-//! per-worker [`KernelScratch`] arena and are reused across removals.
+//! [`OpError::RemovalBlocked`] now means the fill could not be completed: an
+//! open face with no link vertex strictly on its inner side, a face that
+//! would get a third incident cell, or a closed fill whose volume is not the
+//! ball's (faces match by unordered key, so a cell on the wrong side of one
+//! would otherwise pass). None can happen while the mesh is the SoS-Delaunay
+//! triangulation of its vertices; the typed error stays so that a broken
+//! invariant abandons the operation (mesh untouched) instead of gluing a bad
+//! fill.
+//!
+//! All transient buffers live in the per-worker [`KernelScratch`] arena and
+//! are reused across removals.
 
 use crate::ids::{CellId, VertexId, VertexKind, NONE};
-use crate::local::{LocalDt, AUX_COUNT};
 use crate::mesh::{KernelError, OpCtx, OpError, RemoveResult};
-use crate::scratch::{KernelScratch, FACE_SLOT_NONE};
+use crate::scratch::KernelScratch;
 use pi2m_faults::{sites, Injected};
-use pi2m_geometry::{signed_volume, Aabb, Point3, TET_FACES};
+use pi2m_geometry::{signed_volume, Point3, TET_FACES};
 use pi2m_obs::flight::{cause as flight_cause, EventKind};
+use std::collections::hash_map::Entry;
 
 /// Neighbor specification of a planned fill cell.
 #[derive(Clone, Copy)]
@@ -34,6 +45,15 @@ pub(crate) enum Nb {
     Region(usize),
     /// The outside cell across a link face (index into the link-face list).
     Link(usize),
+}
+
+/// Who waits on the far side of an open face of the partly filled hole.
+#[derive(Clone, Copy)]
+pub(crate) enum FaceOwner {
+    /// The outside cell across this link face (index into the link-face list).
+    Link(usize),
+    /// Face `slot` of fill cell `plan` (index into the plan list).
+    Cell { plan: usize, slot: usize },
 }
 
 /// A fully planned removal, locks held, not yet committed. Obtain via
@@ -66,10 +86,8 @@ impl PreparedRemove {
     }
 }
 
-/// A face of the ball boundary (the link of `p`).
+/// What lies across a face of the ball boundary (the link of `p`).
 pub(crate) struct LinkFace {
-    /// Global vertex ids, oriented so `orient3d(verts, p) > 0`.
-    verts: [VertexId; 3],
     /// The cell outside the ball across this face (`NONE` on the hull).
     outside: CellId,
     /// Which face of `outside` points back into the ball (0 on the hull,
@@ -77,8 +95,8 @@ pub(crate) struct LinkFace {
     out_face: usize,
 }
 
-fn face_key(a: u32, b: u32, c: u32) -> (u32, u32, u32) {
-    let mut t = [a, b, c];
+fn face_key(f: [u32; 3]) -> (u32, u32, u32) {
+    let mut t = f;
     t.sort_unstable();
     (t[0], t[1], t[2])
 }
@@ -118,10 +136,9 @@ impl OpCtx<'_> {
         Ok(res)
     }
 
-    /// Planning phase: gather and lock the ball, re-triangulate the link
-    /// locally, validate the glue. On error everything is rolled back; on
-    /// success locks stay held until `commit_remove` + `release_locks` or
-    /// `abort`.
+    /// Planning phase: gather and lock the ball, fill the hole it leaves,
+    /// resolve the glue. On error everything is rolled back; on success
+    /// locks stay held until `commit_remove` + `release_locks` or `abort`.
     pub fn prepare_remove(&mut self, v: VertexId) -> Result<PreparedRemove, OpError> {
         if self.has_faults() {
             match self.fault(sites::REMOVE_PREPARE) {
@@ -198,7 +215,7 @@ impl OpCtx<'_> {
             }
         }
 
-        // ---- link faces & link vertices ----
+        // ---- link vertices (ids double as SoS keys) & link faces ----
         s.link_faces.reserve(s.ball.len());
         for ci in 0..s.ball.len() {
             let c = s.ball[ci];
@@ -207,6 +224,18 @@ impl OpCtx<'_> {
                 Some(vi) => vi,
                 None => return Err(OpError::Kernel(KernelError::BallLostVertex)),
             };
+            let mut local = [0u32; 4];
+            for (k, slot) in local.iter_mut().enumerate() {
+                if k == vi {
+                    continue;
+                }
+                let u = cell.vert(k);
+                *slot = *s.link_index.entry(u.0).or_insert_with(|| {
+                    s.link_verts.push(u);
+                    s.link_pos.push(self.mesh.pos3(u));
+                    (s.link_verts.len() - 1) as u32
+                });
+            }
             let f = TET_FACES[vi];
             let outside = cell.nei(vi);
             let out_face = if outside.is_none() {
@@ -217,220 +246,52 @@ impl OpCtx<'_> {
                     None => return Err(OpError::Kernel(KernelError::MissingBackPointer)),
                 }
             };
-            let lf = LinkFace {
-                verts: [cell.vert(f[0]), cell.vert(f[1]), cell.vert(f[2])],
-                outside,
-                out_face,
-            };
-            for k in 0..4 {
-                let u = self.mesh.cell(c).vert(k);
-                if u != v && s.seen_verts.insert(u.0) {
-                    s.link_verts.push(u);
-                }
-            }
-            s.link_faces.push(lf);
-        }
-        // Insert in global id order. The ids double as the SoS keys below,
-        // and they MUST: the local retriangulation has to resolve exact
-        // degeneracies the same way the global id-keyed perturbation does,
-        // or the glued ball would not be Delaunay under the global SoS. For
-        // generic (non-degenerate) link sets the result is a pure function
-        // of the positions regardless of this order.
-        s.link_verts.sort_unstable();
-
-        // ---- local Delaunay triangulation of the link ----
-        let mut bb = Aabb::empty();
-        for &u in &s.link_verts {
-            bb.include(self.mesh.position(u));
-        }
-        let bb = bb.inflated(bb.diagonal().max(1e-6));
-        // The local triangulation is parked in the arena between removals;
-        // take it out so `s`'s other buffers stay independently borrowable,
-        // and put it back whatever happens.
-        let mut dt = match s.local_dt.take() {
-            Some(mut dt) => {
-                dt.reset(&bb);
-                dt
-            }
-            None => LocalDt::new(&bb),
-        };
-        dt.set_batch(self.batch);
-        let r = self.prepare_remove_with_dt(v, s, &mut dt);
-        self.pred_stats.merge(&dt.take_stats());
-        self.batch_stats.merge(&dt.take_batch_stats());
-        s.local_dt = Some(dt);
-        r
-    }
-
-    fn prepare_remove_with_dt(
-        &mut self,
-        v: VertexId,
-        s: &mut KernelScratch,
-        dt: &mut LocalDt,
-    ) -> Result<PreparedRemove, OpError> {
-        for _ in 0..AUX_COUNT {
-            s.l2g.push(VertexId(NONE));
-        }
-        for li_expected in 0..s.link_verts.len() {
-            let u = s.link_verts[li_expected];
-            let li = dt
-                .insert(self.mesh.pos3(u), u.0 as u64)
-                .map_err(|_| OpError::RemovalBlocked)?;
-            debug_assert_eq!(li as usize, s.l2g.len());
-            s.g2l.insert(u.0, li);
-            s.l2g.push(u);
-        }
-
-        // ---- face map of the local triangulation ----
-        // Two inline slots per face: a face of a tet complex has at most two
-        // incident (cell, face-index) pairs, so the map never allocates
-        // per-entry storage.
-        for lc in dt.alive() {
-            let cv = dt.cell_verts(lc);
-            for (i, f) in TET_FACES.iter().enumerate() {
-                let e = s
-                    .face_map
-                    .entry(face_key(cv[f[0]], cv[f[1]], cv[f[2]]))
-                    .or_insert([(FACE_SLOT_NONE, 0), (FACE_SLOT_NONE, 0)]);
-                if e[0].0 == FACE_SLOT_NONE {
-                    e[0] = (lc, i as u32);
-                } else if e[1].0 == FACE_SLOT_NONE {
-                    e[1] = (lc, i as u32);
-                } else {
-                    return Err(OpError::RemovalBlocked);
-                }
-            }
-        }
-
-        // ---- seeds: for each link face, the local tet on p's side ----
-        for fi in 0..s.link_faces.len() {
-            let fverts = s.link_faces[fi].verts;
-            let l = [
-                *s.g2l.get(&fverts[0].0).ok_or(OpError::RemovalBlocked)?,
-                *s.g2l.get(&fverts[1].0).ok_or(OpError::RemovalBlocked)?,
-                *s.g2l.get(&fverts[2].0).ok_or(OpError::RemovalBlocked)?,
-            ];
-            let key = face_key(l[0], l[1], l[2]);
-            if s.walls.insert(key, fi).is_some() {
+            // every link face starts out open; `TET_FACES[vi]` has `p` on
+            // its positive side
+            let verts = [local[f[0]], local[f[1]], local[f[2]]];
+            let open = Some(FaceOwner::Link(s.link_faces.len()));
+            if s.open_faces.insert(face_key(verts), open).is_some() {
                 return Err(OpError::RemovalBlocked); // duplicate link face
             }
-            let cands = *s.face_map.get(&key).ok_or(OpError::RemovalBlocked)?;
-            let fpos = [
-                self.mesh.pos3(fverts[0]),
-                self.mesh.pos3(fverts[1]),
-                self.mesh.pos3(fverts[2]),
-            ];
-            let mut found = false;
-            for &(lc, i) in cands.iter() {
-                if lc == FACE_SLOT_NONE {
-                    continue;
-                }
-                let w = dt.cell_verts(lc)[i as usize];
-                let wp = dt.point(w);
-                // under the *local* triangulation's own bounds: `wp` may be
-                // an aux corner outside the mesh box
-                let sgn = dt.orient3d_st(&fpos[0], &fpos[1], &fpos[2], &wp);
-                if sgn > 0.0 {
-                    // inner side (same as p, since orient3d(face, p) > 0)
-                    if !dt.is_finite(lc) {
-                        return Err(OpError::RemovalBlocked);
-                    }
-                    if s.region.insert(lc) {
-                        s.stack.push(lc);
-                    }
-                    found = true;
-                    break;
-                }
-            }
-            if !found {
-                return Err(OpError::RemovalBlocked);
-            }
+            s.open_stack.push(verts);
+            s.link_faces.push(LinkFace { outside, out_face });
         }
-
-        // ---- flood fill bounded by the walls ----
-        while let Some(lc) = s.stack.pop() {
-            let cv = dt.cell_verts(lc);
-            let cn = dt.cell_neis(lc);
-            for (i, f) in TET_FACES.iter().enumerate() {
-                let key = face_key(cv[f[0]], cv[f[1]], cv[f[2]]);
-                if s.walls.contains_key(&key) {
-                    continue;
-                }
-                let n = cn[i];
-                if n == u32::MAX {
-                    return Err(OpError::RemovalBlocked); // leaked to hull
-                }
-                if !dt.is_finite(n) {
-                    return Err(OpError::RemovalBlocked); // leaked to aux
-                }
-                if s.region.insert(n) {
-                    s.stack.push(n);
-                }
-            }
-        }
-
-        // ---- volume identity: region must fill exactly the ball ----
-        let vol_of = |pts: [Point3; 4]| signed_volume(pts[0], pts[1], pts[2], pts[3]);
-        let ball_vol: f64 = s
-            .ball
-            .iter()
-            .map(|&c| vol_of(self.mesh.cell_points(c)))
-            .sum();
-        let region_vol: f64 = s
-            .region
-            .iter()
-            .map(|&lc| {
-                let cv = dt.cell_verts(lc);
-                vol_of([
-                    Point3::from_array(dt.point(cv[0])),
-                    Point3::from_array(dt.point(cv[1])),
-                    Point3::from_array(dt.point(cv[2])),
-                    Point3::from_array(dt.point(cv[3])),
-                ])
-            })
-            .sum();
-        if (region_vol - ball_vol).abs() > 1e-9 * ball_vol.abs().max(1e-12) {
-            return Err(OpError::RemovalBlocked);
-        }
-
-        // ---- dry-run neighbor computation (fail before mutating) ----
-        s.region_list.extend(s.region.iter().copied());
-        for (ri, &lc) in s.region_list.iter().enumerate() {
-            s.l2new.insert(lc, ri);
-        }
-        // per region cell: (verts, neighbor spec) where neighbor spec is
-        // either Region(index) or Link(link face index). The owner of every
-        // wall is also resolved here so commit never fails a lookup.
-        s.plans.reserve(s.region_list.len());
         s.wall_owner.resize(s.link_faces.len(), usize::MAX);
-        for ri in 0..s.region_list.len() {
-            let lc = s.region_list[ri];
-            let cv = dt.cell_verts(lc);
-            let cn = dt.cell_neis(lc);
-            let verts = [
-                s.l2g[cv[0] as usize],
-                s.l2g[cv[1] as usize],
-                s.l2g[cv[2] as usize],
-                s.l2g[cv[3] as usize],
-            ];
-            let mut nbs: [Nb; 4] = [Nb::Region(usize::MAX); 4];
-            for (i, f) in TET_FACES.iter().enumerate() {
-                let key = face_key(cv[f[0]], cv[f[1]], cv[f[2]]);
-                if let Some(&fi) = s.walls.get(&key) {
-                    nbs[i] = Nb::Link(fi);
-                    s.wall_owner[fi] = ri;
-                } else if let Some(&rj) = s.l2new.get(&cn[i]) {
-                    nbs[i] = Nb::Region(rj);
-                } else {
-                    return Err(OpError::RemovalBlocked);
+
+        // ---- gift-wrap inward until no face is open ----
+        while let Some(f) = s.open_stack.pop() {
+            // closed by a cell built since it was pushed?
+            let Some(owner) = s.open_faces.get_mut(&face_key(f)).and_then(Option::take) else {
+                continue;
+            };
+            let apex = self.fill_apex(s, f).ok_or(OpError::RemovalBlocked)?;
+            let ri = s.plans.len();
+            let local = [f[0], f[1], f[2], apex];
+            let mut nbs = [Nb::Region(usize::MAX); 4];
+            nbs[3] = attach(s, owner, ri);
+            for (i, tf) in TET_FACES.iter().enumerate().take(3) {
+                // `TET_FACES` faces have the cell on their positive side
+                let side = [local[tf[0]], local[tf[1]], local[tf[2]]];
+                let waiting = match s.open_faces.entry(face_key(side)) {
+                    Entry::Occupied(mut e) => Some(e.get_mut().take()),
+                    Entry::Vacant(e) => {
+                        e.insert(Some(FaceOwner::Cell { plan: ri, slot: i }));
+                        None
+                    }
+                };
+                match waiting {
+                    Some(Some(other)) => nbs[i] = attach(s, other, ri),
+                    Some(None) => return Err(OpError::RemovalBlocked), // third cell
+                    // reversed: the positive side is the still-empty side
+                    None => s.open_stack.push([side[0], side[2], side[1]]),
                 }
             }
-            s.plans.push((verts, nbs));
+            s.plans.push((local.map(|l| s.link_verts[l as usize]), nbs));
         }
-        for (fi, lf) in s.link_faces.iter().enumerate() {
-            if !lf.outside.is_none() && s.wall_owner[fi] == usize::MAX {
-                return Err(OpError::Kernel(KernelError::UnrealizedLinkFace));
-            }
+        // ~1 µs per removal; the last guard before the commit phase
+        if !self.fill_volume_matches(s) {
+            debug_assert!(false, "fill does not tile the ball of {v:?}");
+            return Err(OpError::RemovalBlocked);
         }
 
         Ok(PreparedRemove {
@@ -440,6 +301,46 @@ impl OpCtx<'_> {
             plans: std::mem::take(&mut s.plans),
             wall_owner: std::mem::take(&mut s.wall_owner),
         })
+    }
+
+    /// The apex of the fill cell on the positive side of open face `f`: of
+    /// the link vertices strictly on that side, the one whose perturbed
+    /// circumsphere (with `f`) contains none of the others. Spheres through
+    /// `f` are totally ordered on one side of its plane, so one pass keeping
+    /// the current best suffices.
+    fn fill_apex(&mut self, s: &KernelScratch, f: [u32; 3]) -> Option<u32> {
+        let [a, b, c] = f.map(|l| s.link_pos[l as usize]);
+        let key = |l: u32| s.link_verts[l as usize].0 as u64;
+        let mut best: Option<u32> = None;
+        for e in 0..s.link_verts.len() as u32 {
+            if f.contains(&e) {
+                continue;
+            }
+            let pe = &s.link_pos[e as usize];
+            if self.orient3d_st(&a, &b, &c, pe) <= 0.0 {
+                continue;
+            }
+            if let Some(d) = best {
+                let keys = [key(f[0]), key(f[1]), key(f[2]), key(d), key(e)];
+                if self.insphere_sos_st(&a, &b, &c, &s.link_pos[d as usize], pe, keys) <= 0 {
+                    continue;
+                }
+            }
+            best = Some(e);
+        }
+        best
+    }
+
+    /// Volume identity: the planned fill tiles exactly the ball.
+    fn fill_volume_matches(&self, s: &KernelScratch) -> bool {
+        let vol = |p: [Point3; 4]| signed_volume(p[0], p[1], p[2], p[3]);
+        let ball: f64 = s.ball.iter().map(|&c| vol(self.mesh.cell_points(c))).sum();
+        let fill: f64 = s
+            .plans
+            .iter()
+            .map(|(verts, _)| vol(verts.map(|u| self.mesh.position(u))))
+            .sum();
+        (fill - ball).abs() <= 1e-9 * ball.abs().max(1e-12)
     }
 
     /// Commit a prepared removal: activate the fill cells, rewire adjacency,
@@ -514,6 +415,21 @@ impl OpCtx<'_> {
             removed: v,
             created: new_ids,
             killed,
+        }
+    }
+}
+
+/// Glue fill cell `ri` to whoever owned the open face it just closed:
+/// record `ri` on the owner's side and return the owner as `ri`'s neighbor.
+fn attach(s: &mut KernelScratch, owner: FaceOwner, ri: usize) -> Nb {
+    match owner {
+        FaceOwner::Link(fi) => {
+            s.wall_owner[fi] = ri;
+            Nb::Link(fi)
+        }
+        FaceOwner::Cell { plan, slot } => {
+            s.plans[plan].1[slot] = Nb::Region(ri);
+            Nb::Region(plan)
         }
     }
 }

@@ -17,8 +17,7 @@
 
 use crate::ids::{CellId, VertexId, NONE};
 use crate::insert::BFace;
-use crate::local::LocalDt;
-use crate::remove::{LinkFace, Nb};
+use crate::remove::{FaceOwner, LinkFace, Nb};
 use crate::{fxhash::FxHashMap, fxhash::FxHashSet};
 
 /// Fibonacci multiplier for the epoch-table probes (same constant family the
@@ -230,9 +229,6 @@ impl EdgeTable {
 /// the engine's in-flight results never hold more than a couple at once).
 const SPARE_CAP: usize = 8;
 
-/// Sentinel for an unused slot of a two-slot face-map entry.
-pub(crate) const FACE_SLOT_NONE: u32 = u32::MAX;
-
 /// Buffer-recycling effectiveness counters (drained into `pi2m-obs`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScratchStats {
@@ -320,20 +316,15 @@ pub struct KernelScratch {
     pub(crate) wall_owner: Vec<usize>,
     pub(crate) in_ball: FxHashSet<u32>,
     pub(crate) link_verts: Vec<VertexId>,
-    pub(crate) seen_verts: FxHashSet<u32>,
-    pub(crate) g2l: FxHashMap<u32, u32>,
-    pub(crate) l2g: Vec<VertexId>,
-    /// Local-triangulation face incidence: each face of a tet complex has at
-    /// most two incident (cell, face-index) pairs, stored inline so clearing
-    /// the map never drops per-entry heap blocks.
-    pub(crate) face_map: FxHashMap<(u32, u32, u32), [(u32, u32); 2]>,
-    pub(crate) walls: FxHashMap<(u32, u32, u32), usize>,
-    pub(crate) region: FxHashSet<u32>,
-    pub(crate) stack: Vec<u32>,
-    pub(crate) region_list: Vec<u32>,
-    pub(crate) l2new: FxHashMap<u32, usize>,
-    /// Reusable local Delaunay triangulation for ball re-triangulation.
-    pub(crate) local_dt: Option<LocalDt>,
+    /// Positions of `link_verts`, gathered once per removal.
+    pub(crate) link_pos: Vec<[f64; 3]>,
+    /// Vertex id → index into `link_verts`.
+    pub(crate) link_index: FxHashMap<u32, u32>,
+    /// Faces of the partly filled hole by sorted link-vertex indices:
+    /// `Some(owner)` while one side still lacks a cell, `None` once closed.
+    pub(crate) open_faces: FxHashMap<(u32, u32, u32), Option<FaceOwner>>,
+    /// Open faces awaiting a fill cell on their positive side.
+    pub(crate) open_stack: Vec<[u32; 3]>,
 
     // ---- pooled result buffers ----
     spare_cells: Vec<Vec<CellId>>,
@@ -369,22 +360,17 @@ impl KernelScratch {
     /// Reset the removal-prepare buffers and account for their warmth.
     pub(crate) fn begin_remove(&mut self) {
         self.note(self.ball.capacity() > 0);
-        self.note(self.face_map.capacity() > 0);
+        self.note(self.open_faces.capacity() > 0);
         self.ball.clear();
         self.link_faces.clear();
         self.plans.clear();
         self.wall_owner.clear();
         self.in_ball.clear();
         self.link_verts.clear();
-        self.seen_verts.clear();
-        self.g2l.clear();
-        self.l2g.clear();
-        self.face_map.clear();
-        self.walls.clear();
-        self.region.clear();
-        self.stack.clear();
-        self.region_list.clear();
-        self.l2new.clear();
+        self.link_pos.clear();
+        self.link_index.clear();
+        self.open_faces.clear();
+        self.open_stack.clear();
     }
 
     /// A pooled `Vec<CellId>` for a result's `created` list.
@@ -489,16 +475,10 @@ impl KernelScratch {
             + self.wall_owner.capacity()
             + self.in_ball.capacity()
             + self.link_verts.capacity()
-            + self.seen_verts.capacity()
-            + self.g2l.capacity()
-            + self.l2g.capacity()
-            + self.face_map.capacity()
-            + self.walls.capacity()
-            + self.region.capacity()
-            + self.stack.capacity()
-            + self.region_list.capacity()
-            + self.l2new.capacity()
-            + self.local_dt.as_ref().map_or(0, |dt| dt.footprint())
+            + self.link_pos.capacity()
+            + self.link_index.capacity()
+            + self.open_faces.capacity()
+            + self.open_stack.capacity()
             + self.spare_cells.iter().map(Vec::capacity).sum::<usize>()
             + self.spare_killed.iter().map(Vec::capacity).sum::<usize>()
     }

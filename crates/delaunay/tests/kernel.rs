@@ -1,5 +1,6 @@
-//! Kernel-level integration tests: uniqueness of the SoS triangulation,
-//! randomized insert/remove soak tests, and genuinely concurrent stress runs
+//! Kernel-level integration tests: a from-scratch differential for the
+//! removal hole filler (remove `p` from `S` ≡ build `S ∖ {p}`), randomized
+//! insert/remove soak tests, and genuinely concurrent stress runs
 //! (oversubscribed threads with rollback-retry).
 
 use pi2m_delaunay::{OpError, SharedMesh, VertexId, VertexKind};
@@ -21,74 +22,194 @@ fn full_checks(m: &SharedMesh) {
     m.check_delaunay_sos().unwrap();
 }
 
-#[test]
-fn local_dt_is_insertion_order_independent() {
-    use pi2m_delaunay::local::LocalDt;
-    let mut rng = ChaCha8Rng::seed_from_u64(42);
-    for round in 0..20 {
-        // mix of generic and grid (degenerate) points
-        let mut pts: Vec<([f64; 3], u64)> = Vec::new();
-        for i in 0..12u64 {
-            let p = if round % 2 == 0 {
-                [
-                    rng.gen_range(0.0..1.0),
-                    rng.gen_range(0.0..1.0),
-                    rng.gen_range(0.0..1.0),
-                ]
-            } else {
-                [
-                    (i % 3) as f64 * 0.5,
-                    ((i / 3) % 2) as f64 * 0.5,
-                    (i / 6) as f64 * 0.5,
-                ]
-            };
-            if !pts.iter().any(|(q, _)| *q == p) {
-                pts.push((p, i));
+/// Build the triangulation of `pts` (in order) and return the vertex ids.
+fn build(pts: &[[f64; 3]]) -> (SharedMesh, Vec<VertexId>) {
+    let m = unit_mesh();
+    let mut ctx = m.make_ctx(0);
+    let ids = pts
+        .iter()
+        .map(|&p| ctx.insert(p, VertexKind::Circumcenter).unwrap().vertex)
+        .collect();
+    drop(ctx);
+    (m, ids)
+}
+
+/// The alive cells as sorted quadruples of vertex positions (bit patterns),
+/// sorted — a canonical form independent of vertex and cell ids.
+fn cells_by_position(m: &SharedMesh) -> Vec<[[u64; 3]; 4]> {
+    let mut cells: Vec<[[u64; 3]; 4]> = m
+        .alive_cells()
+        .map(|c| {
+            let mut q = m.cell(c).verts().map(|v| m.pos3(v).map(f64::to_bits));
+            q.sort_unstable();
+            q
+        })
+        .collect();
+    cells.sort_unstable();
+    cells
+}
+
+/// Does some face of `v`'s link lie on the box hull?
+fn link_touches_hull(m: &SharedMesh, v: VertexId) -> bool {
+    m.alive_cells().any(|c| {
+        let cell = m.cell(c);
+        cell.index_of(v).is_some_and(|i| cell.nei(i).is_none())
+    })
+}
+
+/// The differential: removing `pts[victim]` from the triangulation of `pts`
+/// must leave exactly the triangulation of the other points inserted from
+/// scratch in the same relative order (same relative SoS keys, so the same
+/// unique SoS-Delaunay triangulation), and a structurally sound mesh.
+fn assert_removal_matches_scratch(pts: &[[f64; 3]], victim: usize, what: &str) {
+    let (m, ids) = build(pts);
+    let mut ctx = m.make_ctx(0);
+    let r = ctx
+        .remove(ids[victim])
+        .unwrap_or_else(|e| panic!("{what}: removing point {victim} failed: {e:?}"));
+    assert_eq!(r.removed, ids[victim]);
+    drop(ctx);
+    full_checks(&m);
+    assert!((m.total_volume() - 1.0).abs() < 1e-9, "{what}: volume");
+
+    let mut rest = pts.to_vec();
+    rest.remove(victim);
+    let (scratch, _) = build(&rest);
+    assert!(
+        cells_by_position(&m) == cells_by_position(&scratch),
+        "{what}: removal of point {victim} differs from the from-scratch triangulation"
+    );
+}
+
+fn random_points(rng: &mut ChaCha8Rng, n: usize) -> Vec<[f64; 3]> {
+    (0..n)
+        .map(|_| {
+            [
+                rng.gen_range(0.05..0.95),
+                rng.gen_range(0.05..0.95),
+                rng.gen_range(0.05..0.95),
+            ]
+        })
+        .collect()
+}
+
+/// A shuffled n×n×n lattice with binary-exact coordinates strictly inside
+/// the unit box: every lattice cube is eight exactly cospherical points.
+fn shuffled_lattice(rng: &mut ChaCha8Rng, n: usize) -> Vec<[f64; 3]> {
+    let at = |i: usize| (2 * i + 1) as f64 / (2 * n) as f64;
+    let mut pts = Vec::new();
+    for x in 0..n {
+        for y in 0..n {
+            for z in 0..n {
+                pts.push([at(x), at(y), at(z)]);
             }
         }
-        let bb = Aabb::new(Point3::new(-1.0, -1.0, -1.0), Point3::new(2.0, 2.0, 2.0));
-
-        let tets_of = |order: &[usize]| -> Vec<[u64; 4]> {
-            let mut dt = LocalDt::new(&bb);
-            let mut l2k = vec![u64::MAX; 8];
-            for &i in order {
-                let (p, k) = pts[i];
-                let li = dt.insert(p, k).unwrap();
-                assert_eq!(li as usize, l2k.len());
-                l2k.push(k);
-            }
-            let mut tets: Vec<[u64; 4]> = dt
-                .alive()
-                .filter(|&c| dt.is_finite(c))
-                .map(|c| {
-                    let v = dt.cell_verts(c);
-                    let mut t = [
-                        l2k[v[0] as usize],
-                        l2k[v[1] as usize],
-                        l2k[v[2] as usize],
-                        l2k[v[3] as usize],
-                    ];
-                    t.sort_unstable();
-                    t
-                })
-                .collect();
-            tets.sort_unstable();
-            tets
-        };
-
-        let order1: Vec<usize> = (0..pts.len()).collect();
-        let mut order2 = order1.clone();
-        // a deterministic shuffle
-        for i in (1..order2.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            order2.swap(i, j);
-        }
-        assert_eq!(
-            tets_of(&order1),
-            tets_of(&order2),
-            "round {round}: SoS triangulation must be unique regardless of order"
-        );
     }
+    for i in (1..pts.len()).rev() {
+        pts.swap(i, rng.gen_range(0..=i));
+    }
+    pts
+}
+
+#[test]
+fn removal_matches_scratch_generic() {
+    let mut rng = ChaCha8Rng::seed_from_u64(2024);
+    for round in 0..4 {
+        let pts = random_points(&mut rng, 40);
+        for victim in 0..pts.len() {
+            assert_removal_matches_scratch(&pts, victim, &format!("generic round {round}"));
+        }
+    }
+}
+
+#[test]
+fn removal_matches_scratch_on_lattice() {
+    let mut rng = ChaCha8Rng::seed_from_u64(4);
+    let pts = shuffled_lattice(&mut rng, 4);
+    for victim in 0..pts.len() {
+        assert_removal_matches_scratch(&pts, victim, "4x4x4 lattice");
+    }
+}
+
+#[test]
+fn removal_matches_scratch_at_circumcenter() {
+    // (a) the exact case: the center of a lattice cube is equidistant from
+    // its eight corners, so every fill cell of its ball is an SoS tie
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let mut pts = shuffled_lattice(&mut rng, 4);
+    pts.push([0.5, 0.5, 0.5]);
+    pts.push([0.25, 0.5, 0.75]);
+    assert_removal_matches_scratch(&pts, pts.len() - 1, "cube center");
+    assert_removal_matches_scratch(&pts, pts.len() - 2, "cube center under a later vertex");
+
+    // (b) the R4/R5 case: the computed circumcenter of an existing cell —
+    // four link vertices equidistant up to rounding, where the semi-static
+    // filter gives up and the exact stages decide
+    for round in 0..6 {
+        let mut pts = random_points(&mut rng, 30);
+        let (m, _) = build(&pts);
+        let cc = m
+            .alive_cells()
+            .filter_map(|c| {
+                let q = m.cell_points(c);
+                pi2m_geometry::circumcenter(q[0], q[1], q[2], q[3])
+            })
+            .find(|cc| {
+                let c = cc.to_array();
+                c.iter().all(|&x| (0.05..0.95).contains(&x)) && !pts.contains(&c)
+            })
+            .expect("an interior circumcenter")
+            .to_array();
+        pts.push(cc);
+        let what = format!("circumcenter round {round}");
+        assert_removal_matches_scratch(&pts, pts.len() - 1, &what);
+    }
+}
+
+#[test]
+fn removal_matches_scratch_for_high_degree_vertex() {
+    // a hub with every point of a surrounding sphere in its link; the sphere
+    // points are cospherical up to rounding, so the fill is decided by
+    // near-ties throughout
+    let mut rng = ChaCha8Rng::seed_from_u64(6);
+    let hub = [0.5, 0.5, 0.5];
+    let mut pts = vec![hub];
+    while pts.len() < 161 {
+        let d: [f64; 3] = [
+            rng.gen_range(-1.0..1.0),
+            rng.gen_range(-1.0..1.0),
+            rng.gen_range(-1.0..1.0),
+        ];
+        let len = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+        if (0.1..1.0).contains(&len) {
+            pts.push([0, 1, 2].map(|a| hub[a] + 0.3 * d[a] / len));
+        }
+    }
+    let (m, ids) = build(&pts);
+    let degree = m
+        .alive_cells()
+        .filter(|&c| m.cell(c).has_vertex(ids[0]))
+        .count();
+    assert!(degree >= 200, "hub ball has only {degree} cells");
+    assert_removal_matches_scratch(&pts, 0, "high-degree hub");
+}
+
+#[test]
+fn removal_matches_scratch_when_link_touches_hull() {
+    // a lone vertex: its link is the whole box hull
+    assert_removal_matches_scratch(&[[0.3, 0.6, 0.4]], 0, "lone vertex");
+    // sparse sets: most links still reach the hull
+    let mut rng = ChaCha8Rng::seed_from_u64(8);
+    let mut on_hull = 0;
+    for round in 0..10 {
+        let pts = random_points(&mut rng, 6);
+        let (m, ids) = build(&pts);
+        for (victim, &v) in ids.iter().enumerate() {
+            on_hull += link_touches_hull(&m, v) as usize;
+            assert_removal_matches_scratch(&pts, victim, &format!("sparse round {round}"));
+        }
+    }
+    assert!(on_hull >= 30, "only {on_hull} of 60 links touched the hull");
 }
 
 #[test]
@@ -127,7 +248,7 @@ fn soak_insert_remove_random() {
 }
 
 #[test]
-fn removals_almost_never_blocked_with_sos() {
+fn removals_never_blocked_with_sos() {
     let m = unit_mesh();
     let mut ctx = m.make_ctx(0);
     let mut rng = ChaCha8Rng::seed_from_u64(99);
@@ -146,13 +267,10 @@ fn removals_almost_never_blocked_with_sos() {
             blocked += 1;
         }
     }
-    // With the unique SoS triangulation, the local glue should essentially
-    // always succeed for generic points. The local re-glue can still
-    // legitimately fail for rare cavity configurations, and the exact count
-    // depends on the RNG stream (the vendored ChaCha stand-in produces a
-    // different deterministic stream than crates.io rand_chacha), so bound
-    // the failure rate instead of requiring exactly zero.
-    assert!(blocked <= 4, "{blocked}/150 removals blocked");
+    // The hole filler has no legitimate way to fail: the SoS-Delaunay
+    // triangulation of the remaining vertices exists and is unique.
+    assert_eq!(blocked, 0, "{blocked}/150 removals blocked");
+    assert_eq!(m.num_alive_cells(), 6);
     // removing every inserted vertex restores the initial box subdivision
     full_checks(&m);
 }

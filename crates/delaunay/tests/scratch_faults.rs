@@ -172,11 +172,60 @@ fn remove_commit_panic_is_retryable_on_same_ctx() {
     let r = ctx.remove(victim).expect("retry after recovery succeeds");
     ctx.recycle_remove(r);
     assert!(!mesh.vertex(victim).is_alive());
-    // the ball buffer traveled inside the dropped PreparedRemove; the face
-    // map and both result-buffer pools are still warm from the first attempt
+    // the ball buffer traveled inside the dropped PreparedRemove; the
+    // open-face map and both result-buffer pools are still warm from the
+    // first attempt
     let st = ctx.take_scratch_stats();
     assert_eq!(st.allocs, 1, "only the traveling ball buffer is lost");
-    assert_eq!(st.reuses, 3, "face map and result pools stay warm");
+    assert_eq!(st.reuses, 3, "open-face map and result pools stay warm");
+    mesh.check_delaunay_sos()
+        .expect("mesh sound after retried removal");
+}
+
+/// Panic *mid-prepare* of a removal (a lock acquisition halfway through the
+/// ball gather, whole arena taken out of the context): the unwind drops the
+/// traveling arena and leaves a default one, recovery releases every lock
+/// the half-gathered ball held, and the same context then removes the vertex
+/// on the replacement arena.
+#[test]
+fn remove_mid_prepare_panic_leaves_default_arena_and_no_locks() {
+    let mesh = unit_mesh();
+    let mut victim = VertexId(u32::MAX);
+    let warm = {
+        let mut ctx = mesh.make_ctx(0);
+        for (i, p) in points(40, 0xd1ce).iter().enumerate() {
+            let r = ctx.insert(*p, VertexKind::Circumcenter).expect("insert");
+            if i == 20 {
+                victim = r.vertex;
+            }
+        }
+        ctx.take_scratch()
+    };
+    // the 8th lock acquisition of this context falls inside the ball gather
+    // (1 for the victim, 4 for the seed cell, 4 per further ball cell)
+    let spec = format!("site={},kind=panic,nth=8,count=1", sites::LOCK_ACQUIRE);
+    let mut ctx = faulted_ctx(&mesh, &spec);
+    ctx.install_scratch(warm);
+    assert!(ctx.scratch_footprint() > 0);
+
+    let hit = catch_unwind(AssertUnwindSafe(|| ctx.remove(victim)));
+    assert!(hit.is_err(), "injected mid-gather panic did not fire");
+    assert!(ctx.locks_held() > 0, "the gather was holding locks");
+    assert_eq!(
+        ctx.scratch_footprint(),
+        0,
+        "the traveling arena must be replaced by a default one"
+    );
+    recover(&mut ctx);
+    assert_eq!(ctx.locks_held(), 0);
+    for v in 0..mesh.num_vertices() as u32 {
+        assert_eq!(mesh.vertex(VertexId(v)).lock_owner(), None);
+    }
+    assert!(mesh.vertex(victim).is_alive());
+
+    let r = ctx.remove(victim).expect("retry after recovery succeeds");
+    ctx.recycle_remove(r);
+    assert!(!mesh.vertex(victim).is_alive());
     mesh.check_delaunay_sos()
         .expect("mesh sound after retried removal");
 }

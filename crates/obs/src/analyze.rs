@@ -330,7 +330,7 @@ pub fn analyze(events: &[FlightEvent], opts: AnalyzeOpts) -> ContentionReport {
         window_s,
         threads,
         wall_s: opts.wall_s,
-        attribution: attribute(events, threads, opts.wall_s),
+        attribution: attribute(events, threads, opts.wall_s).with_dropped(opts.dropped),
     }
 }
 

@@ -6,10 +6,13 @@
 //! Every category is *measured*, not modeled: the durations come from the
 //! `c` word of the duration-bearing flight events (`OpCommit`, `Rollback`,
 //! `CmUnpark`, `BegUnpark`, `Donate`), so the decomposition is exactly as
-//! trustworthy as the recorder itself. The idle remainder absorbs whatever
-//! the rings did not capture (scheduler preemption, walk/classify time
-//! outside the op lifecycle on dead branches, ring overwrites), which is
-//! why [`WorkerAttribution::fractions`] always sums to ~1.0 by
+//! trustworthy as the recorder itself. Committed time is further split by
+//! the op kind the `OpCommit` event carries in its cause byte (insertions vs
+//! R6 removals). The idle remainder absorbs whatever the rings did not
+//! capture (scheduler preemption, walk/classify time outside the op
+//! lifecycle on dead branches, ring overwrites — a ring that overwrote
+//! events makes the fold *partial*, see [`TimeAttribution::is_partial`]),
+//! which is why [`WorkerAttribution::fractions`] always sums to ~1.0 by
 //! construction: the normalizer is `max(wall, accounted)` so a worker whose
 //! measured time overruns the wall clock (timer skew, oversubscribed cores)
 //! still reports a sane unit breakdown with `idle = 0`.
@@ -18,7 +21,7 @@
 //! [`RunReport`](crate::RunReport), the contention analyzer output, and
 //! synthetic per-worker counter tracks in the Chrome trace export.
 
-use crate::flight::{EventKind, FlightEvent};
+use crate::flight::{cause, EventKind, FlightEvent};
 use crate::json::Json;
 
 /// The attribution categories, in serialization order. `Idle` is always the
@@ -74,7 +77,12 @@ impl Category {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WorkerAttribution {
     pub tid: u16,
+    /// All committed operations: `committed_insert_s + committed_remove_s`.
     pub committed_s: f64,
+    /// The part of `committed_s` spent in insertions.
+    pub committed_insert_s: f64,
+    /// The part of `committed_s` spent in R6 removals.
+    pub committed_remove_s: f64,
     pub rolled_back_s: f64,
     pub cm_park_s: f64,
     pub beg_park_s: f64,
@@ -128,6 +136,8 @@ impl WorkerAttribution {
         Json::obj(vec![
             ("tid", Json::int(self.tid as u64)),
             ("committed_s", Json::num(self.committed_s)),
+            ("committed_insert_s", Json::num(self.committed_insert_s)),
+            ("committed_remove_s", Json::num(self.committed_remove_s)),
             ("rolled_back_s", Json::num(self.rolled_back_s)),
             ("cm_park_s", Json::num(self.cm_park_s)),
             ("beg_park_s", Json::num(self.beg_park_s)),
@@ -154,9 +164,37 @@ pub struct TimeAttribution {
     /// Wall time of the refinement section, seconds.
     pub wall_s: f64,
     pub per_worker: Vec<WorkerAttribution>,
+    /// Events folded into this attribution.
+    pub events: u64,
+    /// Events the rings overwrote (or tore) before they could be drained.
+    /// Non-zero means every measured category is a lower bound and `idle`
+    /// an upper bound: the fold covers only part of the run.
+    pub events_dropped: u64,
 }
 
 impl TimeAttribution {
+    /// Record how many events the recorder lost before the fold ([`attribute`]
+    /// only sees the survivors).
+    pub fn with_dropped(mut self, events_dropped: u64) -> Self {
+        self.events_dropped = events_dropped;
+        self
+    }
+
+    /// Whether the fold covers only part of the run's events.
+    pub fn is_partial(&self) -> bool {
+        self.events_dropped > 0
+    }
+
+    /// Committed seconds in insertions, summed over all workers.
+    pub fn committed_insert_s(&self) -> f64 {
+        self.per_worker.iter().map(|w| w.committed_insert_s).sum()
+    }
+
+    /// Committed seconds in R6 removals, summed over all workers.
+    pub fn committed_remove_s(&self) -> f64 {
+        self.per_worker.iter().map(|w| w.committed_remove_s).sum()
+    }
+
     /// Seconds in `cat` summed over all workers.
     pub fn total(&self, cat: Category) -> f64 {
         self.per_worker.iter().map(|w| w.get(cat)).sum()
@@ -183,17 +221,23 @@ impl TimeAttribution {
     }
 
     pub fn to_json(&self) -> Json {
+        let mut totals: Vec<(String, Json)> = Category::ALL
+            .iter()
+            .map(|c| (format!("{}_s", c.key()), Json::num(self.total(*c))))
+            .collect();
+        totals.push((
+            "committed_insert_s".into(),
+            Json::num(self.committed_insert_s()),
+        ));
+        totals.push((
+            "committed_remove_s".into(),
+            Json::num(self.committed_remove_s()),
+        ));
         Json::obj(vec![
             ("wall_s", Json::num(self.wall_s)),
-            (
-                "totals",
-                Json::Obj(
-                    Category::ALL
-                        .iter()
-                        .map(|c| (format!("{}_s", c.key()), Json::num(self.total(*c))))
-                        .collect(),
-                ),
-            ),
+            ("events", Json::int(self.events)),
+            ("events_dropped", Json::int(self.events_dropped)),
+            ("totals", Json::Obj(totals)),
             (
                 "fractions",
                 Json::Obj(
@@ -221,6 +265,8 @@ impl TimeAttribution {
             .map(|w| WorkerAttribution {
                 tid: num(w, "tid") as u16,
                 committed_s: num(w, "committed_s"),
+                committed_insert_s: num(w, "committed_insert_s"),
+                committed_remove_s: num(w, "committed_remove_s"),
                 rolled_back_s: num(w, "rolled_back_s"),
                 cm_park_s: num(w, "cm_park_s"),
                 beg_park_s: num(w, "beg_park_s"),
@@ -231,13 +277,17 @@ impl TimeAttribution {
         Some(TimeAttribution {
             wall_s: num(j, "wall_s"),
             per_worker,
+            events: num(j, "events") as u64,
+            events_dropped: num(j, "events_dropped") as u64,
         })
     }
 }
 
 /// Fold a time-sorted drained event log into the per-worker wall-time
 /// decomposition. `wall_s` is the refinement-section wall clock; `threads`
-/// fixes the worker count so fully-idle workers still appear.
+/// fixes the worker count so fully-idle workers still appear. A caller whose
+/// rings overwrote events must say so with
+/// [`TimeAttribution::with_dropped`].
 pub fn attribute(events: &[FlightEvent], threads: usize, wall_s: f64) -> TimeAttribution {
     let threads = threads.max(1);
     let mut per_worker: Vec<WorkerAttribution> = (0..threads)
@@ -252,7 +302,14 @@ pub fn attribute(events: &[FlightEvent], threads: usize, wall_s: f64) -> TimeAtt
         };
         let dur_s = e.c as f64 * 1e-9;
         match e.kind {
-            EventKind::OpCommit => w.committed_s += dur_s,
+            EventKind::OpCommit => {
+                w.committed_s += dur_s;
+                if e.cause == cause::OP_REMOVE {
+                    w.committed_remove_s += dur_s;
+                } else {
+                    w.committed_insert_s += dur_s;
+                }
+            }
             EventKind::Rollback => w.rolled_back_s += dur_s,
             EventKind::CmUnpark => w.cm_park_s += dur_s,
             EventKind::BegUnpark => w.beg_park_s += dur_s,
@@ -263,7 +320,12 @@ pub fn attribute(events: &[FlightEvent], threads: usize, wall_s: f64) -> TimeAtt
     for w in &mut per_worker {
         w.idle_s = (wall_s - w.accounted_s()).max(0.0);
     }
-    TimeAttribution { wall_s, per_worker }
+    TimeAttribution {
+        wall_s,
+        per_worker,
+        events: events.len() as u64,
+        events_dropped: 0,
+    }
 }
 
 #[cfg(test)]
@@ -307,6 +369,43 @@ mod tests {
         assert!((w1.beg_park_s - 0.040).abs() < 1e-12);
         assert!((w1.steal_donate_s - 0.001).abs() < 1e-12);
         assert!((w1.committed_s - 0.020).abs() < 1e-12);
+    }
+
+    #[test]
+    fn committed_splits_by_op_kind_and_sums() {
+        let ms = 1_000_000u32;
+        let mut rem = e(0, EventKind::OpCommit, 30 * ms);
+        rem.cause = cause::OP_REMOVE;
+        let events = vec![e(0, EventKind::OpCommit, 10 * ms), rem, rem];
+        let a = attribute(&events, 1, 0.1);
+        let w = &a.per_worker[0];
+        assert!((w.committed_insert_s - 0.010).abs() < 1e-12);
+        assert!((w.committed_remove_s - 0.060).abs() < 1e-12);
+        assert!((w.committed_s - 0.070).abs() < 1e-12);
+        assert!(
+            (w.total_s() - 0.1).abs() < 1e-12,
+            "split must not double-count"
+        );
+        let j = crate::json::parse(&a.to_json().dump()).unwrap();
+        let totals = j.get("totals").unwrap();
+        let t = |k: &str| totals.get(k).and_then(Json::as_f64).unwrap();
+        assert!(
+            (t("committed_insert_s") + t("committed_remove_s") - t("committed_s")).abs() < 1e-12
+        );
+        assert_eq!(TimeAttribution::from_json(&j).unwrap(), a);
+    }
+
+    #[test]
+    fn dropped_events_mark_the_fold_partial_and_round_trip() {
+        let events = vec![e(0, EventKind::OpCommit, 1_000_000)];
+        let a = attribute(&events, 1, 0.01);
+        assert!(!a.is_partial());
+        let a = a.with_dropped(3);
+        assert!(a.is_partial());
+        let j = crate::json::parse(&a.to_json().dump()).unwrap();
+        assert_eq!(j.get("events").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(j.get("events_dropped").and_then(Json::as_f64), Some(3.0));
+        assert!(TimeAttribution::from_json(&j).unwrap().is_partial());
     }
 
     #[test]

@@ -433,15 +433,40 @@ fn render_attribution(out: &mut String, a: &TimeAttribution) {
         if a.per_worker.len() == 1 { "" } else { "s" },
         a.wall_s
     );
-    let _ = writeln!(out, "  {:<13} {:>10} {:>9}", "category", "seconds", "share");
-    for cat in Category::ALL {
+    // A ring that overwrote events folds only part of the run: the measured
+    // rows are lower bounds and `idle` absorbs everything that was lost, so
+    // shares (and a "dominant waste") would be fiction.
+    let partial = a.is_partial();
+    if partial {
         let _ = writeln!(
             out,
-            "  {:<13} {:>9.3}s {:>8.1}%",
-            cat.key(),
-            a.total(cat),
-            a.fraction(cat) * 100.0
+            "  partial: {} of {} events (the flight ring overwrote the rest); \
+             seconds are lower bounds, idle an upper bound, shares not shown",
+            a.events,
+            a.events + a.events_dropped
         );
+    }
+    let _ = writeln!(out, "  {:<13} {:>10} {:>9}", "category", "seconds", "share");
+    let row = |out: &mut String, name: &str, secs: f64, frac: f64| {
+        let share = if partial {
+            "n/a".to_string()
+        } else {
+            format!("{:.1}%", frac * 100.0)
+        };
+        let _ = writeln!(out, "  {name:<13} {secs:>9.3}s {share:>9}");
+    };
+    let worker_s: f64 = a.per_worker.iter().map(|w| w.total_s()).sum();
+    // op-kind split of committed work (absent from older artifacts)
+    let (ins, rem) = (a.committed_insert_s(), a.committed_remove_s());
+    for cat in Category::ALL {
+        row(out, cat.key(), a.total(cat), a.fraction(cat));
+        if cat == Category::Committed && ins + rem > 0.0 {
+            row(out, "  insert", ins, ins / worker_s);
+            row(out, "  remove", rem, rem / worker_s);
+        }
+    }
+    if partial {
+        return;
     }
     if let Some((cat, secs)) = a.dominant_waste() {
         let _ = writeln!(
@@ -736,6 +761,16 @@ pub fn render_diff(base: &Artifact, new: &Artifact) -> String {
                 }
             }
             match worst {
+                _ if b.is_partial() || n.is_partial() => {
+                    let _ = writeln!(
+                        out,
+                        "  verdict: none — partial attribution (base {} of {} events, new {} of {})",
+                        b.events,
+                        b.events + b.events_dropped,
+                        n.events,
+                        n.events + n.events_dropped
+                    );
+                }
                 Some((cat, grew)) if grew > 0.0 => {
                     let _ = writeln!(
                         out,
@@ -862,6 +897,48 @@ mod tests {
         assert!(s.contains("committed"), "{s}");
         assert!(s.contains("idle"), "{s}");
         assert!(s.contains("hot vertices: v7 x1"), "{s}");
+    }
+
+    #[test]
+    fn summary_splits_committed_by_op_kind() {
+        let ms = 1_000_000u32;
+        let mut rem = ev(2, 0, EventKind::OpCommit, 0, 6 * ms);
+        rem.cause = crate::flight::cause::OP_REMOVE;
+        let events = vec![ev(1, 0, EventKind::OpCommit, 0, 2 * ms), rem];
+        let opts = AnalyzeOpts {
+            threads: 1,
+            wall_s: 0.01,
+            ..Default::default()
+        };
+        let dump = analyze(&events, opts).to_json().dump_pretty();
+        let s = render_summary(&load_artifact(&dump).unwrap());
+        let line = |name: &str| {
+            s.lines()
+                .find(|l| l.trim_start().starts_with(name))
+                .unwrap_or_else(|| panic!("no '{name}' row in:\n{s}"))
+                .to_string()
+        };
+        assert!(line("committed").contains("0.008s"), "{s}");
+        assert!(line("insert").contains("0.002s") && line("insert").contains("20.0%"));
+        assert!(line("remove").contains("0.006s") && line("remove").contains("60.0%"));
+        assert!(!s.contains("partial"), "{s}");
+    }
+
+    #[test]
+    fn partial_fold_is_labelled_and_shows_no_shares() {
+        let events = vec![ev(1, 0, EventKind::OpCommit, 0, 1_000_000)];
+        let opts = AnalyzeOpts {
+            threads: 1,
+            wall_s: 0.01,
+            dropped: 3,
+            ..Default::default()
+        };
+        let dump = analyze(&events, opts).to_json().dump_pretty();
+        let s = render_summary(&load_artifact(&dump).unwrap());
+        assert!(s.contains("partial: 1 of 4 events"), "{s}");
+        assert!(s.contains("n/a") && !s.contains("dominant waste"), "{s}");
+        let att = s.split("time attribution").nth(1).unwrap();
+        assert!(!att.contains('%'), "no share may be printed:\n{att}");
     }
 
     #[test]

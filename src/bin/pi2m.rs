@@ -23,8 +23,9 @@
 //! pi2m bench  [--quick] [--seed N] [--out BENCH_kernel.json]
 //!             [--check baseline.json] [--tolerance 0.25]
 //!             [--flight-gate FRAC]
-//!             [--parent-commit HASH --parent-insertion OPS_PER_SEC]
-//!                                              kernel benchmark harness
+//!             [--parent-commit HASH --parent-insertion OPS_PER_SEC
+//!              [--parent-removal OPS_PER_SEC]]  kernel benchmark harness;
+//!             --check also gates removal ops/s >= insertion ops/s / 8
 //! pi2m bench --scaling [--quick] [--threads 1,2,4,8,16]
 //!             [--out BENCH_scaling.json] [--check ci/scaling_baseline.json]
 //!             [--tolerance 0.25]               strong-scaling record
@@ -1054,7 +1055,8 @@ fn cmd_info(args: &Args) -> Result<(), String> {
 /// `BENCH_kernel.json` and/or gate against a checked-in baseline.
 fn cmd_bench(args: &Args) -> Result<(), String> {
     use pi2m_bench::kernel::{
-        check_against_baseline, check_flight_overhead, run_kernel_bench, KernelBenchOpts,
+        check_against_baseline, check_flight_overhead, check_removal_cost, run_kernel_bench,
+        KernelBenchOpts,
     };
 
     if args.switches.contains("scaling") {
@@ -1074,10 +1076,13 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     eprintln!("running kernel benchmark ({mode}, seed {})...", opts.seed);
     let mut report = run_kernel_bench(opts);
 
-    // optional A/B record: an older kernel's measured insertion throughput
-    // on the identical workload (see README "Benchmarking")
+    // optional A/B record: an older kernel's measured insertion (and
+    // removal) throughput on the identical workload (see README
+    // "Benchmarking")
     if let Some(ops) = args.flags.get("parent-insertion") {
         let insertion_ops_per_sec: f64 = ops.parse().map_err(|_| "bad --parent-insertion")?;
+        let removal = args.flags.get("parent-removal").map(|v| v.parse::<f64>());
+        let removal_ops_per_sec = removal.transpose().map_err(|_| "bad --parent-removal")?;
         let commit = args
             .flags
             .get("parent-commit")
@@ -1086,6 +1091,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         report.parent = Some(pi2m_bench::kernel::ParentComparison {
             commit,
             insertion_ops_per_sec,
+            removal_ops_per_sec,
         });
     }
 
@@ -1150,6 +1156,13 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             parent.insertion_ops_per_sec,
             report.insertion.ops_per_sec() / parent.insertion_ops_per_sec
         );
+        if let Some(then) = parent.removal_ops_per_sec {
+            println!(
+                "parent       {}: {then:.0} remove ops/s -> x{:.2}",
+                parent.commit,
+                report.removal.ops_per_sec() / then
+            );
+        }
     }
 
     if let Some(out) = args.flags.get("out") {
@@ -1172,6 +1185,9 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         for l in lines {
             println!("check        {l}");
         }
+        let line = check_removal_cost(&report)
+            .map_err(|l| format!("removal costs too many insertions: {l}"))?;
+        println!("check        {line}");
         println!("check        OK (tolerance {:.0}%)", tolerance * 100.0);
     }
 

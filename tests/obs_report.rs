@@ -142,6 +142,17 @@ fn real_run_produces_schema_valid_report_and_trace() {
             .sum();
         assert!((sum - 1.0).abs() < 1e-6, "worker fractions sum to {sum}");
     }
+    // committed work splits by op kind (additive keys), and the section says
+    // how many events it was folded from and how many the rings lost
+    let totals = at.get("totals").unwrap();
+    let total = |k: &str| totals.get(k).and_then(Json::as_f64).unwrap();
+    let (ins, rem) = (total("committed_insert_s"), total("committed_remove_s"));
+    assert!(ins > 0.0, "a run commits insertions");
+    assert!((ins + rem - total("committed_s")).abs() < 1e-9);
+    let events = at.get("events").and_then(Json::as_f64).unwrap();
+    assert_eq!(events as usize, out.flight.len());
+    let dropped = at.get("events_dropped").and_then(Json::as_f64).unwrap();
+    assert_eq!(dropped as u64, out.flight_dropped);
     // the embedded contention section carries the same decomposition
     let cont = j.get("contention").unwrap();
     assert!(cont.get("time_attribution").is_some());
