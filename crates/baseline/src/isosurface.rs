@@ -152,7 +152,7 @@ impl IsosurfaceBaseline {
             }
         }
 
-        let final_mesh = FinalMesh::extract(&mesh, &oracle, None);
+        let final_mesh = FinalMesh::extract(&mesh, &oracle);
         BaselineOutput {
             mesh: final_mesh,
             total_time: t_all.elapsed().as_secs_f64(),

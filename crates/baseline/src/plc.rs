@@ -144,7 +144,7 @@ impl PlcBaseline {
             }
         }
 
-        let final_mesh = FinalMesh::extract(&mesh, &self.oracle, None);
+        let final_mesh = FinalMesh::extract(&mesh, &self.oracle);
         BaselineOutput {
             mesh: final_mesh,
             total_time: t_all.elapsed().as_secs_f64(),

@@ -184,6 +184,13 @@ pub struct Artifact {
     /// which predate the counters entirely — distinct from a v5 report
     /// where the batched path was disabled (`Some` with zero counts).
     pub batch: Option<BatchKernelInfo>,
+    /// PEL pops handed to rule classification (`classify_calls`; 0 when the
+    /// artifact has no counters).
+    pub classify_calls: u64,
+    /// How many of those found their cell already dead. `None` when the
+    /// artifact does not carry the counter (it predates `classify_stale`, or
+    /// no pop was stale: zero counters are not written).
+    pub classify_stale: Option<u64>,
     /// The per-job lifecycle view, when the artifact is a job trace.
     pub trace: Option<TraceInfo>,
 }
@@ -308,6 +315,8 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
             attribution: None,
             shard: None,
             batch: None,
+            classify_calls: 0,
+            classify_stale: None,
             trace: Some(trace),
         });
     }
@@ -318,11 +327,12 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
             .get("time_attribution")
             .or_else(|| c.and_then(|c| c.get("time_attribution")))
             .and_then(TimeAttribution::from_json);
+        let counter = |name: &str| j.get("counters").and_then(|c| c.get(name));
+        let cnt = |name: &str| counter(name).and_then(Json::as_f64).unwrap_or(0.0) as u64;
         // the batched-kernel counters joined the catalog in schema v5;
         // earlier reports cannot distinguish "batch off" from "not
         // measured", so they get `None` and render as "not recorded"
         let batch = if get_u64(&j, "schema_version") >= 5 {
-            let cnt = |name: &str| j.get("counters").map(|c| get_u64(c, name)).unwrap_or(0);
             Some(BatchKernelInfo {
                 orient_batches: cnt("pred_batch_orient_batches"),
                 orient_lanes: cnt("pred_batch_orient_lanes"),
@@ -366,6 +376,8 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
             hot_regions: hot_pairs(c.and_then(|c| c.get("hot_regions")), "region"),
             attribution,
             batch,
+            classify_calls: cnt("classify_calls"),
+            classify_stale: counter("classify_stale").map(|_| cnt("classify_stale")),
             shard: j.get("shard").map(|s| ShardInfo {
                 grid: s
                     .get("grid")
@@ -413,6 +425,8 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
                 .and_then(TimeAttribution::from_json),
             shard: None,
             batch: None,
+            classify_calls: 0,
+            classify_stale: None,
             trace: None,
         })
     } else {
@@ -665,6 +679,30 @@ pub fn render_summary(art: &Artifact) -> String {
                 );
             }
         }
+    }
+    if art.classify_calls > 0 {
+        let per_op = |n: u64| n as f64 / art.commits.max(1) as f64;
+        let _ = match art.classify_stale {
+            Some(stale) => {
+                let live = art.classify_calls.saturating_sub(stale);
+                writeln!(
+                    out,
+                    "classify: {} PEL pops ({:.1}/op): {} stale ({:.1}%), {} live ({:.1}/op)",
+                    art.classify_calls,
+                    per_op(art.classify_calls),
+                    stale,
+                    stale as f64 * 100.0 / art.classify_calls as f64,
+                    live,
+                    per_op(live)
+                )
+            }
+            None => writeln!(
+                out,
+                "classify: {} PEL pops ({:.1}/op), stale share not recorded",
+                art.classify_calls,
+                per_op(art.classify_calls)
+            ),
+        };
     }
     match &art.attribution {
         Some(a) => render_attribution(&mut out, a),
@@ -1096,6 +1134,32 @@ mod tests {
         assert!(s.contains("batched : orient 100 waves / 900 lanes"), "{s}");
         assert!(s.contains("8.0 lanes/wave, 1.00% scalar fallback"), "{s}");
         assert!(s.contains("soa     : 200 staging gathers"), "{s}");
+    }
+
+    #[test]
+    fn classify_line_splits_stale_from_live_pops() {
+        let report = |counters: &str| {
+            format!(
+                r#"{{"schema_version": 5, "tool": "pi2m", "threads": 1, "wall_s": 0.5,
+                    "contention": {{"commits": 100}}, "counters": {{{counters}}}}}"#
+            )
+        };
+        let art =
+            load_artifact(&report(r#""classify_calls": 2600, "classify_stale": 1750"#)).unwrap();
+        assert_eq!((art.classify_calls, art.classify_stale), (2600, Some(1750)));
+        let s = render_summary(&art);
+        assert!(
+            s.contains("classify: 2600 PEL pops (26.0/op): 1750 stale (67.3%), 850 live (8.5/op)"),
+            "{s}"
+        );
+        // an artifact without the counter cannot tell "none stale" from
+        // "not counted": the line says so instead of printing a zero
+        let art = load_artifact(&report(r#""classify_calls": 2600"#)).unwrap();
+        let s = render_summary(&art);
+        assert!(
+            s.contains("2600 PEL pops (26.0/op), stale share not recorded"),
+            "{s}"
+        );
     }
 
     #[test]

@@ -14,5 +14,5 @@
 pub mod oracle;
 pub mod sizefn;
 
-pub use oracle::IsosurfaceOracle;
+pub use oracle::{IsosurfaceOracle, SurfaceProbe};
 pub use sizefn::{RadialSize, SizeFn, UniformSize};

@@ -19,6 +19,44 @@ pub struct IsosurfaceOracle {
     ft: FeatureTransform,
     /// Ray-marching step, a fraction of the smallest voxel spacing.
     step: f64,
+    /// Half a voxel diagonal: the interface bounding a surface voxel lies
+    /// within this distance of the voxel's center.
+    half_diag: f64,
+}
+
+/// One look at a query point: its label and the distance to its nearest
+/// surface voxel center. Every surface query about `p` starts from these
+/// two reads, so a caller asking several (rule classification asks up to
+/// six about one circumcenter) probes once and passes the probe along.
+#[derive(Clone, Copy, Debug)]
+pub struct SurfaceProbe {
+    pub p: Point3,
+    /// Label at `p` (background outside the image).
+    pub label: Label,
+    /// Center of the surface voxel nearest to `p`; `None` when the image has
+    /// no surface at all.
+    site: Option<Point3>,
+    /// Distance from `p` to `site` (infinite without one).
+    site_dist: f64,
+    half_diag: f64,
+}
+
+impl SurfaceProbe {
+    /// A cheap lower bound on the distance from `p` to the isosurface: the
+    /// distance to the nearest surface *voxel center* minus half a voxel
+    /// diagonal (the interface lies within that ball). Infinite when the
+    /// image has no surface.
+    #[inline]
+    pub fn surface_distance_lower_bound(&self) -> f64 {
+        (self.site_dist - self.half_diag).max(0.0)
+    }
+
+    /// The matching upper bound: some interface point lies within this
+    /// distance of `p`.
+    #[inline]
+    pub fn surface_distance_upper_bound(&self) -> f64 {
+        self.site_dist + self.half_diag
+    }
 }
 
 impl IsosurfaceOracle {
@@ -26,8 +64,7 @@ impl IsosurfaceOracle {
     /// `threads` workers (the paper's parallel EDT preprocessing step).
     pub fn new(img: LabeledImage, threads: usize) -> Self {
         let ft = surface_feature_transform(&img, threads);
-        let step = img.min_spacing() * 0.25;
-        IsosurfaceOracle { img, ft, step }
+        Self::from_parts(img, ft)
     }
 
     /// [`IsosurfaceOracle::new`] with observability: EDT pass timings and
@@ -35,8 +72,7 @@ impl IsosurfaceOracle {
     pub fn new_with_obs(img: LabeledImage, threads: usize, rec: &mut ThreadRecorder) -> Self {
         let ft = surface_feature_transform_obs(&img, threads, Some(rec));
         rec.inc(metrics::ORACLE_SURFACE_VOXELS, ft.num_sites() as u64);
-        let step = img.min_spacing() * 0.25;
-        IsosurfaceOracle { img, ft, step }
+        Self::from_parts(img, ft)
     }
 
     /// Assemble an oracle from an image and a surface feature transform that
@@ -49,7 +85,14 @@ impl IsosurfaceOracle {
             "feature transform dims must match the image"
         );
         let step = img.min_spacing() * 0.25;
-        IsosurfaceOracle { img, ft, step }
+        let sp = img.spacing();
+        let half_diag = 0.5 * (sp[0] * sp[0] + sp[1] * sp[1] + sp[2] * sp[2]).sqrt();
+        IsosurfaceOracle {
+            img,
+            ft,
+            step,
+            half_diag,
+        }
     }
 
     /// The underlying image.
@@ -76,6 +119,25 @@ impl IsosurfaceOracle {
         self.img.is_inside(p)
     }
 
+    /// Probe `p`: its label and its nearest surface voxel (one image read
+    /// and one feature-transform read).
+    pub fn probe(&self, p: Point3) -> SurfaceProbe {
+        self.probe_labeled(p, self.label_at(p))
+    }
+
+    /// [`probe`](Self::probe) for a caller that already knows
+    /// `label == self.label_at(p)`.
+    pub fn probe_labeled(&self, p: Point3, label: Label) -> SurfaceProbe {
+        let site = self.ft.nearest_site_world(p);
+        SurfaceProbe {
+            p,
+            label,
+            site,
+            site_dist: site.map_or(f64::INFINITY, |q| q.distance(p)),
+            half_diag: self.half_diag,
+        }
+    }
+
     /// The closest isosurface point `p̂ ∈ ∂O` for a query `p` (paper §3):
     /// the feature transform yields the nearest surface voxel `q`; the ray
     /// `p → q` is traversed on small intervals until the label changes, and
@@ -84,25 +146,25 @@ impl IsosurfaceOracle {
     /// `None` when the image has no surface at all, or no interface is found
     /// near the ray (which can only happen for degenerate images).
     pub fn closest_surface_point(&self, p: Point3) -> Option<Point3> {
-        let q = self.ft.nearest_site_world(p)?;
-        let lp = self.label_at(p);
+        self.closest_surface_point_from(&self.probe(p))
+    }
 
-        let dir = q - p;
-        let len = dir.norm();
+    /// [`closest_surface_point`](Self::closest_surface_point) of an already
+    /// probed point.
+    pub fn closest_surface_point_from(&self, probe: &SurfaceProbe) -> Option<Point3> {
+        let (p, lp) = (probe.p, probe.label);
+        let q = probe.site?;
         // Past q, continue up to a voxel diagonal: the interface bounding the
         // surface voxel may lie just beyond its center.
-        let sp = self.img.spacing();
-        let diag = (sp[0] * sp[0] + sp[1] * sp[1] + sp[2] * sp[2]).sqrt();
-        let (dir, total) = if len > 1e-12 {
-            (dir / len, len + diag)
-        } else {
+        let diag = 2.0 * self.half_diag;
+        let len = probe.site_dist;
+        if len <= 1e-12 {
             // p already sits at the surface voxel center: probe along the
             // direction of q's differently-labeled neighborhood by scanning
             // axis directions.
             return self.probe_around(p, lp, diag);
-        };
-
-        if let Some(hit) = self.march(p, lp, dir, total) {
+        }
+        if let Some(hit) = self.march(p, lp, (q - p) / len, len + diag) {
             return Some(hit);
         }
         // The ray can slip past the interface (it is only guaranteed to come
@@ -176,52 +238,23 @@ impl IsosurfaceOracle {
         self.closest_surface_point(p).map(|q| q.distance(p))
     }
 
-    /// Does the ball centred at `c` with radius `r` intersect `∂O`?
-    /// Used by rules R1/R2 ("tetrahedron whose circumball intersects ∂O").
-    pub fn ball_intersects_surface(&self, c: Point3, r: f64) -> bool {
-        // Cheap reject: the nearest surface *voxel center* is a lower bound
-        // on surface distance minus half a voxel diagonal.
-        if let Some(q) = self.ft.nearest_site_world(c) {
-            let sp = self.img.spacing();
-            let half_diag = 0.5 * (sp[0] * sp[0] + sp[1] * sp[1] + sp[2] * sp[2]).sqrt();
-            let d = q.distance(c);
-            if d - half_diag > r {
-                return false;
-            }
-            if d + half_diag < r {
-                return true;
-            }
-            // Borderline: use the interpolated surface point.
-            match self.surface_distance(c) {
-                Some(sd) => sd <= r,
-                None => false,
-            }
-        } else {
-            false
-        }
-    }
-
-    /// A cheap lower bound on the distance from `p` to the isosurface: the
-    /// distance to the nearest surface *voxel center* minus half a voxel
-    /// diagonal (the interface lies within that ball). Zero when unknown.
-    pub fn surface_distance_lower_bound(&self, p: Point3) -> f64 {
-        match self.ft.nearest_site_world(p) {
-            Some(q) => {
-                let sp = self.img.spacing();
-                let half_diag = 0.5 * (sp[0] * sp[0] + sp[1] * sp[1] + sp[2] * sp[2]).sqrt();
-                (q.distance(p) - half_diag).max(0.0)
-            }
-            None => f64::INFINITY,
-        }
-    }
-
     /// First intersection of segment `a → b` with the isosurface (any label
     /// change), interpolated; the *surface-center* `c_surf(f)` of rule R3
     /// when `a`, `b` are the circumcenters joined by the facet's Voronoi
     /// edge.
     pub fn segment_surface_intersection(&self, a: Point3, b: Point3) -> Option<Point3> {
-        let la = self.label_at(a);
-        let dir = b - a;
+        self.segment_surface_intersection_from(&self.probe(a), b, self.label_at(b))
+    }
+
+    /// [`segment_surface_intersection`](Self::segment_surface_intersection)
+    /// from an already probed start point to `b`, whose label is `lb`.
+    pub fn segment_surface_intersection_from(
+        &self,
+        a: &SurfaceProbe,
+        b: Point3,
+        lb: Label,
+    ) -> Option<Point3> {
+        let dir = b - a.p;
         let len = dir.norm();
         if len <= 1e-12 {
             return None;
@@ -229,11 +262,10 @@ impl IsosurfaceOracle {
         // Cheap reject (hot path: rule R3 tests every facet): if both
         // endpoints have the same label and the whole segment provably stays
         // farther from ∂O than its length, it cannot cross.
-        if la == self.label_at(b) && self.surface_distance_lower_bound(a) > len {
+        if a.label == lb && a.surface_distance_lower_bound() > len {
             return None;
         }
-        let dir = dir / len;
-        self.march(a, la, dir, len)
+        self.march(a.p, a.label, dir / len, len)
     }
 
     /// True iff the segment `a → b` crosses the isosurface.
@@ -319,16 +351,28 @@ mod tests {
     }
 
     #[test]
-    fn ball_intersection_cases() {
+    fn probe_bounds_bracket_the_surface_distance() {
         let o = sphere_oracle(32);
         let center = Point3::new(16.0, 16.0, 16.0);
-        // small ball at the center: far from surface
-        assert!(!o.ball_intersects_surface(center, 2.0));
-        // huge ball at the center: swallows the surface
-        assert!(o.ball_intersects_surface(center, 14.0));
-        // ball centered on the surface
-        let on_surface = center + Point3::new(11.2, 0.0, 0.0);
-        assert!(o.ball_intersects_surface(on_surface, 1.0));
+        for p in [
+            center,
+            center + Point3::new(5.0, 2.0, -1.0),
+            center + Point3::new(11.2, 0.0, 0.0),
+            Point3::new(1.0, 2.0, 3.0),
+        ] {
+            let probe = o.probe(p);
+            assert_eq!(probe.label, o.label_at(p));
+            let d = o.surface_distance(p).unwrap();
+            assert!(probe.surface_distance_lower_bound() <= d + 1e-9);
+            assert!(d <= probe.surface_distance_upper_bound() + 1e-9);
+        }
+        // an image without a surface has no bound to offer
+        let empty = IsosurfaceOracle::new(LabeledImage::new([4, 4, 4], [1.0; 3]), 1);
+        assert_eq!(
+            empty.probe(center).surface_distance_lower_bound(),
+            f64::INFINITY
+        );
+        assert!(empty.closest_surface_point(center).is_none());
     }
 
     #[test]

@@ -99,6 +99,7 @@ mod tests {
     use crate::balancer::BalancerKind;
     use crate::cm::CmKind;
     use crate::topology::MachineTopology;
+    use pi2m_delaunay::VertexKind;
     use pi2m_geometry::Aabb;
     use pi2m_image::phantoms;
     use pi2m_obs::flight::EventKind;
@@ -277,5 +278,67 @@ mod tests {
         };
         let out = Mesher::new(img, cfg).run();
         assert!(out.stats.total_operations() <= 120);
+    }
+
+    /// PEL pops are counted whether or not the cell was still alive, and the
+    /// dead ones separately: `classify_calls - classify_stale` is the number
+    /// of classifications that actually ran.
+    #[test]
+    fn stale_pops_are_counted_apart() {
+        let out = small_run(1, CmKind::Local, BalancerKind::Rws);
+        let calls = out.metrics.counter(metrics::CLASSIFY_CALLS);
+        let stale = out.metrics.counter(metrics::CLASSIFY_STALE);
+        assert!(stale > 0, "a cavity kills cells that still sit in the PEL");
+        // every live classification either committed an op, was skipped, or
+        // found the cell satisfied; it takes one to start any operation
+        assert!(calls - stale >= out.metrics.counter(metrics::OPS_INSERTIONS));
+        // one pop per enqueued cell: the initial box cells plus every cell
+        // an operation created
+        let created = out.metrics.counter(metrics::CELLS_CREATED);
+        assert!(
+            calls > created && calls <= created + 64,
+            "{calls} vs {created}"
+        );
+    }
+
+    /// A region the seed already meshed to the rules' satisfaction is never
+    /// touched by a worker; extraction (a scan of the cell pool) must report
+    /// it all the same. Seeding a run with every vertex of a finished mesh
+    /// leaves the workers next to nothing to do, and the extracted mesh must
+    /// be the finished one again.
+    #[test]
+    fn seeded_run_extracts_regions_no_worker_touched() {
+        let img = phantoms::nested_spheres(20, 1.0);
+        let cfg = MesherConfig {
+            delta: 2.0,
+            ..Default::default()
+        };
+        let mut session = MeshingSession::new(1);
+        let first = session.mesh(img.clone(), cfg.clone()).unwrap();
+        let corners = first.shared.corner_ids();
+        let seed: Vec<([f64; 3], VertexKind)> = (0..first.shared.num_vertices() as u32)
+            .map(pi2m_delaunay::VertexId)
+            .filter(|v| !corners.contains(v))
+            .map(|v| first.shared.vertex(v))
+            .filter(|v| v.is_alive())
+            .map(|v| (v.pos(), v.kind()))
+            .collect();
+        let again = session
+            .mesh_seeded(img, cfg, &RunOptions::default(), &seed)
+            .unwrap();
+        let (ops, first_ops) = (
+            again.stats.total_operations(),
+            first.stats.total_operations(),
+        );
+        assert!(ops * 20 < first_ops, "{ops} repair ops after {first_ops}");
+        let (a, b) = (first.mesh.label_volumes(), again.mesh.label_volumes());
+        assert_eq!(a.len(), 2, "both tissues meshed");
+        assert_eq!(a.len(), b.len());
+        for (&(label, v), &(_, w)) in a.iter().zip(&b) {
+            assert!(
+                (v - w).abs() <= 0.01 * v,
+                "label {label}: {v:.1} first vs {w:.1} reseeded"
+            );
+        }
     }
 }

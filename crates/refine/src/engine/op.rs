@@ -263,14 +263,12 @@ impl SpeculativeOp for RemoveOp {
 /// begin/commit/rollback events, progress notes, contention-manager
 /// consultation, overhead accounting, and created-cell enqueueing all happen
 /// here, identically for every op kind.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_op(
     env: &Env<'_>,
     tid: usize,
     ctx: &mut OpCtx<'_>,
     stats: &mut ThreadStats,
     rec: &mut ThreadRecorder,
-    final_list: &mut Vec<(CellId, u32)>,
     region: u16,
     op: &dyn SpeculativeOp,
 ) -> OpOutcome {
@@ -303,7 +301,7 @@ pub(crate) fn run_op(
             env.sync.note_progress();
             env.cm.on_success(tid);
             op.after_commit(env, &res);
-            handle_created(env, tid, stats, final_list, res.created());
+            handle_created(env, tid, stats, res.created());
             op.recycle(ctx, res);
             OpOutcome::Committed
         }

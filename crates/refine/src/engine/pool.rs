@@ -20,7 +20,7 @@ use super::session::CancelTelemetry;
 use super::worker::{worker, worker_death_cleanup, RunState};
 use crate::grid::PointGrid;
 use crate::stats::ThreadStats;
-use pi2m_delaunay::{CellId, KernelScratch};
+use pi2m_delaunay::KernelScratch;
 use pi2m_obs::flight::FlightRecorder;
 use pi2m_obs::metrics::ThreadRecorder;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,7 +39,6 @@ pub(crate) struct Job {
 pub(crate) struct WorkerDone {
     pub tid: usize,
     pub stats: ThreadStats,
-    pub final_list: Vec<(CellId, u32)>,
     pub rec: ThreadRecorder,
     pub died: bool,
 }
@@ -204,7 +203,6 @@ fn pool_thread_main(rx: mpsc::Receiver<Job>) {
         let Job { state, tid, done } = job;
         let mut stats = ThreadStats::default();
         let mut rec = ThreadRecorder::new();
-        let mut final_list: Vec<(CellId, u32)> = Vec::new();
         let died;
         {
             let env = state.env();
@@ -214,7 +212,7 @@ fn pool_thread_main(rx: mpsc::Receiver<Job>) {
             // serve the next run. (The warm arena is lost with the panicked
             // context — `mem::take` left a fresh default in its place.)
             died = catch_unwind(AssertUnwindSafe(|| {
-                worker(&env, tid, &mut stats, &mut rec, &mut final_list, &mut arena)
+                worker(&env, tid, &mut stats, &mut rec, &mut arena)
             }))
             .is_err();
             if died {
@@ -233,7 +231,6 @@ fn pool_thread_main(rx: mpsc::Receiver<Job>) {
         let _ = done.send(WorkerDone {
             tid,
             stats,
-            final_list,
             rec,
             died,
         });

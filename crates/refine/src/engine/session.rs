@@ -26,7 +26,7 @@ use crate::stats::{RefineStats, ThreadStats};
 use crate::sync::EngineSync;
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
-use pi2m_delaunay::{CellId, SharedMesh, VertexKind};
+use pi2m_delaunay::{SharedMesh, VertexKind};
 use pi2m_image::LabeledImage;
 use pi2m_obs::metrics::{self, MetricsSnapshot, ThreadRecorder};
 use pi2m_obs::{CancelToken, Phases};
@@ -235,14 +235,6 @@ pub(crate) fn run_pipeline(
     // The virtual-box triangulation enclosing the object, the (recycled)
     // proximity grid, the refinement rules, and the initial PEL seed.
     reporter.started(Stage::SurfaceRecovery, t0.elapsed().as_secs_f64());
-    // Final-mesh candidates contributed by the seed pre-insertion. Worker
-    // operations record candidates as they create cells (`handle_created`),
-    // but a seeded region the workers never touch again would otherwise be
-    // invisible to extraction — so every post-seed cell with an inside
-    // circumcenter is listed here under the same lazy (cell, generation)
-    // discipline: entries killed by later refinement go stale and are
-    // filtered at extract time.
-    let mut seed_candidates: Vec<(CellId, u32)> = Vec::new();
     let (mesh, rules, grid_park, regions, pels, counters, dead_flags) = {
         let _g = phases.span(Stage::SurfaceRecovery.phase_name());
         let domain = oracle
@@ -283,14 +275,6 @@ pub(crate) fn run_pipeline(
             }
             pipeline_rec.inc(metrics::SHARD_SEED_VERTICES, kept);
             pipeline_rec.inc(metrics::SHARD_SEED_DUPLICATES, dropped);
-            for c in mesh.alive_cells() {
-                let p = mesh.cell_points(c);
-                if let Some(cc) = pi2m_geometry::circumcenter(p[0], p[1], p[2], p[3]) {
-                    if rules.oracle.is_inside(cc) {
-                        seed_candidates.push((c, mesh.cell(c).gen()));
-                    }
-                }
-            }
         }
         let regions = RegionMap::new(&domain);
         let pels: Vec<Pel> = (0..cfg.threads)
@@ -361,7 +345,6 @@ pub(crate) fn run_pipeline(
         (0..cfg.threads).map(|_| ThreadStats::default()).collect();
     let mut recorders: Vec<ThreadRecorder> =
         (0..cfg.threads).map(|_| ThreadRecorder::new()).collect();
-    let mut final_lists: Vec<Vec<(CellId, u32)>> = (0..cfg.threads).map(|_| Vec::new()).collect();
     let mut workers_died = 0usize;
     {
         let _g = phases.span(Stage::VolumeRefine.phase_name());
@@ -381,7 +364,6 @@ pub(crate) fn run_pipeline(
             workers_died += d.died as usize;
             per_thread[d.tid] = d.stats;
             recorders[d.tid] = d.rec;
-            final_lists[d.tid] = d.final_list;
         }
         if let Some(h) = tap {
             let _ = h.join();
@@ -389,12 +371,6 @@ pub(crate) fn run_pipeline(
     }
     reporter.finished(Stage::VolumeRefine, t0.elapsed().as_secs_f64());
     let wall_time = t_refine.elapsed().as_secs_f64();
-    // Candidates in tid order, matching the old scoped-thread join order;
-    // seed-time candidates first (they predate every worker operation).
-    let final_list: Vec<(CellId, u32)> = seed_candidates
-        .into_iter()
-        .chain(final_lists.into_iter().flatten())
-        .collect();
 
     // All Arc holders (workers, tap) have finished and dropped theirs.
     let RunState {
@@ -486,7 +462,7 @@ pub(crate) fn run_pipeline(
     // ---- Stage: Export ----
     reporter.started(Stage::Export, t0.elapsed().as_secs_f64());
     let final_mesh = phases.time(Stage::Export.phase_name(), || {
-        FinalMesh::extract(&mesh, &oracle, Some(&final_list))
+        FinalMesh::extract(&mesh, &oracle)
     });
     reporter.finished(Stage::Export, t0.elapsed().as_secs_f64());
 

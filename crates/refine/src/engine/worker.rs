@@ -22,7 +22,6 @@ use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use pi2m_delaunay::{CellId, KernelScratch, OpCtx, SharedMesh, VertexKind};
 use pi2m_faults::sites;
-use pi2m_geometry::circumcenter;
 use pi2m_obs::flight::{cause as flight_cause, EventKind, FlightRecorder, FlightSampler};
 use pi2m_obs::metrics::{self, MetricsSnapshot, ThreadRecorder};
 use pi2m_obs::CancelToken;
@@ -101,7 +100,6 @@ pub(crate) fn worker(
     // Exclusively owned by this worker — every inc/observe below is a plain
     // load/store, merged into the run snapshot after join.
     rec: &mut ThreadRecorder,
-    final_list: &mut Vec<(CellId, u32)>,
     // The pool thread's persistent kernel arena: installed into the fresh
     // per-run context here, handed back at the bottom so the next run on
     // this thread starts with warm scratch buffers.
@@ -187,7 +185,7 @@ pub(crate) fn worker(
         // back whatever locks the operation still holds and quarantines the
         // work item (it is never requeued), and the worker keeps going.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process_item(env, tid, &mut ctx, stats, rec, final_list, cid, gen)
+            process_item(env, tid, &mut ctx, stats, rec, cid, gen)
         }));
         if caught.is_err() {
             stats.panics += 1;
@@ -201,50 +199,10 @@ pub(crate) fn worker(
             env.sync.note_progress();
         }
 
-        // Drain the kernel's walk-effort counters for this operation (plain
-        // u64 reads from our own ctx — the kernel stays obs-free).
-        let ws = ctx.take_walk_stats();
-        if ws.locates > 0 {
-            rec.inc(metrics::WALK_LOCATES, ws.locates);
-            rec.inc(metrics::WALK_STEPS, ws.steps);
-            rec.observe(
-                metrics::WALK_STEPS_PER_LOCATE,
-                ws.steps as f64 / ws.locates as f64,
-            );
-        }
-        let ps = ctx.take_pred_stats();
-        if ps.orient_total() > 0 {
-            rec.inc(metrics::PRED_ORIENT_SEMI_STATIC, ps.orient_semi_static);
-            rec.inc(metrics::PRED_ORIENT_FILTERED, ps.orient_filtered);
-            rec.inc(metrics::PRED_ORIENT_EXACT, ps.orient_exact);
-        }
-        if ps.insphere_total() > 0 {
-            rec.inc(metrics::PRED_INSPHERE_SEMI_STATIC, ps.insphere_semi_static);
-            rec.inc(metrics::PRED_INSPHERE_FILTERED, ps.insphere_filtered);
-            rec.inc(metrics::PRED_INSPHERE_EXACT, ps.insphere_exact);
-        }
-        let bs = ctx.take_batch_stats();
-        if bs.orient_batches > 0 {
-            rec.inc(metrics::PRED_BATCH_ORIENT_BATCHES, bs.orient_batches);
-            rec.inc(metrics::PRED_BATCH_ORIENT_LANES, bs.orient_lanes);
-            rec.inc(metrics::PRED_BATCH_ORIENT_FALLBACKS, bs.orient_fallbacks);
-        }
-        if bs.insphere_batches > 0 {
-            rec.inc(metrics::PRED_BATCH_INSPHERE_BATCHES, bs.insphere_batches);
-            rec.inc(metrics::PRED_BATCH_INSPHERE_LANES, bs.insphere_lanes);
-            rec.inc(
-                metrics::PRED_BATCH_INSPHERE_FALLBACKS,
-                bs.insphere_fallbacks,
-            );
-        }
-        let ss = ctx.take_scratch_stats();
-        if ss.reuses + ss.allocs > 0 {
-            rec.inc(metrics::SCRATCH_REUSES, ss.reuses);
-            rec.inc(metrics::SCRATCH_ALLOCS, ss.allocs);
-        }
-        if ss.soa_gathers > 0 {
-            rec.inc(metrics::SCRATCH_SOA_GATHERS, ss.soa_gathers);
-            rec.inc(metrics::SCRATCH_SOA_POINTS, ss.soa_points);
+        // A pop that never reached the kernel (stale or satisfied element)
+        // left nothing in its counters to drain.
+        if !matches!(caught, Ok(false)) {
+            drain_kernel_stats(&mut ctx, rec);
         }
 
         if env.cfg.max_operations > 0 {
@@ -266,19 +224,67 @@ pub(crate) fn worker(
     *arena = ctx.take_scratch();
 }
 
-/// Classify one PEL item and execute its remedy. Runs inside the worker's
-/// per-operation `catch_unwind` boundary.
-#[allow(clippy::too_many_arguments)]
+/// Drain the kernel's per-operation effort counters (walk, predicate
+/// stages, batched lanes, scratch arenas) into the worker's recorder: plain
+/// u64 reads from our own ctx — the kernel stays obs-free.
+fn drain_kernel_stats(ctx: &mut OpCtx<'_>, rec: &mut ThreadRecorder) {
+    let ws = ctx.take_walk_stats();
+    if ws.locates > 0 {
+        rec.inc(metrics::WALK_LOCATES, ws.locates);
+        rec.inc(metrics::WALK_STEPS, ws.steps);
+        rec.observe(
+            metrics::WALK_STEPS_PER_LOCATE,
+            ws.steps as f64 / ws.locates as f64,
+        );
+    }
+    let ps = ctx.take_pred_stats();
+    if ps.orient_total() > 0 {
+        rec.inc(metrics::PRED_ORIENT_SEMI_STATIC, ps.orient_semi_static);
+        rec.inc(metrics::PRED_ORIENT_FILTERED, ps.orient_filtered);
+        rec.inc(metrics::PRED_ORIENT_EXACT, ps.orient_exact);
+    }
+    if ps.insphere_total() > 0 {
+        rec.inc(metrics::PRED_INSPHERE_SEMI_STATIC, ps.insphere_semi_static);
+        rec.inc(metrics::PRED_INSPHERE_FILTERED, ps.insphere_filtered);
+        rec.inc(metrics::PRED_INSPHERE_EXACT, ps.insphere_exact);
+    }
+    let bs = ctx.take_batch_stats();
+    if bs.orient_batches > 0 {
+        rec.inc(metrics::PRED_BATCH_ORIENT_BATCHES, bs.orient_batches);
+        rec.inc(metrics::PRED_BATCH_ORIENT_LANES, bs.orient_lanes);
+        rec.inc(metrics::PRED_BATCH_ORIENT_FALLBACKS, bs.orient_fallbacks);
+    }
+    if bs.insphere_batches > 0 {
+        rec.inc(metrics::PRED_BATCH_INSPHERE_BATCHES, bs.insphere_batches);
+        rec.inc(metrics::PRED_BATCH_INSPHERE_LANES, bs.insphere_lanes);
+        rec.inc(
+            metrics::PRED_BATCH_INSPHERE_FALLBACKS,
+            bs.insphere_fallbacks,
+        );
+    }
+    let ss = ctx.take_scratch_stats();
+    if ss.reuses + ss.allocs > 0 {
+        rec.inc(metrics::SCRATCH_REUSES, ss.reuses);
+        rec.inc(metrics::SCRATCH_ALLOCS, ss.allocs);
+    }
+    if ss.soa_gathers > 0 {
+        rec.inc(metrics::SCRATCH_SOA_GATHERS, ss.soa_gathers);
+        rec.inc(metrics::SCRATCH_SOA_POINTS, ss.soa_points);
+    }
+}
+
+/// Classify one PEL item and execute its remedy; returns whether a kernel
+/// operation ran. Runs inside the worker's per-operation `catch_unwind`
+/// boundary.
 fn process_item(
     env: &Env<'_>,
     tid: usize,
     ctx: &mut OpCtx<'_>,
     stats: &mut ThreadStats,
     rec: &mut ThreadRecorder,
-    final_list: &mut Vec<(CellId, u32)>,
     cid: u32,
     gen: u32,
-) {
+) -> bool {
     // Operation-scope injection: deny re-queues the item through the normal
     // rollback path (a synthetic self-conflict), fail quarantines it.
     if let Some(f) = &env.cfg.faults {
@@ -300,11 +306,11 @@ fn process_item(
                 let at = env.cfg.trace.then(|| env.sync.now());
                 stats.add_overhead(OverheadKind::Contention, waited, at);
                 rec.observe(metrics::LOCK_WAIT_SECONDS, waited);
-                return;
+                return false;
             }
             Some(pi2m_faults::Injected::Fail) => {
                 stats.quarantined += 1;
-                return;
+                return false;
             }
             None => {}
         }
@@ -312,8 +318,15 @@ fn process_item(
 
     let c = CellId(cid);
     rec.inc(metrics::CLASSIFY_CALLS, 1);
+    // Most pops are stale: the cell died (or its slot was recycled) while
+    // the element sat in the PEL.
+    let cell = env.mesh.cell(c);
+    if !cell.is_alive() || cell.gen() != gen {
+        rec.inc(metrics::CLASSIFY_STALE, 1);
+        return false;
+    }
     let Some(action) = env.rules.classify(env.mesh, c, gen) else {
-        return; // satisfied (or stale) — drop
+        return false; // satisfied — drop
     };
 
     let region = env.regions.code(action.point);
@@ -323,7 +336,7 @@ fn process_item(
         point: action.point,
         kind: action.kind,
     };
-    let outcome = run_op(env, tid, ctx, stats, rec, final_list, region, &insert);
+    let outcome = run_op(env, tid, ctx, stats, rec, region, &insert);
 
     // R6: an isosurface vertex evicts nearby circumcenters. The removals are
     // attributed to the insertion's region — they happen within 2δ of it.
@@ -333,9 +346,10 @@ fn process_item(
     {
         for victim in env.rules.r6_victims(env.mesh, action.point) {
             let remove = RemoveOp { victim };
-            run_op(env, tid, ctx, stats, rec, final_list, region, &remove);
+            run_op(env, tid, ctx, stats, rec, region, &remove);
         }
     }
+    true
 }
 
 /// Retire a worker whose panic escaped the per-operation isolation: mark it
@@ -391,30 +405,16 @@ pub(crate) fn worker_death_cleanup(env: &Env<'_>, tid: usize, rec: &mut ThreadRe
 }
 
 /// Enqueue newly created cells for (lazy) classification, donating to a
-/// beggar when this thread has enough work of its own (paper §4.4), and
-/// record final-mesh candidates (paper §4.3's per-thread linked lists).
+/// beggar when this thread has enough work of its own (paper §4.4).
 pub(crate) fn handle_created(
     env: &Env<'_>,
     tid: usize,
     stats: &mut ThreadStats,
-    final_list: &mut Vec<(CellId, u32)>,
     created: &[CellId],
 ) {
     if created.is_empty() {
         return;
     }
-    // final-mesh candidates
-    for &nc in created {
-        let cell = env.mesh.cell(nc);
-        let gen = cell.gen();
-        let p = env.mesh.cell_points(nc);
-        if let Some(cc) = circumcenter(p[0], p[1], p[2], p[3]) {
-            if env.rules.oracle.is_inside(cc) {
-                final_list.push((nc, gen));
-            }
-        }
-    }
-    // enqueue / donate
     let own = env.counters[tid].load(Ordering::Acquire);
     let target = if own >= DONATE_THRESHOLD {
         env.bal.pick_beggar(tid)

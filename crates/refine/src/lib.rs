@@ -47,6 +47,7 @@ pub mod integrity;
 pub mod output;
 pub mod rules;
 pub mod shard;
+mod spheres;
 pub mod stats;
 pub mod sync;
 pub mod topology;

@@ -2,7 +2,7 @@
 //! inside the object O (paper Figure 1c / Algorithm 1 line 49), compacted
 //! into plain arrays for analysis and export.
 
-use pi2m_delaunay::{CellId, SharedMesh, VertexKind};
+use pi2m_delaunay::{SharedMesh, VertexKind};
 use pi2m_geometry::{circumcenter, Point3};
 use pi2m_image::Label;
 use pi2m_oracle::IsosurfaceOracle;
@@ -41,29 +41,21 @@ impl FinalMesh {
             .collect()
     }
 
-    /// Extract from the shared triangulation at quiescence: keep alive cells
-    /// whose circumcenter lies inside O, labeling each by the tissue at its
-    /// circumcenter. `candidates` restricts the scan (pass the union of the
-    /// per-thread final lists for the paper's constant-time collection, or
-    /// `None` to scan every alive cell).
-    pub fn extract(
-        mesh: &SharedMesh,
-        oracle: &IsosurfaceOracle,
-        candidates: Option<&[(CellId, u32)]>,
-    ) -> FinalMesh {
+    /// Extract from the shared triangulation at quiescence: scan the cell
+    /// pool and keep alive cells whose circumcenter lies inside O, labeling
+    /// each by the tissue at its circumcenter.
+    pub fn extract(mesh: &SharedMesh, oracle: &IsosurfaceOracle) -> FinalMesh {
         let mut out = FinalMesh::default();
         let mut vmap: HashMap<u32, u32> = HashMap::new();
-
-        let process = |c: CellId, out: &mut FinalMesh, vmap: &mut HashMap<u32, u32>| {
+        for c in mesh.alive_cells() {
             let cell = mesh.cell(c);
             let p = mesh.cell_points(c);
-            let cc = match circumcenter(p[0], p[1], p[2], p[3]) {
-                Some(x) => x,
-                None => return,
+            let Some(cc) = circumcenter(p[0], p[1], p[2], p[3]) else {
+                continue;
             };
             let label = oracle.label_at(cc);
             if label == pi2m_image::BACKGROUND {
-                return;
+                continue;
             }
             let mut tet = [0u32; 4];
             for (slot, k) in tet.iter_mut().zip(0..4) {
@@ -78,22 +70,6 @@ impl FinalMesh {
             }
             out.tets.push(tet);
             out.labels.push(label);
-        };
-
-        match candidates {
-            Some(list) => {
-                for &(c, gen) in list {
-                    let cell = mesh.cell(c);
-                    if cell.is_alive() && cell.gen() == gen {
-                        process(c, &mut out, &mut vmap);
-                    }
-                }
-            }
-            None => {
-                for c in mesh.alive_cells() {
-                    process(c, &mut out, &mut vmap);
-                }
-            }
         }
         out
     }
@@ -191,7 +167,7 @@ mod tests {
             )
             .unwrap();
         }
-        let fm = FinalMesh::extract(&mesh, &oracle, None);
+        let fm = FinalMesh::extract(&mesh, &oracle);
         assert!(fm.num_tets() > 0);
         assert_eq!(fm.tets.len(), fm.labels.len());
         // every reported tet's circumcenter must be inside
@@ -210,29 +186,5 @@ mod tests {
         // per-label volumes partition the total
         let by_label: f64 = fm.label_volumes().iter().map(|&(_, v)| v).sum();
         assert!((by_label - fm.volume()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn candidate_list_extraction_matches_full_scan() {
-        let img = phantoms::sphere(16, 1.0);
-        let oracle = Arc::new(IsosurfaceOracle::new(img, 1));
-        let bb = oracle.image().foreground_bounds().unwrap();
-        let mesh = SharedMesh::enclosing(&bb);
-        let mut ctx = mesh.make_ctx(0);
-        let c = oracle.image().bounds().center();
-        for d in [[0.0, 0.0, 0.0], [2.0, 1.0, 0.0], [0.0, 2.0, 2.0]] {
-            ctx.insert(
-                [c.x + d[0], c.y + d[1], c.z + d[2]],
-                VertexKind::Circumcenter,
-            )
-            .unwrap();
-        }
-        let full = FinalMesh::extract(&mesh, &oracle, None);
-        let all: Vec<(CellId, u32)> = mesh
-            .alive_cells()
-            .map(|c| (c, mesh.cell(c).gen()))
-            .collect();
-        let listed = FinalMesh::extract(&mesh, &oracle, Some(&all));
-        assert_eq!(full.num_tets(), listed.num_tets());
     }
 }

@@ -19,8 +19,10 @@
 //!   realized by the engine as removal actions after R1 commits.
 
 use crate::grid::PointGrid;
-use pi2m_delaunay::{CellId, SharedMesh, VertexKind};
+use crate::spheres::{Circumsphere, SphereTable};
+use pi2m_delaunay::{CellId, CellSnap, SharedMesh, VertexKind};
 use pi2m_geometry::{circumcenter, min_triangle_angle, Point3, TET_EDGES, TET_FACES};
+use pi2m_image::BACKGROUND;
 use pi2m_oracle::{IsosurfaceOracle, SizeFn};
 use std::sync::Arc;
 
@@ -75,40 +77,63 @@ pub struct InsertAction {
     pub rule: u8,
 }
 
-/// Shared, immutable rule evaluator.
+/// Shared rule evaluator. Immutable apart from its circumsphere table, a
+/// cache that any thread may fill (see [`crate::spheres`]).
 pub struct Rules {
     pub cfg: RuleConfig,
     pub oracle: Arc<IsosurfaceOracle>,
     pub grid: Arc<PointGrid>,
+    spheres: SphereTable,
 }
 
 impl Rules {
     pub fn new(cfg: RuleConfig, oracle: Arc<IsosurfaceOracle>, grid: Arc<PointGrid>) -> Self {
-        Rules { cfg, oracle, grid }
+        Rules {
+            cfg,
+            oracle,
+            grid,
+            spheres: SphereTable::new(),
+        }
+    }
+
+    /// Circumcenter of the cell `snap` was taken from, and the label there:
+    /// from the table when `(c, snap.gen)` is published, else computed and
+    /// published. `None` for a degenerate (flat) cell.
+    fn circumsphere(&self, mesh: &SharedMesh, c: CellId, snap: &CellSnap) -> Option<Circumsphere> {
+        if let Some(hit) = self.spheres.get(c.0, snap.gen) {
+            return Some(hit);
+        }
+        let p = snap.verts.map(|v| mesh.position(v));
+        let cc = circumcenter(p[0], p[1], p[2], p[3])?;
+        let sphere = (cc, self.oracle.label_at(cc));
+        self.spheres.put(c.0, snap.gen, sphere);
+        Some(sphere)
     }
 
     /// Classify a cell; `None` means the cell satisfies all rules. The cell
     /// must be alive with the given generation when called (the result may
     /// race with concurrent kills — the kernel re-validates on execution).
+    ///
+    /// The circumcenter is probed once (label, nearest surface voxel) and
+    /// every rule reads that probe; see DESIGN.md "Classification cost".
     pub fn classify(&self, mesh: &SharedMesh, c: CellId, gen: u32) -> Option<InsertAction> {
-        let cell = mesh.cell(c);
-        if !cell.is_alive() || cell.gen() != gen {
-            return None;
-        }
-        let verts = cell.verts();
-        let p: [Point3; 4] = [
-            mesh.position(verts[0]),
-            mesh.position(verts[1]),
-            mesh.position(verts[2]),
-            mesh.position(verts[3]),
-        ];
-        let cc = circumcenter(p[0], p[1], p[2], p[3])?;
+        let snap = mesh.cell(c).snapshot().filter(|s| s.gen == gen)?;
+        let verts = snap.verts;
+        let p = verts.map(|v| mesh.position(v));
+        let (cc, label) = self.circumsphere(mesh, c, &snap)?;
         let r = cc.distance(p[0]);
+        let probe = self.oracle.probe_labeled(cc, label);
 
-        if self.oracle.ball_intersects_surface(cc, r) {
+        // Does the circumball intersect ∂O? The probe's bounds decide the
+        // clear cases; in between, the closest surface point itself does,
+        // and R1 wants that point anyway.
+        if probe.surface_distance_lower_bound() <= r {
+            let z = self.oracle.closest_surface_point_from(&probe);
+            let certain = probe.surface_distance_upper_bound() < r;
+            let z = z.filter(|z| certain || z.distance(cc) <= r);
             // R1: sample the isosurface near this circumball, at the local
             // target density.
-            if let Some(z) = self.oracle.closest_surface_point(cc) {
+            if let Some(z) = z {
                 let za = z.to_array();
                 let dz = self.cfg.delta_at(z);
                 if !self.grid.any_surface_sample_near(mesh, za, dz) {
@@ -120,7 +145,7 @@ impl Rules {
                 }
             }
             // R2: surface-crossing ball too big.
-            if r > 2.0 * self.cfg.delta_at(cc) {
+            if (certain || z.is_some()) && r > 2.0 * self.cfg.delta_at(cc) {
                 return Some(InsertAction {
                     point: cc.to_array(),
                     kind: VertexKind::Circumcenter,
@@ -129,49 +154,47 @@ impl Rules {
             }
         }
 
-        // R3: facet surface-centers.
+        // R3: facet surface-centers. A facet whose vertices all lie on the
+        // isosurface and whose planar angles are fine needs no surface-center
+        // whether or not its Voronoi edge crosses ∂O, so it is not marched.
+        let on_surface = verts.map(|v| {
+            matches!(
+                mesh.vertex(v).kind(),
+                // both isosurface vertices and surface-centers lie
+                // precisely on the isosurface
+                VertexKind::Isosurface | VertexKind::SurfaceCenter
+            )
+        });
         for (i, &f) in TET_FACES.iter().enumerate() {
-            let n = cell.nei(i);
+            let n = snap.neis[i];
             if n.is_none() {
                 continue;
             }
-            let nsnap = match mesh.cell(n).snapshot() {
-                Some(s) => s,
-                None => continue,
+            let small_angle =
+                || min_triangle_angle(p[f[0]], p[f[1]], p[f[2]]) < self.cfg.planar_angle_min_deg;
+            if f.iter().all(|&k| on_surface[k]) && !small_angle() {
+                continue;
+            }
+            let Some(nsnap) = mesh.cell(n).snapshot() else {
+                continue;
             };
-            let np: [Point3; 4] = [
-                mesh.position(nsnap.verts[0]),
-                mesh.position(nsnap.verts[1]),
-                mesh.position(nsnap.verts[2]),
-                mesh.position(nsnap.verts[3]),
-            ];
-            let ncc = match circumcenter(np[0], np[1], np[2], np[3]) {
-                Some(x) => x,
-                None => continue,
+            let Some((ncc, nlabel)) = self.circumsphere(mesh, n, &nsnap) else {
+                continue;
             };
             // Voronoi edge of the shared facet.
-            if let Some(cs) = self.oracle.segment_surface_intersection(cc, ncc) {
-                let fv = [verts[f[0]], verts[f[1]], verts[f[2]]];
-                let angle = min_triangle_angle(p[f[0]], p[f[1]], p[f[2]]);
-                // both isosurface vertices and surface-centers lie
-                // precisely on the isosurface
-                let all_iso = fv.iter().all(|&v| {
-                    matches!(
-                        mesh.vertex(v).kind(),
-                        VertexKind::Isosurface | VertexKind::SurfaceCenter
-                    )
+            if let Some(cs) = self
+                .oracle
+                .segment_surface_intersection_from(&probe, ncc, nlabel)
+            {
+                return Some(InsertAction {
+                    point: cs.to_array(),
+                    kind: VertexKind::SurfaceCenter,
+                    rule: 3,
                 });
-                if angle < self.cfg.planar_angle_min_deg || !all_iso {
-                    return Some(InsertAction {
-                        point: cs.to_array(),
-                        kind: VertexKind::SurfaceCenter,
-                        rule: 3,
-                    });
-                }
             }
         }
 
-        if self.oracle.is_inside(cc) {
+        if label != BACKGROUND {
             // R4: radius-edge quality.
             let mut shortest = f64::INFINITY;
             for (a, b) in TET_EDGES {
@@ -367,5 +390,251 @@ mod tests {
         let victims = rules.r6_victims(&mesh, center);
         assert!(victims.contains(&v1));
         assert!(!victims.contains(&v2));
+    }
+
+    // ---- the probe-sharing, table-backed classify against its past self ----
+
+    /// `ball_intersects_surface` as the oracle had it: the nearest surface
+    /// voxel decides the clear cases, the interpolated distance the rest.
+    fn ball_intersects_surface(oracle: &IsosurfaceOracle, c: Point3, r: f64) -> bool {
+        let Some(q) = oracle.feature_transform().nearest_site_world(c) else {
+            return false;
+        };
+        let sp = oracle.image().spacing();
+        let half_diag = 0.5 * (sp[0] * sp[0] + sp[1] * sp[1] + sp[2] * sp[2]).sqrt();
+        let d = q.distance(c);
+        if d - half_diag > r {
+            return false;
+        }
+        if d + half_diag < r {
+            return true;
+        }
+        oracle.surface_distance(c).is_some_and(|sd| sd <= r)
+    }
+
+    /// Classification as it stood before the circumcenter probe was shared
+    /// and the circumspheres tabled: straight-line, every rule asking the
+    /// oracle from scratch through its public queries.
+    fn classify_reference(
+        rules: &Rules,
+        mesh: &SharedMesh,
+        c: CellId,
+        gen: u32,
+    ) -> Option<InsertAction> {
+        let (cfg, oracle) = (&rules.cfg, &rules.oracle);
+        let cell = mesh.cell(c);
+        if !cell.is_alive() || cell.gen() != gen {
+            return None;
+        }
+        let verts = cell.verts();
+        let p = verts.map(|v| mesh.position(v));
+        let cc = circumcenter(p[0], p[1], p[2], p[3])?;
+        let r = cc.distance(p[0]);
+        let action = |point: Point3, kind, rule| {
+            Some(InsertAction {
+                point: point.to_array(),
+                kind,
+                rule,
+            })
+        };
+
+        if ball_intersects_surface(oracle, cc, r) {
+            if let Some(z) = oracle.closest_surface_point(cc) {
+                if !rules
+                    .grid
+                    .any_surface_sample_near(mesh, z.to_array(), cfg.delta_at(z))
+                {
+                    return action(z, VertexKind::Isosurface, 1);
+                }
+            }
+            if r > 2.0 * cfg.delta_at(cc) {
+                return action(cc, VertexKind::Circumcenter, 2);
+            }
+        }
+        for (i, &f) in TET_FACES.iter().enumerate() {
+            let n = cell.nei(i);
+            if n.is_none() {
+                continue;
+            }
+            let Some(nsnap) = mesh.cell(n).snapshot() else {
+                continue;
+            };
+            let np = nsnap.verts.map(|v| mesh.position(v));
+            let Some(ncc) = circumcenter(np[0], np[1], np[2], np[3]) else {
+                continue;
+            };
+            if let Some(cs) = oracle.segment_surface_intersection(cc, ncc) {
+                let angle = min_triangle_angle(p[f[0]], p[f[1]], p[f[2]]);
+                let all_iso = f.iter().all(|&k| {
+                    matches!(
+                        mesh.vertex(verts[k]).kind(),
+                        VertexKind::Isosurface | VertexKind::SurfaceCenter
+                    )
+                });
+                if angle < cfg.planar_angle_min_deg || !all_iso {
+                    return action(cs, VertexKind::SurfaceCenter, 3);
+                }
+            }
+        }
+        if oracle.is_inside(cc) {
+            let shortest = TET_EDGES
+                .iter()
+                .map(|&(a, b)| p[a].distance(p[b]))
+                .fold(f64::INFINITY, f64::min);
+            if shortest > 0.0 && r / shortest > cfg.radius_edge_bound {
+                return action(cc, VertexKind::Circumcenter, 4);
+            }
+            if cfg.size_fn.as_ref().is_some_and(|sf| r > sf.size_at(cc)) {
+                return action(cc, VertexKind::Circumcenter, 5);
+            }
+        }
+        None
+    }
+
+    /// Rules over the triangulation a run left behind, the proximity grid
+    /// rebuilt from its alive vertices.
+    fn rules_over(out: &crate::MeshOutput, delta: f64) -> Rules {
+        let grid = PointGrid::new(delta);
+        for v in (0..out.shared.num_vertices() as u32).map(pi2m_delaunay::VertexId) {
+            let vert = out.shared.vertex(v);
+            if vert.is_alive() {
+                grid.insert(v, vert.pos());
+            }
+        }
+        let cfg = RuleConfig {
+            delta,
+            ..Default::default()
+        };
+        Rules::new(cfg, Arc::clone(&out.oracle), Arc::new(grid))
+    }
+
+    /// Every alive cell: cold table ≡ warm table ≡ the reference. Returns
+    /// how many cells each rule claimed.
+    fn differential(name: &str, img: pi2m_image::LabeledImage, delta: f64, cap: u64) -> [usize; 6] {
+        let out = crate::Mesher::new(
+            img,
+            crate::MesherConfig {
+                delta,
+                max_operations: cap,
+                ..Default::default()
+            },
+        )
+        .run();
+        let mesh = &out.shared;
+        let rules = rules_over(&out, delta);
+        let cells: Vec<(CellId, u32)> = mesh
+            .alive_cells()
+            .map(|c| (c, mesh.cell(c).gen()))
+            .collect();
+        let mut fired = [0usize; 6];
+        let cold: Vec<_> = cells
+            .iter()
+            .map(|&(c, gen)| rules.classify(mesh, c, gen))
+            .collect();
+        for (&(c, gen), cold) in cells.iter().zip(&cold) {
+            let warm = rules.classify(mesh, c, gen);
+            let reference = classify_reference(&rules, mesh, c, gen);
+            assert_eq!(*cold, reference, "{name}: cell {c:?} cold vs reference");
+            assert_eq!(warm, reference, "{name}: cell {c:?} warm vs reference");
+            fired[reference.map_or(0, |a| a.rule as usize)] += 1;
+        }
+        fired
+    }
+
+    #[test]
+    fn classify_matches_the_uncached_reference_on_finished_meshes() {
+        use phantoms::{abdominal, nested_spheres, sphere};
+        let quiet = |fired: [usize; 6]| fired[1..].iter().sum::<usize>() == 0;
+        assert!(quiet(differential("sphere", sphere(24, 1.0), 1.5, 0)));
+        assert!(quiet(differential(
+            "nested",
+            nested_spheres(28, 1.0),
+            1.5,
+            0
+        )));
+        assert!(quiet(differential("abdominal", abdominal(1.5), 2.0, 0)));
+    }
+
+    #[test]
+    fn classify_matches_the_uncached_reference_mid_refinement() {
+        // Runs capped after so many PEL pops leave poor cells of every kind
+        // behind, so the rules' firing branches are compared too, not only
+        // their silence.
+        let mut fired = [0usize; 6];
+        for (name, img, delta, cap) in [
+            ("sphere", phantoms::sphere(24, 1.0), 1.5, 4_000),
+            ("nested", phantoms::nested_spheres(28, 1.0), 1.5, 12_000),
+            ("abdominal", phantoms::abdominal(1.5), 2.0, 60_000),
+        ] {
+            let f = differential(name, img, delta, cap);
+            for (sum, n) in fired.iter_mut().zip(f) {
+                *sum += n;
+            }
+        }
+        for rule in 1..=4 {
+            assert!(fired[rule] > 0, "no cell exercised R{rule}: {fired:?}");
+        }
+    }
+
+    /// Eight threads refine one triangulation (cell ids are recycled by
+    /// every cavity) while looking up circumspheres of cells all over it:
+    /// whatever the table hands out must be bit-identical to recomputing it
+    /// from the same snapshot.
+    #[test]
+    fn table_never_serves_a_circumsphere_that_differs_from_recomputation() {
+        const THREADS: u64 = 8;
+        let (mesh, rules) = setup(1.0);
+        let bb = mesh.bbox();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let checked = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for tid in 0..THREADS {
+                let (mesh, rules, start, checked) = (&mesh, &rules, &start, &checked);
+                s.spawn(move || {
+                    let mut ctx = mesh.make_ctx(tid as u32);
+                    let mut x = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(tid + 1);
+                    let mut next = move || {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x
+                    };
+                    let mut unit = || (next() >> 11) as f64 / (1u64 << 53) as f64;
+                    start.wait();
+                    let mut n = 0u64;
+                    for _ in 0..400 {
+                        let p = [
+                            bb.min.x + unit() * (bb.max.x - bb.min.x),
+                            bb.min.y + unit() * (bb.max.y - bb.min.y),
+                            bb.min.z + unit() * (bb.max.z - bb.min.z),
+                        ];
+                        // conflicts with the other seven are expected
+                        if let Ok(r) = ctx.insert(p, VertexKind::Circumcenter) {
+                            ctx.recycle_insert(r);
+                        }
+                        let slots = mesh.num_cell_slots() as f64;
+                        for _ in 0..40 {
+                            let c = CellId((unit() * slots) as u32);
+                            let Some(snap) = mesh.cell(c).snapshot() else {
+                                continue;
+                            };
+                            let np = snap.verts.map(|v| mesh.position(v));
+                            let expect = circumcenter(np[0], np[1], np[2], np[3])
+                                .map(|cc| (cc, rules.oracle.label_at(cc)));
+                            let got = rules.circumsphere(mesh, c, &snap);
+                            assert_eq!(
+                                got.map(|(cc, l)| (cc.to_array().map(f64::to_bits), l)),
+                                expect.map(|(cc, l)| (cc.to_array().map(f64::to_bits), l)),
+                                "cell {c:?} gen {}",
+                                snap.gen
+                            );
+                            n += 1;
+                        }
+                    }
+                    checked.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+                });
+            }
+        });
+        assert!(checked.load(std::sync::atomic::Ordering::Relaxed) > 10_000);
     }
 }

@@ -17,7 +17,6 @@
 
 use crate::machine::SimMachine;
 use pi2m_delaunay::{CellId, OpCtx, OpError, SharedMesh, VertexId, VertexKind};
-use pi2m_geometry::circumcenter;
 use pi2m_image::LabeledImage;
 use pi2m_oracle::{IsosurfaceOracle, SizeFn};
 use pi2m_refine::{
@@ -479,7 +478,6 @@ impl SimMesher {
         let mut states: Vec<VtState> = vec![VtState::Ready(0.0); n];
         let mut inflight: Vec<Option<InFlight>> = (0..n).map(|_| None).collect();
         let mut stats: Vec<ThreadStats> = vec![ThreadStats::default(); n];
-        let mut final_list: Vec<(CellId, u32)> = Vec::new();
         let mut cm = SimCm::new(cfg.cm, n);
         let mut bal = SimBalancer::new(cfg.balancer, machine.topo, n);
         let mut sim = SimStats::default();
@@ -614,15 +612,6 @@ impl SimMesher {
                     if kind == VertexKind::Isosurface && cfg.enable_removals {
                         for victim in rules.r6_victims(&mesh, point) {
                             pending_removals[vt].push_back(victim);
-                        }
-                    }
-                }
-                // final-mesh candidates
-                for &nc in &created {
-                    let p = mesh.cell_points(nc);
-                    if let Some(cc) = circumcenter(p[0], p[1], p[2], p[3]) {
-                        if rules.oracle.is_inside(cc) {
-                            final_list.push((nc, mesh.cell(nc).gen()));
                         }
                     }
                 }
@@ -903,7 +892,7 @@ impl SimMesher {
         }
         drop(ctxs);
 
-        let final_mesh = FinalMesh::extract(&mesh, &oracle, Some(&final_list));
+        let final_mesh = FinalMesh::extract(&mesh, &oracle);
         sim.vtime = t_now;
         sim.edt_vtime = edt_vtime;
         // energy model: parked time (contention + load-balance waits) draws
