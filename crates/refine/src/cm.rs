@@ -84,8 +84,14 @@ fn secs_to_ns_u32(s: f64) -> u32 {
 /// CM park with flight-recorder bracketing: CmPark when the thread commits
 /// to waiting, CmUnpark (duration in `c`) when it resumes.
 fn recorded_cm_wait(tid: usize, owner: usize, flag: &AtomicBool, sync: &EngineSync) -> f64 {
-    sync.flight_emit(tid, EventKind::CmPark, 0, owner as u32, 0, 0);
     sync.enter_cm_block();
+    recorded_cm_wait_entered(tid, owner, flag, sync)
+}
+
+/// [`recorded_cm_wait`] for a caller that already counted itself blocked
+/// (`sync.enter_cm_block()`).
+fn recorded_cm_wait_entered(tid: usize, owner: usize, flag: &AtomicBool, sync: &EngineSync) -> f64 {
+    sync.flight_emit(tid, EventKind::CmPark, 0, owner as u32, 0, 0);
     let waited = busy_wait_while(flag, sync);
     sync.exit_cm_block();
     sync.flight_emit(
@@ -240,13 +246,20 @@ impl ContentionManager for GlobalCm {
 
     fn on_rollback(&self, tid: usize, owner: usize, sync: &EngineSync) -> f64 {
         self.streak[tid].store(0, Ordering::Relaxed);
-        // A thread may not park if it is the only active thread (paper §5.3).
-        if sync.active() <= 1 || sync.is_done() {
-            return 0.0;
+        {
+            // A thread may not park if it is the only active thread (paper
+            // §5.3). Decide and count ourselves blocked under the list lock:
+            // two threads rolling back at once must not each take the other
+            // for the one that stays active and both park.
+            let mut cl = self.cl.lock();
+            if sync.active() <= 1 || sync.is_done() {
+                return 0.0;
+            }
+            self.parked[tid].store(true, Ordering::Release);
+            cl.push_back(tid);
+            sync.enter_cm_block();
         }
-        self.parked[tid].store(true, Ordering::Release);
-        self.cl.lock().push_back(tid);
-        recorded_cm_wait(tid, owner, &self.parked[tid], sync)
+        recorded_cm_wait_entered(tid, owner, &self.parked[tid], sync)
     }
 
     fn before_beg(&self, _tid: usize, _sync: &EngineSync) {
