@@ -5,8 +5,8 @@
 //! filter of Staubs et al. that the paper uses as a preprocessing step (§4).
 //!
 //! The refinement rules need, for an arbitrary query point `p`, the *surface
-//! voxel* closest to `p` (the feature); the isosurface oracle then marches
-//! along the ray towards it to find the exact label interface. We compute
+//! voxel* closest to `p` (the feature); the isosurface oracle then walks
+//! the ray towards it to the exact label interface. We compute
 //! the feature transform once, up front, with the separable lower-envelope
 //! algorithm (Felzenszwalb & Huttenlocher generalized to anisotropic spacing
 //! and argmin propagation), which produces exactly the same result as

@@ -5,11 +5,6 @@ use pi2m_geometry::Point3;
 use pi2m_image::{Label, LabeledImage, BACKGROUND};
 use pi2m_obs::metrics::{self, ThreadRecorder};
 
-/// Number of bisection iterations used to refine a detected label interface;
-/// 24 halvings locate the crossing ~7 orders of magnitude below the interval
-/// length, far below voxel precision.
-const BISECT_ITERS: usize = 24;
-
 /// Continuous-space isosurface queries for the refinement rules.
 ///
 /// Owns the image and its surface-voxel feature transform; immutable after
@@ -17,8 +12,6 @@ const BISECT_ITERS: usize = 24;
 pub struct IsosurfaceOracle {
     img: LabeledImage,
     ft: FeatureTransform,
-    /// Ray-marching step, a fraction of the smallest voxel spacing.
-    step: f64,
     /// Half a voxel diagonal: the interface bounding a surface voxel lies
     /// within this distance of the voxel's center.
     half_diag: f64,
@@ -84,15 +77,9 @@ impl IsosurfaceOracle {
             img.dims(),
             "feature transform dims must match the image"
         );
-        let step = img.min_spacing() * 0.25;
         let sp = img.spacing();
         let half_diag = 0.5 * (sp[0] * sp[0] + sp[1] * sp[1] + sp[2] * sp[2]).sqrt();
-        IsosurfaceOracle {
-            img,
-            ft,
-            step,
-            half_diag,
-        }
+        IsosurfaceOracle { img, ft, half_diag }
     }
 
     /// The underlying image.
@@ -139,9 +126,9 @@ impl IsosurfaceOracle {
     }
 
     /// The closest isosurface point `p̂ ∈ ∂O` for a query `p` (paper §3):
-    /// the feature transform yields the nearest surface voxel `q`; the ray
-    /// `p → q` is traversed on small intervals until the label changes, and
-    /// the interface position is interpolated (bisection on the label field).
+    /// the feature transform yields the nearest surface voxel `q`, and the
+    /// ray `p → q` is walked voxel by voxel to the first face at which the
+    /// label changes (see `march`).
     ///
     /// `None` when the image has no surface at all, or no interface is found
     /// near the ray (which can only happen for degenerate images).
@@ -175,36 +162,99 @@ impl IsosurfaceOracle {
         self.probe_around(q, lq, diag)
     }
 
-    /// March from `p` along `dir` up to distance `total`, returning the
-    /// bisected position of the first label change (relative to `lp`).
+    /// The first label change along the ray `p + dir·t`, `0 ≤ t ≤ total`,
+    /// for `lp` the label at `p`: the exact point at which the ray enters a
+    /// voxel (or leaves the image into the background around it) whose label
+    /// differs from `lp`.
+    ///
+    /// The label field is nearest-voxel, so ∂O is the staircase of voxel
+    /// faces between differently labeled voxels and the first crossing sits
+    /// on a face. The ray is walked voxel by voxel (Amanatides–Woo 3D-DDA):
+    /// per axis, the parameter at which it leaves the current voxel; the
+    /// smallest one is the next face, and axes that tie there (the ray runs
+    /// through a voxel edge or corner) step together. Every voxel the ray
+    /// passes through is read exactly once and none is skipped, however thin
+    /// the clip.
     fn march(&self, p: Point3, lp: Label, dir: Point3, total: f64) -> Option<Point3> {
-        let mut t_prev = 0.0;
-        let mut t = self.step.min(total);
-        loop {
-            let x = p + dir * t;
-            if self.label_at(x) != lp {
-                return Some(self.bisect(p, lp, dir, t_prev, t));
+        let (o, sp) = (self.img.origin(), self.img.spacing());
+        let n = self.img.dims().map(|x| x as i64);
+        // Ray in voxel-index space, the frame `label_at` resolves points in.
+        let g = [
+            (p.x - o.x) / sp[0],
+            (p.y - o.y) / sp[1],
+            (p.z - o.z) / sp[2],
+        ];
+        let d = [dir.x / sp[0], dir.y / sp[1], dir.z / sp[2]];
+        let inv = d.map(|x| 1.0 / x);
+        let mut idx = g.map(|x| x.floor() as i64);
+        let inside = |idx: &[i64; 3]| (0..3).all(|a| (0..n[a]).contains(&idx[a]));
+        let label = |idx: &[i64; 3]| {
+            self.img
+                .get(idx[0] as usize, idx[1] as usize, idx[2] as usize)
+        };
+
+        if !inside(&idx) {
+            // Everything outside the image is background: jump to the face
+            // through which the ray enters it, if it does within `total`.
+            let (mut t_in, mut t_out) = (0.0f64, total);
+            for a in 0..3 {
+                if d[a] == 0.0 {
+                    if !(0..n[a]).contains(&idx[a]) {
+                        return None;
+                    }
+                    continue;
+                }
+                let (t0, t1) = (-g[a] * inv[a], (n[a] as f64 - g[a]) * inv[a]);
+                t_in = t_in.max(t0.min(t1));
+                t_out = t_out.min(t0.max(t1));
             }
-            if t >= total {
+            if t_in.is_nan() || t_in > t_out {
                 return None;
             }
-            t_prev = t;
-            t = (t + self.step).min(total);
-        }
-    }
-
-    /// Bisect the interval `[t_lo, t_hi]` along `p + dir·t` so that the label
-    /// changes across it; returns the interface point.
-    fn bisect(&self, p: Point3, lp: Label, dir: Point3, mut t_lo: f64, mut t_hi: f64) -> Point3 {
-        for _ in 0..BISECT_ITERS {
-            let mid = 0.5 * (t_lo + t_hi);
-            if self.label_at(p + dir * mid) == lp {
-                t_lo = mid;
-            } else {
-                t_hi = mid;
+            // The clamp absorbs the rounding of `t_in` on the entry face.
+            for a in 0..3 {
+                idx[a] = ((g[a] + d[a] * t_in).floor() as i64).clamp(0, n[a] - 1);
+            }
+            if label(&idx) != lp {
+                return Some(p + dir * t_in);
             }
         }
-        p + dir * (0.5 * (t_lo + t_hi))
+
+        // Per axis: the parameter at which the ray leaves the current voxel
+        // (`t_max`), and what one more voxel along that axis adds to it
+        // (`t_delta`). An axis the ray does not move along never leaves.
+        let mut t_max = [f64::INFINITY; 3];
+        let mut t_delta = [0.0f64; 3];
+        let mut step = [0i64; 3];
+        for a in 0..3 {
+            if d[a] > 0.0 {
+                t_max[a] = ((idx[a] + 1) as f64 - g[a]) * inv[a];
+                (t_delta[a], step[a]) = (inv[a], 1);
+            } else if d[a] < 0.0 {
+                t_max[a] = (idx[a] as f64 - g[a]) * inv[a];
+                (t_delta[a], step[a]) = (-inv[a], -1);
+            }
+        }
+        loop {
+            let t = t_max[0].min(t_max[1]).min(t_max[2]);
+            // (non-finite: a ray with no direction, or a NaN query)
+            if t > total || !t.is_finite() {
+                return None;
+            }
+            for a in 0..3 {
+                if t_max[a] == t {
+                    idx[a] += step[a];
+                    t_max[a] += t_delta[a];
+                }
+            }
+            if !inside(&idx) {
+                // Left the image: the rest of the ray is background.
+                return (lp != BACKGROUND).then(|| p + dir * t);
+            }
+            if label(&idx) != lp {
+                return Some(p + dir * t);
+            }
+        }
     }
 
     /// Fallback when the query coincides with a surface voxel center: probe
