@@ -74,7 +74,43 @@ impl OpCtx<'_> {
     /// Insert a point, maintaining the Delaunay property. On any error the
     /// operation has been rolled back (no locks held, no structural change).
     pub fn insert(&mut self, p: [f64; 3], kind: VertexKind) -> Result<InsertResult, OpError> {
+        self.insert_guarded(p, kind, None)
+    }
+
+    /// [`insert`](Self::insert) as the remedy computed for cell `poor` at
+    /// generation `gen`: once the cavity is locked, the insertion commits
+    /// only if that cell is still alive, and otherwise rolls back with
+    /// [`OpError::Stale`].
+    ///
+    /// A remedy is computed from the triangulation around its cell; between
+    /// computing it and locking the cavity another thread may have repaired
+    /// the same spot. Inserting anyway puts a second point where one was
+    /// needed — two surface-centers a hundredth of a voxel apart, say — and
+    /// the short edges between them keep the refinement rules firing.
+    pub fn insert_for(
+        &mut self,
+        p: [f64; 3],
+        kind: VertexKind,
+        poor: CellId,
+        gen: u32,
+    ) -> Result<InsertResult, OpError> {
+        self.insert_guarded(p, kind, Some((poor, gen)))
+    }
+
+    fn insert_guarded(
+        &mut self,
+        p: [f64; 3],
+        kind: VertexKind,
+        poor: Option<(CellId, u32)>,
+    ) -> Result<InsertResult, OpError> {
         let prep = self.prepare_insert(p, kind)?;
+        if let Some((c, gen)) = poor {
+            let cell = self.mesh.cell(c);
+            if !cell.is_alive() || cell.gen() != gen {
+                self.abort();
+                return Err(OpError::Stale);
+            }
+        }
         // Injection point between the phases: a `panic` here unwinds while
         // the full lock set is held (recovery must roll it back); deny/fail
         // abort the prepared operation through the normal conflict path.

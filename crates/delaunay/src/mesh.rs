@@ -90,6 +90,9 @@ pub enum OpError {
     RemovalBlocked,
     /// Unrecoverable geometric degeneracy for this element; skip it.
     Degenerate,
+    /// The cell this insertion was the remedy for died before the cavity was
+    /// locked ([`OpCtx::insert_for`]); nothing was mutated.
+    Stale,
     /// A broken internal invariant (see [`KernelError`]); the operation was
     /// abandoned without structural change and the element should be
     /// quarantined by the caller.

@@ -213,6 +213,30 @@ fn removal_matches_scratch_when_link_touches_hull() {
 }
 
 #[test]
+fn insert_for_drops_the_remedy_of_a_dead_cell() {
+    let (m, _) = build(&[[0.3, 0.3, 0.3], [0.7, 0.4, 0.5], [0.5, 0.8, 0.6]]);
+    let mut ctx = m.make_ctx(0);
+    let poor = ctx.locate_readonly([0.5, 0.5, 0.5]).unwrap();
+    let gen = m.cell(poor).gen();
+    // the cell is alive: its remedy goes in, and kills it
+    let r = ctx
+        .insert_for([0.5, 0.5, 0.5], VertexKind::Circumcenter, poor, gen)
+        .unwrap();
+    assert!(r.killed.iter().any(|&(c, _)| c == poor));
+    ctx.recycle_insert(r);
+    // a second remedy computed for the same (cell, generation) is stale,
+    // whether the slot is free or already reused: nothing happens
+    let before = cells_by_position(&m);
+    assert_eq!(
+        ctx.insert_for([0.52, 0.5, 0.5], VertexKind::Circumcenter, poor, gen),
+        Err(OpError::Stale)
+    );
+    assert_eq!(ctx.locks_held(), 0);
+    assert_eq!(cells_by_position(&m), before);
+    full_checks(&m);
+}
+
+#[test]
 fn soak_insert_remove_random() {
     let m = unit_mesh();
     let mut ctx = m.make_ctx(0);

@@ -282,16 +282,15 @@ impl IsosurfaceOracle {
         best
     }
 
-    /// Distance from `p` to the isosurface (via the interpolated closest
-    /// surface point).
+    /// Distance from `p` to the isosurface (to its closest surface point).
     pub fn surface_distance(&self, p: Point3) -> Option<f64> {
         self.closest_surface_point(p).map(|q| q.distance(p))
     }
 
-    /// First intersection of segment `a → b` with the isosurface (any label
-    /// change), interpolated; the *surface-center* `c_surf(f)` of rule R3
-    /// when `a`, `b` are the circumcenters joined by the facet's Voronoi
-    /// edge.
+    /// First intersection of segment `a → b` with the isosurface (the first
+    /// voxel face at which the label changes); the *surface-center*
+    /// `c_surf(f)` of rule R3 when `a`, `b` are the circumcenters joined by
+    /// the facet's Voronoi edge.
     pub fn segment_surface_intersection(&self, a: Point3, b: Point3) -> Option<Point3> {
         self.segment_surface_intersection_from(&self.probe(a), b, self.label_at(b))
     }

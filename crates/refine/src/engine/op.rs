@@ -157,7 +157,8 @@ impl SpeculativeOp for InsertOp {
     }
 
     fn execute(&self, ctx: &mut OpCtx<'_>) -> Result<OpResult, OpError> {
-        ctx.insert(self.point, self.kind).map(OpResult::Inserted)
+        ctx.insert_for(self.point, self.kind, CellId(self.cid), self.gen)
+            .map(OpResult::Inserted)
     }
 
     fn commit_id(&self, res: &OpResult) -> u32 {
@@ -196,7 +197,8 @@ impl SpeculativeOp for InsertOp {
                 stats.kernel_errors += 1;
                 stats.quarantined += 1;
             }
-            // the rule's remedy is not realizable; drop the element
+            // the rule's remedy is not realizable, or its cell died before
+            // the cavity was locked; drop the element
             _ => stats.skipped += 1,
         }
     }

@@ -111,8 +111,10 @@ impl Rules {
     }
 
     /// Classify a cell; `None` means the cell satisfies all rules. The cell
-    /// must be alive with the given generation when called (the result may
-    /// race with concurrent kills — the kernel re-validates on execution).
+    /// must be alive with the given generation when called. The result may
+    /// race with concurrent kills: execute the remedy through
+    /// `OpCtx::insert_for`, which drops it if the cell has died by the time
+    /// the cavity is locked.
     ///
     /// The circumcenter is probed once (label, nearest surface voxel) and
     /// every rule reads that probe; see DESIGN.md "Classification cost".
@@ -178,6 +180,15 @@ impl Rules {
             let Some(nsnap) = mesh.cell(n).snapshot() else {
                 continue;
             };
+            // Slot `n` may have been freed and reused since `snap` was taken.
+            // Two cells that are not neighbours have no Voronoi edge: the
+            // segment between their circumcenters crosses ∂O wherever it
+            // likes, and a surface-center planted there, next to vertices
+            // that already sample the surface, starts a cascade of small
+            // angles and further surface-centers.
+            if !nsnap.neis.contains(&c) {
+                continue;
+            }
             let Some((ncc, nlabel)) = self.circumsphere(mesh, n, &nsnap) else {
                 continue;
             };
