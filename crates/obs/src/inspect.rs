@@ -184,8 +184,11 @@ pub struct Artifact {
     /// which predate the counters entirely — distinct from a v5 report
     /// where the batched path was disabled (`Some` with zero counts).
     pub batch: Option<BatchKernelInfo>,
-    /// PEL pops handed to rule classification (`classify_calls`; 0 when the
-    /// artifact has no counters).
+    /// Completed kernel operations (`ops_total` counter; 0 when the artifact
+    /// has no counters). Unlike `commits` it does not depend on how much of
+    /// the run the flight ring kept.
+    pub ops_total: u64,
+    /// PEL pops handed to rule classification (`classify_calls`).
     pub classify_calls: u64,
     /// How many of those found their cell already dead. `None` when the
     /// artifact does not carry the counter (it predates `classify_stale`, or
@@ -315,6 +318,7 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
             attribution: None,
             shard: None,
             batch: None,
+            ops_total: 0,
             classify_calls: 0,
             classify_stale: None,
             trace: Some(trace),
@@ -327,8 +331,8 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
             .get("time_attribution")
             .or_else(|| c.and_then(|c| c.get("time_attribution")))
             .and_then(TimeAttribution::from_json);
-        let counter = |name: &str| j.get("counters").and_then(|c| c.get(name));
-        let cnt = |name: &str| counter(name).and_then(Json::as_f64).unwrap_or(0.0) as u64;
+        let counters = j.get("counters");
+        let cnt = |name: &str| counters.map_or(0, |c| get_u64(c, name));
         // the batched-kernel counters joined the catalog in schema v5;
         // earlier reports cannot distinguish "batch off" from "not
         // measured", so they get `None` and render as "not recorded"
@@ -376,8 +380,11 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
             hot_regions: hot_pairs(c.and_then(|c| c.get("hot_regions")), "region"),
             attribution,
             batch,
+            ops_total: cnt("ops_total"),
             classify_calls: cnt("classify_calls"),
-            classify_stale: counter("classify_stale").map(|_| cnt("classify_stale")),
+            classify_stale: counters
+                .and_then(|c| c.get("classify_stale"))
+                .map(|_| cnt("classify_stale")),
             shard: j.get("shard").map(|s| ShardInfo {
                 grid: s
                     .get("grid")
@@ -425,6 +432,7 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
                 .and_then(TimeAttribution::from_json),
             shard: None,
             batch: None,
+            ops_total: 0,
             classify_calls: 0,
             classify_stale: None,
             trace: None,
@@ -681,7 +689,7 @@ pub fn render_summary(art: &Artifact) -> String {
         }
     }
     if art.classify_calls > 0 {
-        let per_op = |n: u64| n as f64 / art.commits.max(1) as f64;
+        let per_op = |n: u64| n as f64 / art.ops_total.max(1) as f64;
         let _ = match art.classify_stale {
             Some(stale) => {
                 let live = art.classify_calls.saturating_sub(stale);
@@ -1141,7 +1149,7 @@ mod tests {
         let report = |counters: &str| {
             format!(
                 r#"{{"schema_version": 5, "tool": "pi2m", "threads": 1, "wall_s": 0.5,
-                    "contention": {{"commits": 100}}, "counters": {{{counters}}}}}"#
+                    "counters": {{"ops_total": 100, {counters}}}}}"#
             )
         };
         let art =
