@@ -119,8 +119,9 @@ pub(crate) trait SpeculativeOp {
     fn count_commit(&self, stats: &mut ThreadStats, rec: &mut ThreadRecorder, res: &OpResult);
 
     /// Post-commit hook running before created-cell handling (the insert op
-    /// registers its new vertex in the proximity grid here).
-    fn after_commit(&self, env: &Env<'_>, res: &OpResult);
+    /// registers its new vertex in the proximity grid here, and requeues its
+    /// element if the insertion left it standing).
+    fn after_commit(&self, env: &Env<'_>, tid: usize, res: &OpResult);
 
     /// Conflict disposition, after rollback accounting and before the
     /// contention manager is consulted: an insert requeues its still-poor
@@ -141,6 +142,15 @@ pub(crate) struct InsertOp {
     pub gen: u32,
     pub point: [f64; 3],
     pub kind: VertexKind,
+}
+
+impl InsertOp {
+    /// Put the element back on `tid`'s PEL.
+    fn requeue(&self, env: &Env<'_>, tid: usize) {
+        env.pels[tid].lock().push_back((self.cid, self.gen));
+        env.counters[tid].fetch_add(1, Ordering::AcqRel);
+        env.sync.poor_added(1);
+    }
 }
 
 impl SpeculativeOp for InsertOp {
@@ -173,17 +183,24 @@ impl SpeculativeOp for InsertOp {
         rec.observe(metrics::CAVITY_CELLS, res.killed_len() as f64);
     }
 
-    fn after_commit(&self, env: &Env<'_>, res: &OpResult) {
+    fn after_commit(&self, env: &Env<'_>, tid: usize, res: &OpResult) {
         if let OpResult::Inserted(r) = res {
             env.rules.grid.insert(r.vertex, self.point);
+        }
+        // A remedy need not kill the cell it was computed for: a
+        // surface-center lies on the facet's Voronoi edge, which runs on
+        // past the cell's own circumball into its neighbour's. The cell is
+        // then still there, and whatever else is wrong with it (R3 is tried
+        // before R4) would never be looked at again.
+        let cell = env.mesh.cell(CellId(self.cid));
+        if cell.is_alive() && cell.gen() == self.gen {
+            self.requeue(env, tid);
         }
     }
 
     fn on_conflict(&self, env: &Env<'_>, tid: usize) {
         // the element is still poor: requeue it, then consult the CM
-        env.pels[tid].lock().push_back((self.cid, self.gen));
-        env.counters[tid].fetch_add(1, Ordering::AcqRel);
-        env.sync.poor_added(1);
+        self.requeue(env, tid);
         if let Some(f) = &env.cfg.faults {
             let _ = f.fire(sites::CM_ROLLBACK, tid as u32);
         }
@@ -241,7 +258,7 @@ impl SpeculativeOp for RemoveOp {
         stats.removals += 1;
     }
 
-    fn after_commit(&self, _env: &Env<'_>, _res: &OpResult) {}
+    fn after_commit(&self, _env: &Env<'_>, _tid: usize, _res: &OpResult) {}
 
     fn on_conflict(&self, _env: &Env<'_>, _tid: usize) {
         // best-effort: drop this victim
@@ -302,7 +319,7 @@ pub(crate) fn run_op(
             );
             env.sync.note_progress();
             env.cm.on_success(tid);
-            op.after_commit(env, &res);
+            op.after_commit(env, tid, &res);
             handle_created(env, tid, stats, res.created());
             op.recycle(ctx, res);
             OpOutcome::Committed

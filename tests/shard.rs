@@ -147,6 +147,30 @@ fn large_phantom_2x2x2_completes_within_ci_budget() {
     assert!(audit.clean(), "large sharded run:\n{}", audit.summary());
 }
 
+#[test]
+fn stitched_knee_leaves_no_element_over_the_radius_edge_bound() {
+    // A surface-center need not kill the cell it was computed for (it lies on
+    // a Voronoi edge that runs on into the neighbour's circumball). On this
+    // stitch one such cell also broke the radius-edge bound, which R3 shadows
+    // until it is asked again: the cell must go back on the PEL, or it ends
+    // the run at 2.70.
+    let mut session = MeshingSession::new(1);
+    let run = mesh_sharded(
+        &mut session,
+        phantoms::knee(1.0),
+        cfg(1.0, 1),
+        &Default::default(),
+        &ShardSpec::new([2, 1, 1]),
+    )
+    .unwrap();
+    let q = mesh_quality(&run.out.mesh);
+    assert!(
+        q.max_radius_edge <= 2.0,
+        "radius-edge {}",
+        q.max_radius_edge
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Splitter property/fuzz tests
 // ---------------------------------------------------------------------------
