@@ -1,15 +1,15 @@
 //! Strong-scaling benchmark: the standard refinement workload at a ladder
-//! of thread counts over ONE warm [`MeshingSession`], reported as
-//! `BENCH_scaling.json` — the fig5-style speedup curve as a tracked
-//! artifact, with the per-worker wall-time attribution explaining *where*
-//! the non-scaling time went at every rung.
+//! of thread counts over ONE warm [`MeshingSession`], reported as a JSON
+//! record — the fig5-style speedup curve, with the per-worker wall-time
+//! attribution explaining *where* the non-scaling time went at every rung.
 //!
-//! Driven by `pi2m bench --scaling` (see the CLI) and by the CI
-//! scaling-smoke job, which gates parallel efficiency against the committed
-//! `ci/scaling_baseline.json` with a relative tolerance like the kernel
-//! gate. Efficiency is compared *relatively* because absolute values are a
-//! property of the host (a single-core CI runner legitimately reports
-//! efficiency ~1/n — threads just timeshare the core).
+//! Driven by `pi2m bench --scaling` (see the CLI), whose `--check` gates
+//! parallel efficiency against an earlier record with a relative tolerance
+//! like the kernel gate. Efficiency is compared *relatively* because
+//! absolute values are a property of the host (a single-core runner
+//! legitimately reports efficiency ~1/n — threads just timeshare the core),
+//! which is also why no record is committed: one taken on fewer cores than
+//! its top rung describes the host, not the engine.
 //!
 //! Schema of the emitted JSON (`schema_version` 1):
 //!

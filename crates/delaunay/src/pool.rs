@@ -14,6 +14,12 @@ const SEG_SHIFT: u32 = 14;
 const SEG_SIZE: usize = 1 << SEG_SHIFT;
 /// Maximum number of segments (caps the pool at ~1 G entries).
 const MAX_SEGS: usize = 1 << 16;
+/// Cell slots a context reserves at a time when its free list runs dry: one
+/// `fetch_add` on the shared length per 64 fresh cells, and one worker's
+/// fresh cells sit in consecutive cache lines instead of interleaving with
+/// its neighbour's. Divides `SEG_SIZE`, so a chunk never straddles segments.
+const CELL_CHUNK: u32 = 64;
+const _: () = assert!(SEG_SIZE.is_multiple_of(CELL_CHUNK as usize));
 
 /// A vertex record. Position and kind are written once before the vertex id
 /// is published (ids only reach other threads through cells created under
@@ -231,7 +237,9 @@ macro_rules! segmented_pool {
                 }
             }
 
-            /// Number of slots ever allocated (high-water mark).
+            /// Number of slots ever reserved (high-water mark). Cell slots
+            /// are reserved a chunk at a time, so the tail of this range may
+            /// never have been activated: such slots are dead at generation 0.
             #[inline]
             pub fn len(&self) -> usize {
                 self.len.load(Ordering::Acquire) as usize
@@ -271,37 +279,46 @@ macro_rules! segmented_pool {
                 }
             }
 
-            /// Reserve a fresh slot; never reused ids.
-            fn bump(&self) -> u32 {
-                let id = self.len.fetch_add(1, Ordering::AcqRel);
-                assert!(id != NONE, "pool id space exhausted");
-                let seg = (id >> SEG_SHIFT) as usize;
-                self.ensure_segment(seg);
+            /// Reserve `n` consecutive slots never handed out before and
+            /// return the first. (A cell context keeps them on its free list
+            /// and reuses them from there.) Each pool is only ever bumped by
+            /// one `n` — 1 for vertices, `CELL_CHUNK` for cells — which
+            /// divides `SEG_SIZE`, so the run lies within one segment.
+            fn bump(&self, n: u32) -> u32 {
+                let id = self.len.fetch_add(n, Ordering::AcqRel);
+                assert!(id < NONE - n, "pool id space exhausted");
+                self.ensure_segment((id >> SEG_SHIFT) as usize);
                 id
             }
 
             /// Best-effort prefetch of the element's cache line into L1.
-            /// Purely a performance hint: out-of-range ids (including `NONE`)
-            /// and unallocated segments are silently ignored, and no element
-            /// data is read, so calling this can never change behavior.
+            /// Purely a performance hint: ids past the segment table
+            /// (including `NONE`) and unallocated segments are silently
+            /// ignored, and no element data is read, so calling this can
+            /// never change behavior. Bounded by the segment table alone —
+            /// the shared length, which allocating threads write, is not
+            /// read.
             #[inline]
             pub fn prefetch(&self, id: u32) {
                 #[cfg(target_arch = "x86_64")]
                 {
-                    if (id as usize) < self.len() {
-                        let seg = (id >> SEG_SHIFT) as usize;
-                        let off = (id as usize) & (SEG_SIZE - 1);
-                        let ptr = self.segs[seg].load(Ordering::Acquire);
-                        if !ptr.is_null() {
-                            // SAFETY: in-bounds pointer into a live segment;
-                            // prefetch dereferences nothing architecturally.
-                            unsafe {
-                                core::arch::x86_64::_mm_prefetch(
-                                    ptr.add(off) as *const i8,
-                                    core::arch::x86_64::_MM_HINT_T0,
-                                )
-                            };
-                        }
+                    let seg = (id >> SEG_SHIFT) as usize;
+                    let off = (id as usize) & (SEG_SIZE - 1);
+                    let ptr = match self.segs.get(seg) {
+                        Some(slot) => slot.load(Ordering::Acquire),
+                        None => std::ptr::null_mut(),
+                    };
+                    if !ptr.is_null() {
+                        // SAFETY: a non-null segment holds SEG_SIZE elements
+                        // and `off < SEG_SIZE`, so the pointer is in bounds
+                        // of a live allocation; prefetch dereferences
+                        // nothing architecturally.
+                        unsafe {
+                            core::arch::x86_64::_mm_prefetch(
+                                ptr.add(off) as *const i8,
+                                core::arch::x86_64::_MM_HINT_T0,
+                            )
+                        };
                     }
                 }
                 #[cfg(not(target_arch = "x86_64"))]
@@ -380,7 +397,7 @@ impl VertexPool {
     /// Allocate and initialize a new vertex; the returned id is also the
     /// vertex's insertion timestamp.
     pub fn alloc(&self, pos: [f64; 3], kind: VertexKind) -> VertexId {
-        let id = self.bump();
+        let id = self.bump(1);
         self.get(id).init(pos, kind);
         VertexId(id)
     }
@@ -401,12 +418,17 @@ impl CellPool {
     }
 
     /// Take a dead slot (reused or fresh) without activating it; pair with
-    /// [`CellPool::activate`] once the cell's data is fully computed.
+    /// [`CellPool::activate`] once the cell's data is fully computed. An
+    /// empty free list is refilled with a chunk of `CELL_CHUNK` fresh slots,
+    /// stacked so they are handed out in ascending order — the same ids, in
+    /// the same order, a lone context would get one at a time.
     pub fn reserve(&self, free: &mut Vec<CellId>) -> CellId {
-        match free.pop() {
-            Some(c) => c,
-            None => CellId(self.bump()),
+        if let Some(c) = free.pop() {
+            return c;
         }
+        let first = self.bump(CELL_CHUNK);
+        free.extend((first + 1..first + CELL_CHUNK).rev().map(CellId));
+        CellId(first)
     }
 
     /// Publish a reserved slot with its final data (alive flag set last).
@@ -493,6 +515,44 @@ mod tests {
     }
 
     #[test]
+    fn fresh_cell_slots_come_in_ascending_chunks() {
+        let pool = CellPool::new();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let first = pool.reserve(&mut a);
+        assert_eq!(first, CellId(0));
+        assert_eq!(a.len() as u32, CELL_CHUNK - 1);
+        assert_eq!(pool.len() as u32, CELL_CHUNK);
+        // a second context gets the next chunk, not a slot inside ours
+        assert_eq!(pool.reserve(&mut b), CellId(CELL_CHUNK));
+        // a lone context still counts 1, 2, 3, … as if it bumped one at a time
+        for want in 1..CELL_CHUNK {
+            assert_eq!(pool.reserve(&mut a), CellId(want));
+        }
+        assert_eq!(pool.reserve(&mut a), CellId(2 * CELL_CHUNK));
+        // freed slots are reused before the rest of the chunk
+        pool.activate(first, [VertexId(0); 4], [CellId(NONE); 4]);
+        pool.free(first, &mut a);
+        assert_eq!(pool.reserve(&mut a), first);
+        // reserved but never activated: dead at generation 0, and no scan,
+        // snapshot or generation-tagged lookup takes it for a cell
+        pool.activate(first, [VertexId(0); 4], [CellId(NONE); 4]);
+        assert_eq!(pool.alive_ids().collect::<Vec<_>>(), vec![first]);
+        let idle = pool.cell(CellId(2 * CELL_CHUNK + 5));
+        assert!(!idle.is_alive() && idle.gen() == 0 && idle.snapshot().is_none());
+    }
+
+    #[test]
+    fn prefetch_tolerates_any_id() {
+        let pool = CellPool::new();
+        pool.prefetch(0); // no segment yet
+        pool.prefetch(NONE);
+        pool.reserve(&mut Vec::new());
+        pool.prefetch(SEG_SIZE as u32 - 1); // allocated segment, past `len`
+        pool.prefetch(SEG_SIZE as u32); // next segment, not allocated
+        pool.prefetch(NONE - 1);
+    }
+
+    #[test]
     fn cell_queries() {
         let pool = CellPool::new();
         let mut free = Vec::new();
@@ -526,26 +586,33 @@ mod tests {
 
     #[test]
     fn concurrent_allocation_is_disjoint() {
-        let pool = std::sync::Arc::new(VertexPool::new());
+        let pool = std::sync::Arc::new((VertexPool::new(), CellPool::new()));
         let mut handles = Vec::new();
         for t in 0..4 {
             let p = pool.clone();
             handles.push(std::thread::spawn(move || {
-                let mut ids = Vec::new();
+                let (mut verts, mut cells, mut free) = (Vec::new(), Vec::new(), Vec::new());
                 for i in 0..5000 {
-                    ids.push(p.alloc([t as f64, i as f64, 0.0], VertexKind::Circumcenter));
+                    verts.push(p.0.alloc([t as f64, i as f64, 0.0], VertexKind::Circumcenter));
+                    cells.push(p.1.reserve(&mut free));
                 }
-                ids
+                (verts, cells)
             }));
         }
-        let mut all: Vec<u32> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .map(|v| v.0)
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 20000);
-        assert_eq!(pool.len(), 20000);
+        let (mut verts, mut cells) = (Vec::new(), Vec::new());
+        for h in handles {
+            let (v, c) = h.join().unwrap();
+            verts.extend(v.into_iter().map(|v| v.0));
+            cells.extend(c.into_iter().map(|c| c.0));
+        }
+        for ids in [&mut verts, &mut cells] {
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), 20000);
+        }
+        assert_eq!(pool.0.len(), 20000);
+        // each thread rounded its 5000 cells up to whole chunks
+        let chunk = CELL_CHUNK as usize;
+        assert_eq!(pool.1.len(), 4 * 5000usize.div_ceil(chunk) * chunk);
     }
 }

@@ -56,6 +56,14 @@ impl CancelToken {
         self.flag.store(true, Ordering::Release);
     }
 
+    /// Has [`cancel`](Self::cancel) been called? One relaxed load and no
+    /// clock read: the deadline is not consulted. For loops that poll more
+    /// often than they can afford [`is_cancelled`](Self::is_cancelled).
+    #[inline]
+    pub fn cancel_requested(&self) -> bool {
+        self.flag.load(Ordering::Relaxed)
+    }
+
     /// Has this token been cancelled (explicitly, or by passing its
     /// deadline)?
     #[inline]

@@ -188,7 +188,7 @@ pub struct Artifact {
     /// has no counters). Unlike `commits` it does not depend on how much of
     /// the run the flight ring kept.
     pub ops_total: u64,
-    /// PEL pops handed to rule classification (`classify_calls`).
+    /// PEL pops, live and stale (`classify_calls`).
     pub classify_calls: u64,
     /// How many of those found their cell already dead. `None` when the
     /// artifact does not carry the counter (it predates `classify_stale`, or

@@ -92,7 +92,7 @@ counters! {
     DONATIONS_MADE       = ("donations_made", "events", "Work donations to begging threads"),
     DONATIONS_RECEIVED   = ("donations_received", "events", "Work batches received while begging"),
     INTER_BLADE_DONATIONS = ("inter_blade_donations", "events", "Donations crossing a blade boundary (HWS)"),
-    CLASSIFY_CALLS       = ("classify_calls", "ops", "PEL pops handed to rule classification (live and stale)"),
+    CLASSIFY_CALLS       = ("classify_calls", "ops", "PEL pops, live and stale; only the live ones reach rule classification"),
     // Delaunay kernel
     WALK_LOCATES         = ("walk_locates", "ops", "Point-location walks started (BRIO remembering walk)"),
     WALK_STEPS           = ("walk_steps", "cells", "Total cells visited by point-location walks"),
@@ -143,7 +143,7 @@ counters! {
     SCRATCH_SOA_GATHERS  = ("scratch_soa_gathers", "waves", "SoA staging waves gathered from the vertex pool"),
     SCRATCH_SOA_POINTS   = ("scratch_soa_points", "points", "Points copied into SoA staging buffers across all gathers"),
     // PEL pops whose cell was already dead: counted in `classify_calls` too
-    CLASSIFY_STALE       = ("classify_stale", "ops", "PEL pops dropped because the element's cell had died or been recycled"),
+    CLASSIFY_STALE       = ("classify_stale", "ops", "PEL pops discarded while draining, the element's cell having died or been recycled"),
 }
 
 histograms! {

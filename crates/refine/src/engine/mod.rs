@@ -301,6 +301,102 @@ mod tests {
         );
     }
 
+    /// The refinement stage on the calling thread: the run state the pipeline
+    /// would assemble for one worker, and one direct call of the worker loop.
+    /// Hands back what the pipeline consumes — the rules, the PEL counters —
+    /// so a test can read them.
+    fn refine_on_this_thread(
+        img: pi2m_image::LabeledImage,
+        cfg: MesherConfig,
+    ) -> (worker::RunState, metrics::ThreadRecorder) {
+        use crossbeam_utils::CachePadded;
+        use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64};
+        use std::sync::Arc;
+
+        let oracle = Arc::new(pi2m_oracle::IsosurfaceOracle::new(img, 1));
+        let domain = oracle.image().foreground_bounds().unwrap();
+        let mesh = pi2m_delaunay::SharedMesh::enclosing(&domain);
+        let rules = crate::Rules::new(
+            crate::RuleConfig {
+                delta: cfg.delta,
+                ..Default::default()
+            },
+            oracle,
+            Arc::new(crate::PointGrid::new(cfg.delta)),
+        );
+        let pel: std::collections::VecDeque<(u32, u32)> = mesh
+            .alive_cells()
+            .map(|c| (c.0, mesh.cell(c).gen()))
+            .collect();
+        let queued = pel.len() as i64;
+        let sync = crate::sync::EngineSync::new(1);
+        sync.poor_added(queued);
+        let state = worker::RunState {
+            mesh,
+            rules,
+            pels: vec![parking_lot::Mutex::new(pel)],
+            counters: vec![CachePadded::new(AtomicI64::new(queued))],
+            sync,
+            cm: crate::cm::make_cm(cfg.cm, 1),
+            bal: crate::balancer::make_balancer(cfg.balancer, cfg.topology, 1),
+            ops_total: AtomicU64::new(0),
+            dead_flags: vec![CachePadded::new(AtomicBool::new(false))],
+            regions: RegionMap::new(&domain),
+            cancel: pi2m_obs::CancelToken::new(),
+            cfg,
+        };
+        let mut rec = metrics::ThreadRecorder::new();
+        worker::worker(
+            &state.env(),
+            0,
+            &mut crate::ThreadStats::default(),
+            &mut rec,
+            &mut pi2m_delaunay::KernelScratch::default(),
+        );
+        (state, rec)
+    }
+
+    /// The worker settles its PEL accounting once per drained batch. Every
+    /// pop must still be counted, the live ones must be exactly the elements
+    /// `Rules::classify` saw, and at quiescence nothing may be left over.
+    #[test]
+    fn batch_drain_accounts_for_every_pop() {
+        use std::sync::atomic::Ordering;
+        let cfg = MesherConfig {
+            delta: 2.0,
+            ..Default::default()
+        };
+        let (state, rec) = refine_on_this_thread(phantoms::sphere(16, 1.0), cfg);
+        let calls = rec.counter(metrics::CLASSIFY_CALLS);
+        let stale = rec.counter(metrics::CLASSIFY_STALE);
+        assert!(stale > 0 && stale < calls, "{stale} stale of {calls}");
+        assert_eq!(
+            calls - stale,
+            state.rules.classify_calls.load(Ordering::Relaxed),
+            "live pops vs classifications"
+        );
+        assert_eq!(state.sync.total_poor(), 0);
+        assert_eq!(state.counters[0].load(Ordering::Acquire), 0);
+        assert!(state.pels[0].lock().is_empty());
+    }
+
+    /// `max_operations` caps PEL pops, and a batch may not run past it: one
+    /// thread capped at N stops after exactly N pops, wherever in a run of
+    /// stale entries that falls. (The mid-refinement differential in
+    /// `rules.rs` picks its meshes by this count.)
+    #[test]
+    fn op_cap_counts_pops_exactly() {
+        for cap in [1, 7, 1_000, 1_001, 4_000] {
+            let cfg = MesherConfig {
+                delta: 1.5,
+                max_operations: cap,
+                ..Default::default()
+            };
+            let out = Mesher::new(phantoms::sphere(24, 1.0), cfg).run();
+            assert_eq!(out.metrics.counter(metrics::CLASSIFY_CALLS), cap);
+        }
+    }
+
     /// A region the seed already meshed to the rules' satisfaction is never
     /// touched by a worker; extraction (a scan of the cell pool) must report
     /// it all the same. Seeding a run with every vertex of a finished mesh

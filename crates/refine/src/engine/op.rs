@@ -317,7 +317,7 @@ pub(crate) fn run_op(
                 region as u32,
                 dur_ns_u32(t_end - t0),
             );
-            env.sync.note_progress();
+            env.sync.note_progress(t_end);
             env.cm.on_success(tid);
             op.after_commit(env, tid, &res);
             handle_created(env, tid, stats, res.created());

@@ -3,15 +3,18 @@
 //! A cold `Mesher::run()` pays per-run setup that a session amortizes:
 //! spawning OS threads, growing each worker's kernel scratch arenas to their
 //! steady-state footprint, allocating the flight-recorder rings, and
-//! allocating the proximity grid's 32 Ki bucket shards. The pool owns all
-//! four. Threads live across runs and receive one [`Job`] per run; the warm
-//! resources are checked out at run start and parked again at run end.
+//! allocating the proximity grid's bucket heads and node segments. The pool
+//! owns all four. Threads live across runs and receive one [`Job`] per run;
+//! the warm resources are checked out at run start and parked again at run
+//! end.
 //!
 //! Correctness of reuse:
 //! - **Arenas** are capacity-only caches ([`KernelScratch`] buffers are
 //!   cleared before use by the kernel) — no behavioral effect.
-//! - **The grid** is [`reset`](PointGrid::reset) (all shards cleared, cell
-//!   size re-keyed to the run's δ) at checkout.
+//! - **The grid** is [`reset`](PointGrid::reset) at checkout: every bucket
+//!   head cleared, the node pool rewound to empty, the cell size re-keyed to
+//!   the run's δ. The node segments stay allocated and still hold the last
+//!   run's entries, which nothing can reach any more.
 //! - **Flight rings** keep old events in place; per-run drains read from
 //!   saved cursors ([`FlightRecorder::drain_from`]) so each run sees only its
 //!   own events and its drop accounting stays per-run.
@@ -118,9 +121,9 @@ impl WorkerPool {
         done_rx
     }
 
-    /// Check out the proximity grid, re-keyed to this run's δ with every
-    /// shard cleared (allocations kept). Falls back to a fresh grid if the
-    /// parked one is still referenced (it never should be).
+    /// Check out the proximity grid, re-keyed to this run's δ and emptied
+    /// (node segments kept). Falls back to a fresh grid if the parked one is
+    /// still referenced (it never should be).
     pub(crate) fn checkout_grid(&mut self, delta: f64) -> Arc<PointGrid> {
         match self.grid.take().map(Arc::try_unwrap) {
             Some(Ok(mut g)) => {

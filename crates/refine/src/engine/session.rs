@@ -374,8 +374,25 @@ pub(crate) fn run_pipeline(
 
     // All Arc holders (workers, tap) have finished and dropped theirs.
     let RunState {
-        mesh, rules, sync, ..
+        mesh,
+        rules,
+        sync,
+        counters,
+        ..
     } = unwrap_state(state);
+
+    // A run that ended by quiescence popped everything it ever enqueued. The
+    // workers settle these counts a batch at a time; a batch that lost or
+    // double-counted an entry shows here. (A cap, a cancel, the watchdog or
+    // a dead worker all stop a run with entries still queued.)
+    if cfg.max_operations == 0 && !sync.was_cancelled() && !sync.livelocked() && workers_died == 0 {
+        let queued: Vec<i64> = counters.iter().map(|c| c.load(Ordering::Acquire)).collect();
+        assert!(
+            sync.total_poor() == 0 && queued.iter().all(|&n| n == 0),
+            "refinement ended with PEL entries unaccounted for: total {} per thread {queued:?}",
+            sync.total_poor()
+        );
+    }
 
     // A cancelled run cleans up and returns the typed error, but its
     // telemetry is salvaged first: the drain advances the flight cursors

@@ -33,6 +33,11 @@ use std::time::{Duration, Instant};
 /// One thread's Poor Element List: `(cell id, generation)` pairs.
 pub(crate) type Pel = Mutex<VecDeque<(u32, u32)>>;
 
+/// The worker loop reads the clock (cancel deadline, livelock watchdog) on
+/// every this-many-th iteration. An iteration ends on at most one live
+/// element, so a tripped deadline is seen within 16 of them.
+const CLOCK_POLL_STRIDE: u32 = 16;
+
 /// Everything one refinement run shares between its workers. Owned (no
 /// borrows) so it can live in an `Arc` handed to a persistent
 /// [`WorkerPool`](super::pool::WorkerPool) whose threads outlive any single
@@ -117,21 +122,28 @@ pub(crate) fn worker(
     ctx.set_batch(env.cfg.batch_runtime_enabled());
     let t_spawn = env.sync.now();
 
+    let mut iteration = 0u32;
     loop {
         if env.sync.is_done() {
             break;
         }
+        // The explicit-cancel flag is one relaxed load; the two checks that
+        // read the clock (the token's deadline, the watchdog) run on every
+        // `CLOCK_POLL_STRIDE`th iteration, the first included.
+        let poll_clocks = iteration.is_multiple_of(CLOCK_POLL_STRIDE);
+        iteration = iteration.wrapping_add(1);
         // Cooperative cancellation: the first worker that sees the token
         // tripped settles the run exactly like the op cap does — everyone
         // else exits at the `is_done` check or is woken out of a park.
-        if env.cancel.is_cancelled() {
+        if env.cancel.cancel_requested() || (poll_clocks && env.cancel.is_cancelled()) {
             env.sync.declare_cancelled();
             env.cm.release_all();
             env.bal.release_all();
             break;
         }
         // Livelock watchdog (paper §5.5: Aggressive/Random can livelock).
-        if env.sync.since_progress() > env.cfg.livelock_timeout
+        if poll_clocks
+            && env.sync.since_progress() > env.cfg.livelock_timeout
             && (env.sync.total_poor() > 0 || env.sync.cm_blocked() > 0)
         {
             env.sync.declare_livelock();
@@ -151,8 +163,17 @@ pub(crate) fn worker(
             }
         }
 
-        let item = env.pels[tid].lock().pop_front();
-        let Some((cid, gen)) = item else {
+        // `max_operations` caps PEL pops, so a batch may not pop past it.
+        // (At T threads another worker can spend the remainder first; one
+        // pop over the cap then, as ever.)
+        let budget = match env.cfg.max_operations {
+            0 => u64::MAX,
+            cap => cap
+                .saturating_sub(env.ops_total.load(Ordering::Relaxed))
+                .max(1),
+        };
+        let (popped, live) = pop_live(env, tid, budget);
+        if popped == 0 {
             env.cm.before_beg(tid, env.sync);
             if let Some(f) = &env.cfg.faults {
                 let _ = f.fire(sites::BALANCER_BEG, tid as u32);
@@ -176,37 +197,44 @@ pub(crate) fn worker(
                     continue;
                 }
             }
-        };
-        env.counters[tid].fetch_sub(1, Ordering::AcqRel);
-        env.sync.poor_taken(1);
-
-        // ---- per-operation panic isolation ----
-        // Classification + remedy run under `catch_unwind`: a panic rolls
-        // back whatever locks the operation still holds and quarantines the
-        // work item (it is never requeued), and the worker keeps going.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process_item(env, tid, &mut ctx, stats, rec, cid, gen)
-        }));
-        if caught.is_err() {
-            stats.panics += 1;
-            stats.quarantined += 1;
-            if ctx.locks_held() > 0 {
-                ctx.abort();
-                stats.recovery_rollbacks += 1;
-            }
-            // Quarantining the poison item is progress: the watchdog must
-            // not blame the recovery for the missing completions.
-            env.sync.note_progress();
         }
+        // One settlement for the whole batch: the stale entries and the live
+        // one behind them.
+        env.counters[tid].fetch_sub(popped as i64, Ordering::AcqRel);
+        env.sync.poor_taken(popped as i64);
+        rec.inc(metrics::CLASSIFY_CALLS, popped);
+        rec.inc(metrics::CLASSIFY_STALE, popped - live.is_some() as u64);
 
-        // A pop that never reached the kernel (stale or satisfied element)
-        // left nothing in its counters to drain.
-        if !matches!(caught, Ok(false)) {
-            drain_kernel_stats(&mut ctx, rec);
+        if let Some((cid, gen)) = live {
+            // ---- per-operation panic isolation ----
+            // Classification + remedy run under `catch_unwind`: a panic
+            // rolls back whatever locks the operation still holds and
+            // quarantines the work item (it is never requeued), and the
+            // worker keeps going.
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                process_item(env, tid, &mut ctx, stats, rec, cid, gen)
+            }));
+            if caught.is_err() {
+                stats.panics += 1;
+                stats.quarantined += 1;
+                if ctx.locks_held() > 0 {
+                    ctx.abort();
+                    stats.recovery_rollbacks += 1;
+                }
+                // Quarantining the poison item is progress: the watchdog
+                // must not blame the recovery for the missing completions.
+                env.sync.note_progress(Instant::now());
+            }
+
+            // An element that never reached the kernel (satisfied, or denied
+            // by injection) left nothing in its counters to drain.
+            if !matches!(caught, Ok(false)) {
+                drain_kernel_stats(&mut ctx, rec);
+            }
         }
 
         if env.cfg.max_operations > 0 {
-            let done = env.ops_total.fetch_add(1, Ordering::Relaxed) + 1;
+            let done = env.ops_total.fetch_add(popped, Ordering::Relaxed) + popped;
             if done >= env.cfg.max_operations {
                 env.sync.set_done();
                 env.cm.release_all();
@@ -222,6 +250,28 @@ pub(crate) fn worker(
     rec.event("worker", "worker", t_spawn, env.sync.now() - t_spawn);
     // Hand the (now warm) kernel arena back to the pool thread.
     *arena = ctx.take_scratch();
+}
+
+/// Pop `tid`'s PEL until the first entry whose cell is still alive at its
+/// generation, the PEL runs dry, or `budget` entries are gone — all under
+/// one hold of the PEL lock. Most entries are stale (the cell died, or its
+/// slot was recycled, while the element sat in the PEL) and cost one
+/// `flags`/`gen` read each. Returns how many entries were popped and the
+/// live one, if the batch ended on it.
+fn pop_live(env: &Env<'_>, tid: usize, budget: u64) -> (u64, Option<(u32, u32)>) {
+    let mut pel = env.pels[tid].lock();
+    let mut popped = 0;
+    while popped < budget {
+        let Some((cid, gen)) = pel.pop_front() else {
+            break;
+        };
+        popped += 1;
+        let cell = env.mesh.cell(CellId(cid));
+        if cell.is_alive() && cell.gen() == gen {
+            return (popped, Some((cid, gen)));
+        }
+    }
+    (popped, None)
 }
 
 /// Drain the kernel's per-operation effort counters (walk, predicate
@@ -273,9 +323,9 @@ fn drain_kernel_stats(ctx: &mut OpCtx<'_>, rec: &mut ThreadRecorder) {
     }
 }
 
-/// Classify one PEL item and execute its remedy; returns whether a kernel
-/// operation ran. Runs inside the worker's per-operation `catch_unwind`
-/// boundary.
+/// Classify one live PEL item and execute its remedy; returns whether a
+/// kernel operation ran. Runs inside the worker's per-operation
+/// `catch_unwind` boundary.
 fn process_item(
     env: &Env<'_>,
     tid: usize,
@@ -316,16 +366,8 @@ fn process_item(
         }
     }
 
-    let c = CellId(cid);
-    rec.inc(metrics::CLASSIFY_CALLS, 1);
-    // Most pops are stale: the cell died (or its slot was recycled) while
-    // the element sat in the PEL.
-    let cell = env.mesh.cell(c);
-    if !cell.is_alive() || cell.gen() != gen {
-        rec.inc(metrics::CLASSIFY_STALE, 1);
-        return false;
-    }
-    let Some(action) = env.rules.classify(env.mesh, c, gen) else {
+    // A cell that died since `pop_live` looked classifies as satisfied.
+    let Some(action) = env.rules.classify(env.mesh, CellId(cid), gen) else {
         return false; // satisfied — drop
     };
 
@@ -401,7 +443,7 @@ pub(crate) fn worker_death_cleanup(env: &Env<'_>, tid: usize, rec: &mut ThreadRe
     // termination condition (begging + dead >= threads) may have just
     // become true — wake the beggars so one of them settles it.
     env.cm.before_beg(tid, env.sync);
-    env.sync.note_progress();
+    env.sync.note_progress(Instant::now());
 }
 
 /// Enqueue newly created cells for (lazy) classification, donating to a
@@ -415,8 +457,11 @@ pub(crate) fn handle_created(
     if created.is_empty() {
         return;
     }
+    // The begging lists sit behind mutexes every donor would take; with
+    // nobody parked there is nobody to pick. (A beggar that has queued but
+    // not yet counted itself is served by the next commit.)
     let own = env.counters[tid].load(Ordering::Acquire);
-    let target = if own >= DONATE_THRESHOLD {
+    let target = if own >= DONATE_THRESHOLD && env.sync.begging() > 0 {
         env.bal.pick_beggar(tid)
     } else {
         None

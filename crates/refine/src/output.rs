@@ -45,8 +45,10 @@ impl FinalMesh {
     /// pool and keep alive cells whose circumcenter lies inside O, labeling
     /// each by the tissue at its circumcenter.
     pub fn extract(mesh: &SharedMesh, oracle: &IsosurfaceOracle) -> FinalMesh {
+        const UNSEEN: u32 = u32::MAX;
         let mut out = FinalMesh::default();
-        let mut vmap: HashMap<u32, u32> = HashMap::new();
+        // Vertex id → point index, assigned in first-seen order.
+        let mut vmap = vec![UNSEEN; mesh.num_vertices()];
         for c in mesh.alive_cells() {
             let cell = mesh.cell(c);
             let p = mesh.cell_points(c);
@@ -60,13 +62,13 @@ impl FinalMesh {
             let mut tet = [0u32; 4];
             for (slot, k) in tet.iter_mut().zip(0..4) {
                 let v = cell.vert(k);
-                let next = vmap.len() as u32;
-                let idx = *vmap.entry(v.0).or_insert(next);
-                if idx == next {
+                let idx = &mut vmap[v.idx()];
+                if *idx == UNSEEN {
+                    *idx = out.points.len() as u32;
                     out.points.push(mesh.position(v));
                     out.point_kinds.push(mesh.vertex(v).kind());
                 }
-                *slot = idx;
+                *slot = *idx;
             }
             out.tets.push(tet);
             out.labels.push(label);

@@ -84,6 +84,9 @@ pub struct Rules {
     pub oracle: Arc<IsosurfaceOracle>,
     pub grid: Arc<PointGrid>,
     spheres: SphereTable,
+    /// Calls of [`Rules::classify`], for the engine's pop-accounting test.
+    #[cfg(test)]
+    pub(crate) classify_calls: std::sync::atomic::AtomicU64,
 }
 
 impl Rules {
@@ -93,6 +96,8 @@ impl Rules {
             oracle,
             grid,
             spheres: SphereTable::new(),
+            #[cfg(test)]
+            classify_calls: Default::default(),
         }
     }
 
@@ -119,6 +124,9 @@ impl Rules {
     /// The circumcenter is probed once (label, nearest surface voxel) and
     /// every rule reads that probe; see DESIGN.md "Classification cost".
     pub fn classify(&self, mesh: &SharedMesh, c: CellId, gen: u32) -> Option<InsertAction> {
+        #[cfg(test)]
+        self.classify_calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let snap = mesh.cell(c).snapshot().filter(|s| s.gen == gen)?;
         let verts = snap.verts;
         let p = verts.map(|v| mesh.position(v));

@@ -2,6 +2,7 @@
 //! the livelock watchdog clock, and global progress accounting shared by the
 //! contention managers and load balancers.
 
+use crossbeam_utils::CachePadded;
 use pi2m_obs::flight::{EventKind, FlightRecorder};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -9,6 +10,13 @@ use std::time::Instant;
 
 /// Counters shared by all workers, their contention manager, and their load
 /// balancer.
+///
+/// Laid out by who writes what. `done`, `begging`, `cm_blocked` and `dead`
+/// change a handful of times per run and are read by every worker on every
+/// loop iteration, so they share lines freely. `total_poor` is written on
+/// every pop batch and enqueue, `last_progress_ms` on every commit: each
+/// sits on a line of its own, where its writers invalidate nobody who is
+/// only polling the flags.
 pub struct EngineSync {
     pub threads: usize,
     /// Flight recorder, when enabled. Carried here so the contention managers
@@ -25,9 +33,9 @@ pub struct EngineSync {
     /// Workers that died to an un-recovered panic (isolated, not respawned).
     dead: AtomicUsize,
     /// Outstanding (possibly stale) PEL entries across all threads.
-    total_poor: AtomicI64,
+    total_poor: CachePadded<AtomicI64>,
     /// Milliseconds-since-start of the last completed operation (watchdog).
-    last_progress_ms: AtomicU64,
+    last_progress_ms: CachePadded<AtomicU64>,
     start: Instant,
 }
 
@@ -42,8 +50,8 @@ impl EngineSync {
             begging: AtomicUsize::new(0),
             cm_blocked: AtomicUsize::new(0),
             dead: AtomicUsize::new(0),
-            total_poor: AtomicI64::new(0),
-            last_progress_ms: AtomicU64::new(0),
+            total_poor: CachePadded::new(AtomicI64::new(0)),
+            last_progress_ms: CachePadded::new(AtomicU64::new(0)),
             start: Instant::now(),
         }
     }
@@ -184,9 +192,10 @@ impl EngineSync {
         self.total_poor.fetch_sub(n, Ordering::AcqRel);
     }
 
-    /// Record a completed operation for the watchdog.
-    pub fn note_progress(&self) {
-        let ms = self.start.elapsed().as_millis() as u64;
+    /// Record an operation completed at `at` (a clock reading the caller
+    /// already took) for the watchdog.
+    pub fn note_progress(&self, at: Instant) {
+        let ms = at.saturating_duration_since(self.start).as_millis() as u64;
         self.last_progress_ms.store(ms, Ordering::Relaxed);
     }
 
@@ -253,7 +262,7 @@ mod tests {
     #[test]
     fn watchdog_clock() {
         let s = EngineSync::new(1);
-        s.note_progress();
+        s.note_progress(Instant::now());
         assert!(s.since_progress() < 0.5);
     }
 

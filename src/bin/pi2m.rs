@@ -27,7 +27,7 @@
 //!              [--parent-removal OPS_PER_SEC]]  kernel benchmark harness;
 //!             --check also gates removal ops/s >= insertion ops/s / 8
 //! pi2m bench --scaling [--quick] [--threads 1,2,4,8,16]
-//!             [--out BENCH_scaling.json] [--check ci/scaling_baseline.json]
+//!             [--out scaling.json] [--check earlier-scaling.json]
 //!             [--tolerance 0.25]               strong-scaling record
 //! pi2m analyze <artifact.json> [new.json]      offline artifact inspection:
 //!             one file renders its attribution/hot-spot summary; two files
@@ -1228,8 +1228,8 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
 
 /// `pi2m bench --scaling`: run the refinement workload up a thread ladder
 /// over one warm session, print the speedup/efficiency table with the
-/// wall-time attribution, optionally write `BENCH_scaling.json` and/or gate
-/// parallel efficiency against `ci/scaling_baseline.json`.
+/// wall-time attribution, optionally write the record (`--out`) and/or gate
+/// parallel efficiency against an earlier one (`--check`).
 fn cmd_bench_scaling(args: &Args) -> Result<(), String> {
     use pi2m_bench::scaling::{
         check_scaling_baseline, render_scaling_table, run_scaling_bench, ScalingBenchOpts,

@@ -57,6 +57,31 @@ fn sphere_quality_and_fidelity_guarantees() {
     );
 }
 
+/// The paper's two element bounds — radius-edge ≤ 2 everywhere, boundary
+/// planar angles ≥ 30° — are what the rules refine until, whatever the
+/// schedule: at T threads the last poor element is popped like at one.
+#[test]
+fn paper_bounds_hold_at_every_thread_count() {
+    for threads in [1, 2, 4] {
+        for (name, img, delta) in [
+            ("sphere", phantoms::sphere(24, 1.0), 1.5),
+            ("abdominal", phantoms::abdominal(1.5), 2.0),
+        ] {
+            let out = run(img, delta, threads);
+            let worst = mesh_quality(&out.mesh).max_radius_edge;
+            assert!(
+                worst <= 2.0 + 1e-9,
+                "{name} at {threads} threads: radius-edge {worst}"
+            );
+            let angle = boundary_report(&out.mesh).min_planar_angle_deg;
+            assert!(
+                angle >= 30.0 - 1e-9,
+                "{name} at {threads} threads: boundary angle {angle}°"
+            );
+        }
+    }
+}
+
 #[test]
 fn multi_tissue_meshes_all_labels() {
     let out = run(phantoms::abdominal(1.0), 2.0, 2);

@@ -21,16 +21,16 @@ fn cfg(delta: f64, threads: usize) -> MesherConfig {
     }
 }
 
-/// The mesh's vertex set as sorted bit-exact coordinates.
-fn vertex_set(out: &MeshOutput) -> Vec<[u64; 3]> {
-    let mut v: Vec<[u64; 3]> = out
+/// The final mesh's arrays, coordinates bit-exact, in the order extraction
+/// wrote them.
+fn mesh_arrays(out: &MeshOutput) -> (Vec<[u64; 3]>, &[[u32; 4]], &[u8]) {
+    let points = out
         .mesh
         .points
         .iter()
         .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
         .collect();
-    v.sort_unstable();
-    v
+    (points, &out.mesh.tets, &out.mesh.labels)
 }
 
 fn audit(out: &MeshOutput, what: &str) {
@@ -41,11 +41,12 @@ fn audit(out: &MeshOutput, what: &str) {
 #[test]
 fn warm_session_matches_cold_runs_single_thread() {
     // Single-threaded refinement is deterministic, so a warm pool (reused
-    // arenas, grid, flight rings) must produce the *identical* vertex set as
-    // a fresh cold Mesher — twice in a row.
+    // arenas, flight rings, and a proximity grid whose node segments still
+    // hold the previous run's entries behind its cleared bucket heads) must
+    // produce the *identical* mesh as a fresh cold Mesher, array for array —
+    // twice in a row.
     let cold = Mesher::new(phantoms::sphere(20, 1.0), cfg(2.0, 1)).run();
     audit(&cold, "cold run");
-    let cold_verts = vertex_set(&cold);
 
     let mut session = MeshingSession::new(1);
     for i in 0..2 {
@@ -53,12 +54,10 @@ fn warm_session_matches_cold_runs_single_thread() {
             .mesh(phantoms::sphere(20, 1.0), cfg(2.0, 1))
             .unwrap();
         audit(&warm, "warm run");
-        assert_eq!(
-            vertex_set(&warm),
-            cold_verts,
+        assert!(
+            mesh_arrays(&warm) == mesh_arrays(&cold),
             "warm run {i} diverged from the cold run"
         );
-        assert_eq!(warm.mesh.num_tets(), cold.mesh.num_tets());
     }
 }
 
@@ -190,6 +189,54 @@ fn cancel_mid_volume_refine_is_typed_prompt_and_recoverable() {
     audit(&out, "post-cancel run");
     assert!(out.mesh.num_tets() > 50);
     assert!(!out.stats.livelock);
+}
+
+#[test]
+fn deadline_mid_volume_refine_is_seen_between_clock_polls() {
+    // The workers compare the clock with the token's deadline on a stride,
+    // not on every pop. A first run times the stages; the second gets a
+    // deadline that falls halfway through its refinement, which only the
+    // worker loop can observe.
+    let spans: Arc<Mutex<Vec<f64>>> = Arc::default();
+    let sink = Arc::clone(&spans);
+    let timed = RunOptions {
+        cancel: None,
+        on_stage: Some(Arc::new(move |e| {
+            if e.stage == Stage::VolumeRefine {
+                sink.lock().unwrap().push(e.elapsed_s);
+            }
+        })),
+    };
+    let mut session = MeshingSession::new(1);
+    let job = || (phantoms::sphere(32, 1.0), cfg(0.8, 1));
+    let (img, c) = job();
+    session.mesh_with(img, c, &timed).unwrap();
+    let (started, finished) = {
+        let s = spans.lock().unwrap();
+        (s[0], s[1])
+    };
+    let midway = Duration::from_secs_f64((started + finished) / 2.0);
+
+    let opts = RunOptions {
+        cancel: Some(CancelToken::with_deadline(midway)),
+        on_stage: None,
+    };
+    let t0 = Instant::now();
+    let (img, c) = job();
+    let err = session.mesh_with(img, c, &opts).err();
+    let late = t0.elapsed().saturating_sub(midway);
+    assert!(
+        matches!(err, Some(RefineError::Cancelled)),
+        "expected Cancelled, got {err:?}"
+    );
+    // stopped by a worker, mid-refinement, and not a whole remaining
+    // refinement later
+    assert!(session.take_cancel_telemetry().is_some());
+    assert!(
+        late < Duration::from_secs_f64((finished - started) / 4.0 + 0.25),
+        "deadline overshot by {late:?} of a {:.3} s refinement",
+        finished - started
+    );
 }
 
 #[test]
