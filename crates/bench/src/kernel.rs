@@ -26,8 +26,6 @@
 //!   "scratch": {"reuses": 0, "allocs": 0, "allocs_avoided": 0,
 //!               "footprint_elems": 0},
 //!   "flight_overhead": {"on": {...}, "off": {...}, "overhead_frac": 0.01},
-//!   "batch": {"on": {...}, "off": {...}, "speedup": 1.2,
-//!             "occupancy": 0.9, "fallback_rate": 0.02},
 //!   "session": {"warm": {...}, "cold": {...}, "setup_saving_frac": 0.05},
 //!   "parent_comparison": {"commit": "abc1234", "insertion_ops_per_sec": 0.0,
 //!                         "insertion_speedup": 0.0,
@@ -44,7 +42,7 @@
 //! two count committed kernel operations.
 
 use pi2m_delaunay::{SharedMesh, VertexKind};
-use pi2m_geometry::{Aabb, BatchStats, FilterStats, Point3};
+use pi2m_geometry::{Aabb, FilterStats, Point3};
 use pi2m_obs::json::Json;
 use pi2m_refine::{MachineTopology, Mesher, MesherConfig, MeshingSession};
 use std::time::Instant;
@@ -124,54 +122,6 @@ impl FlightOverhead {
     }
 }
 
-/// The insertion workload with the batched SoA kernel path on vs off.
-///
-/// Measured chunk-interleaved: two meshes consume the identical point
-/// stream in lockstep, in small chunks, alternating which mode goes first
-/// within each chunk, and each side is timed in *thread CPU time* — so
-/// slow machine drift (frequency scaling, noisy neighbors) hits both modes
-/// nearly equally and scheduler preemption is excluded outright. The
-/// median rep by on/off ratio discards pairs a hiccup skewed anyway.
-/// `seconds` in `on`/`off` is therefore CPU seconds, not wall time.
-///
-/// The batched path is result-identical to the scalar one, so this is a
-/// pure throughput A/B; `occupancy` and `fallback_rate` come from the
-/// batched side's [`pi2m_geometry::BatchStats`] and explain the speedup
-/// (full waves with few scalar fallbacks is where the wide lanes pay).
-#[derive(Clone, Copy, Debug)]
-pub struct BatchComparison {
-    /// Insertion with the batched path (the production default).
-    pub on: WorkloadResult,
-    /// Insertion forced down the scalar path (`--no-batch`).
-    pub off: WorkloadResult,
-    /// Mean wave fill relative to `BATCH_LANES`, from the batched run.
-    pub occupancy: f64,
-    /// Fraction of lanes that fell back to the scalar cascade.
-    pub fallback_rate: f64,
-}
-
-impl BatchComparison {
-    /// Batched-on throughput relative to batched-off (>1 = batching wins).
-    pub fn speedup(&self) -> f64 {
-        let off = self.off.ops_per_sec();
-        if off > 0.0 {
-            self.on.ops_per_sec() / off
-        } else {
-            0.0
-        }
-    }
-
-    fn to_json(self) -> Json {
-        Json::obj(vec![
-            ("on", self.on.to_json()),
-            ("off", self.off.to_json()),
-            ("speedup", Json::num(self.speedup())),
-            ("occupancy", Json::num(self.occupancy)),
-            ("fallback_rate", Json::num(self.fallback_rate)),
-        ])
-    }
-}
-
 /// Full pipeline runs over one warm [`MeshingSession`] vs fresh cold
 /// [`Mesher`] runs on the identical input. `ops` counts *runs*, so
 /// `ops_per_sec()` is runs/second; the gap is pure per-run setup cost
@@ -232,8 +182,6 @@ pub struct KernelBenchReport {
     pub scratch_footprint: usize,
     /// Refinement throughput with the flight recorder on vs off.
     pub flight: FlightOverhead,
-    /// Insertion throughput with the batched kernel path on vs off.
-    pub batch: BatchComparison,
     /// Whole-pipeline runs over one warm session vs fresh cold meshers.
     pub session: SessionComparison,
 }
@@ -281,7 +229,6 @@ impl KernelBenchReport {
                 ]),
             ),
             ("flight_overhead", self.flight.to_json()),
-            ("batch", self.batch.to_json()),
             ("session", self.session.to_json()),
         ];
         if let Some(p) = &self.parent {
@@ -304,28 +251,6 @@ impl KernelBenchReport {
 
     pub fn to_json_string(&self) -> String {
         self.to_json().dump_pretty()
-    }
-}
-
-/// Current thread CPU time in seconds, from `/proc/self/schedstat` (field
-/// one: nanoseconds actually spent on-CPU). Unlike wall time this excludes
-/// preemption by other processes, which is exactly the noise the
-/// chunk-interleaved batch A/B wants gone. Falls back to wall time where
-/// schedstat is unavailable (non-Linux); deltas stay meaningful either way.
-fn cpu_seconds() -> f64 {
-    use std::sync::OnceLock;
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    if let Some(ns) = std::fs::read_to_string("/proc/self/schedstat")
-        .ok()
-        .and_then(|s| {
-            s.split_whitespace()
-                .next()
-                .and_then(|v| v.parse::<u64>().ok())
-        })
-    {
-        ns as f64 / 1e9
-    } else {
-        EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64()
     }
 }
 
@@ -392,89 +317,6 @@ pub fn run_kernel_bench(opts: KernelBenchOpts) -> KernelBenchReport {
     let pred = ctx.take_pred_stats();
     let ss = ctx.take_scratch_stats();
     let footprint = ctx.scratch_footprint();
-
-    // ---- batch A/B: the identical single-thread insertion workload with
-    // the batched SoA path on vs off. Chunk-interleaved lockstep: both
-    // meshes advance through the same point stream in 2000-point chunks,
-    // alternating which mode goes first within each chunk, each side timed
-    // in thread CPU time. Whole-run pairing (the old scheme) left each
-    // side exposed to seconds of machine drift; interleaving at chunk
-    // granularity bounds the drift either side can absorb alone to one
-    // chunk's worth, and CPU time removes preemption from the measurement
-    // entirely. Median rep by on/off ratio, after a discarded warmup.
-    //
-    // The A/B gets its own, longer point stream: real meshes outgrow the
-    // last-level cache, and the batched path's advantage (snapshot reuse,
-    // lookahead prefetching) is largely a cache-pressure effect that the
-    // small headline workload does not generate.
-    let batch_points: Vec<[f64; 3]> = if opts.quick {
-        points.clone()
-    } else {
-        (0..100_000)
-            .map(|_| {
-                [
-                    next() * 0.98 + 0.01,
-                    next() * 0.98 + 0.01,
-                    next() * 0.98 + 0.01,
-                ]
-            })
-            .collect()
-    };
-    let run_pair = || -> (WorkloadResult, WorkloadResult, BatchStats) {
-        let mesh_on = SharedMesh::with_box(Aabb::new(Point3::ORIGIN, Point3::new(1.0, 1.0, 1.0)));
-        let mesh_off = SharedMesh::with_box(Aabb::new(Point3::ORIGIN, Point3::new(1.0, 1.0, 1.0)));
-        let mut ctx_on = mesh_on.make_ctx(0);
-        ctx_on.set_batch(true);
-        let mut ctx_off = mesh_off.make_ctx(0);
-        ctx_off.set_batch(false);
-        let (mut t_on, mut t_off) = (0.0f64, 0.0f64);
-        let (mut ops_on, mut ops_off) = (0u64, 0u64);
-        for (ci, chunk) in batch_points.chunks(2000).enumerate() {
-            let one = |ctx: &mut pi2m_delaunay::OpCtx, t: &mut f64, ops: &mut u64| {
-                let t0 = cpu_seconds();
-                for &p in chunk {
-                    if let Ok(r) = ctx.insert(p, VertexKind::Circumcenter) {
-                        *ops += 1;
-                        ctx.recycle_insert(r);
-                    }
-                }
-                *t += cpu_seconds() - t0;
-            };
-            if ci % 2 == 0 {
-                one(&mut ctx_on, &mut t_on, &mut ops_on);
-                one(&mut ctx_off, &mut t_off, &mut ops_off);
-            } else {
-                one(&mut ctx_off, &mut t_off, &mut ops_off);
-                one(&mut ctx_on, &mut t_on, &mut ops_on);
-            }
-        }
-        (
-            WorkloadResult {
-                ops: ops_on,
-                seconds: t_on,
-            },
-            WorkloadResult {
-                ops: ops_off,
-                seconds: t_off,
-            },
-            ctx_on.take_batch_stats(),
-        )
-    };
-    let _warmup = run_pair();
-    let breps = if opts.quick { 3 } else { 7 };
-    let mut brecs: Vec<(WorkloadResult, WorkloadResult, BatchStats)> =
-        (0..breps).map(|_| run_pair()).collect();
-    let bratio = |r: &(WorkloadResult, WorkloadResult, BatchStats)| {
-        r.0.ops_per_sec() / r.1.ops_per_sec().max(1e-12)
-    };
-    brecs.sort_by(|p, q| bratio(p).total_cmp(&bratio(q)));
-    let (batch_on, batch_off, batch_stats) = brecs[brecs.len() / 2];
-    let batch = BatchComparison {
-        on: batch_on,
-        off: batch_off,
-        occupancy: batch_stats.occupancy(),
-        fallback_rate: batch_stats.fallback_rate(),
-    };
 
     // ---- refinement: the full pipeline on a phantom, one thread ----
     // The recorder-on/off comparison runs as back-to-back (on, off) pairs
@@ -572,7 +414,6 @@ pub fn run_kernel_bench(opts: KernelBenchOpts) -> KernelBenchReport {
             on: flight_on,
             off: flight_off,
         },
-        batch,
         session,
     }
 }
@@ -702,18 +543,6 @@ mod tests {
                     seconds: 1.0,
                 },
             },
-            batch: BatchComparison {
-                on: WorkloadResult {
-                    ops: 1000,
-                    seconds: 0.4,
-                },
-                off: WorkloadResult {
-                    ops: 1000,
-                    seconds: 0.5,
-                },
-                occupancy: 0.9,
-                fallback_rate: 0.02,
-            },
             session: SessionComparison {
                 warm: WorkloadResult {
                     ops: 8,
@@ -811,23 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_comparison_round_trips() {
-        let r = tiny_report();
-        // 1000/0.4 vs 1000/0.5: 1.25x
-        assert!((r.batch.speedup() - 1.25).abs() < 1e-9);
-        let j = pi2m_obs::json::parse(&r.to_json_string()).unwrap();
-        let b = j.get("batch").expect("batch block");
-        assert_eq!(b.get("speedup").unwrap().as_f64(), Some(1.25));
-        assert_eq!(b.get("occupancy").unwrap().as_f64(), Some(0.9));
-        assert_eq!(b.get("fallback_rate").unwrap().as_f64(), Some(0.02));
-        assert!(b.get("on").unwrap().get("ops_per_sec").is_some());
-        assert!(b.get("off").unwrap().get("ops_per_sec").is_some());
-        // the baseline gate reads only the three kernel workloads: a
-        // baseline that predates the batch block still checks (see
-        // session_comparison_round_trips)
-    }
-
-    #[test]
     fn session_comparison_round_trips() {
         let r = tiny_report();
         // 8 runs / 1.9 s warm vs 8 / 2.0 s cold: 5% of a cold run saved
@@ -885,13 +697,7 @@ mod tests {
             "semi-static stage should dominate on generic input"
         );
         assert!(rep.scratch_reuses > rep.scratch_allocs);
-        // the batched A/B must have observed real waves on the on-side
-        assert!(rep.batch.on.ops > 3_000);
-        assert!(rep.batch.off.ops > 3_000);
-        assert!(rep.batch.occupancy > 0.0, "no waves recorded");
-        assert!(rep.batch.fallback_rate < 1.0, "nothing certified");
         let j = pi2m_obs::json::parse(&rep.to_json_string()).unwrap();
         assert!(j.get("workloads").is_some());
-        assert!(j.get("batch").is_some());
     }
 }

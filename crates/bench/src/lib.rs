@@ -11,7 +11,6 @@
 //!   run report per configuration into that directory (see `emit_report`).
 
 pub mod kernel;
-pub mod scaling;
 
 use pi2m_obs::{OverheadBreakdown, RunReport};
 use pi2m_refine::CmKind;

@@ -170,6 +170,11 @@ impl OpCtx<'_> {
         r
     }
 
+    /// Every tested cell's vertex quad, neighbor row and coordinates are
+    /// captured exactly once, under its vertex locks, into the dense cavity
+    /// arrays and the epoch-tagged [`TestTable`](crate::scratch::TestTable).
+    /// Boundary extraction and the orphan guard then run entirely off those
+    /// snapshots: no second pass over the cell pool, no hash-map traffic.
     fn prepare_insert_inner(
         &mut self,
         p: [f64; 3],
@@ -178,96 +183,6 @@ impl OpCtx<'_> {
     ) -> Result<PreparedInsert, OpError> {
         s.begin_insert();
         let c0 = self.locate(p)?;
-        if self.batch {
-            self.prepare_insert_batched(p, c0, s)?;
-        } else {
-            self.prepare_insert_scalar(p, c0, s)?;
-        }
-        Ok(PreparedInsert {
-            point: p,
-            kind,
-            cavity: std::mem::take(&mut s.cavity),
-            bfaces: std::mem::take(&mut s.bfaces),
-        })
-    }
-
-    fn prepare_insert_scalar(
-        &mut self,
-        p: [f64; 3],
-        c0: CellId,
-        s: &mut KernelScratch,
-    ) -> Result<(), OpError> {
-        // exact-duplicate rejection
-        {
-            let cell = self.mesh.cell(c0);
-            for k in 0..4 {
-                let v = cell.vert(k);
-                if self.mesh.pos3(v) == p {
-                    return Err(OpError::Duplicate(v));
-                }
-            }
-        }
-
-        // ---- cavity discovery ----
-        s.cavity.push(c0);
-        s.state.insert(c0.0, true);
-        let mut qi = 0usize;
-        self.expand_cavity_scalar(&p, s, &mut qi)?;
-
-        // ---- boundary extraction with degeneracy repair ----
-        loop {
-            s.bfaces.clear();
-            s.forced.clear();
-            self.extract_boundary_scalar(&p, s)?;
-            if s.forced.is_empty() {
-                break;
-            }
-            for fi in 0..s.forced.len() {
-                let n = s.forced[fi];
-                if s.state.get(&n.0) == Some(&true) {
-                    continue;
-                }
-                // already locked (it was a tested boundary cell)
-                s.state.insert(n.0, true);
-                s.cavity.push(n);
-            }
-            self.expand_cavity_scalar(&p, s, &mut qi)?;
-        }
-        debug_assert!(s.bfaces.len() >= 4);
-
-        // Orphan guard: if some cavity vertex appears on no boundary face,
-        // retriangulating would leave it dangling inside a new cell (possible
-        // only for exotic cospherical configurations where the perturbed
-        // triangulation "hides" an old vertex). Skip such insertions.
-        s.on_boundary.clear();
-        for bf in &s.bfaces {
-            for u in bf.verts {
-                s.on_boundary.insert(u.0);
-            }
-        }
-        for &c in &s.cavity {
-            let cell = self.mesh.cell(c);
-            for k in 0..4 {
-                if !s.on_boundary.contains(&cell.vert(k).0) {
-                    return Err(OpError::Degenerate);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Batched prepare: same discovery order, same predicates, same errors as
-    /// the scalar variant — but every tested cell's vertex quad, neighbor row
-    /// and coordinates are captured exactly once, under its vertex locks, into
-    /// the dense cavity arrays and the epoch-tagged [`TestTable`]. Boundary
-    /// extraction and the orphan guard then run entirely off those snapshots:
-    /// no second pass over the cell pool, no hash-map traffic.
-    fn prepare_insert_batched(
-        &mut self,
-        p: [f64; 3],
-        c0: CellId,
-        s: &mut KernelScratch,
-    ) -> Result<(), OpError> {
         s.tests.begin();
 
         // exact-duplicate rejection doubles as the seed cell's snapshot (its
@@ -305,13 +220,13 @@ impl OpCtx<'_> {
         }
 
         let mut qi = 0usize;
-        self.expand_cavity_batched(&p, s, &mut qi)?;
+        self.expand_cavity(&p, s, &mut qi)?;
 
         // ---- boundary extraction with degeneracy repair ----
         loop {
             s.bfaces.clear();
             s.forced.clear();
-            self.extract_boundary_batched(&p, s)?;
+            self.extract_boundary(&p, s)?;
             if s.forced.is_empty() {
                 break;
             }
@@ -333,11 +248,14 @@ impl OpCtx<'_> {
                     s.cav_pos.push(self.mesh.pos3(u));
                 }
             }
-            self.expand_cavity_batched(&p, s, &mut qi)?;
+            self.expand_cavity(&p, s, &mut qi)?;
         }
         debug_assert!(s.bfaces.len() >= 4);
 
-        // Orphan guard (rationale in the scalar variant), off the snapshots.
+        // Orphan guard: if some cavity vertex appears on no boundary face,
+        // retriangulating would leave it dangling inside a new cell (possible
+        // only for exotic cospherical configurations where the perturbed
+        // triangulation "hides" an old vertex). Skip such insertions.
         s.on_boundary.clear();
         for bf in &s.bfaces {
             for u in bf.verts {
@@ -351,7 +269,12 @@ impl OpCtx<'_> {
                 }
             }
         }
-        Ok(())
+        Ok(PreparedInsert {
+            point: p,
+            kind,
+            cavity: std::mem::take(&mut s.cavity),
+            bfaces: std::mem::take(&mut s.bfaces),
+        })
     }
 
     /// Commit a prepared insertion: allocate the vertex, retriangulate the
@@ -391,107 +314,58 @@ impl OpCtx<'_> {
                 bf.outside,
             ]
         }));
-        if self.batch {
-            // The cavity cells were last touched during expansion; the kill
-            // loop below reads their tags, so start those lines refilling now.
-            for &c in &cavity {
-                self.mesh.cells.prefetch(c.0);
-            }
-            // Batched commit: twin matching of the cavity boundary edges in
-            // one pass through the epoch-tagged edge pairer. Every key occurs
-            // exactly twice and the matching is unique, so wiring happens the
-            // moment a key's second occurrence lands.
-            s.edges.begin();
-            let mut pairs = 0usize;
-            for (bi, bf) in bfaces.iter().enumerate() {
-                for k in 0..3 {
-                    let a = bf.verts[(k + 1) % 3].0;
-                    let b = bf.verts[(k + 2) % 3].0;
-                    let key = ((a.min(b) as u64) << 32) | a.max(b) as u64;
-                    if let Some(other) = s.edges.pair(key, ((bi as u32) << 2) | k as u32) {
-                        let (bj, fj) = ((other >> 2) as usize, (other & 3) as usize);
-                        s.neis[bi][k] = new_ids[bj];
-                        s.neis[bj][fj] = new_ids[bi];
-                        pairs += 1;
-                    }
-                }
-            }
-            debug_assert_eq!(
-                pairs * 2,
-                bfaces.len() * 3,
-                "unmatched cavity boundary edges"
-            );
-        } else {
-            s.edge_map.clear();
-            s.edge_map.reserve(bfaces.len() * 2);
-            for (bi, bf) in bfaces.iter().enumerate() {
-                for k in 0..3 {
-                    let a = bf.verts[(k + 1) % 3].0;
-                    let b = bf.verts[(k + 2) % 3].0;
-                    let key = ((a.min(b) as u64) << 32) | a.max(b) as u64;
-                    match s.edge_map.remove(&key) {
-                        Some((bj, fj)) => {
-                            s.neis[bi][k] = new_ids[bj];
-                            s.neis[bj][fj] = new_ids[bi];
-                        }
-                        None => {
-                            s.edge_map.insert(key, (bi, k));
-                        }
-                    }
-                }
-            }
-            debug_assert!(s.edge_map.is_empty(), "unmatched cavity boundary edges");
+        // The cavity cells were last touched during expansion; the kill
+        // loop below reads their tags, so start those lines refilling now.
+        for &c in &cavity {
+            self.mesh.cells.prefetch(c.0);
         }
+        // Twin matching of the cavity boundary edges in one pass through the
+        // epoch-tagged edge pairer. Every key occurs exactly twice and the
+        // matching is unique, so wiring happens the moment a key's second
+        // occurrence lands.
+        s.edges.begin();
+        let mut pairs = 0usize;
+        for (bi, bf) in bfaces.iter().enumerate() {
+            for k in 0..3 {
+                let a = bf.verts[(k + 1) % 3].0;
+                let b = bf.verts[(k + 2) % 3].0;
+                let key = ((a.min(b) as u64) << 32) | a.max(b) as u64;
+                if let Some(other) = s.edges.pair(key, ((bi as u32) << 2) | k as u32) {
+                    let (bj, fj) = ((other >> 2) as usize, (other & 3) as usize);
+                    s.neis[bi][k] = new_ids[bj];
+                    s.neis[bj][fj] = new_ids[bi];
+                    pairs += 1;
+                }
+            }
+        }
+        debug_assert_eq!(
+            pairs * 2,
+            bfaces.len() * 3,
+            "unmatched cavity boundary edges"
+        );
 
         // Publication order matters for the LOCK-FREE walkers: every new
         // cell must be activated before any outside back-pointer flips, or a
         // concurrent walk crossing the flipped pointer steps into a
-        // not-yet-alive cell and burns a restart. Both paths below respect
-        // that; the batched path merges the remaining rewiring (back-pointers
-        // and hint publication, both safe to interleave once the region is
-        // alive) into one linear pass.
-        if self.batch {
-            for (bi, bf) in bfaces.iter().enumerate() {
-                // vertex order [f0, f1, f2, v] is positively oriented because
-                // orient3d(f, p) > 0 was enforced above.
-                self.mesh.cells.activate(
-                    new_ids[bi],
-                    [bf.verts[0], bf.verts[1], bf.verts[2], v],
-                    s.neis[bi],
-                );
-            }
-            self.mesh.vertex(v).set_hint(new_ids[0]);
-            for (bi, bf) in bfaces.iter().enumerate() {
-                if !bf.outside.is_none() {
-                    self.mesh.cell(bf.outside).set_nei(bf.out_face, new_ids[bi]);
-                }
-                for u in bf.verts {
-                    self.mesh.vertex(u).set_hint(new_ids[bi]);
-                }
-            }
-        } else {
-            for (bi, bf) in bfaces.iter().enumerate() {
-                // vertex order [f0, f1, f2, v] is positively oriented because
-                // orient3d(f, p) > 0 was enforced above.
-                self.mesh.cells.activate(
-                    new_ids[bi],
-                    [bf.verts[0], bf.verts[1], bf.verts[2], v],
-                    s.neis[bi],
-                );
-            }
-            // outside back-pointers (faces resolved during prepare)
-            for (bi, bf) in bfaces.iter().enumerate() {
-                if bf.outside.is_none() {
-                    continue;
-                }
+        // not-yet-alive cell and burns a restart. The remaining rewiring
+        // (back-pointers and hint publication, both safe to interleave once
+        // the region is alive) is one linear pass.
+        for (bi, bf) in bfaces.iter().enumerate() {
+            // vertex order [f0, f1, f2, v] is positively oriented because
+            // orient3d(f, p) > 0 was enforced above.
+            self.mesh.cells.activate(
+                new_ids[bi],
+                [bf.verts[0], bf.verts[1], bf.verts[2], v],
+                s.neis[bi],
+            );
+        }
+        self.mesh.vertex(v).set_hint(new_ids[0]);
+        for (bi, bf) in bfaces.iter().enumerate() {
+            if !bf.outside.is_none() {
                 self.mesh.cell(bf.outside).set_nei(bf.out_face, new_ids[bi]);
             }
-            self.mesh.vertex(v).set_hint(new_ids[0]);
-            // hints
-            for (bi, bf) in bfaces.iter().enumerate() {
-                for u in bf.verts {
-                    self.mesh.vertex(u).set_hint(new_ids[bi]);
-                }
+            for u in bf.verts {
+                self.mesh.vertex(u).set_hint(new_ids[bi]);
             }
         }
         // kill the cavity
@@ -520,68 +394,17 @@ impl OpCtx<'_> {
         }
     }
 
-    /// BFS rounds of cavity expansion from `s.cavity[*qi..]`, locking every
-    /// touched cell's vertices. `s.state`: true = in cavity, false = tested
-    /// and rejected (boundary outside cell).
-    fn expand_cavity_scalar(
-        &mut self,
-        p: &[f64; 3],
-        s: &mut KernelScratch,
-        qi: &mut usize,
-    ) -> Result<(), OpError> {
-        while *qi < s.cavity.len() {
-            let c = s.cavity[*qi];
-            *qi += 1;
-            for i in 0..4 {
-                let n = self.mesh.cell(c).nei(i);
-                if n.is_none() || s.state.contains_key(&n.0) {
-                    continue;
-                }
-                let ncell = self.mesh.cell(n);
-                for k in 0..4 {
-                    self.lock_vertex(ncell.vert(k))?;
-                }
-                debug_assert!(ncell.is_alive(), "neighbor died under face locks");
-                let nv = ncell.verts();
-                let np = [
-                    self.mesh.pos3(nv[0]),
-                    self.mesh.pos3(nv[1]),
-                    self.mesh.pos3(nv[2]),
-                    self.mesh.pos3(nv[3]),
-                ];
-                let inside = self.insphere_sos_st(
-                    &np[0],
-                    &np[1],
-                    &np[2],
-                    &np[3],
-                    p,
-                    [
-                        nv[0].0 as u64,
-                        nv[1].0 as u64,
-                        nv[2].0 as u64,
-                        nv[3].0 as u64,
-                        PENDING_KEY,
-                    ],
-                ) > 0;
-                s.state.insert(n.0, inside);
-                if inside {
-                    s.cavity.push(n);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Wave-batched cavity expansion: candidates are discovered, locked, and
-    /// their coordinates gathered into the SoA staging buffers in exactly the
-    /// order the scalar loop would test them; a placeholder [`TestTable`]
-    /// entry dedupes repeat discoveries within a wave. The whole wave's
-    /// insphere tests then run through the wide-lane filter, and the verdicts
-    /// are applied in collection order — so the cavity sequence (and every
-    /// lock acquisition) is identical to the scalar path's. Each accepted
-    /// cell's snapshot moves straight from the wave buffers into the dense
-    /// cavity arrays, so later phases never re-read it from the pools.
-    fn expand_cavity_batched(
+    /// BFS rounds of cavity expansion from `s.cavity[*qi..]`, a wave at a
+    /// time: candidates are discovered in BFS order, locked, and their
+    /// coordinates gathered into the SoA staging buffers; a placeholder
+    /// [`TestTable`](crate::scratch::TestTable) entry dedupes repeat
+    /// discoveries within a wave. The whole wave's insphere tests then run
+    /// through the wide-lane filter, and the verdicts are applied in
+    /// collection order, so the cavity sequence (and every lock acquisition)
+    /// is the one a cell-at-a-time BFS would produce. Each accepted cell's
+    /// snapshot moves straight from the wave buffers into the dense cavity
+    /// arrays, so later phases never re-read it from the pools.
+    fn expand_cavity(
         &mut self,
         p: &[f64; 3],
         s: &mut KernelScratch,
@@ -595,9 +418,9 @@ impl OpCtx<'_> {
             s.soa_ys.clear();
             s.soa_zs.clear();
             s.soa_keys.clear();
-            // Stage a wave. A cell's four faces are never split across waves
-            // relative to scalar order: the inner loop finishes the cell even
-            // if the wave overshoots the target width by up to three lanes.
+            // Stage a wave. A cell's four faces are never split across
+            // waves: the inner loop finishes the cell even if the wave
+            // overshoots the target width by up to three lanes.
             while *qi < s.cavity.len() && s.wave_cells.len() < BATCH_LANES {
                 let neis = s.cav_neis[*qi];
                 *qi += 1;
@@ -690,49 +513,17 @@ impl OpCtx<'_> {
         Ok(())
     }
 
-    /// One round of scalar boundary extraction over the current cavity,
-    /// appending outward faces to `s.bfaces` and coplanar repairs to
-    /// `s.forced`.
-    fn extract_boundary_scalar(
-        &mut self,
-        p: &[f64; 3],
-        s: &mut KernelScratch,
-    ) -> Result<(), OpError> {
-        for ci in 0..s.cavity.len() {
-            let c = s.cavity[ci];
-            let cell = self.mesh.cell(c);
-            for (i, &f) in TET_FACES.iter().enumerate() {
-                let n = cell.nei(i);
-                if !n.is_none() && s.state.get(&n.0) == Some(&true) {
-                    continue; // interior face
-                }
-                let fv = [cell.vert(f[0]), cell.vert(f[1]), cell.vert(f[2])];
-                let fp = [
-                    self.mesh.pos3(fv[0]),
-                    self.mesh.pos3(fv[1]),
-                    self.mesh.pos3(fv[2]),
-                ];
-                let sgn = self.orient3d_st(&fp[0], &fp[1], &fp[2], p);
-                self.classify_boundary_face(s, fv, n, c, sgn)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// One round of batched boundary extraction: candidate faces are
-    /// collected in scalar iteration order — vertices pulled from the cavity
-    /// snapshots, never from the pools — and only three corner *indices* per
-    /// face are staged: the whole round's orient tests then run through the
-    /// gather-indexed wide-lane filter straight off the flat snapshot
-    /// coordinate table. Decisions are applied in the same order: same faces,
-    /// same errors, same `bfaces`/`forced` sequences as the scalar round.
-    /// Back-pointing faces of outside cells resolve from the neighbor rows
-    /// cached in the [`TestTable`] instead of `face_to` pool walks.
-    fn extract_boundary_batched(
-        &mut self,
-        p: &[f64; 3],
-        s: &mut KernelScratch,
-    ) -> Result<(), OpError> {
+    /// One round of boundary extraction over the current cavity, appending
+    /// outward faces to `s.bfaces` and coplanar repairs to `s.forced`.
+    /// Candidate faces are collected in cavity order — vertices pulled from
+    /// the cavity snapshots, never from the pools — and only three corner
+    /// *indices* per face are staged: the whole round's orient tests then run
+    /// through the gather-indexed wide-lane filter straight off the flat
+    /// snapshot coordinate table, and decisions are applied in the same
+    /// order. Back-pointing faces of outside cells resolve from the neighbor
+    /// rows cached in the [`TestTable`](crate::scratch::TestTable) instead of
+    /// `face_to` pool walks.
+    fn extract_boundary(&mut self, p: &[f64; 3], s: &mut KernelScratch) -> Result<(), OpError> {
         s.wave_faces.clear();
         s.face_idx.clear();
         for ci in 0..s.cavity.len() {
@@ -784,42 +575,6 @@ impl OpCtx<'_> {
                     .expect("cavity neighbor was never tested")
                     .neis;
                 match row.iter().position(|&x| x == c) {
-                    Some(j) => j,
-                    None => return Err(OpError::Kernel(KernelError::MissingBackPointer)),
-                }
-            };
-            s.bfaces.push(BFace {
-                verts: fv,
-                outside: n,
-                out_face,
-            });
-        }
-        Ok(())
-    }
-
-    /// Shared per-face decision of boundary extraction: outward faces become
-    /// `BFace`s, coplanar faces force their outside neighbor into the cavity,
-    /// hull-coplanar faces abort the insertion.
-    #[inline]
-    fn classify_boundary_face(
-        &mut self,
-        s: &mut KernelScratch,
-        fv: [VertexId; 3],
-        n: CellId,
-        c: CellId,
-        sgn: f64,
-    ) -> Result<(), OpError> {
-        if sgn <= 0.0 {
-            if n.is_none() {
-                // coplanar with a hull face: cannot repair
-                return Err(OpError::Degenerate);
-            }
-            s.forced.push(n);
-        } else {
-            let out_face = if n.is_none() {
-                0
-            } else {
-                match self.mesh.cell(n).face_to(c) {
                     Some(j) => j,
                     None => return Err(OpError::Kernel(KernelError::MissingBackPointer)),
                 }

@@ -366,7 +366,6 @@ impl SharedMesh {
             scratch: KernelScratch::default(),
             faults,
             flight: None,
-            batch: true,
         }
     }
 
@@ -550,11 +549,6 @@ pub struct OpCtx<'m> {
     /// per emission site). Emits lock-conflict and lock-batch events on the
     /// kernel's own lock/insert/remove paths.
     pub(crate) flight: Option<FlightHandle>,
-    /// Batched (SoA wide-lane) kernel path selector. On by default; cleared
-    /// via [`OpCtx::set_batch`] (the engine wires it to `--no-batch` /
-    /// `PI2M_BATCH=0`). Both paths are op-for-op result-identical — the flag
-    /// only changes the evaluation schedule.
-    pub(crate) batch: bool,
     /// Wide-lane filter occupancy/fallback counters (drained like
     /// `pred_stats`).
     pub(crate) batch_stats: BatchStats,
@@ -579,19 +573,6 @@ impl OpCtx<'_> {
     #[inline]
     pub fn take_batch_stats(&mut self) -> BatchStats {
         self.batch_stats.take()
-    }
-
-    /// Select the batched (SoA wide-lane) or scalar kernel path. Defaults to
-    /// batched; results are identical either way.
-    #[inline]
-    pub fn set_batch(&mut self, on: bool) {
-        self.batch = on;
-    }
-
-    /// Whether the batched kernel path is selected.
-    #[inline]
-    pub fn batch_enabled(&self) -> bool {
-        self.batch
     }
 
     /// Drain the scratch-arena reuse counters accumulated since the last

@@ -29,7 +29,7 @@ const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 const TEST_SLOTS: usize = 256;
 const EDGE_SLOTS: usize = 256;
 
-/// What the batched cavity expansion learned about a tested cell, snapshotted
+/// What cavity expansion learned about a tested cell, snapshotted
 /// under its vertex locks (immutable for the rest of the operation).
 #[derive(Clone, Copy)]
 pub(crate) struct TestEntry {
@@ -40,10 +40,10 @@ pub(crate) struct TestEntry {
     pub(crate) neis: [CellId; 4],
 }
 
-/// Epoch-tagged open-addressing map from cell id to [`TestEntry`] — the
-/// batched path's replacement for the scalar BFS `state` hash map. `begin`
-/// invalidates every entry in O(1) by bumping the epoch (stale slots read as
-/// empty), so per-operation reset never touches the slot array.
+/// Epoch-tagged open-addressing map from cell id to [`TestEntry`], the BFS
+/// state of one insertion. `begin` invalidates every entry in O(1) by bumping
+/// the epoch (stale slots read as empty), so per-operation reset never touches
+/// the slot array.
 #[derive(Default)]
 pub(crate) struct TestTable {
     /// `(epoch << 32) | cell` per slot; epoch 0 is never current.
@@ -154,7 +154,7 @@ impl TestTable {
     }
 }
 
-/// Epoch-tagged open-addressing pairer for cavity-boundary edges (batched
+/// Epoch-tagged open-addressing pairer for cavity-boundary edges (insert
 /// commit). Every undirected boundary edge occurs on exactly two faces; the
 /// first occurrence parks its packed slot, the second retrieves it. Entries
 /// are never removed — epoch bumping retires them wholesale.
@@ -236,7 +236,7 @@ pub struct ScratchStats {
     pub reuses: u64,
     /// A buffer had to start cold (first use, or capacity lost to a panic).
     pub allocs: u64,
-    /// SoA staging waves gathered from the vertex pool (batched path only).
+    /// SoA staging waves gathered from the vertex pool.
     pub soa_gathers: u64,
     /// Points copied into the SoA staging buffers across all gathers.
     pub soa_points: u64,
@@ -257,18 +257,14 @@ pub struct KernelScratch {
     pub(crate) cavity: Vec<CellId>,
     /// Cavity boundary faces (escapes into `PreparedInsert`).
     pub(crate) bfaces: Vec<BFace>,
-    /// BFS state: cell id → in-cavity?
-    pub(crate) state: FxHashMap<u32, bool>,
     /// Coplanar-repair work list.
     pub(crate) forced: Vec<CellId>,
     /// Orphan-guard vertex set.
     pub(crate) on_boundary: FxHashSet<u32>,
     /// New-cell neighbor table (commit phase).
     pub(crate) neis: Vec<[CellId; 4]>,
-    /// Cavity boundary edge matcher (commit phase, scalar path).
-    pub(crate) edge_map: FxHashMap<u64, (usize, usize)>,
 
-    // ---- SoA staging (batched path) ----
+    // ---- SoA staging ----
     /// Wave candidate cells awaiting a batched insphere verdict, plus their
     /// vertex quads and neighbor rows snapshotted at lock time.
     pub(crate) wave_cells: Vec<CellId>,
@@ -288,7 +284,7 @@ pub struct KernelScratch {
     /// Batched predicate outputs (determinants / SoS signs).
     pub(crate) soa_dets: Vec<f64>,
     pub(crate) soa_signs: Vec<i8>,
-    /// Per-cavity-cell snapshots, in lockstep with `cavity` (batched path):
+    /// Per-cavity-cell snapshots, in lockstep with `cavity`:
     /// vertex quads, neighbor rows, and coordinates, captured once under the
     /// cell's vertex locks and reused by boundary extraction and the orphan
     /// guard instead of re-walking the cell/vertex pools.
@@ -300,9 +296,9 @@ pub struct KernelScratch {
     /// Staged corner-index triples for the gather-batched boundary orient
     /// pass, in lockstep with `wave_faces`.
     pub(crate) face_idx: Vec<[u32; 3]>,
-    /// Cell → test-record map for the batched BFS (replaces `state`).
+    /// Cell → test-record map of the cavity BFS.
     pub(crate) tests: TestTable,
-    /// Cavity boundary edge pairer (commit phase, batched path).
+    /// Cavity boundary edge pairer (commit phase).
     pub(crate) edges: EdgeTable,
 
     // ---- removal ----
@@ -346,11 +342,9 @@ impl KernelScratch {
     /// Reset the insertion-prepare buffers and account for their warmth.
     pub(crate) fn begin_insert(&mut self) {
         self.note(self.cavity.capacity() > 0);
-        // whichever BFS map the active path uses counts as its warmth
-        self.note(self.state.capacity() > 0 || self.tests.footprint() > 0);
+        self.note(self.tests.footprint() > 0);
         self.cavity.clear();
         self.bfaces.clear();
-        self.state.clear();
         self.forced.clear();
         self.cav_verts.clear();
         self.cav_neis.clear();
@@ -448,11 +442,9 @@ impl KernelScratch {
     pub fn footprint(&self) -> usize {
         self.cavity.capacity()
             + self.bfaces.capacity()
-            + self.state.capacity()
             + self.forced.capacity()
             + self.on_boundary.capacity()
             + self.neis.capacity()
-            + self.edge_map.capacity()
             + self.wave_cells.capacity()
             + self.wave_verts.capacity()
             + self.wave_neis.capacity()

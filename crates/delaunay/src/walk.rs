@@ -147,54 +147,43 @@ impl OpCtx<'_> {
             self.mesh.pos3(cell.vert(2)),
             self.mesh.pos3(cell.vert(3)),
         ];
-        if self.batch {
-            // All four face tests are normally needed on the accept path, so
-            // evaluating them as one 4-lane wave trades the scalar early exit
-            // (which only pays off on stale candidates) for lane overlap.
-            // The decision — reject iff any determinant is negative — is
-            // identical because the lane values are bitwise the staged ones.
-            let tris = [
-                [
-                    pos[TET_FACES[0][0]],
-                    pos[TET_FACES[0][1]],
-                    pos[TET_FACES[0][2]],
-                ],
-                [
-                    pos[TET_FACES[1][0]],
-                    pos[TET_FACES[1][1]],
-                    pos[TET_FACES[1][2]],
-                ],
-                [
-                    pos[TET_FACES[2][0]],
-                    pos[TET_FACES[2][1]],
-                    pos[TET_FACES[2][2]],
-                ],
-                [
-                    pos[TET_FACES[3][0]],
-                    pos[TET_FACES[3][1]],
-                    pos[TET_FACES[3][2]],
-                ],
-            ];
-            let mut dets = [0.0f64; 4];
-            pi2m_predicates::orient3d_batch4(
-                self.mesh.semi_static_bounds(),
-                &mut self.pred_stats,
-                &mut self.batch_stats,
-                &tris,
-                p,
-                &mut dets,
-            );
-            if dets.iter().any(|&d| d < 0.0) {
-                self.unlock_all();
-                return Ok(false);
-            }
-        } else {
-            for f in TET_FACES {
-                if self.orient3d_st(&pos[f[0]], &pos[f[1]], &pos[f[2]], p) < 0.0 {
-                    self.unlock_all();
-                    return Ok(false);
-                }
-            }
+        // All four face tests are normally needed on the accept path, so
+        // evaluating them as one 4-lane wave trades a per-face early exit
+        // (which only pays off on stale candidates) for lane overlap.
+        let tris = [
+            [
+                pos[TET_FACES[0][0]],
+                pos[TET_FACES[0][1]],
+                pos[TET_FACES[0][2]],
+            ],
+            [
+                pos[TET_FACES[1][0]],
+                pos[TET_FACES[1][1]],
+                pos[TET_FACES[1][2]],
+            ],
+            [
+                pos[TET_FACES[2][0]],
+                pos[TET_FACES[2][1]],
+                pos[TET_FACES[2][2]],
+            ],
+            [
+                pos[TET_FACES[3][0]],
+                pos[TET_FACES[3][1]],
+                pos[TET_FACES[3][2]],
+            ],
+        ];
+        let mut dets = [0.0f64; 4];
+        pi2m_predicates::orient3d_batch4(
+            self.mesh.semi_static_bounds(),
+            &mut self.pred_stats,
+            &mut self.batch_stats,
+            &tris,
+            p,
+            &mut dets,
+        );
+        if dets.iter().any(|&d| d < 0.0) {
+            self.unlock_all();
+            return Ok(false);
         }
         Ok(true)
     }

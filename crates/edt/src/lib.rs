@@ -20,8 +20,7 @@
 mod transform;
 
 pub use transform::{
-    batch_default, feature_transform, feature_transform_obs, surface_feature_transform,
-    surface_feature_transform_obs, try_feature_transform_obs, try_feature_transform_opts,
-    try_surface_feature_transform_obs, try_surface_feature_transform_opts, FeatureTransform,
-    EDT_BATCH_WIDTH, NO_SITE,
+    feature_transform, feature_transform_obs, surface_feature_transform,
+    surface_feature_transform_obs, try_feature_transform_obs, try_surface_feature_transform_obs,
+    FeatureTransform, EDT_BATCH_WIDTH, NO_SITE,
 };

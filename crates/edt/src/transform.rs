@@ -13,13 +13,6 @@ pub const NO_SITE: u32 = u32::MAX;
 /// Voxels processed per inner step of the batched query sweep (see `dt1d`).
 pub const EDT_BATCH_WIDTH: usize = 8;
 
-/// Runtime default for the batched sweep: enabled unless `PI2M_BATCH=0`.
-/// Mirrors the Delaunay kernel's batch kill switch so one environment
-/// variable flips every batched code path in the pipeline.
-pub fn batch_default() -> bool {
-    std::env::var("PI2M_BATCH").map_or(true, |v| v != "0")
-}
-
 /// The result of a feature transform: for every voxel, the linear index of a
 /// nearest site voxel and the squared world-space distance to it.
 #[derive(Clone, Debug)]
@@ -179,14 +172,13 @@ fn parallel_lines(
 /// units. Writes the updated squared distances/features into `out_f`,
 /// `out_site`.
 ///
-/// With `batch` set, the query sweep processes [`EDT_BATCH_WIDTH`] voxels per
-/// inner step: the envelope segment index `k` is monotone in `q` (breakpoints
-/// `z` are sorted), so if the first and last voxel of a block land on the
-/// same parabola, the whole block does — and it is evaluated as one
-/// straight-line loop with a constant parabola, using the *same* expression
-/// as the scalar sweep (bit-identical output). Blocks straddling a
-/// breakpoint fall back to the scalar per-voxel advance.
-#[allow(clippy::too_many_arguments)]
+/// The query sweep processes [`EDT_BATCH_WIDTH`] voxels per inner step: the
+/// envelope segment index `k` is monotone in `q` (breakpoints `z` are
+/// sorted), so if the first and last voxel of a block land on the same
+/// parabola, the whole block does — and it is evaluated as one straight-line
+/// loop with a constant parabola, using the *same* expression as the
+/// per-voxel advance that blocks straddling a breakpoint take (so a voxel's
+/// value does not depend on how the line is blocked).
 fn dt1d(
     fvals: &[f64],
     sites: &[u32],
@@ -195,7 +187,6 @@ fn dt1d(
     out_site: &mut [u32],
     v: &mut Vec<usize>,
     z: &mut Vec<f64>,
-    batch: bool,
 ) {
     let n = fvals.len();
     v.clear();
@@ -238,54 +229,41 @@ fn dt1d(
     }
 
     let mut k = 0usize;
-    if batch {
-        let mut q0 = 0usize;
-        while q0 < n {
-            let qe = (q0 + EDT_BATCH_WIDTH).min(n);
-            let x0 = q0 as f64 * step;
-            while k + 1 < v.len() && z[k + 1] < x0 {
-                k += 1;
-            }
-            let xl = (qe - 1) as f64 * step;
-            let mut ke = k;
-            while ke + 1 < v.len() && z[ke + 1] < xl {
-                ke += 1;
-            }
-            if ke == k {
-                // One parabola covers the block: straight-line evaluation.
-                let p = v[k];
-                let xp = p as f64 * step;
-                let (fp, sp) = (fvals[p], sites[p]);
-                for q in q0..qe {
-                    let xq = q as f64 * step;
-                    out_f[q] = (xq - xp) * (xq - xp) + fp;
-                    out_site[q] = sp;
-                }
-            } else {
-                for q in q0..qe {
-                    let xq = q as f64 * step;
-                    while k + 1 < v.len() && z[k + 1] < xq {
-                        k += 1;
-                    }
-                    let p = v[k];
-                    let xp = p as f64 * step;
-                    out_f[q] = (xq - xp) * (xq - xp) + fvals[p];
-                    out_site[q] = sites[p];
-                }
-            }
-            q0 = qe;
+    let mut q0 = 0usize;
+    while q0 < n {
+        let qe = (q0 + EDT_BATCH_WIDTH).min(n);
+        let x0 = q0 as f64 * step;
+        while k + 1 < v.len() && z[k + 1] < x0 {
+            k += 1;
         }
-    } else {
-        for q in 0..n {
-            let xq = q as f64 * step;
-            while k + 1 < v.len() && z[k + 1] < xq {
-                k += 1;
-            }
+        let xl = (qe - 1) as f64 * step;
+        let mut ke = k;
+        while ke + 1 < v.len() && z[ke + 1] < xl {
+            ke += 1;
+        }
+        if ke == k {
+            // One parabola covers the block: straight-line evaluation.
             let p = v[k];
             let xp = p as f64 * step;
-            out_f[q] = (xq - xp) * (xq - xp) + fvals[p];
-            out_site[q] = sites[p];
+            let (fp, sp) = (fvals[p], sites[p]);
+            for q in q0..qe {
+                let xq = q as f64 * step;
+                out_f[q] = (xq - xp) * (xq - xp) + fp;
+                out_site[q] = sp;
+            }
+        } else {
+            for q in q0..qe {
+                let xq = q as f64 * step;
+                while k + 1 < v.len() && z[k + 1] < xq {
+                    k += 1;
+                }
+                let p = v[k];
+                let xp = p as f64 * step;
+                out_f[q] = (xq - xp) * (xq - xp) + fvals[p];
+                out_site[q] = sites[p];
+            }
         }
+        q0 = qe;
     }
 }
 
@@ -330,34 +308,8 @@ pub fn try_feature_transform_obs(
     origin: Point3,
     is_site: impl Fn(usize, usize, usize) -> bool + Sync,
     threads: usize,
-    rec: Option<&mut ThreadRecorder>,
-    cancel: Option<&CancelToken>,
-) -> Result<FeatureTransform, Cancelled> {
-    try_feature_transform_opts(
-        dims,
-        spacing,
-        origin,
-        is_site,
-        threads,
-        rec,
-        cancel,
-        batch_default(),
-    )
-}
-
-/// [`try_feature_transform_obs`] with an explicit batched-sweep selector
-/// (the engine threads its `--no-batch` / `PI2M_BATCH=0` kill switch through
-/// here; both settings produce bit-identical output).
-#[allow(clippy::too_many_arguments)]
-pub fn try_feature_transform_opts(
-    dims: [usize; 3],
-    spacing: [f64; 3],
-    origin: Point3,
-    is_site: impl Fn(usize, usize, usize) -> bool + Sync,
-    threads: usize,
     mut rec: Option<&mut ThreadRecorder>,
     cancel: Option<&CancelToken>,
-    batch: bool,
 ) -> Result<FeatureTransform, Cancelled> {
     let [nx, ny, nz] = dims;
     let n = nx * ny * nz;
@@ -394,9 +346,7 @@ pub fn try_feature_transform_opts(
             let mut of = vec![0.0; nx];
             let mut os = vec![0u32; nx];
             let (mut v, mut z) = (Vec::new(), Vec::new());
-            dt1d(
-                &f0, &s0, spacing[0], &mut of, &mut os, &mut v, &mut z, batch,
-            );
+            dt1d(&f0, &s0, spacing[0], &mut of, &mut os, &mut v, &mut z);
             for i in 0..nx {
                 // SAFETY: line (j,k) is processed by exactly one worker.
                 unsafe {
@@ -431,9 +381,7 @@ pub fn try_feature_transform_opts(
             let mut of = vec![0.0; ny];
             let mut os = vec![0u32; ny];
             let (mut v, mut z) = (Vec::new(), Vec::new());
-            dt1d(
-                &f0, &s0, spacing[1], &mut of, &mut os, &mut v, &mut z, batch,
-            );
+            dt1d(&f0, &s0, spacing[1], &mut of, &mut os, &mut v, &mut z);
             for j in 0..ny {
                 // SAFETY: line (i,k) is processed by exactly one worker.
                 unsafe {
@@ -468,9 +416,7 @@ pub fn try_feature_transform_opts(
             let mut of = vec![0.0; nz];
             let mut os = vec![0u32; nz];
             let (mut v, mut z) = (Vec::new(), Vec::new());
-            dt1d(
-                &f0, &s0, spacing[2], &mut of, &mut os, &mut v, &mut z, batch,
-            );
+            dt1d(&f0, &s0, spacing[2], &mut of, &mut os, &mut v, &mut z);
             for k in 0..nz {
                 // SAFETY: line (i,j) is processed by exactly one worker.
                 unsafe {
@@ -527,19 +473,7 @@ pub fn try_surface_feature_transform_obs(
     rec: Option<&mut ThreadRecorder>,
     cancel: Option<&CancelToken>,
 ) -> Result<FeatureTransform, Cancelled> {
-    try_surface_feature_transform_opts(img, threads, rec, cancel, batch_default())
-}
-
-/// [`try_surface_feature_transform_obs`] with an explicit batched-sweep
-/// selector (see [`try_feature_transform_opts`]).
-pub fn try_surface_feature_transform_opts(
-    img: &LabeledImage,
-    threads: usize,
-    rec: Option<&mut ThreadRecorder>,
-    cancel: Option<&CancelToken>,
-    batch: bool,
-) -> Result<FeatureTransform, Cancelled> {
-    try_feature_transform_opts(
+    try_feature_transform_obs(
         img.dims(),
         img.spacing(),
         img.origin(),
@@ -547,7 +481,6 @@ pub fn try_surface_feature_transform_opts(
         threads,
         rec,
         cancel,
-        batch,
     )
 }
 
@@ -670,30 +603,77 @@ mod tests {
         assert!(q.x < 8.0);
     }
 
+    /// The per-voxel query sweep over an envelope `(v, z)`: the reference
+    /// the blocked sweep in `dt1d` must match to the bit.
+    fn sweep_per_voxel(
+        fvals: &[f64],
+        sites: &[u32],
+        step: f64,
+        v: &[usize],
+        z: &[f64],
+    ) -> (Vec<f64>, Vec<u32>) {
+        let mut k = 0usize;
+        let (mut out_f, mut out_site) = (Vec::new(), Vec::new());
+        for q in 0..fvals.len() {
+            let xq = q as f64 * step;
+            while k + 1 < v.len() && z[k + 1] < xq {
+                k += 1;
+            }
+            let p = v[k];
+            let xp = p as f64 * step;
+            out_f.push((xq - xp) * (xq - xp) + fvals[p]);
+            out_site.push(sites[p]);
+        }
+        (out_f, out_site)
+    }
+
     #[test]
-    fn batched_sweep_is_bitwise_scalar() {
-        // Batched vs scalar query sweep must agree to the bit on every voxel,
-        // including anisotropic spacing and dense breakpoint envelopes.
-        for (img, threads) in [
-            (phantoms::nested_spheres(21, 1.0), 1),
-            (phantoms::sphere(17, 0.7), 3),
-        ] {
-            let on = try_surface_feature_transform_opts(&img, threads, None, None, true).unwrap();
-            let off = try_surface_feature_transform_opts(&img, threads, None, None, false).unwrap();
-            let [nx, ny, nz] = img.dims();
-            for k in 0..nz {
-                for j in 0..ny {
-                    for i in 0..nx {
-                        assert_eq!(
-                            on.dist2(i, j, k).to_bits(),
-                            off.dist2(i, j, k).to_bits(),
-                            "voxel ({i},{j},{k})"
-                        );
-                        assert_eq!(on.nearest_site(i, j, k), off.nearest_site(i, j, k));
+    fn blocked_sweep_is_bitwise_per_voxel() {
+        // Scan lines of every length around the block width, anisotropic
+        // steps, holes, and distances small enough that breakpoints fall
+        // inside most blocks as well as between them.
+        let mut s = 0x5eed_ed70u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s >> 11
+        };
+        let (mut v, mut z) = (Vec::new(), Vec::new());
+        let mut straddled = 0usize;
+        for n in 1..=4 * EDT_BATCH_WIDTH + 3 {
+            for step in [0.7, 1.0, 2.5] {
+                for spread in [2u64, 40, 4000] {
+                    let fvals: Vec<f64> = (0..n)
+                        .map(|_| match next() % 4 {
+                            0 => f64::INFINITY,
+                            _ => (next() % spread) as f64 * step * 0.37,
+                        })
+                        .collect();
+                    if fvals.iter().all(|f| *f == f64::INFINITY) {
+                        continue;
                     }
+                    let sites: Vec<u32> = (0..n).map(|_| next() as u32).collect();
+                    let (mut out_f, mut out_site) = (vec![0.0; n], vec![0u32; n]);
+                    dt1d(
+                        &fvals,
+                        &sites,
+                        step,
+                        &mut out_f,
+                        &mut out_site,
+                        &mut v,
+                        &mut z,
+                    );
+                    let (want_f, want_site) = sweep_per_voxel(&fvals, &sites, step, &v, &z);
+                    for q in 0..n {
+                        assert_eq!(out_f[q].to_bits(), want_f[q].to_bits(), "n {n} voxel {q}");
+                    }
+                    assert_eq!(out_site, want_site, "n {n}");
+                    straddled += usize::from(v.len() > n.div_ceil(EDT_BATCH_WIDTH));
                 }
             }
         }
+        assert!(straddled > 100, "generator lost its dense envelopes");
     }
 
     #[test]

@@ -118,12 +118,6 @@ pub struct BatchKernelInfo {
 }
 
 impl BatchKernelInfo {
-    /// Did the run drive any batched waves at all? False means the scalar
-    /// path ran (`--no-batch` / `PI2M_BATCH=0`, or a non-batched workload).
-    pub fn any(&self) -> bool {
-        self.orient_batches + self.insphere_batches + self.soa_gathers > 0
-    }
-
     /// Mean occupied lanes per wave across both predicates.
     pub fn lanes_per_wave(&self) -> f64 {
         let waves = self.orient_batches + self.insphere_batches;
@@ -181,8 +175,7 @@ pub struct Artifact {
     /// The sharded-run section (schema v4), when the artifact carries one.
     pub shard: Option<ShardInfo>,
     /// Batched-kernel counters (schema v5). `None` for pre-v5 reports,
-    /// which predate the counters entirely — distinct from a v5 report
-    /// where the batched path was disabled (`Some` with zero counts).
+    /// which predate the counters entirely.
     pub batch: Option<BatchKernelInfo>,
     /// Completed kernel operations (`ops_total` counter; 0 when the artifact
     /// has no counters). Unlike `commits` it does not depend on how much of
@@ -334,8 +327,7 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
         let counters = j.get("counters");
         let cnt = |name: &str| counters.map_or(0, |c| get_u64(c, name));
         // the batched-kernel counters joined the catalog in schema v5;
-        // earlier reports cannot distinguish "batch off" from "not
-        // measured", so they get `None` and render as "not recorded"
+        // earlier reports get `None` and render as "not recorded"
         let batch = if get_u64(&j, "schema_version") >= 5 {
             Some(BatchKernelInfo {
                 orient_batches: cnt("pred_batch_orient_batches"),
@@ -659,12 +651,6 @@ pub fn render_summary(art: &Artifact) -> String {
         match &art.batch {
             None => {
                 let _ = writeln!(out, "batched : not recorded (pre-v5 artifact)");
-            }
-            Some(b) if !b.any() => {
-                let _ = writeln!(
-                    out,
-                    "batched : no batched waves (scalar path: --no-batch or PI2M_BATCH=0)"
-                );
             }
             Some(b) => {
                 let _ = writeln!(
@@ -1168,17 +1154,6 @@ mod tests {
             s.contains("2600 PEL pops (26.0/op), stale share not recorded"),
             "{s}"
         );
-    }
-
-    #[test]
-    fn scalar_run_renders_batch_disabled_not_missing() {
-        // a v5 report with no batched counters ran the scalar path: that is
-        // a measured zero, not a missing measurement
-        let text = r#"{"schema_version": 5, "tool": "pi2m", "threads": 1, "wall_s": 0.5}"#;
-        let art = load_artifact(text).unwrap();
-        assert!(art.batch.is_some());
-        let s = render_summary(&art);
-        assert!(s.contains("batched : no batched waves"), "{s}");
     }
 
     #[test]

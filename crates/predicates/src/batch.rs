@@ -8,18 +8,18 @@
 //! the CPU from overlapping the independent lane computations.
 //!
 //! This module rephrases stage 1 as a **batch pass**: the caller stages a
-//! wave of lanes in structure-of-arrays form (flat `xs/ys/zs` coordinate
-//! arrays, gathered once from the vertex pool), all lane determinants are
-//! evaluated in one straight-line pass with no intervening branches, and only
-//! then are the results classified. Lanes whose determinant clears the
-//! semi-static bound are certified exactly as the scalar stage 1 would have
-//! certified them — the per-lane arithmetic is the *same sequence of f64
+//! wave of lanes (flat `xs/ys/zs` coordinate arrays gathered once from the
+//! vertex pool for insphere, an index table into a point snapshot for
+//! orient3d), all lane determinants are evaluated in one straight-line pass
+//! with no intervening branches, and only then are the results classified.
+//! Lanes whose determinant clears the semi-static bound are certified
+//! exactly as the scalar stage 1 would have certified them — the per-lane arithmetic is the *same sequence of f64
 //! operations* as [`orient3d_staged`] / [`insphere_sos_staged`] stage 1, so a
 //! certified lane returns the bit-identical determinant. Lanes that fail the
 //! bound fall back, per lane, to the full scalar staged cascade (which
 //! recomputes the same determinant, fails stage 1 the same way, and proceeds
-//! to the dynamic/exact stages). The batched path is therefore **sign- and
-//! value-identical** to the scalar path lane for lane, and the shared
+//! to the dynamic/exact stages). A wave is therefore **sign- and
+//! value-identical** to the scalar cascade lane for lane, and the shared
 //! [`FilterStats`] counters advance identically — batching changes the
 //! schedule, never the answer.
 //!
@@ -120,17 +120,6 @@ fn lane_pt(xs: &[f64], ys: &[f64], zs: &[f64], i: usize) -> P3 {
     [xs[i], ys[i], zs[i]]
 }
 
-/// Pass 1 of [`orient3d_batch`]: every lane determinant, no branches.
-#[inline(always)]
-fn orient_pass1(xs: &[f64], ys: &[f64], zs: &[f64], pd: &P3, dets: &mut [f64]) {
-    for (l, slot) in dets.iter_mut().enumerate() {
-        let pa = lane_pt(xs, ys, zs, 3 * l);
-        let pb = lane_pt(xs, ys, zs, 3 * l + 1);
-        let pc = lane_pt(xs, ys, zs, 3 * l + 2);
-        *slot = orient_det(&pa, &pb, &pc, pd);
-    }
-}
-
 /// Pass 1 of [`insphere_sos_batch`]: every lane determinant, no branches.
 #[inline(always)]
 fn insphere_pass1(xs: &[f64], ys: &[f64], zs: &[f64], pe: &P3, dets: &mut [f64]) {
@@ -153,8 +142,14 @@ fn orient_gather_pass1(pts: &[[f64; 3]], idx: &[[u32; 3]], pd: &P3, dets: &mut [
     }
 }
 
-/// AVX2 variant of [`orient_gather_pass1`]; bit-identity argument as for
-/// [`orient_pass1_avx2`].
+/// AVX2 variant of [`orient_gather_pass1`], selected at runtime: four lanes
+/// per 256-bit vector, each intrinsic mirroring one line of [`orient_det`] —
+/// the same IEEE f64 operation tree evaluated per lane, no FMA contraction,
+/// no reassociation — so every determinant is bitwise what the scalar loop
+/// produces. The leftover lanes (< 4) run the scalar loop itself.
+///
+/// # Safety
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn orient_gather_pass1_avx2(pts: &[[f64; 3]], idx: &[[u32; 3]], pd: &P3, dets: &mut [f64]) {
@@ -165,6 +160,8 @@ unsafe fn orient_gather_pass1_avx2(pts: &[[f64; 3]], idx: &[[u32; 3]], pd: &P3, 
     let pdz = _mm256_set1_pd(pd[2]);
     let mut l = 0;
     while l + 4 <= n {
+        // role-major gather: coordinate `c` of corner `p` of lanes l..l+4
+        // (set_pd takes the highest lane first)
         let (i0, i1, i2, i3) = (idx[l], idx[l + 1], idx[l + 2], idx[l + 3]);
         let ld = |p: usize, c: usize| {
             _mm256_set_pd(
@@ -191,6 +188,8 @@ unsafe fn orient_gather_pass1_avx2(pts: &[[f64; 3]], idx: &[[u32; 3]], pd: &P3, 
         let adxbdy = _mm256_mul_pd(adx, bdy);
         let bdxady = _mm256_mul_pd(bdx, ady);
 
+        // adz*(bdxcdy-cdxbdy) + bdz*(cdxady-adxcdy) + cdz*(adxbdy-bdxady),
+        // left-associated exactly like the scalar expression
         let det = _mm256_add_pd(
             _mm256_add_pd(
                 _mm256_mul_pd(adz, _mm256_sub_pd(bdxcdy, cdxbdy)),
@@ -216,59 +215,12 @@ fn run_orient_gather_pass1(pts: &[[f64; 3]], idx: &[[u32; 3]], pd: &P3, dets: &m
     orient_gather_pass1(pts, idx, pd, dets)
 }
 
-/// AVX2 variant of [`orient_pass1`], selected at runtime: four lanes per
-/// 256-bit vector, each intrinsic mirroring one line of [`orient_det`] —
-/// the same IEEE f64 operation tree evaluated per lane, no FMA contraction,
-/// no reassociation — so every determinant is bitwise what the scalar loop
-/// produces. The leftover lanes (< 4) run the scalar loop itself.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn orient_pass1_avx2(xs: &[f64], ys: &[f64], zs: &[f64], pd: &P3, dets: &mut [f64]) {
-    use core::arch::x86_64::*;
-    let n = dets.len();
-    let pdx = _mm256_set1_pd(pd[0]);
-    let pdy = _mm256_set1_pd(pd[1]);
-    let pdz = _mm256_set1_pd(pd[2]);
-    let mut l = 0;
-    while l + 4 <= n {
-        // role-major gather: operand k of lanes l..l+4 (set_pd takes the
-        // highest lane first)
-        let (i0, i1, i2, i3) = (3 * l, 3 * (l + 1), 3 * (l + 2), 3 * (l + 3));
-        let ld = |s: &[f64], o: usize| _mm256_set_pd(s[i3 + o], s[i2 + o], s[i1 + o], s[i0 + o]);
-        let adx = _mm256_sub_pd(ld(xs, 0), pdx);
-        let bdx = _mm256_sub_pd(ld(xs, 1), pdx);
-        let cdx = _mm256_sub_pd(ld(xs, 2), pdx);
-        let ady = _mm256_sub_pd(ld(ys, 0), pdy);
-        let bdy = _mm256_sub_pd(ld(ys, 1), pdy);
-        let cdy = _mm256_sub_pd(ld(ys, 2), pdy);
-        let adz = _mm256_sub_pd(ld(zs, 0), pdz);
-        let bdz = _mm256_sub_pd(ld(zs, 1), pdz);
-        let cdz = _mm256_sub_pd(ld(zs, 2), pdz);
-
-        let bdxcdy = _mm256_mul_pd(bdx, cdy);
-        let cdxbdy = _mm256_mul_pd(cdx, bdy);
-        let cdxady = _mm256_mul_pd(cdx, ady);
-        let adxcdy = _mm256_mul_pd(adx, cdy);
-        let adxbdy = _mm256_mul_pd(adx, bdy);
-        let bdxady = _mm256_mul_pd(bdx, ady);
-
-        // adz*(bdxcdy-cdxbdy) + bdz*(cdxady-adxcdy) + cdz*(adxbdy-bdxady),
-        // left-associated exactly like the scalar expression
-        let det = _mm256_add_pd(
-            _mm256_add_pd(
-                _mm256_mul_pd(adz, _mm256_sub_pd(bdxcdy, cdxbdy)),
-                _mm256_mul_pd(bdz, _mm256_sub_pd(cdxady, adxcdy)),
-            ),
-            _mm256_mul_pd(cdz, _mm256_sub_pd(adxbdy, bdxady)),
-        );
-        _mm256_storeu_pd(dets.as_mut_ptr().add(l), det);
-        l += 4;
-    }
-    orient_pass1(&xs[3 * l..], &ys[3 * l..], &zs[3 * l..], pd, &mut dets[l..]);
-}
-
 /// AVX2 variant of [`insphere_pass1`]; bit-identity argument as for
-/// [`orient_pass1_avx2`] — every intrinsic mirrors one [`insphere_det`] line.
+/// [`orient_gather_pass1_avx2`] — every intrinsic mirrors one [`insphere_det`] line.
+/// The leftover lanes (< 4) run the scalar loop itself.
+///
+/// # Safety
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn insphere_pass1_avx2(xs: &[f64], ys: &[f64], zs: &[f64], pe: &P3, dets: &mut [f64]) {
@@ -345,18 +297,6 @@ unsafe fn insphere_pass1_avx2(xs: &[f64], ys: &[f64], zs: &[f64], pe: &P3, dets:
     insphere_pass1(&xs[4 * l..], &ys[4 * l..], &zs[4 * l..], pe, &mut dets[l..]);
 }
 
-/// Dispatch pass 1 of the orient batch to the widest available unit.
-#[inline]
-fn run_orient_pass1(xs: &[f64], ys: &[f64], zs: &[f64], pd: &P3, dets: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: feature presence checked on the line above.
-        unsafe { orient_pass1_avx2(xs, ys, zs, pd, dets) };
-        return;
-    }
-    orient_pass1(xs, ys, zs, pd, dets)
-}
-
 /// Dispatch pass 1 of the insphere batch to the widest available unit.
 #[inline]
 fn run_insphere_pass1(xs: &[f64], ys: &[f64], zs: &[f64], pe: &P3, dets: &mut [f64]) {
@@ -367,45 +307,6 @@ fn run_insphere_pass1(xs: &[f64], ys: &[f64], zs: &[f64], pe: &P3, dets: &mut [f
         return;
     }
     insphere_pass1(xs, ys, zs, pe, dets)
-}
-
-/// One 4-lane AVX2 block of [`orient_det`] over the faces of a tetrahedron;
-/// bit-identity argument as for [`orient_pass1_avx2`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn orient_batch4_avx2(tris: &[[P3; 3]; 4], pd: &P3, dets: &mut [f64; 4]) {
-    use core::arch::x86_64::*;
-    let pdx = _mm256_set1_pd(pd[0]);
-    let pdy = _mm256_set1_pd(pd[1]);
-    let pdz = _mm256_set1_pd(pd[2]);
-    let ld = |p: usize, c: usize| {
-        _mm256_set_pd(tris[3][p][c], tris[2][p][c], tris[1][p][c], tris[0][p][c])
-    };
-    let adx = _mm256_sub_pd(ld(0, 0), pdx);
-    let bdx = _mm256_sub_pd(ld(1, 0), pdx);
-    let cdx = _mm256_sub_pd(ld(2, 0), pdx);
-    let ady = _mm256_sub_pd(ld(0, 1), pdy);
-    let bdy = _mm256_sub_pd(ld(1, 1), pdy);
-    let cdy = _mm256_sub_pd(ld(2, 1), pdy);
-    let adz = _mm256_sub_pd(ld(0, 2), pdz);
-    let bdz = _mm256_sub_pd(ld(1, 2), pdz);
-    let cdz = _mm256_sub_pd(ld(2, 2), pdz);
-
-    let bdxcdy = _mm256_mul_pd(bdx, cdy);
-    let cdxbdy = _mm256_mul_pd(cdx, bdy);
-    let cdxady = _mm256_mul_pd(cdx, ady);
-    let adxcdy = _mm256_mul_pd(adx, cdy);
-    let adxbdy = _mm256_mul_pd(adx, bdy);
-    let bdxady = _mm256_mul_pd(bdx, ady);
-
-    let det = _mm256_add_pd(
-        _mm256_add_pd(
-            _mm256_mul_pd(adz, _mm256_sub_pd(bdxcdy, cdxbdy)),
-            _mm256_mul_pd(bdz, _mm256_sub_pd(cdxady, adxcdy)),
-        ),
-        _mm256_mul_pd(cdz, _mm256_sub_pd(adxbdy, bdxady)),
-    );
-    _mm256_storeu_pd(dets.as_mut_ptr(), det);
 }
 
 /// Stage-1 orient3d determinant for one lane — the exact operation sequence
@@ -470,57 +371,13 @@ fn insphere_det(pa: &P3, pb: &P3, pc: &P3, pd: &P3, pe: &P3) -> f64 {
     (dlift * abc - clift * dab) + (blift * cda - alift * bcd)
 }
 
-/// Batched staged orient3d over `n` lanes against a shared query point `pd`.
-///
-/// Lane `l` is the triangle `(a_l, b_l, c_l)` read from the SoA arrays at
-/// stride 3: point `j` of lane `l` lives at index `3*l + j` of `xs`/`ys`/
-/// `zs`. One determinant per lane is appended to `dets` (which is cleared
-/// first); each is bitwise what [`orient3d_staged`] returns for that lane.
-#[allow(clippy::too_many_arguments)]
-pub fn orient3d_batch(
-    b: &SemiStaticBounds,
-    st: &mut FilterStats,
-    bt: &mut BatchStats,
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    pd: &P3,
-    dets: &mut Vec<f64>,
-) {
-    let n = xs.len() / 3;
-    debug_assert_eq!(xs.len(), n * 3);
-    debug_assert!(ys.len() >= n * 3 && zs.len() >= n * 3);
-    dets.clear();
-    if n == 0 {
-        return;
-    }
-    bt.orient_batches += 1;
-    bt.orient_lanes += n as u64;
-    // Pass 1 — branch-free: every lane determinant, nothing else.
-    dets.resize(n, 0.0);
-    run_orient_pass1(xs, ys, zs, pd, dets);
-    // Pass 2 — classify: certified lanes keep their stage-1 determinant,
-    // the rest re-enter the scalar cascade (stage 1 fails there identically,
-    // so the counters tally exactly as an all-scalar run would).
-    for (l, d) in dets.iter_mut().enumerate() {
-        if *d > b.orient || -*d > b.orient {
-            st.orient_semi_static += 1;
-        } else {
-            bt.orient_fallbacks += 1;
-            let pa = lane_pt(xs, ys, zs, 3 * l);
-            let pb = lane_pt(xs, ys, zs, 3 * l + 1);
-            let pc = lane_pt(xs, ys, zs, 3 * l + 2);
-            *d = orient3d_staged(b, st, &pa, &pb, &pc, pd);
-        }
-    }
-}
-
-/// Gather-indexed variant of [`orient3d_batch`]: lane `l` is the triangle
-/// `(pts[idx[l][0]], pts[idx[l][1]], pts[idx[l][2]])` tested against `pd`.
-/// A caller that already holds its points in an indexable snapshot stages
-/// only three `u32` indices per lane instead of nine coordinates; the
-/// determinants (and the [`FilterStats`] bookkeeping) are exactly those of
-/// [`orient3d_batch`] over the dereferenced coordinates.
+/// Batched staged orient3d over `idx.len()` lanes against a shared query
+/// point `pd`: lane `l` is the triangle
+/// `(pts[idx[l][0]], pts[idx[l][1]], pts[idx[l][2]])`. A caller that holds
+/// its points in an indexable snapshot stages only three `u32` indices per
+/// lane instead of nine coordinates. One determinant per lane ends up in
+/// `dets` (which is cleared first); each is bitwise what [`orient3d_staged`]
+/// returns for that lane, and the [`FilterStats`] bookkeeping is the same.
 #[allow(clippy::too_many_arguments)]
 pub fn orient3d_batch_gather(
     b: &SemiStaticBounds,
@@ -539,7 +396,11 @@ pub fn orient3d_batch_gather(
     bt.orient_batches += 1;
     bt.orient_lanes += n as u64;
     dets.resize(n, 0.0);
+    // Pass 1 — branch-free: every lane determinant, nothing else.
     run_orient_gather_pass1(pts, idx, pd, dets);
+    // Pass 2 — classify: certified lanes keep their stage-1 determinant,
+    // the rest re-enter the scalar cascade (stage 1 fails there identically,
+    // so the counters tally exactly as an all-scalar run would).
     for l in 0..n {
         let det = dets[l];
         if det > b.orient || -det > b.orient {
@@ -559,11 +420,12 @@ pub fn orient3d_batch_gather(
     }
 }
 
-/// Fixed 4-lane variant of [`orient3d_batch`] with no heap buffers: the four
-/// faces of one tetrahedron tested against a shared query point, as in the
-/// point-location containment check. Lane `l` is the triangle
+/// Fixed 4-lane variant of [`orient3d_batch_gather`] with no heap buffers:
+/// the four faces of one tetrahedron tested against a shared query point, as
+/// in the point-location containment check. Lane `l` is the triangle
 /// `(tris[l][0], tris[l][1], tris[l][2])`; each entry of `dets` ends up
-/// bitwise what [`orient3d_staged`] returns for that lane.
+/// bitwise what [`orient3d_staged`] returns for that lane. Pass 1 is the
+/// gather pass over the twelve corners read as consecutive triangles.
 pub fn orient3d_batch4(
     b: &SemiStaticBounds,
     st: &mut FilterStats,
@@ -572,23 +434,10 @@ pub fn orient3d_batch4(
     pd: &P3,
     dets: &mut [f64; 4],
 ) {
+    const CONSECUTIVE: [[u32; 3]; 4] = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]];
     bt.orient_batches += 1;
     bt.orient_lanes += 4;
-    #[cfg(target_arch = "x86_64")]
-    let wide = std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    let wide = false;
-    if wide {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: feature presence checked on the line above.
-        unsafe {
-            orient_batch4_avx2(tris, pd, dets)
-        };
-    } else {
-        for l in 0..4 {
-            dets[l] = orient_det(&tris[l][0], &tris[l][1], &tris[l][2], pd);
-        }
-    }
+    run_orient_gather_pass1(tris.as_flattened(), &CONSECUTIVE, pd, dets);
     for l in 0..4 {
         let det = dets[l];
         if det > b.orient || -det > b.orient {
@@ -675,28 +524,30 @@ mod tests {
         SemiStaticBounds::for_box(&[0.0, 0.0, 0.0], &[1.0, 1.0, 1.0])
     }
 
+    /// Index table reading `pts` as consecutive triangles: lane `l` is
+    /// points `3l, 3l+1, 3l+2`.
+    fn consecutive_tris(n: usize) -> Vec<[u32; 3]> {
+        (0..n as u32)
+            .map(|l| [3 * l, 3 * l + 1, 3 * l + 2])
+            .collect()
+    }
+
     #[test]
     fn orient_batch_is_bitwise_scalar() {
         let b = unit_bounds();
         let mut next = rng(7);
         for wave in 0..64usize {
             let n = wave % (2 * BATCH_LANES + 1);
-            let (mut xs, mut ys, mut zs) = (Vec::new(), Vec::new(), Vec::new());
-            for _ in 0..3 * n {
-                xs.push(next());
-                ys.push(next());
-                zs.push(next());
-            }
+            let pts: Vec<P3> = (0..3 * n).map(|_| [next(), next(), next()]).collect();
+            let idx = consecutive_tris(n);
             let pd = [next(), next(), next()];
             let (mut st_b, mut st_s) = (FilterStats::default(), FilterStats::default());
             let mut bt = BatchStats::default();
             let mut dets = Vec::new();
-            orient3d_batch(&b, &mut st_b, &mut bt, &xs, &ys, &zs, &pd, &mut dets);
+            orient3d_batch_gather(&b, &mut st_b, &mut bt, &pts, &idx, &pd, &mut dets);
             assert_eq!(dets.len(), n);
             for l in 0..n {
-                let pa = [xs[3 * l], ys[3 * l], zs[3 * l]];
-                let pb = [xs[3 * l + 1], ys[3 * l + 1], zs[3 * l + 1]];
-                let pc = [xs[3 * l + 2], ys[3 * l + 2], zs[3 * l + 2]];
+                let (pa, pb, pc) = (pts[3 * l], pts[3 * l + 1], pts[3 * l + 2]);
                 let scalar = orient3d_staged(&b, &mut st_s, &pa, &pb, &pc, &pd);
                 assert_eq!(dets[l].to_bits(), scalar.to_bits(), "lane {l}");
             }
@@ -812,17 +663,21 @@ mod tests {
         let b = SemiStaticBounds::none();
         let mut st = FilterStats::default();
         let mut bt = BatchStats::default();
-        let xs = [0.0, 1.0, 0.0, 0.1, 0.9, 0.2];
-        let ys = [0.0, 0.0, 1.0, 0.1, 0.1, 0.8];
-        let zs = [0.0, 0.0, 0.0, 0.3, 0.3, 0.3];
+        let pts = [
+            [0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.1, 0.1, 0.3],
+            [0.9, 0.1, 0.3],
+            [0.2, 0.8, 0.3],
+        ];
         let mut dets = Vec::new();
-        orient3d_batch(
+        orient3d_batch_gather(
             &b,
             &mut st,
             &mut bt,
-            &xs,
-            &ys,
-            &zs,
+            &pts,
+            &consecutive_tris(2),
             &[0.2, 0.2, -1.0],
             &mut dets,
         );
@@ -865,7 +720,7 @@ mod tests {
         let b = unit_bounds();
         let (mut st, mut bt) = (FilterStats::default(), BatchStats::default());
         let mut dets = vec![1.0];
-        orient3d_batch(&b, &mut st, &mut bt, &[], &[], &[], &[0.0; 3], &mut dets);
+        orient3d_batch_gather(&b, &mut st, &mut bt, &[], &[], &[0.0; 3], &mut dets);
         assert!(dets.is_empty());
         let mut signs = vec![1i8];
         insphere_sos_batch(

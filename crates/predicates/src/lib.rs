@@ -30,8 +30,7 @@ pub mod primitives;
 pub mod staged;
 
 pub use batch::{
-    insphere_sos_batch, orient3d_batch, orient3d_batch4, orient3d_batch_gather, BatchStats,
-    BATCH_LANES,
+    insphere_sos_batch, orient3d_batch4, orient3d_batch_gather, BatchStats, BATCH_LANES,
 };
 pub use expansion::Expansion;
 pub use insphere::{insphere, insphere_exact, insphere_fast, insphere_sign, insphere_sos};

@@ -20,8 +20,8 @@
 
 use pi2m_predicates::{
     insphere_sign, insphere_sign_staged, insphere_sos, insphere_sos_batch, insphere_sos_staged,
-    orient3d_batch, orient3d_sign, orient3d_sign_staged, orient3d_staged, BatchStats, FilterStats,
-    SemiStaticBounds, BATCH_LANES,
+    orient3d_batch_gather, orient3d_sign, orient3d_sign_staged, orient3d_staged, BatchStats,
+    FilterStats, SemiStaticBounds, BATCH_LANES,
 };
 
 const N_COPLANAR_ORIENT: usize = 30_000;
@@ -407,7 +407,10 @@ fn batched_orient_agrees_on_coplanar_lattice_waves() {
     let (mut st_b, mut st_s) = (FilterStats::default(), FilterStats::default());
     let mut bt = BatchStats::default();
     let mut zeros = 0usize;
-    let (mut xs, mut ys, mut zs) = (Vec::new(), Vec::new(), Vec::new());
+    // lane `l` is the triangle at `pts[1 + 3l ..]` (`pts[0]` is the query)
+    let idx: Vec<[u32; 3]> = (0..BATCH_LANES as u32)
+        .map(|l| [1 + 3 * l, 2 + 3 * l, 3 + 3 * l])
+        .collect();
     let mut dets = Vec::new();
     for wave in 0..N_BATCH_ORIENT_WAVES {
         // one shared query point per wave, as in a cavity boundary round
@@ -416,9 +419,6 @@ fn batched_orient_agrees_on_coplanar_lattice_waves() {
             r.int(-1000, 1000) as f64,
             r.int(-1000, 1000) as f64,
         ];
-        xs.clear();
-        ys.clear();
-        zs.clear();
         let mut pts: Vec<[f64; 3]> = vec![pd];
         for lane in 0..BATCH_LANES {
             let mut tri = [[0.0f64; 3]; 3];
@@ -436,20 +436,13 @@ fn batched_orient_agrees_on_coplanar_lattice_waves() {
                 let k = r.below(3) as usize;
                 tri[2][k] += r.int(-1, 1) as f64;
             }
-            for p in tri {
-                xs.push(p[0]);
-                ys.push(p[1]);
-                zs.push(p[2]);
-                pts.push(p);
-            }
+            pts.extend(tri);
         }
         let b = bounds_for(&pts);
-        orient3d_batch(&b, &mut st_b, &mut bt, &xs, &ys, &zs, &pd, &mut dets);
+        orient3d_batch_gather(&b, &mut st_b, &mut bt, &pts, &idx, &pd, &mut dets);
         assert_eq!(dets.len(), BATCH_LANES);
         for l in 0..BATCH_LANES {
-            let pa = [xs[3 * l], ys[3 * l], zs[3 * l]];
-            let pb = [xs[3 * l + 1], ys[3 * l + 1], zs[3 * l + 1]];
-            let pc = [xs[3 * l + 2], ys[3 * l + 2], zs[3 * l + 2]];
+            let (pa, pb, pc) = (pts[1 + 3 * l], pts[2 + 3 * l], pts[3 + 3 * l]);
             let scalar = orient3d_staged(&b, &mut st_s, &pa, &pb, &pc, &pd);
             assert_eq!(
                 dets[l].to_bits(),
@@ -477,7 +470,10 @@ fn batched_orient_agrees_on_translated_ulp_waves() {
     let mut r = Rng(0x5eed_1002);
     let (mut st_b, mut st_s) = (FilterStats::default(), FilterStats::default());
     let mut bt = BatchStats::default();
-    let (mut xs, mut ys, mut zs) = (Vec::new(), Vec::new(), Vec::new());
+    // lane `l` is the triangle at `pts[1 + 3l ..]` (`pts[0]` is the query)
+    let idx: Vec<[u32; 3]> = (0..BATCH_LANES as u32)
+        .map(|l| [1 + 3 * l, 2 + 3 * l, 3 + 3 * l])
+        .collect();
     let mut dets = Vec::new();
     for wave in 0..N_BATCH_ORIENT_WAVES {
         let shift = [
@@ -486,9 +482,6 @@ fn batched_orient_agrees_on_translated_ulp_waves() {
             1e6 * (1.0 + r.f01()),
         ];
         let pd = [r.f01() + shift[0], r.f01() + shift[1], r.f01() + shift[2]];
-        xs.clear();
-        ys.clear();
-        zs.clear();
         let mut pts: Vec<[f64; 3]> = vec![pd];
         for lane in 0..BATCH_LANES {
             let mut tri = [[0.0f64; 3]; 3];
@@ -512,19 +505,12 @@ fn batched_orient_agrees_on_translated_ulp_waves() {
                     }
                 }
             }
-            for p in tri {
-                xs.push(p[0]);
-                ys.push(p[1]);
-                zs.push(p[2]);
-                pts.push(p);
-            }
+            pts.extend(tri);
         }
         let b = bounds_for(&pts);
-        orient3d_batch(&b, &mut st_b, &mut bt, &xs, &ys, &zs, &pd, &mut dets);
+        orient3d_batch_gather(&b, &mut st_b, &mut bt, &pts, &idx, &pd, &mut dets);
         for l in 0..BATCH_LANES {
-            let pa = [xs[3 * l], ys[3 * l], zs[3 * l]];
-            let pb = [xs[3 * l + 1], ys[3 * l + 1], zs[3 * l + 1]];
-            let pc = [xs[3 * l + 2], ys[3 * l + 2], zs[3 * l + 2]];
+            let (pa, pb, pc) = (pts[1 + 3 * l], pts[2 + 3 * l], pts[3 + 3 * l]);
             let scalar = orient3d_staged(&b, &mut st_s, &pa, &pb, &pc, &pd);
             assert_eq!(dets[l].to_bits(), scalar.to_bits(), "wave {wave} lane {l}");
             assert_eq!(

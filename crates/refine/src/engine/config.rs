@@ -49,31 +49,16 @@ pub struct MesherConfig {
     /// engine's own named sites.
     pub faults: Option<Arc<FaultPlan>>,
     /// Always-on concurrency flight recorder (per-worker SPSC event rings).
-    /// Can also be killed at runtime with `PI2M_FLIGHT=0`.
     pub flight: bool,
-    /// Batched SoA kernel path: wide-lane predicate filters, SoA cavity
-    /// staging, and the batched EDT row sweep. Result-identical to the scalar
-    /// path (bit-for-bit at one thread); exists as a performance mode with a
-    /// kill switch. Can also be killed at runtime with `PI2M_BATCH=0`
-    /// (mirroring `--no-batch`).
-    pub batch: bool,
     /// Per-worker ring capacity in events (rounded up to a power of two).
     pub flight_capacity: usize,
     /// Live telemetry tap: emit one JSONL heartbeat line to stderr every
-    /// this-many seconds while refinement runs. `PI2M_LIVE` also enables it.
+    /// this-many seconds while refinement runs.
     pub live: Option<f64>,
     /// This run is the seam-stitch pass of a sharded run: the worker loop
     /// additionally consults the `shard.stitch` fault site. Set by the shard
     /// orchestrator only.
     pub shard_stitch: bool,
-}
-
-impl MesherConfig {
-    /// Effective batched-path switch: the config flag gated by the
-    /// `PI2M_BATCH=0` runtime kill switch (same pattern as `PI2M_FLIGHT`).
-    pub fn batch_runtime_enabled(&self) -> bool {
-        self.batch && std::env::var("PI2M_BATCH").map_or(true, |v| v != "0")
-    }
 }
 
 impl Default for MesherConfig {
@@ -94,7 +79,6 @@ impl Default for MesherConfig {
             max_operations: 0,
             faults: None,
             flight: true,
-            batch: true,
             flight_capacity: DEFAULT_RING_CAPACITY,
             live: None,
             shard_stitch: false,
@@ -122,15 +106,4 @@ pub struct MeshOutput {
     pub flight: Vec<FlightEvent>,
     /// Events lost to ring overwrites (rings keep the newest window).
     pub flight_dropped: u64,
-}
-
-/// `PI2M_LIVE=1` (or `=true`) enables the live tap at 1 Hz; any positive
-/// number is an interval in seconds; anything else disables it.
-pub(crate) fn live_interval_from_env() -> Option<f64> {
-    let v = std::env::var("PI2M_LIVE").ok()?;
-    let v = v.trim();
-    if v.eq_ignore_ascii_case("true") {
-        return Some(1.0);
-    }
-    v.parse::<f64>().ok().filter(|s| *s > 0.0)
 }

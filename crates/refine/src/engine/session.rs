@@ -12,7 +12,7 @@
 //! a cooperative [`CancelToken`] between stages, inside the EDT scan passes,
 //! and at every worker loop boundary.
 
-use super::config::{live_interval_from_env, MeshOutput, MesherConfig};
+use super::config::{MeshOutput, MesherConfig};
 use super::op::RegionMap;
 use super::pool::WorkerPool;
 use super::stage::{Stage, StageCallback, StageReporter};
@@ -209,12 +209,11 @@ pub(crate) fn run_pipeline(
     let t_edt = Instant::now();
     let ft = {
         let _g = phases.span(Stage::Edt.phase_name());
-        pi2m_edt::try_surface_feature_transform_opts(
+        pi2m_edt::try_surface_feature_transform_obs(
             &img,
             cfg.threads,
             Some(&mut pipeline_rec),
             Some(&cancel),
-            cfg.batch_runtime_enabled(),
         )
         .map_err(|_| RefineError::Cancelled)?
     };
@@ -297,11 +296,10 @@ pub(crate) fn run_pipeline(
     // overhead traces and worker events) and the run origin, so all exported
     // timelines share one time base.
     let sync_origin = phases.now();
-    let flight_enabled = cfg.flight && std::env::var("PI2M_FLIGHT").map_or(true, |v| v != "0");
     // A warm recorder's clock starts at *its* creation, which may be runs
     // ago. Note where this run's origin sits on the recorder clock so
     // drained events can be re-based onto the run clock.
-    let (flight_rec, mut flight_cursors, flight_base) = if flight_enabled {
+    let (flight_rec, mut flight_cursors, flight_base) = if cfg.flight {
         let (rec, cursors) = pool.checkout_flight(cfg.threads, cfg.flight_capacity);
         let base = rec.now_ns() as i128 - (phases.now() * 1e9) as i128;
         sync.set_flight(Arc::clone(&rec));
@@ -309,7 +307,6 @@ pub(crate) fn run_pipeline(
     } else {
         (None, Vec::new(), 0i128)
     };
-    let live_interval = cfg.live.or_else(live_interval_from_env);
 
     // Seed: the initial box cells go to the main thread's PEL (paper §4.4:
     // "only the main thread might have a non-empty PEL").
@@ -351,12 +348,10 @@ pub(crate) fn run_pipeline(
         let done_rx = pool.dispatch(&state);
         // Live telemetry tap: a sampler thread drains the rings
         // incrementally and prints one JSONL heartbeat per interval.
-        let tap = live_interval
-            .zip(flight_rec.clone())
-            .map(|(interval, rec)| {
-                let st = Arc::clone(&state);
-                std::thread::spawn(move || live_tap(&rec, &st.sync, interval))
-            });
+        let tap = cfg.live.zip(flight_rec.clone()).map(|(interval, rec)| {
+            let st = Arc::clone(&state);
+            std::thread::spawn(move || live_tap(&rec, &st.sync, interval))
+        });
         for _ in 0..cfg.threads {
             // The pool thread's own catch_unwind boundaries make this recv
             // infallible for any panic raised inside the worker loop itself.

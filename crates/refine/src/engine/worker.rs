@@ -119,7 +119,6 @@ pub(crate) fn worker(
     if let Some(rec) = env.sync.flight() {
         ctx.set_flight(rec.handle(tid));
     }
-    ctx.set_batch(env.cfg.batch_runtime_enabled());
     let t_spawn = env.sync.now();
 
     let mut iteration = 0u32;

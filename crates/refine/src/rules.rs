@@ -78,7 +78,7 @@ pub struct InsertAction {
 }
 
 /// Shared rule evaluator. Immutable apart from its circumsphere table, a
-/// cache that any thread may fill (see [`crate::spheres`]).
+/// cache that any thread may fill (see the private `spheres` module).
 pub struct Rules {
     pub cfg: RuleConfig,
     pub oracle: Arc<IsosurfaceOracle>,

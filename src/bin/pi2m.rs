@@ -6,7 +6,7 @@
 //!             [--no-removals] [--size S] [--off out.off] [--stats]
 //!             [--report run.json] [--trace-out trace.json] [--metrics]
 //!             [--audit] [--live[=INTERVAL]] [--contention-out c.json]
-//!             [--no-flight] [--no-batch] [--force] [--deadline DUR]
+//!             [--no-flight] [--force] [--deadline DUR]
 //!             [--shards AxBxC [--halo N]]
 //!             (a run killed by --deadline still writes its --report /
 //!             --contention-out / --trace-out artifacts; --shards meshes
@@ -26,9 +26,6 @@
 //!             [--parent-commit HASH --parent-insertion OPS_PER_SEC
 //!              [--parent-removal OPS_PER_SEC]]  kernel benchmark harness;
 //!             --check also gates removal ops/s >= insertion ops/s / 8
-//! pi2m bench --scaling [--quick] [--threads 1,2,4,8,16]
-//!             [--out scaling.json] [--check earlier-scaling.json]
-//!             [--tolerance 0.25]               strong-scaling record
 //! pi2m analyze <artifact.json> [new.json]      offline artifact inspection:
 //!             one file renders its attribution/hot-spot summary; two files
 //!             diff the runs and attribute the regression to a waste category
@@ -117,7 +114,6 @@ struct MeshOpts {
     live: Option<f64>,
     trace: bool,
     flight: bool,
-    batch: bool,
     faults: Option<Arc<pi2m::faults::FaultPlan>>,
 }
 
@@ -193,7 +189,6 @@ fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
         // per-episode overhead events are needed for the Chrome trace
         trace: args.flags.contains_key("trace-out"),
         flight: !args.switches.contains("no-flight"),
-        batch: !args.switches.contains("no-batch"),
         faults,
     })
 }
@@ -210,7 +205,6 @@ fn config_for(o: &MeshOpts, img: &LabeledImage) -> MesherConfig {
         topology: pi2m::refine::MachineTopology::flat(o.threads),
         trace: o.trace,
         flight: o.flight,
-        batch: o.batch,
         live: o.live,
         ..Default::default()
     }
@@ -1059,10 +1053,6 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         KernelBenchOpts,
     };
 
-    if args.switches.contains("scaling") {
-        return cmd_bench_scaling(args);
-    }
-
     let opts = KernelBenchOpts {
         quick: args.switches.contains("quick"),
         seed: args
@@ -1134,14 +1124,6 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         report.flight.on.ops_per_sec(),
         report.flight.off.ops_per_sec(),
         report.flight.overhead_frac() * 100.0
-    );
-    println!(
-        "batch        insertion on {:.0} vs off {:.0} ops/s (x{:.2}, occupancy {:.2}, fallback {:.1}%)",
-        report.batch.on.ops_per_sec(),
-        report.batch.off.ops_per_sec(),
-        report.batch.speedup(),
-        report.batch.occupancy,
-        report.batch.fallback_rate * 100.0
     );
     println!(
         "session      warm {:.0} vs cold {:.0} runs/s (setup saving {:.1}%/run)",
@@ -1224,59 +1206,6 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
                   (one file: summary; two files: diff base -> new)"
             .into()),
     }
-}
-
-/// `pi2m bench --scaling`: run the refinement workload up a thread ladder
-/// over one warm session, print the speedup/efficiency table with the
-/// wall-time attribution, optionally write the record (`--out`) and/or gate
-/// parallel efficiency against an earlier one (`--check`).
-fn cmd_bench_scaling(args: &Args) -> Result<(), String> {
-    use pi2m_bench::scaling::{
-        check_scaling_baseline, render_scaling_table, run_scaling_bench, ScalingBenchOpts,
-    };
-
-    let threads = args
-        .flags
-        .get("threads")
-        .map(|v| -> Result<Vec<usize>, String> {
-            v.split(',')
-                .map(|t| t.trim().parse().map_err(|_| format!("bad --threads '{v}'")))
-                .collect()
-        })
-        .transpose()?;
-    let opts = ScalingBenchOpts {
-        quick: args.switches.contains("quick"),
-        threads,
-        ..Default::default()
-    };
-    let mode = if opts.quick { "quick" } else { "full" };
-    eprintln!("running strong-scaling benchmark ({mode})...");
-    let report = run_scaling_bench(opts);
-    print!("{}", render_scaling_table(&report));
-
-    if let Some(out) = args.flags.get("out") {
-        std::fs::write(out, report.to_json_string() + "\n")
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
-        eprintln!("wrote {out}");
-    }
-
-    if let Some(baseline_path) = args.flags.get("check") {
-        let tolerance: f64 = args
-            .flags
-            .get("tolerance")
-            .map(|v| v.parse().map_err(|_| "bad --tolerance"))
-            .transpose()?
-            .unwrap_or(0.25);
-        let baseline = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("cannot read {baseline_path}: {e}"))?;
-        let lines = check_scaling_baseline(&report, &baseline, tolerance)
-            .map_err(|e| format!("scaling regression: {e}"))?;
-        for l in lines {
-            println!("check        {l}");
-        }
-        println!("check        OK (tolerance {:.0}%)", tolerance * 100.0);
-    }
-    Ok(())
 }
 
 /// `pi2m --version`: the crate version plus the versions of the two stable

@@ -22,12 +22,10 @@ pub const SWITCHES: &[&str] = &[
     "metrics",
     "audit",
     "quick",
-    "scaling",
     "reports",
     "live",
     "log",
     "no-flight",
-    "no-batch",
     "force",
     "keep-going",
     "version",
