@@ -17,8 +17,8 @@ pub struct IsosurfaceOracle {
     half_diag: f64,
 }
 
-/// One look at a query point: its label and the distance to its nearest
-/// surface voxel center. Every surface query about `p` starts from these
+/// One look at a query point: its label and the surface voxel nearest to
+/// the center of its voxel. Every surface query about `p` starts from these
 /// two reads, so a caller asking several (rule classification asks up to
 /// six about one circumcenter) probes once and passes the probe along.
 #[derive(Clone, Copy, Debug)]
@@ -26,22 +26,28 @@ pub struct SurfaceProbe {
     pub p: Point3,
     /// Label at `p` (background outside the image).
     pub label: Label,
-    /// Center of the surface voxel nearest to `p`; `None` when the image has
-    /// no surface at all.
+    /// Center of the surface voxel nearest to the center of `p`'s (clamped)
+    /// voxel; `None` when the image has no surface at all.
     site: Option<Point3>,
     /// Distance from `p` to `site` (infinite without one).
     site_dist: f64,
+    /// See [`SurfaceProbe::surface_distance_lower_bound`].
+    lower_bound: f64,
     half_diag: f64,
 }
 
 impl SurfaceProbe {
-    /// A cheap lower bound on the distance from `p` to the isosurface: the
-    /// distance to the nearest surface *voxel center* minus half a voxel
-    /// diagonal (the interface lies within that ball). Infinite when the
-    /// image has no surface.
+    /// A cheap lower bound on the distance from `p` to the isosurface:
+    /// `|c − q| − |p − c| − half_diag`, for `c` the center of `p`'s (clamped)
+    /// voxel and `q` its nearest surface voxel center. The feature transform
+    /// is exact at `c`, every interface point lies within half a voxel
+    /// diagonal of some surface voxel center, and `p` is `|p − c|` from `c`.
+    /// (Measuring from `p` to `q` instead can overshoot by up to a whole
+    /// voxel diagonal, since `q` is nearest to `c`, not to `p`.) Infinite
+    /// when the image has no surface.
     #[inline]
     pub fn surface_distance_lower_bound(&self) -> f64 {
-        (self.site_dist - self.half_diag).max(0.0)
+        self.lower_bound
     }
 
     /// The matching upper bound: some interface point lies within this
@@ -106,8 +112,8 @@ impl IsosurfaceOracle {
         self.img.is_inside(p)
     }
 
-    /// Probe `p`: its label and its nearest surface voxel (one image read
-    /// and one feature-transform read).
+    /// Probe `p`: its label and the surface voxel nearest to its voxel (one
+    /// image read and one feature-transform read).
     pub fn probe(&self, p: Point3) -> SurfaceProbe {
         self.probe_labeled(p, self.label_at(p))
     }
@@ -115,12 +121,20 @@ impl IsosurfaceOracle {
     /// [`probe`](Self::probe) for a caller that already knows
     /// `label == self.label_at(p)`.
     pub fn probe_labeled(&self, p: Point3, label: Label) -> SurfaceProbe {
-        let site = self.ft.nearest_site_world(p);
+        let (site, site_dist, lower_bound) = match self.ft.voxel_and_site_world(p) {
+            Some((c, q)) => (
+                Some(q),
+                q.distance(p),
+                (c.distance(q) - c.distance(p) - self.half_diag).max(0.0),
+            ),
+            None => (None, f64::INFINITY, f64::INFINITY),
+        };
         SurfaceProbe {
             p,
             label,
             site,
-            site_dist: site.map_or(f64::INFINITY, |q| q.distance(p)),
+            site_dist,
+            lower_bound,
             half_diag: self.half_diag,
         }
     }
