@@ -16,6 +16,10 @@
 //! Each dimensional pass processes independent scan lines, so the passes
 //! parallelize embarrassingly; like the paper's EDT, throughput scales
 //! linearly with threads.
+//!
+//! The result is one `u32` site index per voxel (4 bytes a voxel), updated
+//! in place by all three passes; distances are recomputed from the site, to
+//! the bit, when asked for.
 
 mod transform;
 
