@@ -32,7 +32,10 @@
 //! Slots are 32 bytes and live in segments that double in size (4096 slots,
 //! 4096, 8192, …), each allocated when the first cell id in its range is
 //! looked up: at most `max(4096, 2 × cell-id high-water)` slots, with no
-//! ceiling on the id space and no lock on the lookup path.
+//! ceiling on the id space and no lock on the lookup path. A segment is
+//! allocated zeroed and never written up front (an all-zero slot is empty),
+//! so only the pages whose slots are used become resident: one id past a
+//! power of two costs a page, not the 4 MB segment it falls in.
 
 use pi2m_geometry::Point3;
 use pi2m_image::Label;
@@ -50,7 +53,6 @@ const READY: u64 = 2;
 const SEQ_ONE: u64 = 1 << 16;
 const SEQ_MASK: u64 = 0xffff << 16;
 
-#[derive(Default)]
 struct Slot {
     tag: AtomicU64,
     cc: [AtomicU64; 3],
@@ -79,7 +81,13 @@ impl SphereTable {
                 (base, base as usize)
             }
         };
-        let seg = self.segs[k].get_or_init(|| (0..len).map(|_| Slot::default()).collect());
+        let seg = self.segs[k].get_or_init(|| {
+            // SAFETY: a `Slot` is four `AtomicU64`s, and all-zero bytes are
+            // a valid `AtomicU64` (the value 0): an empty slot, tag 0. The
+            // allocator hands back zeroed pages without writing them, so a
+            // segment costs resident memory only where slots are touched.
+            unsafe { Box::<[Slot]>::new_zeroed_slice(len).assume_init() }
+        });
         &seg[(cell - base) as usize]
     }
 
