@@ -24,7 +24,11 @@ use crate::scratch::{KernelScratch, TestEntry};
 use pi2m_faults::{sites, Injected};
 use pi2m_geometry::TET_FACES;
 use pi2m_obs::flight::{cause as flight_cause, EventKind};
-use pi2m_predicates::{insphere_sos_batch, orient3d_batch_gather, BATCH_LANES};
+use pi2m_predicates::{insphere_sos_batch, orient3d_batch_gather, BATCH_LANES, MAX_WAVE_LANES};
+
+// `expand_cavity` starts a cell while its wave holds fewer than
+// `BATCH_LANES` lanes and then adds up to four.
+const _: () = assert!(BATCH_LANES - 1 + 4 <= MAX_WAVE_LANES);
 
 /// Key standing in for the point being inserted: it will receive the largest
 /// vertex id allocated so far, so it is "newest" relative to every vertex it
@@ -256,15 +260,15 @@ impl OpCtx<'_> {
         // retriangulating would leave it dangling inside a new cell (possible
         // only for exotic cospherical configurations where the perturbed
         // triangulation "hides" an old vertex). Skip such insertions.
-        s.on_boundary.clear();
+        s.on_boundary.begin();
         for bf in &s.bfaces {
             for u in bf.verts {
-                s.on_boundary.insert(u.0);
+                s.on_boundary.mark(u);
             }
         }
         for vs in &s.cav_verts {
-            for v in vs {
-                if !s.on_boundary.contains(&v.0) {
+            for &v in vs {
+                if !s.on_boundary.contains(v) {
                     return Err(OpError::Degenerate);
                 }
             }
@@ -420,7 +424,8 @@ impl OpCtx<'_> {
             s.soa_keys.clear();
             // Stage a wave. A cell's four faces are never split across
             // waves: the inner loop finishes the cell even if the wave
-            // overshoots the target width by up to three lanes.
+            // overshoots the target width by up to three lanes, which
+            // `MAX_WAVE_LANES` (the batch's stack buffer) allows for.
             while *qi < s.cavity.len() && s.wave_cells.len() < BATCH_LANES {
                 let neis = s.cav_neis[*qi];
                 *qi += 1;

@@ -71,16 +71,27 @@ impl Vertex {
     /// Try to acquire the vertex lock for thread `tid`. Returns `Ok(true)` if
     /// newly acquired, `Ok(false)` if already held by `tid`, `Err(owner)` if
     /// held by another thread.
+    ///
+    /// A cavity touches most of its vertices several times, so the re-lock
+    /// is the common case, and it costs a plain load: only `tid` ever stores
+    /// `tid + 1`, and a thread never reads a value older than its own last
+    /// store, so reading `tid + 1` means `tid` holds the lock. Anything else
+    /// goes to the one compare-exchange, which then cannot see `tid + 1`.
     #[inline]
     pub fn try_lock(&self, tid: u32) -> Result<bool, u32> {
         let me = tid + 1;
+        if self.lock.load(Ordering::Relaxed) == me {
+            return Ok(false);
+        }
         match self
             .lock
             .compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed)
         {
             Ok(_) => Ok(true),
-            Err(cur) if cur == me => Ok(false),
-            Err(cur) => Err(cur - 1),
+            Err(cur) => {
+                debug_assert_ne!(cur, me, "lock word names us but the load missed it");
+                Err(cur - 1)
+            }
         }
     }
 

@@ -225,6 +225,51 @@ impl EdgeTable {
     }
 }
 
+/// Epoch-stamped vertex set (the orphan guard of an insertion): one `u32`
+/// per vertex id, holding the epoch of the last operation that marked it.
+/// `begin` empties the set in O(1) by bumping the epoch, as in
+/// [`TestTable`]; membership is one indexed load, no hashing.
+#[derive(Default)]
+pub(crate) struct VertexMarks {
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl VertexMarks {
+    /// Start a new operation: previous marks become stale in O(1).
+    pub(crate) fn begin(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    #[inline]
+    pub(crate) fn mark(&mut self, v: VertexId) {
+        let i = v.0 as usize;
+        if i >= self.stamps.len() {
+            self.grow(i);
+        }
+        self.stamps[i] = self.epoch;
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, v: VertexId) -> bool {
+        self.stamps.get(v.0 as usize) == Some(&self.epoch)
+    }
+
+    /// Cover id `i`, doubling so a growing mesh resizes O(log n) times.
+    #[cold]
+    fn grow(&mut self, i: usize) {
+        self.stamps.resize((i + 1).next_power_of_two().max(256), 0);
+    }
+
+    pub(crate) fn footprint(&self) -> usize {
+        self.stamps.capacity()
+    }
+}
+
 /// Upper bound on pooled result buffers kept per context (an operation plus
 /// the engine's in-flight results never hold more than a couple at once).
 const SPARE_CAP: usize = 8;
@@ -260,7 +305,7 @@ pub struct KernelScratch {
     /// Coplanar-repair work list.
     pub(crate) forced: Vec<CellId>,
     /// Orphan-guard vertex set.
-    pub(crate) on_boundary: FxHashSet<u32>,
+    pub(crate) on_boundary: VertexMarks,
     /// New-cell neighbor table (commit phase).
     pub(crate) neis: Vec<[CellId; 4]>,
 
@@ -443,7 +488,7 @@ impl KernelScratch {
         self.cavity.capacity()
             + self.bfaces.capacity()
             + self.forced.capacity()
-            + self.on_boundary.capacity()
+            + self.on_boundary.footprint()
             + self.neis.capacity()
             + self.wave_cells.capacity()
             + self.wave_verts.capacity()

@@ -37,10 +37,18 @@
 use crate::orient::P3;
 use crate::staged::{insphere_sos_staged, orient3d_staged, FilterStats, SemiStaticBounds};
 
-/// Preferred wave width for callers staging lanes. Purely advisory — the
-/// batch entry points accept any lane count — but waves near this size
+/// Preferred wave width for callers staging lanes: waves near this size
 /// amortize the classification pass without growing the gather buffers.
+/// [`orient3d_batch_gather`] accepts any lane count; [`insphere_sos_batch`]
+/// accepts up to [`MAX_WAVE_LANES`].
 pub const BATCH_LANES: usize = 16;
+
+/// Widest insphere wave: a caller that stops staging once it holds
+/// [`BATCH_LANES`] lanes, but never splits one cavity cell's four
+/// neighbours across two waves, overshoots by at most three.
+/// [`insphere_sos_batch`] keeps its determinants in a stack buffer this
+/// wide, so a wave never touches the heap.
+pub const MAX_WAVE_LANES: usize = BATCH_LANES + 3;
 
 /// Occupancy and fallback accounting for the batched filters. Plain
 /// integers, one per worker, drained into the observability layer alongside
@@ -458,6 +466,9 @@ pub fn orient3d_batch4(
 /// identical to what [`insphere_sos_staged`] returns for that lane: a lane
 /// certified by the semi-static bound has `det != 0`, so its sign is the
 /// determinant's sign and the SoS cascade is provably not consulted.
+///
+/// # Panics
+/// If the wave is wider than [`MAX_WAVE_LANES`].
 #[allow(clippy::too_many_arguments)]
 pub fn insphere_sos_batch(
     b: &SemiStaticBounds,
@@ -471,6 +482,10 @@ pub fn insphere_sos_batch(
     signs: &mut Vec<i8>,
 ) {
     let n = keys.len();
+    assert!(
+        n <= MAX_WAVE_LANES,
+        "insphere wave of {n} lanes, wider than MAX_WAVE_LANES"
+    );
     debug_assert!(xs.len() >= n * 4 && ys.len() >= n * 4 && zs.len() >= n * 4);
     signs.clear();
     if n == 0 {
@@ -479,14 +494,8 @@ pub fn insphere_sos_batch(
     bt.insphere_batches += 1;
     bt.insphere_lanes += n as u64;
     // Pass 1 — branch-free lane determinants.
-    let mut dets = [0.0f64; BATCH_LANES];
-    let mut det_spill;
-    let det_buf: &mut [f64] = if n <= BATCH_LANES {
-        &mut dets[..n]
-    } else {
-        det_spill = vec![0.0f64; n];
-        &mut det_spill
-    };
+    let mut dets = [0.0f64; MAX_WAVE_LANES];
+    let det_buf = &mut dets[..n];
     run_insphere_pass1(xs, ys, zs, pe, det_buf);
     // Pass 2 — classify.
     signs.reserve(n);
@@ -560,7 +569,7 @@ mod tests {
         let b = unit_bounds();
         let mut next = rng(99);
         for wave in 0..64usize {
-            let n = wave % (BATCH_LANES + 3);
+            let n = wave % (MAX_WAVE_LANES + 1);
             let (mut xs, mut ys, mut zs) = (Vec::new(), Vec::new(), Vec::new());
             let mut keys = Vec::new();
             for l in 0..n {
@@ -589,6 +598,24 @@ mod tests {
             }
             assert_eq!(st_b, st_s, "filter counters must be mode-independent");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than MAX_WAVE_LANES")]
+    fn insphere_wave_wider_than_the_stack_buffer_is_refused() {
+        let n = MAX_WAVE_LANES + 1;
+        let coords = vec![0.5; 4 * n];
+        insphere_sos_batch(
+            &unit_bounds(),
+            &mut FilterStats::default(),
+            &mut BatchStats::default(),
+            &coords,
+            &coords,
+            &coords,
+            &[0.0; 3],
+            &vec![[0, 1, 2, 3, u64::MAX]; n],
+            &mut Vec::new(),
+        );
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod staged;
 
 pub use batch::{
     insphere_sos_batch, orient3d_batch4, orient3d_batch_gather, BatchStats, BATCH_LANES,
+    MAX_WAVE_LANES,
 };
 pub use expansion::Expansion;
 pub use insphere::{insphere, insphere_exact, insphere_fast, insphere_sign, insphere_sos};
