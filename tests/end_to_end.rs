@@ -28,11 +28,11 @@ fn sphere_quality_and_fidelity_guarantees() {
     assert!(!out.stats.livelock);
     let q = mesh_quality(&out.mesh);
     assert!(q.num_tets > 300, "{} tets", q.num_tets);
-    // Paper: radius-edge ≤ 2 up to numerical error. Allow a thin tail.
+    // Paper: radius-edge ≤ 2 up to numerical error, for every element.
     assert!(
-        q.over_bound_fraction < 0.05,
-        "too many elements over the radius-edge bound: {:.3}",
-        q.over_bound_fraction
+        q.max_radius_edge <= 2.0 + 1e-9,
+        "radius-edge {} over the bound",
+        q.max_radius_edge
     );
     // Fidelity: Hausdorff within a few δ (Theorem 1: O(δ²) geometric error
     // but voxelized surfaces bound it by voxel scale).

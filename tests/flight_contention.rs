@@ -2,11 +2,13 @@
 //! analyzer on real meshing runs. Structural invariants only — never float
 //! values or exact counts, which vary with thread interleaving.
 
+use pi2m::faults::{sites, FaultPlan};
 use pi2m::image::phantoms;
 use pi2m::obs::flight::EventKind;
 use pi2m::obs::json;
 use pi2m::obs::{analyze, AnalyzeOpts, RunReport};
 use pi2m::refine::{BalancerKind, CmKind, MachineTopology, Mesher, MesherConfig};
+use std::sync::Arc;
 
 const CONTENTION_KEYS: &[&str] = &[
     "total_events",
@@ -24,12 +26,22 @@ const CONTENTION_KEYS: &[&str] = &[
 ];
 
 fn run(threads: usize, cm: CmKind, res: usize) -> pi2m::refine::MeshOutput {
+    run_with(threads, cm, res, None)
+}
+
+fn run_with(
+    threads: usize,
+    cm: CmKind,
+    res: usize,
+    faults: Option<FaultPlan>,
+) -> pi2m::refine::MeshOutput {
     let cfg = MesherConfig {
         delta: 2.0,
         threads,
         cm,
         balancer: BalancerKind::Rws,
         topology: MachineTopology::flat(threads),
+        faults: faults.map(Arc::new),
         ..Default::default()
     };
     Mesher::new(phantoms::sphere(res, 1.0), cfg).run()
@@ -114,8 +126,18 @@ fn two_thread_run_produces_golden_contention_structure() {
 /// contention-analysis work).
 #[test]
 fn four_thread_run_attributes_rollbacks() {
-    // Aggressive CM on a small sphere: maximal speculative contention.
-    let out = run(4, CmKind::Aggressive, 20);
+    // Aggressive CM on a small sphere: maximal speculative contention. On
+    // two cores the four workers may still never collide, so a seeded plan
+    // also denies every 400th lock acquisition (a few times per run): an
+    // injected denial rolls back through the same path as a real conflict
+    // and names the vertex it was taking, so every schedule has rollbacks
+    // to attribute.
+    let plan = FaultPlan::parse(
+        42,
+        &format!("site={},kind=deny,every=400,count=6", sites::LOCK_ACQUIRE),
+    )
+    .unwrap();
+    let out = run_with(4, CmKind::Aggressive, 20, Some(plan));
     assert!(
         out.stats.total_rollbacks() > 0,
         "no contention generated — test workload too easy"
