@@ -251,6 +251,7 @@ macro_rules! segmented_pool {
             /// Number of slots ever reserved (high-water mark). Cell slots
             /// are reserved a chunk at a time, so the tail of this range may
             /// never have been activated: such slots are dead at generation 0.
+            /// Every id below it may be passed to `get`, from any thread.
             #[inline]
             pub fn len(&self) -> usize {
                 self.len.load(Ordering::Acquire) as usize
@@ -295,11 +296,26 @@ macro_rules! segmented_pool {
             /// and reuses them from there.) Each pool is only ever bumped by
             /// one `n` — 1 for vertices, `CELL_CHUNK` for cells — which
             /// divides `SEG_SIZE`, so the run lies within one segment.
+            ///
+            /// The segment is allocated before the length is raised past
+            /// the run, so every id below [`len`](Self::len) is backed by
+            /// memory: a reader that samples ids below it (a walk restarting
+            /// from a random cell) never meets a segment still being built.
             fn bump(&self, n: u32) -> u32 {
-                let id = self.len.fetch_add(n, Ordering::AcqRel);
-                assert!(id < NONE - n, "pool id space exhausted");
-                self.ensure_segment((id >> SEG_SHIFT) as usize);
-                id
+                let mut id = self.len.load(Ordering::Acquire);
+                loop {
+                    assert!(id < NONE - n, "pool id space exhausted");
+                    self.ensure_segment((id >> SEG_SHIFT) as usize);
+                    match self.len.compare_exchange_weak(
+                        id,
+                        id + n,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    ) {
+                        Ok(_) => return id,
+                        Err(cur) => id = cur,
+                    }
+                }
             }
 
             /// Best-effort prefetch of the element's cache line into L1.
