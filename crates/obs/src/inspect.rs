@@ -187,6 +187,9 @@ pub struct Artifact {
     /// artifact does not carry the counter (it predates `classify_stale`, or
     /// no pop was stale: zero counters are not written).
     pub classify_stale: Option<u64>,
+    /// Dead PEL entries dropped without being popped (`pel_pruned`; 0 when
+    /// the artifact does not carry the counter).
+    pub pel_pruned: u64,
     /// The per-job lifecycle view, when the artifact is a job trace.
     pub trace: Option<TraceInfo>,
 }
@@ -314,6 +317,7 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
             ops_total: 0,
             classify_calls: 0,
             classify_stale: None,
+            pel_pruned: 0,
             trace: Some(trace),
         });
     }
@@ -377,6 +381,7 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
             classify_stale: counters
                 .and_then(|c| c.get("classify_stale"))
                 .map(|_| cnt("classify_stale")),
+            pel_pruned: cnt("pel_pruned"),
             shard: j.get("shard").map(|s| ShardInfo {
                 grid: s
                     .get("grid")
@@ -427,6 +432,7 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
             ops_total: 0,
             classify_calls: 0,
             classify_stale: None,
+            pel_pruned: 0,
             trace: None,
         })
     } else {
@@ -679,7 +685,7 @@ pub fn render_summary(art: &Artifact) -> String {
         let _ = match art.classify_stale {
             Some(stale) => {
                 let live = art.classify_calls.saturating_sub(stale);
-                writeln!(
+                write!(
                     out,
                     "classify: {} PEL pops ({:.1}/op): {} stale ({:.1}%), {} live ({:.1}/op)",
                     art.classify_calls,
@@ -690,13 +696,18 @@ pub fn render_summary(art: &Artifact) -> String {
                     per_op(live)
                 )
             }
-            None => writeln!(
+            None => write!(
                 out,
                 "classify: {} PEL pops ({:.1}/op), stale share not recorded",
                 art.classify_calls,
                 per_op(art.classify_calls)
             ),
         };
+        // pruned entries were never popped: they are not in the pop count
+        if art.pel_pruned > 0 {
+            let _ = write!(out, "; {} dead entries pruned unpopped", art.pel_pruned);
+        }
+        out.push('\n');
     }
     match &art.attribution {
         Some(a) => render_attribution(&mut out, a),
@@ -1143,7 +1154,19 @@ mod tests {
         assert_eq!((art.classify_calls, art.classify_stale), (2600, Some(1750)));
         let s = render_summary(&art);
         assert!(
-            s.contains("classify: 2600 PEL pops (26.0/op): 1750 stale (67.3%), 850 live (8.5/op)"),
+            s.contains(
+                "classify: 2600 PEL pops (26.0/op): 1750 stale (67.3%), 850 live (8.5/op)\n"
+            ),
+            "{s}"
+        );
+        // entries pruned from the PEL were never popped: named after the split
+        let art = load_artifact(&report(
+            r#""classify_calls": 2600, "classify_stale": 1750, "pel_pruned": 300"#,
+        ))
+        .unwrap();
+        let s = render_summary(&art);
+        assert!(
+            s.contains("850 live (8.5/op); 300 dead entries pruned unpopped\n"),
             "{s}"
         );
         // an artifact without the counter cannot tell "none stale" from

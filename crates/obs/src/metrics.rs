@@ -144,6 +144,8 @@ counters! {
     SCRATCH_SOA_POINTS   = ("scratch_soa_points", "points", "Points copied into SoA staging buffers across all gathers"),
     // PEL pops whose cell was already dead: counted in `classify_calls` too
     CLASSIFY_STALE       = ("classify_stale", "ops", "PEL pops discarded while draining, the element's cell having died or been recycled"),
+    // dead PEL entries dropped without a pop: not in `classify_calls`
+    PEL_PRUNED           = ("pel_pruned", "entries", "Dead PEL entries dropped by the owner before a push would grow its PEL; never popped"),
 }
 
 histograms! {

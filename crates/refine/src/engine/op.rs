@@ -13,14 +13,13 @@
 //!                   ↘ rejection → per-kind counters (quarantine / skip / block)
 //! ```
 
-use super::worker::{handle_created, Env};
+use super::worker::{handle_created, push_own, Env, PelEnd};
 use crate::stats::{OverheadKind, ThreadStats};
 use pi2m_delaunay::{CellId, InsertResult, OpCtx, OpError, RemoveResult, VertexId, VertexKind};
 use pi2m_faults::sites;
 use pi2m_geometry::Aabb;
 use pi2m_obs::flight::{cause as flight_cause, pack_owner_region, EventKind};
 use pi2m_obs::metrics::{self, ThreadRecorder};
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Duration → saturated u32 nanoseconds for a flight-event payload word.
@@ -121,12 +120,12 @@ pub(crate) trait SpeculativeOp {
     /// Post-commit hook running before created-cell handling (the insert op
     /// registers its new vertex in the proximity grid here, and requeues its
     /// element if the insertion left it standing).
-    fn after_commit(&self, env: &Env<'_>, tid: usize, res: &OpResult);
+    fn after_commit(&self, env: &Env<'_>, tid: usize, rec: &mut ThreadRecorder, res: &OpResult);
 
     /// Conflict disposition, after rollback accounting and before the
     /// contention manager is consulted: an insert requeues its still-poor
     /// element; a removal drops the victim (best effort).
-    fn on_conflict(&self, env: &Env<'_>, tid: usize);
+    fn on_conflict(&self, env: &Env<'_>, tid: usize, rec: &mut ThreadRecorder);
 
     /// Typed-rejection accounting (`Err` other than `Conflict`).
     fn count_rejected(&self, stats: &mut ThreadStats, err: &OpError);
@@ -145,11 +144,9 @@ pub(crate) struct InsertOp {
 }
 
 impl InsertOp {
-    /// Put the element back on `tid`'s PEL.
-    fn requeue(&self, env: &Env<'_>, tid: usize) {
-        env.pels[tid].lock().push_back((self.cid, self.gen));
-        env.counters[tid].fetch_add(1, Ordering::AcqRel);
-        env.sync.poor_added(1);
+    /// Put the element back on `tid`'s PEL, at `end`.
+    fn requeue(&self, env: &Env<'_>, tid: usize, rec: &mut ThreadRecorder, end: PelEnd) {
+        push_own(env, tid, rec, std::iter::once((self.cid, self.gen)), end);
     }
 }
 
@@ -183,7 +180,7 @@ impl SpeculativeOp for InsertOp {
         rec.observe(metrics::CAVITY_CELLS, res.killed_len() as f64);
     }
 
-    fn after_commit(&self, env: &Env<'_>, tid: usize, res: &OpResult) {
+    fn after_commit(&self, env: &Env<'_>, tid: usize, rec: &mut ThreadRecorder, res: &OpResult) {
         if let OpResult::Inserted(r) = res {
             env.rules.grid.insert(r.vertex, self.point);
         }
@@ -191,16 +188,18 @@ impl SpeculativeOp for InsertOp {
         // surface-center lies on the facet's Voronoi edge, which runs on
         // past the cell's own circumball into its neighbour's. The cell is
         // then still there, and whatever else is wrong with it (R3 is tried
-        // before R4) would never be looked at again.
+        // before R4) would never be looked at again. It goes on top, under
+        // the cells the insertion created.
         let cell = env.mesh.cell(CellId(self.cid));
         if cell.is_alive() && cell.gen() == self.gen {
-            self.requeue(env, tid);
+            self.requeue(env, tid, rec, PelEnd::Top);
         }
     }
 
-    fn on_conflict(&self, env: &Env<'_>, tid: usize) {
-        // the element is still poor: requeue it, then consult the CM
-        self.requeue(env, tid);
+    fn on_conflict(&self, env: &Env<'_>, tid: usize, rec: &mut ThreadRecorder) {
+        // the element is still poor: requeue it at the bottom, to be retried
+        // after the rest of the PEL, then consult the CM
+        self.requeue(env, tid, rec, PelEnd::Bottom);
         if let Some(f) = &env.cfg.faults {
             let _ = f.fire(sites::CM_ROLLBACK, tid as u32);
         }
@@ -258,9 +257,16 @@ impl SpeculativeOp for RemoveOp {
         stats.removals += 1;
     }
 
-    fn after_commit(&self, _env: &Env<'_>, _tid: usize, _res: &OpResult) {}
+    fn after_commit(
+        &self,
+        _env: &Env<'_>,
+        _tid: usize,
+        _rec: &mut ThreadRecorder,
+        _res: &OpResult,
+    ) {
+    }
 
-    fn on_conflict(&self, _env: &Env<'_>, _tid: usize) {
+    fn on_conflict(&self, _env: &Env<'_>, _tid: usize, _rec: &mut ThreadRecorder) {
         // best-effort: drop this victim
     }
 
@@ -319,8 +325,8 @@ pub(crate) fn run_op(
             );
             env.sync.note_progress(t_end);
             env.cm.on_success(tid);
-            op.after_commit(env, tid, &res);
-            handle_created(env, tid, stats, res.created());
+            op.after_commit(env, tid, rec, &res);
+            handle_created(env, tid, stats, rec, res.created());
             op.recycle(ctx, res);
             OpOutcome::Committed
         }
@@ -340,7 +346,7 @@ pub(crate) fn run_op(
             let at = env.cfg.trace.then(|| env.sync.now());
             stats.add_overhead(OverheadKind::Rollback, rolled, at);
             rec.observe(metrics::ROLLBACK_SECONDS, rolled);
-            op.on_conflict(env, tid);
+            op.on_conflict(env, tid, rec);
             let waited = env.cm.on_rollback(tid, owner as usize, env.sync);
             let at = env.cfg.trace.then(|| env.sync.now());
             stats.add_overhead(OverheadKind::Contention, waited, at);

@@ -30,8 +30,24 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One thread's Poor Element List: `(cell id, generation)` pairs.
+/// One thread's Poor Element List: `(cell id, generation)` pairs, used as a
+/// stack. A worker pops the newest entry, so the cells an insertion just
+/// created are classified while its cavity is still in cache; a requeue
+/// after a conflict goes to the bottom (see [`push_own`]).
 pub(crate) type Pel = Mutex<VecDeque<(u32, u32)>>;
+
+/// Which end of its owner's PEL an entry goes on.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum PelEnd {
+    /// Popped next: the cells an operation created, and a cell that
+    /// survived its own remedy.
+    Top,
+    /// Popped after everything queued now: an element whose operation
+    /// rolled back is retried after the rest of the stack, as a queue
+    /// retried it after the rest of the queue, so a contention manager that
+    /// retries at once does not hammer one hot spot.
+    Bottom,
+}
 
 /// The worker loop reads the clock (cancel deadline, livelock watchdog) on
 /// every this-many-th iteration. An iteration ends on at most one live
@@ -251,26 +267,86 @@ pub(crate) fn worker(
     *arena = ctx.take_scratch();
 }
 
-/// Pop `tid`'s PEL until the first entry whose cell is still alive at its
-/// generation, the PEL runs dry, or `budget` entries are gone — all under
-/// one hold of the PEL lock. Most entries are stale (the cell died, or its
-/// slot was recycled, while the element sat in the PEL) and cost one
-/// `flags`/`gen` read each. Returns how many entries were popped and the
-/// live one, if the batch ended on it.
+/// Pop `tid`'s PEL, newest first, until the first entry whose cell is still
+/// alive at its generation, the PEL runs dry, or `budget` entries are gone
+/// — all under one hold of the PEL lock. Many entries are stale (the cell
+/// died, or its slot was recycled, while the element sat in the PEL) and
+/// cost one `flags`/`gen` read each. Returns how many entries were popped
+/// and the live one, if the batch ended on it.
 fn pop_live(env: &Env<'_>, tid: usize, budget: u64) -> (u64, Option<(u32, u32)>) {
     let mut pel = env.pels[tid].lock();
     let mut popped = 0;
     while popped < budget {
-        let Some((cid, gen)) = pel.pop_front() else {
+        let Some((cid, gen)) = pel.pop_back() else {
             break;
         };
         popped += 1;
-        let cell = env.mesh.cell(CellId(cid));
-        if cell.is_alive() && cell.gen() == gen {
+        if is_live(env.mesh, cid, gen) {
             return (popped, Some((cid, gen)));
         }
     }
     (popped, None)
+}
+
+/// Whether a PEL entry's cell is still alive at the entry's generation. A
+/// cell that is not never will be again: a free bumps the generation.
+#[inline]
+fn is_live(mesh: &SharedMesh, cid: u32, gen: u32) -> bool {
+    let cell = mesh.cell(CellId(cid));
+    cell.is_alive() && cell.gen() == gen
+}
+
+/// Push `items` onto `tid`'s own PEL at `end`, and settle `counters[tid]`
+/// and `total_poor` after the push. Only the owner calls this, so only the
+/// owner prunes: a push that would grow the PEL first drops its dead
+/// entries (see [`prune`]), settled in the same two updates and counted in
+/// `pel_pruned`. A pruned entry is not a pop, so `classify_calls` and the
+/// `max_operations` cap never see it.
+pub(crate) fn push_own(
+    env: &Env<'_>,
+    tid: usize,
+    rec: &mut ThreadRecorder,
+    items: impl ExactSizeIterator<Item = (u32, u32)>,
+    end: PelEnd,
+) {
+    let n = items.len();
+    let pruned = {
+        let mut pel = env.pels[tid].lock();
+        let pruned = if pel.len() + n > pel.capacity() {
+            prune(&mut pel, env.mesh)
+        } else {
+            0
+        };
+        match end {
+            PelEnd::Top => pel.extend(items),
+            PelEnd::Bottom => items.for_each(|it| pel.push_front(it)),
+        }
+        pruned
+    };
+    let net = n as i64 - pruned as i64;
+    env.counters[tid].fetch_add(net, Ordering::AcqRel);
+    env.sync.poor_added(net);
+    if pruned > 0 {
+        rec.inc(metrics::PEL_PRUNED, pruned as u64);
+    }
+}
+
+/// Drop the entries whose cell is no longer alive at their generation —
+/// those a pop would discard as stale — keeping the rest in order, so what
+/// later pops return is unchanged. A newest-first PEL needs this: the
+/// oldest entries sit at the bottom until the run ends, and most of them die
+/// there. If more than half the capacity is still live afterwards, reserve
+/// room for as many again: the next prune is then at least half the
+/// capacity's pushes away, so pruning costs O(1) per push, amortized.
+/// Returns how many entries were dropped.
+fn prune(pel: &mut VecDeque<(u32, u32)>, mesh: &SharedMesh) -> usize {
+    let before = pel.len();
+    pel.retain(|&(cid, gen)| is_live(mesh, cid, gen));
+    let live = pel.len();
+    if 2 * live > pel.capacity() {
+        pel.reserve(live);
+    }
+    before - live
 }
 
 /// Drain the kernel's per-operation effort counters (walk, predicate
@@ -348,9 +424,7 @@ fn process_item(
                     pi2m_obs::flight::pack_owner_region(tid as u16, 0),
                     0,
                 );
-                env.pels[tid].lock().push_back((cid, gen));
-                env.counters[tid].fetch_add(1, Ordering::AcqRel);
-                env.sync.poor_added(1);
+                push_own(env, tid, rec, std::iter::once((cid, gen)), PelEnd::Bottom);
                 let waited = env.cm.on_rollback(tid, tid, env.sync);
                 let at = env.cfg.trace.then(|| env.sync.now());
                 stats.add_overhead(OverheadKind::Contention, waited, at);
@@ -446,11 +520,14 @@ pub(crate) fn worker_death_cleanup(env: &Env<'_>, tid: usize, rec: &mut ThreadRe
 }
 
 /// Enqueue newly created cells for (lazy) classification, donating to a
-/// beggar when this thread has enough work of its own (paper §4.4).
+/// beggar when this thread has enough work of its own (paper §4.4). Kept
+/// cells go on top of the own PEL in boundary-face order, so the last face's
+/// cell is classified first.
 pub(crate) fn handle_created(
     env: &Env<'_>,
     tid: usize,
     stats: &mut ThreadStats,
+    rec: &mut ThreadRecorder,
     created: &[CellId],
 ) {
     if created.is_empty() {
@@ -488,16 +565,13 @@ pub(crate) fn handle_created(
                 stats.inter_blade_donations += 1;
             }
         }
-        None => {
-            {
-                let mut pel = env.pels[tid].lock();
-                for &nc in created {
-                    pel.push_back((nc.0, env.mesh.cell(nc).gen()));
-                }
-            }
-            env.counters[tid].fetch_add(n, Ordering::AcqRel);
-            env.sync.poor_added(n);
-        }
+        None => push_own(
+            env,
+            tid,
+            rec,
+            created.iter().map(|&nc| (nc.0, env.mesh.cell(nc).gen())),
+            PelEnd::Top,
+        ),
     }
 }
 
@@ -576,4 +650,44 @@ fn sleep_until_done(sync: &EngineSync, interval: f64) -> bool {
         std::thread::sleep(Duration::from_millis(10));
     }
     sync.is_done()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pi2m_geometry::{Aabb, Point3};
+
+    /// A prune drops exactly the entries a pop would find dead, keeps the
+    /// rest in stack order, and leaves at least as many free slots as live
+    /// ones, so the next prune is that many pushes away.
+    #[test]
+    fn prune_drops_dead_entries_in_order_and_leaves_room() {
+        let mesh = SharedMesh::with_box(Aabb::new(Point3::ORIGIN, Point3::new(1.0, 1.0, 1.0)));
+        let entry = |c: CellId| (c.0, mesh.cell(c).gen());
+        let boxed: Vec<(u32, u32)> = mesh.alive_cells().map(entry).collect();
+        let res = mesh
+            .make_ctx(0)
+            .insert([0.3, 0.4, 0.5], VertexKind::Circumcenter)
+            .unwrap();
+        let created: Vec<(u32, u32)> = res.created.iter().map(|&c| entry(c)).collect();
+        let mut pel: VecDeque<(u32, u32)> = boxed.iter().chain(&created).copied().collect();
+        pel.shrink_to_fit();
+
+        let dropped = prune(&mut pel, &mesh);
+
+        assert_eq!(dropped, res.killed.len());
+        let want: Vec<(u32, u32)> = boxed
+            .iter()
+            .filter(|&&(cid, _)| !res.killed.iter().any(|&(k, _)| k.0 == cid))
+            .chain(&created)
+            .copied()
+            .collect();
+        assert_eq!(pel.iter().copied().collect::<Vec<_>>(), want);
+        assert!(
+            pel.capacity() >= 2 * pel.len(),
+            "{} of {}",
+            pel.len(),
+            pel.capacity()
+        );
+    }
 }

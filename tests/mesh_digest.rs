@@ -2,17 +2,15 @@
 //!
 //! At one thread the whole refinement trajectory is deterministic, so the
 //! final mesh of a fixed input is a fixed byte string. These tests pin that
-//! string down as an FNV-1a digest over point bits, tets and labels. The
-//! constants were recorded at commit `49867e6` with the since-deleted scalar
-//! kernel path (`MesherConfig { batch: false, .. }`) and matched by the
-//! wide-lane path there, so they certify that the one remaining path still
-//! builds the mesh the scalar cascade built. The one exception is
-//! `ABDOMINAL_NO_R6`, re-recorded when `SurfaceProbe`'s lower bound was made
-//! sound (it is now measured from the probed voxel's center). The new bound
-//! is never larger than the old, so it can only send a run through more
-//! exact surface queries; in that run it changed the mesh, not its tet count.
-//! An 8-thread run, which is schedule-dependent, is checked for soundness
-//! only.
+//! string down as an FNV-1a digest over point bits, tets and labels. All four
+//! constants were re-recorded together when each worker's Poor Element List
+//! became a stack popped newest-first: the same rules then refine the cells
+//! in another order and reach another valid mesh (sphere 180 → 175 tets,
+//! nested spheres 213 → 243, abdominal 68 461 → 69 002, abdominal without
+//! removals 74 917 → 75 948). Until then the constants dated from the
+//! since-deleted scalar kernel path, matched by the wide-lane path, and
+//! from `SurfaceProbe`'s sound lower bound. An 8-thread run, which is
+//! schedule-dependent, is checked for soundness only.
 //!
 //! A change that is *meant* to alter the one-thread trajectory (a new rule
 //! order, a different seed cell) re-records: run
@@ -117,7 +115,7 @@ fn eight_thread_run_passes_audit() {
 }
 
 // (tets, digest) of each one-thread mesh.
-const SPHERE: (usize, u64) = (180, 8_347_468_031_460_994_259);
-const NESTED: (usize, u64) = (213, 8_254_135_320_297_425_449);
-const ABDOMINAL: (usize, u64) = (68_461, 4_553_734_149_023_760_472);
-const ABDOMINAL_NO_R6: (usize, u64) = (74_917, 14_260_699_267_559_941_256);
+const SPHERE: (usize, u64) = (175, 14_001_920_152_023_682_725);
+const NESTED: (usize, u64) = (243, 16_465_528_889_559_617_128);
+const ABDOMINAL: (usize, u64) = (69_002, 8_444_794_587_823_299_559);
+const ABDOMINAL_NO_R6: (usize, u64) = (75_948, 17_538_651_729_930_776_129);
