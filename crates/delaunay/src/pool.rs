@@ -301,6 +301,8 @@ macro_rules! segmented_pool {
             /// the run, so every id below [`len`](Self::len) is backed by
             /// memory: a reader that samples ids below it (a walk restarting
             /// from a random cell) never meets a segment still being built.
+            /// The compare-exchange releases the segment pointer's store;
+            /// `len()`'s acquire load pairs with it.
             fn bump(&self, n: u32) -> u32 {
                 let mut id = self.len.load(Ordering::Acquire);
                 loop {

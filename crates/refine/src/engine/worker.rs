@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 pub(crate) type Pel = Mutex<VecDeque<(u32, u32)>>;
 
 /// Which end of its owner's PEL an entry goes on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy)]
 pub(crate) enum PelEnd {
     /// Popped next: the cells an operation created, and a cell that
     /// survived its own remedy.
