@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn similar_size_to_pi2m() {
-        use pi2m_refine::{Mesher, MesherConfig};
+        use pi2m_refine::{MesherConfig, MeshingSession};
         let img = phantoms::sphere(16, 1.0);
         let base = IsosurfaceBaseline::new(
             img.clone(),
@@ -195,15 +195,16 @@ mod tests {
             },
         )
         .run();
-        let pi2m = Mesher::new(
-            img,
-            MesherConfig {
-                delta: 2.0,
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .run();
+        let pi2m = MeshingSession::new(1)
+            .mesh(
+                img,
+                MesherConfig {
+                    delta: 2.0,
+                    threads: 1,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         let (a, b) = (base.mesh.num_tets() as f64, pi2m.mesh.num_tets() as f64);
         assert!((a - b).abs() / b < 0.5, "baseline {a} vs pi2m {b} elements");
     }

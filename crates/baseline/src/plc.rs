@@ -158,20 +158,21 @@ impl PlcBaseline {
 mod tests {
     use super::*;
     use pi2m_image::phantoms;
-    use pi2m_refine::{Mesher, MesherConfig};
+    use pi2m_refine::{MesherConfig, MeshingSession};
 
     #[test]
     fn fills_a_recovered_surface() {
         let img = phantoms::sphere(16, 1.0);
-        let pi2m = Mesher::new(
-            img,
-            MesherConfig {
-                delta: 2.0,
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .run();
+        let pi2m = MeshingSession::new(1)
+            .mesh(
+                img,
+                MesherConfig {
+                    delta: 2.0,
+                    threads: 1,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         let tris = pi2m.mesh.boundary_triangles();
         assert!(!tris.is_empty());
         let out = PlcBaseline::from_surface(

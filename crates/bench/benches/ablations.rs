@@ -16,7 +16,7 @@
 use pi2m_bench::full_mode;
 use pi2m_image::phantoms;
 use pi2m_quality::{hausdorff_distance, mesh_quality};
-use pi2m_refine::{CmKind, MachineTopology, Mesher, MesherConfig};
+use pi2m_refine::{CmKind, MachineTopology, MesherConfig, MeshingSession};
 use pi2m_sim::{SimConfig, SimMachine, SimMesher};
 
 fn main() {
@@ -29,18 +29,19 @@ fn main() {
         "config", "#tets", "ops", "removals", "max R/e", "min dih (°)"
     );
     for (label, removals) in [("with R6", true), ("without R6", false)] {
-        let out = Mesher::new(
-            phantoms::sphere(n, 1.0),
-            MesherConfig {
-                delta: 1.2,
-                threads: 1,
-                enable_removals: removals,
-                topology: MachineTopology::flat(1),
-                max_operations: 2_000_000,
-                ..Default::default()
-            },
-        )
-        .run();
+        let out = MeshingSession::new(1)
+            .mesh(
+                phantoms::sphere(n, 1.0),
+                MesherConfig {
+                    delta: 1.2,
+                    threads: 1,
+                    enable_removals: removals,
+                    topology: MachineTopology::flat(1),
+                    max_operations: 2_000_000,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         let q = mesh_quality(&out.mesh);
         println!(
             "{:<14} {:>9} {:>9} {:>10} {:>10.3} {:>12.2}",
@@ -60,16 +61,17 @@ fn main() {
         "δ", "#tets", "Hausdorff", "Hausdorff/δ"
     );
     for delta in [4.0, 3.0, 2.0, 1.5, 1.0] {
-        let out = Mesher::new(
-            phantoms::sphere(n, 1.0),
-            MesherConfig {
-                delta,
-                threads: 2,
-                topology: MachineTopology::flat(2),
-                ..Default::default()
-            },
-        )
-        .run();
+        let out = MeshingSession::new(2)
+            .mesh(
+                phantoms::sphere(n, 1.0),
+                MesherConfig {
+                    delta,
+                    threads: 2,
+                    topology: MachineTopology::flat(2),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         let tris = out.mesh.boundary_triangles();
         let hd = hausdorff_distance(&out.mesh.points, &tris, &out.oracle, 7);
         println!(

@@ -18,7 +18,7 @@ use pi2m_bench::full_mode;
 use pi2m_image::phantoms;
 use pi2m_oracle::IsosurfaceOracle;
 use pi2m_quality::{boundary_report, hausdorff_distance, mesh_quality};
-use pi2m_refine::{FinalMesh, Mesher, MesherConfig};
+use pi2m_refine::{FinalMesh, MesherConfig, MeshingSession};
 use std::sync::Arc;
 
 struct Row {
@@ -76,15 +76,16 @@ fn main() {
 
         // PI2M, single thread, real wall clock
         let t0 = std::time::Instant::now();
-        let out = Mesher::new(
-            img.clone(),
-            MesherConfig {
-                delta: delta_base,
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .run();
+        let out = MeshingSession::new(1)
+            .mesh(
+                img.clone(),
+                MesherConfig {
+                    delta: delta_base,
+                    threads: 1,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         let t_pi2m = t0.elapsed().as_secs_f64();
         rows.push(measure(
             "PI2M (1 thread)",

@@ -44,7 +44,7 @@
 use pi2m_delaunay::{SharedMesh, VertexKind};
 use pi2m_geometry::{Aabb, FilterStats, Point3};
 use pi2m_obs::json::Json;
-use pi2m_refine::{MachineTopology, Mesher, MesherConfig, MeshingSession};
+use pi2m_refine::{MachineTopology, MesherConfig, MeshingSession};
 use std::time::Instant;
 
 /// Options for one benchmark run.
@@ -122,8 +122,8 @@ impl FlightOverhead {
     }
 }
 
-/// Full pipeline runs over one warm [`MeshingSession`] vs fresh cold
-/// [`Mesher`] runs on the identical input. `ops` counts *runs*, so
+/// Full pipeline runs over one warm [`MeshingSession`] vs the first run of a
+/// fresh session on the identical input. `ops` counts *runs*, so
 /// `ops_per_sec()` is runs/second; the gap is pure per-run setup cost
 /// (thread spawning, arena/grid/ring allocation) that the session amortizes.
 #[derive(Clone, Copy, Debug)]
@@ -182,7 +182,7 @@ pub struct KernelBenchReport {
     pub scratch_footprint: usize,
     /// Refinement throughput with the flight recorder on vs off.
     pub flight: FlightOverhead,
-    /// Whole-pipeline runs over one warm session vs fresh cold meshers.
+    /// Whole-pipeline runs over one warm session vs fresh sessions.
     pub session: SessionComparison,
 }
 
@@ -329,17 +329,18 @@ pub fn run_kernel_bench(opts: KernelBenchOpts) -> KernelBenchReport {
     let run_refinement = |flight: bool| -> WorkloadResult {
         let img = pi2m_image::phantoms::sphere(sphere_res, 1.0);
         let t0 = Instant::now();
-        let out = Mesher::new(
-            img,
-            MesherConfig {
-                delta,
-                threads: 1,
-                topology: MachineTopology::flat(1),
-                flight,
-                ..Default::default()
-            },
-        )
-        .run();
+        let out = MeshingSession::new(1)
+            .mesh(
+                img,
+                MesherConfig {
+                    delta,
+                    threads: 1,
+                    topology: MachineTopology::flat(1),
+                    flight,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         WorkloadResult {
             ops: out.mesh.num_tets() as u64,
             seconds: t0.elapsed().as_secs_f64(),
@@ -354,7 +355,7 @@ pub fn run_kernel_bench(opts: KernelBenchOpts) -> KernelBenchReport {
     pairs.sort_by(|p, q| ratio(p).total_cmp(&ratio(q)));
     let (flight_on, flight_off) = pairs[pairs.len() / 2];
 
-    // ---- session: warm MeshingSession vs cold Mesher, identical input ----
+    // ---- session: warm session vs a fresh one, identical input ----
     // Small input + several threads so per-run setup (thread spawn, arena /
     // grid / flight-ring allocation) is a visible slice of the wall time.
     // Runs are interleaved warm,cold,warm,cold,... so machine drift hits
@@ -386,7 +387,9 @@ pub fn run_kernel_bench(opts: KernelBenchOpts) -> KernelBenchReport {
 
         let img = pi2m_image::phantoms::sphere(session_res, 1.0);
         let t0 = Instant::now();
-        let _ = Mesher::new(img, session_cfg()).run();
+        let _ = MeshingSession::new(session_threads)
+            .mesh(img, session_cfg())
+            .unwrap();
         cold_s += t0.elapsed().as_secs_f64();
     }
     let session = SessionComparison {

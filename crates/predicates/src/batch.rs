@@ -343,7 +343,7 @@ fn orient_det(pa: &P3, pb: &P3, pc: &P3, pd: &P3) -> f64 {
 }
 
 /// Stage-1 insphere determinant for one lane — the exact operation sequence
-/// of [`insphere_staged`]'s determinant.
+/// of [`insphere_staged`](crate::staged::insphere_staged)'s determinant.
 #[inline(always)]
 fn insphere_det(pa: &P3, pb: &P3, pc: &P3, pd: &P3, pe: &P3) -> f64 {
     let aex = pa[0] - pe[0];

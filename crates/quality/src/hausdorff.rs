@@ -279,17 +279,18 @@ mod tests {
 
     #[test]
     fn hausdorff_of_good_mesh_is_small() {
-        use pi2m_refine::{Mesher, MesherConfig};
+        use pi2m_refine::{MesherConfig, MeshingSession};
         let img = phantoms::sphere(20, 1.0);
-        let out = Mesher::new(
-            img,
-            MesherConfig {
-                delta: 2.0,
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .run();
+        let out = MeshingSession::new(1)
+            .mesh(
+                img,
+                MesherConfig {
+                    delta: 2.0,
+                    threads: 1,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         let tris = out.mesh.boundary_triangles();
         let d = hausdorff_distance(&out.mesh.points, &tris, &out.oracle, 7);
         // δ = 2 voxels: Hausdorff should be a few voxels at most

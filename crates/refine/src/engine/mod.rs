@@ -13,11 +13,8 @@
 //!   arenas, flight rings, proximity grid) they reuse across runs.
 //! - `stage` — the typed [`Stage`] sequence with per-stage phase spans and
 //!   progress callbacks.
-//! - `session` — [`MeshingSession`] and the staged pipeline itself.
-//!
-//! [`Mesher`] remains as the one-shot compatibility entry point: each
-//! `run()` builds a fresh single-use session and discards it, which is
-//! exactly the old behavior (and the old cost).
+//! - `session` — [`MeshingSession`] and the staged pipeline itself, the one
+//!   way to run the engine.
 
 mod config;
 mod op;
@@ -29,68 +26,6 @@ mod worker;
 pub use config::{MeshOutput, MesherConfig};
 pub use session::{CancelTelemetry, MeshingSession, RunOptions};
 pub use stage::{Stage, StageCallback, StageEvent, StageStatus};
-
-use crate::error::RefineError;
-use pi2m_image::LabeledImage;
-use session::run_pipeline;
-
-/// The one-shot parallel Image-to-Mesh converter.
-///
-/// Thin wrapper over a single-use [`MeshingSession`]: construction is cheap,
-/// and every `run()` pays full pool setup. Batch callers meshing several
-/// images should hold a session instead and let it keep the worker threads
-/// and arenas warm.
-pub struct Mesher {
-    img: LabeledImage,
-    cfg: MesherConfig,
-}
-
-impl Mesher {
-    pub fn new(img: LabeledImage, cfg: MesherConfig) -> Self {
-        assert!(cfg.threads >= 1, "need at least one thread");
-        assert!(cfg.delta > 0.0, "delta must be positive");
-        Mesher { img, cfg }
-    }
-
-    /// Run the full pipeline: parallel EDT, virtual-box triangulation,
-    /// parallel refinement, final-mesh extraction.
-    ///
-    /// Individual worker panics are isolated: the poisoned operation is
-    /// rolled back and quarantined, and if the panic escapes the operation
-    /// boundary the worker is retired while the run completes on the
-    /// survivors. Panics only if a *majority* of workers die (use
-    /// [`Mesher::try_run`] for a typed error instead).
-    pub fn run(self) -> MeshOutput {
-        let out = self.run_inner();
-        let (died, threads) = (out.stats.workers_died, out.stats.threads());
-        assert!(
-            died * 2 <= threads,
-            "worker quorum lost: {died} of {threads} workers died"
-        );
-        out
-    }
-
-    /// Like [`Mesher::run`], but global failures — a majority of workers
-    /// dead, or the livelock watchdog firing — surface as a typed
-    /// [`RefineError`] instead of a panic / a flag on the stats.
-    pub fn try_run(self) -> Result<MeshOutput, RefineError> {
-        let out = self.run_inner();
-        let (died, threads) = (out.stats.workers_died, out.stats.threads());
-        if died * 2 > threads {
-            return Err(RefineError::WorkerQuorumLost { died, threads });
-        }
-        if out.stats.livelock {
-            return Err(RefineError::Livelock);
-        }
-        Ok(out)
-    }
-
-    fn run_inner(self) -> MeshOutput {
-        let mut pool = pool::WorkerPool::new(self.cfg.threads);
-        run_pipeline(&mut pool, self.img, self.cfg, &RunOptions::default(), &[])
-            .expect("a run without a cancel token cannot be cancelled")
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -115,13 +50,12 @@ mod tests {
             topology: MachineTopology::flat(threads.max(1)),
             ..Default::default()
         };
-        Mesher::new(img, cfg).run()
+        MeshingSession::new(cfg.threads).mesh(img, cfg).unwrap()
     }
 
     #[test]
     fn single_threaded_sphere() {
         let out = small_run(1, CmKind::Local, BalancerKind::Rws);
-        assert!(!out.stats.livelock);
         assert!(out.mesh.num_tets() > 50, "got {}", out.mesh.num_tets());
         assert_eq!(out.stats.total_rollbacks(), 0);
         out.shared.check_adjacency().unwrap();
@@ -139,7 +73,6 @@ mod tests {
     fn multi_threaded_matches_structurally() {
         let a = small_run(1, CmKind::Local, BalancerKind::Rws);
         let b = small_run(4, CmKind::Local, BalancerKind::Hws);
-        assert!(!b.stats.livelock);
         // same rules, different schedules: sizes in the same ballpark
         let (na, nb) = (a.mesh.num_tets() as f64, b.mesh.num_tets() as f64);
         assert!(
@@ -171,7 +104,7 @@ mod tests {
             threads: 2,
             ..Default::default()
         };
-        let out = Mesher::new(img, cfg).run();
+        let out = MeshingSession::new(cfg.threads).mesh(img, cfg).unwrap();
         // R6 should fire at least occasionally on a curved surface
         assert!(out.stats.total_removals() > 0, "no removals occurred");
         // and removals stay a small fraction of operations (paper: ~2%)
@@ -248,7 +181,7 @@ mod tests {
             flight: false,
             ..Default::default()
         };
-        let out = Mesher::new(img, cfg).run();
+        let out = MeshingSession::new(cfg.threads).mesh(img, cfg).unwrap();
         assert!(out.flight.is_empty());
         assert_eq!(out.flight_dropped, 0);
     }
@@ -276,7 +209,7 @@ mod tests {
             max_operations: 100,
             ..Default::default()
         };
-        let out = Mesher::new(img, cfg).run();
+        let out = MeshingSession::new(cfg.threads).mesh(img, cfg).unwrap();
         assert!(out.stats.total_operations() <= 120);
     }
 
@@ -313,8 +246,6 @@ mod tests {
         img: pi2m_image::LabeledImage,
         cfg: MesherConfig,
     ) -> (worker::RunState, metrics::ThreadRecorder) {
-        use crossbeam_utils::CachePadded;
-        use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64};
         use std::sync::Arc;
 
         let oracle = Arc::new(pi2m_oracle::IsosurfaceOracle::new(img, 1));
@@ -328,27 +259,14 @@ mod tests {
             oracle,
             Arc::new(crate::PointGrid::new(cfg.delta)),
         );
-        let pel: std::collections::VecDeque<(u32, u32)> = mesh
-            .alive_cells()
-            .map(|c| (c.0, mesh.cell(c).gen()))
-            .collect();
-        let queued = pel.len() as i64;
-        let sync = crate::sync::EngineSync::new(1);
-        sync.poor_added(queued);
-        let state = worker::RunState {
+        let state = worker::RunState::new(
             mesh,
             rules,
-            pels: vec![parking_lot::Mutex::new(pel)],
-            counters: vec![CachePadded::new(AtomicI64::new(queued))],
-            sync,
-            cm: crate::cm::make_cm(cfg.cm, 1),
-            bal: crate::balancer::make_balancer(cfg.balancer, cfg.topology, 1),
-            ops_total: AtomicU64::new(0),
-            dead_flags: vec![CachePadded::new(AtomicBool::new(false))],
-            regions: RegionMap::new(&domain),
-            cancel: pi2m_obs::CancelToken::new(),
             cfg,
-        };
+            &domain,
+            pi2m_obs::CancelToken::new(),
+            None,
+        );
         let mut rec = metrics::ThreadRecorder::new();
         worker::worker(
             &state.env(),
@@ -397,7 +315,9 @@ mod tests {
                 max_operations: cap,
                 ..Default::default()
             };
-            let out = Mesher::new(phantoms::sphere(24, 1.0), cfg).run();
+            let out = MeshingSession::new(1)
+                .mesh(phantoms::sphere(24, 1.0), cfg)
+                .unwrap();
             assert_eq!(out.metrics.counter(metrics::CLASSIFY_CALLS), cap);
         }
     }

@@ -1,7 +1,7 @@
 //! The persistent worker pool behind a [`MeshingSession`](super::MeshingSession).
 //!
-//! A cold `Mesher::run()` pays per-run setup that a session amortizes:
-//! spawning OS threads, growing each worker's kernel scratch arenas to their
+//! A session's first run pays setup that its later runs skip: spawning OS
+//! threads, growing each worker's kernel scratch arenas to their
 //! steady-state footprint, allocating the flight-recorder rings, and
 //! allocating the proximity grid's bucket heads and node segments. The pool
 //! owns all four. Threads live across runs and receive one [`Job`] per run;
@@ -228,8 +228,8 @@ fn pool_thread_main(rx: mpsc::Receiver<Job>) {
                 }));
             }
         }
-        // Drop our Arc BEFORE signalling completion so the session's
-        // `Arc::try_unwrap` on the run state succeeds immediately.
+        // Drop our Arc BEFORE signalling completion: once the pipeline has
+        // every `WorkerDone`, it holds the run state's last reference.
         drop(state);
         let _ = done.send(WorkerDone {
             tid,

@@ -3,8 +3,8 @@
 //! A [`MeshingSession`] is created once and then meshes any number of images:
 //! its [`WorkerPool`] keeps the worker threads, per-thread kernel scratch
 //! arenas, flight-recorder rings, and the proximity grid warm across runs,
-//! so repeated `session.mesh(...)` calls skip the per-run setup a one-shot
-//! [`Mesher`](super::Mesher) pays every time.
+//! so the second and later `session.mesh(...)` calls skip the per-run setup
+//! the first one pays.
 //!
 //! Every run walks the typed [`Stage`] sequence (Load → EDT → Oracle →
 //! SurfaceRecovery → VolumeRefine → Quality → Export), records one obs phase
@@ -13,26 +13,20 @@
 //! and at every worker loop boundary.
 
 use super::config::{MeshOutput, MesherConfig};
-use super::op::RegionMap;
 use super::pool::WorkerPool;
 use super::stage::{Stage, StageCallback, StageReporter};
-use super::worker::{bridge_thread_stats, live_tap, Pel, RunState};
-use crate::balancer::make_balancer;
-use crate::cm::make_cm;
+use super::worker::{bridge_thread_stats, live_tap, RunState};
 use crate::error::RefineError;
 use crate::output::FinalMesh;
 use crate::rules::{RuleConfig, Rules};
 use crate::stats::{RefineStats, ThreadStats};
-use crate::sync::EngineSync;
-use crossbeam_utils::CachePadded;
-use parking_lot::Mutex;
 use pi2m_delaunay::{SharedMesh, VertexKind};
 use pi2m_image::LabeledImage;
+use pi2m_obs::flight::{FlightEvent, FlightRecorder};
 use pi2m_obs::metrics::{self, MetricsSnapshot, ThreadRecorder};
 use pi2m_obs::{CancelToken, Phases};
 use pi2m_oracle::IsosurfaceOracle;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -164,23 +158,24 @@ impl MeshingSession {
         opts: &RunOptions,
         seed: &[([f64; 3], VertexKind)],
     ) -> Result<MeshOutput, RefineError> {
-        let out = run_pipeline(&mut self.pool, img, cfg, opts, seed)?;
-        let (died, threads) = (out.stats.workers_died, out.stats.threads());
-        if died * 2 > threads {
-            return Err(RefineError::WorkerQuorumLost { died, threads });
-        }
-        if out.stats.livelock {
-            return Err(RefineError::Livelock);
-        }
-        Ok(out)
+        run_pipeline(&mut self.pool, img, cfg, opts, seed)
     }
 }
 
-/// Run the staged pipeline once over `pool`. Returns `Err` only for
-/// cancellation — livelock and worker deaths are reported in the output's
-/// stats, so the [`Mesher`](super::Mesher) wrappers can reproduce their
-/// historical semantics exactly.
-pub(crate) fn run_pipeline(
+/// This run's flight recorder, checked out of the pool: the per-ring drain
+/// cursors, and where the run origin sits on the recorder clock. A warm
+/// recorder's clock starts at *its* creation, which may be runs ago.
+struct RunFlight {
+    rec: Arc<FlightRecorder>,
+    cursors: Vec<u64>,
+    base_ns: i128,
+}
+
+/// Run the staged pipeline once over `pool`. A run that reaches refinement
+/// parks the warm resources before it returns, whatever the outcome. One
+/// that a majority of its workers did not survive, or that the livelock
+/// watchdog stopped, then returns its typed error in place of the mesh.
+fn run_pipeline(
     pool: &mut WorkerPool,
     img: LabeledImage,
     cfg: MesherConfig,
@@ -232,9 +227,9 @@ pub(crate) fn run_pipeline(
 
     // ---- Stage: SurfaceRecovery ----
     // The virtual-box triangulation enclosing the object, the (recycled)
-    // proximity grid, the refinement rules, and the initial PEL seed.
+    // proximity grid, and the refinement rules.
     reporter.started(Stage::SurfaceRecovery, t0.elapsed().as_secs_f64());
-    let (mesh, rules, grid_park, regions, pels, counters, dead_flags) = {
+    let (mesh, rules, grid_park, domain) = {
         let _g = phases.span(Stage::SurfaceRecovery.phase_name());
         let domain = oracle
             .image()
@@ -275,65 +270,33 @@ pub(crate) fn run_pipeline(
             pipeline_rec.inc(metrics::SHARD_SEED_VERTICES, kept);
             pipeline_rec.inc(metrics::SHARD_SEED_DUPLICATES, dropped);
         }
-        let regions = RegionMap::new(&domain);
-        let pels: Vec<Pel> = (0..cfg.threads)
-            .map(|_| Mutex::new(VecDeque::new()))
-            .collect();
-        let counters: Vec<CachePadded<AtomicI64>> = (0..cfg.threads)
-            .map(|_| CachePadded::new(AtomicI64::new(0)))
-            .collect();
-        let dead_flags: Vec<CachePadded<AtomicBool>> = (0..cfg.threads)
-            .map(|_| CachePadded::new(AtomicBool::new(false)))
-            .collect();
-        (mesh, rules, grid_park, regions, pels, counters, dead_flags)
+        (mesh, rules, grid_park, domain)
     };
     reporter.finished(Stage::SurfaceRecovery, t0.elapsed().as_secs_f64());
     cancel.check().map_err(|_| RefineError::Cancelled)?;
 
     // ---- Stage: VolumeRefine ----
-    let mut sync = EngineSync::new(cfg.threads);
+    let flight = cfg.flight.then(|| {
+        let (rec, cursors) = pool.checkout_flight(cfg.threads, cfg.flight_capacity);
+        let base_ns = rec.now_ns() as i128 - (phases.now() * 1e9) as i128;
+        RunFlight {
+            rec,
+            cursors,
+            base_ns,
+        }
+    });
     // Offset between the refinement clock (EngineSync, which timestamps
     // overhead traces and worker events) and the run origin, so all exported
     // timelines share one time base.
     let sync_origin = phases.now();
-    // A warm recorder's clock starts at *its* creation, which may be runs
-    // ago. Note where this run's origin sits on the recorder clock so
-    // drained events can be re-based onto the run clock.
-    let (flight_rec, mut flight_cursors, flight_base) = if cfg.flight {
-        let (rec, cursors) = pool.checkout_flight(cfg.threads, cfg.flight_capacity);
-        let base = rec.now_ns() as i128 - (phases.now() * 1e9) as i128;
-        sync.set_flight(Arc::clone(&rec));
-        (Some(rec), cursors, base)
-    } else {
-        (None, Vec::new(), 0i128)
-    };
-
-    // Seed: the initial box cells go to the main thread's PEL (paper §4.4:
-    // "only the main thread might have a non-empty PEL").
-    {
-        let mut pel0 = pels[0].lock();
-        for c in mesh.alive_cells() {
-            pel0.push_back((c.0, mesh.cell(c).gen()));
-        }
-        let n = pel0.len() as i64;
-        counters[0].fetch_add(n, Ordering::AcqRel);
-        sync.poor_added(n);
-    }
-
-    let state = Arc::new(RunState {
+    let state = Arc::new(RunState::new(
         mesh,
         rules,
-        pels,
-        counters,
-        sync,
-        cm: make_cm(cfg.cm, cfg.threads),
-        bal: make_balancer(cfg.balancer, cfg.topology, cfg.threads),
-        cfg: cfg.clone(),
-        ops_total: AtomicU64::new(0),
-        dead_flags,
-        regions,
-        cancel: cancel.clone(),
-    });
+        cfg.clone(),
+        &domain,
+        cancel,
+        flight.as_ref().map(|f| Arc::clone(&f.rec)),
+    ));
     pool.ensure_threads(cfg.threads);
 
     let t_refine = Instant::now();
@@ -348,8 +311,8 @@ pub(crate) fn run_pipeline(
         let done_rx = pool.dispatch(&state);
         // Live telemetry tap: a sampler thread drains the rings
         // incrementally and prints one JSONL heartbeat per interval.
-        let tap = cfg.live.zip(flight_rec.clone()).map(|(interval, rec)| {
-            let st = Arc::clone(&state);
+        let tap = cfg.live.zip(flight.as_ref()).map(|(interval, f)| {
+            let (rec, st) = (Arc::clone(&f.rec), Arc::clone(&state));
             std::thread::spawn(move || live_tap(&rec, &st.sync, interval))
         });
         for _ in 0..cfg.threads {
@@ -367,14 +330,15 @@ pub(crate) fn run_pipeline(
     reporter.finished(Stage::VolumeRefine, t0.elapsed().as_secs_f64());
     let wall_time = t_refine.elapsed().as_secs_f64();
 
-    // All Arc holders (workers, tap) have finished and dropped theirs.
+    // Every pool thread drops its Arc before it reports done, and the tap has
+    // joined: this is the last one.
     let RunState {
         mesh,
         rules,
         sync,
         counters,
         ..
-    } = unwrap_state(state);
+    } = Arc::into_inner(state).expect("run state still shared after every worker reported");
 
     // A run that ended by quiescence popped everything it ever enqueued. The
     // workers settle these counts a batch at a time; a batch that lost or
@@ -389,85 +353,49 @@ pub(crate) fn run_pipeline(
         );
     }
 
-    // A cancelled run cleans up and returns the typed error, but its
-    // telemetry is salvaged first: the drain advances the flight cursors
-    // past this run's events (so the next run on these rings doesn't replay
-    // them) AND keeps them — re-based onto the run clock and stashed in the
-    // pool with the merged metrics — so the caller can still produce
-    // complete `--report` / `--contention-out` artifacts for the run it had
-    // to kill. The warm resources are parked; the pool comes back reusable.
+    // Park the proximity grid for the next run. The rules held the last
+    // other grid Arc; drop them first so the parked grid is sole-owned and
+    // the next checkout can reset it in place.
+    drop(rules);
+    pool.park_grid(grid_park);
+
+    // A cancelled run returns the typed error, but its telemetry is salvaged
+    // first and stashed in the pool, so the caller can still write complete
+    // `--report` / `--contention-out` artifacts for the run it had to kill.
     if sync.was_cancelled() {
-        let (flight_events, flight_dropped) = match &flight_rec {
-            Some(rec) => {
-                let mut log = rec.drain_from(&mut flight_cursors);
-                for e in &mut log.events {
-                    // recorder clock → run clock
-                    e.t_ns = (e.t_ns as i128 - flight_base).max(0) as u64;
-                }
-                (log.events, log.dropped + log.torn)
-            }
-            None => (Vec::new(), 0),
-        };
-        let mut snap = MetricsSnapshot::new();
-        pipeline_rec.merge_into(cfg.threads as u32, &mut snap);
-        for (tid, rec) in recorders.iter_mut().enumerate() {
-            for e in &mut rec.events {
-                e.at_s += sync_origin;
-            }
-            rec.merge_into(tid as u32, &mut snap);
-        }
-        for st in &per_thread {
-            bridge_thread_stats(st, &mut snap);
-        }
+        let (flight, flight_dropped, metrics) = drain_telemetry(
+            pool,
+            flight,
+            &cfg,
+            &pipeline_rec,
+            recorders,
+            &per_thread,
+            sync_origin,
+        );
         pool.stash_cancel_telemetry(CancelTelemetry {
-            flight: flight_events,
+            flight,
             flight_dropped,
-            metrics: snap,
+            metrics,
             phases: phases.spans().to_vec(),
             wall_s: wall_time,
             threads: cfg.threads,
         });
-        if let Some(rec) = flight_rec {
-            pool.park_flight(rec, flight_cursors, cfg.flight_capacity);
-        }
-        drop(rules);
-        pool.park_grid(grid_park);
         return Err(RefineError::Cancelled);
     }
 
     // ---- Stage: Quality ----
-    // Flight-ring drain plus the merge of every per-thread recorder into one
-    // snapshot (join-time drain: workers are done, so plain reads — the
-    // whole run records without a single atomic RMW).
     reporter.started(Stage::Quality, t0.elapsed().as_secs_f64());
     let (flight_events, flight_dropped, snap) = {
         let _g = phases.span(Stage::Quality.phase_name());
-        let (flight_events, flight_dropped) = match &flight_rec {
-            Some(rec) => {
-                let mut log = rec.drain_from(&mut flight_cursors);
-                for e in &mut log.events {
-                    // recorder clock → run clock
-                    e.t_ns = (e.t_ns as i128 - flight_base).max(0) as u64;
-                }
-                (log.events, log.dropped + log.torn)
-            }
-            None => (Vec::new(), 0),
-        };
-        let mut snap = MetricsSnapshot::new();
-        pipeline_rec.merge_into(cfg.threads as u32, &mut snap);
-        for (tid, rec) in recorders.iter_mut().enumerate() {
-            for e in &mut rec.events {
-                e.at_s += sync_origin; // shift into the run-origin time base
-            }
-            rec.merge_into(tid as u32, &mut snap);
-        }
-        for st in &per_thread {
-            bridge_thread_stats(st, &mut snap);
-        }
-        if let Some(f) = &cfg.faults {
-            snap.add_counter(metrics::FAULTS_INJECTED, f.injected());
-        }
-        (flight_events, flight_dropped, snap)
+        drain_telemetry(
+            pool,
+            flight,
+            &cfg,
+            &pipeline_rec,
+            recorders,
+            &per_thread,
+            sync_origin,
+        )
     };
     reporter.finished(Stage::Quality, t0.elapsed().as_secs_f64());
 
@@ -478,14 +406,18 @@ pub(crate) fn run_pipeline(
     });
     reporter.finished(Stage::Export, t0.elapsed().as_secs_f64());
 
-    // Park the warm resources for the next run. The rules held the last
-    // other grid Arc; drop them first so the parked grid is sole-owned and
-    // the next checkout can reset it in place.
-    if let Some(rec) = flight_rec {
-        pool.park_flight(rec, flight_cursors, cfg.flight_capacity);
+    // The one exit contract: a run a majority of its workers did not survive,
+    // or one the watchdog stopped, is not a mesh.
+    let threads = cfg.threads;
+    if workers_died * 2 > threads {
+        return Err(RefineError::WorkerQuorumLost {
+            died: workers_died,
+            threads,
+        });
     }
-    drop(rules);
-    pool.park_grid(grid_park);
+    if sync.livelocked() {
+        return Err(RefineError::Livelock);
+    }
 
     let stats = RefineStats {
         final_elements: final_mesh.num_tets(),
@@ -493,7 +425,6 @@ pub(crate) fn run_pipeline(
         per_thread,
         wall_time,
         edt_time,
-        livelock: sync.livelocked(),
         workers_died,
         trace_origin: sync_origin,
     };
@@ -509,24 +440,52 @@ pub(crate) fn run_pipeline(
     })
 }
 
-/// Reclaim sole ownership of the run state after the workers and the tap
-/// finished. The pool threads drop their Arcs *before* signalling done, so
-/// this succeeds immediately in practice; the spin is a defense against the
-/// tiny window a scheduler could still be unwinding a frame.
-fn unwrap_state(mut state: Arc<RunState>) -> RunState {
-    let mut spins = 0u32;
-    loop {
-        match Arc::try_unwrap(state) {
-            Ok(s) => return s,
-            Err(back) => {
-                state = back;
-                spins += 1;
-                if spins > 1_000 {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                } else {
-                    std::thread::yield_now();
-                }
+/// The telemetry tail of every run that reached refinement, completed or
+/// cancelled, once its workers have joined. Drains this run's flight events,
+/// re-based onto the run clock, and parks the recorder with its cursors past
+/// them, so the next run on these rings does not replay them. Merges the
+/// pipeline's and every worker's recorder into one snapshot, worker events
+/// shifted into the run-origin time base: the workers are done, so these are
+/// plain reads, and the whole run records without a single atomic RMW. Then
+/// bridges the `ThreadStats` counters and counts the injected faults.
+fn drain_telemetry(
+    pool: &mut WorkerPool,
+    flight: Option<RunFlight>,
+    cfg: &MesherConfig,
+    pipeline_rec: &ThreadRecorder,
+    mut recorders: Vec<ThreadRecorder>,
+    per_thread: &[ThreadStats],
+    sync_origin: f64,
+) -> (Vec<FlightEvent>, u64, MetricsSnapshot) {
+    let (events, dropped) = match flight {
+        Some(RunFlight {
+            rec,
+            mut cursors,
+            base_ns,
+        }) => {
+            let mut log = rec.drain_from(&mut cursors);
+            for e in &mut log.events {
+                // recorder clock → run clock
+                e.t_ns = (e.t_ns as i128 - base_ns).max(0) as u64;
             }
+            pool.park_flight(rec, cursors, cfg.flight_capacity);
+            (log.events, log.dropped + log.torn)
         }
+        None => (Vec::new(), 0),
+    };
+    let mut snap = MetricsSnapshot::new();
+    pipeline_rec.merge_into(cfg.threads as u32, &mut snap);
+    for (tid, rec) in recorders.iter_mut().enumerate() {
+        for e in &mut rec.events {
+            e.at_s += sync_origin;
+        }
+        rec.merge_into(tid as u32, &mut snap);
     }
+    for st in per_thread {
+        bridge_thread_stats(st, &mut snap);
+    }
+    if let Some(f) = &cfg.faults {
+        snap.add_counter(metrics::FAULTS_INJECTED, f.injected());
+    }
+    (events, dropped, snap)
 }

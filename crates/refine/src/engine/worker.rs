@@ -13,8 +13,8 @@
 
 use super::config::MesherConfig;
 use super::op::{run_op, InsertOp, OpOutcome, RegionMap, RemoveOp};
-use crate::balancer::{BegOutcome, LoadBalancer, DONATE_THRESHOLD};
-use crate::cm::ContentionManager;
+use crate::balancer::{make_balancer, BegOutcome, LoadBalancer, DONATE_THRESHOLD};
+use crate::cm::{make_cm, ContentionManager};
 use crate::rules::Rules;
 use crate::stats::{OverheadKind, ThreadStats};
 use crate::sync::EngineSync;
@@ -22,6 +22,7 @@ use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use pi2m_delaunay::{CellId, KernelScratch, OpCtx, SharedMesh, VertexKind};
 use pi2m_faults::sites;
+use pi2m_geometry::Aabb;
 use pi2m_obs::flight::{cause as flight_cause, EventKind, FlightRecorder, FlightSampler};
 use pi2m_obs::metrics::{self, MetricsSnapshot, ThreadRecorder};
 use pi2m_obs::CancelToken;
@@ -80,6 +81,55 @@ pub(crate) struct RunState {
 }
 
 impl RunState {
+    /// Assemble a run over `mesh`: one empty PEL, PEL counter and death flag
+    /// per worker, the engine sync (recording into `flight`, when given), the
+    /// contention manager and the balancer. Every alive cell of `mesh` is
+    /// seeded into PEL 0 (paper §4.4: "only the main thread might have a
+    /// non-empty PEL"). The sync's clock starts here.
+    pub(crate) fn new(
+        mesh: SharedMesh,
+        rules: Rules,
+        cfg: MesherConfig,
+        domain: &Aabb,
+        cancel: CancelToken,
+        flight: Option<Arc<FlightRecorder>>,
+    ) -> Self {
+        let threads = cfg.threads;
+        let mut sync = EngineSync::new(threads);
+        if let Some(rec) = flight {
+            sync.set_flight(rec);
+        }
+        let pels: Vec<Pel> = (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
+        let counters: Vec<CachePadded<AtomicI64>> = (0..threads)
+            .map(|_| CachePadded::new(AtomicI64::new(0)))
+            .collect();
+        {
+            let mut pel0 = pels[0].lock();
+            for c in mesh.alive_cells() {
+                pel0.push_back((c.0, mesh.cell(c).gen()));
+            }
+            let n = pel0.len() as i64;
+            counters[0].fetch_add(n, Ordering::AcqRel);
+            sync.poor_added(n);
+        }
+        RunState {
+            mesh,
+            rules,
+            pels,
+            counters,
+            sync,
+            cm: make_cm(cfg.cm, threads),
+            bal: make_balancer(cfg.balancer, cfg.topology, threads),
+            ops_total: AtomicU64::new(0),
+            dead_flags: (0..threads)
+                .map(|_| CachePadded::new(AtomicBool::new(false)))
+                .collect(),
+            regions: RegionMap::new(domain),
+            cancel,
+            cfg,
+        }
+    }
+
     /// Borrowed view of the run state, in the shape the worker helpers take.
     pub(crate) fn env(&self) -> Env<'_> {
         Env {
@@ -655,7 +705,7 @@ fn sleep_until_done(sync: &EngineSync, interval: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pi2m_geometry::{Aabb, Point3};
+    use pi2m_geometry::Point3;
 
     /// A prune drops exactly the entries a pop would find dead, keeps the
     /// rest in stack order, and leaves at least as many free slots as live

@@ -494,7 +494,9 @@ mod tests {
             delta,
             ..Default::default()
         };
-        let out = crate::Mesher::new(pi2m_image::phantoms::abdominal(1.5), cfg).run();
+        let out = crate::MeshingSession::new(cfg.threads)
+            .mesh(pi2m_image::phantoms::abdominal(1.5), cfg)
+            .unwrap();
         let mesh = &out.shared;
         let (grid, reference) = (PointGrid::new(delta), MutexGrid::new(delta));
         let all: Vec<VertexId> = (0..mesh.num_vertices() as u32).map(VertexId).collect();

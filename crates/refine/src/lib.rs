@@ -34,9 +34,6 @@
 //! }
 //! # Ok::<(), pi2m_refine::RefineError>(())
 //! ```
-//!
-//! One-shot callers can keep using [`Mesher::run`] / [`Mesher::try_run`],
-//! which wrap a single-use session.
 
 pub mod balancer;
 pub mod cm;
@@ -55,8 +52,8 @@ pub mod topology;
 pub use balancer::{BalancerKind, LoadBalancer, DONATE_THRESHOLD};
 pub use cm::{CmKind, ContentionManager, R_PLUS, S_PLUS};
 pub use engine::{
-    CancelTelemetry, MeshOutput, Mesher, MesherConfig, MeshingSession, RunOptions, Stage,
-    StageCallback, StageEvent, StageStatus,
+    CancelTelemetry, MeshOutput, MesherConfig, MeshingSession, RunOptions, Stage, StageCallback,
+    StageEvent, StageStatus,
 };
 pub use error::RefineError;
 pub use grid::PointGrid;

@@ -530,15 +530,16 @@ mod tests {
     /// Every alive cell: cold table ≡ warm table ≡ the reference. Returns
     /// how many cells each rule claimed.
     fn differential(name: &str, img: pi2m_image::LabeledImage, delta: f64, cap: u64) -> [usize; 6] {
-        let out = crate::Mesher::new(
-            img,
-            crate::MesherConfig {
-                delta,
-                max_operations: cap,
-                ..Default::default()
-            },
-        )
-        .run();
+        let out = crate::MeshingSession::new(1)
+            .mesh(
+                img,
+                crate::MesherConfig {
+                    delta,
+                    max_operations: cap,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         let mesh = &out.shared;
         let rules = rules_over(&out, delta);
         let cells: Vec<(CellId, u32)> = mesh

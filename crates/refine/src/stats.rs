@@ -90,9 +90,6 @@ pub struct RefineStats {
     pub wall_time: f64,
     /// Wall-clock duration of the EDT preprocessing (seconds).
     pub edt_time: f64,
-    /// Whether the livelock watchdog fired (Aggressive/Random CMs can
-    /// livelock; see paper §5.5).
-    pub livelock: bool,
     /// Elements in the reported final mesh.
     pub final_elements: usize,
     /// Workers that died to an un-recovered panic; the run completed on the

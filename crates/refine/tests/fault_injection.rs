@@ -8,10 +8,13 @@
 
 use pi2m_faults::{sites, FaultPlan};
 use pi2m_image::phantoms;
+use pi2m_obs::metrics;
 use pi2m_refine::{
-    audit_mesh, BalancerKind, CmKind, MachineTopology, Mesher, MesherConfig, RefineError,
+    audit_mesh, BalancerKind, CancelToken, CmKind, MachineTopology, MesherConfig, MeshingSession,
+    RefineError, RunOptions,
 };
 use std::sync::Arc;
+use std::time::Duration;
 
 fn seed_from_env() -> u64 {
     std::env::var("PI2M_FAULT_SEED")
@@ -50,12 +53,10 @@ fn two_injected_panics_are_absorbed_and_mesh_audits_clean() {
         ..cfg_with(8, FaultPlan::disarmed())
     };
 
-    let out = Mesher::new(phantoms::sphere(20, 1.0), cfg).run();
+    let out = MeshingSession::new(cfg.threads)
+        .mesh(phantoms::sphere(20, 1.0), cfg)
+        .unwrap_or_else(|e| panic!("2 injected panics must be absorbed: {e}"));
 
-    assert!(
-        !out.stats.livelock,
-        "watchdog fired under 2 injected panics"
-    );
     assert!(out.mesh.num_tets() > 100, "got {}", out.mesh.num_tets());
     assert_eq!(faults.injected(), 2, "plan should have fired exactly twice");
     assert_eq!(out.stats.total_panics(), 2, "both panics must be caught");
@@ -82,12 +83,11 @@ fn single_worker_death_is_survivable() {
         &format!("site={},kind=panic,nth=30,count=1", sites::ENGINE_WORKER),
     )
     .unwrap();
-    let out = Mesher::new(phantoms::sphere(16, 1.0), cfg_with(4, plan))
-        .try_run()
+    let out = MeshingSession::new(4)
+        .mesh(phantoms::sphere(16, 1.0), cfg_with(4, plan))
         .expect("1 death out of 4 workers is below the quorum threshold");
 
     assert_eq!(out.stats.workers_died, 1);
-    assert!(!out.stats.livelock);
     assert!(out.mesh.num_tets() > 50, "got {}", out.mesh.num_tets());
     let report = audit_mesh(&out.shared, seed);
     assert!(report.clean(), "{}", report.summary());
@@ -101,7 +101,6 @@ fn single_worker_death_is_survivable() {
 #[test]
 fn dead_workers_counters_and_flight_ring_survive() {
     use pi2m_obs::flight::EventKind;
-    use pi2m_obs::metrics;
 
     let seed = seed_from_env();
     let plan = FaultPlan::parse(
@@ -109,8 +108,8 @@ fn dead_workers_counters_and_flight_ring_survive() {
         &format!("site={},kind=panic,nth=30,count=1", sites::ENGINE_WORKER),
     )
     .unwrap();
-    let out = Mesher::new(phantoms::sphere(16, 1.0), cfg_with(4, plan))
-        .try_run()
+    let out = MeshingSession::new(4)
+        .mesh(phantoms::sphere(16, 1.0), cfg_with(4, plan))
         .expect("1 death out of 4 workers is below the quorum threshold");
 
     assert_eq!(out.stats.workers_died, 1);
@@ -143,16 +142,18 @@ fn dead_workers_counters_and_flight_ring_survive() {
 }
 
 /// When a majority of workers die the run cannot meaningfully continue;
-/// `try_run` must escalate to a typed error instead of returning a
-/// partially-refined mesh as if nothing happened.
+/// the session must escalate to a typed error instead of returning a
+/// partially-refined mesh as if nothing happened — and stay usable.
 #[test]
 fn majority_worker_death_escalates_to_quorum_error() {
+    let seed = seed_from_env();
     let plan = FaultPlan::parse(
-        seed_from_env(),
+        seed,
         &format!("site={},kind=panic,every=1", sites::ENGINE_WORKER),
     )
     .unwrap();
-    let err = match Mesher::new(phantoms::sphere(12, 1.0), cfg_with(4, plan)).try_run() {
+    let mut session = MeshingSession::new(4);
+    let err = match session.mesh(phantoms::sphere(12, 1.0), cfg_with(4, plan)) {
         Err(e) => e,
         Ok(out) => panic!(
             "expected quorum loss, but the run produced {} tets",
@@ -166,6 +167,61 @@ fn majority_worker_death_escalates_to_quorum_error() {
         }
         other => panic!("expected WorkerQuorumLost, got {other}"),
     }
+
+    let out = session
+        .mesh(
+            phantoms::sphere(12, 1.0),
+            cfg_with(4, FaultPlan::disarmed()),
+        )
+        .expect("the session meshes again after a quorum loss");
+    let report = audit_mesh(&out.shared, seed);
+    assert!(report.clean(), "{}", report.summary());
+}
+
+/// A cancelled run's salvaged telemetry counts the faults its plan
+/// injected, exactly as a completed run's metrics do. The plan denies every
+/// operation, so the run cannot end before the token trips, which it does
+/// once the plan has fired a few times.
+#[test]
+fn cancelled_run_telemetry_counts_injected_faults() {
+    let plan = FaultPlan::parse(
+        seed_from_env(),
+        &format!("site={},kind=deny,every=1", sites::ENGINE_OP),
+    )
+    .unwrap();
+    let faults = Arc::new(plan);
+    let token = CancelToken::new();
+    let (trip, watched) = (token.clone(), faults.clone());
+    let watcher = std::thread::spawn(move || {
+        while watched.injected() < 3 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        trip.cancel();
+    });
+    let opts = RunOptions {
+        cancel: Some(token),
+        on_stage: None,
+    };
+    let mut session = MeshingSession::new(1);
+    let cfg = MesherConfig {
+        faults: Some(faults.clone()),
+        ..cfg_with(1, FaultPlan::disarmed())
+    };
+    let err = session
+        .mesh_with(phantoms::sphere(16, 1.0), cfg, &opts)
+        .err();
+    watcher.join().unwrap();
+    assert!(
+        matches!(err, Some(RefineError::Cancelled)),
+        "expected Cancelled, got {err:?}"
+    );
+    let tel = session
+        .take_cancel_telemetry()
+        .expect("a refinement-section cancel stashes telemetry");
+    assert_eq!(
+        tel.metrics.counter(metrics::FAULTS_INJECTED),
+        faults.injected()
+    );
 }
 
 /// Forced operation failures (kind=fail) at the remove-prepare site are
@@ -183,7 +239,9 @@ fn forced_failures_are_quarantined_not_fatal() {
         faults: Some(faults.clone()),
         ..cfg_with(4, FaultPlan::disarmed())
     };
-    let out = Mesher::new(phantoms::sphere(16, 1.0), cfg).run();
+    let out = MeshingSession::new(cfg.threads)
+        .mesh(phantoms::sphere(16, 1.0), cfg)
+        .unwrap();
 
     assert_eq!(faults.injected(), 4);
     assert_eq!(out.stats.total_kernel_errors(), 4);
@@ -204,9 +262,10 @@ fn injected_lock_denials_behave_like_conflicts() {
         &format!("site={},kind=deny,every=50,count=20", sites::LOCK_ACQUIRE),
     )
     .unwrap();
-    let out = Mesher::new(phantoms::sphere(16, 1.0), cfg_with(4, plan)).run();
+    let out = MeshingSession::new(4)
+        .mesh(phantoms::sphere(16, 1.0), cfg_with(4, plan))
+        .unwrap();
 
-    assert!(!out.stats.livelock);
     assert!(
         out.stats.total_rollbacks() > 0,
         "denials must cost rollbacks"

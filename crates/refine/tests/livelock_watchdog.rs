@@ -4,7 +4,9 @@
 
 use pi2m_faults::{sites, FaultPlan};
 use pi2m_image::phantoms;
-use pi2m_refine::{BalancerKind, CmKind, MachineTopology, Mesher, MesherConfig, RefineError};
+use pi2m_refine::{
+    audit_mesh, BalancerKind, CmKind, MachineTopology, MesherConfig, MeshingSession, RefineError,
+};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -26,17 +28,21 @@ fn always_conflicting_workload_trips_watchdog() {
         balancer: BalancerKind::Rws,
         topology: MachineTopology::flat(4),
         livelock_timeout: 0.5,
-        faults: Some(Arc::new(plan)),
         ..Default::default()
+    };
+    let denied = MesherConfig {
+        faults: Some(Arc::new(plan)),
+        ..cfg.clone()
     };
 
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let r = Mesher::new(phantoms::sphere(12, 1.0), cfg).try_run();
-        let _ = tx.send(r);
+        let mut session = MeshingSession::new(4);
+        let r = session.mesh(phantoms::sphere(12, 1.0), denied);
+        let _ = tx.send((r, session));
     });
 
-    let result = rx
+    let (result, mut session) = rx
         .recv_timeout(Duration::from_secs(60))
         .expect("watchdog did not fire within 60s: engine is livelocked for real");
     match result {
@@ -47,4 +53,11 @@ fn always_conflicting_workload_trips_watchdog() {
             out.mesh.num_tets()
         ),
     }
+
+    // The session that livelocked meshes again once the denials stop.
+    let out = session
+        .mesh(phantoms::sphere(12, 1.0), cfg)
+        .expect("the session meshes again after a livelock");
+    let report = audit_mesh(&out.shared, 42);
+    assert!(report.clean(), "{}", report.summary());
 }

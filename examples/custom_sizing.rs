@@ -11,7 +11,7 @@ use pi2m::geometry::Point3;
 use pi2m::image::phantoms;
 use pi2m::meshio;
 use pi2m::oracle::RadialSize;
-use pi2m::refine::{Mesher, MesherConfig};
+use pi2m::refine::{MesherConfig, MeshingSession};
 use std::fs::File;
 use std::io::BufWriter;
 use std::sync::Arc;
@@ -23,51 +23,54 @@ fn main() -> std::io::Result<()> {
     let center = img.bounds().center();
 
     // uniform sizing
-    let uniform = Mesher::new(
-        img.clone(),
-        MesherConfig {
-            delta: 2.0,
-            threads: 2,
-            size_fn: Some(Arc::new(pi2m::oracle::UniformSize(4.0))),
-            ..Default::default()
-        },
-    )
-    .run();
+    let uniform = MeshingSession::new(2)
+        .mesh(
+            img.clone(),
+            MesherConfig {
+                delta: 2.0,
+                threads: 2,
+                size_fn: Some(Arc::new(pi2m::oracle::UniformSize(4.0))),
+                ..Default::default()
+            },
+        )
+        .unwrap();
 
     // graded: fine near a "lesion" on the inner sphere, coarse elsewhere
     let focus = center + Point3::new(7.0, 0.0, 0.0);
-    let graded = Mesher::new(
-        img,
-        MesherConfig {
-            delta: 2.0,
-            threads: 2,
-            size_fn: Some(Arc::new(RadialSize {
-                focus,
-                near: 1.0,
-                growth: 0.6,
-                far: 6.0,
-            })),
-            ..Default::default()
-        },
-    )
-    .run();
+    let graded = MeshingSession::new(2)
+        .mesh(
+            img,
+            MesherConfig {
+                delta: 2.0,
+                threads: 2,
+                size_fn: Some(Arc::new(RadialSize {
+                    focus,
+                    near: 1.0,
+                    growth: 0.6,
+                    far: 6.0,
+                })),
+                ..Default::default()
+            },
+        )
+        .unwrap();
 
     // surface grading: dense isosurface sampling near the lesion only
-    let surface_graded = Mesher::new(
-        phantoms::nested_spheres(40, 1.0),
-        MesherConfig {
-            delta: 3.0,
-            threads: 2,
-            surface_size_fn: Some(Arc::new(RadialSize {
-                focus,
-                near: 0.8,
-                growth: 0.5,
-                far: 3.0,
-            })),
-            ..Default::default()
-        },
-    )
-    .run();
+    let surface_graded = MeshingSession::new(2)
+        .mesh(
+            phantoms::nested_spheres(40, 1.0),
+            MesherConfig {
+                delta: 3.0,
+                threads: 2,
+                surface_size_fn: Some(Arc::new(RadialSize {
+                    focus,
+                    near: 0.8,
+                    growth: 0.5,
+                    far: 3.0,
+                })),
+                ..Default::default()
+            },
+        )
+        .unwrap();
 
     println!("uniform sizing : {} elements", uniform.mesh.num_tets());
     println!("graded sizing  : {} elements", graded.mesh.num_tets());

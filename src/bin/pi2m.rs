@@ -557,7 +557,8 @@ fn build_run_report(
         load_balance_s: out.stats.load_balance_overhead(),
         rollback_s: out.stats.rollback_overhead(),
         rollbacks: out.stats.total_rollbacks(),
-        livelock: out.stats.livelock,
+        // a run the watchdog stopped returned `RefineError::Livelock` instead
+        livelock: false,
     };
     report.threads = threads;
     report.wall_s = wall_s;

@@ -46,9 +46,6 @@
 //! assert!(out.mesh.num_tets() > 100);
 //! // ...the next mesh() reuses the pool's threads, arenas, and grid.
 //! ```
-//!
-//! One-shot callers can use [`Mesher::run`](refine::Mesher::run), a thin
-//! wrapper over a single-use session.
 pub mod cli;
 
 pub use pi2m_baseline as baseline;

@@ -3,7 +3,7 @@
 //! or livelock; runs terminate under heavy artificial contention.
 
 use pi2m::image::phantoms;
-use pi2m::refine::{CmKind, MachineTopology, Mesher, MesherConfig};
+use pi2m::refine::{CmKind, MachineTopology, MesherConfig, MeshingSession};
 
 /// A tiny image with a small surface forces many threads into the same
 /// region — worst-case contention.
@@ -20,28 +20,25 @@ fn contended_cfg(cm: CmKind, threads: usize) -> MesherConfig {
 
 #[test]
 fn global_cm_terminates_under_contention() {
-    let out = Mesher::new(phantoms::sphere(12, 1.0), contended_cfg(CmKind::Global, 8)).run();
-    assert!(
-        !out.stats.livelock,
-        "Global-CM must not livelock (paper proof)"
-    );
+    let out = MeshingSession::new(8)
+        .mesh(phantoms::sphere(12, 1.0), contended_cfg(CmKind::Global, 8))
+        .unwrap_or_else(|e| panic!("Global-CM must not livelock (paper proof): {e}"));
     assert!(out.mesh.num_tets() > 100);
 }
 
 #[test]
 fn local_cm_terminates_under_contention() {
-    let out = Mesher::new(phantoms::sphere(12, 1.0), contended_cfg(CmKind::Local, 8)).run();
-    assert!(
-        !out.stats.livelock,
-        "Local-CM must not livelock (paper Lemmas 1-2)"
-    );
+    let out = MeshingSession::new(8)
+        .mesh(phantoms::sphere(12, 1.0), contended_cfg(CmKind::Local, 8))
+        .unwrap_or_else(|e| panic!("Local-CM must not livelock (paper Lemmas 1-2): {e}"));
     assert!(out.mesh.num_tets() > 100);
 }
 
 #[test]
 fn local_cm_many_threads_all_make_progress() {
-    let out = Mesher::new(phantoms::sphere(16, 1.0), contended_cfg(CmKind::Local, 12)).run();
-    assert!(!out.stats.livelock);
+    let out = MeshingSession::new(12)
+        .mesh(phantoms::sphere(16, 1.0), contended_cfg(CmKind::Local, 12))
+        .unwrap();
     // no starvation: the engine terminated with every PEL drained, and the
     // aggregate op count matches a complete refinement
     assert!(out.stats.total_operations() > 100);
@@ -49,7 +46,9 @@ fn local_cm_many_threads_all_make_progress() {
 
 #[test]
 fn overheads_are_accounted() {
-    let out = Mesher::new(phantoms::sphere(16, 1.0), contended_cfg(CmKind::Local, 6)).run();
+    let out = MeshingSession::new(6)
+        .mesh(phantoms::sphere(16, 1.0), contended_cfg(CmKind::Local, 6))
+        .unwrap();
     let s = &out.stats;
     // overhead categories are finite, non-negative
     assert!(s.contention_overhead() >= 0.0);

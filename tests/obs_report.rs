@@ -7,7 +7,7 @@ use pi2m::image::phantoms;
 use pi2m::obs::json::{self, Json};
 use pi2m::obs::metrics::{self, ObsEvent};
 use pi2m::obs::{analyze, render_chrome_trace, AnalyzeOpts, OverheadBreakdown, RunReport};
-use pi2m::refine::{Mesher, MesherConfig, OverheadKind};
+use pi2m::refine::{MesherConfig, MeshingSession, OverheadKind};
 
 const REPORT_KEYS: &[&str] = &[
     "schema_version",
@@ -36,7 +36,9 @@ fn real_run_produces_schema_valid_report_and_trace() {
         ..MesherConfig::default()
     };
     let threads = cfg.threads;
-    let out = Mesher::new(phantoms::sphere(24, 1.0), cfg).run();
+    let out = MeshingSession::new(cfg.threads)
+        .mesh(phantoms::sphere(24, 1.0), cfg)
+        .unwrap();
     assert!(out.mesh.num_tets() > 0);
 
     // --- report: built exactly the way the pi2m CLI builds it ------------
@@ -48,7 +50,7 @@ fn real_run_produces_schema_valid_report_and_trace() {
         load_balance_s: out.stats.load_balance_overhead(),
         rollback_s: out.stats.rollback_overhead(),
         rollbacks: out.stats.total_rollbacks(),
-        livelock: out.stats.livelock,
+        livelock: false,
     };
     report.threads = threads;
     report.wall_s = out.stats.wall_time;

@@ -2,21 +2,22 @@
 //! simulator: same rules, same kernel, comparable outputs.
 
 use pi2m::image::phantoms;
-use pi2m::refine::{Mesher, MesherConfig};
+use pi2m::refine::{MesherConfig, MeshingSession};
 use pi2m::sim::{SimConfig, SimMachine, SimMesher};
 
 #[test]
 fn sim_and_real_produce_comparable_meshes() {
     let img = phantoms::sphere(20, 1.0);
-    let real = Mesher::new(
-        img.clone(),
-        MesherConfig {
-            delta: 1.5,
-            threads: 2,
-            ..Default::default()
-        },
-    )
-    .run();
+    let real = MeshingSession::new(2)
+        .mesh(
+            img.clone(),
+            MesherConfig {
+                delta: 1.5,
+                threads: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
     let sim = SimMesher::new(
         img,
         SimConfig {
@@ -40,15 +41,16 @@ fn sim_and_real_produce_comparable_meshes() {
 #[test]
 fn sim_single_thread_mirrors_real_single_thread_ops() {
     let img = phantoms::nested_spheres(16, 1.0);
-    let real = Mesher::new(
-        img.clone(),
-        MesherConfig {
-            delta: 2.0,
-            threads: 1,
-            ..Default::default()
-        },
-    )
-    .run();
+    let real = MeshingSession::new(1)
+        .mesh(
+            img.clone(),
+            MesherConfig {
+                delta: 2.0,
+                threads: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
     let sim = SimMesher::new(
         img,
         SimConfig {
