@@ -190,6 +190,11 @@ pub struct Artifact {
     /// Dead PEL entries dropped without being popped (`pel_pruned`; 0 when
     /// the artifact does not carry the counter).
     pub pel_pruned: u64,
+    /// Facets rule R3 reached (`r3_facets`), and how many of them the
+    /// worker's facet memo cleared without a traversal (`r3_memo_hits`);
+    /// 0 when the artifact does not carry the counters.
+    pub r3_facets: u64,
+    pub r3_memo_hits: u64,
     /// The per-job lifecycle view, when the artifact is a job trace.
     pub trace: Option<TraceInfo>,
 }
@@ -318,6 +323,8 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
             classify_calls: 0,
             classify_stale: None,
             pel_pruned: 0,
+            r3_facets: 0,
+            r3_memo_hits: 0,
             trace: Some(trace),
         });
     }
@@ -382,6 +389,8 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
                 .and_then(|c| c.get("classify_stale"))
                 .map(|_| cnt("classify_stale")),
             pel_pruned: cnt("pel_pruned"),
+            r3_facets: cnt("r3_facets"),
+            r3_memo_hits: cnt("r3_memo_hits"),
             shard: j.get("shard").map(|s| ShardInfo {
                 grid: s
                     .get("grid")
@@ -433,6 +442,8 @@ pub fn load_artifact(text: &str) -> Result<Artifact, String> {
             classify_calls: 0,
             classify_stale: None,
             pel_pruned: 0,
+            r3_facets: 0,
+            r3_memo_hits: 0,
             trace: None,
         })
     } else {
@@ -706,6 +717,15 @@ pub fn render_summary(art: &Artifact) -> String {
         // pruned entries were never popped: they are not in the pop count
         if art.pel_pruned > 0 {
             let _ = write!(out, "; {} dead entries pruned unpopped", art.pel_pruned);
+        }
+        if art.r3_facets > 0 {
+            let _ = write!(
+                out,
+                "; R3 {} facets, {} ({:.1}%) cleared by the memo",
+                art.r3_facets,
+                art.r3_memo_hits,
+                art.r3_memo_hits as f64 * 100.0 / art.r3_facets as f64
+            );
         }
         out.push('\n');
     }
@@ -1167,6 +1187,16 @@ mod tests {
         let s = render_summary(&art);
         assert!(
             s.contains("850 live (8.5/op); 300 dead entries pruned unpopped\n"),
+            "{s}"
+        );
+        // R3's facet visits and memo hits close the line
+        let art = load_artifact(&report(
+            r#""classify_calls": 2600, "classify_stale": 1750, "r3_facets": 3000, "r3_memo_hits": 1000"#,
+        ))
+        .unwrap();
+        let s = render_summary(&art);
+        assert!(
+            s.contains("850 live (8.5/op); R3 3000 facets, 1000 (33.3%) cleared by the memo\n"),
             "{s}"
         );
         // an artifact without the counter cannot tell "none stale" from

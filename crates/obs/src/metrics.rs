@@ -146,6 +146,9 @@ counters! {
     CLASSIFY_STALE       = ("classify_stale", "ops", "PEL pops discarded while draining, the element's cell having died or been recycled"),
     // dead PEL entries dropped without a pop: not in `classify_calls`
     PEL_PRUNED           = ("pel_pruned", "entries", "Dead PEL entries dropped by the owner before a push would grow its PEL; never popped"),
+    // rule R3 in live classifications: memo hits are a subset of the facets
+    R3_FACETS            = ("r3_facets", "facets", "Facets with a neighbour reached by rule R3's Voronoi-edge test"),
+    R3_MEMO_HITS         = ("r3_memo_hits", "facets", "R3 facets cleared by the worker's facet memo without a traversal"),
 }
 
 histograms! {

@@ -238,6 +238,16 @@ mod tests {
         );
     }
 
+    /// Live classifications count the facets R3 reached, and the worker's
+    /// facet memo clears some, not all, of them without a traversal.
+    #[test]
+    fn r3_memo_hits_are_counted() {
+        let out = small_run(1, CmKind::Local, BalancerKind::Rws);
+        let facets = out.metrics.counter(metrics::R3_FACETS);
+        let hits = out.metrics.counter(metrics::R3_MEMO_HITS);
+        assert!(hits > 0 && hits < facets, "{hits} hits of {facets} facets");
+    }
+
     /// The refinement stage on the calling thread: the run state the pipeline
     /// would assemble for one worker, and one direct call of the worker loop.
     /// Hands back what the pipeline consumes — the rules, the PEL counters —

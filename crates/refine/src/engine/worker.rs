@@ -15,7 +15,7 @@ use super::config::MesherConfig;
 use super::op::{run_op, InsertOp, OpOutcome, RegionMap, RemoveOp};
 use crate::balancer::{make_balancer, BegOutcome, LoadBalancer, DONATE_THRESHOLD};
 use crate::cm::{make_cm, ContentionManager};
-use crate::rules::Rules;
+use crate::rules::{FacetMemo, Rules};
 use crate::stats::{OverheadKind, ThreadStats};
 use crate::sync::EngineSync;
 use crossbeam_utils::CachePadded;
@@ -186,6 +186,8 @@ pub(crate) fn worker(
         ctx.set_flight(rec.handle(tid));
     }
     let t_spawn = env.sync.now();
+    // Fresh per run: the (cell, generation) pairs it holds are this run's.
+    let mut memo = FacetMemo::new();
 
     let mut iteration = 0u32;
     loop {
@@ -270,14 +272,14 @@ pub(crate) fn worker(
         rec.inc(metrics::CLASSIFY_CALLS, popped);
         rec.inc(metrics::CLASSIFY_STALE, popped - live.is_some() as u64);
 
-        if let Some((cid, gen)) = live {
+        if let Some(item) = live {
             // ---- per-operation panic isolation ----
             // Classification + remedy run under `catch_unwind`: a panic
             // rolls back whatever locks the operation still holds and
             // quarantines the work item (it is never requeued), and the
             // worker keeps going.
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                process_item(env, tid, &mut ctx, stats, rec, cid, gen)
+                process_item(env, tid, &mut ctx, &mut memo, stats, rec, item)
             }));
             if caught.is_err() {
                 stats.panics += 1;
@@ -296,6 +298,7 @@ pub(crate) fn worker(
             if !matches!(caught, Ok(false)) {
                 drain_kernel_stats(&mut ctx, rec);
             }
+            drain_memo_stats(&mut memo, rec);
         }
 
         if env.cfg.max_operations > 0 {
@@ -448,6 +451,14 @@ fn drain_kernel_stats(ctx: &mut OpCtx<'_>, rec: &mut ThreadRecorder) {
     }
 }
 
+/// Drain the facet memo's R3 counters into the worker's recorder.
+fn drain_memo_stats(memo: &mut FacetMemo, rec: &mut ThreadRecorder) {
+    if memo.visits > 0 {
+        rec.inc(metrics::R3_FACETS, std::mem::take(&mut memo.visits));
+        rec.inc(metrics::R3_MEMO_HITS, std::mem::take(&mut memo.hits));
+    }
+}
+
 /// Classify one live PEL item and execute its remedy; returns whether a
 /// kernel operation ran. Runs inside the worker's per-operation
 /// `catch_unwind` boundary.
@@ -455,10 +466,10 @@ fn process_item(
     env: &Env<'_>,
     tid: usize,
     ctx: &mut OpCtx<'_>,
+    memo: &mut FacetMemo,
     stats: &mut ThreadStats,
     rec: &mut ThreadRecorder,
-    cid: u32,
-    gen: u32,
+    (cid, gen): (u32, u32),
 ) -> bool {
     // Operation-scope injection: deny re-queues the item through the normal
     // rollback path (a synthetic self-conflict), fail quarantines it.
@@ -490,7 +501,7 @@ fn process_item(
     }
 
     // A cell that died since `pop_live` looked classifies as satisfied.
-    let Some(action) = env.rules.classify(env.mesh, CellId(cid), gen) else {
+    let Some(action) = env.rules.classify_with(env.mesh, CellId(cid), gen, memo) else {
         return false; // satisfied — drop
     };
 

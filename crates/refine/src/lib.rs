@@ -35,6 +35,8 @@
 //! # Ok::<(), pi2m_refine::RefineError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod balancer;
 pub mod cm;
 pub mod engine;
@@ -44,7 +46,6 @@ pub mod integrity;
 pub mod output;
 pub mod rules;
 pub mod shard;
-mod spheres;
 pub mod stats;
 pub mod sync;
 pub mod topology;
