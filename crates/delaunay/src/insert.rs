@@ -319,7 +319,8 @@ impl OpCtx<'_> {
             ]
         }));
         // The cavity cells were last touched during expansion; the kill
-        // loop below reads their tags, so start those lines refilling now.
+        // loop below bumps their generations, so start those lines
+        // refilling now.
         for &c in &cavity {
             self.mesh.cells.prefetch(c.0);
         }
@@ -373,15 +374,9 @@ impl OpCtx<'_> {
             }
         }
         // kill the cavity
-        let mut killed = s.take_killed_buf();
-        killed.reserve(cavity.len());
+        let mut killed = s.take_cells_buf();
+        killed.extend_from_slice(&cavity);
         for &c in &cavity {
-            let tag = self
-                .mesh
-                .cell(c)
-                .tag
-                .load(std::sync::atomic::Ordering::Relaxed);
-            killed.push((c, tag));
             self.mesh.cells.free(c, &mut self.free_cells);
         }
         self.mesh.set_recent(new_ids[0]);

@@ -23,7 +23,7 @@
 
 use crate::boxinit::{box_mesh, virtual_box};
 use crate::ids::{CellId, VertexId, VertexKind, NONE};
-use crate::pool::{Cell, CellPool, CellSnap, Vertex, VertexPool};
+use crate::pool::{Cell, CellPool, CellSnap, Vertex, VertexPool, MAX_LOCK_TIDS};
 use crate::scratch::{KernelScratch, ScratchStats};
 use pi2m_faults::{sites, FaultPlan, Injected};
 use pi2m_geometry::{orient3d_sign, signed_volume, Aabb, Point3, TET_FACES};
@@ -104,9 +104,7 @@ pub enum OpError {
 pub struct InsertResult {
     pub vertex: VertexId,
     pub created: Vec<CellId>,
-    /// Killed cells with the `tag` word they carried (the refinement layer
-    /// uses tags for PEL bookkeeping).
-    pub killed: Vec<(CellId, u64)>,
+    pub killed: Vec<CellId>,
 }
 
 /// Result of a successful removal.
@@ -114,7 +112,7 @@ pub struct InsertResult {
 pub struct RemoveResult {
     pub removed: VertexId,
     pub created: Vec<CellId>,
-    pub killed: Vec<(CellId, u64)>,
+    pub killed: Vec<CellId>,
 }
 
 /// Side lengths (in slots) of the shared walk-hint grid levels, finest
@@ -351,6 +349,10 @@ impl SharedMesh {
     /// Make a per-thread operation context with an (optionally armed) fault
     /// plan consulted at the kernel's named injection sites.
     pub fn make_ctx_with_faults(&self, tid: u32, faults: Option<Arc<FaultPlan>>) -> OpCtx<'_> {
+        assert!(
+            tid < MAX_LOCK_TIDS,
+            "thread id {tid} does not fit a vertex lock"
+        );
         OpCtx {
             mesh: self,
             tid,
@@ -603,17 +605,17 @@ impl OpCtx<'_> {
         std::mem::take(&mut self.scratch)
     }
 
-    /// Return a result's buffers to the scratch pools so the next operation
+    /// Return a result's buffers to the scratch pool so the next operation
     /// reuses their capacity instead of reallocating.
     pub fn recycle_insert(&mut self, res: InsertResult) {
         self.scratch.put_cells_buf(res.created);
-        self.scratch.put_killed_buf(res.killed);
+        self.scratch.put_cells_buf(res.killed);
     }
 
-    /// Return a removal result's buffers to the scratch pools.
+    /// Return a removal result's buffers to the scratch pool.
     pub fn recycle_remove(&mut self, res: RemoveResult) {
         self.scratch.put_cells_buf(res.created);
-        self.scratch.put_killed_buf(res.killed);
+        self.scratch.put_cells_buf(res.killed);
     }
 
     /// Staged orient3d using the mesh's semi-static bounds, accumulating

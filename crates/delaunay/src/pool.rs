@@ -1,19 +1,34 @@
 //! Lock-free segmented pools for vertices and cells.
 //!
 //! Both pools are arrays of lazily allocated fixed-size segments reached
-//! through an atomic pointer table, so `get(id)` is two indirections and no
-//! locks — readers may race with writers by design (all fields are atomics;
-//! the speculative locking protocol plus generation validation make the races
-//! benign, see `crate::mesh`).
+//! through a two-level table: 64 top entries inline in the pool, each
+//! pointing to a leaf of 1024 segment pointers that is installed with its
+//! first segment. `get(id)` is three dependent loads (top → leaf → segment)
+//! and no locks — readers may race with writers by design (all fields are
+//! atomics; the speculative locking protocol plus generation validation make
+//! the races benign, see `crate::mesh`). What a pool allocates grows with the
+//! ids it has handed out, not with its 2^30-id capacity: one 8 KiB leaf per
+//! 2^24 ids beside the segments themselves.
+//!
+//! A [`Cell`] is 36 bytes and a [`Vertex`] 32: each record holds only what
+//! the kernel reads, with the alive bits folded into words it already has.
 
 use crate::ids::{CellId, VertexId, VertexKind, NONE};
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::marker::PhantomData;
+use std::ptr;
+use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
 /// log2 of segment capacity.
 const SEG_SHIFT: u32 = 14;
 const SEG_SIZE: usize = 1 << SEG_SHIFT;
-/// Maximum number of segments (caps the pool at ~1 G entries).
-const MAX_SEGS: usize = 1 << 16;
+/// log2 of the segment pointers in one leaf.
+const LEAF_SHIFT: u32 = 10;
+const LEAF_SIZE: usize = 1 << LEAF_SHIFT;
+/// Top-level entries of a pool's table; with the two levels below them a
+/// pool holds at most 2^30 ids.
+const TOP_SIZE: usize = 64;
+const MAX_IDS: usize = TOP_SIZE * LEAF_SIZE * SEG_SIZE;
+const _: () = assert!(MAX_IDS == 1 << 30);
 /// Cell slots a context reserves at a time when its free list runs dry: one
 /// `fetch_add` on the shared length per 64 fresh cells, and one worker's
 /// fresh cells sit in consecutive cache lines instead of interleaving with
@@ -21,18 +36,58 @@ const MAX_SEGS: usize = 1 << 16;
 const CELL_CHUNK: u32 = 64;
 const _: () = assert!(SEG_SIZE.is_multiple_of(CELL_CHUNK as usize));
 
-/// A vertex record. Position and kind are written once before the vertex id
+const _: () = assert!(size_of::<Cell>() == 36);
+const _: () = assert!(size_of::<Vertex>() == 32 && align_of::<Vertex>() == 32);
+
+/// Where id `id` lives: its top entry, its segment within that entry's
+/// leaf, and its offset within the segment. Ids from 2^30 up map past the
+/// top table.
+#[inline]
+const fn split(id: u32) -> (usize, usize, usize) {
+    let id = id as usize;
+    (
+        id >> (SEG_SHIFT + LEAF_SHIFT),
+        (id >> SEG_SHIFT) & (LEAF_SIZE - 1),
+        id & (SEG_SIZE - 1),
+    )
+}
+
+/// Vertex state word, bit 0: alive.
+const ALIVE: u32 = 1;
+/// Vertex state word, bits 8..16: the `VertexKind`.
+const KIND_SHIFT: u32 = 8;
+/// Vertex state word, bits 16..32: the lock, 0 = free, else `owner_tid + 1`.
+const LOCK_SHIFT: u32 = 16;
+/// The state word's bits other than the lock's.
+const UNLOCKED: u32 = (1 << LOCK_SHIFT) - 1;
+/// Thread ids run below this: `tid + 1` must fit the lock's 16 bits.
+pub(crate) const MAX_LOCK_TIDS: u32 = u32::MAX >> LOCK_SHIFT;
+
+/// A vertex record, 32 bytes and 32-aligned: two to a cache line, none
+/// straddling one. Position and kind are written once before the vertex id
 /// is published (ids only reach other threads through cells created under
 /// vertex locks), so relaxed atomic accesses suffice.
+#[repr(align(32))]
 pub struct Vertex {
     /// Coordinates, bit-cast f64s.
     pos: [AtomicU64; 3],
-    /// Speculative lock: 0 = free, otherwise `owner_tid + 1`.
-    lock: AtomicU32,
-    /// Bit 0: alive. Bits 8..16: `VertexKind`.
-    meta: AtomicU32,
+    /// Alive bit, kind and speculative lock (see `ALIVE`, `KIND_SHIFT`,
+    /// `LOCK_SHIFT`). Only a lock holder writes the alive bit, so the word
+    /// changes under a free lock only by being locked.
+    state: AtomicU32,
     /// Hint: some cell recently incident to this vertex.
     hint: AtomicU32,
+}
+
+/// A vacant slot: dead, unlocked, no hint.
+impl Default for Vertex {
+    fn default() -> Self {
+        Vertex {
+            pos: [const { AtomicU64::new(0) }; 3],
+            state: AtomicU32::new(0),
+            hint: AtomicU32::new(NONE),
+        }
+    }
 }
 
 impl Vertex {
@@ -40,9 +95,9 @@ impl Vertex {
         for (slot, v) in self.pos.iter().zip(p) {
             slot.store(v.to_bits(), Ordering::Relaxed);
         }
-        self.meta.store(1 | ((kind as u32) << 8), Ordering::Release);
         self.hint.store(NONE, Ordering::Relaxed);
-        self.lock.store(0, Ordering::Release);
+        self.state
+            .store(ALIVE | ((kind as u32) << KIND_SHIFT), Ordering::Release);
     }
 
     #[inline]
@@ -56,16 +111,20 @@ impl Vertex {
 
     #[inline]
     pub fn kind(&self) -> VertexKind {
-        VertexKind::from_u8(((self.meta.load(Ordering::Relaxed) >> 8) & 0xff) as u8)
+        VertexKind::from_u8((self.state.load(Ordering::Relaxed) >> KIND_SHIFT) as u8)
     }
 
     #[inline]
     pub fn is_alive(&self) -> bool {
-        self.meta.load(Ordering::Relaxed) & 1 != 0
+        self.state.load(Ordering::Relaxed) & ALIVE != 0
     }
 
+    /// Clear the alive bit. The caller holds this vertex's lock, so no other
+    /// thread writes the word until the unlock, which keeps the bit cleared.
     pub fn mark_dead(&self) {
-        self.meta.fetch_and(!1u32, Ordering::Release);
+        let cur = self.state.load(Ordering::Relaxed);
+        debug_assert_ne!(cur >> LOCK_SHIFT, 0, "mark_dead without the lock");
+        self.state.store(cur & !ALIVE, Ordering::Release);
     }
 
     /// Try to acquire the vertex lock for thread `tid`. Returns `Ok(true)` if
@@ -74,36 +133,48 @@ impl Vertex {
     ///
     /// A cavity touches most of its vertices several times, so the re-lock
     /// is the common case, and it costs a plain load: only `tid` ever stores
-    /// `tid + 1`, and a thread never reads a value older than its own last
-    /// store, so reading `tid + 1` means `tid` holds the lock. Anything else
-    /// goes to the one compare-exchange, which then cannot see `tid + 1`.
+    /// `tid + 1` into the lock bits, and a thread never reads a value older
+    /// than its own last store, so reading `tid + 1` means `tid` holds the
+    /// lock. Anything else goes to a compare-exchange of the loaded word with
+    /// its lock bits cleared, which then cannot see `tid + 1`. That exchange
+    /// fails with a free lock only when a holder cleared the alive bit in
+    /// between; it is retried against the new word.
     #[inline]
     pub fn try_lock(&self, tid: u32) -> Result<bool, u32> {
-        let me = tid + 1;
-        if self.lock.load(Ordering::Relaxed) == me {
+        debug_assert!(tid < MAX_LOCK_TIDS);
+        let me = (tid + 1) << LOCK_SHIFT;
+        let mut cur = self.state.load(Ordering::Relaxed);
+        if cur & !UNLOCKED == me {
             return Ok(false);
         }
-        match self
-            .lock
-            .compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed)
-        {
-            Ok(_) => Ok(true),
-            Err(cur) => {
-                debug_assert_ne!(cur, me, "lock word names us but the load missed it");
-                Err(cur - 1)
+        loop {
+            let free = cur & UNLOCKED;
+            match self
+                .state
+                .compare_exchange(free, free | me, Ordering::Acquire, Ordering::Relaxed)
+            {
+                Ok(_) => return Ok(true),
+                Err(now) if now >> LOCK_SHIFT == 0 => cur = now,
+                Err(now) => {
+                    debug_assert_ne!(now & !UNLOCKED, me, "the load missed our lock");
+                    return Err((now >> LOCK_SHIFT) - 1);
+                }
             }
         }
     }
 
+    /// Release the lock `tid` holds: store the word back without its lock
+    /// bits (no other thread wrote it while the lock was held).
     #[inline]
     pub fn unlock(&self, tid: u32) {
-        debug_assert_eq!(self.lock.load(Ordering::Relaxed), tid + 1);
-        self.lock.store(0, Ordering::Release);
+        let cur = self.state.load(Ordering::Relaxed);
+        debug_assert_eq!(cur >> LOCK_SHIFT, tid + 1);
+        self.state.store(cur & UNLOCKED, Ordering::Release);
     }
 
     /// Current lock owner (for diagnostics), `None` when free.
     pub fn lock_owner(&self) -> Option<u32> {
-        match self.lock.load(Ordering::Relaxed) {
+        match self.state.load(Ordering::Relaxed) >> LOCK_SHIFT {
             0 => None,
             v => Some(v - 1),
         }
@@ -120,19 +191,30 @@ impl Vertex {
     }
 }
 
-/// A tetrahedron slot.
+/// A tetrahedron slot, 36 bytes.
 ///
 /// `verts[i]` are vertex ids; `neis[i]` is the cell adjacent across the face
-/// *opposite* `verts[i]` (`NONE` on the hull). `gen` increments every time the
-/// slot is freed; `flags` bit 0 is the alive bit. `tag` is a free-use word
-/// for the refinement layer (PEL bookkeeping).
+/// *opposite* `verts[i]` (`NONE` on the hull). `gen` is bumped when the slot
+/// is activated and again when it is freed, so its parity is the alive bit:
+/// odd while alive, even once freed, 0 before the first activation. An odd
+/// generation names one incarnation of the slot. Only the context that
+/// reserved the slot (activation) or holds its vertex locks (free) writes
+/// `gen`, so each bump is a load and a store.
 pub struct Cell {
     verts: [AtomicU32; 4],
     neis: [AtomicU32; 4],
     gen: AtomicU32,
-    flags: AtomicU32,
-    /// Free-use word for the refinement layer.
-    pub tag: AtomicU64,
+}
+
+/// A slot never activated: dead at generation 0.
+impl Default for Cell {
+    fn default() -> Self {
+        Cell {
+            verts: [const { AtomicU32::new(NONE) }; 4],
+            neis: [const { AtomicU32::new(NONE) }; 4],
+            gen: AtomicU32::new(0),
+        }
+    }
 }
 
 /// A consistent snapshot of a cell taken by an optimistic reader.
@@ -176,7 +258,7 @@ impl Cell {
 
     #[inline]
     pub fn is_alive(&self) -> bool {
-        self.flags.load(Ordering::Acquire) & 1 != 0
+        self.gen() & 1 != 0
     }
 
     /// Does this cell use vertex `v`?
@@ -197,15 +279,26 @@ impl Cell {
         (0..4).find(|&i| self.nei(i) == c)
     }
 
-    /// Gen-validated consistent read for lock-free walkers.
+    /// Gen-validated consistent read for lock-free walkers: a seqlock whose
+    /// odd generations are the published states, accepted only if `gen` is
+    /// odd and unchanged across the field loads.
+    ///
+    /// `activate` stores the fields, then the odd generation with release;
+    /// the acquire load of `g1` pairs with it, so an accepted snapshot holds
+    /// at least that incarnation's fields. `deactivate`'s release fence
+    /// orders the free's bump before the next activation's field stores, and
+    /// the acquire fence here orders the field loads before the re-read: if
+    /// a field load saw a later incarnation's store, the fences synchronise
+    /// and `g2` sees at least the free's bump, so the snapshot is refused.
     pub fn snapshot(&self) -> Option<CellSnap> {
         let g1 = self.gen.load(Ordering::Acquire);
-        if self.flags.load(Ordering::Acquire) & 1 == 0 {
+        if g1 & 1 == 0 {
             return None;
         }
         let verts = self.verts();
         let neis = self.neis();
-        let g2 = self.gen.load(Ordering::Acquire);
+        fence(Ordering::Acquire);
+        let g2 = self.gen.load(Ordering::Relaxed);
         (g1 == g2).then_some(CellSnap {
             verts,
             neis,
@@ -220,207 +313,223 @@ impl Cell {
         for (slot, n) in self.neis.iter().zip(neis) {
             slot.store(n.0, Ordering::Relaxed);
         }
-        self.tag.store(0, Ordering::Relaxed);
-        // Publish: alive last.
-        self.flags.store(1, Ordering::Release);
+        // Publish: the odd generation last.
+        let g = self.gen.load(Ordering::Relaxed);
+        debug_assert_eq!(g & 1, 0, "activating an alive cell");
+        self.gen.store(g + 1, Ordering::Release);
     }
 
     fn deactivate(&self) {
-        self.flags.store(0, Ordering::Release);
-        self.gen.fetch_add(1, Ordering::Release);
+        let g = self.gen.load(Ordering::Relaxed);
+        debug_assert_eq!(g & 1, 1, "freeing a dead cell");
+        self.gen.store(g + 1, Ordering::Relaxed);
+        // Every later store, the next activation's fields included, becomes
+        // visible after the even generation (see `snapshot`).
+        fence(Ordering::Release);
     }
 }
 
-macro_rules! segmented_pool {
-    ($pool:ident, $elem:ty, $new_elem:expr) => {
-        pub struct $pool {
-            segs: Box<[AtomicPtr<$elem>]>,
-            len: AtomicU32,
-        }
+/// One leaf of a pool's table: the pointers of 1024 segments.
+type Leaf<T> = [AtomicPtr<T>; LEAF_SIZE];
 
-        impl $pool {
-            pub fn new() -> Self {
-                let mut v = Vec::with_capacity(MAX_SEGS);
-                v.resize_with(MAX_SEGS, || AtomicPtr::new(std::ptr::null_mut()));
-                $pool {
-                    segs: v.into_boxed_slice(),
-                    len: AtomicU32::new(0),
-                }
-            }
-
-            /// Number of slots ever reserved (high-water mark). Cell slots
-            /// are reserved a chunk at a time, so the tail of this range may
-            /// never have been activated: such slots are dead at generation 0.
-            /// Every id below it may be passed to `get`, from any thread.
-            #[inline]
-            pub fn len(&self) -> usize {
-                self.len.load(Ordering::Acquire) as usize
-            }
-
-            #[inline]
-            pub fn is_empty(&self) -> bool {
-                self.len() == 0
-            }
-
-            fn ensure_segment(&self, seg: usize) -> *mut $elem {
-                assert!(seg < MAX_SEGS, "pool capacity exhausted");
-                let slot = &self.segs[seg];
-                let cur = slot.load(Ordering::Acquire);
-                if !cur.is_null() {
-                    return cur;
-                }
-                // Race to allocate; loser frees its attempt.
-                let mut fresh: Vec<$elem> = Vec::with_capacity(SEG_SIZE);
-                fresh.resize_with(SEG_SIZE, $new_elem);
-                let boxed = fresh.into_boxed_slice();
-                let ptr = Box::into_raw(boxed) as *mut $elem;
-                match slot.compare_exchange(
-                    std::ptr::null_mut(),
-                    ptr,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => ptr,
-                    Err(winner) => {
-                        // SAFETY: we own `ptr`, nobody else saw it.
-                        unsafe {
-                            drop(Box::from_raw(std::slice::from_raw_parts_mut(ptr, SEG_SIZE)));
-                        }
-                        winner
-                    }
-                }
-            }
-
-            /// Reserve `n` consecutive slots never handed out before and
-            /// return the first. (A cell context keeps them on its free list
-            /// and reuses them from there.) Each pool is only ever bumped by
-            /// one `n` — 1 for vertices, `CELL_CHUNK` for cells — which
-            /// divides `SEG_SIZE`, so the run lies within one segment.
-            ///
-            /// The segment is allocated before the length is raised past
-            /// the run, so every id below [`len`](Self::len) is backed by
-            /// memory: a reader that samples ids below it (a walk restarting
-            /// from a random cell) never meets a segment still being built.
-            /// The compare-exchange releases the segment pointer's store;
-            /// `len()`'s acquire load pairs with it.
-            fn bump(&self, n: u32) -> u32 {
-                let mut id = self.len.load(Ordering::Acquire);
-                loop {
-                    assert!(id < NONE - n, "pool id space exhausted");
-                    self.ensure_segment((id >> SEG_SHIFT) as usize);
-                    match self.len.compare_exchange_weak(
-                        id,
-                        id + n,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => return id,
-                        Err(cur) => id = cur,
-                    }
-                }
-            }
-
-            /// Best-effort prefetch of the element's cache line into L1.
-            /// Purely a performance hint: ids past the segment table
-            /// (including `NONE`) and unallocated segments are silently
-            /// ignored, and no element data is read, so calling this can
-            /// never change behavior. Bounded by the segment table alone —
-            /// the shared length, which allocating threads write, is not
-            /// read.
-            #[inline]
-            pub fn prefetch(&self, id: u32) {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    let seg = (id >> SEG_SHIFT) as usize;
-                    let off = (id as usize) & (SEG_SIZE - 1);
-                    let ptr = match self.segs.get(seg) {
-                        Some(slot) => slot.load(Ordering::Acquire),
-                        None => std::ptr::null_mut(),
-                    };
-                    if !ptr.is_null() {
-                        // SAFETY: a non-null segment holds SEG_SIZE elements
-                        // and `off < SEG_SIZE`, so the pointer is in bounds
-                        // of a live allocation; prefetch dereferences
-                        // nothing architecturally.
-                        unsafe {
-                            core::arch::x86_64::_mm_prefetch(
-                                ptr.add(off) as *const i8,
-                                core::arch::x86_64::_MM_HINT_T0,
-                            )
-                        };
-                    }
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                let _ = id;
-            }
-
-            /// Access an element. Panics on out-of-range ids.
-            #[inline]
-            pub fn get(&self, id: u32) -> &$elem {
-                debug_assert!((id as usize) < self.len(), "stale id {}", id);
-                let seg = (id >> SEG_SHIFT) as usize;
-                let off = (id as usize) & (SEG_SIZE - 1);
-                let ptr = self.segs[seg].load(Ordering::Acquire);
-                debug_assert!(!ptr.is_null());
-                // SAFETY: segments are allocated before ids in them are
-                // handed out and never freed until the pool drops.
-                unsafe { &*ptr.add(off) }
-            }
-        }
-
-        impl Drop for $pool {
-            fn drop(&mut self) {
-                for slot in self.segs.iter() {
-                    let ptr = slot.load(Ordering::Acquire);
-                    if !ptr.is_null() {
-                        // SAFETY: exclusive access in drop; ptr from Box.
-                        unsafe {
-                            drop(Box::from_raw(std::slice::from_raw_parts_mut(ptr, SEG_SIZE)));
-                        }
-                    }
-                }
-            }
-        }
-
-        impl Default for $pool {
-            fn default() -> Self {
-                Self::new()
-            }
-        }
-    };
+fn new_leaf<T>() -> *mut Leaf<T> {
+    Box::into_raw(Box::new(
+        [const { AtomicPtr::new(ptr::null_mut()) }; LEAF_SIZE],
+    ))
 }
 
-fn new_vertex() -> Vertex {
-    Vertex {
-        pos: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-        lock: AtomicU32::new(0),
-        meta: AtomicU32::new(0),
-        hint: AtomicU32::new(NONE),
+/// # Safety
+/// `leaf` came from `new_leaf` and is not used afterwards.
+unsafe fn free_leaf<T>(leaf: *mut Leaf<T>) {
+    drop(unsafe { Box::from_raw(leaf) });
+}
+
+fn new_segment<T: Default>() -> *mut T {
+    let mut fresh: Vec<T> = Vec::with_capacity(SEG_SIZE);
+    fresh.resize_with(SEG_SIZE, T::default);
+    Box::into_raw(fresh.into_boxed_slice()) as *mut T
+}
+
+/// # Safety
+/// `seg` came from `new_segment` and is not used afterwards.
+unsafe fn free_segment<T>(seg: *mut T) {
+    drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(seg, SEG_SIZE)) });
+}
+
+/// The block `slot` points to, made with `make` if there is none yet.
+/// Racing makers compare-exchange; the loser frees its attempt with `free`
+/// and takes the winner's. The exchange releases the block's contents; the
+/// acquire loads here and in [`Pool::get`] pair with it.
+fn install<B>(slot: &AtomicPtr<B>, make: fn() -> *mut B, free: unsafe fn(*mut B)) -> *mut B {
+    let cur = slot.load(Ordering::Acquire);
+    if !cur.is_null() {
+        return cur;
+    }
+    let fresh = make();
+    match slot.compare_exchange(ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire) {
+        Ok(_) => fresh,
+        Err(winner) => {
+            // SAFETY: `fresh` came from `make` and nobody else saw it.
+            unsafe { free(fresh) };
+            winner
+        }
     }
 }
 
-fn new_cell() -> Cell {
-    Cell {
-        verts: [
-            AtomicU32::new(NONE),
-            AtomicU32::new(NONE),
-            AtomicU32::new(NONE),
-            AtomicU32::new(NONE),
-        ],
-        neis: [
-            AtomicU32::new(NONE),
-            AtomicU32::new(NONE),
-            AtomicU32::new(NONE),
-            AtomicU32::new(NONE),
-        ],
-        gen: AtomicU32::new(0),
-        flags: AtomicU32::new(0),
-        tag: AtomicU64::new(0),
+/// A segmented pool of `T` records indexed by `u32` ids.
+pub struct Pool<T> {
+    top: [AtomicPtr<Leaf<T>>; TOP_SIZE],
+    len: AtomicU32,
+    /// The pool owns its records and shares them across threads.
+    _records: PhantomData<T>,
+}
+
+pub type VertexPool = Pool<Vertex>;
+pub type CellPool = Pool<Cell>;
+
+impl<T: Default> Pool<T> {
+    pub fn new() -> Self {
+        Pool {
+            top: [const { AtomicPtr::new(ptr::null_mut()) }; TOP_SIZE],
+            len: AtomicU32::new(0),
+            _records: PhantomData,
+        }
+    }
+
+    /// Back the segment holding `id` with memory, installing its leaf
+    /// first if it is the leaf's first segment.
+    fn ensure_segment(&self, id: u32) {
+        let (top, seg, _) = split(id);
+        let leaf = install(&self.top[top], new_leaf::<T>, free_leaf::<T>);
+        // SAFETY: a non-null leaf lives until the pool drops.
+        install(
+            unsafe { &(*leaf)[seg] },
+            new_segment::<T>,
+            free_segment::<T>,
+        );
+    }
+
+    /// Reserve `n` consecutive slots never handed out before and return the
+    /// first. (A cell context keeps them on its free list and reuses them
+    /// from there.) Each pool is only ever bumped by one `n` — 1 for
+    /// vertices, `CELL_CHUNK` for cells — which divides `SEG_SIZE`, so the
+    /// run lies within one segment.
+    ///
+    /// The segment is allocated before the length is raised past the run,
+    /// so every id below [`len`](Self::len) is backed by memory: a reader
+    /// that samples ids below it (a walk restarting from a random cell)
+    /// never meets a segment still being built. The compare-exchange
+    /// releases the segment pointer's store; `len()`'s acquire load pairs
+    /// with it.
+    fn bump(&self, n: u32) -> u32 {
+        let mut id = self.len.load(Ordering::Acquire);
+        loop {
+            assert!(
+                id as usize + n as usize <= MAX_IDS,
+                "pool capacity exhausted"
+            );
+            self.ensure_segment(id);
+            match self
+                .len
+                .compare_exchange_weak(id, id + n, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return id,
+                Err(cur) => id = cur,
+            }
+        }
     }
 }
 
-segmented_pool!(VertexPool, Vertex, new_vertex);
-segmented_pool!(CellPool, Cell, new_cell);
+impl<T> Pool<T> {
+    /// Number of slots ever reserved (high-water mark). Cell slots are
+    /// reserved a chunk at a time, so the tail of this range may never have
+    /// been activated: such slots are dead at generation 0. Every id below
+    /// it may be passed to `get`, from any thread.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire) as usize
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Best-effort prefetch of the element's cache line into L1. Purely a
+    /// performance hint: ids past the table (including `NONE`) and
+    /// unallocated leaves or segments are silently ignored, and no element
+    /// data is read, so calling this can never change behavior. Bounded by
+    /// the table alone — the shared length, which allocating threads write,
+    /// is not read.
+    #[inline]
+    pub fn prefetch(&self, id: u32) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let (top, seg, off) = split(id);
+            let Some(slot) = self.top.get(top) else {
+                return;
+            };
+            let leaf = slot.load(Ordering::Acquire);
+            if leaf.is_null() {
+                return;
+            }
+            // SAFETY: a non-null leaf lives until the pool drops.
+            let ptr = unsafe { (*leaf)[seg].load(Ordering::Acquire) };
+            if !ptr.is_null() {
+                // SAFETY: a non-null segment holds SEG_SIZE elements and
+                // `off < SEG_SIZE`, so the pointer is in bounds of a live
+                // allocation; prefetch dereferences nothing architecturally.
+                unsafe {
+                    core::arch::x86_64::_mm_prefetch(
+                        ptr.add(off) as *const i8,
+                        core::arch::x86_64::_MM_HINT_T0,
+                    )
+                };
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = id;
+    }
+
+    /// Access an element. Panics on ids past the table.
+    #[inline]
+    pub fn get(&self, id: u32) -> &T {
+        debug_assert!((id as usize) < self.len(), "stale id {id}");
+        let (top, seg, off) = split(id);
+        let leaf = self.top[top].load(Ordering::Acquire);
+        // SAFETY: leaves and segments are allocated before ids in them are
+        // handed out and never freed until the pool drops.
+        unsafe { &*(*leaf)[seg].load(Ordering::Acquire).add(off) }
+    }
+}
+
+impl<T> Drop for Pool<T> {
+    fn drop(&mut self) {
+        for slot in &mut self.top {
+            let leaf = *slot.get_mut();
+            if leaf.is_null() {
+                continue;
+            }
+            // SAFETY: exclusive access in drop; every non-null pointer came
+            // from `new_leaf` or `new_segment` and is freed once.
+            unsafe {
+                for seg in (*leaf).iter_mut() {
+                    let seg = *seg.get_mut();
+                    if !seg.is_null() {
+                        free_segment(seg);
+                    }
+                }
+                free_leaf(leaf);
+            }
+        }
+    }
+}
+
+impl<T: Default> Default for Pool<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl VertexPool {
     /// Allocate and initialize a new vertex; the returned id is also the
@@ -460,7 +569,7 @@ impl CellPool {
         CellId(first)
     }
 
-    /// Publish a reserved slot with its final data (alive flag set last).
+    /// Publish a reserved slot with its final data (odd generation last).
     pub fn activate(&self, id: CellId, verts: [VertexId; 4], neis: [CellId; 4]) {
         self.get(id.0).activate(verts, neis);
     }
@@ -489,6 +598,7 @@ impl CellPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn vertex_alloc_and_fields() {
@@ -504,19 +614,43 @@ mod tests {
         assert_eq!(pool.len(), 2);
     }
 
+    /// The lock shares the state word with alive and kind: locking,
+    /// re-locking, a conflict and the unlock leave both as they were, and a
+    /// `mark_dead` under the lock survives the unlock.
     #[test]
     fn vertex_lock_protocol() {
         let pool = VertexPool::new();
-        let v = pool.alloc([0.0; 3], VertexKind::BoxCorner);
+        let v = pool.alloc([0.0; 3], VertexKind::SurfaceCenter);
         let vx = pool.vertex(v);
+        let holds = |alive: bool, owner: Option<u32>| {
+            assert_eq!(vx.kind(), VertexKind::SurfaceCenter);
+            assert_eq!(vx.is_alive(), alive);
+            assert_eq!(vx.lock_owner(), owner);
+        };
         assert_eq!(vx.try_lock(3), Ok(true));
+        holds(true, Some(3));
         assert_eq!(vx.try_lock(3), Ok(false)); // reentrant
+        holds(true, Some(3));
         assert_eq!(vx.try_lock(5), Err(3)); // conflict reports owner
-        assert_eq!(vx.lock_owner(), Some(3));
+        holds(true, Some(3));
         vx.unlock(3);
-        assert_eq!(vx.lock_owner(), None);
+        holds(true, None);
+        // the highest thread id the lock bits can name
+        let last = MAX_LOCK_TIDS - 1;
+        assert_eq!(vx.try_lock(last), Ok(true));
+        assert_eq!(vx.try_lock(0), Err(last));
+        holds(true, Some(last));
+        vx.unlock(last);
+
         assert_eq!(vx.try_lock(5), Ok(true));
+        vx.mark_dead();
+        holds(false, Some(5));
         vx.unlock(5);
+        holds(false, None);
+        // a dead vertex still locks, and stays dead through it
+        assert_eq!(vx.try_lock(1), Ok(true));
+        vx.unlock(1);
+        holds(false, None);
     }
 
     #[test]
@@ -525,22 +659,109 @@ mod tests {
         let mut free = Vec::new();
         let vs = [VertexId(0), VertexId(1), VertexId(2), VertexId(3)];
         let ns = [CellId(NONE); 4];
-        let c = pool.alloc(&mut free, vs, ns);
+        // a reserved slot is dead at generation 0 until its first activation
+        let c = pool.reserve(&mut free);
+        assert_eq!(pool.cell(c).gen(), 0);
+        assert!(!pool.cell(c).is_alive() && pool.cell(c).snapshot().is_none());
+
+        pool.activate(c, vs, ns);
         assert!(pool.cell(c).is_alive());
-        let g0 = pool.cell(c).gen();
+        assert_eq!(pool.cell(c).gen(), 1);
         let snap = pool.cell(c).snapshot().unwrap();
-        assert_eq!(snap.verts, vs);
+        assert_eq!((snap.verts, snap.neis, snap.gen), (vs, ns, 1));
 
         pool.free(c, &mut free);
         assert!(!pool.cell(c).is_alive());
         assert!(pool.cell(c).snapshot().is_none());
-        assert_eq!(pool.cell(c).gen(), g0 + 1);
+        assert_eq!(pool.cell(c).gen(), 2);
 
-        // reuse same slot
+        // reuse same slot: the next odd generation names the new incarnation
         let c2 = pool.alloc(&mut free, vs, ns);
         assert_eq!(c2, c);
         assert!(pool.cell(c2).is_alive());
-        assert_eq!(pool.cell(c2).gen(), g0 + 1);
+        assert_eq!(pool.cell(c2).gen(), 3);
+        assert_eq!(pool.cell(c2).snapshot().unwrap().gen, 3);
+    }
+
+    /// The id split is checked on both sides of every segment boundary up
+    /// to the last id, as a pure function: nothing is allocated.
+    #[test]
+    fn ids_split_into_leaf_segment_and_offset() {
+        let last = (MAX_IDS - 1) as u32;
+        assert_eq!(split(0), (0, 0, 0));
+        assert_eq!(split(last), (TOP_SIZE - 1, LEAF_SIZE - 1, SEG_SIZE - 1));
+        assert_eq!(split(last + 1).0, TOP_SIZE, "2^30 lies past the table");
+        assert_eq!(split(NONE).0, (NONE as usize) >> 24);
+        for top in 0..TOP_SIZE {
+            for seg in 0..LEAF_SIZE {
+                let first = ((top * LEAF_SIZE + seg) * SEG_SIZE) as u32;
+                assert_eq!(split(first), (top, seg, 0));
+                assert_eq!(split(first + 1), (top, seg, 1));
+                assert_eq!(split(first + SEG_SIZE as u32 - 1), (top, seg, SEG_SIZE - 1));
+                if first > 0 {
+                    let before = if seg == 0 {
+                        (top - 1, LEAF_SIZE - 1, SEG_SIZE - 1)
+                    } else {
+                        (top, seg - 1, SEG_SIZE - 1)
+                    };
+                    assert_eq!(split(first - 1), before);
+                }
+            }
+        }
+    }
+
+    /// One thread frees and reactivates one slot, alternating two vertex
+    /// quads, while another snapshots it: every accepted snapshot has an odd
+    /// generation and exactly the quad written for that incarnation.
+    #[test]
+    fn snapshots_race_reactivation_without_tearing() {
+        const CYCLES: u32 = 200_000;
+        // incarnation `gen / 2` gets quad A when even, B when odd
+        let quad = |gen: u32| {
+            let base = (gen / 2 % 2) * 4;
+            (
+                [0, 1, 2, 3].map(|i| VertexId(base + i)),
+                [0, 1, 2, 3].map(|i| CellId(100 + base + i)),
+            )
+        };
+        let pool = CellPool::new();
+        pool.reserve(&mut Vec::new());
+        // a slot straddling two cache lines, where a torn read is likeliest
+        let c = (0..CELL_CHUNK)
+            .map(CellId)
+            .find(|&c| {
+                let at = pool.cell(c) as *const Cell as usize;
+                at / 64 != (at + size_of::<Cell>() - 1) / 64
+            })
+            .unwrap();
+        let (vs, ns) = quad(1);
+        pool.activate(c, vs, ns);
+        let mut free = Vec::new();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..CYCLES {
+                    pool.free(c, &mut free);
+                    let (vs, ns) = quad(pool.cell(c).gen() + 1);
+                    assert_eq!(pool.alloc(&mut free, vs, ns), c);
+                }
+                done.store(true, Ordering::Release);
+            });
+            let mut accepted = 0u64;
+            loop {
+                let finished = done.load(Ordering::Acquire);
+                if let Some(snap) = pool.cell(c).snapshot() {
+                    assert_eq!(snap.gen % 2, 1, "accepted a dead generation");
+                    assert_eq!((snap.verts, snap.neis), quad(snap.gen), "torn snapshot");
+                    accepted += 1;
+                }
+                if finished {
+                    break;
+                }
+            }
+            assert!(accepted > 0);
+        });
+        assert_eq!(pool.cell(c).gen(), 2 * CYCLES + 1);
     }
 
     #[test]
@@ -573,11 +794,13 @@ mod tests {
     #[test]
     fn prefetch_tolerates_any_id() {
         let pool = CellPool::new();
-        pool.prefetch(0); // no segment yet
+        pool.prefetch(0); // no leaf yet
         pool.prefetch(NONE);
         pool.reserve(&mut Vec::new());
         pool.prefetch(SEG_SIZE as u32 - 1); // allocated segment, past `len`
         pool.prefetch(SEG_SIZE as u32); // next segment, not allocated
+        pool.prefetch(1 << (SEG_SHIFT + LEAF_SHIFT)); // next leaf, not allocated
+        pool.prefetch(MAX_IDS as u32); // past the table
         pool.prefetch(NONE - 1);
     }
 

@@ -385,15 +385,9 @@ impl OpCtx<'_> {
                 .cell(lf.outside)
                 .set_nei(lf.out_face, new_ids[wall_owner[fi]]);
         }
-        let mut killed = s.take_killed_buf();
-        killed.reserve(ball.len());
+        let mut killed = s.take_cells_buf();
+        killed.extend_from_slice(&ball);
         for &c in &ball {
-            let tag = self
-                .mesh
-                .cell(c)
-                .tag
-                .load(std::sync::atomic::Ordering::Relaxed);
-            killed.push((c, tag));
             self.mesh.cells.free(c, &mut self.free_cells);
         }
         self.mesh.vertex(v).mark_dead();

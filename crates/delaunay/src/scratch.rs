@@ -368,8 +368,8 @@ pub struct KernelScratch {
     pub(crate) open_stack: Vec<[u32; 3]>,
 
     // ---- pooled result buffers ----
+    /// Spare `created`/`killed` lists, interchangeable.
     spare_cells: Vec<Vec<CellId>>,
-    spare_killed: Vec<Vec<(CellId, u64)>>,
 
     pub(crate) stats: ScratchStats,
 }
@@ -412,7 +412,7 @@ impl KernelScratch {
         self.open_stack.clear();
     }
 
-    /// A pooled `Vec<CellId>` for a result's `created` list.
+    /// A pooled `Vec<CellId>` for a result's `created` or `killed` list.
     pub(crate) fn take_cells_buf(&mut self) -> Vec<CellId> {
         match self.spare_cells.pop() {
             Some(v) => {
@@ -426,33 +426,11 @@ impl KernelScratch {
         }
     }
 
-    /// Return a `created`-style buffer to the pool.
+    /// Return a result's cell list to the pool.
     pub(crate) fn put_cells_buf(&mut self, mut v: Vec<CellId>) {
         if self.spare_cells.len() < SPARE_CAP && v.capacity() > 0 {
             v.clear();
             self.spare_cells.push(v);
-        }
-    }
-
-    /// A pooled `Vec<(CellId, u64)>` for a result's `killed` list.
-    pub(crate) fn take_killed_buf(&mut self) -> Vec<(CellId, u64)> {
-        match self.spare_killed.pop() {
-            Some(v) => {
-                self.stats.reuses += 1;
-                v
-            }
-            None => {
-                self.stats.allocs += 1;
-                Vec::new()
-            }
-        }
-    }
-
-    /// Return a `killed`-style buffer to the pool.
-    pub(crate) fn put_killed_buf(&mut self, mut v: Vec<(CellId, u64)>) {
-        if self.spare_killed.len() < SPARE_CAP && v.capacity() > 0 {
-            v.clear();
-            self.spare_killed.push(v);
         }
     }
 
@@ -517,6 +495,5 @@ impl KernelScratch {
             + self.open_faces.capacity()
             + self.open_stack.capacity()
             + self.spare_cells.iter().map(Vec::capacity).sum::<usize>()
-            + self.spare_killed.iter().map(Vec::capacity).sum::<usize>()
     }
 }

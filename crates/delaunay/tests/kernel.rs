@@ -222,7 +222,7 @@ fn insert_for_drops_the_remedy_of_a_dead_cell() {
     let r = ctx
         .insert_for([0.5, 0.5, 0.5], VertexKind::Circumcenter, poor, gen)
         .unwrap();
-    assert!(r.killed.iter().any(|&(c, _)| c == poor));
+    assert!(r.killed.contains(&poor));
     ctx.recycle_insert(r);
     // a second remedy computed for the same (cell, generation) is stale,
     // whether the slot is free or already reused: nothing happens

@@ -83,8 +83,8 @@ fn commit_panic_preserves_warm_arena_and_rolls_back() {
             .expect("post-panic insert");
         ctx.recycle_insert(r);
     }
-    // Four warmth notes per op (cavity, state map, created pool, killed
-    // pool). The panicked op contributed its two begin-notes before dying;
+    // Four warmth notes per op (cavity, state map, and the created and
+    // killed lists from the result-buffer pool). The panicked op contributed its two begin-notes before dying;
     // across the 20 follow-ups the only cold note is the cavity buffer that
     // was lost with the dropped PreparedInsert: 2 + 20×4 − 1 reuses.
     let st = ctx.take_scratch_stats();
@@ -126,8 +126,8 @@ fn mid_phase_panic_leaves_fresh_usable_arena() {
         ctx.recycle_insert(r);
     }
     // The panicked op's own notes died with the dropped arena (the counters
-    // live inside it). First follow-up op: cavity, state map, created pool
-    // and killed pool are all cold in the replacement; the other 19 ops run
+    // live inside it). First follow-up op: cavity, state map, created list
+    // and killed list are all cold in the replacement; the other 19 ops run
     // fully warm at four notes each.
     let st = ctx.take_scratch_stats();
     assert_eq!(st.allocs, 4, "the replacement arena starts entirely cold");
@@ -173,7 +173,7 @@ fn remove_commit_panic_is_retryable_on_same_ctx() {
     ctx.recycle_remove(r);
     assert!(!mesh.vertex(victim).is_alive());
     // the ball buffer traveled inside the dropped PreparedRemove; the
-    // open-face map and both result-buffer pools are still warm from the
+    // open-face map and both pooled result lists are still warm from the
     // first attempt
     let st = ctx.take_scratch_stats();
     assert_eq!(st.allocs, 1, "only the traveling ball buffer is lost");

@@ -739,7 +739,7 @@ mod tests {
         assert_eq!(dropped, res.killed.len());
         let want: Vec<(u32, u32)> = boxed
             .iter()
-            .filter(|&&(cid, _)| !res.killed.iter().any(|&(k, _)| k.0 == cid))
+            .filter(|&&(cid, _)| !res.killed.contains(&CellId(cid)))
             .chain(&created)
             .copied()
             .collect();

@@ -24,7 +24,6 @@ use pi2m_refine::{
     DONATE_THRESHOLD, R_PLUS, S_PLUS,
 };
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Configuration of a simulated PI2M run.
@@ -481,6 +480,9 @@ impl SimMesher {
         let mut cm = SimCm::new(cfg.cm, n);
         let mut bal = SimBalancer::new(cfg.balancer, machine.topo, n);
         let mut sim = SimStats::default();
+        // The virtual thread each cell was created on (its NUMA home), by
+        // cell id; the virtual box's cells are homed on thread 0.
+        let mut home = vec![0; mesh.num_cell_slots()];
 
         // seed thread 0's PEL
         for c in mesh.alive_cells() {
@@ -604,8 +606,9 @@ impl SimMesher {
                 stats[vt].cells_created += created.len() as u64;
 
                 // home the new cells on this thread
+                home.resize(mesh.num_cell_slots(), 0);
                 for &c in &created {
-                    mesh.cell(c).tag.store(vt as u64 + 1, Ordering::Relaxed);
+                    home[c.idx()] = vt;
                 }
                 if let Some((v, point, kind)) = vertex_info {
                     rules.grid.insert(v, point);
@@ -749,8 +752,7 @@ impl SimMesher {
                         };
                         let mut mem = 0.0;
                         for &c in &touched {
-                            let home = mesh.cell(c).tag.load(Ordering::Relaxed) as usize;
-                            let home_vt = home.saturating_sub(1).min(n - 1);
+                            let home_vt = home[c.idx()];
                             let pen = machine.touch_penalty(vt, home_vt, blades_in_use);
                             if pen == 0.0 {
                                 sim.local_touches += 1;

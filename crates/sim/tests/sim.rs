@@ -111,6 +111,24 @@ fn blocking_cms_never_livelock() {
     }
 }
 
+/// The NUMA touch counts of one two-blade run, pinned exactly: the run is
+/// deterministic, so only a change to which thread a cell is homed on (or to
+/// the schedule) moves them.
+#[test]
+fn numa_touch_counts_are_pinned() {
+    let mut cfg = base_cfg(32);
+    cfg.delta = 1.5;
+    let s = SimMesher::new(phantoms::sphere(20, 1.0), cfg).run().stats;
+    assert_eq!(
+        (
+            s.local_touches,
+            s.remote_socket_touches,
+            s.inter_blade_touches
+        ),
+        (5325, 655, 1253)
+    );
+}
+
 #[test]
 fn removals_happen_in_sim() {
     let mut cfg = base_cfg(4);
