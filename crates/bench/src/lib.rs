@@ -62,7 +62,9 @@ pub fn sim_breakdown(stats: &SimStats) -> OverheadBreakdown {
     }
 }
 
-/// Build a JSON run report for one simulated configuration. Harness-agnostic:
+/// Build a JSON run report for one simulated configuration: its settings and
+/// its Table-1 row (the wasted-cycle breakdown) as `config` entries; a
+/// simulated run has no worker attribution of its own. Harness-agnostic:
 /// the caller adds any extra `config` keys before emitting.
 pub fn sim_report(
     tool: &str,
@@ -71,12 +73,17 @@ pub fn sim_report(
     delta: f64,
     stats: &SimStats,
 ) -> RunReport {
+    let o = sim_breakdown(stats);
     let mut r = RunReport::new(tool);
     r.config("cm", format!("{cm:?}"))
         .config("vthreads", vthreads)
         .config("delta", delta)
-        .config("full_mode", full_mode());
-    r.overheads = sim_breakdown(stats);
+        .config("full_mode", full_mode())
+        .config("contention_s", o.contention_s)
+        .config("load_balance_s", o.load_balance_s)
+        .config("rollback_s", o.rollback_s)
+        .config("rollbacks", o.rollbacks)
+        .config("livelock", o.livelock);
     r.threads = vthreads;
     r.wall_s = stats.vtime;
     r.elements = stats.final_elements as u64;
@@ -154,10 +161,17 @@ mod tests {
         assert_eq!(r.threads, 128);
         assert_eq!(r.elements, 500);
         let j = pi2m_obs::json::parse(&r.to_json_string()).unwrap();
-        assert_eq!(
-            j.get("config").unwrap().get("cm").unwrap().as_str(),
-            Some("Local")
-        );
+        let cfg = j.get("config").unwrap();
+        assert_eq!(cfg.get("cm").unwrap().as_str(), Some("Local"));
+        for key in [
+            "contention_s",
+            "load_balance_s",
+            "rollback_s",
+            "rollbacks",
+            "livelock",
+        ] {
+            assert!(cfg.get(key).is_some(), "missing config {key}");
+        }
         assert_eq!(j.get("wall_s").unwrap().as_f64(), Some(2.0));
     }
 

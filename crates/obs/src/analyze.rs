@@ -1,11 +1,9 @@
 //! Offline analysis of a drained flight-recorder timeline: rollback
 //! attribution (hot vertices / hot grid regions), per-worker
 //! utilization/park/steal timelines, windowed rollback-ratio and
-//! lock-wait-fraction series, a speedup self-report, and the per-worker
-//! wall-time attribution ([`crate::attribution`]). The result is appended
-//! to the JSON run report as its `contention` section (schema v3).
+//! lock-wait-fraction series, and a speedup self-report. The result is the
+//! run report's `contention` section.
 
-use crate::attribution::{attribute, TimeAttribution};
 use crate::flight::{EventKind, FlightEvent};
 use crate::json::Json;
 use std::collections::HashMap;
@@ -94,9 +92,6 @@ pub struct ContentionReport {
     pub window_s: f64,
     pub threads: usize,
     pub wall_s: f64,
-    /// Per-worker wall-time decomposition (committed / rolled-back / parked
-    /// / steal-donate / idle), normalized against `wall_s`.
-    pub attribution: TimeAttribution,
 }
 
 impl ContentionReport {
@@ -216,7 +211,6 @@ impl ContentionReport {
             ("workers", workers),
             ("window_s", Json::num(self.window_s)),
             ("windows", windows),
-            ("time_attribution", self.attribution.to_json()),
             (
                 "speedup_self_report",
                 Json::obj(vec![
@@ -330,7 +324,6 @@ pub fn analyze(events: &[FlightEvent], opts: AnalyzeOpts) -> ContentionReport {
         window_s,
         threads,
         wall_s: opts.wall_s,
-        attribution: attribute(events, threads, opts.wall_s).with_dropped(opts.dropped),
     }
 }
 
@@ -472,17 +465,10 @@ mod tests {
             "workers",
             "window_s",
             "windows",
-            "time_attribution",
             "speedup_self_report",
         ] {
             assert!(j.get(key).is_some(), "missing {key}");
         }
-        // the embedded attribution mirrors the event log: one rollback of
-        // 1000ns on worker 0, everything else idle
-        let at = j.get("time_attribution").unwrap();
-        let w0 = &at.get("workers").unwrap().as_arr().unwrap()[0];
-        let rb = w0.get("rolled_back_s").unwrap().as_f64().unwrap();
-        assert!((rb - 1e-6).abs() < 1e-12, "rolled_back_s {rb}");
         let hv = j.get("hot_vertices").unwrap().as_arr().unwrap();
         assert_eq!(hv[0].get("vertex").unwrap().as_f64(), Some(9.0));
         assert_eq!(hv[0].get("conflicts").unwrap().as_f64(), Some(1.0));

@@ -1,25 +1,27 @@
-//! Per-worker wall-time attribution: fold a drained flight-recorder
-//! timeline into "where did each worker's wall time go" — committed-op
-//! work, rolled-back (wasted) work, contention-manager park, begging-list
-//! park, steal/donate handoff overhead, and the idle remainder.
+//! Per-worker wall-time attribution: "where did each worker's wall time
+//! go" — committed-op work, rolled-back (wasted) work, contention-manager
+//! park, begging-list park, steal/donate handoff overhead, and the idle
+//! remainder.
 //!
-//! Every category is *measured*, not modeled: the durations come from the
-//! `c` word of the duration-bearing flight events (`OpCommit`, `Rollback`,
-//! `CmUnpark`, `BegUnpark`, `Donate`), so the decomposition is exactly as
-//! trustworthy as the recorder itself. Committed time is further split by
-//! the op kind the `OpCommit` event carries in its cause byte (insertions vs
-//! R6 removals). The idle remainder absorbs whatever the rings did not
-//! capture (scheduler preemption, walk/classify time outside the op
-//! lifecycle on dead branches, ring overwrites — a ring that overwrote
-//! events makes the fold *partial*, see [`TimeAttribution::is_partial`]),
-//! which is why [`WorkerAttribution::fractions`] always sums to ~1.0 by
-//! construction: the normalizer is `max(wall, accounted)` so a worker whose
-//! measured time overruns the wall clock (timer skew, oversubscribed cores)
-//! still reports a sane unit breakdown with `idle = 0`.
+//! Every category is *measured*, not modeled. A run's attribution comes
+//! from its workers' own sums (`pi2m_refine::stats::time_attribution`),
+//! exact whatever the flight recorder kept. [`attribute`] folds the same
+//! durations out of a drained flight log — the `c` word of the `OpCommit`,
+//! `Rollback`, `CmUnpark`, `BegUnpark` and `Donate` events — and is the
+//! reference the sums are tested against; it covers only what the rings
+//! still held. Committed time is split by op kind (insertions vs R6
+//! removals). The idle remainder absorbs what no category measures
+//! (classification, oracle queries and PEL traffic between operations,
+//! scheduler preemption), which is why [`WorkerAttribution::fractions`]
+//! always sums to ~1.0 by construction: the normalizer is
+//! `max(wall, accounted)` so a worker whose measured time overruns the wall
+//! clock (timer skew, oversubscribed cores) still reports a sane unit
+//! breakdown with `idle = 0`.
 //!
-//! Surfaced three ways: the `time_attribution` section of the schema-v3
-//! [`RunReport`](crate::RunReport), the contention analyzer output, and
-//! synthetic per-worker counter tracks in the Chrome trace export.
+//! Surfaced in the `time_attribution` section of the
+//! [`RunReport`](crate::RunReport), in `pi2m analyze`, and as the
+//! `pi2m_overhead_seconds` gauge; the Chrome trace draws the same
+//! categories over time from the flight log.
 
 use crate::flight::{cause, EventKind, FlightEvent};
 use crate::json::Json;
@@ -164,25 +166,17 @@ pub struct TimeAttribution {
     /// Wall time of the refinement section, seconds.
     pub wall_s: f64,
     pub per_worker: Vec<WorkerAttribution>,
-    /// Events folded into this attribution.
-    pub events: u64,
-    /// Events the rings overwrote (or tore) before they could be drained.
-    /// Non-zero means every measured category is a lower bound and `idle`
-    /// an upper bound: the fold covers only part of the run.
-    pub events_dropped: u64,
 }
 
 impl TimeAttribution {
-    /// Record how many events the recorder lost before the fold ([`attribute`]
-    /// only sees the survivors).
-    pub fn with_dropped(mut self, events_dropped: u64) -> Self {
-        self.events_dropped = events_dropped;
-        self
-    }
-
-    /// Whether the fold covers only part of the run's events.
-    pub fn is_partial(&self) -> bool {
-        self.events_dropped > 0
+    /// The attribution of `per_worker`'s measured categories against
+    /// `wall_s`: each worker's idle residual becomes whatever part of the
+    /// wall its categories do not cover.
+    pub fn from_workers(wall_s: f64, mut per_worker: Vec<WorkerAttribution>) -> Self {
+        for w in &mut per_worker {
+            w.idle_s = (wall_s - w.accounted_s()).max(0.0);
+        }
+        TimeAttribution { wall_s, per_worker }
     }
 
     /// Committed seconds in insertions, summed over all workers.
@@ -235,8 +229,6 @@ impl TimeAttribution {
         ));
         Json::obj(vec![
             ("wall_s", Json::num(self.wall_s)),
-            ("events", Json::int(self.events)),
-            ("events_dropped", Json::int(self.events_dropped)),
             ("totals", Json::Obj(totals)),
             (
                 "fractions",
@@ -255,8 +247,8 @@ impl TimeAttribution {
     }
 
     /// Parse an attribution back out of its [`to_json`](Self::to_json)
-    /// shape (the `pi2m analyze` loader). Unknown keys are ignored; missing
-    /// numeric fields read as zero, so older artifacts degrade gracefully.
+    /// shape (the `pi2m analyze` loader). Missing numeric fields read as
+    /// zero.
     pub fn from_json(j: &Json) -> Option<TimeAttribution> {
         let num = |o: &Json, k: &str| o.get(k).and_then(Json::as_f64).unwrap_or(0.0);
         let workers = j.get("workers")?.as_arr()?;
@@ -277,17 +269,16 @@ impl TimeAttribution {
         Some(TimeAttribution {
             wall_s: num(j, "wall_s"),
             per_worker,
-            events: num(j, "events") as u64,
-            events_dropped: num(j, "events_dropped") as u64,
         })
     }
 }
 
 /// Fold a time-sorted drained event log into the per-worker wall-time
-/// decomposition. `wall_s` is the refinement-section wall clock; `threads`
-/// fixes the worker count so fully-idle workers still appear. A caller whose
-/// rings overwrote events must say so with
-/// [`TimeAttribution::with_dropped`].
+/// decomposition: the reference the workers' sums are tested against, and
+/// what the benchmark's ledger reads from its traced call. `wall_s` is the
+/// refinement-section wall clock; `threads` fixes the worker count so
+/// fully-idle workers still appear. Events a ring overwrote before the
+/// drain are not here, and their time lands in `idle`.
 pub fn attribute(events: &[FlightEvent], threads: usize, wall_s: f64) -> TimeAttribution {
     let threads = threads.max(1);
     let mut per_worker: Vec<WorkerAttribution> = (0..threads)
@@ -317,15 +308,7 @@ pub fn attribute(events: &[FlightEvent], threads: usize, wall_s: f64) -> TimeAtt
             _ => {}
         }
     }
-    for w in &mut per_worker {
-        w.idle_s = (wall_s - w.accounted_s()).max(0.0);
-    }
-    TimeAttribution {
-        wall_s,
-        per_worker,
-        events: events.len() as u64,
-        events_dropped: 0,
-    }
+    TimeAttribution::from_workers(wall_s, per_worker)
 }
 
 #[cfg(test)]
@@ -393,19 +376,6 @@ mod tests {
             (t("committed_insert_s") + t("committed_remove_s") - t("committed_s")).abs() < 1e-12
         );
         assert_eq!(TimeAttribution::from_json(&j).unwrap(), a);
-    }
-
-    #[test]
-    fn dropped_events_mark_the_fold_partial_and_round_trip() {
-        let events = vec![e(0, EventKind::OpCommit, 1_000_000)];
-        let a = attribute(&events, 1, 0.01);
-        assert!(!a.is_partial());
-        let a = a.with_dropped(3);
-        assert!(a.is_partial());
-        let j = crate::json::parse(&a.to_json().dump()).unwrap();
-        assert_eq!(j.get("events").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(j.get("events_dropped").and_then(Json::as_f64), Some(3.0));
-        assert!(TimeAttribution::from_json(&j).unwrap().is_partial());
     }
 
     #[test]

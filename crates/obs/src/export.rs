@@ -1,17 +1,19 @@
 //! Exporters: Prometheus text exposition, Chrome Trace Event JSON, and the
-//! Table-1 style overhead comparison table.
+//! simulator's Table-1 style overhead comparison table.
 
 use crate::attribution::Category;
 use crate::flight::{EventKind, FlightEvent};
 use crate::json::Json;
 use crate::metrics::{bucket_upper_bound, ObsEvent};
-use crate::report::{OverheadBreakdown, RunReport, TraceSpan};
+use crate::report::{RunReport, TraceSpan};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Prometheus text exposition (0.0.4 format) of a run report: counters,
-/// histograms (`_bucket`/`_sum`/`_count`), per-phase and per-overhead-kind
-/// gauges. Metric names are prefixed `pi2m_`.
+/// histograms (`_bucket`/`_sum`/`_count`), per-phase gauges and the wall. A
+/// report of one refinement run — one with an attribution — adds its
+/// per-overhead-kind seconds, read from the attribution, and its element
+/// count. Metric names are prefixed `pi2m_`.
 pub fn render_prometheus(report: &RunReport) -> String {
     let mut out = String::new();
 
@@ -65,26 +67,33 @@ pub fn render_prometheus(report: &RunReport) -> String {
 
     let _ = writeln!(
         out,
-        "# HELP pi2m_overhead_seconds Wasted cycles per category, summed over threads"
-    );
-    let _ = writeln!(out, "# TYPE pi2m_overhead_seconds gauge");
-    let o = &report.overheads;
-    for (kind, v) in [
-        ("contention", o.contention_s),
-        ("load_balance", o.load_balance_s),
-        ("rollback", o.rollback_s),
-    ] {
-        let _ = writeln!(out, "pi2m_overhead_seconds{{kind=\"{kind}\"}} {v}");
-    }
-    let _ = writeln!(
-        out,
         "# HELP pi2m_wall_seconds Wall time of the measured section"
     );
     let _ = writeln!(out, "# TYPE pi2m_wall_seconds gauge");
     let _ = writeln!(out, "pi2m_wall_seconds {}", report.wall_s);
-    let _ = writeln!(out, "# HELP pi2m_elements Final mesh elements");
-    let _ = writeln!(out, "# TYPE pi2m_elements gauge");
-    let _ = writeln!(out, "pi2m_elements {}", report.elements);
+    // A report without an attribution (the serve daemon's aggregate over
+    // many jobs) describes no one run, and has no run gauges to give.
+    if let Some(a) = &report.attribution {
+        let _ = writeln!(
+            out,
+            "# HELP pi2m_overhead_seconds Wasted cycles per category, summed over workers"
+        );
+        let _ = writeln!(out, "# TYPE pi2m_overhead_seconds gauge");
+        for (kind, cat) in [
+            ("contention", Category::CmPark),
+            ("load_balance", Category::BegPark),
+            ("rollback", Category::RolledBack),
+        ] {
+            let _ = writeln!(
+                out,
+                "pi2m_overhead_seconds{{kind=\"{kind}\"}} {}",
+                a.total(cat)
+            );
+        }
+        let _ = writeln!(out, "# HELP pi2m_elements Final mesh elements");
+        let _ = writeln!(out, "# TYPE pi2m_elements gauge");
+        let _ = writeln!(out, "pi2m_elements {}", report.elements);
+    }
     out
 }
 
@@ -93,31 +102,26 @@ pub fn render_prometheus(report: &RunReport) -> String {
 ///
 /// * `phases` appear as complete (`"ph":"X"`) events on a dedicated
 ///   "pipeline" track (`tid` 0).
-/// * `events` (per-worker overhead episodes, worker lifetimes) appear on
-///   `tid = worker + 1`.
+/// * `events` (worker lifetimes, a served job's lifecycle markers) appear
+///   on `tid = worker + 1`.
+/// * `flight`, the flight-recorder timeline, lands on the same worker
+///   tracks. Duration-bearing kinds (committed ops, rollbacks, CM parks,
+///   begging waits) render as complete (`"X"`) slices so rollback storms
+///   are visually dense; point-in-time kinds (lock conflicts, steals,
+///   donations, worker deaths) render as instant (`"i"`) markers.
+///   `OpBegin`/`CmPark`/`BegPark` and the lock batches are skipped — their
+///   information is carried by the paired end/summary events.
+///
+/// Each worker with flight events additionally gets a synthetic counter
+/// track (`"ph":"C"`, name `attribution w<tid>`): at every duration-bearing
+/// event, the cumulative seconds per attribution category
+/// ([`crate::attribution::Category`]) are re-emitted, so Perfetto draws the
+/// committed/rolled-back/parked/steal-donate areas growing over the run —
+/// the time-resolved view of the run report's `time_attribution` section.
 ///
 /// All timestamps must share the run-origin time base; they are emitted in
 /// microseconds as the format requires.
-pub fn render_chrome_trace(phases: &[TraceSpan], events: &[(u32, ObsEvent)]) -> String {
-    render_chrome_trace_with_flight(phases, events, &[])
-}
-
-/// [`render_chrome_trace`], plus the flight-recorder timeline. Duration-
-/// bearing kinds (committed ops, rollbacks, CM parks, begging waits) render
-/// as complete (`"X"`) slices so rollback storms are visually dense;
-/// point-in-time kinds (lock conflicts, steals, donations, worker deaths)
-/// render as instant (`"i"`) markers. `OpBegin`/`CmPark`/`BegPark` and the
-/// lock batches are skipped — their information is carried by the paired
-/// end/summary events.
-///
-/// Each worker additionally gets a synthetic counter track
-/// (`"ph":"C"`, name `attribution w<tid>`): at every duration-bearing
-/// event, the cumulative seconds per attribution category
-/// ([`crate::attribution::Category`]) are re-emitted, so
-/// Perfetto draws the committed/rolled-back/parked/steal-donate areas
-/// growing over the run — the time-resolved view of the run report's
-/// `time_attribution` section.
-pub fn render_chrome_trace_with_flight(
+pub fn render_chrome_trace(
     phases: &[TraceSpan],
     events: &[(u32, ObsEvent)],
     flight: &[FlightEvent],
@@ -275,8 +279,26 @@ pub fn render_chrome_trace_with_flight(
     .dump()
 }
 
-/// Table-1 style per-contention-manager overhead comparison: one text
-/// rendering shared by the CLI, `contention_lab`, and the bench harnesses.
+/// The paper's three direct sources of wasted cycles (§5.5), summed over
+/// threads: one simulated run's row of the Table-1 comparison.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct OverheadBreakdown {
+    pub contention_s: f64,
+    pub load_balance_s: f64,
+    pub rollback_s: f64,
+    pub rollbacks: u64,
+    pub livelock: bool,
+}
+
+impl OverheadBreakdown {
+    pub fn total_s(&self) -> f64 {
+        self.contention_s + self.load_balance_s + self.rollback_s
+    }
+}
+
+/// Table-1 style per-contention-manager overhead comparison of simulated
+/// runs: one text rendering shared by `contention_lab` and the bench
+/// harnesses.
 pub fn render_overhead_table(rows: &[(String, OverheadBreakdown, f64)]) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -311,6 +333,7 @@ pub fn render_overhead_table(rows: &[(String, OverheadBreakdown, f64)]) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attribution::{TimeAttribution, WorkerAttribution};
     use crate::json;
     use crate::metrics::{self, ThreadRecorder};
 
@@ -340,13 +363,33 @@ mod tests {
         assert!(text.contains("# TYPE pi2m_rollback_seconds histogram"));
         assert!(text.contains("pi2m_rollback_seconds_count 2"));
         assert!(text.contains("pi2m_phase_seconds{phase=\"edt\"} 0.5"));
-        assert!(text.contains("pi2m_overhead_seconds{kind=\"contention\"}"));
         // cumulative bucket counts end at the total count
         let last_bucket = text
             .lines()
             .rfind(|l| l.starts_with("pi2m_rollback_seconds_bucket"))
             .unwrap();
         assert!(last_bucket.ends_with(" 2"), "{last_bucket}");
+    }
+
+    /// The run gauges come from the attribution, and only with one: a
+    /// report without it (the serve daemon's aggregate) has neither.
+    #[test]
+    fn run_gauges_follow_the_attribution() {
+        let mut r = sample_report();
+        let text = render_prometheus(&r);
+        assert!(!text.contains("pi2m_overhead_seconds"), "{text}");
+        assert!(!text.contains("pi2m_elements"), "{text}");
+        let worker = WorkerAttribution {
+            rolled_back_s: 0.25,
+            cm_park_s: 0.125,
+            ..Default::default()
+        };
+        r.attribution = Some(TimeAttribution::from_workers(1.0, vec![worker]));
+        let text = render_prometheus(&r);
+        assert!(text.contains("pi2m_overhead_seconds{kind=\"rollback\"} 0.25"));
+        assert!(text.contains("pi2m_overhead_seconds{kind=\"contention\"} 0.125"));
+        assert!(text.contains("pi2m_overhead_seconds{kind=\"load_balance\"} 0"));
+        assert!(text.contains("pi2m_elements 10"));
     }
 
     #[test]
@@ -357,7 +400,7 @@ mod tests {
             start_s: 0.0,
             dur_s: 0.5,
         }];
-        let s = render_chrome_trace(&spans, &r.metrics.events);
+        let s = render_chrome_trace(&spans, &r.metrics.events, &[]);
         let j = json::parse(&s).unwrap();
         let evs = j.get("traceEvents").unwrap().as_arr().unwrap();
         // 2 thread_name metadata + 1 phase + 1 worker event
@@ -402,7 +445,7 @@ mod tests {
                 c: 0,
             },
         ];
-        let s = render_chrome_trace_with_flight(&[], &[], &flight);
+        let s = render_chrome_trace(&[], &[], &flight);
         let j = json::parse(&s).unwrap();
         let evs = j.get("traceEvents").unwrap().as_arr().unwrap();
         let rb = evs
@@ -446,7 +489,7 @@ mod tests {
             // instant kinds do not produce counter samples
             op(7, 1, EventKind::Steal, 0),
         ];
-        let s = render_chrome_trace_with_flight(&[], &[], &flight);
+        let s = render_chrome_trace(&[], &[], &flight);
         let j = json::parse(&s).unwrap();
         let evs = j.get("traceEvents").unwrap().as_arr().unwrap();
         let counters: Vec<_> = evs

@@ -1,39 +1,61 @@
 //! Offline inspection of saved observability artifacts: load a `--report`
-//! run report or a `--contention-out` contention dump back from disk, render
-//! a human-readable attribution / hot-spot summary, and diff two runs to
-//! attribute a throughput regression to a specific waste category.
+//! run report or a served job's trace back from disk, render a
+//! human-readable attribution / hot-spot summary, and diff two run reports
+//! to attribute a throughput regression to a specific waste category.
 //!
 //! Drives `pi2m analyze` (see the CLI); kept in the library so the loader
-//! and renderers are unit-tested and reusable (e.g. by a future live
-//! telemetry endpoint).
+//! and renderers are unit-tested.
 //!
-//! The loader is deliberately lenient: every field is optional and missing
-//! ones read as zero/empty, so older artifacts (schema v1/v2 reports without
-//! a `time_attribution` section) still load and render — their attribution
-//! table simply says it was not recorded.
+//! Every artifact opens with a `kind` tag and a `schema` number, and the
+//! loader reads exactly one schema of each kind ([`ArtifactKind::schema`]);
+//! anything else is rejected with an error naming what it found.
 
 use crate::attribution::{Category, TimeAttribution};
 use crate::json::{parse, Json};
+use crate::report::RunReport;
 use std::fmt::Write as _;
 
-/// What kind of artifact a JSON file turned out to be.
+/// The artifact kinds `pi2m analyze` reads, by the `kind` tag they open with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArtifactKind {
     /// A `--report` run report (`RunReport::to_json`).
     RunReport,
-    /// A standalone `--contention-out` dump (`ContentionReport::to_json`).
-    Contention,
     /// A per-job lifecycle trace saved from `GET /jobs/<id>/trace`.
     JobTrace,
 }
 
 impl ArtifactKind {
+    pub const ALL: [ArtifactKind; 2] = [ArtifactKind::RunReport, ArtifactKind::JobTrace];
+
+    /// The artifact's `kind` tag.
+    pub const fn tag(self) -> &'static str {
+        match self {
+            ArtifactKind::RunReport => "run_report",
+            ArtifactKind::JobTrace => "job_trace",
+        }
+    }
+
+    /// The one `schema` of this kind that is written and read.
+    pub const fn schema(self) -> u32 {
+        match self {
+            ArtifactKind::RunReport => RunReport::SCHEMA_VERSION,
+            ArtifactKind::JobTrace => 2,
+        }
+    }
+
     pub fn name(self) -> &'static str {
         match self {
             ArtifactKind::RunReport => "run report",
-            ArtifactKind::Contention => "contention dump",
             ArtifactKind::JobTrace => "job trace",
         }
+    }
+
+    /// The two fields every artifact of this kind opens with.
+    pub fn envelope(self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("kind", Json::str(self.tag())),
+            ("schema", Json::int(self.schema() as u64)),
+        ]
     }
 }
 
@@ -45,7 +67,6 @@ impl ArtifactKind {
 pub struct TraceInfo {
     /// Job id the service assigned (`"?"` when absent).
     pub id: String,
-    pub schema_version: u64,
     /// Events present in the artifact (after any server-side capping).
     pub events: u64,
     /// Events the service dropped past its per-job cap.
@@ -78,9 +99,9 @@ impl TraceInfo {
 }
 
 /// Lenient view of a run report's sharded-run section. Every field is
-/// optional on disk: a run cancelled mid-shard (or written by a newer tool)
-/// may carry the section header without per-chunk accounting, and the
-/// renderer must degrade to "not recorded" rather than erroring.
+/// optional on disk: a run cancelled mid-shard may carry the section header
+/// without per-chunk accounting, and the renderer must degrade to "not
+/// recorded" rather than erroring.
 #[derive(Clone, Debug, Default)]
 pub struct ShardInfo {
     /// Chunk grid as `AxBxC`, or `"?"` when absent.
@@ -93,9 +114,9 @@ pub struct ShardInfo {
     pub chunks: Option<Vec<(u64, f64)>>,
 }
 
-/// Batched-kernel counters of a schema v5+ run report (the `pred_batch_*`
-/// and `scratch_soa_*` entries of the counter catalog). Kept as raw counts;
-/// the derived rates live in the methods so the renderer and any future
+/// Batched-kernel counters of a run report (the `pred_batch_*` and
+/// `scratch_soa_*` entries of the counter catalog). Kept as raw counts; the
+/// derived rates live in the methods so the renderer and any future
 /// consumer agree on the arithmetic.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BatchKernelInfo {
@@ -148,60 +169,49 @@ impl BatchKernelInfo {
     }
 }
 
-/// The loaded, shape-normalized view of one artifact: the fields the
-/// renderer and differ need, regardless of which artifact kind carried them.
-#[derive(Clone, Debug)]
-pub struct Artifact {
-    pub kind: ArtifactKind,
-    /// `schema_version` of a run report (`None` for contention dumps).
-    pub schema_version: Option<u64>,
-    /// Producing tool of a run report (`None` for contention dumps).
-    pub tool: Option<String>,
-    /// Free-form config pairs of a run report, insertion order preserved.
+/// The loaded view of one run report: the fields the renderer and differ
+/// need. Counters the report does not carry read as zero (zero counters are
+/// not written).
+#[derive(Clone, Debug, Default)]
+pub struct ReportInfo {
+    /// Producing tool.
+    pub tool: String,
+    /// Free-form config pairs, insertion order preserved.
     pub config: Vec<(String, String)>,
     pub threads: u64,
     pub wall_s: f64,
     pub elements: u64,
-    pub commits: u64,
-    pub rollbacks: u64,
-    /// Aggregated per-phase seconds of a run report.
+    /// Aggregated per-phase seconds.
     pub phases: Vec<(String, f64)>,
     /// Top contended `(vertex id, conflicts)`, most-contended first.
     pub hot_vertices: Vec<(u64, u64)>,
     /// Top contended `(region code, conflicts)`, most-contended first.
     pub hot_regions: Vec<(u64, u64)>,
-    /// The wall-time decomposition, when the artifact recorded one.
+    /// The worker-time attribution; `None` for a report that describes no
+    /// refinement run of its own (a simulator row).
     pub attribution: Option<TimeAttribution>,
-    /// The sharded-run section (schema v4), when the artifact carries one.
+    /// The sharded-run section, when the report carries one.
     pub shard: Option<ShardInfo>,
-    /// Batched-kernel counters (schema v5). `None` for pre-v5 reports,
-    /// which predate the counters entirely.
-    pub batch: Option<BatchKernelInfo>,
-    /// Completed kernel operations (`ops_total` counter; 0 when the artifact
-    /// has no counters). Unlike `commits` it does not depend on how much of
-    /// the run the flight ring kept.
+    pub batch: BatchKernelInfo,
+    /// Completed kernel operations (`ops_total`).
     pub ops_total: u64,
+    /// Operations rolled back (`ops_rollbacks`).
+    pub rollbacks: u64,
     /// PEL pops, live and stale (`classify_calls`).
     pub classify_calls: u64,
-    /// How many of those found their cell already dead. `None` when the
-    /// artifact does not carry the counter (it predates `classify_stale`, or
-    /// no pop was stale: zero counters are not written).
-    pub classify_stale: Option<u64>,
-    /// Dead PEL entries dropped without being popped (`pel_pruned`; 0 when
-    /// the artifact does not carry the counter).
+    /// How many of those found their cell already dead (`classify_stale`).
+    pub classify_stale: u64,
+    /// Dead PEL entries dropped without being popped (`pel_pruned`).
     pub pel_pruned: u64,
     /// Facets rule R3 reached (`r3_facets`), and how many of them the
-    /// worker's facet memo cleared without a traversal (`r3_memo_hits`);
-    /// 0 when the artifact does not carry the counters.
+    /// worker's facet memo cleared without a traversal (`r3_memo_hits`).
     pub r3_facets: u64,
     pub r3_memo_hits: u64,
-    /// The per-job lifecycle view, when the artifact is a job trace.
-    pub trace: Option<TraceInfo>,
 }
 
-impl Artifact {
+impl ReportInfo {
     pub fn rollback_ratio(&self) -> f64 {
-        let ops = self.commits + self.rollbacks;
+        let ops = self.ops_total + self.rollbacks;
         if ops == 0 {
             0.0
         } else {
@@ -209,18 +219,28 @@ impl Artifact {
         }
     }
 
-    /// Elements per second for run reports; committed ops per second for
-    /// contention dumps (which do not know the final element count).
+    /// Elements per second of wall time.
     pub fn throughput(&self) -> f64 {
-        let ops = if self.kind == ArtifactKind::RunReport {
-            self.elements
-        } else {
-            self.commits
-        };
         if self.wall_s > 0.0 {
-            ops as f64 / self.wall_s
+            self.elements as f64 / self.wall_s
         } else {
             0.0
+        }
+    }
+}
+
+/// One loaded artifact.
+#[derive(Clone, Debug)]
+pub enum Artifact {
+    Report(ReportInfo),
+    Trace(TraceInfo),
+}
+
+impl Artifact {
+    pub fn kind(&self) -> ArtifactKind {
+        match self {
+            Artifact::Report(_) => ArtifactKind::RunReport,
+            Artifact::Trace(_) => ArtifactKind::JobTrace,
         }
     }
 }
@@ -248,13 +268,12 @@ fn get_str(j: &Json, key: &str) -> String {
 }
 
 /// Fold the event stream of a `GET /jobs/<id>/trace` artifact into the
-/// summary the renderer needs. Unknown event kinds are skipped so newer
-/// services stay analyzable; stage durations pair `stage_started` /
-/// `stage_finished` by name on the run clock (`run_t_s`).
+/// summary the renderer needs. Unknown event kinds are skipped; stage
+/// durations pair `stage_started` / `stage_finished` by name on the run
+/// clock (`run_t_s`).
 fn load_trace(j: &Json) -> TraceInfo {
     let mut t = TraceInfo {
         id: get_str(j, "id"),
-        schema_version: get_u64(j, "trace_schema_version"),
         dropped: get_u64(j, "events_dropped"),
         ..Default::default()
     };
@@ -293,166 +312,105 @@ fn load_trace(j: &Json) -> TraceInfo {
     t
 }
 
-/// Parse one artifact from its JSON text, autodetecting the kind: run
-/// reports carry `schema_version` + `tool`, contention dumps carry
-/// `hot_vertices` + `speedup_self_report`, and job traces carry
-/// `trace_schema_version` + `events` at the top level.
+/// Read a run report's sections: its counters (exact, whatever the flight
+/// ring kept), its contention section's hot spots, and its attribution.
+fn load_report(j: &Json) -> ReportInfo {
+    let c = j.get("contention");
+    let counters = j.get("counters");
+    let cnt = |name: &str| counters.map_or(0, |c| get_u64(c, name));
+    ReportInfo {
+        tool: get_str(j, "tool"),
+        config: match j.get("config") {
+            Some(Json::Obj(pairs)) => pairs
+                .iter()
+                .map(|(k, v)| (k.clone(), v.as_str().unwrap_or("?").to_string()))
+                .collect(),
+            _ => Vec::new(),
+        },
+        threads: get_u64(j, "threads"),
+        wall_s: get_f64(j, "wall_s"),
+        elements: get_u64(j, "elements"),
+        phases: match j.get("phases") {
+            Some(Json::Obj(pairs)) => pairs
+                .iter()
+                .map(|(k, v)| (k.clone(), v.as_f64().unwrap_or(0.0)))
+                .collect(),
+            _ => Vec::new(),
+        },
+        hot_vertices: hot_pairs(c.and_then(|c| c.get("hot_vertices")), "vertex"),
+        hot_regions: hot_pairs(c.and_then(|c| c.get("hot_regions")), "region"),
+        attribution: j
+            .get("time_attribution")
+            .and_then(TimeAttribution::from_json),
+        shard: j.get("shard").map(|s| ShardInfo {
+            grid: get_str(s, "grid"),
+            halo: get_u64(s, "halo"),
+            lanes: get_u64(s, "lanes"),
+            seed_points: get_u64(s, "seed_points"),
+            chunks: s.get("chunks").and_then(Json::as_arr).map(|arr| {
+                arr.iter()
+                    .map(|c| (get_u64(c, "tets"), get_f64(c, "wall_s")))
+                    .collect()
+            }),
+        }),
+        batch: BatchKernelInfo {
+            orient_batches: cnt("pred_batch_orient_batches"),
+            orient_lanes: cnt("pred_batch_orient_lanes"),
+            orient_fallbacks: cnt("pred_batch_orient_fallbacks"),
+            insphere_batches: cnt("pred_batch_insphere_batches"),
+            insphere_lanes: cnt("pred_batch_insphere_lanes"),
+            insphere_fallbacks: cnt("pred_batch_insphere_fallbacks"),
+            soa_gathers: cnt("scratch_soa_gathers"),
+            soa_points: cnt("scratch_soa_points"),
+        },
+        ops_total: cnt("ops_total"),
+        rollbacks: cnt("ops_rollbacks"),
+        classify_calls: cnt("classify_calls"),
+        classify_stale: cnt("classify_stale"),
+        pel_pruned: cnt("pel_pruned"),
+        r3_facets: cnt("r3_facets"),
+        r3_memo_hits: cnt("r3_memo_hits"),
+    }
+}
+
+/// What an artifact the loader does not read opens with, for the error.
+fn found(j: &Json) -> String {
+    let num = |key: &str| j.get(key).and_then(Json::as_f64);
+    match (j.get("kind").and_then(Json::as_str), num("schema")) {
+        (Some(kind), Some(schema)) => format!("kind {kind:?} schema {schema}"),
+        (Some(kind), None) => format!("kind {kind:?} without a schema"),
+        (None, _) => match ["schema_version", "trace_schema_version"]
+            .into_iter()
+            .find_map(|key| Some((key, num(key)?)))
+        {
+            Some((key, v)) => format!("no kind tag, {key} {v}"),
+            None => "no kind tag".to_string(),
+        },
+    }
+}
+
+/// Parse one artifact from its JSON text, by its `kind` tag and `schema`.
 pub fn load_artifact(text: &str) -> Result<Artifact, String> {
     let j = parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    if j.get("trace_schema_version").is_some() && j.get("events").is_some() {
-        // a served job's lifecycle trace (GET /jobs/<id>/trace)
-        let trace = load_trace(&j);
-        let wall_s = trace.terminal.as_ref().map(|&(_, t)| t).unwrap_or(0.0);
-        return Ok(Artifact {
-            kind: ArtifactKind::JobTrace,
-            schema_version: Some(trace.schema_version),
-            tool: None,
-            config: Vec::new(),
-            threads: 0,
-            wall_s,
-            elements: 0,
-            commits: 0,
-            rollbacks: 0,
-            phases: Vec::new(),
-            hot_vertices: Vec::new(),
-            hot_regions: Vec::new(),
-            attribution: None,
-            shard: None,
-            batch: None,
-            ops_total: 0,
-            classify_calls: 0,
-            classify_stale: None,
-            pel_pruned: 0,
-            r3_facets: 0,
-            r3_memo_hits: 0,
-            trace: Some(trace),
-        });
-    }
-    if j.get("schema_version").is_some() && j.get("tool").is_some() {
-        // a run report; its contention section (if any) holds the hot spots
-        let c = j.get("contention");
-        let attribution = j
-            .get("time_attribution")
-            .or_else(|| c.and_then(|c| c.get("time_attribution")))
-            .and_then(TimeAttribution::from_json);
-        let counters = j.get("counters");
-        let cnt = |name: &str| counters.map_or(0, |c| get_u64(c, name));
-        // the batched-kernel counters joined the catalog in schema v5;
-        // earlier reports get `None` and render as "not recorded"
-        let batch = if get_u64(&j, "schema_version") >= 5 {
-            Some(BatchKernelInfo {
-                orient_batches: cnt("pred_batch_orient_batches"),
-                orient_lanes: cnt("pred_batch_orient_lanes"),
-                orient_fallbacks: cnt("pred_batch_orient_fallbacks"),
-                insphere_batches: cnt("pred_batch_insphere_batches"),
-                insphere_lanes: cnt("pred_batch_insphere_lanes"),
-                insphere_fallbacks: cnt("pred_batch_insphere_fallbacks"),
-                soa_gathers: cnt("scratch_soa_gathers"),
-                soa_points: cnt("scratch_soa_points"),
-            })
-        } else {
-            None
-        };
-        Ok(Artifact {
-            kind: ArtifactKind::RunReport,
-            schema_version: Some(get_u64(&j, "schema_version")),
-            tool: j.get("tool").and_then(Json::as_str).map(String::from),
-            config: match j.get("config") {
-                Some(Json::Obj(pairs)) => pairs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.as_str().unwrap_or("?").to_string()))
-                    .collect(),
-                _ => Vec::new(),
-            },
-            threads: get_u64(&j, "threads"),
-            wall_s: get_f64(&j, "wall_s"),
-            elements: get_u64(&j, "elements"),
-            commits: c.map(|c| get_u64(c, "commits")).unwrap_or(0),
-            rollbacks: j
-                .get("overheads")
-                .map(|o| get_u64(o, "rollbacks"))
-                .unwrap_or(0),
-            phases: match j.get("phases") {
-                Some(Json::Obj(pairs)) => pairs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.as_f64().unwrap_or(0.0)))
-                    .collect(),
-                _ => Vec::new(),
-            },
-            hot_vertices: hot_pairs(c.and_then(|c| c.get("hot_vertices")), "vertex"),
-            hot_regions: hot_pairs(c.and_then(|c| c.get("hot_regions")), "region"),
-            attribution,
-            batch,
-            ops_total: cnt("ops_total"),
-            classify_calls: cnt("classify_calls"),
-            classify_stale: counters
-                .and_then(|c| c.get("classify_stale"))
-                .map(|_| cnt("classify_stale")),
-            pel_pruned: cnt("pel_pruned"),
-            r3_facets: cnt("r3_facets"),
-            r3_memo_hits: cnt("r3_memo_hits"),
-            shard: j.get("shard").map(|s| ShardInfo {
-                grid: s
-                    .get("grid")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                halo: get_u64(s, "halo"),
-                lanes: get_u64(s, "lanes"),
-                seed_points: get_u64(s, "seed_points"),
-                chunks: s.get("chunks").and_then(Json::as_arr).map(|arr| {
-                    arr.iter()
-                        .map(|c| (get_u64(c, "tets"), get_f64(c, "wall_s")))
-                        .collect()
-                }),
-            }),
-            trace: None,
-        })
-    } else if j.get("hot_vertices").is_some() && j.get("speedup_self_report").is_some() {
-        // wall time rides in the speedup self-report; the worker count is
-        // the length of the per-worker timeline array
-        let threads = j
-            .get("workers")
-            .and_then(Json::as_arr)
-            .map(|w| w.len() as u64)
-            .unwrap_or(0);
-        let wall_s = j
-            .get("speedup_self_report")
-            .map(|s| get_f64(s, "wall_s"))
-            .unwrap_or(0.0);
-        Ok(Artifact {
-            kind: ArtifactKind::Contention,
-            schema_version: None,
-            tool: None,
-            config: Vec::new(),
-            threads,
-            wall_s,
-            elements: 0,
-            commits: get_u64(&j, "commits"),
-            rollbacks: get_u64(&j, "rollbacks"),
-            phases: Vec::new(),
-            hot_vertices: hot_pairs(j.get("hot_vertices"), "vertex"),
-            hot_regions: hot_pairs(j.get("hot_regions"), "region"),
-            attribution: j
-                .get("time_attribution")
-                .and_then(TimeAttribution::from_json),
-            shard: None,
-            batch: None,
-            ops_total: 0,
-            classify_calls: 0,
-            classify_stale: None,
-            pel_pruned: 0,
-            r3_facets: 0,
-            r3_memo_hits: 0,
-            trace: None,
-        })
-    } else {
-        Err(
-            "unrecognized artifact: not a run report (schema_version + tool), \
-             a contention dump (hot_vertices + speedup_self_report), or a job \
-             trace (trace_schema_version + events)"
-                .into(),
-        )
+    let kind = j.get("kind").and_then(Json::as_str);
+    let schema = j.get("schema").and_then(Json::as_f64);
+    let read = ArtifactKind::ALL
+        .into_iter()
+        .find(|k| kind == Some(k.tag()) && schema == Some(k.schema() as f64));
+    match read {
+        Some(ArtifactKind::RunReport) => Ok(Artifact::Report(load_report(&j))),
+        Some(ArtifactKind::JobTrace) => Ok(Artifact::Trace(load_trace(&j))),
+        None => {
+            let reads: Vec<String> = ArtifactKind::ALL
+                .iter()
+                .map(|k| format!("kind {:?} schema {}", k.tag(), k.schema()))
+                .collect();
+            Err(format!(
+                "unsupported artifact: found {}; pi2m analyze reads {}",
+                found(&j),
+                reads.join(" and ")
+            ))
+        }
     }
 }
 
@@ -464,30 +422,11 @@ fn render_attribution(out: &mut String, a: &TimeAttribution) {
         if a.per_worker.len() == 1 { "" } else { "s" },
         a.wall_s
     );
-    // A ring that overwrote events folds only part of the run: the measured
-    // rows are lower bounds and `idle` absorbs everything that was lost, so
-    // shares (and a "dominant waste") would be fiction.
-    let partial = a.is_partial();
-    if partial {
-        let _ = writeln!(
-            out,
-            "  partial: {} of {} events (the flight ring overwrote the rest); \
-             seconds are lower bounds, idle an upper bound, shares not shown",
-            a.events,
-            a.events + a.events_dropped
-        );
-    }
     let _ = writeln!(out, "  {:<13} {:>10} {:>9}", "category", "seconds", "share");
     let row = |out: &mut String, name: &str, secs: f64, frac: f64| {
-        let share = if partial {
-            "n/a".to_string()
-        } else {
-            format!("{:.1}%", frac * 100.0)
-        };
-        let _ = writeln!(out, "  {name:<13} {secs:>9.3}s {share:>9}");
+        let _ = writeln!(out, "  {name:<13} {secs:>9.3}s {:>8.1}%", frac * 100.0);
     };
     let worker_s: f64 = a.per_worker.iter().map(|w| w.total_s()).sum();
-    // op-kind split of committed work (absent from older artifacts)
     let (ins, rem) = (a.committed_insert_s(), a.committed_remove_s());
     for cat in Category::ALL {
         row(out, cat.key(), a.total(cat), a.fraction(cat));
@@ -495,9 +434,6 @@ fn render_attribution(out: &mut String, a: &TimeAttribution) {
             row(out, "  insert", ins, ins / worker_s);
             row(out, "  remove", rem, rem / worker_s);
         }
-    }
-    if partial {
-        return;
     }
     if let Some((cat, secs)) = a.dominant_waste() {
         let _ = writeln!(
@@ -518,7 +454,7 @@ fn render_trace_summary(out: &mut String, t: &TraceInfo) {
         out,
         "artifact: job trace ({}, schema v{}, {} event{}{})",
         t.id,
-        t.schema_version,
+        ArtifactKind::JobTrace.schema(),
         t.events,
         if t.events == 1 { "" } else { "s" },
         if t.dropped > 0 {
@@ -591,50 +527,44 @@ fn render_trace_summary(out: &mut String, t: &TraceInfo) {
     }
 }
 
-/// Render the human-readable summary `pi2m analyze <artifact>` prints.
-pub fn render_summary(art: &Artifact) -> String {
-    let mut out = String::new();
-    if let Some(t) = &art.trace {
-        render_trace_summary(&mut out, t);
-        return out;
-    }
-    match (&art.tool, art.schema_version) {
-        (Some(tool), Some(v)) => {
-            let _ = writeln!(out, "artifact: {} ({tool}, schema v{v})", art.kind.name());
-        }
-        _ => {
-            let _ = writeln!(out, "artifact: {}", art.kind.name());
-        }
-    }
-    if !art.config.is_empty() {
-        let cfg: Vec<String> = art.config.iter().map(|(k, v)| format!("{k}={v}")).collect();
+/// Render a run report: config, throughput, rollback ratio, phases, shard
+/// and kernel counters, the attribution table and the hot spots.
+fn render_report_summary(out: &mut String, r: &ReportInfo) {
+    let _ = writeln!(
+        out,
+        "artifact: run report ({}, schema v{})",
+        r.tool,
+        ArtifactKind::RunReport.schema()
+    );
+    if !r.config.is_empty() {
+        let cfg: Vec<String> = r.config.iter().map(|(k, v)| format!("{k}={v}")).collect();
         let _ = writeln!(out, "config  : {}", cfg.join(", "));
     }
     let _ = writeln!(
         out,
         "run     : {} threads, {:.3}s wall, {} rollbacks (ratio {:.4})",
-        art.threads,
-        art.wall_s,
-        art.rollbacks,
-        art.rollback_ratio()
+        r.threads,
+        r.wall_s,
+        r.rollbacks,
+        r.rollback_ratio()
     );
-    if art.elements > 0 {
+    if r.elements > 0 {
         let _ = writeln!(
             out,
             "output  : {} elements ({:.0} elements/s)",
-            art.elements,
-            art.throughput()
+            r.elements,
+            r.throughput()
         );
     }
-    if !art.phases.is_empty() {
-        let phases: Vec<String> = art
+    if !r.phases.is_empty() {
+        let phases: Vec<String> = r
             .phases
             .iter()
             .map(|(name, s)| format!("{name} {s:.3}s"))
             .collect();
         let _ = writeln!(out, "phases  : {}", phases.join(", "));
     }
-    if let Some(shard) = &art.shard {
+    if let Some(shard) = &r.shard {
         let _ = writeln!(
             out,
             "sharded : grid {}, halo {}, {} lane{}, {} seed vertices",
@@ -664,82 +594,61 @@ pub fn render_summary(art: &Artifact) -> String {
             }
         }
     }
-    if art.kind == ArtifactKind::RunReport {
-        match &art.batch {
-            None => {
-                let _ = writeln!(out, "batched : not recorded (pre-v5 artifact)");
-            }
-            Some(b) => {
-                let _ = writeln!(
-                    out,
-                    "batched : orient {} waves / {} lanes, insphere {} waves / {} lanes \
-                     ({:.1} lanes/wave, {:.2}% scalar fallback)",
-                    b.orient_batches,
-                    b.orient_lanes,
-                    b.insphere_batches,
-                    b.insphere_lanes,
-                    b.lanes_per_wave(),
-                    b.fallback_rate() * 100.0
-                );
-                let _ = writeln!(
-                    out,
-                    "soa     : {} staging gathers, {} points ({:.1} points/gather)",
-                    b.soa_gathers,
-                    b.soa_points,
-                    b.points_per_gather()
-                );
-            }
-        }
-    }
-    if art.classify_calls > 0 {
-        let per_op = |n: u64| n as f64 / art.ops_total.max(1) as f64;
-        let _ = match art.classify_stale {
-            Some(stale) => {
-                let live = art.classify_calls.saturating_sub(stale);
-                write!(
-                    out,
-                    "classify: {} PEL pops ({:.1}/op): {} stale ({:.1}%), {} live ({:.1}/op)",
-                    art.classify_calls,
-                    per_op(art.classify_calls),
-                    stale,
-                    stale as f64 * 100.0 / art.classify_calls as f64,
-                    live,
-                    per_op(live)
-                )
-            }
-            None => write!(
-                out,
-                "classify: {} PEL pops ({:.1}/op), stale share not recorded",
-                art.classify_calls,
-                per_op(art.classify_calls)
-            ),
-        };
+    let b = &r.batch;
+    let _ = writeln!(
+        out,
+        "batched : orient {} waves / {} lanes, insphere {} waves / {} lanes \
+         ({:.1} lanes/wave, {:.2}% scalar fallback)",
+        b.orient_batches,
+        b.orient_lanes,
+        b.insphere_batches,
+        b.insphere_lanes,
+        b.lanes_per_wave(),
+        b.fallback_rate() * 100.0
+    );
+    let _ = writeln!(
+        out,
+        "soa     : {} staging gathers, {} points ({:.1} points/gather)",
+        b.soa_gathers,
+        b.soa_points,
+        b.points_per_gather()
+    );
+    if r.classify_calls > 0 {
+        let per_op = |n: u64| n as f64 / r.ops_total.max(1) as f64;
+        let live = r.classify_calls.saturating_sub(r.classify_stale);
+        let _ = write!(
+            out,
+            "classify: {} PEL pops ({:.1}/op): {} stale ({:.1}%), {} live ({:.1}/op)",
+            r.classify_calls,
+            per_op(r.classify_calls),
+            r.classify_stale,
+            r.classify_stale as f64 * 100.0 / r.classify_calls as f64,
+            live,
+            per_op(live)
+        );
         // pruned entries were never popped: they are not in the pop count
-        if art.pel_pruned > 0 {
-            let _ = write!(out, "; {} dead entries pruned unpopped", art.pel_pruned);
+        if r.pel_pruned > 0 {
+            let _ = write!(out, "; {} dead entries pruned unpopped", r.pel_pruned);
         }
-        if art.r3_facets > 0 {
+        if r.r3_facets > 0 {
             let _ = write!(
                 out,
                 "; R3 {} facets, {} ({:.1}%) cleared by the memo",
-                art.r3_facets,
-                art.r3_memo_hits,
-                art.r3_memo_hits as f64 * 100.0 / art.r3_facets as f64
+                r.r3_facets,
+                r.r3_memo_hits,
+                r.r3_memo_hits as f64 * 100.0 / r.r3_facets as f64
             );
         }
         out.push('\n');
     }
-    match &art.attribution {
-        Some(a) => render_attribution(&mut out, a),
+    match &r.attribution {
+        Some(a) => render_attribution(out, a),
         None => {
-            let _ = writeln!(
-                out,
-                "time attribution: not recorded (pre-v3 artifact or flight recorder off)"
-            );
+            let _ = writeln!(out, "time attribution: none (no refinement run of its own)");
         }
     }
-    if !art.hot_vertices.is_empty() {
-        let hv: Vec<String> = art
+    if !r.hot_vertices.is_empty() {
+        let hv: Vec<String> = r
             .hot_vertices
             .iter()
             .take(5)
@@ -747,8 +656,8 @@ pub fn render_summary(art: &Artifact) -> String {
             .collect();
         let _ = writeln!(out, "hot vertices: {}", hv.join(", "));
     }
-    if !art.hot_regions.is_empty() {
-        let hr: Vec<String> = art
+    if !r.hot_regions.is_empty() {
+        let hr: Vec<String> = r
             .hot_regions
             .iter()
             .take(5)
@@ -756,20 +665,24 @@ pub fn render_summary(art: &Artifact) -> String {
             .collect();
         let _ = writeln!(out, "hot regions : {}", hr.join(", "));
     }
+}
+
+/// Render the human-readable summary `pi2m analyze <artifact>` prints.
+pub fn render_summary(art: &Artifact) -> String {
+    let mut out = String::new();
+    match art {
+        Artifact::Report(r) => render_report_summary(&mut out, r),
+        Artifact::Trace(t) => render_trace_summary(&mut out, t),
+    }
     out
 }
 
-/// Diff two runs (`base` → `new`) and attribute the change. The verdict
-/// names the waste category whose summed worker-seconds grew the most —
-/// the first place to look when `new` is slower than `base`.
-pub fn render_diff(base: &Artifact, new: &Artifact) -> String {
+/// Diff two run reports (`base` → `new`) and attribute the change. The
+/// verdict names the waste category whose summed worker-seconds grew the
+/// most — the first place to look when `new` is slower than `base`.
+pub fn render_diff(base: &ReportInfo, new: &ReportInfo) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "diff: base {} -> new {}",
-        base.kind.name(),
-        new.kind.name()
-    );
+    let _ = writeln!(out, "diff: base run report -> new run report");
     let pct = |b: f64, n: f64| -> String {
         if b > 0.0 {
             format!("{:+.1}%", (n / b - 1.0) * 100.0)
@@ -799,58 +712,45 @@ pub fn render_diff(base: &Artifact, new: &Artifact) -> String {
         base.rollback_ratio(),
         new.rollback_ratio()
     );
-    match (&base.attribution, &new.attribution) {
-        (Some(b), Some(n)) => {
+    let (Some(b), Some(n)) = (&base.attribution, &new.attribution) else {
+        let _ = writeln!(
+            out,
+            "  (attribution diff unavailable: one or both reports lack it)"
+        );
+        return out;
+    };
+    let _ = writeln!(
+        out,
+        "  {:<13} {:>10} {:>10} {:>9} {:>14}",
+        "category", "base", "new", "delta", "share shift"
+    );
+    let mut worst: Option<(Category, f64)> = None;
+    for cat in Category::ALL {
+        let (bs, ns) = (b.total(cat), n.total(cat));
+        let shift = (n.fraction(cat) - b.fraction(cat)) * 100.0;
+        let _ = writeln!(
+            out,
+            "  {:<13} {:>9.3}s {:>9.3}s {:>+8.3}s {:>+12.1}pp",
+            cat.key(),
+            bs,
+            ns,
+            ns - bs,
+            shift
+        );
+        if cat.is_waste() && worst.as_ref().is_none_or(|(_, w)| ns - bs > *w) {
+            worst = Some((cat, ns - bs));
+        }
+    }
+    match worst {
+        Some((cat, grew)) if grew > 0.0 => {
             let _ = writeln!(
                 out,
-                "  {:<13} {:>10} {:>10} {:>9} {:>14}",
-                "category", "base", "new", "delta", "share shift"
+                "  verdict: waste grew most in '{}' (+{grew:.3} worker-seconds)",
+                cat.key()
             );
-            let mut worst: Option<(Category, f64)> = None;
-            for cat in Category::ALL {
-                let (bs, ns) = (b.total(cat), n.total(cat));
-                let shift = (n.fraction(cat) - b.fraction(cat)) * 100.0;
-                let _ = writeln!(
-                    out,
-                    "  {:<13} {:>9.3}s {:>9.3}s {:>+8.3}s {:>+12.1}pp",
-                    cat.key(),
-                    bs,
-                    ns,
-                    ns - bs,
-                    shift
-                );
-                if cat.is_waste() && worst.as_ref().is_none_or(|(_, w)| ns - bs > *w) {
-                    worst = Some((cat, ns - bs));
-                }
-            }
-            match worst {
-                _ if b.is_partial() || n.is_partial() => {
-                    let _ = writeln!(
-                        out,
-                        "  verdict: none — partial attribution (base {} of {} events, new {} of {})",
-                        b.events,
-                        b.events + b.events_dropped,
-                        n.events,
-                        n.events + n.events_dropped
-                    );
-                }
-                Some((cat, grew)) if grew > 0.0 => {
-                    let _ = writeln!(
-                        out,
-                        "  verdict: waste grew most in '{}' (+{grew:.3} worker-seconds)",
-                        cat.key()
-                    );
-                }
-                _ => {
-                    let _ = writeln!(out, "  verdict: no waste category grew");
-                }
-            }
         }
         _ => {
-            let _ = writeln!(
-                out,
-                "  (attribution diff unavailable: one or both artifacts lack it)"
-            );
+            let _ = writeln!(out, "  verdict: no waste category grew");
         }
     }
     out
@@ -860,8 +760,9 @@ pub fn render_diff(base: &Artifact, new: &Artifact) -> String {
 mod tests {
     use super::*;
     use crate::analyze::{analyze, AnalyzeOpts};
-    use crate::flight::{EventKind, FlightEvent};
-    use crate::report::RunReport;
+    use crate::attribution::attribute;
+    use crate::flight::{cause, EventKind, FlightEvent};
+    use crate::metrics;
 
     fn ev(t_ms: u64, tid: u16, kind: EventKind, a: u32, c: u32) -> FlightEvent {
         FlightEvent {
@@ -875,145 +776,133 @@ mod tests {
         }
     }
 
-    fn sample_report(rollback_ns: u32) -> String {
-        let ms = 1_000_000u32;
-        let events = vec![
-            ev(1, 0, EventKind::OpCommit, 0, 10 * ms),
-            ev(2, 1, EventKind::Rollback, 7, rollback_ns),
-            ev(3, 1, EventKind::CmUnpark, 0, 2 * ms),
-        ];
-        let contention = analyze(
-            &events,
-            AnalyzeOpts {
-                threads: 2,
-                wall_s: 0.02,
-                ..Default::default()
-            },
-        );
+    /// A two-worker report whose attribution folds `events` over a 20 ms
+    /// wall, the way a run's sums would read.
+    fn report_of(events: &[FlightEvent]) -> String {
+        let opts = AnalyzeOpts {
+            threads: 2,
+            wall_s: 0.02,
+            ..Default::default()
+        };
         let mut r = RunReport::new("pi2m");
         r.config("input", "phantom:sphere").config("delta", 2.0);
         r.threads = 2;
         r.wall_s = 0.02;
         r.elements = 500;
-        r.overheads.rollbacks = 1;
-        r.attribution = Some(contention.attribution.clone());
-        r.contention = Some(contention);
+        r.metrics.add_counter(metrics::OPS_TOTAL, 9);
+        r.metrics.add_counter(metrics::OPS_ROLLBACKS, 1);
+        r.attribution = Some(attribute(events, opts.threads, opts.wall_s));
+        r.contention = Some(analyze(events, opts));
         r.to_json_string()
+    }
+
+    fn sample_report(rollback_ns: u32) -> String {
+        let ms = 1_000_000u32;
+        report_of(&[
+            ev(1, 0, EventKind::OpCommit, 0, 10 * ms),
+            ev(2, 1, EventKind::Rollback, 7, rollback_ns),
+            ev(3, 1, EventKind::CmUnpark, 0, 2 * ms),
+        ])
+    }
+
+    fn report(text: &str) -> ReportInfo {
+        match load_artifact(text).unwrap() {
+            Artifact::Report(r) => r,
+            other => panic!("expected a run report, got a {}", other.kind().name()),
+        }
+    }
+
+    fn trace(text: &str) -> TraceInfo {
+        match load_artifact(text).unwrap() {
+            Artifact::Trace(t) => t,
+            other => panic!("expected a job trace, got a {}", other.kind().name()),
+        }
     }
 
     #[test]
     fn loads_run_report_with_attribution() {
-        let art = load_artifact(&sample_report(1_000_000)).unwrap();
-        assert_eq!(art.kind, ArtifactKind::RunReport);
-        assert_eq!(art.schema_version, Some(RunReport::SCHEMA_VERSION as u64));
-        assert_eq!(art.tool.as_deref(), Some("pi2m"));
-        assert_eq!(art.threads, 2);
-        assert_eq!(art.elements, 500);
-        assert_eq!(art.rollbacks, 1);
-        assert_eq!(art.hot_vertices, vec![(7, 1)]);
-        let a = art.attribution.expect("attribution");
+        let r = report(&sample_report(1_000_000));
+        assert_eq!(r.tool, "pi2m");
+        assert_eq!(r.threads, 2);
+        assert_eq!(r.elements, 500);
+        assert_eq!((r.ops_total, r.rollbacks), (9, 1));
+        assert!((r.rollback_ratio() - 0.1).abs() < 1e-12);
+        assert_eq!(r.hot_vertices, vec![(7, 1)]);
+        let a = r.attribution.expect("attribution");
         assert_eq!(a.per_worker.len(), 2);
         assert!((a.per_worker[1].rolled_back_s - 1e-3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn loads_standalone_contention_dump() {
-        let ms = 1_000_000u32;
-        let events = vec![
-            ev(1, 0, EventKind::OpCommit, 0, ms),
-            ev(2, 0, EventKind::Rollback, 3, ms),
-        ];
-        let dump = analyze(
-            &events,
-            AnalyzeOpts {
-                threads: 1,
-                wall_s: 0.01,
-                ..Default::default()
-            },
-        )
-        .to_json()
-        .dump_pretty();
-        let art = load_artifact(&dump).unwrap();
-        assert_eq!(art.kind, ArtifactKind::Contention);
-        assert_eq!(art.commits, 1);
-        assert_eq!(art.rollbacks, 1);
-        assert!(art.attribution.is_some());
-        // ops/sec for contention dumps
-        assert!((art.throughput() - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn rejects_unrecognized_json() {
         assert!(load_artifact("not json at all").is_err());
         let err = load_artifact("{\"foo\": 1}").unwrap_err();
-        assert!(err.contains("unrecognized"), "{err}");
+        assert!(
+            err.contains("unsupported artifact: found no kind tag"),
+            "{err}"
+        );
+    }
+
+    /// Only `run_report` schema 6 and `job_trace` schema 2 load; an
+    /// artifact of an older schema, or of a kind no longer written, is
+    /// rejected with what it opens with and what the loader reads.
+    #[test]
+    fn rejects_other_schemas_and_kinds_by_name() {
+        let reads = "pi2m analyze reads kind \"run_report\" schema 6 and \
+                     kind \"job_trace\" schema 2";
+        for (text, found) in [
+            (
+                r#"{"schema_version": 5, "tool": "pi2m", "threads": 1}"#,
+                "found no kind tag, schema_version 5",
+            ),
+            (
+                r#"{"id": "job-1", "trace_schema_version": 1, "events": []}"#,
+                "found no kind tag, trace_schema_version 1",
+            ),
+            (
+                r#"{"kind": "run_report", "schema": 5}"#,
+                "found kind \"run_report\" schema 5",
+            ),
+            (
+                r#"{"kind": "contention", "schema": 6}"#,
+                "found kind \"contention\" schema 6",
+            ),
+        ] {
+            let err = load_artifact(text).unwrap_err();
+            assert!(err.contains(found) && err.contains(reads), "{err}");
+        }
     }
 
     #[test]
     fn summary_renders_all_sections() {
-        let art = load_artifact(&sample_report(1_000_000)).unwrap();
-        let s = render_summary(&art);
-        assert!(s.contains("run report"), "{s}");
+        let s = render_summary(&load_artifact(&sample_report(1_000_000)).unwrap());
+        assert!(s.contains("run report (pi2m, schema v6)"), "{s}");
         assert!(s.contains("input=phantom:sphere"), "{s}");
         assert!(s.contains("500 elements"), "{s}");
         assert!(s.contains("time attribution"), "{s}");
         assert!(s.contains("committed"), "{s}");
         assert!(s.contains("idle"), "{s}");
+        assert!(s.contains("dominant waste"), "{s}");
         assert!(s.contains("hot vertices: v7 x1"), "{s}");
     }
 
     #[test]
     fn summary_splits_committed_by_op_kind() {
         let ms = 1_000_000u32;
-        let mut rem = ev(2, 0, EventKind::OpCommit, 0, 6 * ms);
-        rem.cause = crate::flight::cause::OP_REMOVE;
-        let events = vec![ev(1, 0, EventKind::OpCommit, 0, 2 * ms), rem];
-        let opts = AnalyzeOpts {
-            threads: 1,
-            wall_s: 0.01,
-            ..Default::default()
-        };
-        let dump = analyze(&events, opts).to_json().dump_pretty();
-        let s = render_summary(&load_artifact(&dump).unwrap());
+        let mut rem = ev(2, 0, EventKind::OpCommit, 0, 12 * ms);
+        rem.cause = cause::OP_REMOVE;
+        let text = report_of(&[ev(1, 0, EventKind::OpCommit, 0, 4 * ms), rem]);
+        let s = render_summary(&load_artifact(&text).unwrap());
         let line = |name: &str| {
             s.lines()
                 .find(|l| l.trim_start().starts_with(name))
                 .unwrap_or_else(|| panic!("no '{name}' row in:\n{s}"))
                 .to_string()
         };
-        assert!(line("committed").contains("0.008s"), "{s}");
-        assert!(line("insert").contains("0.002s") && line("insert").contains("20.0%"));
-        assert!(line("remove").contains("0.006s") && line("remove").contains("60.0%"));
-        assert!(!s.contains("partial"), "{s}");
-    }
-
-    #[test]
-    fn partial_fold_is_labelled_and_shows_no_shares() {
-        let events = vec![ev(1, 0, EventKind::OpCommit, 0, 1_000_000)];
-        let opts = AnalyzeOpts {
-            threads: 1,
-            wall_s: 0.01,
-            dropped: 3,
-            ..Default::default()
-        };
-        let dump = analyze(&events, opts).to_json().dump_pretty();
-        let s = render_summary(&load_artifact(&dump).unwrap());
-        assert!(s.contains("partial: 1 of 4 events"), "{s}");
-        assert!(s.contains("n/a") && !s.contains("dominant waste"), "{s}");
-        let att = s.split("time attribution").nth(1).unwrap();
-        assert!(!att.contains('%'), "no share may be printed:\n{att}");
-    }
-
-    #[test]
-    fn summary_degrades_without_attribution() {
-        // strip the attribution sections to simulate a pre-v3 report
-        let mut r = RunReport::new("pi2m");
-        r.threads = 1;
-        r.wall_s = 1.0;
-        let art = load_artifact(&r.to_json_string()).unwrap();
-        assert!(art.attribution.is_none());
-        let s = render_summary(&art);
-        assert!(s.contains("not recorded"), "{s}");
+        // shares of 2 workers x 20 ms
+        assert!(line("committed").contains("0.016s"), "{s}");
+        assert!(line("insert").contains("0.004s") && line("insert").contains("10.0%"));
+        assert!(line("remove").contains("0.012s") && line("remove").contains("30.0%"));
     }
 
     #[test]
@@ -1042,11 +931,11 @@ mod tests {
                 },
             ],
         });
-        let art = load_artifact(&r.to_json_string()).unwrap();
-        let shard = art.shard.as_ref().expect("shard info");
+        let text = r.to_json_string();
+        let shard = report(&text).shard.expect("shard info");
         assert_eq!(shard.grid, "2x1x1");
         assert_eq!(shard.chunks.as_deref(), Some(&[(80, 0.1), (90, 0.2)][..]));
-        let s = render_summary(&art);
+        let s = render_summary(&load_artifact(&text).unwrap());
         assert!(s.contains("grid 2x1x1, halo 4, 2 lanes"), "{s}");
         assert!(s.contains("2 meshed, 170 pre-stitch tets"), "{s}");
     }
@@ -1056,13 +945,11 @@ mod tests {
         // a cancelled sharded run can flush the section header without the
         // per-chunk accounting; analyze must render, not error
         let text = r#"{
-            "schema_version": 4, "tool": "pi2m", "threads": 2, "wall_s": 0.5,
+            "kind": "run_report", "schema": 6, "tool": "pi2m", "threads": 2, "wall_s": 0.5,
             "shard": {"grid": "2x2x2", "halo": 3, "lanes": 4, "seed_points": 0}
         }"#;
-        let art = load_artifact(text).unwrap();
-        let shard = art.shard.as_ref().expect("shard info");
-        assert!(shard.chunks.is_none());
-        let s = render_summary(&art);
+        assert!(report(text).shard.expect("shard info").chunks.is_none());
+        let s = render_summary(&load_artifact(text).unwrap());
         assert!(s.contains("grid 2x2x2"), "{s}");
         assert!(
             s.contains("chunks  : not recorded (run cancelled before chunk accounting)"),
@@ -1074,7 +961,7 @@ mod tests {
     fn loads_job_trace_and_renders_timeline() {
         // the wire shape of GET /jobs/<id>/trace (serve's JobTrace::to_json)
         let text = r#"{
-            "id": "job-3", "trace_schema_version": 1,
+            "kind": "job_trace", "schema": 2, "id": "job-3",
             "events": [
                 {"t_s": 0.0, "kind": "admitted", "priority": "normal", "queue_depth": 0},
                 {"t_s": 0.01, "kind": "queue_wait", "wait_s": 0.01},
@@ -1094,9 +981,7 @@ mod tests {
                 {"t_s": 0.4, "kind": "terminal", "status": "succeeded", "attempts": 2}
             ]
         }"#;
-        let art = load_artifact(text).unwrap();
-        assert_eq!(art.kind, ArtifactKind::JobTrace);
-        let t = art.trace.as_ref().expect("trace info");
+        let t = trace(text);
         assert_eq!(t.id, "job-3");
         assert_eq!(t.events, 15);
         assert_eq!(t.queue_wait_s, Some(0.01));
@@ -1107,8 +992,8 @@ mod tests {
         assert_eq!(t.shard_chunks, 2);
         assert_eq!(t.terminal.as_ref().unwrap().0, "succeeded");
         assert_eq!(t.dominant_stage().unwrap().0, "volume_refinement");
-        let s = render_summary(&art);
-        assert!(s.contains("job trace (job-3, schema v1, 15 events)"), "{s}");
+        let s = render_summary(&load_artifact(text).unwrap());
+        assert!(s.contains("job trace (job-3, schema v2, 15 events)"), "{s}");
         assert!(s.contains("queue   : waited 0.010s"), "{s}");
         assert!(s.contains("2 checkouts (gen 0, gen 1), 1 backoff"), "{s}");
         assert!(
@@ -1124,13 +1009,12 @@ mod tests {
     fn queued_only_trace_degrades_to_not_recorded() {
         // fetched while the job still sits in the queue: nothing ran yet
         let text = r#"{
-            "id": "job-9", "trace_schema_version": 1,
+            "kind": "job_trace", "schema": 2, "id": "job-9",
             "events": [
                 {"t_s": 0.0, "kind": "admitted", "priority": "low", "queue_depth": 4}
             ]
         }"#;
-        let art = load_artifact(text).unwrap();
-        let s = render_summary(&art);
+        let s = render_summary(&load_artifact(text).unwrap());
         assert!(s.contains("wait not recorded"), "{s}");
         assert!(s.contains("attempts: none recorded"), "{s}");
         assert!(s.contains("stages  : not recorded"), "{s}");
@@ -1140,7 +1024,7 @@ mod tests {
     #[test]
     fn batch_counters_load_and_render() {
         let text = r#"{
-            "schema_version": 5, "tool": "pi2m", "threads": 1, "wall_s": 0.5,
+            "kind": "run_report", "schema": 6, "tool": "pi2m", "threads": 1, "wall_s": 0.5,
             "counters": {
                 "pred_batch_orient_batches": 100, "pred_batch_orient_lanes": 900,
                 "pred_batch_orient_fallbacks": 9,
@@ -1149,13 +1033,12 @@ mod tests {
                 "scratch_soa_gathers": 200, "scratch_soa_points": 2400
             }
         }"#;
-        let art = load_artifact(text).unwrap();
-        let b = art.batch.as_ref().expect("batch info");
+        let b = report(text).batch;
         assert_eq!(b.orient_lanes, 900);
         assert!((b.lanes_per_wave() - 8.0).abs() < 1e-9);
         assert!((b.fallback_rate() - 0.01).abs() < 1e-9);
         assert!((b.points_per_gather() - 12.0).abs() < 1e-9);
-        let s = render_summary(&art);
+        let s = render_summary(&load_artifact(text).unwrap());
         assert!(s.contains("batched : orient 100 waves / 900 lanes"), "{s}");
         assert!(s.contains("8.0 lanes/wave, 1.00% scalar fallback"), "{s}");
         assert!(s.contains("soa     : 200 staging gathers"), "{s}");
@@ -1163,16 +1046,14 @@ mod tests {
 
     #[test]
     fn classify_line_splits_stale_from_live_pops() {
-        let report = |counters: &str| {
-            format!(
-                r#"{{"schema_version": 5, "tool": "pi2m", "threads": 1, "wall_s": 0.5,
-                    "counters": {{"ops_total": 100, {counters}}}}}"#
-            )
+        let summary = |counters: &str| {
+            let text = format!(
+                r#"{{"kind": "run_report", "schema": 6, "tool": "pi2m", "threads": 1,
+                    "wall_s": 0.5, "counters": {{"ops_total": 100, {counters}}}}}"#
+            );
+            render_summary(&load_artifact(&text).unwrap())
         };
-        let art =
-            load_artifact(&report(r#""classify_calls": 2600, "classify_stale": 1750"#)).unwrap();
-        assert_eq!((art.classify_calls, art.classify_stale), (2600, Some(1750)));
-        let s = render_summary(&art);
+        let s = summary(r#""classify_calls": 2600, "classify_stale": 1750"#);
         assert!(
             s.contains(
                 "classify: 2600 PEL pops (26.0/op): 1750 stale (67.3%), 850 live (8.5/op)\n"
@@ -1180,52 +1061,29 @@ mod tests {
             "{s}"
         );
         // entries pruned from the PEL were never popped: named after the split
-        let art = load_artifact(&report(
-            r#""classify_calls": 2600, "classify_stale": 1750, "pel_pruned": 300"#,
-        ))
-        .unwrap();
-        let s = render_summary(&art);
+        let s = summary(r#""classify_calls": 2600, "classify_stale": 1750, "pel_pruned": 300"#);
         assert!(
             s.contains("850 live (8.5/op); 300 dead entries pruned unpopped\n"),
             "{s}"
         );
         // R3's facet visits and memo hits close the line
-        let art = load_artifact(&report(
+        let s = summary(
             r#""classify_calls": 2600, "classify_stale": 1750, "r3_facets": 3000, "r3_memo_hits": 1000"#,
-        ))
-        .unwrap();
-        let s = render_summary(&art);
+        );
         assert!(
             s.contains("850 live (8.5/op); R3 3000 facets, 1000 (33.3%) cleared by the memo\n"),
             "{s}"
         );
-        // an artifact without the counter cannot tell "none stale" from
-        // "not counted": the line says so instead of printing a zero
-        let art = load_artifact(&report(r#""classify_calls": 2600"#)).unwrap();
-        let s = render_summary(&art);
-        assert!(
-            s.contains("2600 PEL pops (26.0/op), stale share not recorded"),
-            "{s}"
-        );
-    }
-
-    #[test]
-    fn pre_v5_report_degrades_batch_to_not_recorded() {
-        let text = r#"{"schema_version": 4, "tool": "pi2m", "threads": 1, "wall_s": 0.5}"#;
-        let art = load_artifact(text).unwrap();
-        assert!(art.batch.is_none());
-        let s = render_summary(&art);
-        assert!(
-            s.contains("batched : not recorded (pre-v5 artifact)"),
-            "{s}"
-        );
+        // zero counters are not written: no stale pop reads as none
+        let s = summary(r#""classify_calls": 2600"#);
+        assert!(s.contains("2600 PEL pops (26.0/op): 0 stale (0.0%)"), "{s}");
     }
 
     #[test]
     fn diff_attributes_regression_to_grown_waste_category() {
-        let base = load_artifact(&sample_report(1_000_000)).unwrap();
+        let base = report(&sample_report(1_000_000));
         // the "regressed" run rolled back 12ms instead of 1ms
-        let new = load_artifact(&sample_report(12_000_000)).unwrap();
+        let new = report(&sample_report(12_000_000));
         let d = render_diff(&base, &new);
         assert!(
             d.contains("verdict: waste grew most in 'rolled_back'"),

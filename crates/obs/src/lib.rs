@@ -50,13 +50,16 @@ pub use analyze::{analyze, AnalyzeOpts, ContentionReport};
 pub use attribution::{attribute, Category, TimeAttribution, WorkerAttribution};
 pub use cancel::{CancelToken, Cancelled};
 pub use export::{
-    render_chrome_trace, render_chrome_trace_with_flight, render_overhead_table, render_prometheus,
+    render_chrome_trace, render_overhead_table, render_prometheus, OverheadBreakdown,
 };
 pub use flight::{
     EventKind, EventRing, FlightEvent, FlightHandle, FlightLog, FlightRecorder, FlightSampler,
 };
-pub use inspect::{load_artifact, render_diff, render_summary, Artifact, ArtifactKind, ShardInfo};
+pub use inspect::{
+    load_artifact, render_diff, render_summary, Artifact, ArtifactKind, ReportInfo, ShardInfo,
+    TraceInfo,
+};
 pub use journal::{Journal, Level};
 pub use metrics::{CounterId, HistId, MetricDef, MetricKind, MetricsSnapshot, ThreadRecorder};
-pub use report::{OverheadBreakdown, PhaseReport, RunReport, ShardChunk, ShardSection, TraceSpan};
+pub use report::{PhaseReport, RunReport, ShardChunk, ShardSection, TraceSpan};
 pub use span::{Phases, SpanGuard};

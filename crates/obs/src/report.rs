@@ -1,9 +1,10 @@
 //! The self-describing run report: configuration, provenance, phase
-//! timings, overhead accounting, and the full metric snapshot of one
-//! pipeline run, serializable to JSON (see [`RunReport::to_json`]).
+//! timings, the workers' time attribution, and the full metric snapshot of
+//! one pipeline run, serializable to JSON (see [`RunReport::to_json`]).
 
 use crate::analyze::ContentionReport;
 use crate::attribution::TimeAttribution;
+use crate::inspect::ArtifactKind;
 use crate::json::Json;
 use crate::metrics::MetricsSnapshot;
 
@@ -23,23 +24,6 @@ pub struct PhaseReport {
     pub seconds: f64,
 }
 
-/// The paper's three direct sources of wasted cycles (§5.5), summed over
-/// threads — the quantities behind Figure 6 and Table 1.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OverheadBreakdown {
-    pub contention_s: f64,
-    pub load_balance_s: f64,
-    pub rollback_s: f64,
-    pub rollbacks: u64,
-    pub livelock: bool,
-}
-
-impl OverheadBreakdown {
-    pub fn total_s(&self) -> f64 {
-        self.contention_s + self.load_balance_s + self.rollback_s
-    }
-}
-
 /// Per-chunk record inside a [`ShardSection`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardChunk {
@@ -53,7 +37,7 @@ pub struct ShardChunk {
     pub wall_s: f64,
 }
 
-/// The sharded-run section of a report (schema v4; `None` — key absent — for
+/// The sharded-run section of a report (`None` — key absent — for
 /// monolithic runs and for sharded runs cancelled before chunk accounting).
 #[derive(Clone, Debug, Default)]
 pub struct ShardSection {
@@ -107,8 +91,6 @@ impl ShardSection {
 /// A machine-readable account of one run.
 #[derive(Clone, Debug, Default)]
 pub struct RunReport {
-    /// Report schema version (bump when fields change incompatibly).
-    pub schema_version: u32,
     /// Producing tool, e.g. `"pi2m"` or a bench harness name.
     pub tool: String,
     /// Crate version of the producer.
@@ -119,8 +101,6 @@ pub struct RunReport {
     pub config: Vec<(String, String)>,
     /// Aggregated per-phase wall time.
     pub phases: Vec<PhaseReport>,
-    /// Wasted-cycle accounting summed over worker threads.
-    pub overheads: OverheadBreakdown,
     /// Worker thread count.
     pub threads: usize,
     /// Wall time of the measured section, seconds.
@@ -129,32 +109,25 @@ pub struct RunReport {
     pub elements: u64,
     /// The merged metric snapshot.
     pub metrics: MetricsSnapshot,
-    /// Flight-recorder contention analysis (schema v2; `None` when the
-    /// recorder was disabled — the key is then absent from the JSON).
+    /// Flight-recorder contention analysis (`None` — key absent — for a
+    /// report with no flight log of its own).
     pub contention: Option<ContentionReport>,
-    /// Per-worker wall-time attribution (schema v3; `None` when the flight
-    /// recorder was disabled — the key is then absent from the JSON).
+    /// The workers' wall-time attribution: the report's one decomposition
+    /// of worker time (`None` — key absent — for a report that describes no
+    /// refinement run of its own, such as a simulator row or the serve
+    /// daemon's aggregate).
     pub attribution: Option<TimeAttribution>,
-    /// Sharded-run accounting (schema v4; `None` — key absent — for
-    /// monolithic runs).
+    /// Sharded-run accounting (`None` — key absent — for monolithic runs).
     pub shard: Option<ShardSection>,
 }
 
 impl RunReport {
-    /// Schema history: v1 = counters/histograms/overheads; v2 adds the
-    /// optional `contention` section (all v1 fields unchanged); v3 adds the
-    /// optional top-level `time_attribution` section and embeds the same
-    /// decomposition inside `contention` (all v2 fields unchanged); v4 adds
-    /// the optional `shard` section for sharded runs (all v3 fields
-    /// unchanged); v5 adds the batched-kernel counters (`pred_batch_*`,
-    /// `scratch_soa_*`) to the counter catalog — absent from pre-v5
-    /// reports, so consumers degrade to "not recorded" (all v4 fields
-    /// unchanged).
-    pub const SCHEMA_VERSION: u32 = 5;
+    /// The one run-report schema written and read: a report opens with
+    /// `"kind": "run_report"` and `"schema"` set to this.
+    pub const SCHEMA_VERSION: u32 = 6;
 
     pub fn new(tool: &str) -> Self {
         RunReport {
-            schema_version: Self::SCHEMA_VERSION,
             tool: tool.to_string(),
             version: env!("CARGO_PKG_VERSION").to_string(),
             git_describe: git_describe(),
@@ -199,7 +172,8 @@ impl RunReport {
         }
     }
 
-    /// Full structured report as a JSON tree.
+    /// Full structured report as a JSON tree, opening with its `kind` and
+    /// `schema`.
     pub fn to_json(&self) -> Json {
         let hist_json = |h: &crate::metrics::Hist| {
             let nonzero: Vec<Json> = h
@@ -222,8 +196,8 @@ impl RunReport {
                 ("buckets", Json::Arr(nonzero)),
             ])
         };
-        let mut fields = vec![
-            ("schema_version", Json::int(self.schema_version as u64)),
+        let mut fields = ArtifactKind::RunReport.envelope();
+        fields.extend([
             ("tool", Json::str(&self.tool)),
             ("version", Json::str(&self.version)),
             (
@@ -251,17 +225,6 @@ impl RunReport {
                         .collect(),
                 ),
             ),
-            (
-                "overheads",
-                Json::obj(vec![
-                    ("contention_s", Json::num(self.overheads.contention_s)),
-                    ("load_balance_s", Json::num(self.overheads.load_balance_s)),
-                    ("rollback_s", Json::num(self.overheads.rollback_s)),
-                    ("total_s", Json::num(self.overheads.total_s())),
-                    ("rollbacks", Json::int(self.overheads.rollbacks)),
-                    ("livelock", Json::Bool(self.overheads.livelock)),
-                ]),
-            ),
             ("threads", Json::int(self.threads as u64)),
             ("wall_s", Json::num(self.wall_s)),
             ("elements", Json::int(self.elements)),
@@ -286,7 +249,7 @@ impl RunReport {
                         .collect(),
                 ),
             ),
-        ];
+        ]);
         if let Some(c) = &self.contention {
             fields.push(("contention", c.to_json()));
         }
@@ -355,13 +318,13 @@ mod tests {
 
         let j = crate::json::parse(&r.to_json_string()).unwrap();
         for key in [
-            "schema_version",
+            "kind",
+            "schema",
             "tool",
             "version",
             "git_describe",
             "config",
             "phases",
-            "overheads",
             "threads",
             "wall_s",
             "elements",
@@ -371,6 +334,8 @@ mod tests {
         ] {
             assert!(j.get(key).is_some(), "missing key {key}");
         }
+        assert_eq!(j.get("kind").unwrap().as_str(), Some("run_report"));
+        assert_eq!(j.get("schema").unwrap().as_f64(), Some(6.0));
         // repeated phases aggregate
         assert_eq!(
             j.get("phases").unwrap().get("edt").unwrap().as_f64(),
@@ -387,12 +352,10 @@ mod tests {
         let h = j.get("histograms").unwrap().get("cavity_cells").unwrap();
         assert_eq!(h.get("count").unwrap().as_f64(), Some(1.0));
         assert_eq!(r.elements_per_second(), 500.0);
-        // optional sections absent while their producers are off: the
-        // flight-derived pair (v2/v3) and the sharded-run section (v4)
-        assert_eq!(j.get("schema_version").unwrap().as_f64(), Some(5.0));
-        assert!(j.get("contention").is_none());
-        assert!(j.get("time_attribution").is_none());
-        assert!(j.get("shard").is_none());
+        // optional sections are absent while their producers are off
+        for key in ["contention", "time_attribution", "shard"] {
+            assert!(j.get(key).is_none(), "unexpected {key}");
+        }
     }
 
     #[test]
@@ -429,8 +392,9 @@ mod tests {
     }
 
     #[test]
-    fn contention_section_appears_when_set() {
+    fn contention_and_attribution_sections_appear_when_set() {
         use crate::analyze::{analyze, AnalyzeOpts};
+        use crate::attribution::attribute;
         use crate::flight::{EventKind, FlightEvent};
 
         let mut r = RunReport::new("test");
@@ -443,21 +407,19 @@ mod tests {
             b: 0,
             c: 500,
         }];
-        let contention = analyze(
-            &events,
-            AnalyzeOpts {
-                threads: 2,
-                wall_s: 0.5,
-                ..Default::default()
-            },
-        );
-        r.attribution = Some(contention.attribution.clone());
-        r.contention = Some(contention);
+        let opts = AnalyzeOpts {
+            threads: 2,
+            wall_s: 0.5,
+            ..Default::default()
+        };
+        r.contention = Some(analyze(&events, opts));
+        r.attribution = Some(attribute(&events, opts.threads, opts.wall_s));
         let j = crate::json::parse(&r.to_json_string()).unwrap();
         let c = j.get("contention").expect("contention section");
         assert_eq!(c.get("rollbacks").unwrap().as_f64(), Some(1.0));
         assert!(c.get("speedup_self_report").is_some());
-        // schema v3: the attribution also surfaces at the top level
+        // one decomposition of worker time, at the top level only
+        assert!(c.get("time_attribution").is_none());
         let a = j.get("time_attribution").expect("time_attribution section");
         assert_eq!(a.get("workers").unwrap().as_arr().unwrap().len(), 2);
     }

@@ -6,7 +6,7 @@
 //! (the explicit closing-line path).
 
 use pi2m_obs::metrics::{self, CounterId, HistId, MetricKind, ThreadRecorder};
-use pi2m_obs::{render_prometheus, RunReport, TraceSpan};
+use pi2m_obs::{render_prometheus, RunReport, TimeAttribution, TraceSpan, WorkerAttribution};
 
 /// A report where EVERY cataloged counter and histogram has data, so the
 /// exposition covers the full catalog. Histogram 0 additionally gets a
@@ -33,7 +33,11 @@ fn full_report() -> RunReport {
         start_s: 0.0,
         dur_s: 1.0,
     }]);
-    r.overheads.rollback_s = 0.25;
+    let worker = WorkerAttribution {
+        rolled_back_s: 0.25,
+        ..Default::default()
+    };
+    r.attribution = Some(TimeAttribution::from_workers(1.0, vec![worker]));
     r
 }
 

@@ -9,7 +9,7 @@ use pi2m_delaunay::SharedMesh;
 use pi2m_faults::FaultPlan;
 use pi2m_obs::flight::{FlightEvent, DEFAULT_RING_CAPACITY};
 use pi2m_obs::metrics::MetricsSnapshot;
-use pi2m_obs::TraceSpan;
+use pi2m_obs::{TimeAttribution, TraceSpan};
 use pi2m_oracle::{IsosurfaceOracle, SizeFn};
 use std::sync::Arc;
 
@@ -40,8 +40,6 @@ pub struct MesherConfig {
     /// Watchdog: seconds without any completed operation before a livelock
     /// is declared.
     pub livelock_timeout: f64,
-    /// Record per-thread overhead traces (Figure 6).
-    pub trace: bool,
     /// Safety cap on total operations (0 = unlimited).
     pub max_operations: u64,
     /// Deterministic fault-injection plan (testing/DST only; `None` in
@@ -75,7 +73,6 @@ impl Default for MesherConfig {
             topology: MachineTopology::flat(64),
             enable_removals: true,
             livelock_timeout: 30.0,
-            trace: false,
             max_operations: 0,
             faults: None,
             flight: true,
@@ -106,4 +103,7 @@ pub struct MeshOutput {
     pub flight: Vec<FlightEvent>,
     /// Events lost to ring overwrites (rings keep the newest window).
     pub flight_dropped: u64,
+    /// The workers' wall-time attribution of the refinement section, from
+    /// their own sums: exact whatever the flight recorder kept.
+    pub attribution: TimeAttribution,
 }

@@ -113,9 +113,16 @@ pub(crate) trait SpeculativeOp {
     /// Payload word `a` of the OpCommit event.
     fn commit_id(&self, res: &OpResult) -> u32;
 
-    /// Per-kind commit counters/histograms (`operations` and cell counts are
-    /// common and counted by [`run_op`]).
-    fn count_commit(&self, stats: &mut ThreadStats, rec: &mut ThreadRecorder, res: &OpResult);
+    /// Per-kind commit counters/histograms, and the op's `secs` added to its
+    /// kind's committed time (`operations` and cell counts are common and
+    /// counted by [`run_op`]).
+    fn count_commit(
+        &self,
+        stats: &mut ThreadStats,
+        rec: &mut ThreadRecorder,
+        res: &OpResult,
+        secs: f64,
+    );
 
     /// Post-commit hook running before created-cell handling (the insert op
     /// registers its new vertex in the proximity grid here, and requeues its
@@ -175,8 +182,15 @@ impl SpeculativeOp for InsertOp {
         }
     }
 
-    fn count_commit(&self, stats: &mut ThreadStats, rec: &mut ThreadRecorder, res: &OpResult) {
+    fn count_commit(
+        &self,
+        stats: &mut ThreadStats,
+        rec: &mut ThreadRecorder,
+        res: &OpResult,
+        secs: f64,
+    ) {
         stats.insertions += 1;
+        stats.committed_insert_s += secs;
         rec.observe(metrics::CAVITY_CELLS, res.killed_len() as f64);
     }
 
@@ -253,8 +267,15 @@ impl SpeculativeOp for RemoveOp {
         self.victim.0
     }
 
-    fn count_commit(&self, stats: &mut ThreadStats, _rec: &mut ThreadRecorder, _res: &OpResult) {
+    fn count_commit(
+        &self,
+        stats: &mut ThreadStats,
+        _rec: &mut ThreadRecorder,
+        _res: &OpResult,
+        secs: f64,
+    ) {
         stats.removals += 1;
+        stats.committed_remove_s += secs;
     }
 
     fn after_commit(
@@ -313,7 +334,7 @@ pub(crate) fn run_op(
             stats.operations += 1;
             stats.cells_created += res.created().len() as u64;
             stats.cells_killed += res.killed_len() as u64;
-            op.count_commit(stats, rec, &res);
+            op.count_commit(stats, rec, &res, (t_end - t0).as_secs_f64());
             env.sync.flight_emit_at(
                 tid,
                 t_end,
@@ -343,13 +364,11 @@ pub(crate) fn run_op(
                 pack_owner_region(owner as u16, region),
                 dur_ns_u32(t_end - t0),
             );
-            let at = env.cfg.trace.then(|| env.sync.now());
-            stats.add_overhead(OverheadKind::Rollback, rolled, at);
+            stats.add_overhead(OverheadKind::Rollback, rolled, None);
             rec.observe(metrics::ROLLBACK_SECONDS, rolled);
             op.on_conflict(env, tid, rec);
             let waited = env.cm.on_rollback(tid, owner as usize, env.sync);
-            let at = env.cfg.trace.then(|| env.sync.now());
-            stats.add_overhead(OverheadKind::Contention, waited, at);
+            stats.add_overhead(OverheadKind::Contention, waited, None);
             rec.observe(metrics::LOCK_WAIT_SECONDS, waited);
             OpOutcome::Conflicted
         }

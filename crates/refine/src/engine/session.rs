@@ -19,12 +19,12 @@ use super::worker::{bridge_thread_stats, live_tap, RunState};
 use crate::error::RefineError;
 use crate::output::FinalMesh;
 use crate::rules::{RuleConfig, Rules};
-use crate::stats::{RefineStats, ThreadStats};
+use crate::stats::{time_attribution, RefineStats, ThreadStats};
 use pi2m_delaunay::{SharedMesh, VertexKind};
 use pi2m_image::LabeledImage;
 use pi2m_obs::flight::{FlightEvent, FlightRecorder};
 use pi2m_obs::metrics::{self, MetricsSnapshot, ThreadRecorder};
-use pi2m_obs::{CancelToken, Phases};
+use pi2m_obs::{CancelToken, Phases, TimeAttribution};
 use pi2m_oracle::IsosurfaceOracle;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -45,12 +45,12 @@ pub struct RunOptions {
 }
 
 /// Telemetry salvaged from a cancelled run: the drained flight events (in
-/// the run time base), the merged metric snapshot, and the phase spans
-/// recorded up to the cancellation point. A run that is killed by a deadline
-/// is exactly the run whose observability artifacts matter most — this is
-/// what lets the CLI still write `--report` / `--contention-out` after
+/// the run time base), the merged metric snapshot, the phase spans recorded
+/// up to the cancellation point, and the workers' attribution. A run that
+/// is killed by a deadline is exactly the run whose observability artifacts
+/// matter most — this is what lets the CLI still write its run report after
 /// [`RefineError::Cancelled`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CancelTelemetry {
     /// Flight events drained at cancellation, re-based onto the run clock.
     pub flight: Vec<pi2m_obs::FlightEvent>,
@@ -60,10 +60,9 @@ pub struct CancelTelemetry {
     pub metrics: MetricsSnapshot,
     /// Phase spans recorded up to the cancellation point.
     pub phases: Vec<pi2m_obs::TraceSpan>,
-    /// Wall time of the (truncated) refinement section, seconds.
-    pub wall_s: f64,
-    /// Worker thread count of the cancelled run.
-    pub threads: usize,
+    /// The workers' attribution of the (truncated) refinement section, from
+    /// their own sums: its wall, and one row per worker.
+    pub attribution: TimeAttribution,
 }
 
 /// A persistent meshing session: create once, mesh many images.
@@ -286,8 +285,8 @@ fn run_pipeline(
         }
     });
     // Offset between the refinement clock (EngineSync, which timestamps
-    // overhead traces and worker events) and the run origin, so all exported
-    // timelines share one time base.
+    // worker events) and the run origin, so all exported timelines share one
+    // time base.
     let sync_origin = phases.now();
     let state = Arc::new(RunState::new(
         mesh,
@@ -329,6 +328,8 @@ fn run_pipeline(
     }
     reporter.finished(Stage::VolumeRefine, t0.elapsed().as_secs_f64());
     let wall_time = t_refine.elapsed().as_secs_f64();
+    // The run's one account of worker time, from the workers' own sums.
+    let attribution = time_attribution(&per_thread, wall_time);
 
     // Every pool thread drops its Arc before it reports done, and the tap has
     // joined: this is the last one.
@@ -360,8 +361,8 @@ fn run_pipeline(
     pool.park_grid(grid_park);
 
     // A cancelled run returns the typed error, but its telemetry is salvaged
-    // first and stashed in the pool, so the caller can still write complete
-    // `--report` / `--contention-out` artifacts for the run it had to kill.
+    // first and stashed in the pool, so the caller can still write a complete
+    // run report for the run it had to kill.
     if sync.was_cancelled() {
         let (flight, flight_dropped, metrics) = drain_telemetry(
             pool,
@@ -377,8 +378,7 @@ fn run_pipeline(
             flight_dropped,
             metrics,
             phases: phases.spans().to_vec(),
-            wall_s: wall_time,
-            threads: cfg.threads,
+            attribution,
         });
         return Err(RefineError::Cancelled);
     }
@@ -426,7 +426,6 @@ fn run_pipeline(
         wall_time,
         edt_time,
         workers_died,
-        trace_origin: sync_origin,
     };
     Ok(MeshOutput {
         mesh: final_mesh,
@@ -437,6 +436,7 @@ fn run_pipeline(
         phases: phases.spans().to_vec(),
         flight: flight_events,
         flight_dropped,
+        attribution,
     })
 }
 

@@ -12,7 +12,7 @@
 //! checked at the same loop boundary stops a run on demand.
 
 use super::config::MesherConfig;
-use super::op::{run_op, InsertOp, OpOutcome, RegionMap, RemoveOp};
+use super::op::{dur_ns_u32, run_op, InsertOp, OpOutcome, RegionMap, RemoveOp};
 use crate::balancer::{make_balancer, BegOutcome, LoadBalancer, DONATE_THRESHOLD};
 use crate::cm::{make_cm, ContentionManager};
 use crate::rules::{FacetMemo, Rules};
@@ -246,8 +246,7 @@ pub(crate) fn worker(
                 let _ = f.fire(sites::BALANCER_BEG, tid as u32);
             }
             let (outcome, waited) = env.bal.beg(tid, env.sync, env.cm);
-            let at = env.cfg.trace.then(|| env.sync.now());
-            stats.add_overhead(OverheadKind::LoadBalance, waited, at);
+            stats.add_overhead(OverheadKind::LoadBalance, waited, None);
             rec.observe(metrics::LB_WAIT_SECONDS, waited);
             match outcome {
                 BegOutcome::Finished => break,
@@ -487,8 +486,7 @@ fn process_item(
                 );
                 push_own(env, tid, rec, std::iter::once((cid, gen)), PelEnd::Bottom);
                 let waited = env.cm.on_rollback(tid, tid, env.sync);
-                let at = env.cfg.trace.then(|| env.sync.now());
-                stats.add_overhead(OverheadKind::Contention, waited, at);
+                stats.add_overhead(OverheadKind::Contention, waited, None);
                 rec.observe(metrics::LOCK_WAIT_SECONDS, waited);
                 return false;
             }
@@ -616,11 +614,18 @@ pub(crate) fn handle_created(
             env.counters[b].fetch_add(n, Ordering::AcqRel);
             env.sync.poor_added(n);
             env.bal.wake(b);
-            // `c` carries the measured handoff cost (beggar-PEL lock, push,
-            // wake) so time attribution can charge the donor for it.
-            let handoff_ns = t_donate.elapsed().as_nanos().min(u32::MAX as u128) as u32;
-            env.sync
-                .flight_emit(tid, EventKind::Donate, 0, b as u32, n as u32, handoff_ns);
+            // The handoff (beggar-PEL lock, push, wake) is the donor's time:
+            // summed into its stats, and carried in the event's `c`.
+            let handoff = t_donate.elapsed();
+            stats.steal_donate_s += handoff.as_secs_f64();
+            env.sync.flight_emit(
+                tid,
+                EventKind::Donate,
+                0,
+                b as u32,
+                n as u32,
+                dur_ns_u32(handoff),
+            );
             stats.donations_made += 1;
             if env.cfg.topology.blade_of(tid) != env.cfg.topology.blade_of(b) {
                 stats.inter_blade_donations += 1;

@@ -66,6 +66,6 @@ pub use shard::{
     mesh_sharded, parse_shard_grid, split_plan, ChunkRun, ChunkSpec, ShardError, ShardRun,
     ShardSpec,
 };
-pub use stats::{OverheadKind, RefineStats, ThreadStats, TraceEvent};
+pub use stats::{time_attribution, OverheadKind, RefineStats, ThreadStats, TraceEvent};
 pub use sync::EngineSync;
 pub use topology::MachineTopology;

@@ -132,14 +132,13 @@ pub fn mesh_sharded(
     let cancel = opts.cancel.clone().unwrap_or_default();
 
     // Chunk meshing: intra-chunk single-threaded (schedule-independent),
-    // cross-chunk parallel over the lanes. Flight/live/trace are stitch-run
+    // cross-chunk parallel over the lanes. Flight and live are stitch-run
     // concerns; chunk runs keep only their metric snapshots.
     let chunk_cfg = MesherConfig {
         threads: 1,
         topology: MachineTopology::flat(1),
         flight: false,
         live: None,
-        trace: false,
         shard_stitch: false,
         ..cfg.clone()
     };

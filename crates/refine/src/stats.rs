@@ -1,7 +1,13 @@
 //! Overhead accounting, mirroring the paper's three direct sources of wasted
 //! cycles (§5.5): contention overhead, load-balance overhead, and rollback
-//! overhead — plus throughput counters and an optional event trace for the
-//! Figure-6 style overhead-vs-wall-time breakdown.
+//! overhead — plus committed-op and donation time, throughput counters, and
+//! an optional event trace the simulator writes for the Figure-6 style
+//! overhead-vs-wall-time breakdown.
+//!
+//! The worker sums are the run's one account of worker time:
+//! [`time_attribution`] turns them into the attribution every artifact shows.
+
+use pi2m_obs::{TimeAttribution, WorkerAttribution};
 
 /// Categories of wasted time tracked per thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,8 +30,8 @@ pub struct TraceEvent {
     pub at: f64,
     pub kind: OverheadKind,
     pub dur: f64,
-    /// Originating worker thread; filled in by [`RefineStats::merged_trace`]
-    /// (a `ThreadStats` does not know its own index).
+    /// Originating worker thread; filled in when the simulator merges its
+    /// per-thread traces (a `ThreadStats` does not know its own index).
     pub tid: u32,
 }
 
@@ -56,7 +62,15 @@ pub struct ThreadStats {
     pub contention_overhead: f64,
     pub load_balance_overhead: f64,
     pub rollback_overhead: f64,
-    /// Optional event trace (enabled by `MesherConfig::trace`).
+    /// Seconds inside committed insertions.
+    pub committed_insert_s: f64,
+    /// Seconds inside committed R6 removals.
+    pub committed_remove_s: f64,
+    /// Donation handoff seconds (beggar-PEL lock, push, wake), on the
+    /// donor's clock.
+    pub steal_donate_s: f64,
+    /// Optional event trace (written by the simulator when its
+    /// `SimConfig::trace` is set).
     pub trace: Vec<TraceEvent>,
 }
 
@@ -82,6 +96,31 @@ impl ThreadStats {
     }
 }
 
+/// The run's wall-time attribution, from the workers' own sums: worker `t`
+/// is `per_thread[t]`, and whatever part of `wall_s` its sums do not cover
+/// is its idle remainder. Exact at any flight-ring size and with the
+/// recorder off; the fold over flight events
+/// ([`pi2m_obs::attribution::attribute`]) agrees with it to within the
+/// nanosecond each event's `u32` duration word truncates.
+pub fn time_attribution(per_thread: &[ThreadStats], wall_s: f64) -> TimeAttribution {
+    let workers = per_thread
+        .iter()
+        .enumerate()
+        .map(|(tid, t)| WorkerAttribution {
+            tid: tid as u16,
+            committed_s: t.committed_insert_s + t.committed_remove_s,
+            committed_insert_s: t.committed_insert_s,
+            committed_remove_s: t.committed_remove_s,
+            rolled_back_s: t.rollback_overhead,
+            cm_park_s: t.contention_overhead,
+            beg_park_s: t.load_balance_overhead,
+            steal_donate_s: t.steal_donate_s,
+            idle_s: 0.0,
+        })
+        .collect();
+    TimeAttribution::from_workers(wall_s, workers)
+}
+
 /// Aggregated statistics of a refinement run.
 #[derive(Clone, Debug, Default)]
 pub struct RefineStats {
@@ -97,10 +136,6 @@ pub struct RefineStats {
     pub workers_died: usize,
     /// Vertices allocated (including removed ones).
     pub vertices_allocated: usize,
-    /// Seconds from the pipeline run origin at which the refinement clock
-    /// (the `at` field of trace events) started; exporters add this to align
-    /// overhead traces with phase spans.
-    pub trace_origin: f64,
 }
 
 impl RefineStats {
@@ -176,25 +211,6 @@ impl RefineStats {
             0.0
         }
     }
-
-    /// Merged, time-sorted trace across threads, with `tid` stamped from the
-    /// per-thread index. Simultaneous events tie-break by thread id so the
-    /// merged order (and any export built from it) is deterministic.
-    pub fn merged_trace(&self) -> Vec<TraceEvent> {
-        let mut all: Vec<TraceEvent> = self
-            .per_thread
-            .iter()
-            .enumerate()
-            .flat_map(|(tid, t)| {
-                t.trace.iter().map(move |e| TraceEvent {
-                    tid: tid as u32,
-                    ..*e
-                })
-            })
-            .collect();
-        all.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.tid.cmp(&b.tid)));
-        all
-    }
 }
 
 #[cfg(test)]
@@ -236,42 +252,26 @@ mod tests {
     }
 
     #[test]
-    fn trace_merges_sorted() {
-        let mut a = ThreadStats::default();
-        a.add_overhead(OverheadKind::Contention, 0.1, Some(2.0));
-        let mut b = ThreadStats::default();
-        b.add_overhead(OverheadKind::Rollback, 0.1, Some(1.0));
-        let stats = RefineStats {
-            per_thread: vec![a, b],
+    fn attribution_maps_every_sum_and_leaves_the_rest_idle() {
+        let t = ThreadStats {
+            committed_insert_s: 0.25,
+            committed_remove_s: 0.125,
+            rollback_overhead: 0.0625,
+            contention_overhead: 0.03125,
+            load_balance_overhead: 0.015625,
+            steal_donate_s: 0.0078125,
             ..Default::default()
         };
-        let t = stats.merged_trace();
-        assert_eq!(t.len(), 2);
-        assert!(t[0].at <= t[1].at);
-        assert_eq!((t[0].tid, t[1].tid), (1, 0));
-    }
-
-    #[test]
-    fn trace_ties_break_by_thread_id() {
-        let mk = |kinds: &[OverheadKind]| {
-            let mut s = ThreadStats::default();
-            for &k in kinds {
-                s.add_overhead(k, 0.1, Some(1.0)); // identical timestamps
-            }
-            s
-        };
-        let stats = RefineStats {
-            per_thread: vec![
-                mk(&[OverheadKind::Rollback, OverheadKind::Contention]),
-                mk(&[OverheadKind::LoadBalance]),
-            ],
-            ..Default::default()
-        };
-        let t = stats.merged_trace();
-        let tids: Vec<u32> = t.iter().map(|e| e.tid).collect();
-        assert_eq!(tids, vec![0, 0, 1]);
-        // stable within a thread: insertion order preserved
-        assert_eq!(t[0].kind, OverheadKind::Rollback);
-        assert_eq!(t[1].kind, OverheadKind::Contention);
+        let a = time_attribution(&[ThreadStats::default(), t], 1.0);
+        assert_eq!(a.per_worker.len(), 2);
+        assert_eq!(a.per_worker[0].idle_s, 1.0);
+        let w = &a.per_worker[1];
+        assert_eq!(w.tid, 1);
+        assert_eq!(w.committed_s, 0.375);
+        assert_eq!(
+            (w.rolled_back_s, w.cm_park_s, w.beg_park_s, w.steal_donate_s),
+            (0.0625, 0.03125, 0.015625, 0.0078125)
+        );
+        assert_eq!(w.total_s(), 1.0);
     }
 }

@@ -16,12 +16,14 @@
 //! same timeline the analyzer summarizes.
 
 use crate::job::{job_name, JobId, JobStatus, Priority};
+use pi2m_obs::inspect::ArtifactKind;
 use pi2m_obs::json::Json;
 use pi2m_obs::metrics::ObsEvent;
 use pi2m_obs::report::TraceSpan;
 
-/// Version of the trace wire schema (`trace_schema_version` in the JSON).
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
+/// Version of the trace wire schema (`schema` in the JSON, beside `kind`
+/// `"job_trace"`): the one `pi2m analyze` reads.
+pub const TRACE_SCHEMA_VERSION: u32 = ArtifactKind::JobTrace.schema();
 
 /// Hard cap on events per job. A sharded retry storm is the worst case
 /// (chunks × attempts + stages); past the cap the trace drops further
@@ -199,14 +201,9 @@ impl JobTrace {
                 Json::obj(fields)
             })
             .collect();
-        let mut fields = vec![
-            ("id", Json::str(job_name(id))),
-            (
-                "trace_schema_version",
-                Json::int(TRACE_SCHEMA_VERSION as u64),
-            ),
-            ("events", Json::Arr(events)),
-        ];
+        let mut fields = ArtifactKind::JobTrace.envelope();
+        fields.push(("id", Json::str(job_name(id))));
+        fields.push(("events", Json::Arr(events)));
         if self.dropped > 0 {
             fields.push(("events_dropped", Json::int(self.dropped)));
         }
@@ -272,7 +269,7 @@ impl JobTrace {
                 }
             }
         }
-        pi2m_obs::export::render_chrome_trace(&phases, &events)
+        pi2m_obs::export::render_chrome_trace(&phases, &events, &[])
     }
 }
 
@@ -325,11 +322,12 @@ mod tests {
     #[test]
     fn json_wire_form_is_versioned_and_ordered() {
         let j = sample().to_json(9);
-        assert_eq!(j.get("id").unwrap().as_str(), Some("job-9"));
+        assert_eq!(j.get("kind").unwrap().as_str(), Some("job_trace"));
         assert_eq!(
-            j.get("trace_schema_version").unwrap().as_f64(),
+            j.get("schema").unwrap().as_f64(),
             Some(TRACE_SCHEMA_VERSION as f64)
         );
+        assert_eq!(j.get("id").unwrap().as_str(), Some("job-9"));
         let events = j.get("events").unwrap().as_arr().unwrap();
         assert_eq!(events.len(), 6);
         assert_eq!(events[0].get("kind").unwrap().as_str(), Some("admitted"));
@@ -375,8 +373,9 @@ mod tests {
         // the saved trace must be what `pi2m analyze` autodetects
         let text = sample().to_json(9).dump_pretty();
         let art = pi2m_obs::inspect::load_artifact(&text).expect("analyzer loads the trace");
-        assert_eq!(art.kind, pi2m_obs::inspect::ArtifactKind::JobTrace);
-        let info = art.trace.as_ref().expect("trace info");
+        let pi2m_obs::inspect::Artifact::Trace(info) = &art else {
+            panic!("loaded as a {}", art.kind().name());
+        };
         assert_eq!(info.id, "job-9");
         assert_eq!(info.queue_wait_s, Some(0.5));
         assert_eq!(info.checkouts, vec![0]);

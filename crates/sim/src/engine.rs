@@ -166,7 +166,7 @@ impl SimStats {
     }
 
     /// Merged overhead trace (Figure 6), `tid`-stamped and deterministically
-    /// ordered (time, then thread id) like [`pi2m_refine::RefineStats`].
+    /// ordered: by time, then thread id.
     pub fn merged_trace(&self) -> Vec<pi2m_refine::TraceEvent> {
         let mut all: Vec<pi2m_refine::TraceEvent> = self
             .per_thread

@@ -5,13 +5,13 @@
 //!             [--cm aggressive|random|global|local] [--balancer rws|hws]
 //!             [--no-removals] [--size S] [--off out.off] [--stats]
 //!             [--report run.json] [--trace-out trace.json] [--metrics]
-//!             [--audit] [--live[=INTERVAL]] [--contention-out c.json]
-//!             [--no-flight] [--force] [--deadline DUR]
-//!             [--shards AxBxC [--halo N]]
+//!             [--audit] [--live[=INTERVAL]] [--no-flight] [--force]
+//!             [--deadline DUR] [--shards AxBxC [--halo N]]
 //!             (a run killed by --deadline still writes its --report /
-//!             --contention-out / --trace-out artifacts; --shards meshes
-//!             the image as a grid of overlapping chunks and stitches the
-//!             seams — see README "Sharded meshing")
+//!             --trace-out / --metrics artifacts, from the same run report
+//!             a finished run writes; --shards meshes the image as a grid
+//!             of overlapping chunks and stitches the seams — see README
+//!             "Sharded meshing")
 //! pi2m batch  <inputs...> [--outdir DIR] [--keep-going] [--reports]
 //!             [mesh options]
 //!             mesh several inputs sequentially over ONE warm session
@@ -27,8 +27,9 @@
 //!              [--parent-removal OPS_PER_SEC]]  kernel benchmark harness;
 //!             --check also gates removal ops/s >= insertion ops/s / 8
 //! pi2m analyze <artifact.json> [new.json]      offline artifact inspection:
-//!             one file renders its attribution/hot-spot summary; two files
-//!             diff the runs and attribute the regression to a waste category
+//!             one run report or job trace renders its summary; two run
+//!             reports diff the runs and attribute the regression to a
+//!             waste category
 //! pi2m serve  [--addr HOST:PORT] [--sessions N] [--threads N]
 //!             [--queue-cap N] [--spool DIR] [--default-deadline DUR]
 //!             [--max-retries N] [--drain-grace DUR] [--log[=PATH]]
@@ -52,20 +53,15 @@
 //! Failures exit with a typed code (see [`pi2m::cli::CliError`]): 1 generic,
 //! 3 cancelled (deadline), 4 I/O, 5 integrity, 6 worker loss.
 
-use pi2m::cli::{parse_args, parse_duration, write_new, Args, CliError};
+use pi2m::cli::{parse_args, parse_duration, run_report, write_new, Args, CliError, RunEnd};
 use pi2m::image::{io as img_io, phantoms, LabeledImage};
 use pi2m::meshio;
 use pi2m::obs::journal::{Journal, Level};
 use pi2m::obs::json::Json;
-use pi2m::obs::metrics::ObsEvent;
-use pi2m::obs::{
-    analyze, render_chrome_trace_with_flight, render_prometheus, AnalyzeOpts, OverheadBreakdown,
-    RunReport,
-};
+use pi2m::obs::{render_chrome_trace, render_prometheus, FlightEvent, RunReport, TraceSpan};
 use pi2m::quality;
 use pi2m::refine::{
-    BalancerKind, CancelTelemetry, CancelToken, CmKind, MeshOutput, MesherConfig, MeshingSession,
-    OverheadKind, RunOptions,
+    BalancerKind, CancelToken, CmKind, MeshOutput, MesherConfig, MeshingSession, RunOptions,
 };
 use std::io::BufWriter;
 use std::process::ExitCode;
@@ -112,7 +108,6 @@ struct MeshOpts {
     enable_removals: bool,
     force: bool,
     live: Option<f64>,
-    trace: bool,
     flight: bool,
     faults: Option<Arc<pi2m::faults::FaultPlan>>,
 }
@@ -186,8 +181,6 @@ fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
         enable_removals: !args.switches.contains("no-removals"),
         force: args.switches.contains("force"),
         live,
-        // per-episode overhead events are needed for the Chrome trace
-        trace: args.flags.contains_key("trace-out"),
         flight: !args.switches.contains("no-flight"),
         faults,
     })
@@ -203,7 +196,6 @@ fn config_for(o: &MeshOpts, img: &LabeledImage) -> MesherConfig {
         enable_removals: o.enable_removals,
         faults: o.faults.clone(),
         topology: pi2m::refine::MachineTopology::flat(o.threads),
-        trace: o.trace,
         flight: o.flight,
         live: o.live,
         ..Default::default()
@@ -287,7 +279,7 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
 
     let t0 = Instant::now();
     let (out, shard) = if let Some(spec) = &shard_spec {
-        match pi2m::refine::mesh_sharded(&mut session, img, cfg, &run_opts, spec) {
+        match pi2m::refine::mesh_sharded(&mut session, img, cfg.clone(), &run_opts, spec) {
             Ok(run) => {
                 journal.info(
                     "mesh.sharded",
@@ -329,39 +321,31 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
                 (run.out, Some(section))
             }
             Err(pi2m::refine::ShardError::Run(pi2m::refine::RefineError::Cancelled)) => {
-                write_cancelled_artifacts(
+                return Err(report_cancelled(
                     args,
-                    input,
                     &o,
-                    delta,
-                    threads,
-                    session.take_cancel_telemetry(),
+                    input,
+                    &cfg,
+                    &mut session,
+                    t0,
                     &journal,
-                )?;
-                return Err(CliError::Cancelled(
-                    "run cancelled (deadline); observability artifacts written".into(),
                 ));
             }
             Err(pi2m::refine::ShardError::Run(e)) => return Err(CliError::from_refine(&e)),
             Err(e) => return Err(CliError::Generic(e.to_string())),
         }
     } else {
-        match session.mesh_with(img, cfg, &run_opts) {
+        match session.mesh_with(img, cfg.clone(), &run_opts) {
             Ok(out) => (out, None),
             Err(pi2m::refine::RefineError::Cancelled) => {
-                // a killed run still reports: write the observability artifacts
-                // from the telemetry salvaged at the cancellation point
-                write_cancelled_artifacts(
+                return Err(report_cancelled(
                     args,
-                    input,
                     &o,
-                    delta,
-                    threads,
-                    session.take_cancel_telemetry(),
+                    input,
+                    &cfg,
+                    &mut session,
+                    t0,
                     &journal,
-                )?;
-                return Err(CliError::Cancelled(
-                    "run cancelled (deadline); observability artifacts written".into(),
                 ));
             }
             Err(e) => return Err(CliError::from_refine(&e)),
@@ -453,68 +437,17 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
     }
 
     // --- observability exports -------------------------------------------
-    // Contention analysis from the flight-recorder log (empty when the
-    // recorder was off: the report section is then all zeros).
-    let contention = analyze(
-        &out.flight,
-        AnalyzeOpts {
-            threads,
-            wall_s: out.stats.wall_time,
-            dropped: out.flight_dropped,
-            ..Default::default()
-        },
-    );
-    if let Some(path) = args.flags.get("contention-out") {
-        write_new(path, &(contention.to_json().dump_pretty() + "\n"), force)
-            .map_err(CliError::Io)?;
-        wrote(&journal, path);
-    }
     if args.flags.contains_key("report")
         || args.flags.contains_key("trace-out")
         || args.switches.contains("metrics")
     {
-        let mut report = build_run_report(input, &o, delta, threads, &out, dt, &contention);
+        let mut report = run_report(input, &cfg, RunEnd::Finished(&out), dt);
         if let Some(s) = &shard {
             report.config("shards", &s.grid).config("halo", s.halo);
             report.shard = Some(s.clone());
         }
-
-        if let Some(path) = args.flags.get("report") {
-            write_new(path, &report.to_json_string(), force).map_err(CliError::Io)?;
-            wrote(&journal, path);
-        }
-        if let Some(path) = args.flags.get("trace-out") {
-            // worker lifetime events are already in the run time base;
-            // overhead episodes carry refinement-clock stamps and shift by
-            // the recorded origin.
-            let mut events = out.metrics.events.clone();
-            for ev in out.stats.merged_trace() {
-                let name = match ev.kind {
-                    OverheadKind::Contention => "contention",
-                    OverheadKind::LoadBalance => "load_balance",
-                    OverheadKind::Rollback => "rollback",
-                };
-                events.push((
-                    ev.tid,
-                    ObsEvent {
-                        name,
-                        cat: "overhead",
-                        at_s: out.stats.trace_origin + ev.at,
-                        dur_s: ev.dur,
-                    },
-                ));
-            }
-            write_new(
-                path,
-                &render_chrome_trace_with_flight(&out.phases, &events, &out.flight),
-                force,
-            )
+        write_run_artifacts(args, &report, &out.phases, &out.flight, force, &journal)
             .map_err(CliError::Io)?;
-            wrote(&journal, path);
-        }
-        if args.switches.contains("metrics") {
-            print!("{}", render_prometheus(&report));
-        }
     }
 
     let out_path = args
@@ -532,119 +465,55 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Assemble the schema-v3 run report for one finished run — shared by
-/// `pi2m mesh --report` and the per-job reports of `pi2m batch --reports`.
-fn build_run_report(
-    input: &str,
-    o: &MeshOpts,
-    delta: f64,
-    threads: usize,
-    out: &MeshOutput,
-    wall_s: f64,
-    contention: &pi2m::obs::ContentionReport,
-) -> RunReport {
-    let mut report = RunReport::new("pi2m");
-    report
-        .config("input", input)
-        .config("delta", delta)
-        .config("threads", threads)
-        .config("cm", format!("{:?}", o.cm))
-        .config("balancer", format!("{:?}", o.balancer))
-        .config("enable_removals", o.enable_removals);
-    report.set_phases(&out.phases);
-    report.overheads = OverheadBreakdown {
-        contention_s: out.stats.contention_overhead(),
-        load_balance_s: out.stats.load_balance_overhead(),
-        rollback_s: out.stats.rollback_overhead(),
-        rollbacks: out.stats.total_rollbacks(),
-        // a run the watchdog stopped returned `RefineError::Livelock` instead
-        livelock: false,
-    };
-    report.threads = threads;
-    report.wall_s = wall_s;
-    report.elements = out.mesh.num_tets() as u64;
-    report.metrics = out.metrics.clone();
-    report.attribution = Some(contention.attribution.clone());
-    report.contention = Some(contention.clone());
-    report
-}
-
-/// Honor `--contention-out` / `--report` / `--trace-out` for a run that was
-/// cancelled, using the telemetry the session salvaged at the cancellation
-/// point (`None` / empty when the run died before refinement started — the
-/// artifacts are then structurally complete but all-zero).
-fn write_cancelled_artifacts(
+/// Write a run's requested `--report`, `--trace-out` and `--metrics`
+/// artifacts, all from its one run report (the trace adds the run's phase
+/// spans and flight log).
+fn write_run_artifacts(
     args: &Args,
-    input: &str,
-    o: &MeshOpts,
-    delta: f64,
-    threads: usize,
-    tel: Option<CancelTelemetry>,
+    report: &RunReport,
+    phases: &[TraceSpan],
+    flight: &[FlightEvent],
+    force: bool,
     journal: &Journal,
 ) -> Result<(), String> {
-    let wrote_cancelled = |path: &str| {
-        journal.info(
-            "artifact.written",
-            &[
-                ("msg", Json::str(format!("wrote {path} (cancelled run)"))),
-                ("path", Json::str(path)),
-                ("cancelled", Json::Bool(true)),
-            ],
-        );
-    };
-    let tel = tel.unwrap_or_else(|| CancelTelemetry {
-        flight: Vec::new(),
-        flight_dropped: 0,
-        metrics: pi2m::obs::MetricsSnapshot::new(),
-        phases: Vec::new(),
-        wall_s: 0.0,
-        threads,
-    });
-    let contention = analyze(
-        &tel.flight,
-        AnalyzeOpts {
-            threads: tel.threads,
-            wall_s: tel.wall_s,
-            dropped: tel.flight_dropped,
-            ..Default::default()
-        },
-    );
-    if let Some(path) = args.flags.get("contention-out") {
-        write_new(path, &(contention.to_json().dump_pretty() + "\n"), o.force)?;
-        wrote_cancelled(path);
+    if let Some(path) = args.flags.get("report") {
+        write_new(path, &report.to_json_string(), force)?;
+        wrote(journal, path);
     }
-    if args.flags.contains_key("report") || args.flags.contains_key("trace-out") {
-        let mut report = RunReport::new("pi2m");
-        report
-            .config("input", input)
-            .config("delta", delta)
-            .config("threads", threads)
-            .config("cm", format!("{:?}", o.cm))
-            .config("balancer", format!("{:?}", o.balancer))
-            .config("cancelled", true);
-        report.set_phases(&tel.phases);
-        report.threads = tel.threads;
-        report.wall_s = tel.wall_s;
-        report.metrics = tel.metrics;
-        // the usual per-thread overhead stats died with the run; the flight
-        // log still knows how many operations were rolled back
-        report.overheads.rollbacks = contention.rollbacks;
-        report.attribution = Some(contention.attribution.clone());
-        report.contention = Some(contention);
-        if let Some(path) = args.flags.get("report") {
-            write_new(path, &report.to_json_string(), o.force)?;
-            wrote_cancelled(path);
-        }
-        if let Some(path) = args.flags.get("trace-out") {
-            write_new(
-                path,
-                &render_chrome_trace_with_flight(&tel.phases, &report.metrics.events, &tel.flight),
-                o.force,
-            )?;
-            wrote_cancelled(path);
-        }
+    if let Some(path) = args.flags.get("trace-out") {
+        let trace = render_chrome_trace(phases, &report.metrics.events, flight);
+        write_new(path, &trace, force)?;
+        wrote(journal, path);
+    }
+    if args.switches.contains("metrics") {
+        print!("{}", render_prometheus(report));
     }
     Ok(())
+}
+
+/// A run its deadline killed still reports, through the same builder and
+/// writer as a finished one, from the telemetry the session salvaged at the
+/// cancellation point (none when the run stopped before refinement: the
+/// artifacts are then structurally complete but all-zero). Returns the
+/// error the command exits with.
+fn report_cancelled(
+    args: &Args,
+    o: &MeshOpts,
+    input: &str,
+    cfg: &MesherConfig,
+    session: &mut MeshingSession,
+    t0: Instant,
+    journal: &Journal,
+) -> CliError {
+    let tel = session.take_cancel_telemetry().unwrap_or_default();
+    let wall_s = t0.elapsed().as_secs_f64();
+    let report = run_report(input, cfg, RunEnd::Cancelled(&tel), wall_s);
+    match write_run_artifacts(args, &report, &tel.phases, &tel.flight, o.force, journal) {
+        Ok(()) => {
+            CliError::Cancelled("run cancelled (deadline); observability artifacts written".into())
+        }
+        Err(e) => CliError::Io(e),
+    }
 }
 
 /// The output stem for one batch input: `phantom:torus` → `torus`,
@@ -717,7 +586,7 @@ fn cmd_batch(args: &Args) -> Result<(), CliError> {
             let delta = cfg.delta;
             let t0 = Instant::now();
             let out = session
-                .mesh(img, cfg)
+                .mesh(img, cfg.clone())
                 .map_err(|e| CliError::from_refine(&e))?;
             let dt = t0.elapsed().as_secs_f64();
             journal.info(
@@ -741,17 +610,8 @@ fn cmd_batch(args: &Args) -> Result<(), CliError> {
             tets += out.mesh.num_tets() as u64;
             write_vtk(&out, &path, &journal).map_err(CliError::Io)?;
             if write_reports {
-                // one schema-v3 run report per job, next to its mesh
-                let contention = analyze(
-                    &out.flight,
-                    AnalyzeOpts {
-                        threads: o.threads,
-                        wall_s: out.stats.wall_time,
-                        dropped: out.flight_dropped,
-                        ..Default::default()
-                    },
-                );
-                let report = build_run_report(input, &o, delta, o.threads, &out, dt, &contention);
+                // one run report per job, next to its mesh
+                let report = run_report(input, &cfg, RunEnd::Finished(&out), dt);
                 write_new(&rpath, &report.to_json_string(), o.force).map_err(CliError::Io)?;
                 wrote(&journal, &rpath);
             }
@@ -1187,9 +1047,9 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
 /// One file renders its attribution / hot-spot summary; two files diff the
 /// runs (base first) and attribute the regression to a waste category.
 fn cmd_analyze(args: &Args) -> Result<(), String> {
-    use pi2m::obs::{load_artifact, render_diff, render_summary};
+    use pi2m::obs::{load_artifact, render_diff, render_summary, Artifact};
 
-    let load = |path: &str| -> Result<pi2m::obs::Artifact, String> {
+    let load = |path: &str| -> Result<Artifact, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         load_artifact(&text).map_err(|e| format!("{path}: {e}"))
     };
@@ -1198,13 +1058,15 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
             print!("{}", render_summary(&load(one)?));
             Ok(())
         }
-        (Some(base), Some(new)) => {
-            let (base, new) = (load(base)?, load(new)?);
-            print!("{}", render_diff(&base, &new));
-            Ok(())
-        }
+        (Some(base), Some(new)) => match (load(base)?, load(new)?) {
+            (Artifact::Report(base), Artifact::Report(new)) => {
+                print!("{}", render_diff(&base, &new));
+                Ok(())
+            }
+            _ => Err("a diff takes two run reports".into()),
+        },
         _ => Err("usage: pi2m analyze <artifact.json> [new.json]  \
-                  (one file: summary; two files: diff base -> new)"
+                  (one file: summary; two run reports: diff base -> new)"
             .into()),
     }
 }

@@ -1,7 +1,10 @@
 //! Shared command-line plumbing for the `pi2m` binary (and any tool built on
-//! the facade crate): flag parsing, duration parsing, and the output clobber
-//! guard. Kept in the library so it is unit-tested like everything else.
+//! the facade crate): flag parsing, duration parsing, the output clobber
+//! guard, and the one run-report builder. Kept in the library so it is
+//! unit-tested like everything else.
 
+use crate::obs::{analyze, AnalyzeOpts, RunReport};
+use crate::refine::{CancelTelemetry, MeshOutput, MesherConfig};
 use std::collections::{HashMap, HashSet};
 
 /// A parsed command line: positionals in order, `--name value` /
@@ -193,6 +196,67 @@ pub fn write_new(path: &str, contents: &str, force: bool) -> Result<(), String> 
         ));
     }
     std::fs::write(path, contents).map_err(|e| format!("{path}: {e}"))
+}
+
+/// How a refinement run ended, with what it left to report.
+#[derive(Clone, Copy)]
+pub enum RunEnd<'a> {
+    Finished(&'a MeshOutput),
+    Cancelled(&'a CancelTelemetry),
+}
+
+/// The run report of one `pi2m mesh` run or `pi2m batch --reports` job,
+/// finished or cancelled alike: the configuration the run was given, its
+/// phases and metrics, the contention analysis of its flight log, and the
+/// attribution from its workers' own sums. `wall_s` is the wall the caller
+/// measured around the run. A cancelled run's config gains
+/// `cancelled=true`, and it reports no elements.
+pub fn run_report(input: &str, cfg: &MesherConfig, end: RunEnd<'_>, wall_s: f64) -> RunReport {
+    let (phases, metrics, flight, flight_dropped, attribution, elements) = match end {
+        RunEnd::Finished(o) => (
+            &o.phases,
+            &o.metrics,
+            &o.flight,
+            o.flight_dropped,
+            &o.attribution,
+            o.mesh.num_tets() as u64,
+        ),
+        RunEnd::Cancelled(t) => (
+            &t.phases,
+            &t.metrics,
+            &t.flight,
+            t.flight_dropped,
+            &t.attribution,
+            0,
+        ),
+    };
+    let mut report = RunReport::new("pi2m");
+    report
+        .config("input", input)
+        .config("delta", cfg.delta)
+        .config("threads", cfg.threads)
+        .config("cm", format!("{:?}", cfg.cm))
+        .config("balancer", format!("{:?}", cfg.balancer))
+        .config("enable_removals", cfg.enable_removals);
+    if let RunEnd::Cancelled(_) = end {
+        report.config("cancelled", true);
+    }
+    report.set_phases(phases);
+    report.threads = cfg.threads;
+    report.wall_s = wall_s;
+    report.elements = elements;
+    report.metrics = metrics.clone();
+    report.contention = Some(analyze(
+        flight,
+        AnalyzeOpts {
+            threads: cfg.threads,
+            wall_s: attribution.wall_s,
+            dropped: flight_dropped,
+            ..Default::default()
+        },
+    ));
+    report.attribution = Some(attribution.clone());
+    report
 }
 
 #[cfg(test)]

@@ -6,8 +6,11 @@ use pi2m::faults::{sites, FaultPlan};
 use pi2m::image::phantoms;
 use pi2m::obs::flight::EventKind;
 use pi2m::obs::json;
-use pi2m::obs::{analyze, AnalyzeOpts, RunReport};
-use pi2m::refine::{BalancerKind, CmKind, MachineTopology, MesherConfig, MeshingSession};
+use pi2m::obs::{analyze, attribute, AnalyzeOpts, Category, RunReport};
+use pi2m::refine::{
+    time_attribution, BalancerKind, CmKind, MachineTopology, MeshOutput, MesherConfig,
+    MeshingSession,
+};
 use std::sync::Arc;
 
 const CONTENTION_KEYS: &[&str] = &[
@@ -102,15 +105,15 @@ fn two_thread_run_produces_golden_contention_structure() {
         assert!(w.get("t0_s").unwrap().as_f64().unwrap() >= 0.0);
     }
 
-    // the speedup self-report is wired into schema-v2 run reports
+    // the speedup self-report is wired into run reports
     let mut rr = RunReport::new("flight_contention_test");
     rr.contention = Some(report);
     let rj = json::parse(&rr.to_json_string()).unwrap();
     assert_eq!(
-        rj.get("schema_version").unwrap().as_f64(),
+        rj.get("schema").unwrap().as_f64(),
         Some(RunReport::SCHEMA_VERSION as f64)
     );
-    let c = rj.get("contention").expect("schema v2 contention section");
+    let c = rj.get("contention").expect("contention section");
     let s = c.get("speedup_self_report").unwrap();
     for key in [
         "busy_s",
@@ -173,4 +176,72 @@ fn four_thread_run_attributes_rollbacks() {
     assert_eq!(named, report.rollbacks);
     let attributed: u64 = report.hot_vertices.iter().map(|&(_, n)| n).sum();
     assert!(attributed > 0 && attributed <= report.rollbacks + report.lock_conflicts);
+}
+
+/// The run's attribution comes from the workers' own sums. Where the flight
+/// ring dropped nothing, folding the same durations out of it agrees per
+/// worker and category to within the nanosecond each event's `u32`
+/// duration word truncates. A ring that wraps leaves the sums whole, and so
+/// does a recorder that is off.
+#[test]
+fn worker_sums_equal_the_flight_fold() {
+    let cfg = |flight: bool, flight_capacity: usize| MesherConfig {
+        delta: 1.5,
+        threads: 2,
+        topology: MachineTopology::flat(2),
+        flight,
+        flight_capacity,
+        ..Default::default()
+    };
+    let covers_the_wall = |out: &MeshOutput| {
+        let a = &out.attribution;
+        assert_eq!(a.wall_s, out.stats.wall_time);
+        assert_eq!(a.per_worker.len(), 2);
+        for w in &a.per_worker {
+            assert!(
+                (w.total_s() - a.wall_s).abs() <= 1e-9 * a.wall_s,
+                "worker {}: {} s of a {} s wall",
+                w.tid,
+                w.total_s(),
+                a.wall_s
+            );
+        }
+        assert!(a.total(Category::Committed) > 0.0);
+    };
+    let mut session = MeshingSession::new(2);
+    for img in [phantoms::sphere(20, 1.0), phantoms::nested_spheres(20, 1.0)] {
+        let out = session.mesh(img.clone(), cfg(true, 1 << 18)).unwrap();
+        assert_eq!(out.flight_dropped, 0, "the ring must hold the whole run");
+        covers_the_wall(&out);
+        let fold = attribute(&out.flight, 2, out.stats.wall_time);
+        for (sums, folded) in out.attribution.per_worker.iter().zip(&fold.per_worker) {
+            let events = out.flight.iter().filter(|e| e.tid == sums.tid).count() as f64;
+            let split = [
+                ("insert", sums.committed_insert_s, folded.committed_insert_s),
+                ("remove", sums.committed_remove_s, folded.committed_remove_s),
+            ];
+            let all = Category::ALL.map(|c| (c.key(), sums.get(c), folded.get(c)));
+            for (key, s, f) in all.into_iter().chain(split) {
+                assert!(
+                    (s - f).abs() <= events * 1e-9 + 1e-12,
+                    "worker {} {key}: sums {s} vs fold {f} over {events} events",
+                    sums.tid
+                );
+            }
+        }
+
+        // a 64-event ring wraps: the fold sees part of the run, the sums all
+        let out = session.mesh(img.clone(), cfg(true, 64)).unwrap();
+        assert!(out.flight_dropped > 0);
+        covers_the_wall(&out);
+        let sums = time_attribution(&out.stats.per_thread, out.stats.wall_time);
+        assert_eq!(out.attribution, sums);
+        let fold = attribute(&out.flight, 2, out.stats.wall_time);
+        assert!(fold.total(Category::Committed) < sums.total(Category::Committed));
+
+        // and with the recorder off
+        let out = session.mesh(img, cfg(false, 64)).unwrap();
+        assert!(out.flight.is_empty());
+        covers_the_wall(&out);
+    }
 }

@@ -3,28 +3,30 @@
 //! loadable Chrome trace. Keys and structural invariants are asserted —
 //! never float values, which vary run to run.
 
+use pi2m::cli::{run_report, RunEnd};
 use pi2m::image::phantoms;
 use pi2m::obs::json::{self, Json};
-use pi2m::obs::metrics::{self, ObsEvent};
-use pi2m::obs::{analyze, render_chrome_trace, AnalyzeOpts, OverheadBreakdown, RunReport};
-use pi2m::refine::{MesherConfig, MeshingSession, OverheadKind};
+use pi2m::obs::metrics;
+use pi2m::obs::{render_chrome_trace, RunReport};
+use pi2m::refine::{MesherConfig, MeshingSession};
 
+/// The schema-6 run report's keys, in order: the envelope, then the run.
 const REPORT_KEYS: &[&str] = &[
-    "schema_version",
+    "kind",
+    "schema",
     "tool",
     "version",
     "git_describe",
     "config",
     "phases",
-    "overheads",
     "threads",
     "wall_s",
     "elements",
     "elements_per_second",
     "counters",
     "histograms",
-    "time_attribution",
     "contention",
+    "time_attribution",
 ];
 
 #[test]
@@ -32,48 +34,26 @@ fn real_run_produces_schema_valid_report_and_trace() {
     let cfg = MesherConfig {
         delta: 5.0,
         threads: 2,
-        trace: true,
         ..MesherConfig::default()
     };
     let threads = cfg.threads;
-    let out = MeshingSession::new(cfg.threads)
-        .mesh(phantoms::sphere(24, 1.0), cfg)
+    let out = MeshingSession::new(threads)
+        .mesh(phantoms::sphere(24, 1.0), cfg.clone())
         .unwrap();
     assert!(out.mesh.num_tets() > 0);
 
-    // --- report: built exactly the way the pi2m CLI builds it ------------
-    let mut report = RunReport::new("obs_report_test");
-    report.config("delta", 5.0).config("threads", threads);
-    report.set_phases(&out.phases);
-    report.overheads = OverheadBreakdown {
-        contention_s: out.stats.contention_overhead(),
-        load_balance_s: out.stats.load_balance_overhead(),
-        rollback_s: out.stats.rollback_overhead(),
-        rollbacks: out.stats.total_rollbacks(),
-        livelock: false,
-    };
-    report.threads = threads;
-    report.wall_s = out.stats.wall_time;
-    report.elements = out.mesh.num_tets() as u64;
-    report.metrics = out.metrics.clone();
-    let contention = analyze(
-        &out.flight,
-        AnalyzeOpts {
-            threads,
-            wall_s: out.stats.wall_time,
-            dropped: out.flight_dropped,
-            ..AnalyzeOpts::default()
-        },
-    );
-    report.attribution = Some(contention.attribution.clone());
-    report.contention = Some(contention);
-
+    // --- report: the CLI's one report builder ----------------------------
+    let wall_s = out.stats.wall_time;
+    let report = run_report("phantom:sphere", &cfg, RunEnd::Finished(&out), wall_s);
     let j = json::parse(&report.to_json_string()).expect("report is valid JSON");
-    for key in REPORT_KEYS {
-        assert!(j.get(key).is_some(), "report missing key {key}");
-    }
+    let Json::Obj(fields) = &j else {
+        panic!("the report is not a JSON object");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, REPORT_KEYS);
+    assert_eq!(j.get("kind").and_then(Json::as_str), Some("run_report"));
     assert_eq!(
-        j.get("schema_version").unwrap().as_f64(),
+        j.get("schema").and_then(Json::as_f64),
         Some(RunReport::SCHEMA_VERSION as f64)
     );
 
@@ -118,7 +98,7 @@ fn real_run_produces_schema_valid_report_and_trace() {
     }
     assert!(cavity.get("count").unwrap().as_f64().unwrap() > 0.0);
 
-    // --- schema v3: the wall-time attribution section ---------------------
+    // --- the one decomposition of worker time ----------------------------
     let at = j.get("time_attribution").unwrap();
     let workers = at.get("workers").unwrap().as_arr().unwrap();
     assert_eq!(workers.len(), threads, "one attribution row per worker");
@@ -144,41 +124,19 @@ fn real_run_produces_schema_valid_report_and_trace() {
             .sum();
         assert!((sum - 1.0).abs() < 1e-6, "worker fractions sum to {sum}");
     }
-    // committed work splits by op kind (additive keys), and the section says
-    // how many events it was folded from and how many the rings lost
+    // committed work splits by op kind (additive keys)
     let totals = at.get("totals").unwrap();
     let total = |k: &str| totals.get(k).and_then(Json::as_f64).unwrap();
     let (ins, rem) = (total("committed_insert_s"), total("committed_remove_s"));
     assert!(ins > 0.0, "a run commits insertions");
     assert!((ins + rem - total("committed_s")).abs() < 1e-9);
-    let events = at.get("events").and_then(Json::as_f64).unwrap();
-    assert_eq!(events as usize, out.flight.len());
-    let dropped = at.get("events_dropped").and_then(Json::as_f64).unwrap();
-    assert_eq!(dropped as u64, out.flight_dropped);
-    // the embedded contention section carries the same decomposition
+    // the contention section holds hot spots and timelines, no second copy
     let cont = j.get("contention").unwrap();
-    assert!(cont.get("time_attribution").is_some());
+    assert!(cont.get("time_attribution").is_none());
     assert!(cont.get("speedup_self_report").is_some());
 
     // --- Chrome trace: the CLI's --trace-out composition ------------------
-    let mut events: Vec<(u32, ObsEvent)> = out.metrics.events.clone();
-    for ev in out.stats.merged_trace() {
-        let name = match ev.kind {
-            OverheadKind::Contention => "contention",
-            OverheadKind::LoadBalance => "load_balance",
-            OverheadKind::Rollback => "rollback",
-        };
-        events.push((
-            ev.tid,
-            ObsEvent {
-                name,
-                cat: "overhead",
-                at_s: out.stats.trace_origin + ev.at,
-                dur_s: ev.dur,
-            },
-        ));
-    }
-    let trace = render_chrome_trace(&out.phases, &events);
+    let trace = render_chrome_trace(&out.phases, &out.metrics.events, &out.flight);
     let t = json::parse(&trace).expect("trace is valid JSON");
     let evs = t.get("traceEvents").unwrap().as_arr().unwrap();
 
@@ -247,10 +205,10 @@ fn analyze_degrades_cancelled_sharded_report_to_not_recorded() {
 
     // A report written by a run cancelled mid-shard carries the shard header
     // but no per-chunk accounting. `pi2m analyze` must degrade that section
-    // to "not recorded" — same spirit as the pre-v3 key degradation — not
-    // error on the missing keys.
+    // to "not recorded", not error on the missing keys.
     let cancelled = r#"{
-        "schema_version": 4.0,
+        "kind": "run_report",
+        "schema": 6,
         "tool": "pi2m",
         "config": {"shards": "2x2x1", "halo": 3.0},
         "threads": 2.0,

@@ -516,15 +516,28 @@ fn http_api_round_trips_jobs_and_metrics() {
     ] {
         assert!(metrics.contains(needle), "metrics missing '{needle}'");
     }
+    // one run's gauges belong to its run report; the daemon aggregates many
+    // jobs, whose waits are in the merged histograms (every run ends in a beg)
+    for gauge in ["pi2m_overhead_seconds", "pi2m_elements"] {
+        assert!(
+            !metrics.contains(gauge),
+            "daemon exports a constant {gauge}"
+        );
+    }
+    assert!(
+        metrics.contains("pi2m_lb_wait_seconds_count"),
+        "merged begging-list waits missing"
+    );
 
     // the per-job trace is served as JSON and as a Chrome trace
     let (code, body) = http(&addr, "GET", &format!("/jobs/{name}/trace"), "");
     assert_eq!(code, 200, "{body}");
     let trace = json::parse(&body).unwrap();
     assert_eq!(
-        trace.get("trace_schema_version").unwrap().as_f64(),
-        Some(1.0)
+        trace.get("kind").and_then(json::Json::as_str),
+        Some("job_trace")
     );
+    assert_eq!(trace.get("schema").unwrap().as_f64(), Some(2.0));
     let events = trace.get("events").unwrap().as_arr().unwrap();
     let kinds: Vec<&str> = events
         .iter()

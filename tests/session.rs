@@ -4,7 +4,10 @@
 //! must be reported in order, and cancellation must be typed, prompt, and
 //! non-destructive to the session.
 
+use pi2m::cli::{run_report, RunEnd};
+use pi2m::faults::{sites, FaultPlan};
 use pi2m::image::phantoms;
+use pi2m::obs::json::{self, Json};
 use pi2m::refine::{
     audit_mesh, CancelToken, MachineTopology, MeshOutput, MesherConfig, MeshingSession,
     RefineError, RunOptions, Stage, StageStatus,
@@ -179,8 +182,8 @@ fn cancel_mid_volume_refine_is_typed_prompt_and_recoverable() {
     let tel = session
         .take_cancel_telemetry()
         .expect("cancelled refinement stashes telemetry");
-    assert_eq!(tel.threads, 4);
-    assert!(tel.wall_s >= 0.0);
+    assert_eq!(tel.attribution.per_worker.len(), 4);
+    assert!(tel.attribution.wall_s >= 0.0);
     assert!(!tel.phases.is_empty(), "phase spans salvaged");
     // the salvage is take-once: a second take yields nothing
     assert!(session.take_cancel_telemetry().is_none());
@@ -260,4 +263,99 @@ fn pre_expired_deadline_cancels_before_refinement() {
         .mesh(phantoms::sphere(14, 1.0), cfg(2.5, 2))
         .unwrap();
     assert!(out.mesh.num_tets() > 0);
+}
+
+/// A run its deadline cancelled reports through the same builder as a
+/// finished one: the finished run's config keys plus `cancelled`, an
+/// attribution that covers its worker's wall, and the workers' own rollback
+/// count, which the wrapped flight ring alone would undercount.
+#[test]
+fn cancelled_run_reports_like_a_finished_one() {
+    // one worker, every 7th element denied (one rollback each), and a
+    // 64-event ring that wraps many times over
+    let job = || {
+        let spec = format!("site={},kind=deny,every=7", sites::ENGINE_OP);
+        let cfg = MesherConfig {
+            flight_capacity: 64,
+            faults: Some(Arc::new(FaultPlan::parse(1, &spec).unwrap())),
+            ..cfg(0.8, 1)
+        };
+        (phantoms::sphere(32, 1.0), cfg)
+    };
+    let spans: Arc<Mutex<Vec<f64>>> = Arc::default();
+    let sink = Arc::clone(&spans);
+    let timed = RunOptions {
+        cancel: None,
+        on_stage: Some(Arc::new(move |e| {
+            if e.stage == Stage::VolumeRefine {
+                sink.lock().unwrap().push(e.elapsed_s);
+            }
+        })),
+    };
+    let mut session = MeshingSession::new(1);
+    let (img, c) = job();
+    let t0 = Instant::now();
+    let out = session.mesh_with(img, c.clone(), &timed).unwrap();
+    let finished = run_report(
+        "phantom:sphere",
+        &c,
+        RunEnd::Finished(&out),
+        t0.elapsed().as_secs_f64(),
+    );
+    let midway = {
+        let s = spans.lock().unwrap();
+        Duration::from_secs_f64((s[0] + s[1]) / 2.0)
+    };
+
+    let (img, c) = job();
+    let opts = RunOptions {
+        cancel: Some(CancelToken::with_deadline(midway)),
+        on_stage: None,
+    };
+    let t0 = Instant::now();
+    let err = session.mesh_with(img, c.clone(), &opts).err();
+    assert!(
+        matches!(err, Some(RefineError::Cancelled)),
+        "expected Cancelled, got {err:?}"
+    );
+    let tel = session
+        .take_cancel_telemetry()
+        .expect("cancelled refinement stashes telemetry");
+    let cut = run_report(
+        "phantom:sphere",
+        &c,
+        RunEnd::Cancelled(&tel),
+        t0.elapsed().as_secs_f64(),
+    );
+
+    let keys = |r: &pi2m::obs::RunReport| -> Vec<String> {
+        r.config.iter().map(|(k, _)| k.clone()).collect()
+    };
+    let mut want = keys(&finished);
+    want.push("cancelled".to_string());
+    assert_eq!(keys(&cut), want);
+
+    let a = cut.attribution.as_ref().expect("attribution");
+    assert_eq!(a.per_worker.len(), 1);
+    let w = &a.per_worker[0];
+    assert!(
+        w.committed_s > 0.0,
+        "the run committed work before its deadline"
+    );
+    assert!(
+        (w.total_s() - a.wall_s).abs() <= 1e-9 * a.wall_s,
+        "{} s of a {} s wall",
+        w.total_s(),
+        a.wall_s
+    );
+
+    // one worker: every rollback is an injected denial
+    let injected = c.faults.as_ref().unwrap().injected();
+    assert!(injected > 0 && tel.flight_dropped > 0);
+    let j = json::parse(&cut.to_json_string()).unwrap();
+    let rollbacks = j
+        .get("counters")
+        .and_then(|c| c.get("ops_rollbacks"))
+        .and_then(Json::as_f64);
+    assert_eq!(rollbacks, Some(injected as f64));
 }
