@@ -6,26 +6,24 @@
 //! Design constraints (see DESIGN.md "Flight recorder & contention
 //! analysis"):
 //!
-//! * **Hot path**: the writer does four relaxed word stores plus one
-//!   release head bump — on x86-64 all five compile to plain `mov`s. There
+//! * **Hot path**: the writer does three relaxed word stores plus one
+//!   release head bump — on x86-64 all four compile to plain `mov`s. There
 //!   are no RMW atomics, no branches on ring state, and no allocation.
-//! * **Overwrite-oldest**: the ring never blocks the writer; a lagging
-//!   reader loses the oldest events and accounts for them in its
-//!   `dropped` counter (computed from the monotonic head sequence).
-//! * **Torn-read detection**: each 32-byte slot carries a checksum word
-//!   over its payload. A reader that races an in-progress overwrite sees a
-//!   checksum mismatch and skips the slot (counted as `torn`); a reader
-//!   that observes a *complete* newer event in an old slot discards it via
-//!   the post-read head re-check, so sampled tallies never double-count.
+//! * **Overwrite-oldest**: the ring never blocks the writer; events the
+//!   ring no longer holds are counted as `dropped` by the drain (computed
+//!   from the monotonic head sequence).
+//! * **One reader, after the writers**: the rings are drained once per run,
+//!   after every worker has joined, so no slot is ever read while it is
+//!   being written.
 //!
-//! Event payload is 3×u64 (timestamp + two packed words); the fourth word
-//! is the checksum. Decoded form is [`FlightEvent`].
+//! A 24-byte slot holds the event's three payload words (timestamp + two
+//! packed words). Decoded form is [`FlightEvent`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default per-worker ring capacity (events). 16 Ki events × 32 B = 512 KiB
+/// Default per-worker ring capacity (events). 16 Ki events × 24 B = 384 KiB
 /// per worker — enough for several seconds of a contended run.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
 
@@ -33,7 +31,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
 /// values, and [`cause`] constants). Bumped whenever any of those change, so
 /// archived flight logs and `--report` JSON can be matched to the binary
 /// layout that produced them (`pi2m --version` prints it).
-pub const LAYOUT_VERSION: u32 = 1;
+pub const LAYOUT_VERSION: u32 = 2;
 
 /// What happened, encoded in the event's kind byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -194,24 +192,12 @@ fn decode(w: [u64; 3]) -> Option<FlightEvent> {
     })
 }
 
-/// splitmix64-style finisher over the three payload words. Word order is
-/// mixed in via rotations so swapped words don't cancel.
-#[inline]
-fn checksum(w: [u64; 3]) -> u64 {
-    let mut x = w[0] ^ w[1].rotate_left(17) ^ w[2].rotate_left(31) ^ 0x9e37_79b9_7f4a_7c15;
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// One 32-byte slot: three payload words + the checksum word.
-type Slot = [AtomicU64; 4];
+/// One 24-byte slot: the three payload words.
+type Slot = [AtomicU64; 3];
 
 /// A fixed-capacity single-producer event ring. The owning worker is the
-/// only writer; any number of readers may scan it concurrently (the live
-/// sampler and the end-of-run drain), validating slots by checksum.
+/// only writer; the one reader is the end-of-run drain, which runs after
+/// the writer has stopped.
 pub struct EventRing {
     slots: Box<[Slot]>,
     /// Monotonic count of events ever pushed (never wraps in practice:
@@ -226,8 +212,6 @@ pub struct RingRead {
     pub cursor: u64,
     /// Events overwritten before this reader reached them.
     pub dropped: u64,
-    /// Slots skipped because a concurrent overwrite tore them mid-read.
-    pub torn: u64,
 }
 
 impl EventRing {
@@ -235,15 +219,7 @@ impl EventRing {
         let cap = capacity.next_power_of_two().max(8);
         EventRing {
             slots: (0..cap)
-                .map(|_| {
-                    [
-                        AtomicU64::new(0),
-                        AtomicU64::new(0),
-                        AtomicU64::new(0),
-                        // zero payload must not validate: seed a bad checksum
-                        AtomicU64::new(1),
-                    ]
-                })
+                .map(|_| [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)])
                 .collect(),
             head: AtomicU64::new(0),
         }
@@ -258,7 +234,7 @@ impl EventRing {
         self.head.load(Ordering::Acquire)
     }
 
-    /// Writer hot path: four relaxed stores + one release head bump.
+    /// Writer hot path: three relaxed stores + one release head bump.
     /// Single-producer only — the owning worker thread.
     #[inline]
     pub fn push(&self, e: &FlightEvent) {
@@ -268,74 +244,44 @@ impl EventRing {
         slot[0].store(w[0], Ordering::Relaxed);
         slot[1].store(w[1], Ordering::Relaxed);
         slot[2].store(w[2], Ordering::Relaxed);
-        slot[3].store(checksum(w), Ordering::Relaxed);
         // Release publishes the slot words to an acquiring reader; on x86
         // this is still a plain store (the "one relaxed head bump").
         self.head.store(seq + 1, Ordering::Release);
     }
 
-    /// Read every event in `[cursor, head)` that is still trustworthy.
-    ///
-    /// Safe against a concurrently writing producer: slots overwritten
-    /// mid-read fail their checksum (`torn`); slots that were *completely*
-    /// overwritten with a newer event between our head snapshots are
-    /// discarded (`dropped`) so they are never attributed to an old
-    /// sequence number — the writer will present them again under their
-    /// real sequence on the next read, keeping sampled tallies monotonic
-    /// and duplicate-free.
+    /// Read the events in `[max(cursor, head − capacity), head)`: the ones
+    /// pushed since `cursor` that the ring still holds, oldest first. The
+    /// rest of `[cursor, head)` was overwritten and is counted as
+    /// `dropped`. The writer must have stopped: a slot read while it is
+    /// being overwritten is not detected.
     pub fn read_from(&self, cursor: u64) -> RingRead {
         let cap = self.slots.len() as u64;
+        // Pairs with the writer's release store of `head`: the words of every
+        // event below it are visible here, so relaxed slot loads read them.
         let head = self.head.load(Ordering::Acquire);
-        let start = if head > cursor + cap {
-            head - cap
-        } else {
-            cursor
-        };
-        let mut dropped = start - cursor;
-        let mut torn = 0u64;
-        let mut raw: Vec<(u64, FlightEvent)> = Vec::with_capacity((head - start) as usize);
-        for seq in start..head {
-            let slot = &self.slots[(seq as usize) & (self.slots.len() - 1)];
-            let w = [
-                slot[0].load(Ordering::Acquire),
-                slot[1].load(Ordering::Acquire),
-                slot[2].load(Ordering::Acquire),
-            ];
-            let sum = slot[3].load(Ordering::Acquire);
-            if sum != checksum(w) {
-                torn += 1;
-                continue;
-            }
-            match decode(w) {
-                Some(e) => raw.push((seq, e)),
-                None => torn += 1,
-            }
-        }
-        // Anything below this may have been overwritten while we were
-        // scanning: a valid checksum there could belong to a *newer* event.
-        let head2 = self.head.load(Ordering::Acquire);
-        let safe_min = head2.saturating_sub(cap);
-        let mut events = Vec::with_capacity(raw.len());
-        for (seq, e) in raw {
-            if seq >= safe_min {
-                events.push(e);
-            } else {
-                dropped += 1;
-            }
-        }
+        let start = cursor.max(head.saturating_sub(cap));
+        let events = (start..head)
+            .filter_map(|seq| {
+                let slot = &self.slots[(seq as usize) & (self.slots.len() - 1)];
+                decode([
+                    slot[0].load(Ordering::Relaxed),
+                    slot[1].load(Ordering::Relaxed),
+                    slot[2].load(Ordering::Relaxed),
+                ])
+            })
+            .collect();
         RingRead {
             events,
             cursor: head,
-            dropped,
-            torn,
+            dropped: start - cursor,
         }
     }
 }
 
 /// The per-run flight recorder: one SPSC ring per worker plus the shared
 /// time origin. Shared by `Arc` between the engine, the kernel contexts,
-/// the live sampler, and the end-of-run drain — the rings outlive any
-/// individual worker, so a dying worker's events survive by construction.
+/// and the end-of-run drain — the rings outlive any individual worker, so a
+/// dying worker's events survive by construction.
 pub struct FlightRecorder {
     rings: Vec<Arc<EventRing>>,
     origin: Instant,
@@ -345,7 +291,6 @@ pub struct FlightRecorder {
 pub struct FlightLog {
     pub events: Vec<FlightEvent>,
     pub dropped: u64,
-    pub torn: u64,
     /// Per-ring capacity, for the report.
     pub ring_capacity: usize,
 }
@@ -423,8 +368,8 @@ impl FlightRecorder {
         });
     }
 
-    /// Full drain: merge every ring into one time-sorted log. Exact (no
-    /// torn slots) once the workers have joined; best-effort during a run.
+    /// Full drain: merge every ring into one time-sorted log. The writers
+    /// must have stopped (every worker joined).
     pub fn drain(&self) -> FlightLog {
         let mut cursors = vec![0u64; self.rings.len()];
         self.drain_from(&mut cursors)
@@ -436,33 +381,24 @@ impl FlightRecorder {
     /// only that run's events and its `dropped` accounting stays per-run.
     ///
     /// `cursors` must have one entry per ring; pass all-zeros (or
-    /// [`drain`](Self::drain)) for a fresh recorder.
+    /// [`drain`](Self::drain)) for a fresh recorder. The writers must have
+    /// stopped (every worker joined).
     pub fn drain_from(&self, cursors: &mut [u64]) -> FlightLog {
         assert_eq!(cursors.len(), self.rings.len(), "one cursor per ring");
         let mut events = Vec::new();
         let mut dropped = 0;
-        let mut torn = 0;
         for (ring, cursor) in self.rings.iter().zip(cursors.iter_mut()) {
             let r = ring.read_from(*cursor);
             *cursor = r.cursor;
             events.extend(r.events);
             dropped += r.dropped;
-            torn += r.torn;
         }
         events.sort_by_key(|e| e.t_ns);
         FlightLog {
             events,
             dropped,
-            torn,
             ring_capacity: self.rings.first().map_or(0, |r| r.capacity()),
         }
-    }
-
-    /// Current head cursor of every ring — the position from which a
-    /// [`drain_from`](Self::drain_from) would see only events emitted after
-    /// this call.
-    pub fn head_cursors(&self) -> Vec<u64> {
-        self.rings.iter().map(|r| r.pushed()).collect()
     }
 }
 
@@ -486,93 +422,6 @@ impl FlightHandle {
             b,
             c,
         });
-    }
-}
-
-/// Cumulative tallies maintained by the live sampler. All fields only ever
-/// grow, so heartbeat op counts are monotonically non-decreasing even when
-/// the rings wrap between samples.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SampleTallies {
-    pub commits: u64,
-    pub rollbacks: u64,
-    pub lock_conflicts: u64,
-    pub steals: u64,
-    pub donations: u64,
-    pub deaths: u64,
-    pub events: u64,
-    pub dropped: u64,
-    pub torn: u64,
-}
-
-impl SampleTallies {
-    /// Committed + rolled-back operation attempts.
-    pub fn ops(&self) -> u64 {
-        self.commits + self.rollbacks
-    }
-
-    pub fn rollback_ratio(&self) -> f64 {
-        let ops = self.ops();
-        if ops == 0 {
-            0.0
-        } else {
-            self.rollbacks as f64 / ops as f64
-        }
-    }
-}
-
-/// Incremental multi-ring reader used by the live tap: keeps one cursor
-/// per ring and accumulates [`SampleTallies`] across samples.
-pub struct FlightSampler {
-    cursors: Vec<u64>,
-    tallies: SampleTallies,
-}
-
-impl FlightSampler {
-    pub fn new(rec: &FlightRecorder) -> Self {
-        FlightSampler {
-            cursors: vec![0; rec.threads()],
-            tallies: SampleTallies::default(),
-        }
-    }
-
-    /// A sampler that starts at the rings' *current* heads, ignoring events
-    /// already present — for tapping a recorder whose rings are reused
-    /// across runs (a warm session pool), where cursor 0 would replay the
-    /// previous runs' events into the tallies.
-    pub fn starting_at_head(rec: &FlightRecorder) -> Self {
-        FlightSampler {
-            cursors: rec.head_cursors(),
-            tallies: SampleTallies::default(),
-        }
-    }
-
-    pub fn tallies(&self) -> &SampleTallies {
-        &self.tallies
-    }
-
-    /// Scan every ring from its cursor, fold the new events into the
-    /// cumulative tallies, and return them.
-    pub fn sample(&mut self, rec: &FlightRecorder) -> &SampleTallies {
-        for (tid, cursor) in self.cursors.iter_mut().enumerate() {
-            let r = rec.ring(tid).read_from(*cursor);
-            *cursor = r.cursor;
-            self.tallies.dropped += r.dropped;
-            self.tallies.torn += r.torn;
-            self.tallies.events += r.events.len() as u64;
-            for e in &r.events {
-                match e.kind {
-                    EventKind::OpCommit => self.tallies.commits += 1,
-                    EventKind::Rollback => self.tallies.rollbacks += 1,
-                    EventKind::LockConflict => self.tallies.lock_conflicts += 1,
-                    EventKind::Steal => self.tallies.steals += 1,
-                    EventKind::Donate => self.tallies.donations += 1,
-                    EventKind::WorkerDeath => self.tallies.deaths += 1,
-                    _ => {}
-                }
-            }
-        }
-        &self.tallies
     }
 }
 
@@ -617,17 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn checksum_detects_any_single_word_corruption() {
-        let w = encode(&ev(55, EventKind::OpCommit, 9));
-        let good = checksum(w);
-        for i in 0..3 {
-            let mut bad = w;
-            bad[i] ^= 1 << 7;
-            assert_ne!(checksum(bad), good, "word {i} corruption undetected");
-        }
-    }
-
-    #[test]
     fn ring_reads_back_in_order() {
         let ring = EventRing::new(16);
         for i in 0..10 {
@@ -635,7 +473,6 @@ mod tests {
         }
         let r = ring.read_from(0);
         assert_eq!(r.dropped, 0);
-        assert_eq!(r.torn, 0);
         assert_eq!(r.cursor, 10);
         assert_eq!(r.events.len(), 10);
         for (i, e) in r.events.iter().enumerate() {
@@ -695,26 +532,6 @@ mod tests {
         assert_eq!(log.dropped, 0);
         let tids: Vec<u16> = log.events.iter().map(|e| e.tid).collect();
         assert!(tids.contains(&0) && tids.contains(&1) && tids.contains(&2));
-    }
-
-    #[test]
-    fn sampler_tallies_are_cumulative_and_monotonic() {
-        let rec = FlightRecorder::new(1, 8);
-        let mut sampler = FlightSampler::new(&rec);
-        let mut last_ops = 0;
-        for _ in 0..4 {
-            for _ in 0..5 {
-                rec.emit(0, EventKind::OpCommit, 0, 0, 0, 0);
-            }
-            rec.emit(0, EventKind::Rollback, 0, 0, 0, 0);
-            let t = sampler.sample(&rec);
-            assert!(t.ops() >= last_ops, "op count went backwards");
-            last_ops = t.ops();
-        }
-        let t = *sampler.tallies();
-        // 24 events through an 8-slot ring: everything read or dropped
-        assert_eq!(t.events + t.dropped, 24);
-        assert!(t.rollback_ratio() > 0.0 && t.rollback_ratio() < 1.0);
     }
 
     #[test]

@@ -843,12 +843,12 @@ mod tests {
         );
     }
 
-    /// Only `run_report` schema 6 and `job_trace` schema 2 load; an
+    /// Only `run_report` schema 7 and `job_trace` schema 2 load; an
     /// artifact of an older schema, or of a kind no longer written, is
     /// rejected with what it opens with and what the loader reads.
     #[test]
     fn rejects_other_schemas_and_kinds_by_name() {
-        let reads = "pi2m analyze reads kind \"run_report\" schema 6 and \
+        let reads = "pi2m analyze reads kind \"run_report\" schema 7 and \
                      kind \"job_trace\" schema 2";
         for (text, found) in [
             (
@@ -860,8 +860,8 @@ mod tests {
                 "found no kind tag, trace_schema_version 1",
             ),
             (
-                r#"{"kind": "run_report", "schema": 5}"#,
-                "found kind \"run_report\" schema 5",
+                r#"{"kind": "run_report", "schema": 6}"#,
+                "found kind \"run_report\" schema 6",
             ),
             (
                 r#"{"kind": "contention", "schema": 6}"#,
@@ -876,7 +876,7 @@ mod tests {
     #[test]
     fn summary_renders_all_sections() {
         let s = render_summary(&load_artifact(&sample_report(1_000_000)).unwrap());
-        assert!(s.contains("run report (pi2m, schema v6)"), "{s}");
+        assert!(s.contains("run report (pi2m, schema v7)"), "{s}");
         assert!(s.contains("input=phantom:sphere"), "{s}");
         assert!(s.contains("500 elements"), "{s}");
         assert!(s.contains("time attribution"), "{s}");
@@ -945,7 +945,7 @@ mod tests {
         // a cancelled sharded run can flush the section header without the
         // per-chunk accounting; analyze must render, not error
         let text = r#"{
-            "kind": "run_report", "schema": 6, "tool": "pi2m", "threads": 2, "wall_s": 0.5,
+            "kind": "run_report", "schema": 7, "tool": "pi2m", "threads": 2, "wall_s": 0.5,
             "shard": {"grid": "2x2x2", "halo": 3, "lanes": 4, "seed_points": 0}
         }"#;
         assert!(report(text).shard.expect("shard info").chunks.is_none());
@@ -1024,7 +1024,7 @@ mod tests {
     #[test]
     fn batch_counters_load_and_render() {
         let text = r#"{
-            "kind": "run_report", "schema": 6, "tool": "pi2m", "threads": 1, "wall_s": 0.5,
+            "kind": "run_report", "schema": 7, "tool": "pi2m", "threads": 1, "wall_s": 0.5,
             "counters": {
                 "pred_batch_orient_batches": 100, "pred_batch_orient_lanes": 900,
                 "pred_batch_orient_fallbacks": 9,
@@ -1048,7 +1048,7 @@ mod tests {
     fn classify_line_splits_stale_from_live_pops() {
         let summary = |counters: &str| {
             let text = format!(
-                r#"{{"kind": "run_report", "schema": 6, "tool": "pi2m", "threads": 1,
+                r#"{{"kind": "run_report", "schema": 7, "tool": "pi2m", "threads": 1,
                     "wall_s": 0.5, "counters": {{"ops_total": 100, {counters}}}}}"#
             );
             render_summary(&load_artifact(&text).unwrap())

@@ -14,7 +14,8 @@
 //!   [`MetricsSnapshot`] (merged at join).
 //! * [`flight`] + [`mod@analyze`] — the concurrency flight recorder: fixed
 //!   capacity per-worker SPSC event rings for the speculative-op lifecycle,
-//!   the live-tap sampler, and the offline contention analyzer.
+//!   drained once after the workers join, and the offline contention
+//!   analyzer.
 //! * [`span`] — RAII wall-clock phase timing ([`Phases`], [`SpanGuard`]).
 //! * [`report`] + [`export`] — the self-describing [`RunReport`] and its
 //!   exporters: structured JSON, Prometheus text exposition, and Chrome
@@ -52,9 +53,7 @@ pub use cancel::{CancelToken, Cancelled};
 pub use export::{
     render_chrome_trace, render_overhead_table, render_prometheus, OverheadBreakdown,
 };
-pub use flight::{
-    EventKind, EventRing, FlightEvent, FlightHandle, FlightLog, FlightRecorder, FlightSampler,
-};
+pub use flight::{EventKind, EventRing, FlightEvent, FlightHandle, FlightLog, FlightRecorder};
 pub use inspect::{
     load_artifact, render_diff, render_summary, Artifact, ArtifactKind, ReportInfo, ShardInfo,
     TraceInfo,

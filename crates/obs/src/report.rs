@@ -124,7 +124,7 @@ pub struct RunReport {
 impl RunReport {
     /// The one run-report schema written and read: a report opens with
     /// `"kind": "run_report"` and `"schema"` set to this.
-    pub const SCHEMA_VERSION: u32 = 6;
+    pub const SCHEMA_VERSION: u32 = 7;
 
     pub fn new(tool: &str) -> Self {
         RunReport {
@@ -335,7 +335,7 @@ mod tests {
             assert!(j.get(key).is_some(), "missing key {key}");
         }
         assert_eq!(j.get("kind").unwrap().as_str(), Some("run_report"));
-        assert_eq!(j.get("schema").unwrap().as_f64(), Some(6.0));
+        assert_eq!(j.get("schema").unwrap().as_f64(), Some(7.0));
         // repeated phases aggregate
         assert_eq!(
             j.get("phases").unwrap().get("edt").unwrap().as_f64(),
@@ -417,9 +417,10 @@ mod tests {
         let j = crate::json::parse(&r.to_json_string()).unwrap();
         let c = j.get("contention").expect("contention section");
         assert_eq!(c.get("rollbacks").unwrap().as_f64(), Some(1.0));
-        assert!(c.get("speedup_self_report").is_some());
         // one decomposition of worker time, at the top level only
-        assert!(c.get("time_attribution").is_none());
+        for key in ["time_attribution", "workers", "speedup_self_report"] {
+            assert!(c.get(key).is_none(), "contention carries {key}");
+        }
         let a = j.get("time_attribution").expect("time_attribution section");
         assert_eq!(a.get("workers").unwrap().as_arr().unwrap().len(), 2);
     }

@@ -50,13 +50,6 @@ pub struct MesherConfig {
     pub flight: bool,
     /// Per-worker ring capacity in events (rounded up to a power of two).
     pub flight_capacity: usize,
-    /// Live telemetry tap: emit one JSONL heartbeat line to stderr every
-    /// this-many seconds while refinement runs.
-    pub live: Option<f64>,
-    /// This run is the seam-stitch pass of a sharded run: the worker loop
-    /// additionally consults the `shard.stitch` fault site. Set by the shard
-    /// orchestrator only.
-    pub shard_stitch: bool,
 }
 
 impl Default for MesherConfig {
@@ -77,8 +70,6 @@ impl Default for MesherConfig {
             faults: None,
             flight: true,
             flight_capacity: DEFAULT_RING_CAPACITY,
-            live: None,
-            shard_stitch: false,
         }
     }
 }

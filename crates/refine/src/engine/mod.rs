@@ -8,7 +8,7 @@
 //!   share one begin/commit/rollback protocol that the scheduler, contention
 //!   manager, balancer, and flight recorder observe.
 //! - `worker` — the shared `RunState`, the worker loop, and its helpers
-//!   (death cleanup, donation, the live telemetry tap).
+//!   (death cleanup, donation).
 //! - `pool` — persistent worker threads plus the warm resources (kernel
 //!   arenas, flight rings, proximity grid) they reuse across runs.
 //! - `stage` — the typed [`Stage`] sequence with per-stage phase spans and
@@ -276,6 +276,7 @@ mod tests {
             &domain,
             pi2m_obs::CancelToken::new(),
             None,
+            false,
         );
         let mut rec = metrics::ThreadRecorder::new();
         worker::worker(

@@ -15,7 +15,7 @@
 use super::config::{MeshOutput, MesherConfig};
 use super::pool::WorkerPool;
 use super::stage::{Stage, StageCallback, StageReporter};
-use super::worker::{bridge_thread_stats, live_tap, RunState};
+use super::worker::{bridge_thread_stats, RunState};
 use crate::error::RefineError;
 use crate::output::FinalMesh;
 use crate::rules::{RuleConfig, Rules};
@@ -149,7 +149,8 @@ impl MeshingSession {
     /// refinement starts, so the workers only repair where the seeded mesh
     /// violates R1–R6. This is the stitch pass of a sharded run: the seed is
     /// the union of the chunk meshes' vertices, and the repair work
-    /// concentrates on the seam bands between chunks.
+    /// concentrates on the seam bands between chunks. A run with a seed
+    /// also fires the `shard.stitch` fault site from its worker loop.
     pub(crate) fn mesh_seeded(
         &mut self,
         img: LabeledImage,
@@ -295,6 +296,7 @@ fn run_pipeline(
         &domain,
         cancel,
         flight.as_ref().map(|f| Arc::clone(&f.rec)),
+        !seed.is_empty(),
     ));
     pool.ensure_threads(cfg.threads);
 
@@ -308,12 +310,6 @@ fn run_pipeline(
     {
         let _g = phases.span(Stage::VolumeRefine.phase_name());
         let done_rx = pool.dispatch(&state);
-        // Live telemetry tap: a sampler thread drains the rings
-        // incrementally and prints one JSONL heartbeat per interval.
-        let tap = cfg.live.zip(flight.as_ref()).map(|(interval, f)| {
-            let (rec, st) = (Arc::clone(&f.rec), Arc::clone(&state));
-            std::thread::spawn(move || live_tap(&rec, &st.sync, interval))
-        });
         for _ in 0..cfg.threads {
             // The pool thread's own catch_unwind boundaries make this recv
             // infallible for any panic raised inside the worker loop itself.
@@ -322,17 +318,14 @@ fn run_pipeline(
             per_thread[d.tid] = d.stats;
             recorders[d.tid] = d.rec;
         }
-        if let Some(h) = tap {
-            let _ = h.join();
-        }
     }
     reporter.finished(Stage::VolumeRefine, t0.elapsed().as_secs_f64());
     let wall_time = t_refine.elapsed().as_secs_f64();
     // The run's one account of worker time, from the workers' own sums.
     let attribution = time_attribution(&per_thread, wall_time);
 
-    // Every pool thread drops its Arc before it reports done, and the tap has
-    // joined: this is the last one.
+    // Every pool thread drops its Arc before it reports done: this is the
+    // last one.
     let RunState {
         mesh,
         rules,
@@ -469,7 +462,7 @@ fn drain_telemetry(
                 e.t_ns = (e.t_ns as i128 - base_ns).max(0) as u64;
             }
             pool.park_flight(rec, cursors, cfg.flight_capacity);
-            (log.events, log.dropped + log.torn)
+            (log.events, log.dropped)
         }
         None => (Vec::new(), 0),
     };

@@ -23,13 +23,13 @@ use parking_lot::Mutex;
 use pi2m_delaunay::{CellId, KernelScratch, OpCtx, SharedMesh, VertexKind};
 use pi2m_faults::sites;
 use pi2m_geometry::Aabb;
-use pi2m_obs::flight::{cause as flight_cause, EventKind, FlightRecorder, FlightSampler};
+use pi2m_obs::flight::{cause as flight_cause, EventKind, FlightRecorder};
 use pi2m_obs::metrics::{self, MetricsSnapshot, ThreadRecorder};
 use pi2m_obs::CancelToken;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One thread's Poor Element List: `(cell id, generation)` pairs, used as a
 /// stack. A worker pops the newest entry, so the cells an insertion just
@@ -78,6 +78,9 @@ pub(crate) struct RunState {
     /// Cooperative cancellation (explicit trip or deadline), checked at every
     /// worker loop boundary.
     pub cancel: CancelToken,
+    /// This run is the seam-stitch pass of a sharded run: the worker loop
+    /// additionally consults the `shard.stitch` fault site.
+    pub stitch: bool,
 }
 
 impl RunState {
@@ -85,7 +88,8 @@ impl RunState {
     /// per worker, the engine sync (recording into `flight`, when given), the
     /// contention manager and the balancer. Every alive cell of `mesh` is
     /// seeded into PEL 0 (paper §4.4: "only the main thread might have a
-    /// non-empty PEL"). The sync's clock starts here.
+    /// non-empty PEL"). The sync's clock starts here. `stitch` marks the
+    /// stitch pass of a sharded run.
     pub(crate) fn new(
         mesh: SharedMesh,
         rules: Rules,
@@ -93,6 +97,7 @@ impl RunState {
         domain: &Aabb,
         cancel: CancelToken,
         flight: Option<Arc<FlightRecorder>>,
+        stitch: bool,
     ) -> Self {
         let threads = cfg.threads;
         let mut sync = EngineSync::new(threads);
@@ -126,6 +131,7 @@ impl RunState {
                 .collect(),
             regions: RegionMap::new(domain),
             cancel,
+            stitch,
             cfg,
         }
     }
@@ -145,6 +151,7 @@ impl RunState {
             dead_flags: &self.dead_flags,
             regions: &self.regions,
             cancel: &self.cancel,
+            stitch: self.stitch,
         }
     }
 }
@@ -162,6 +169,7 @@ pub(crate) struct Env<'a> {
     pub dead_flags: &'a [CachePadded<AtomicBool>],
     pub regions: &'a RegionMap,
     pub cancel: &'a CancelToken,
+    pub stitch: bool,
 }
 
 pub(crate) fn worker(
@@ -225,7 +233,7 @@ pub(crate) fn worker(
             // The stitch pass of a sharded run exposes its own worker-scope
             // site so shard drills can kill a worker mid-seam without also
             // firing in the surrounding (monolithic or chunk) runs.
-            if env.cfg.shard_stitch {
+            if env.stitch {
                 let _ = f.fire(sites::SHARD_STITCH, tid as u32);
             }
         }
@@ -664,58 +672,6 @@ pub(crate) fn bridge_thread_stats(st: &ThreadStats, snap: &mut MetricsSnapshot) 
     ] {
         snap.add_counter(id, n);
     }
-}
-
-/// The live-telemetry sampler loop: once per interval (and once at the end),
-/// drain the rings incrementally and print a JSONL heartbeat to stderr. The
-/// sampler never touches worker state — it only reads the SPSC rings (which
-/// tolerate a single concurrent reader via per-event checksums) and the
-/// engine-wide atomic gauges. Starts at the rings' current heads so a warm
-/// session's earlier runs are not replayed into the tallies.
-pub(crate) fn live_tap(rec: &Arc<FlightRecorder>, sync: &EngineSync, interval: f64) {
-    let mut sampler = FlightSampler::starting_at_head(rec);
-    let t0 = Instant::now();
-    let mut prev_ops = 0u64;
-    let mut prev_t = 0.0f64;
-    loop {
-        let done = sleep_until_done(sync, interval);
-        sampler.sample(rec);
-        let ta = sampler.tallies();
-        let t = t0.elapsed().as_secs_f64();
-        let ops = ta.ops();
-        let rate = (ops - prev_ops) as f64 / (t - prev_t).max(1e-9);
-        eprintln!(
-            "{{\"t_s\":{t:.3},\"ops\":{ops},\"commits\":{},\"rollbacks\":{},\
-             \"rollback_ratio\":{:.4},\"ops_per_sec\":{rate:.1},\"cm_blocked\":{},\
-             \"begging\":{},\"dead\":{},\"queue_depth\":{},\"ring_dropped\":{}}}",
-            ta.commits,
-            ta.rollbacks,
-            ta.rollback_ratio(),
-            sync.cm_blocked(),
-            sync.begging(),
-            sync.dead(),
-            sync.total_poor().max(0),
-            ta.dropped,
-        );
-        prev_ops = ops;
-        prev_t = t;
-        if done {
-            break;
-        }
-    }
-}
-
-/// Sleep for `interval` seconds in short slices so the tap exits promptly at
-/// termination. Returns whether the run is done.
-fn sleep_until_done(sync: &EngineSync, interval: f64) -> bool {
-    let deadline = Instant::now() + Duration::from_secs_f64(interval.max(0.01));
-    while Instant::now() < deadline {
-        if sync.is_done() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    sync.is_done()
 }
 
 #[cfg(test)]

@@ -132,14 +132,12 @@ pub fn mesh_sharded(
     let cancel = opts.cancel.clone().unwrap_or_default();
 
     // Chunk meshing: intra-chunk single-threaded (schedule-independent),
-    // cross-chunk parallel over the lanes. Flight and live are stitch-run
-    // concerns; chunk runs keep only their metric snapshots.
+    // cross-chunk parallel over the lanes. The flight recorder is a
+    // stitch-run concern; chunk runs keep only their metric snapshots.
     let chunk_cfg = MesherConfig {
         threads: 1,
         topology: MachineTopology::flat(1),
         flight: false,
-        live: None,
-        shard_stitch: false,
         ..cfg.clone()
     };
     let results: Vec<Mutex<Option<Result<ChunkOut, RefineError>>>> =
@@ -197,12 +195,8 @@ pub fn mesh_sharded(
     // the caller's thread budget and progress callback.
     let chunk_meshes: Vec<FinalMesh> = chunk_outs.iter().map(|c| c.mesh.clone()).collect();
     let (seed, seed_duplicates) = stitch::gather_seed_points(&img, &plan, &chunk_meshes);
-    let stitch_cfg = MesherConfig {
-        shard_stitch: true,
-        ..cfg.clone()
-    };
     let stitch_start = phases.now();
-    let mut out = session.mesh_seeded(img, stitch_cfg, opts, &seed)?;
+    let mut out = session.mesh_seeded(img, cfg, opts, &seed)?;
     phases.record("shard_stitch", stitch_start, phases.now() - stitch_start);
 
     // One timeline: shift the stitch pipeline's stage spans onto the sharded

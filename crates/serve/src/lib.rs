@@ -45,7 +45,7 @@ pub mod trace;
 pub use http::{HttpServer, Request, Response};
 pub use job::{JobId, JobRecord, JobSpec, JobStatus, Priority};
 pub use queue::{AdmitError, JobQueue};
-pub use service::{load_input, MeshService, ServiceConfig};
+pub use service::{MeshService, ServiceConfig};
 pub use trace::{JobTrace, TraceEvent, TraceEventKind, TRACE_SCHEMA_VERSION};
 
 /// Parse a duration string into seconds: `"90"`, `"1.5s"`, `"250ms"`,

@@ -31,7 +31,7 @@ use crate::queue::{AdmitError, JobQueue};
 use crate::trace::TraceEventKind;
 use parking_lot::Mutex;
 use pi2m_faults::{sites, FaultPlan};
-use pi2m_image::{io as img_io, phantoms, LabeledImage};
+use pi2m_image::load_input;
 use pi2m_obs::journal::Journal;
 use pi2m_obs::json::Json;
 use pi2m_obs::metrics::{self, Hist, MetricsSnapshot};
@@ -98,16 +98,6 @@ impl Default for ServiceConfig {
             faults: None,
             journal: Journal::null(),
         }
-    }
-}
-
-/// Load a job input the same way the CLI does: `phantom:NAME` or a `.pim`
-/// path on the server's filesystem.
-pub fn load_input(spec: &str) -> Result<LabeledImage, String> {
-    if let Some(name) = spec.strip_prefix("phantom:") {
-        phantoms::by_name(name, 1.0).ok_or_else(|| format!("unknown phantom '{name}'"))
-    } else {
-        img_io::load(spec).map_err(|e| format!("cannot read {spec}: {e}"))
     }
 }
 

@@ -5,15 +5,16 @@
 //!             [--cm aggressive|random|global|local] [--balancer rws|hws]
 //!             [--no-removals] [--size S] [--off out.off] [--stats]
 //!             [--report run.json] [--trace-out trace.json] [--metrics]
-//!             [--audit] [--live[=INTERVAL]] [--no-flight] [--force]
-//!             [--deadline DUR] [--shards AxBxC [--halo N]]
+//!             [--audit] [--no-flight] [--force] [--deadline DUR]
+//!             [--shards AxBxC [--halo N]]
 //!             (a run killed by --deadline still writes its --report /
 //!             --trace-out / --metrics artifacts, from the same run report
 //!             a finished run writes; --shards meshes the image as a grid
 //!             of overlapping chunks and stitches the seams — see README
 //!             "Sharded meshing")
 //! pi2m batch  <inputs...> [--outdir DIR] [--keep-going] [--reports]
-//!             [mesh options]
+//!             [--delta D] [--threads N] [--cm ...] [--balancer ...]
+//!             [--no-removals] [--size S] [--no-flight] [--force]
 //!             mesh several inputs sequentially over ONE warm session
 //!             (threads, kernel arenas, flight rings, and the proximity
 //!             grid are reused run-to-run); --reports adds one
@@ -50,11 +51,14 @@
 //! meshes a built-in phantom directly (sphere, nested, torus, abdominal,
 //! knee, head-neck).
 //!
+//! Every command refuses an option it does not read (exit 1, naming it).
 //! Failures exit with a typed code (see [`pi2m::cli::CliError`]): 1 generic,
 //! 3 cancelled (deadline), 4 I/O, 5 integrity, 6 worker loss.
 
-use pi2m::cli::{parse_args, parse_duration, run_report, write_new, Args, CliError, RunEnd};
-use pi2m::image::{io as img_io, phantoms, LabeledImage};
+use pi2m::cli::{
+    check_options, parse_args, parse_duration, run_report, write_new, Args, CliError, RunEnd,
+};
+use pi2m::image::{io as img_io, load_input, phantoms, LabeledImage};
 use pi2m::meshio;
 use pi2m::obs::journal::{Journal, Level};
 use pi2m::obs::json::Json;
@@ -67,14 +71,6 @@ use std::io::BufWriter;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
-
-fn load_input(spec: &str) -> Result<LabeledImage, String> {
-    if let Some(name) = spec.strip_prefix("phantom:") {
-        phantoms::by_name(name, 1.0).ok_or_else(|| format!("unknown phantom '{name}'"))
-    } else {
-        img_io::load(spec).map_err(|e| format!("cannot read {spec}: {e}"))
-    }
-}
 
 /// Build a command's journal from `--log[=PATH]`, `PI2M_LOG`, and
 /// `PI2M_LOG_LEVEL`. With none of them set, interactive commands keep
@@ -107,7 +103,6 @@ struct MeshOpts {
     size_fn: Option<Arc<dyn pi2m::oracle::SizeFn>>,
     enable_removals: bool,
     force: bool,
-    live: Option<f64>,
     flight: bool,
     faults: Option<Arc<pi2m::faults::FaultPlan>>,
 }
@@ -148,13 +143,6 @@ fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
             Ok(Arc::new(pi2m::oracle::UniformSize(s)) as Arc<dyn pi2m::oracle::SizeFn>)
         })
         .transpose()?;
-    let live = if let Some(v) = args.flags.get("live") {
-        Some(parse_duration(v).map_err(|e| format!("bad --live interval: {e}"))?)
-    } else if args.switches.contains("live") {
-        Some(1.0)
-    } else {
-        None
-    };
     // Deterministic fault injection (testing): armed only when the
     // PI2M_FAULT_PLAN / PI2M_FAULT_SEED environment variables are set.
     let faults = pi2m::faults::FaultPlan::from_env()
@@ -180,7 +168,6 @@ fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
         size_fn,
         enable_removals: !args.switches.contains("no-removals"),
         force: args.switches.contains("force"),
-        live,
         flight: !args.switches.contains("no-flight"),
         faults,
     })
@@ -197,7 +184,6 @@ fn config_for(o: &MeshOpts, img: &LabeledImage) -> MesherConfig {
         faults: o.faults.clone(),
         topology: pi2m::refine::MachineTopology::flat(o.threads),
         flight: o.flight,
-        live: o.live,
         ..Default::default()
     }
 }
@@ -543,7 +529,8 @@ fn cmd_batch(args: &Args) -> Result<(), CliError> {
     if inputs.is_empty() {
         return Err(
             "usage: pi2m batch <inputs...> [--outdir DIR] [--keep-going] [--reports] \
-             [mesh options]"
+             [--delta D] [--threads N] [--cm ...] [--balancer ...] [--no-removals] [--size S] \
+             [--no-flight] [--force]"
                 .into(),
         );
     }
@@ -1082,21 +1069,18 @@ fn print_version() {
     println!("job-trace-schema {}", pi2m::serve::TRACE_SCHEMA_VERSION);
 }
 
-fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&raw);
-    if args.switches.contains("version") {
-        print_version();
-        return ExitCode::SUCCESS;
-    }
-    let r: Result<(), CliError> = match args.positional.first().map(String::as_str) {
-        Some("mesh") => cmd_mesh(&args),
-        Some("batch") => cmd_batch(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("phantom") => cmd_phantom(&args).map_err(CliError::from),
-        Some("info") => cmd_info(&args).map_err(CliError::from),
-        Some("bench") => cmd_bench(&args).map_err(CliError::from),
-        Some("analyze") => cmd_analyze(&args).map_err(CliError::from),
+/// Run the subcommand `args` names, once its options have passed
+/// [`check_options`].
+fn run(args: &Args) -> Result<(), CliError> {
+    check_options(args)?;
+    match args.positional.first().map(String::as_str) {
+        Some("mesh") => cmd_mesh(args),
+        Some("batch") => cmd_batch(args),
+        Some("serve") => cmd_serve(args),
+        Some("phantom") => cmd_phantom(args).map_err(CliError::from),
+        Some("info") => cmd_info(args).map_err(CliError::from),
+        Some("bench") => cmd_bench(args).map_err(CliError::from),
+        Some("analyze") => cmd_analyze(args).map_err(CliError::from),
         Some("version") => {
             print_version();
             Ok(())
@@ -1105,8 +1089,17 @@ fn main() -> ExitCode {
             "usage: pi2m <mesh|batch|serve|phantom|info|bench|analyze|version> ... (see README)"
                 .into(),
         ),
-    };
-    match r {
+    }
+}
+
+fn main() -> ExitCode {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&raw);
+    if args.switches.contains("version") {
+        print_version();
+        return ExitCode::SUCCESS;
+    }
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             // typed: scripts branch on the exit code, humans on the prefix

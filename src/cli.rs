@@ -17,8 +17,8 @@ pub struct Args {
 
 /// Boolean options that never take a value — without this list, a switch
 /// followed by another short option (`--metrics -o out.vtk`) would greedily
-/// swallow it as a value. (`--live` and `--log` double as switches: an
-/// interval/path rides in `--live=INTERVAL` / `--log=PATH` form only.)
+/// swallow it as a value. (`--log` doubles as a switch: a path rides in
+/// `--log=PATH` form only.)
 pub const SWITCHES: &[&str] = &[
     "stats",
     "no-removals",
@@ -26,13 +26,129 @@ pub const SWITCHES: &[&str] = &[
     "audit",
     "quick",
     "reports",
-    "live",
     "log",
     "no-flight",
     "force",
     "keep-going",
     "version",
 ];
+
+/// The options one subcommand reads: its value-taking flags and its
+/// switches. `--log` is in both lists of the commands that log, as bare
+/// `--log` and as `--log=PATH`.
+pub fn command_options(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match cmd {
+        "mesh" => (
+            &[
+                "o",
+                "delta",
+                "threads",
+                "cm",
+                "balancer",
+                "size",
+                "off",
+                "report",
+                "trace-out",
+                "deadline",
+                "shards",
+                "halo",
+                "log",
+            ],
+            &[
+                "no-removals",
+                "no-flight",
+                "force",
+                "stats",
+                "metrics",
+                "audit",
+                "log",
+            ],
+        ),
+        "batch" => (
+            &[
+                "outdir", "delta", "threads", "cm", "balancer", "size", "log",
+            ],
+            &[
+                "no-removals",
+                "no-flight",
+                "force",
+                "keep-going",
+                "reports",
+                "log",
+            ],
+        ),
+        "serve" => (
+            &[
+                "addr",
+                "sessions",
+                "threads",
+                "queue-cap",
+                "spool",
+                "default-deadline",
+                "max-retries",
+                "drain-grace",
+                "log",
+            ],
+            &["log"],
+        ),
+        "phantom" => (&["scale"], &[]),
+        "bench" => (
+            &[
+                "seed",
+                "out",
+                "check",
+                "tolerance",
+                "flight-gate",
+                "parent-commit",
+                "parent-insertion",
+                "parent-removal",
+            ],
+            &["quick"],
+        ),
+        "info" | "analyze" | "version" => (&[], &[]),
+        _ => return None,
+    })
+}
+
+/// Refuse every option the subcommand in `args` does not read (see
+/// [`command_options`]), naming the first one found. An unknown subcommand
+/// passes: dispatch reports it.
+pub fn check_options(args: &Args) -> Result<(), String> {
+    let Some(cmd) = args.positional.first() else {
+        return Ok(());
+    };
+    let Some((flags, switches)) = command_options(cmd) else {
+        return Ok(());
+    };
+    let dashed = |name: &str| match name.len() {
+        1 => format!("-{name}"),
+        _ => format!("--{name}"),
+    };
+    let mut given: Vec<(&str, bool)> = args
+        .flags
+        .keys()
+        .map(|k| (k.as_str(), true))
+        .chain(args.switches.iter().map(|k| (k.as_str(), false)))
+        .collect();
+    given.sort_unstable();
+    for (name, has_value) in given {
+        let (ok, other) = match has_value {
+            true => (flags, switches),
+            false => (switches, flags),
+        };
+        if ok.contains(&name) {
+            continue;
+        }
+        return Err(if !other.contains(&name) {
+            format!("pi2m {cmd} does not take {}", dashed(name))
+        } else if has_value {
+            format!("{} takes no value", dashed(name))
+        } else {
+            format!("{} needs a value", dashed(name))
+        });
+    }
+    Ok(())
+}
 
 /// Split a raw argument vector into [`Args`]. `--name=value` always binds;
 /// `--name value` binds unless `name` is a known switch; `-x value` always
@@ -252,7 +368,6 @@ pub fn run_report(input: &str, cfg: &MesherConfig, end: RunEnd<'_>, wall_s: f64)
             threads: cfg.threads,
             wall_s: attribution.wall_s,
             dropped: flight_dropped,
-            ..Default::default()
         },
     ));
     report.attribution = Some(attribution.clone());
@@ -272,7 +387,7 @@ mod tests {
         let a = parse_args(&argv(&[
             "mesh",
             "phantom:sphere",
-            "--live=500ms",
+            "--deadline=500ms",
             "--delta=1.5",
             "--force",
             "--metrics",
@@ -280,30 +395,79 @@ mod tests {
             "out.vtk",
         ]));
         assert_eq!(a.positional, vec!["mesh", "phantom:sphere"]);
-        assert_eq!(a.flags.get("live").map(String::as_str), Some("500ms"));
+        assert_eq!(a.flags.get("deadline").map(String::as_str), Some("500ms"));
         assert_eq!(a.flags.get("delta").map(String::as_str), Some("1.5"));
         assert_eq!(a.flags.get("o").map(String::as_str), Some("out.vtk"));
         assert!(a.switches.contains("force"));
         assert!(a.switches.contains("metrics"));
+        assert_eq!(check_options(&a), Ok(()));
     }
 
     #[test]
-    fn live_switch_without_value() {
-        let a = parse_args(&argv(&["mesh", "x.pim", "--live", "--stats"]));
-        assert!(a.switches.contains("live"));
-        assert!(!a.flags.contains_key("live"));
-    }
-
-    #[test]
-    fn log_switch_doubles_like_live() {
+    fn log_is_a_switch_or_takes_a_path() {
         let a = parse_args(&argv(&["serve", "--log", "--queue-cap", "8"]));
         assert!(a.switches.contains("log"));
         assert_eq!(a.flags.get("queue-cap").map(String::as_str), Some("8"));
+        assert_eq!(check_options(&a), Ok(()));
         let a = parse_args(&argv(&["serve", "--log=/tmp/pi2m.jsonl"]));
         assert_eq!(
             a.flags.get("log").map(String::as_str),
             Some("/tmp/pi2m.jsonl")
         );
+        assert_eq!(check_options(&a), Ok(()));
+    }
+
+    #[test]
+    fn every_command_rejects_the_options_it_does_not_read() {
+        let err = |args: &[&str]| check_options(&parse_args(&argv(args))).unwrap_err();
+        assert_eq!(
+            err(&["mesh", "x.pim", "--live", "--stats"]),
+            "pi2m mesh does not take --live"
+        );
+        assert_eq!(
+            err(&["mesh", "x.pim", "--live=500ms"]),
+            "pi2m mesh does not take --live"
+        );
+        assert_eq!(
+            err(&["mesh", "phantom:sphere", "--thread", "7"]),
+            "pi2m mesh does not take --thread"
+        );
+        for flag in ["--shards", "--deadline"] {
+            assert_eq!(
+                err(&["batch", "phantom:sphere", flag, "2x1x1"]),
+                format!("pi2m batch does not take {flag}")
+            );
+        }
+        assert_eq!(
+            err(&["batch", "phantom:sphere", "--audit"]),
+            "pi2m batch does not take --audit"
+        );
+        assert_eq!(
+            err(&["info", "x.pim", "-o", "y"]),
+            "pi2m info does not take -o"
+        );
+        assert_eq!(
+            err(&["mesh", "x.pim", "--force=yes"]),
+            "--force takes no value"
+        );
+        assert_eq!(err(&["mesh", "x.pim", "--delta"]), "--delta needs a value");
+    }
+
+    #[test]
+    fn every_documented_option_of_a_command_passes() {
+        for cmd in [
+            "mesh", "batch", "serve", "phantom", "bench", "info", "analyze",
+        ] {
+            let (flags, switches) = command_options(cmd).unwrap();
+            let mut raw = vec![cmd.to_string()];
+            for f in flags {
+                raw.extend([format!("--{f}"), "1".to_string()]);
+            }
+            raw.extend(switches.iter().map(|s| format!("--{s}")));
+            assert_eq!(check_options(&parse_args(&raw)), Ok(()), "{cmd}");
+        }
+        // an unknown command is left to dispatch
+        assert_eq!(check_options(&parse_args(&argv(&["nope", "--x"]))), Ok(()));
     }
 
     #[test]

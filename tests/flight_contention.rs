@@ -5,7 +5,7 @@
 use pi2m::faults::{sites, FaultPlan};
 use pi2m::image::phantoms;
 use pi2m::obs::flight::EventKind;
-use pi2m::obs::json;
+use pi2m::obs::json::{self, Json};
 use pi2m::obs::{analyze, attribute, AnalyzeOpts, Category, RunReport};
 use pi2m::refine::{
     time_attribution, BalancerKind, CmKind, MachineTopology, MeshOutput, MesherConfig,
@@ -22,10 +22,8 @@ const CONTENTION_KEYS: &[&str] = &[
     "rollback_ratio",
     "hot_vertices",
     "hot_regions",
-    "workers",
     "window_s",
     "windows",
-    "speedup_self_report",
 ];
 
 fn run(threads: usize, cm: CmKind, res: usize) -> pi2m::refine::MeshOutput {
@@ -52,8 +50,8 @@ fn run_with(
         .unwrap()
 }
 
-/// A seeded 2-thread run produces a structurally complete contention section
-/// whose totals agree with the engine's own counters.
+/// A seeded 2-thread run produces a contention section of exactly the
+/// golden keys, whose totals agree with the engine's own counters.
 #[test]
 fn two_thread_run_produces_golden_contention_structure() {
     let out = run(2, CmKind::Local, 16);
@@ -63,31 +61,22 @@ fn two_thread_run_produces_golden_contention_structure() {
             threads: 2,
             wall_s: out.stats.wall_time,
             dropped: out.flight_dropped,
-            ..Default::default()
         },
     );
 
     let j = json::parse(&report.to_json().dump()).expect("contention report is valid JSON");
-    for key in CONTENTION_KEYS {
-        assert!(j.get(key).is_some(), "contention report missing key {key}");
-    }
+    let Json::Obj(fields) = &j else {
+        panic!("the contention report is not a JSON object");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, CONTENTION_KEYS);
 
     // totals agree with the engine's own accounting when nothing dropped
     if out.flight_dropped == 0 {
         assert_eq!(report.commits, out.stats.total_operations());
         assert_eq!(report.rollbacks, out.stats.total_rollbacks());
     }
-    assert_eq!(report.per_worker.len(), 2);
-    for (t, w) in report.per_worker.iter().enumerate() {
-        assert_eq!(w.tid as usize, t);
-        assert!(!w.died);
-    }
-    assert!(report.busy_s() > 0.0, "no busy time attributed");
-    assert!(
-        report.effective_parallelism() > 0.0 && report.effective_parallelism() <= 2.1,
-        "effective parallelism {} out of range",
-        report.effective_parallelism()
-    );
+    assert!(report.commits > 0, "no commits folded");
 
     // time series: windows tile [0, wall] with non-negative counts
     let windows = j.get("windows").unwrap().as_arr().unwrap();
@@ -105,7 +94,7 @@ fn two_thread_run_produces_golden_contention_structure() {
         assert!(w.get("t0_s").unwrap().as_f64().unwrap() >= 0.0);
     }
 
-    // the speedup self-report is wired into run reports
+    // the section is wired into run reports as is
     let mut rr = RunReport::new("flight_contention_test");
     rr.contention = Some(report);
     let rj = json::parse(&rr.to_json_string()).unwrap();
@@ -113,17 +102,7 @@ fn two_thread_run_produces_golden_contention_structure() {
         rj.get("schema").unwrap().as_f64(),
         Some(RunReport::SCHEMA_VERSION as f64)
     );
-    let c = rj.get("contention").expect("contention section");
-    let s = c.get("speedup_self_report").unwrap();
-    for key in [
-        "busy_s",
-        "wall_s",
-        "effective_parallelism",
-        "utilization",
-        "lock_wait_fraction",
-    ] {
-        assert!(s.get(key).is_some(), "speedup self-report missing {key}");
-    }
+    assert_eq!(rj.get("contention"), Some(&j));
 }
 
 /// On a contended >=4-thread run the analyzer must attribute rollbacks to
@@ -153,7 +132,6 @@ fn four_thread_run_attributes_rollbacks() {
             threads: 4,
             wall_s: out.stats.wall_time,
             dropped: out.flight_dropped,
-            ..Default::default()
         },
     );
     assert!(report.rollbacks > 0);

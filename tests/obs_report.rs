@@ -10,7 +10,7 @@ use pi2m::obs::metrics;
 use pi2m::obs::{render_chrome_trace, RunReport};
 use pi2m::refine::{MesherConfig, MeshingSession};
 
-/// The schema-6 run report's keys, in order: the envelope, then the run.
+/// The schema-7 run report's keys, in order: the envelope, then the run.
 const REPORT_KEYS: &[&str] = &[
     "kind",
     "schema",
@@ -52,10 +52,7 @@ fn real_run_produces_schema_valid_report_and_trace() {
     let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(keys, REPORT_KEYS);
     assert_eq!(j.get("kind").and_then(Json::as_str), Some("run_report"));
-    assert_eq!(
-        j.get("schema").and_then(Json::as_f64),
-        Some(RunReport::SCHEMA_VERSION as f64)
-    );
+    assert_eq!(j.get("schema").and_then(Json::as_f64), Some(7.0));
 
     // phase timings present for the acceptance-criteria phases
     let phases = j.get("phases").unwrap();
@@ -130,10 +127,13 @@ fn real_run_produces_schema_valid_report_and_trace() {
     let (ins, rem) = (total("committed_insert_s"), total("committed_remove_s"));
     assert!(ins > 0.0, "a run commits insertions");
     assert!((ins + rem - total("committed_s")).abs() < 1e-9);
-    // the contention section holds hot spots and timelines, no second copy
+    // the contention section holds hot spots and the windowed series, no
+    // second account of worker time
     let cont = j.get("contention").unwrap();
-    assert!(cont.get("time_attribution").is_none());
-    assert!(cont.get("speedup_self_report").is_some());
+    for key in ["time_attribution", "workers", "speedup_self_report"] {
+        assert!(cont.get(key).is_none(), "contention carries {key}");
+    }
+    assert!(cont.get("hot_vertices").is_some() && cont.get("windows").is_some());
 
     // --- Chrome trace: the CLI's --trace-out composition ------------------
     let trace = render_chrome_trace(&out.phases, &out.metrics.events, &out.flight);
@@ -208,7 +208,7 @@ fn analyze_degrades_cancelled_sharded_report_to_not_recorded() {
     // to "not recorded", not error on the missing keys.
     let cancelled = r#"{
         "kind": "run_report",
-        "schema": 6,
+        "schema": 7,
         "tool": "pi2m",
         "config": {"shards": "2x2x1", "halo": 3.0},
         "threads": 2.0,
