@@ -16,7 +16,7 @@
 use pi2m_bench::full_mode;
 use pi2m_image::phantoms;
 use pi2m_quality::{hausdorff_distance, mesh_quality};
-use pi2m_refine::{CmKind, MachineTopology, MesherConfig, MeshingSession};
+use pi2m_refine::{CmKind, MesherConfig, MeshingSession};
 use pi2m_sim::{SimConfig, SimMachine, SimMesher};
 
 fn main() {
@@ -36,7 +36,6 @@ fn main() {
                     delta: 1.2,
                     threads: 1,
                     enable_removals: removals,
-                    topology: MachineTopology::flat(1),
                     max_operations: 2_000_000,
                     ..Default::default()
                 },
@@ -67,7 +66,6 @@ fn main() {
                 MesherConfig {
                     delta,
                     threads: 2,
-                    topology: MachineTopology::flat(2),
                     ..Default::default()
                 },
             )

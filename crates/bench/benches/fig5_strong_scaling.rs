@@ -12,8 +12,7 @@
 
 use pi2m_bench::full_mode;
 use pi2m_image::phantoms;
-use pi2m_refine::BalancerKind;
-use pi2m_sim::{SimConfig, SimMachine, SimMesher, SimStats};
+use pi2m_sim::{BalancerKind, SimConfig, SimMachine, SimMesher, SimStats};
 
 fn main() {
     let thread_counts = [1usize, 16, 32, 64, 128, 144, 160, 176];

@@ -44,7 +44,7 @@
 use pi2m_delaunay::{SharedMesh, VertexKind};
 use pi2m_geometry::{Aabb, FilterStats, Point3};
 use pi2m_obs::json::Json;
-use pi2m_refine::{MachineTopology, MesherConfig, MeshingSession};
+use pi2m_refine::{MesherConfig, MeshingSession};
 use std::time::Instant;
 
 /// Options for one benchmark run.
@@ -335,7 +335,6 @@ pub fn run_kernel_bench(opts: KernelBenchOpts) -> KernelBenchReport {
                 MesherConfig {
                     delta,
                     threads: 1,
-                    topology: MachineTopology::flat(1),
                     flight,
                     ..Default::default()
                 },
@@ -365,7 +364,6 @@ pub fn run_kernel_bench(opts: KernelBenchOpts) -> KernelBenchReport {
     let session_cfg = || MesherConfig {
         delta: 2.0,
         threads: session_threads,
-        topology: MachineTopology::flat(session_threads),
         ..Default::default()
     };
     let mut session = MeshingSession::new(session_threads);

@@ -91,7 +91,6 @@ counters! {
     CELLS_KILLED         = ("cells_killed", "cells", "Tetrahedra destroyed by committed operations"),
     DONATIONS_MADE       = ("donations_made", "events", "Work donations to begging threads"),
     DONATIONS_RECEIVED   = ("donations_received", "events", "Work batches received while begging"),
-    INTER_BLADE_DONATIONS = ("inter_blade_donations", "events", "Donations crossing a blade boundary (HWS)"),
     CLASSIFY_CALLS       = ("classify_calls", "ops", "PEL pops, live and stale; only the live ones reach rule classification"),
     // Delaunay kernel
     WALK_LOCATES         = ("walk_locates", "ops", "Point-location walks started (BRIO remembering walk)"),

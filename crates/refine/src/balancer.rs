@@ -1,15 +1,14 @@
-//! Load balancing via begging lists (paper §4.4 and §6.1).
+//! Load balancing via a begging list (paper §4.4).
 //!
-//! Idle threads park themselves in a begging list; working threads, after
-//! each completed operation, donate newly created poor elements to the first
-//! parked beggar they can find. RWS uses a single global list; HWS splits it
-//! into three levels — socket (BL1), blade (BL2), machine (BL3) — so work
-//! preferentially stays close in the memory hierarchy, cutting inter-blade
-//! transfers (paper Figure 5b).
+//! Idle threads park themselves in the begging list; working threads, after
+//! each completed operation, donate newly created poor elements to the
+//! longest-waiting beggar. This is the flat list of the paper's RWS. Its
+//! hierarchical variant HWS (§6.1) splits the list along a cc-NUMA
+//! machine's memory hierarchy; it is modelled in `pi2m-sim` only, the one
+//! place that knows a machine's shape.
 
 use crate::cm::ContentionManager;
 use crate::sync::EngineSync;
-use crate::topology::MachineTopology;
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use pi2m_obs::flight::{cause as flight_cause, EventKind};
@@ -20,16 +19,7 @@ use std::time::Instant;
 /// Minimum own-PEL population before a thread may donate (paper: 5).
 pub const DONATE_THRESHOLD: i64 = 5;
 
-/// Which balancer to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BalancerKind {
-    /// Random (flat) work stealing: one global begging list.
-    Rws,
-    /// Hierarchical work stealing over the machine topology.
-    Hws,
-}
-
-/// Result of parking in a begging list.
+/// Result of parking in the begging list.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BegOutcome {
     /// Woken with fresh work in the PEL.
@@ -38,45 +28,69 @@ pub enum BegOutcome {
     Finished,
 }
 
-/// The begging-list interface.
-pub trait LoadBalancer: Send + Sync {
-    fn name(&self) -> &'static str;
+/// The begging list: parked beggars in arrival order, fed first come first
+/// served.
+pub struct BeggingList {
+    list: Mutex<VecDeque<usize>>,
+    has_work: Vec<CachePadded<AtomicBool>>,
+}
+
+impl BeggingList {
+    pub fn new(threads: usize) -> Self {
+        BeggingList {
+            list: Mutex::new(VecDeque::new()),
+            has_work: (0..threads)
+                .map(|_| CachePadded::new(AtomicBool::new(false)))
+                .collect(),
+        }
+    }
 
     /// Park until donated work arrives or the run terminates. Also performs
     /// global termination detection and deadlock-breaking release of
     /// CM-parked threads. Returns the outcome and the seconds spent parked.
-    fn beg(&self, tid: usize, sync: &EngineSync, cm: &dyn ContentionManager) -> (BegOutcome, f64);
+    pub fn beg(
+        &self,
+        tid: usize,
+        sync: &EngineSync,
+        cm: &dyn ContentionManager,
+    ) -> (BegOutcome, f64) {
+        self.list.lock().push_back(tid);
+        beg_wait(tid, sync, cm, self)
+    }
 
     /// Select (and unpark-reserve) a beggar for `donor` to feed; the donor
-    /// must push work to the beggar's PEL and then call [`LoadBalancer::wake`].
-    fn pick_beggar(&self, donor: usize) -> Option<usize>;
+    /// must push work to the beggar's PEL and then call [`BeggingList::wake`].
+    pub fn pick_beggar(&self, donor: usize) -> Option<usize> {
+        let mut l = self.list.lock();
+        while let Some(t) = l.pop_front() {
+            if t != donor {
+                return Some(t);
+            }
+        }
+        None
+    }
 
     /// Signal `target` that work has been pushed to its PEL.
-    fn wake(&self, target: usize);
+    pub fn wake(&self, target: usize) {
+        self.has_work[target].store(true, Ordering::Release);
+    }
 
     /// Wake every parked beggar (termination).
-    fn release_all(&self);
-}
-
-pub fn make_balancer(
-    kind: BalancerKind,
-    topo: MachineTopology,
-    threads: usize,
-) -> Box<dyn LoadBalancer> {
-    match kind {
-        BalancerKind::Rws => Box::new(RwsBalancer::new(threads)),
-        BalancerKind::Hws => Box::new(HwsBalancer::new(topo, threads)),
+    pub fn release_all(&self) {
+        for f in &self.has_work {
+            f.store(true, Ordering::Release);
+        }
     }
 }
 
-/// The common parked-wait loop with termination detection.
+/// The parked-wait loop with termination detection.
 fn beg_wait(
     tid: usize,
-    has_work: &AtomicBool,
     sync: &EngineSync,
     cm: &dyn ContentionManager,
-    bal: &dyn LoadBalancer,
+    bal: &BeggingList,
 ) -> (BegOutcome, f64) {
+    let has_work = &bal.has_work[tid];
     let t0 = Instant::now();
     sync.flight_emit(tid, EventKind::BegPark, 0, 0, 0, 0);
     sync.enter_begging();
@@ -115,190 +129,6 @@ fn beg_wait(
     (outcome, waited)
 }
 
-// --------------------------------------------------------------------------
-
-/// Flat begging list (paper §4.4's base scheme).
-pub struct RwsBalancer {
-    list: Mutex<VecDeque<usize>>,
-    has_work: Vec<CachePadded<AtomicBool>>,
-}
-
-impl RwsBalancer {
-    pub fn new(threads: usize) -> Self {
-        RwsBalancer {
-            list: Mutex::new(VecDeque::new()),
-            has_work: (0..threads)
-                .map(|_| CachePadded::new(AtomicBool::new(false)))
-                .collect(),
-        }
-    }
-}
-
-impl LoadBalancer for RwsBalancer {
-    fn name(&self) -> &'static str {
-        "rws"
-    }
-
-    fn beg(&self, tid: usize, sync: &EngineSync, cm: &dyn ContentionManager) -> (BegOutcome, f64) {
-        self.list.lock().push_back(tid);
-        beg_wait(tid, &self.has_work[tid], sync, cm, self)
-    }
-
-    fn pick_beggar(&self, donor: usize) -> Option<usize> {
-        let mut l = self.list.lock();
-        while let Some(t) = l.pop_front() {
-            if t != donor {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn wake(&self, target: usize) {
-        self.has_work[target].store(true, Ordering::Release);
-    }
-
-    fn release_all(&self) {
-        for f in &self.has_work {
-            f.store(true, Ordering::Release);
-        }
-    }
-}
-
-// --------------------------------------------------------------------------
-
-/// Three-level hierarchical begging lists (paper §6.1): BL1 per socket,
-/// BL2 per blade, BL3 global. Donors serve BL1 of their socket first, then
-/// BL2 of their blade, then BL3.
-pub struct HwsBalancer {
-    topo: MachineTopology,
-    bl1: Vec<Mutex<VecDeque<usize>>>,
-    bl2: Vec<Mutex<VecDeque<usize>>>,
-    bl3: Mutex<VecDeque<usize>>,
-    has_work: Vec<CachePadded<AtomicBool>>,
-}
-
-impl HwsBalancer {
-    pub fn new(topo: MachineTopology, threads: usize) -> Self {
-        let sockets = threads.div_ceil(topo.threads_per_socket());
-        let blades = threads.div_ceil(topo.threads_per_blade());
-        HwsBalancer {
-            topo,
-            bl1: (0..sockets.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            bl2: (0..blades.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            bl3: Mutex::new(VecDeque::new()),
-            has_work: (0..threads)
-                .map(|_| CachePadded::new(AtomicBool::new(false)))
-                .collect(),
-        }
-    }
-}
-
-impl LoadBalancer for HwsBalancer {
-    fn name(&self) -> &'static str {
-        "hws"
-    }
-
-    fn beg(&self, tid: usize, sync: &EngineSync, cm: &dyn ContentionManager) -> (BegOutcome, f64) {
-        let socket = self.topo.socket_of(tid);
-        let blade = self.topo.blade_of(tid);
-        // Choose the level: BL1 unless the socket's other threads are all
-        // already waiting there; BL2 unless it already hosts a thread from
-        // this blade's other socket; BL3 otherwise (paper §6.1).
-        {
-            let mut l1 = self.bl1[socket].lock();
-            if l1.len() < self.topo.threads_per_socket().saturating_sub(1) {
-                l1.push_back(tid);
-                drop(l1);
-                return beg_wait(tid, &self.has_work[tid], sync, cm, self);
-            }
-        }
-        {
-            let mut l2 = self.bl2[blade].lock();
-            if l2.len() < self.topo.sockets_per_blade.saturating_sub(1) {
-                l2.push_back(tid);
-                drop(l2);
-                return beg_wait(tid, &self.has_work[tid], sync, cm, self);
-            }
-        }
-        self.bl3.lock().push_back(tid);
-        beg_wait(tid, &self.has_work[tid], sync, cm, self)
-    }
-
-    fn pick_beggar(&self, donor: usize) -> Option<usize> {
-        let socket = self.topo.socket_of(donor);
-        let blade = self.topo.blade_of(donor);
-        if let Some(t) = self.bl1.get(socket).and_then(|l| {
-            let mut l = l.lock();
-            while let Some(t) = l.pop_front() {
-                if t != donor {
-                    return Some(t);
-                }
-            }
-            None
-        }) {
-            return Some(t);
-        }
-        if let Some(t) = self.bl2.get(blade).and_then(|l| {
-            let mut l = l.lock();
-            while let Some(t) = l.pop_front() {
-                if t != donor {
-                    return Some(t);
-                }
-            }
-            None
-        }) {
-            return Some(t);
-        }
-        let mut l3 = self.bl3.lock();
-        while let Some(t) = l3.pop_front() {
-            if t != donor {
-                return Some(t);
-            }
-        }
-        // Last resort: raid another socket's BL1 / another blade's BL2 so no
-        // beggar waits forever when its own neighborhood has no producers.
-        drop(l3);
-        for (s, l) in self.bl1.iter().enumerate() {
-            if s == socket {
-                continue;
-            }
-            let mut l = l.lock();
-            while let Some(t) = l.pop_front() {
-                if t != donor {
-                    return Some(t);
-                }
-            }
-        }
-        for (b, l) in self.bl2.iter().enumerate() {
-            if b == blade {
-                continue;
-            }
-            let mut l = l.lock();
-            while let Some(t) = l.pop_front() {
-                if t != donor {
-                    return Some(t);
-                }
-            }
-        }
-        None
-    }
-
-    fn wake(&self, target: usize) {
-        self.has_work[target].store(true, Ordering::Release);
-    }
-
-    fn release_all(&self) {
-        for f in &self.has_work {
-            f.store(true, Ordering::Release);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,16 +136,16 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn rws_pick_skips_donor() {
-        let b = RwsBalancer::new(3);
+    fn pick_skips_donor() {
+        let b = BeggingList::new(3);
         b.list.lock().push_back(1);
         b.list.lock().push_back(2);
         assert_eq!(b.pick_beggar(1), Some(2));
     }
 
     #[test]
-    fn rws_beg_wakes_on_work() {
-        let b = Arc::new(RwsBalancer::new(2));
+    fn beg_wakes_on_work() {
+        let b = Arc::new(BeggingList::new(2));
         let sync = Arc::new(EngineSync::new(2));
         sync.poor_added(1); // pretend pending work exists so no termination
         let b2 = Arc::clone(&b);
@@ -333,76 +163,11 @@ mod tests {
 
     #[test]
     fn termination_when_quiescent() {
-        let b = Arc::new(RwsBalancer::new(1));
+        let b = Arc::new(BeggingList::new(1));
         let sync = Arc::new(EngineSync::new(1));
         // no poor work at all: the only thread begging must terminate
         let (outcome, _) = b.beg(0, &sync, &AggressiveCm);
         assert_eq!(outcome, BegOutcome::Finished);
         assert!(sync.is_done());
-    }
-
-    #[test]
-    fn hws_prefers_local_socket() {
-        let topo = MachineTopology {
-            cores_per_socket: 2,
-            sockets_per_blade: 2,
-            blades: 2,
-            smt: 1,
-        };
-        let b = HwsBalancer::new(topo, 8);
-        // thread 1 (socket 0) and thread 3 (socket 1) wait in their BL1s
-        b.bl1[0].lock().push_back(1);
-        b.bl1[1].lock().push_back(3);
-        // donor 0 is socket 0: picks its socket-mate first
-        assert_eq!(b.pick_beggar(0), Some(1));
-        // donor 2 (socket 1): picks thread 3
-        assert_eq!(b.pick_beggar(2), Some(3));
-    }
-
-    #[test]
-    fn hws_falls_back_to_lower_levels() {
-        let topo = MachineTopology {
-            cores_per_socket: 2,
-            sockets_per_blade: 2,
-            blades: 2,
-            smt: 1,
-        };
-        let b = HwsBalancer::new(topo, 8);
-        b.bl3.lock().push_back(7);
-        assert_eq!(b.pick_beggar(0), Some(7));
-        // raid: beggar waiting in a foreign BL1 is still findable
-        b.bl1[1].lock().push_back(2);
-        assert_eq!(b.pick_beggar(0), Some(2));
-    }
-
-    #[test]
-    fn hws_beg_level_selection() {
-        let topo = MachineTopology {
-            cores_per_socket: 2,
-            sockets_per_blade: 2,
-            blades: 1,
-            smt: 1,
-        };
-        let b = Arc::new(HwsBalancer::new(topo, 4));
-        let sync = Arc::new(EngineSync::new(4));
-        sync.poor_added(1);
-        // BL1 of socket 0 holds at most 1 (threads_per_socket - 1)
-        let b2 = Arc::clone(&b);
-        let sync2 = Arc::clone(&sync);
-        let h0 = std::thread::spawn(move || b2.beg(0, &sync2, &AggressiveCm));
-        while b.bl1[0].lock().len() != 1 {
-            std::thread::yield_now();
-        }
-        // next beggar of socket 0 overflows to BL2
-        let b3 = Arc::clone(&b);
-        let sync3 = Arc::clone(&sync);
-        let h1 = std::thread::spawn(move || b3.beg(1, &sync3, &AggressiveCm));
-        while b.bl2[0].lock().len() != 1 {
-            std::thread::yield_now();
-        }
-        b.release_all();
-        sync.set_done();
-        h0.join().unwrap();
-        h1.join().unwrap();
     }
 }

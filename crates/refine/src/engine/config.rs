@@ -1,10 +1,8 @@
 //! Run configuration and the assembled run output.
 
-use crate::balancer::BalancerKind;
 use crate::cm::CmKind;
 use crate::output::FinalMesh;
 use crate::stats::RefineStats;
-use crate::topology::MachineTopology;
 use pi2m_delaunay::SharedMesh;
 use pi2m_faults::FaultPlan;
 use pi2m_obs::flight::{FlightEvent, DEFAULT_RING_CAPACITY};
@@ -31,10 +29,6 @@ pub struct MesherConfig {
     pub surface_size_fn: Option<Arc<dyn SizeFn>>,
     /// Contention manager policy.
     pub cm: CmKind,
-    /// Work-stealing policy.
-    pub balancer: BalancerKind,
-    /// Machine shape for HWS (logical on the real engine).
-    pub topology: MachineTopology,
     /// Enable rule R6 removals.
     pub enable_removals: bool,
     /// Watchdog: seconds without any completed operation before a livelock
@@ -62,8 +56,6 @@ impl Default for MesherConfig {
             size_fn: None,
             surface_size_fn: None,
             cm: CmKind::Local,
-            balancer: BalancerKind::Hws,
-            topology: MachineTopology::flat(64),
             enable_removals: true,
             livelock_timeout: 30.0,
             max_operations: 0,

@@ -6,7 +6,7 @@
 //! - `config` — [`MesherConfig`] and the assembled [`MeshOutput`].
 //! - `op` — the unified `SpeculativeOp` lifecycle: insertions and removals
 //!   share one begin/commit/rollback protocol that the scheduler, contention
-//!   manager, balancer, and flight recorder observe.
+//!   manager, begging list, and flight recorder observe.
 //! - `worker` — the shared `RunState`, the worker loop, and its helpers
 //!   (death cleanup, donation).
 //! - `pool` — persistent worker threads plus the warm resources (kernel
@@ -31,23 +31,19 @@ pub use stage::{Stage, StageCallback, StageEvent, StageStatus};
 mod tests {
     use super::op::RegionMap;
     use super::*;
-    use crate::balancer::BalancerKind;
     use crate::cm::CmKind;
-    use crate::topology::MachineTopology;
     use pi2m_delaunay::VertexKind;
     use pi2m_geometry::Aabb;
     use pi2m_image::phantoms;
     use pi2m_obs::flight::EventKind;
     use pi2m_obs::metrics;
 
-    fn small_run(threads: usize, cm: CmKind, bal: BalancerKind) -> MeshOutput {
+    fn small_run(threads: usize, cm: CmKind) -> MeshOutput {
         let img = phantoms::sphere(16, 1.0);
         let cfg = MesherConfig {
             delta: 2.0,
             threads,
             cm,
-            balancer: bal,
-            topology: MachineTopology::flat(threads.max(1)),
             ..Default::default()
         };
         MeshingSession::new(cfg.threads).mesh(img, cfg).unwrap()
@@ -55,7 +51,7 @@ mod tests {
 
     #[test]
     fn single_threaded_sphere() {
-        let out = small_run(1, CmKind::Local, BalancerKind::Rws);
+        let out = small_run(1, CmKind::Local);
         assert!(out.mesh.num_tets() > 50, "got {}", out.mesh.num_tets());
         assert_eq!(out.stats.total_rollbacks(), 0);
         out.shared.check_adjacency().unwrap();
@@ -71,8 +67,8 @@ mod tests {
 
     #[test]
     fn multi_threaded_matches_structurally() {
-        let a = small_run(1, CmKind::Local, BalancerKind::Rws);
-        let b = small_run(4, CmKind::Local, BalancerKind::Hws);
+        let a = small_run(1, CmKind::Local);
+        let b = small_run(4, CmKind::Local);
         // same rules, different schedules: sizes in the same ballpark
         let (na, nb) = (a.mesh.num_tets() as f64, b.mesh.num_tets() as f64);
         assert!(
@@ -91,7 +87,7 @@ mod tests {
             CmKind::Global,
             CmKind::Local,
         ] {
-            let out = small_run(3, cm, BalancerKind::Rws);
+            let out = small_run(3, cm);
             assert!(out.mesh.num_tets() > 0, "cm {cm:?} produced an empty mesh");
         }
     }
@@ -114,7 +110,7 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_mirrors_stats() {
-        let out = small_run(2, CmKind::Local, BalancerKind::Rws);
+        let out = small_run(2, CmKind::Local);
         let m = &out.metrics;
         // bridged ThreadStats counters agree with the legacy accessors
         assert_eq!(m.counter(metrics::OPS_TOTAL), out.stats.total_operations());
@@ -154,7 +150,7 @@ mod tests {
 
     #[test]
     fn flight_records_op_lifecycle() {
-        let out = small_run(2, CmKind::Local, BalancerKind::Rws);
+        let out = small_run(2, CmKind::Local);
         assert!(!out.flight.is_empty(), "recorder on by default");
         // drained log is time-sorted
         assert!(out.flight.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
@@ -219,7 +215,7 @@ mod tests {
     /// push are not pops and are counted on their own.
     #[test]
     fn stale_pops_are_counted_apart() {
-        let out = small_run(1, CmKind::Local, BalancerKind::Rws);
+        let out = small_run(1, CmKind::Local);
         let calls = out.metrics.counter(metrics::CLASSIFY_CALLS);
         let stale = out.metrics.counter(metrics::CLASSIFY_STALE);
         let pruned = out.metrics.counter(metrics::PEL_PRUNED);
@@ -242,7 +238,7 @@ mod tests {
     /// facet memo clears some, not all, of them without a traversal.
     #[test]
     fn r3_memo_hits_are_counted() {
-        let out = small_run(1, CmKind::Local, BalancerKind::Rws);
+        let out = small_run(1, CmKind::Local);
         let facets = out.metrics.counter(metrics::R3_FACETS);
         let hits = out.metrics.counter(metrics::R3_MEMO_HITS);
         assert!(hits > 0 && hits < facets, "{hits} hits of {facets} facets");

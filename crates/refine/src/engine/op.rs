@@ -5,7 +5,7 @@
 //! genuinely differs between them — kernel entry point, per-kind counters,
 //! conflict disposition (requeue vs. drop), and rejection accounting — while
 //! [`run_op`] owns the single shared lifecycle that the scheduler, the
-//! contention manager, the load balancer, and the flight recorder observe:
+//! contention manager, the begging list, and the flight recorder observe:
 //!
 //! ```text
 //! OpBegin → execute → OpCommit  → progress → CM success → enqueue created
@@ -364,11 +364,11 @@ pub(crate) fn run_op(
                 pack_owner_region(owner as u16, region),
                 dur_ns_u32(t_end - t0),
             );
-            stats.add_overhead(OverheadKind::Rollback, rolled, None);
+            stats.add_overhead(OverheadKind::Rollback, rolled);
             rec.observe(metrics::ROLLBACK_SECONDS, rolled);
             op.on_conflict(env, tid, rec);
             let waited = env.cm.on_rollback(tid, owner as usize, env.sync);
-            stats.add_overhead(OverheadKind::Contention, waited, None);
+            stats.add_overhead(OverheadKind::Contention, waited);
             rec.observe(metrics::LOCK_WAIT_SECONDS, waited);
             OpOutcome::Conflicted
         }

@@ -4,7 +4,7 @@
 //! Each worker loops: pop an element from its Poor Element List, classify it
 //! against rules R1–R6, and execute the remedy through the speculative
 //! Delaunay kernel (one [`run_op`] per remedy). Rollbacks report to the
-//! contention manager; empty PELs park in the load balancer's begging list;
+//! contention manager; empty PELs park in the begging list;
 //! newly created cells are enqueued locally or donated to beggars;
 //! termination is detected when every thread is parked and no work remains.
 //! A watchdog aborts runs whose contention manager livelocks
@@ -13,7 +13,7 @@
 
 use super::config::MesherConfig;
 use super::op::{dur_ns_u32, run_op, InsertOp, OpOutcome, RegionMap, RemoveOp};
-use crate::balancer::{make_balancer, BegOutcome, LoadBalancer, DONATE_THRESHOLD};
+use crate::balancer::{BegOutcome, BeggingList, DONATE_THRESHOLD};
 use crate::cm::{make_cm, ContentionManager};
 use crate::rules::{FacetMemo, Rules};
 use crate::stats::{OverheadKind, ThreadStats};
@@ -66,7 +66,7 @@ pub(crate) struct RunState {
     pub counters: Vec<CachePadded<AtomicI64>>,
     pub sync: EngineSync,
     pub cm: Box<dyn ContentionManager>,
-    pub bal: Box<dyn LoadBalancer>,
+    pub bal: BeggingList,
     pub cfg: MesherConfig,
     pub ops_total: AtomicU64,
     /// Per-worker death flags: set exactly once when a worker's panic escapes
@@ -86,7 +86,7 @@ pub(crate) struct RunState {
 impl RunState {
     /// Assemble a run over `mesh`: one empty PEL, PEL counter and death flag
     /// per worker, the engine sync (recording into `flight`, when given), the
-    /// contention manager and the balancer. Every alive cell of `mesh` is
+    /// contention manager and the begging list. Every alive cell of `mesh` is
     /// seeded into PEL 0 (paper §4.4: "only the main thread might have a
     /// non-empty PEL"). The sync's clock starts here. `stitch` marks the
     /// stitch pass of a sharded run.
@@ -124,7 +124,7 @@ impl RunState {
             counters,
             sync,
             cm: make_cm(cfg.cm, threads),
-            bal: make_balancer(cfg.balancer, cfg.topology, threads),
+            bal: BeggingList::new(threads),
             ops_total: AtomicU64::new(0),
             dead_flags: (0..threads)
                 .map(|_| CachePadded::new(AtomicBool::new(false)))
@@ -145,7 +145,7 @@ impl RunState {
             counters: &self.counters,
             sync: &self.sync,
             cm: self.cm.as_ref(),
-            bal: self.bal.as_ref(),
+            bal: &self.bal,
             cfg: &self.cfg,
             ops_total: &self.ops_total,
             dead_flags: &self.dead_flags,
@@ -163,7 +163,7 @@ pub(crate) struct Env<'a> {
     pub counters: &'a [CachePadded<AtomicI64>],
     pub sync: &'a EngineSync,
     pub cm: &'a dyn ContentionManager,
-    pub bal: &'a dyn LoadBalancer,
+    pub bal: &'a BeggingList,
     pub cfg: &'a MesherConfig,
     pub ops_total: &'a AtomicU64,
     pub dead_flags: &'a [CachePadded<AtomicBool>],
@@ -254,7 +254,7 @@ pub(crate) fn worker(
                 let _ = f.fire(sites::BALANCER_BEG, tid as u32);
             }
             let (outcome, waited) = env.bal.beg(tid, env.sync, env.cm);
-            stats.add_overhead(OverheadKind::LoadBalance, waited, None);
+            stats.add_overhead(OverheadKind::LoadBalance, waited);
             rec.observe(metrics::LB_WAIT_SECONDS, waited);
             match outcome {
                 BegOutcome::Finished => break,
@@ -494,7 +494,7 @@ fn process_item(
                 );
                 push_own(env, tid, rec, std::iter::once((cid, gen)), PelEnd::Bottom);
                 let waited = env.cm.on_rollback(tid, tid, env.sync);
-                stats.add_overhead(OverheadKind::Contention, waited, None);
+                stats.add_overhead(OverheadKind::Contention, waited);
                 rec.observe(metrics::LOCK_WAIT_SECONDS, waited);
                 return false;
             }
@@ -635,9 +635,6 @@ pub(crate) fn handle_created(
                 dur_ns_u32(handoff),
             );
             stats.donations_made += 1;
-            if env.cfg.topology.blade_of(tid) != env.cfg.topology.blade_of(b) {
-                stats.inter_blade_donations += 1;
-            }
         }
         None => push_own(
             env,
@@ -664,7 +661,6 @@ pub(crate) fn bridge_thread_stats(st: &ThreadStats, snap: &mut MetricsSnapshot) 
         (m::CELLS_KILLED, st.cells_killed),
         (m::DONATIONS_MADE, st.donations_made),
         (m::DONATIONS_RECEIVED, st.donations_received),
-        (m::INTER_BLADE_DONATIONS, st.inter_blade_donations),
         (m::WORKER_PANICS, st.panics),
         (m::QUARANTINED_OPS, st.quarantined),
         (m::RECOVERY_ROLLBACKS, st.recovery_rollbacks),

@@ -5,8 +5,9 @@
 //! recovers the isosurface(s) and meshes the volume by parallel speculative
 //! Delaunay **insertions and removals** driven by rules R1–R6, with
 //! pluggable contention managers (Aggressive / Random / Global / Local,
-//! paper §5) and work-stealing balancers (flat RWS / hierarchical HWS,
-//! paper §6.1), full wasted-cycle accounting, and livelock watchdogging.
+//! paper §5), load balancing over one flat begging list (paper §4.4; the
+//! hierarchical HWS variant of §6.1 is modelled in `pi2m-sim`), full
+//! wasted-cycle accounting, and livelock watchdogging.
 //!
 //! The engine runs as a staged pipeline (Load → EDT → Oracle →
 //! SurfaceRecovery → VolumeRefine → Quality → Export) over a persistent
@@ -48,9 +49,8 @@ pub mod rules;
 pub mod shard;
 pub mod stats;
 pub mod sync;
-pub mod topology;
 
-pub use balancer::{BalancerKind, LoadBalancer, DONATE_THRESHOLD};
+pub use balancer::DONATE_THRESHOLD;
 pub use cm::{CmKind, ContentionManager, R_PLUS, S_PLUS};
 pub use engine::{
     CancelTelemetry, MeshOutput, MesherConfig, MeshingSession, RunOptions, Stage, StageCallback,
@@ -66,6 +66,5 @@ pub use shard::{
     mesh_sharded, parse_shard_grid, split_plan, ChunkRun, ChunkSpec, ShardError, ShardRun,
     ShardSpec,
 };
-pub use stats::{time_attribution, OverheadKind, RefineStats, ThreadStats, TraceEvent};
+pub use stats::{time_attribution, OverheadKind, RefineStats, ThreadStats};
 pub use sync::EngineSync;
-pub use topology::MachineTopology;

@@ -24,7 +24,6 @@ pub use split::{parse_shard_grid, split_plan, ChunkSpec, ShardError};
 use crate::engine::{MeshOutput, MesherConfig, MeshingSession, RunOptions};
 use crate::error::RefineError;
 use crate::output::FinalMesh;
-use crate::topology::MachineTopology;
 use parking_lot::Mutex;
 use pi2m_image::LabeledImage;
 use pi2m_obs::metrics::{self, MetricsSnapshot};
@@ -136,7 +135,6 @@ pub fn mesh_sharded(
     // stitch-run concern; chunk runs keep only their metric snapshots.
     let chunk_cfg = MesherConfig {
         threads: 1,
-        topology: MachineTopology::flat(1),
         flight: false,
         ..cfg.clone()
     };
@@ -255,7 +253,6 @@ mod tests {
         let cfg = MesherConfig {
             delta: 2.0,
             threads: 2,
-            topology: MachineTopology::flat(2),
             ..Default::default()
         };
         let mut session = MeshingSession::new(2);

@@ -1,8 +1,6 @@
 //! Overhead accounting, mirroring the paper's three direct sources of wasted
 //! cycles (§5.5): contention overhead, load-balance overhead, and rollback
-//! overhead — plus committed-op and donation time, throughput counters, and
-//! an optional event trace the simulator writes for the Figure-6 style
-//! overhead-vs-wall-time breakdown.
+//! overhead — plus committed-op and donation time and throughput counters.
 //!
 //! The worker sums are the run's one account of worker time:
 //! [`time_attribution`] turns them into the attribution every artifact shows.
@@ -20,21 +18,6 @@ pub enum OverheadKind {
     Rollback,
 }
 
-/// One trace event: (wall-clock seconds since start, kind, duration seconds).
-///
-/// Timestamps are `f64`: at f32 precision a timestamp one hour into a run
-/// quantizes to ~0.25 ms, coarser than many individual overhead episodes,
-/// which scrambles event ordering in long traces.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceEvent {
-    pub at: f64,
-    pub kind: OverheadKind,
-    pub dur: f64,
-    /// Originating worker thread; filled in when the simulator merges its
-    /// per-thread traces (a `ThreadStats` does not know its own index).
-    pub tid: u32,
-}
-
 /// Per-thread counters; owned exclusively by its worker, merged at join.
 #[derive(Clone, Debug, Default)]
 pub struct ThreadStats {
@@ -49,8 +32,6 @@ pub struct ThreadStats {
     pub cells_killed: u64,
     pub donations_made: u64,
     pub donations_received: u64,
-    /// Donations that crossed a blade boundary (Figure 5b).
-    pub inter_blade_donations: u64,
     /// Operations that panicked and were caught by the per-op isolation.
     pub panics: u64,
     /// Poison work items dropped after a caught panic (never requeued).
@@ -69,9 +50,6 @@ pub struct ThreadStats {
     /// Donation handoff seconds (beggar-PEL lock, push, wake), on the
     /// donor's clock.
     pub steal_donate_s: f64,
-    /// Optional event trace (written by the simulator when its
-    /// `SimConfig::trace` is set).
-    pub trace: Vec<TraceEvent>,
 }
 
 impl ThreadStats {
@@ -79,19 +57,11 @@ impl ThreadStats {
         self.contention_overhead + self.load_balance_overhead + self.rollback_overhead
     }
 
-    pub fn add_overhead(&mut self, kind: OverheadKind, secs: f64, trace_at: Option<f64>) {
+    pub fn add_overhead(&mut self, kind: OverheadKind, secs: f64) {
         match kind {
             OverheadKind::Contention => self.contention_overhead += secs,
             OverheadKind::LoadBalance => self.load_balance_overhead += secs,
             OverheadKind::Rollback => self.rollback_overhead += secs,
-        }
-        if let Some(at) = trace_at {
-            self.trace.push(TraceEvent {
-                at,
-                kind,
-                dur: secs,
-                tid: 0,
-            });
         }
     }
 }
@@ -192,13 +162,6 @@ impl RefineStats {
         self.per_thread.iter().map(|t| t.total_overhead()).sum()
     }
 
-    pub fn total_inter_blade_donations(&self) -> u64 {
-        self.per_thread
-            .iter()
-            .map(|t| t.inter_blade_donations)
-            .sum()
-    }
-
     pub fn total_donations(&self) -> u64 {
         self.per_thread.iter().map(|t| t.donations_made).sum()
     }
@@ -220,12 +183,18 @@ mod tests {
     #[test]
     fn overhead_accumulates() {
         let mut s = ThreadStats::default();
-        s.add_overhead(OverheadKind::Contention, 0.5, None);
-        s.add_overhead(OverheadKind::Rollback, 0.25, Some(1.0));
-        s.add_overhead(OverheadKind::LoadBalance, 0.125, None);
+        s.add_overhead(OverheadKind::Contention, 0.5);
+        s.add_overhead(OverheadKind::Rollback, 0.25);
+        s.add_overhead(OverheadKind::LoadBalance, 0.125);
         assert_eq!(s.total_overhead(), 0.875);
-        assert_eq!(s.trace.len(), 1);
-        assert_eq!(s.trace[0].kind, OverheadKind::Rollback);
+        assert_eq!(
+            (
+                s.contention_overhead,
+                s.rollback_overhead,
+                s.load_balance_overhead
+            ),
+            (0.5, 0.25, 0.125)
+        );
     }
 
     #[test]

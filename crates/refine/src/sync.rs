@@ -1,6 +1,6 @@
 //! Shared engine-wide synchronization state: termination detection inputs,
 //! the livelock watchdog clock, and global progress accounting shared by the
-//! contention managers and load balancers.
+//! contention managers and the begging list.
 
 use crossbeam_utils::CachePadded;
 use pi2m_obs::flight::{EventKind, FlightRecorder};
@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Counters shared by all workers, their contention manager, and their load
-/// balancer.
+/// Counters shared by all workers, their contention manager, and their
+/// begging list.
 ///
 /// Laid out by who writes what. `done`, `begging`, `cm_blocked` and `dead`
 /// change a handful of times per run and are read by every worker on every
@@ -20,13 +20,13 @@ use std::time::Instant;
 pub struct EngineSync {
     pub threads: usize,
     /// Flight recorder, when enabled. Carried here so the contention managers
-    /// and balancers can emit park/unpark events without changing their trait
-    /// signatures.
+    /// and the begging list can emit park/unpark events without changing
+    /// their signatures.
     flight: Option<Arc<FlightRecorder>>,
     done: AtomicBool,
     livelock: AtomicBool,
     cancelled: AtomicBool,
-    /// Threads parked in a begging list.
+    /// Threads parked in the begging list.
     begging: AtomicUsize,
     /// Threads parked by the contention manager.
     cm_blocked: AtomicUsize,

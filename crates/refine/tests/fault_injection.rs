@@ -10,8 +10,7 @@ use pi2m_faults::{sites, FaultPlan};
 use pi2m_image::phantoms;
 use pi2m_obs::metrics;
 use pi2m_refine::{
-    audit_mesh, BalancerKind, CancelToken, CmKind, MachineTopology, MesherConfig, MeshingSession,
-    RefineError, RunOptions,
+    audit_mesh, CancelToken, CmKind, MesherConfig, MeshingSession, RefineError, RunOptions,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,8 +27,6 @@ fn cfg_with(threads: usize, plan: FaultPlan) -> MesherConfig {
         delta: 2.0,
         threads,
         cm: CmKind::Local,
-        balancer: BalancerKind::Hws,
-        topology: MachineTopology::flat(threads),
         faults: Some(Arc::new(plan)),
         ..Default::default()
     }

@@ -4,9 +4,7 @@
 
 use pi2m_faults::{sites, FaultPlan};
 use pi2m_image::phantoms;
-use pi2m_refine::{
-    audit_mesh, BalancerKind, CmKind, MachineTopology, MesherConfig, MeshingSession, RefineError,
-};
+use pi2m_refine::{audit_mesh, CmKind, MesherConfig, MeshingSession, RefineError};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -25,8 +23,6 @@ fn always_conflicting_workload_trips_watchdog() {
         delta: 2.0,
         threads: 4,
         cm: CmKind::Local,
-        balancer: BalancerKind::Rws,
-        topology: MachineTopology::flat(4),
         livelock_timeout: 0.5,
         ..Default::default()
     };

@@ -82,12 +82,43 @@ mod tests {
 
     #[test]
     fn durations_parse_and_validate() {
-        assert_eq!(parse_duration_str("90").unwrap(), 90.0);
-        assert_eq!(parse_duration_str("1.5s").unwrap(), 1.5);
-        assert_eq!(parse_duration_str("250ms").unwrap(), 0.25);
-        assert_eq!(parse_duration_str("2m").unwrap(), 120.0);
-        for bad in ["", "x", "0", "-1s", "inf", "nan", "1e400"] {
-            assert!(parse_duration_str(bad).is_err(), "accepted '{bad}'");
+        for (text, secs) in [
+            ("90", 90.0),
+            ("2", 2.0),
+            ("0.25", 0.25),
+            ("1s", 1.0),
+            ("1.5s", 1.5),
+            (" 1.5s ", 1.5),
+            ("500ms", 0.5),
+            ("250ms", 0.25),
+            ("2m", 120.0),
+        ] {
+            assert_eq!(parse_duration_str(text), Ok(secs), "'{text}'");
+        }
+    }
+
+    #[test]
+    fn durations_reject_degenerate_values_with_clear_messages() {
+        for (bad, expect) in [
+            ("0", "positive"),
+            ("0ms", "positive"),
+            ("-1s", "positive"),
+            ("-0.5", "positive"),
+            ("1e400", "not finite"), // parses as +inf
+            ("inf", "not finite"),
+            ("-inf", "not finite"),
+            ("nan", "not finite"),
+            ("x", "invalid duration"),
+            ("junk", "invalid duration"),
+            ("", "invalid duration"),
+            ("ms", "invalid duration"),
+            ("1h", "invalid duration"), // no hour suffix; be explicit
+        ] {
+            let err = parse_duration_str(bad).unwrap_err();
+            assert!(
+                err.contains(expect),
+                "'{bad}' should mention '{expect}', got: {err}"
+            );
         }
     }
 }

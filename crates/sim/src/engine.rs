@@ -16,15 +16,41 @@
 //! inter-blade traffic) without the retired 256-core Blacklight.
 
 use crate::machine::SimMachine;
+use crate::topology::MachineTopology;
 use pi2m_delaunay::{CellId, OpCtx, OpError, SharedMesh, VertexId, VertexKind};
 use pi2m_image::LabeledImage;
 use pi2m_oracle::{IsosurfaceOracle, SizeFn};
 use pi2m_refine::{
-    BalancerKind, CmKind, FinalMesh, OverheadKind, PointGrid, RuleConfig, Rules, ThreadStats,
-    DONATE_THRESHOLD, R_PLUS, S_PLUS,
+    CmKind, FinalMesh, OverheadKind, PointGrid, RuleConfig, Rules, ThreadStats, DONATE_THRESHOLD,
+    R_PLUS, S_PLUS,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Which begging-list policy the simulated machine runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BalancerKind {
+    /// Random (flat) work stealing: one global begging list (paper §4.4),
+    /// the list the real engine runs.
+    Rws,
+    /// Hierarchical work stealing over the machine topology (paper §6.1):
+    /// begging lists per socket, per blade and for the whole machine.
+    Hws,
+}
+
+/// One overhead trace event: (virtual seconds since start, kind, duration
+/// virtual seconds), on virtual thread `tid`.
+///
+/// Timestamps are `f64`: at f32 precision a timestamp one hour into a run
+/// quantizes to ~0.25 ms, coarser than many individual overhead episodes,
+/// which scrambles event ordering in long traces.
+#[derive(Clone, Copy, Debug)]
+pub struct TraceEvent {
+    pub at: f64,
+    pub kind: OverheadKind,
+    pub dur: f64,
+    pub tid: u32,
+}
 
 /// Configuration of a simulated PI2M run.
 #[derive(Clone)]
@@ -80,6 +106,12 @@ pub struct SimStats {
     /// Modeled virtual time of the parallel EDT preprocessing.
     pub edt_vtime: f64,
     pub per_thread: Vec<ThreadStats>,
+    /// Donations that crossed a blade boundary, per donating virtual thread
+    /// (Figure 5b).
+    pub per_thread_inter_blade_donations: Vec<u64>,
+    /// Overhead events in the order they were charged, when
+    /// [`SimConfig::trace`] is set.
+    pub trace: Vec<TraceEvent>,
     pub livelock: bool,
     pub final_elements: usize,
     pub vertices_allocated: usize,
@@ -135,10 +167,7 @@ impl SimStats {
         self.per_thread.iter().map(|t| t.donations_made).sum()
     }
     pub fn inter_blade_donations(&self) -> u64 {
-        self.per_thread
-            .iter()
-            .map(|t| t.inter_blade_donations)
-            .sum()
+        self.per_thread_inter_blade_donations.iter().sum()
     }
     /// Elements per virtual second.
     pub fn elements_per_second(&self) -> f64 {
@@ -165,22 +194,33 @@ impl SimStats {
         }
     }
 
-    /// Merged overhead trace (Figure 6), `tid`-stamped and deterministically
-    /// ordered: by time, then thread id.
-    pub fn merged_trace(&self) -> Vec<pi2m_refine::TraceEvent> {
-        let mut all: Vec<pi2m_refine::TraceEvent> = self
-            .per_thread
-            .iter()
-            .enumerate()
-            .flat_map(|(tid, t)| {
-                t.trace.iter().map(move |e| pi2m_refine::TraceEvent {
-                    tid: tid as u32,
-                    ..*e
-                })
-            })
-            .collect();
+    /// Merged overhead trace (Figure 6), deterministically ordered: by
+    /// time, then thread id, then the order the events were charged in.
+    pub fn merged_trace(&self) -> Vec<TraceEvent> {
+        let mut all = self.trace.clone();
         all.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.tid.cmp(&b.tid)));
         all
+    }
+}
+
+/// Charge `secs` of `kind` overhead to virtual thread `vt`, and when the run
+/// records traces, log it at virtual time `at`.
+fn charge(
+    stats: &mut [ThreadStats],
+    trace: &mut Option<Vec<TraceEvent>>,
+    vt: usize,
+    kind: OverheadKind,
+    secs: f64,
+    at: f64,
+) {
+    stats[vt].add_overhead(kind, secs);
+    if let Some(log) = trace {
+        log.push(TraceEvent {
+            at,
+            kind,
+            dur: secs,
+            tid: vt as u32,
+        });
     }
 }
 
@@ -367,14 +407,14 @@ impl SimCm {
 
 struct SimBalancer {
     kind: BalancerKind,
-    topo: pi2m_refine::MachineTopology,
+    topo: MachineTopology,
     bl1: Vec<VecDeque<usize>>,
     bl2: Vec<VecDeque<usize>>,
     bl3: VecDeque<usize>,
 }
 
 impl SimBalancer {
-    fn new(kind: BalancerKind, topo: pi2m_refine::MachineTopology, n: usize) -> Self {
+    fn new(kind: BalancerKind, topo: MachineTopology, n: usize) -> Self {
         let sockets = n.div_ceil(topo.threads_per_socket()).max(1);
         let blades = n.div_ceil(topo.threads_per_blade()).max(1);
         SimBalancer {
@@ -477,6 +517,8 @@ impl SimMesher {
         let mut states: Vec<VtState> = vec![VtState::Ready(0.0); n];
         let mut inflight: Vec<Option<InFlight>> = (0..n).map(|_| None).collect();
         let mut stats: Vec<ThreadStats> = vec![ThreadStats::default(); n];
+        let mut inter_blade_donations = vec![0u64; n];
+        let mut trace: Option<Vec<TraceEvent>> = cfg.trace.then(Vec::new);
         let mut cm = SimCm::new(cfg.cm, n);
         let mut bal = SimBalancer::new(cfg.balancer, machine.topo, n);
         let mut sim = SimStats::default();
@@ -501,7 +543,6 @@ impl SimMesher {
         let wall_start = std::time::Instant::now();
 
         let cost = &machine.cost;
-        let trace = cfg.trace;
 
         // ---------------- event loop ----------------
         'driver: while sim.events < max_events {
@@ -540,10 +581,13 @@ impl SimMesher {
                     sim.wake_sources[2] += 1;
                     let w = cm.release_one().unwrap_or(blocked[0]);
                     if let VtState::CmBlocked(since) = states[w] {
-                        stats[w].add_overhead(
+                        charge(
+                            &mut stats,
+                            &mut trace,
+                            w,
                             OverheadKind::Contention,
                             t_now - since,
-                            trace.then_some(t_now),
+                            t_now,
                         );
                     }
                     if cm.kind == CmKind::Local {
@@ -553,12 +597,15 @@ impl SimMesher {
                     continue 'driver;
                 }
                 // all begging: account final waits and terminate
-                for v in 0..n {
-                    if let VtState::Begging(since) = states[v] {
-                        stats[v].add_overhead(
+                for (v, state) in states.iter().enumerate() {
+                    if let VtState::Begging(since) = *state {
+                        charge(
+                            &mut stats,
+                            &mut trace,
+                            v,
                             OverheadKind::LoadBalance,
                             t_now - since,
-                            trace.then_some(t_now),
+                            t_now,
                         );
                     }
                 }
@@ -634,14 +681,17 @@ impl SimMesher {
                             stats[b].donations_received += 1;
                             let cross_blade = machine.topo.blade_of(vt) != machine.topo.blade_of(b);
                             if cross_blade {
-                                stats[vt].inter_blade_donations += 1;
+                                inter_blade_donations[vt] += 1;
                             }
                             let t_wake = t + machine.wake_penalty(vt, b, blades_in_use);
                             if let VtState::Begging(since) = states[b] {
-                                stats[b].add_overhead(
+                                charge(
+                                    &mut stats,
+                                    &mut trace,
+                                    b,
                                     OverheadKind::LoadBalance,
                                     t_wake - since,
-                                    trace.then_some(t_wake),
+                                    t_wake,
                                 );
                             }
                             states[b] = VtState::Ready(t_wake);
@@ -657,10 +707,13 @@ impl SimMesher {
                 if let Some(w) = cm.on_success(vt) {
                     sim.wake_sources[0] += 1;
                     if let VtState::CmBlocked(since) = states[w] {
-                        stats[w].add_overhead(
+                        charge(
+                            &mut stats,
+                            &mut trace,
+                            w,
                             OverheadKind::Contention,
                             t - since,
-                            trace.then_some(t),
+                            t,
                         );
                         states[w] = VtState::Ready(t);
                     }
@@ -682,10 +735,13 @@ impl SimMesher {
                 for w in woken {
                     sim.wake_sources[1] += 1;
                     if let VtState::CmBlocked(since) = states[w] {
-                        stats[w].add_overhead(
+                        charge(
+                            &mut stats,
+                            &mut trace,
+                            w,
                             OverheadKind::Contention,
                             t - since,
-                            trace.then_some(t),
+                            t,
                         );
                         states[w] = VtState::Ready(t);
                     }
@@ -812,10 +868,13 @@ impl SimMesher {
                             drop(fl.prep);
                             ctxs[owner].abort();
                             stats[owner].rollbacks += 1;
-                            stats[owner].add_overhead(
+                            charge(
+                                &mut stats,
+                                &mut trace,
+                                owner,
                                 OverheadKind::Rollback,
                                 t_owner_acq - owner_started,
-                                trace.then_some(t_owner_acq),
+                                t_owner_acq,
                             );
                             if let Some(el) = owner_element {
                                 pels[owner].push_back(el);
@@ -827,10 +886,13 @@ impl SimMesher {
                             match cm.on_rollback(owner, vt, t_owner_acq, active, &mut slept) {
                                 Some(at) => {
                                     if slept > 0.0 {
-                                        stats[owner].add_overhead(
+                                        charge(
+                                            &mut stats,
+                                            &mut trace,
+                                            owner,
                                             OverheadKind::Contention,
                                             slept,
-                                            trace.then_some(at),
+                                            at,
                                         );
                                     }
                                     states[owner] = VtState::Ready(at);
@@ -843,10 +905,13 @@ impl SimMesher {
                         }
                         // I lose: rollback
                         stats[vt].rollbacks += 1;
-                        stats[vt].add_overhead(
+                        charge(
+                            &mut stats,
+                            &mut trace,
+                            vt,
                             OverheadKind::Rollback,
                             t_me - t_try,
-                            trace.then_some(t_me),
+                            t_me,
                         );
                         if is_removal {
                             pending_removals[vt].push_front(victim);
@@ -858,10 +923,13 @@ impl SimMesher {
                         match cm.on_rollback(vt, owner, t_me, active, &mut slept) {
                             Some(at) => {
                                 if slept > 0.0 {
-                                    stats[vt].add_overhead(
+                                    charge(
+                                        &mut stats,
+                                        &mut trace,
+                                        vt,
                                         OverheadKind::Contention,
                                         slept,
-                                        trace.then_some(at),
+                                        at,
                                     );
                                 }
                                 states[vt] = VtState::Ready(at);
@@ -910,6 +978,8 @@ impl SimMesher {
         sim.energy_joules = e_full;
         sim.energy_joules_throttled = e_throttled;
         sim.per_thread = stats;
+        sim.per_thread_inter_blade_donations = inter_blade_donations;
+        sim.trace = trace.unwrap_or_default();
         sim.livelock = livelock;
         sim.final_elements = final_mesh.num_tets();
         sim.vertices_allocated = mesh.num_vertices();

@@ -11,6 +11,8 @@
 
 pub mod engine;
 pub mod machine;
+pub mod topology;
 
-pub use engine::{SimConfig, SimMesher, SimOutput, SimStats};
+pub use engine::{BalancerKind, SimConfig, SimMesher, SimOutput, SimStats, TraceEvent};
 pub use machine::{CostModel, SimMachine};
+pub use topology::MachineTopology;

@@ -10,7 +10,7 @@
 //! degradation beyond 144 cores (§6.3: each hop adds a ~2000 cycle penalty
 //! and the upper-level switches saturate).
 
-use pi2m_refine::MachineTopology;
+use crate::topology::MachineTopology;
 
 /// Virtual-time costs, in seconds. Defaults are loosely calibrated so a
 /// single virtual thread generates on the order of 10⁵ elements per virtual

@@ -1,9 +1,8 @@
 //! Machine topology descriptions (paper Table 2).
 //!
-//! The hierarchical work stealing balancer and the NUMA cost models need to
-//! know how threads map onto sockets and blades. On the real engine the
-//! mapping is logical (thread index → socket/blade); on the simulator it
-//! also drives the memory latency model.
+//! The simulator's hierarchical begging lists and its NUMA cost model need
+//! to know how virtual threads map onto sockets and blades. The real engine
+//! runs on whatever host it is given and keeps one flat begging list.
 
 /// A cc-NUMA machine shape: `cores_per_socket × sockets_per_blade × blades`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,17 +32,6 @@ impl MachineTopology {
         MachineTopology {
             cores_per_socket: 6,
             sockets_per_blade: 2,
-            blades: 1,
-            smt: 1,
-        }
-    }
-
-    /// A single-socket shape big enough for `n` threads (useful for tests
-    /// and for running on ordinary hosts).
-    pub fn flat(n: usize) -> Self {
-        MachineTopology {
-            cores_per_socket: n.max(1),
-            sockets_per_blade: 1,
             blades: 1,
             smt: 1,
         }
@@ -142,13 +130,5 @@ mod tests {
         }
         // far blades route through more switches than near ones
         assert!(t.hops_between(0, 127) > t.hops_between(0, 1));
-    }
-
-    #[test]
-    fn flat_topology() {
-        let t = MachineTopology::flat(7);
-        assert_eq!(t.capacity(), 7);
-        assert_eq!(t.socket_of(6), 0);
-        assert_eq!(t.blade_of(6), 0);
     }
 }

@@ -2,8 +2,8 @@
 //! orderings matching the paper, and determinism.
 
 use pi2m_image::phantoms;
-use pi2m_refine::{BalancerKind, CmKind};
-use pi2m_sim::{SimConfig, SimMachine, SimMesher};
+use pi2m_refine::CmKind;
+use pi2m_sim::{BalancerKind, SimConfig, SimMachine, SimMesher};
 
 fn base_cfg(vthreads: usize) -> SimConfig {
     SimConfig {

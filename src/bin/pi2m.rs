@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! pi2m mesh   <input.pim|phantom:NAME> [-o out.vtk] [--delta D] [--threads N]
-//!             [--cm aggressive|random|global|local] [--balancer rws|hws]
-//!             [--no-removals] [--size S] [--off out.off] [--stats]
+//!             [--cm aggressive|random|global|local] [--no-removals]
+//!             [--size S] [--off out.off] [--stats]
 //!             [--report run.json] [--trace-out trace.json] [--metrics]
 //!             [--audit] [--no-flight] [--force] [--deadline DUR]
 //!             [--shards AxBxC [--halo N]]
@@ -13,8 +13,8 @@
 //!             of overlapping chunks and stitches the seams — see README
 //!             "Sharded meshing")
 //! pi2m batch  <inputs...> [--outdir DIR] [--keep-going] [--reports]
-//!             [--delta D] [--threads N] [--cm ...] [--balancer ...]
-//!             [--no-removals] [--size S] [--no-flight] [--force]
+//!             [--delta D] [--threads N] [--cm ...] [--no-removals]
+//!             [--size S] [--no-flight] [--force]
 //!             mesh several inputs sequentially over ONE warm session
 //!             (threads, kernel arenas, flight rings, and the proximity
 //!             grid are reused run-to-run); --reports adds one
@@ -55,18 +55,15 @@
 //! Failures exit with a typed code (see [`pi2m::cli::CliError`]): 1 generic,
 //! 3 cancelled (deadline), 4 I/O, 5 integrity, 6 worker loss.
 
-use pi2m::cli::{
-    check_options, parse_args, parse_duration, run_report, write_new, Args, CliError, RunEnd,
-};
+use pi2m::cli::{check_options, parse_args, run_report, write_new, Args, CliError, RunEnd};
 use pi2m::image::{io as img_io, load_input, phantoms, LabeledImage};
 use pi2m::meshio;
 use pi2m::obs::journal::{Journal, Level};
 use pi2m::obs::json::Json;
 use pi2m::obs::{render_chrome_trace, render_prometheus, FlightEvent, RunReport, TraceSpan};
 use pi2m::quality;
-use pi2m::refine::{
-    BalancerKind, CancelToken, CmKind, MeshOutput, MesherConfig, MeshingSession, RunOptions,
-};
+use pi2m::refine::{CancelToken, CmKind, MeshOutput, MesherConfig, MeshingSession, RunOptions};
+use pi2m::serve::parse_duration_str;
 use std::io::BufWriter;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -99,7 +96,6 @@ struct MeshOpts {
     delta: Option<f64>,
     threads: usize,
     cm: CmKind,
-    balancer: BalancerKind,
     size_fn: Option<Arc<dyn pi2m::oracle::SizeFn>>,
     enable_removals: bool,
     force: bool,
@@ -107,22 +103,33 @@ struct MeshOpts {
     faults: Option<Arc<pi2m::faults::FaultPlan>>,
 }
 
+/// The value of `--NAME`, which must be a positive finite number (the bound
+/// the serve `JobSpec` puts on `delta`).
+fn positive_finite(args: &Args, name: &str) -> Result<Option<f64>, String> {
+    args.flags
+        .get(name)
+        .map(|v| match v.parse::<f64>() {
+            Ok(x) if x.is_finite() && x > 0.0 => Ok(x),
+            _ => Err(format!(
+                "bad --{name} '{v}': must be a positive finite number"
+            )),
+        })
+        .transpose()
+}
+
+/// Parse and bound-check the mesh options. A bad `--threads`, `--delta` or
+/// `--size` is refused here, naming its flag, before any input is loaded.
 fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
-    let delta = args
-        .flags
-        .get("delta")
-        .map(|v| v.parse().map_err(|_| "bad --delta"))
-        .transpose()?;
-    let threads: usize = args
-        .flags
-        .get("threads")
-        .map(|v| v.parse().map_err(|_| "bad --threads"))
-        .transpose()?
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
+    let delta = positive_finite(args, "delta")?;
+    let threads = match args.flags.get("threads") {
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => return Err(format!("bad --threads '{v}': must be an integer >= 1")),
+        },
+        None => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+    };
     let cm = match args.flags.get("cm").map(String::as_str) {
         None | Some("local") => CmKind::Local,
         Some("global") => CmKind::Global,
@@ -130,19 +137,8 @@ fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
         Some("aggressive") => CmKind::Aggressive,
         Some(other) => return Err(format!("unknown --cm '{other}'")),
     };
-    let balancer = match args.flags.get("balancer").map(String::as_str) {
-        None | Some("hws") => BalancerKind::Hws,
-        Some("rws") => BalancerKind::Rws,
-        Some(other) => return Err(format!("unknown --balancer '{other}'")),
-    };
-    let size_fn = args
-        .flags
-        .get("size")
-        .map(|v| -> Result<_, String> {
-            let s: f64 = v.parse().map_err(|_| "bad --size")?;
-            Ok(Arc::new(pi2m::oracle::UniformSize(s)) as Arc<dyn pi2m::oracle::SizeFn>)
-        })
-        .transpose()?;
+    let size_fn = positive_finite(args, "size")?
+        .map(|s| Arc::new(pi2m::oracle::UniformSize(s)) as Arc<dyn pi2m::oracle::SizeFn>);
     // Deterministic fault injection (testing): armed only when the
     // PI2M_FAULT_PLAN / PI2M_FAULT_SEED environment variables are set.
     let faults = pi2m::faults::FaultPlan::from_env()
@@ -164,7 +160,6 @@ fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
         delta,
         threads,
         cm,
-        balancer,
         size_fn,
         enable_removals: !args.switches.contains("no-removals"),
         force: args.switches.contains("force"),
@@ -178,11 +173,9 @@ fn config_for(o: &MeshOpts, img: &LabeledImage) -> MesherConfig {
         delta: o.delta.unwrap_or(2.0 * img.min_spacing()),
         threads: o.threads,
         cm: o.cm,
-        balancer: o.balancer,
         size_fn: o.size_fn.clone(),
         enable_removals: o.enable_removals,
         faults: o.faults.clone(),
-        topology: pi2m::refine::MachineTopology::flat(o.threads),
         flight: o.flight,
         ..Default::default()
     }
@@ -211,11 +204,11 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
         .positional
         .get(1)
         .ok_or("usage: pi2m mesh <input.pim|phantom:NAME> [options]")?;
-    let img = load_input(input).map_err(CliError::Io)?;
     let journal = init_journal(args, false)?;
     let o = parse_mesh_opts(args, &journal)?;
+    let img = load_input(input).map_err(CliError::Io)?;
     let cfg = config_for(&o, &img);
-    let (delta, threads, cm, balancer, force) = (cfg.delta, o.threads, o.cm, o.balancer, o.force);
+    let (delta, threads, cm, force) = (cfg.delta, o.threads, o.cm, o.force);
 
     journal.info(
         "mesh.start",
@@ -223,7 +216,7 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
             (
                 "msg",
                 Json::str(format!(
-                    "meshing {input}: δ={delta}, {threads} threads, {cm:?}-CM, {balancer:?}"
+                    "meshing {input}: δ={delta}, {threads} threads, {cm:?}-CM"
                 )),
             ),
             ("input", Json::str(input)),
@@ -237,7 +230,7 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
             .flags
             .get("deadline")
             .map(|v| -> Result<_, String> {
-                let secs = parse_duration(v).map_err(|e| format!("bad --deadline: {e}"))?;
+                let secs = parse_duration_str(v).map_err(|e| format!("bad --deadline: {e}"))?;
                 Ok(CancelToken::with_deadline(
                     std::time::Duration::from_secs_f64(secs),
                 ))
@@ -529,8 +522,8 @@ fn cmd_batch(args: &Args) -> Result<(), CliError> {
     if inputs.is_empty() {
         return Err(
             "usage: pi2m batch <inputs...> [--outdir DIR] [--keep-going] [--reports] \
-             [--delta D] [--threads N] [--cm ...] [--balancer ...] [--no-removals] [--size S] \
-             [--no-flight] [--force]"
+             [--delta D] [--threads N] [--cm ...] [--no-removals] [--size S] [--no-flight] \
+             [--force]"
                 .into(),
         );
     }
@@ -707,12 +700,12 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let default_deadline_s = args
         .flags
         .get("default-deadline")
-        .map(|v| parse_duration(v).map_err(|e| format!("bad --default-deadline: {e}")))
+        .map(|v| parse_duration_str(v).map_err(|e| format!("bad --default-deadline: {e}")))
         .transpose()?;
     let drain_grace = args
         .flags
         .get("drain-grace")
-        .map(|v| parse_duration(v).map_err(|e| format!("bad --drain-grace: {e}")))
+        .map(|v| parse_duration_str(v).map_err(|e| format!("bad --drain-grace: {e}")))
         .transpose()?
         .unwrap_or(30.0);
     let faults = pi2m::faults::FaultPlan::from_env()

@@ -1,6 +1,7 @@
 //! Shared command-line plumbing for the `pi2m` binary (and any tool built on
-//! the facade crate): flag parsing, duration parsing, the output clobber
-//! guard, and the one run-report builder. Kept in the library so it is
+//! the facade crate): flag parsing, the output clobber guard, and the one
+//! run-report builder. Durations parse with
+//! [`parse_duration_str`](crate::serve::parse_duration_str). Kept in the library so it is
 //! unit-tested like everything else.
 
 use crate::obs::{analyze, AnalyzeOpts, RunReport};
@@ -44,7 +45,6 @@ pub fn command_options(cmd: &str) -> Option<(&'static [&'static str], &'static [
                 "delta",
                 "threads",
                 "cm",
-                "balancer",
                 "size",
                 "off",
                 "report",
@@ -65,9 +65,7 @@ pub fn command_options(cmd: &str) -> Option<(&'static [&'static str], &'static [
             ],
         ),
         "batch" => (
-            &[
-                "outdir", "delta", "threads", "cm", "balancer", "size", "log",
-            ],
+            &["outdir", "delta", "threads", "cm", "size", "log"],
             &[
                 "no-removals",
                 "no-flight",
@@ -183,34 +181,6 @@ pub fn parse_args(raw: &[String]) -> Args {
         }
     }
     a
-}
-
-/// Parse `"1s"`, `"500ms"`, `"2m"`, or a plain number of seconds into
-/// seconds. Rejects zero, negative, non-finite, and overflowing values
-/// with a message naming the offending input.
-pub fn parse_duration(v: &str) -> Result<f64, String> {
-    let t = v.trim();
-    let (num, mult) = if let Some(n) = t.strip_suffix("ms") {
-        (n, 1e-3)
-    } else if let Some(n) = t.strip_suffix('s') {
-        (n, 1.0)
-    } else if let Some(n) = t.strip_suffix('m') {
-        (n, 60.0)
-    } else {
-        (t, 1.0)
-    };
-    let x: f64 = num
-        .trim()
-        .parse()
-        .map_err(|_| format!("invalid duration '{v}' (expected e.g. 30, 1.5s, 500ms, 2m)"))?;
-    let secs = x * mult;
-    if !secs.is_finite() {
-        return Err(format!("duration '{v}' overflows (must be finite)"));
-    }
-    if secs <= 0.0 {
-        return Err(format!("duration '{v}' must be positive"));
-    }
-    Ok(secs)
 }
 
 /// A typed CLI failure, so scripts can branch on the process exit code
@@ -352,7 +322,6 @@ pub fn run_report(input: &str, cfg: &MesherConfig, end: RunEnd<'_>, wall_s: f64)
         .config("delta", cfg.delta)
         .config("threads", cfg.threads)
         .config("cm", format!("{:?}", cfg.cm))
-        .config("balancer", format!("{:?}", cfg.balancer))
         .config("enable_removals", cfg.enable_removals);
     if let RunEnd::Cancelled(_) = end {
         report.config("cancelled", true);
@@ -475,40 +444,6 @@ mod tests {
         let a = parse_args(&argv(&["batch", "--keep-going", "a.pim", "b.pim"]));
         assert!(a.switches.contains("keep-going"));
         assert_eq!(a.positional, vec!["batch", "a.pim", "b.pim"]);
-    }
-
-    #[test]
-    fn duration_parsing() {
-        assert_eq!(parse_duration("1s"), Ok(1.0));
-        assert_eq!(parse_duration("500ms"), Ok(0.5));
-        assert_eq!(parse_duration("2"), Ok(2.0));
-        assert_eq!(parse_duration("0.25"), Ok(0.25));
-        assert_eq!(parse_duration("2m"), Ok(120.0));
-        assert_eq!(parse_duration(" 1.5s "), Ok(1.5));
-    }
-
-    #[test]
-    fn duration_rejects_degenerate_values_with_clear_messages() {
-        for (bad, expect) in [
-            ("0", "positive"),
-            ("0ms", "positive"),
-            ("-1s", "positive"),
-            ("-0.5", "positive"),
-            ("1e400", "overflow"), // parses as +inf
-            ("inf", "overflow"),
-            ("-inf", "overflow"),
-            ("nan", "overflow"),
-            ("junk", "invalid duration"),
-            ("", "invalid duration"),
-            ("ms", "invalid duration"),
-            ("1h", "invalid duration"), // no hour suffix; be explicit
-        ] {
-            let err = parse_duration(bad).unwrap_err();
-            assert!(
-                err.contains(expect),
-                "'{bad}' should mention '{expect}', got: {err}"
-            );
-        }
     }
 
     #[test]

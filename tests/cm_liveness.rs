@@ -3,7 +3,7 @@
 //! or livelock; runs terminate under heavy artificial contention.
 
 use pi2m::image::phantoms;
-use pi2m::refine::{CmKind, MachineTopology, MesherConfig, MeshingSession};
+use pi2m::refine::{CmKind, MesherConfig, MeshingSession};
 
 /// A tiny image with a small surface forces many threads into the same
 /// region — worst-case contention.
@@ -12,7 +12,6 @@ fn contended_cfg(cm: CmKind, threads: usize) -> MesherConfig {
         delta: 1.2,
         threads,
         cm,
-        topology: MachineTopology::flat(threads),
         livelock_timeout: 60.0,
         ..Default::default()
     }

@@ -4,7 +4,7 @@
 
 use pi2m::image::phantoms;
 use pi2m::quality::{boundary_report, hausdorff_distance, mesh_quality};
-use pi2m::refine::{BalancerKind, CmKind, MachineTopology, MesherConfig, MeshingSession};
+use pi2m::refine::{CmKind, MesherConfig, MeshingSession};
 
 // One fresh session per run; tests/session.rs covers warm reuse.
 fn run(img: pi2m::image::LabeledImage, delta: f64, threads: usize) -> pi2m::refine::MeshOutput {
@@ -14,7 +14,6 @@ fn run(img: pi2m::image::LabeledImage, delta: f64, threads: usize) -> pi2m::refi
             MesherConfig {
                 delta,
                 threads,
-                topology: MachineTopology::flat(threads),
                 ..Default::default()
             },
         )
@@ -129,10 +128,10 @@ fn oversubscribed_parallel_run_is_consistent() {
 }
 
 #[test]
-fn every_cm_and_balancer_combination_terminates() {
-    // All eight combinations run back-to-back over ONE warm session: the
-    // contention manager and balancer are per-run state, so swapping them
-    // between runs on a reused pool must be safe.
+fn every_cm_terminates_on_one_warm_session() {
+    // All four contention managers run back-to-back over ONE warm session:
+    // the contention manager and begging list are per-run state, so swapping
+    // the manager between runs on a reused pool must be safe.
     let mut session = MeshingSession::new(3);
     for cm in [
         CmKind::Aggressive,
@@ -140,25 +139,18 @@ fn every_cm_and_balancer_combination_terminates() {
         CmKind::Global,
         CmKind::Local,
     ] {
-        for bal in [BalancerKind::Rws, BalancerKind::Hws] {
-            let out = session
-                .mesh(
-                    phantoms::sphere(14, 1.0),
-                    MesherConfig {
-                        delta: 2.5,
-                        threads: 3,
-                        cm,
-                        balancer: bal,
-                        topology: MachineTopology::flat(3),
-                        ..Default::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("({cm:?},{bal:?}) failed: {e}"));
-            assert!(
-                out.mesh.num_tets() > 0,
-                "({cm:?},{bal:?}) produced empty mesh"
-            );
-        }
+        let out = session
+            .mesh(
+                phantoms::sphere(14, 1.0),
+                MesherConfig {
+                    delta: 2.5,
+                    threads: 3,
+                    cm,
+                    ..Default::default()
+                },
+            )
+            .unwrap_or_else(|e| panic!("{cm:?} failed: {e}"));
+        assert!(out.mesh.num_tets() > 0, "{cm:?} produced empty mesh");
     }
 }
 

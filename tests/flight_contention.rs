@@ -7,10 +7,7 @@ use pi2m::image::phantoms;
 use pi2m::obs::flight::EventKind;
 use pi2m::obs::json::{self, Json};
 use pi2m::obs::{analyze, attribute, AnalyzeOpts, Category, RunReport};
-use pi2m::refine::{
-    time_attribution, BalancerKind, CmKind, MachineTopology, MeshOutput, MesherConfig,
-    MeshingSession,
-};
+use pi2m::refine::{time_attribution, CmKind, MeshOutput, MesherConfig, MeshingSession};
 use std::sync::Arc;
 
 const CONTENTION_KEYS: &[&str] = &[
@@ -40,8 +37,6 @@ fn run_with(
         delta: 2.0,
         threads,
         cm,
-        balancer: BalancerKind::Rws,
-        topology: MachineTopology::flat(threads),
         faults: faults.map(Arc::new),
         ..Default::default()
     };
@@ -166,7 +161,6 @@ fn worker_sums_equal_the_flight_fold() {
     let cfg = |flight: bool, flight_capacity: usize| MesherConfig {
         delta: 1.5,
         threads: 2,
-        topology: MachineTopology::flat(2),
         flight,
         flight_capacity,
         ..Default::default()

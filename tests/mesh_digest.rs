@@ -20,9 +20,7 @@
 
 use pi2m::image::{phantoms, LabeledImage};
 use pi2m::obs::metrics::{PRED_BATCH_INSPHERE_LANES, PRED_BATCH_ORIENT_LANES};
-use pi2m::refine::{
-    audit_mesh, FinalMesh, MachineTopology, MeshOutput, MesherConfig, MeshingSession,
-};
+use pi2m::refine::{audit_mesh, FinalMesh, MeshOutput, MesherConfig, MeshingSession};
 
 fn run(img: LabeledImage, delta: f64, threads: usize, enable_removals: bool) -> MeshOutput {
     MeshingSession::new(threads)
@@ -32,7 +30,6 @@ fn run(img: LabeledImage, delta: f64, threads: usize, enable_removals: bool) -> 
                 delta,
                 threads,
                 enable_removals,
-                topology: MachineTopology::flat(threads),
                 ..Default::default()
             },
         )

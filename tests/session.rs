@@ -9,8 +9,8 @@ use pi2m::faults::{sites, FaultPlan};
 use pi2m::image::phantoms;
 use pi2m::obs::json::{self, Json};
 use pi2m::refine::{
-    audit_mesh, CancelToken, MachineTopology, MeshOutput, MesherConfig, MeshingSession,
-    RefineError, RunOptions, Stage, StageStatus,
+    audit_mesh, CancelToken, MeshOutput, MesherConfig, MeshingSession, RefineError, RunOptions,
+    Stage, StageStatus,
 };
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -19,7 +19,6 @@ fn cfg(delta: f64, threads: usize) -> MesherConfig {
     MesherConfig {
         delta,
         threads,
-        topology: MachineTopology::flat(threads),
         ..Default::default()
     }
 }

@@ -15,8 +15,7 @@
 use pi2m::image::phantoms;
 use pi2m::quality::mesh_quality;
 use pi2m::refine::{
-    audit_mesh, mesh_sharded, split_plan, MachineTopology, MesherConfig, MeshingSession,
-    ShardError, ShardSpec,
+    audit_mesh, mesh_sharded, split_plan, MesherConfig, MeshingSession, ShardError, ShardSpec,
 };
 use std::sync::Arc;
 
@@ -24,7 +23,6 @@ fn cfg(delta: f64, threads: usize) -> MesherConfig {
     MesherConfig {
         delta,
         threads,
-        topology: MachineTopology::flat(threads),
         ..Default::default()
     }
 }
