@@ -1,16 +1,16 @@
 //! # pi2m-bench
 //!
-//! Shared plumbing for the per-table/per-figure harnesses (see DESIGN.md's
-//! experiment index). Every harness prints the same rows/series the paper
-//! reports; EXPERIMENTS.md records paper-vs-measured values.
+//! Shared plumbing for the per-table/per-figure harnesses under `benches/`
+//! (see DESIGN.md's experiment index). Every harness prints the same
+//! rows/series the paper reports; EXPERIMENTS.md records paper-vs-measured
+//! values. The repository's performance is measured by the standalone
+//! `benchmark/` package, not here.
 //!
 //! Knobs (environment variables):
 //! * `PI2M_FULL=1` — run closer-to-paper problem sizes (slower).
 //! * `PI2M_EPT` — target elements per virtual thread in scaling studies.
 //! * `PI2M_REPORT_DIR` — when set, harnesses drop a machine-readable JSON
 //!   run report per configuration into that directory (see `emit_report`).
-
-pub mod kernel;
 
 use pi2m_obs::{OverheadBreakdown, RunReport};
 use pi2m_refine::CmKind;

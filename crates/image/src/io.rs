@@ -101,8 +101,16 @@ pub fn read_pim<R: Read>(r: R) -> io::Result<LabeledImage> {
         .checked_mul(dims[1])
         .and_then(|xy| xy.checked_mul(dims[2]))
         .ok_or_else(|| bad("dims overflow: voxel count exceeds addressable memory"))?;
-    let mut buf = vec![0u8; n];
-    br.read_exact(&mut buf)?;
+    // Read through `take(n)` into a growing buffer: the header's promise is
+    // untrusted, so memory follows the bytes that actually arrive.
+    let mut buf = Vec::new();
+    br.take(n as u64).read_to_end(&mut buf)?;
+    if buf.len() != n {
+        return Err(bad(&format!(
+            "truncated data: header promises {n} bytes, got {}",
+            buf.len()
+        )));
+    }
     if buf.iter().all(|&b| b == 0) {
         return Err(bad("empty label set: image has no foreground voxels"));
     }
@@ -196,6 +204,16 @@ mod tests {
         let hdr = format!("PI2M-IMAGE 1\ndims {big} {big} 2\nspacing 1 1 1\ndata\n");
         let e = err_of(hdr.as_bytes());
         assert!(e.contains("dims overflow"), "{e}");
+    }
+
+    #[test]
+    fn rejects_oversized_header_without_allocating_it() {
+        // 10^12 promised bytes: allocating them up front would abort
+        let hdr = b"PI2M-IMAGE 1\ndims 100000 100000 100\nspacing 1 1 1\ndata\n\x01\x01";
+        let e = read_pim(&hdr[..]).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        let e = e.to_string();
+        assert!(e.contains("1000000000000 bytes, got 2"), "{e}");
     }
 
     #[test]

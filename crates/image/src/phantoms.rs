@@ -376,12 +376,15 @@ pub fn specs(scale: f64) -> Vec<PhantomSpec> {
     ]
 }
 
-/// Look a phantom up by name (as used in benches/examples CLI).
+/// Look a phantom up by name (as used in benches/examples CLI). The 32-voxel
+/// phantoms are clamped to at least 8 voxels a side, as `scaled_dims` does
+/// for the other three.
 pub fn by_name(name: &str, scale: f64) -> Option<LabeledImage> {
+    let n = ((32.0 * scale) as usize).max(8);
     match name {
-        "sphere" => Some(sphere((32.0 * scale) as usize, 1.0)),
-        "nested" => Some(nested_spheres((32.0 * scale) as usize, 1.0)),
-        "torus" => Some(torus((32.0 * scale) as usize, 1.0)),
+        "sphere" => Some(sphere(n, 1.0)),
+        "nested" => Some(nested_spheres(n, 1.0)),
+        "torus" => Some(torus(n, 1.0)),
         "abdominal" => Some(abdominal(scale)),
         "knee" => Some(knee(scale)),
         "head-neck" | "head_neck" => Some(head_neck(scale)),
@@ -476,6 +479,23 @@ mod tests {
         assert!(by_name("sphere", 1.0).is_some());
         assert!(by_name("abdominal", 0.5).is_some());
         assert!(by_name("nonexistent", 1.0).is_none());
+    }
+
+    #[test]
+    fn by_name_clamps_tiny_scales() {
+        for name in [
+            "sphere",
+            "nested",
+            "torus",
+            "abdominal",
+            "knee",
+            "head-neck",
+        ] {
+            for scale in [1e-9, 0.0, f64::NAN] {
+                let img = by_name(name, scale).unwrap();
+                assert!(img.dims().iter().all(|&d| d >= 8), "{name} {scale}");
+            }
+        }
     }
 
     #[test]

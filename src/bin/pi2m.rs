@@ -21,12 +21,6 @@
 //!             <stem>.report.json per job next to its mesh
 //! pi2m phantom <name> <out.pim> [--scale S]    generate a phantom image
 //! pi2m info   <input.pim>                      print image metadata
-//! pi2m bench  [--quick] [--seed N] [--out BENCH_kernel.json]
-//!             [--check baseline.json] [--tolerance 0.25]
-//!             [--flight-gate FRAC]
-//!             [--parent-commit HASH --parent-insertion OPS_PER_SEC
-//!              [--parent-removal OPS_PER_SEC]]  kernel benchmark harness;
-//!             --check also gates removal ops/s >= insertion ops/s / 8
 //! pi2m analyze <artifact.json> [new.json]      offline artifact inspection:
 //!             one run report or job trace renders its summary; two run
 //!             reports diff the runs and attribute the regression to a
@@ -843,12 +837,7 @@ fn cmd_phantom(args: &Args) -> Result<(), String> {
         .positional
         .get(2)
         .ok_or("usage: pi2m phantom <name> <out.pim>")?;
-    let scale: f64 = args
-        .flags
-        .get("scale")
-        .map(|v| v.parse().map_err(|_| "bad --scale"))
-        .transpose()?
-        .unwrap_or(1.0);
+    let scale = positive_finite(args, "scale")?.unwrap_or(1.0);
     let img = phantoms::by_name(name, scale).ok_or_else(|| {
         format!("unknown phantom '{name}' (try sphere, nested, torus, abdominal, knee, head-neck)")
     })?;
@@ -881,144 +870,6 @@ fn cmd_info(args: &Args) -> Result<(), String> {
         if c > 0 {
             println!("  label {l:>3}: {c:>9} voxels");
         }
-    }
-    Ok(())
-}
-
-/// `pi2m bench`: run the fixed-seed kernel workloads (insertion, removal,
-/// refinement), print the throughput summary, optionally write
-/// `BENCH_kernel.json` and/or gate against a checked-in baseline.
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    use pi2m_bench::kernel::{
-        check_against_baseline, check_flight_overhead, check_removal_cost, run_kernel_bench,
-        KernelBenchOpts,
-    };
-
-    let opts = KernelBenchOpts {
-        quick: args.switches.contains("quick"),
-        seed: args
-            .flags
-            .get("seed")
-            .map(|v| v.parse().map_err(|_| "bad --seed"))
-            .transpose()?
-            .unwrap_or(42),
-    };
-    let mode = if opts.quick { "quick" } else { "full" };
-    eprintln!("running kernel benchmark ({mode}, seed {})...", opts.seed);
-    let mut report = run_kernel_bench(opts);
-
-    // optional A/B record: an older kernel's measured insertion (and
-    // removal) throughput on the identical workload (see README
-    // "Benchmarking")
-    if let Some(ops) = args.flags.get("parent-insertion") {
-        let insertion_ops_per_sec: f64 = ops.parse().map_err(|_| "bad --parent-insertion")?;
-        let removal = args.flags.get("parent-removal").map(|v| v.parse::<f64>());
-        let removal_ops_per_sec = removal.transpose().map_err(|_| "bad --parent-removal")?;
-        let commit = args
-            .flags
-            .get("parent-commit")
-            .cloned()
-            .ok_or("--parent-insertion requires --parent-commit")?;
-        report.parent = Some(pi2m_bench::kernel::ParentComparison {
-            commit,
-            insertion_ops_per_sec,
-            removal_ops_per_sec,
-        });
-    }
-
-    println!("workload     ops         seconds     ops/sec");
-    for (name, w) in [
-        ("insertion", report.insertion),
-        ("removal", report.removal),
-        ("refinement", report.refinement),
-    ] {
-        println!(
-            "{name:<12} {:>10}  {:>9.3}  {:>10.0}",
-            w.ops,
-            w.seconds,
-            w.ops_per_sec()
-        );
-    }
-    let p = &report.pred;
-    let ot = p.orient_total().max(1);
-    let it = p.insphere_total().max(1);
-    println!(
-        "predicates   orient: {:.1}% semi-static, {:.1}% filtered, {:.1}% exact ({} calls)",
-        100.0 * p.orient_semi_static as f64 / ot as f64,
-        100.0 * p.orient_filtered as f64 / ot as f64,
-        100.0 * p.orient_exact as f64 / ot as f64,
-        p.orient_total(),
-    );
-    println!(
-        "             insphere: {:.1}% semi-static, {:.1}% filtered, {:.1}% exact ({} calls)",
-        100.0 * p.insphere_semi_static as f64 / it as f64,
-        100.0 * p.insphere_filtered as f64 / it as f64,
-        100.0 * p.insphere_exact as f64 / it as f64,
-        p.insphere_total(),
-    );
-    println!(
-        "scratch      {} reuses, {} cold allocs, footprint {} elems",
-        report.scratch_reuses, report.scratch_allocs, report.scratch_footprint
-    );
-    println!(
-        "flight       recorder on {:.0} vs off {:.0} ops/s ({:+.2}% overhead)",
-        report.flight.on.ops_per_sec(),
-        report.flight.off.ops_per_sec(),
-        report.flight.overhead_frac() * 100.0
-    );
-    println!(
-        "session      warm {:.0} vs cold {:.0} runs/s (setup saving {:.1}%/run)",
-        report.session.warm.ops_per_sec(),
-        report.session.cold.ops_per_sec(),
-        report.session.setup_saving_frac() * 100.0
-    );
-    if let Some(parent) = &report.parent {
-        println!(
-            "parent       {}: {:.0} insert ops/s -> x{:.2}",
-            parent.commit,
-            parent.insertion_ops_per_sec,
-            report.insertion.ops_per_sec() / parent.insertion_ops_per_sec
-        );
-        if let Some(then) = parent.removal_ops_per_sec {
-            println!(
-                "parent       {}: {then:.0} remove ops/s -> x{:.2}",
-                parent.commit,
-                report.removal.ops_per_sec() / then
-            );
-        }
-    }
-
-    if let Some(out) = args.flags.get("out") {
-        std::fs::write(out, report.to_json_string() + "\n")
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
-        eprintln!("wrote {out}");
-    }
-
-    if let Some(baseline_path) = args.flags.get("check") {
-        let tolerance: f64 = args
-            .flags
-            .get("tolerance")
-            .map(|v| v.parse().map_err(|_| "bad --tolerance"))
-            .transpose()?
-            .unwrap_or(0.25);
-        let baseline = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("cannot read {baseline_path}: {e}"))?;
-        let lines = check_against_baseline(&report, &baseline, tolerance)
-            .map_err(|e| format!("throughput regression: {e}"))?;
-        for l in lines {
-            println!("check        {l}");
-        }
-        let line = check_removal_cost(&report)
-            .map_err(|l| format!("removal costs too many insertions: {l}"))?;
-        println!("check        {line}");
-        println!("check        OK (tolerance {:.0}%)", tolerance * 100.0);
-    }
-
-    if let Some(gate) = args.flags.get("flight-gate") {
-        let max_frac: f64 = gate.parse().map_err(|_| "bad --flight-gate")?;
-        let line = check_flight_overhead(&report, max_frac)
-            .map_err(|l| format!("flight recorder too expensive: {l}"))?;
-        println!("check        {line}");
     }
     Ok(())
 }
@@ -1072,15 +923,13 @@ fn run(args: &Args) -> Result<(), CliError> {
         Some("serve") => cmd_serve(args),
         Some("phantom") => cmd_phantom(args).map_err(CliError::from),
         Some("info") => cmd_info(args).map_err(CliError::from),
-        Some("bench") => cmd_bench(args).map_err(CliError::from),
         Some("analyze") => cmd_analyze(args).map_err(CliError::from),
         Some("version") => {
             print_version();
             Ok(())
         }
         _ => Err(
-            "usage: pi2m <mesh|batch|serve|phantom|info|bench|analyze|version> ... (see README)"
-                .into(),
+            "usage: pi2m <mesh|batch|serve|phantom|info|analyze|version> ... (see README)".into(),
         ),
     }
 }

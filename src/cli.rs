@@ -25,7 +25,6 @@ pub const SWITCHES: &[&str] = &[
     "no-removals",
     "metrics",
     "audit",
-    "quick",
     "reports",
     "log",
     "no-flight",
@@ -90,19 +89,6 @@ pub fn command_options(cmd: &str) -> Option<(&'static [&'static str], &'static [
             &["log"],
         ),
         "phantom" => (&["scale"], &[]),
-        "bench" => (
-            &[
-                "seed",
-                "out",
-                "check",
-                "tolerance",
-                "flight-gate",
-                "parent-commit",
-                "parent-insertion",
-                "parent-removal",
-            ],
-            &["quick"],
-        ),
         "info" | "analyze" | "version" => (&[], &[]),
         _ => return None,
     })
@@ -424,9 +410,7 @@ mod tests {
 
     #[test]
     fn every_documented_option_of_a_command_passes() {
-        for cmd in [
-            "mesh", "batch", "serve", "phantom", "bench", "info", "analyze",
-        ] {
+        for cmd in ["mesh", "batch", "serve", "phantom", "info", "analyze"] {
             let (flags, switches) = command_options(cmd).unwrap();
             let mut raw = vec![cmd.to_string()];
             for f in flags {

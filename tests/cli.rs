@@ -57,3 +57,35 @@ fn mesh_and_batch_refuse_bad_numbers_before_loading_input() {
         }
     }
 }
+
+#[test]
+fn bench_is_an_unknown_subcommand() {
+    let (code, stderr) = pi2m(&["bench", "--quick"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("usage: pi2m <"), "{stderr}");
+    assert!(!stderr.contains("bench"), "{stderr}");
+}
+
+/// A scale that is not a positive finite number is refused before any
+/// image is built or written.
+#[test]
+fn phantom_refuses_bad_scale() {
+    for value in ["0", "-1", "nan", "inf"] {
+        let (code, stderr) = pi2m(&["phantom", "sphere", "no-such-dir/s.pim", "--scale", value]);
+        assert_eq!(code, Some(1), "--scale {value}: {stderr}");
+        assert!(stderr.contains("--scale"), "--scale {value}: {stderr}");
+    }
+}
+
+/// A tiny positive scale is valid: the phantom is clamped to 8 voxels a side.
+#[test]
+fn phantom_clamps_tiny_scale() {
+    let dir = std::env::temp_dir().join(format!("pi2m-cli-scale-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("s.pim");
+    let out = out.to_str().unwrap();
+    let (code, stderr) = pi2m(&["phantom", "sphere", out, "--scale", "1e-9"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("8x8x8"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
