@@ -6,18 +6,13 @@
 //!    on element count, quality, and operation count.
 //! 2. **δ sweep — fidelity** — Theorem 1 predicts Hausdorff error shrinking
 //!    with the sampling density; measured directly.
-//! 3. **Energy** — paper §8: threads idling in contention/begging lists
-//!    create an opportunity to throttle cores; the Elements/(second·Watt)
-//!    figure of merit per contention manager, with and without idle
-//!    throttling.
 //!
 //! Run: `cargo bench -p pi2m-bench --bench ablations`
 
 use pi2m_bench::full_mode;
 use pi2m_image::phantoms;
 use pi2m_quality::{hausdorff_distance, mesh_quality};
-use pi2m_refine::{CmKind, MesherConfig, MeshingSession};
-use pi2m_sim::{SimConfig, SimMachine, SimMesher};
+use pi2m_refine::{MesherConfig, MeshingSession};
 
 fn main() {
     let n = if full_mode() { 28 } else { 20 };
@@ -78,43 +73,6 @@ fn main() {
             out.mesh.num_tets(),
             hd,
             hd / delta
-        );
-    }
-
-    // ---- 3. energy per CM (simulated Blacklight, §8) ----
-    println!("\nAblation 3 — energy efficiency by contention manager (64 simulated cores)");
-    println!(
-        "{:<12} {:>10} {:>12} {:>14} {:>14} {:>10}",
-        "CM", "vtime(s)", "energy (J)", "el/J (idle)", "el/J (throttl)", "gain"
-    );
-    for cm in [CmKind::Random, CmKind::Global, CmKind::Local] {
-        let out = SimMesher::new(
-            phantoms::abdominal(1.0),
-            SimConfig {
-                vthreads: 64,
-                machine: SimMachine::blacklight(),
-                delta: 1.0,
-                cm,
-                livelock_vtime: 2.0,
-                ..Default::default()
-            },
-        )
-        .run();
-        let s = out.stats;
-        if s.livelock {
-            println!("{:<12} {:>10}", format!("{cm:?}"), "livelock");
-            continue;
-        }
-        let epj = s.elements_per_joule();
-        let epj_t = s.final_elements as f64 / s.energy_joules_throttled.max(1e-12);
-        println!(
-            "{:<12} {:>10.4} {:>12.2} {:>14.1} {:>14.1} {:>9.1}%",
-            format!("{cm:?}"),
-            s.vtime,
-            s.energy_joules,
-            epj,
-            epj_t,
-            100.0 * (epj_t / epj - 1.0)
         );
     }
 }

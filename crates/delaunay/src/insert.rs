@@ -48,30 +48,13 @@ pub(crate) struct BFace {
 }
 
 /// A fully expanded insertion cavity, locks held, not yet committed.
-/// Obtain via [`OpCtx::prepare_insert`]; then either [`OpCtx::commit_insert`]
-/// or [`OpCtx::abort`]. Structure is only mutated at commit.
-pub struct PreparedInsert {
+/// Made by `prepare_insert`; then either `commit_insert` or
+/// [`OpCtx::abort`]. Structure is only mutated at commit.
+pub(crate) struct PreparedInsert {
     point: [f64; 3],
     kind: VertexKind,
     cavity: Vec<CellId>,
     bfaces: Vec<BFace>,
-}
-
-impl PreparedInsert {
-    /// Cells that will be retriangulated.
-    pub fn cavity_size(&self) -> usize {
-        self.cavity.len()
-    }
-
-    /// Cells that will be created.
-    pub fn boundary_size(&self) -> usize {
-        self.bfaces.len()
-    }
-
-    /// The ids of the cavity cells (for cost/NUMA models).
-    pub fn cavity(&self) -> &[CellId] {
-        &self.cavity
-    }
 }
 
 impl OpCtx<'_> {
@@ -149,13 +132,9 @@ impl OpCtx<'_> {
 
     /// Expansion phase: locate, build and validate the cavity, locking every
     /// touched vertex. On error the operation has been rolled back; on
-    /// success the locks stay held until `commit_insert` + `release_locks`
-    /// or `abort`.
-    pub fn prepare_insert(
-        &mut self,
-        p: [f64; 3],
-        kind: VertexKind,
-    ) -> Result<PreparedInsert, OpError> {
+    /// success the locks stay held until `commit_insert` + `unlock_all` or
+    /// `abort`.
+    fn prepare_insert(&mut self, p: [f64; 3], kind: VertexKind) -> Result<PreparedInsert, OpError> {
         if self.has_faults() {
             match self.fault(sites::INSERT_PREPARE) {
                 Some(Injected::Deny) => return Err(self.injected_conflict(VertexId(NONE))),
@@ -283,8 +262,8 @@ impl OpCtx<'_> {
 
     /// Commit a prepared insertion: allocate the vertex, retriangulate the
     /// cavity, rewire adjacency. Infallible under the held locks. The caller
-    /// must still call `release_locks` (or use the `insert` wrapper).
-    pub fn commit_insert(&mut self, prep: PreparedInsert) -> InsertResult {
+    /// must still release them.
+    fn commit_insert(&mut self, prep: PreparedInsert) -> InsertResult {
         let mut s = std::mem::take(&mut self.scratch);
         let res = self.commit_insert_inner(prep, &mut s);
         self.scratch = s;

@@ -30,8 +30,6 @@ mod remove;
 mod walk;
 
 pub use ids::{CellId, CellRef, VertexId, VertexKind, NONE};
-pub use insert::PreparedInsert;
 pub use mesh::{InsertResult, KernelError, OpCtx, OpError, RemoveResult, SharedMesh};
 pub use pool::{Cell, CellSnap, Vertex};
-pub use remove::PreparedRemove;
 pub use scratch::{KernelScratch, ScratchStats};

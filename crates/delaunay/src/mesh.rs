@@ -71,14 +71,8 @@ impl std::error::Error for KernelError {}
 pub enum OpError {
     /// Speculative conflict: a touched vertex is locked by thread `owner`.
     /// The operation rolled back; the contention manager decides what next.
-    /// `vertex` is the contested vertex and `held` how many locks this
-    /// operation had acquired before failing (used by the simulator's
-    /// incremental-acquisition model).
-    Conflict {
-        owner: u32,
-        vertex: VertexId,
-        held: u32,
-    },
+    /// `vertex` is the contested vertex.
+    Conflict { owner: u32, vertex: VertexId },
     /// The point lies outside the triangulated virtual box; the refinement
     /// rule proposing it is skipped.
     OutsideDomain,
@@ -302,11 +296,6 @@ impl SharedMesh {
     /// High-water vertex count (allocated, including dead).
     pub fn num_vertices(&self) -> usize {
         self.verts.len()
-    }
-
-    /// High-water cell slot count.
-    pub fn num_cell_slots(&self) -> usize {
-        self.cells.len()
     }
 
     /// Count alive cells (O(slots); quiescent use).
@@ -706,7 +695,6 @@ impl<'m> OpCtx<'m> {
         OpError::Conflict {
             owner: self.tid,
             vertex: v,
-            held: self.locked.len() as u32,
         }
     }
 
@@ -742,31 +730,14 @@ impl<'m> OpCtx<'m> {
                         self.locked.len() as u32,
                     );
                 }
-                Err(OpError::Conflict {
-                    owner,
-                    vertex: v,
-                    held: self.locked.len() as u32,
-                })
+                Err(OpError::Conflict { owner, vertex: v })
             }
         }
     }
 
-    /// The vertices locked by the in-progress operation, in acquisition
-    /// order (the simulator derives virtual lock-acquisition timing from
-    /// this).
-    pub fn locked_vertices(&self) -> &[VertexId] {
-        &self.locked
-    }
-
-    /// Release every lock held by a *prepared* operation that the caller
-    /// decided not to commit.
+    /// Release every lock still held, e.g. by an operation that unwound
+    /// mid-phase.
     pub fn abort(&mut self) {
-        self.unlock_all();
-    }
-
-    /// Release locks after a successful `commit_*` (the `insert`/`remove`
-    /// convenience wrappers do this automatically).
-    pub fn release_locks(&mut self) {
         self.unlock_all();
     }
 
@@ -853,14 +824,9 @@ mod tests {
         let mut b = m.make_ctx(1);
         a.lock_vertex(v).unwrap();
         match b.lock_vertex(v) {
-            Err(OpError::Conflict {
-                owner,
-                vertex,
-                held,
-            }) => {
+            Err(OpError::Conflict { owner, vertex }) => {
                 assert_eq!(owner, 0);
                 assert_eq!(vertex, v);
-                assert_eq!(held, 0);
             }
             other => panic!("expected conflict, got {other:?}"),
         }

@@ -56,34 +56,17 @@ pub(crate) enum FaceOwner {
     Cell { plan: usize, slot: usize },
 }
 
-/// A fully planned removal, locks held, not yet committed. Obtain via
-/// [`OpCtx::prepare_remove`]; then [`OpCtx::commit_remove`] or
-/// [`OpCtx::abort`]. Every fallible lookup (back-pointers, wall owners) is
-/// resolved here so the commit phase cannot fail.
-pub struct PreparedRemove {
+/// A fully planned removal, locks held, not yet committed. Made by
+/// `prepare_remove`; then `commit_remove` or [`OpCtx::abort`]. Every
+/// fallible lookup (back-pointers, wall owners) is resolved here so the
+/// commit phase cannot fail.
+pub(crate) struct PreparedRemove {
     vertex: VertexId,
     ball: Vec<CellId>,
     link_faces: Vec<LinkFace>,
     plans: Vec<([VertexId; 4], [Nb; 4])>,
     /// For each link face, the plan index of the fill cell realizing it.
     wall_owner: Vec<usize>,
-}
-
-impl PreparedRemove {
-    /// Cells that will be killed.
-    pub fn ball_size(&self) -> usize {
-        self.ball.len()
-    }
-
-    /// Cells that will be created.
-    pub fn fill_size(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// The ids of the ball cells (for cost/NUMA models).
-    pub fn ball(&self) -> &[CellId] {
-        &self.ball
-    }
 }
 
 /// What lies across a face of the ball boundary (the link of `p`).
@@ -138,8 +121,8 @@ impl OpCtx<'_> {
 
     /// Planning phase: gather and lock the ball, fill the hole it leaves,
     /// resolve the glue. On error everything is rolled back; on success
-    /// locks stay held until `commit_remove` + `release_locks` or `abort`.
-    pub fn prepare_remove(&mut self, v: VertexId) -> Result<PreparedRemove, OpError> {
+    /// locks stay held until `commit_remove` + `unlock_all` or `abort`.
+    fn prepare_remove(&mut self, v: VertexId) -> Result<PreparedRemove, OpError> {
         if self.has_faults() {
             match self.fault(sites::REMOVE_PREPARE) {
                 Some(Injected::Deny) => return Err(self.injected_conflict(v)),
@@ -345,7 +328,7 @@ impl OpCtx<'_> {
 
     /// Commit a prepared removal: activate the fill cells, rewire adjacency,
     /// kill the ball, mark the vertex dead. Infallible under the held locks.
-    pub fn commit_remove(&mut self, prep: PreparedRemove) -> RemoveResult {
+    fn commit_remove(&mut self, prep: PreparedRemove) -> RemoveResult {
         let mut s = std::mem::take(&mut self.scratch);
         let res = self.commit_remove_inner(prep, &mut s);
         self.scratch = s;

@@ -11,8 +11,8 @@
 //! and reinstall it afterwards — so a panic mid-operation leaves the context
 //! with a fresh `Default` scratch that is trivially safe to reuse (capacity
 //! is lost, correctness is not). Buffers that escape into a
-//! [`crate::PreparedInsert`] / [`crate::PreparedRemove`] or into an operation
-//! result travel *with* their owner and come back via `put_*` /
+//! `PreparedInsert` / `PreparedRemove` or into an operation result travel
+//! *with* their owner and come back via `put_*` /
 //! [`crate::OpCtx::recycle_insert`] at commit time, closing the reuse cycle.
 
 use crate::ids::{CellId, VertexId, NONE};

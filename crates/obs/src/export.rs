@@ -1,5 +1,4 @@
-//! Exporters: Prometheus text exposition, Chrome Trace Event JSON, and the
-//! simulator's Table-1 style overhead comparison table.
+//! Exporters: Prometheus text exposition and Chrome Trace Event JSON.
 
 use crate::attribution::Category;
 use crate::flight::{EventKind, FlightEvent};
@@ -279,57 +278,6 @@ pub fn render_chrome_trace(
     .dump()
 }
 
-/// The paper's three direct sources of wasted cycles (§5.5), summed over
-/// threads: one simulated run's row of the Table-1 comparison.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OverheadBreakdown {
-    pub contention_s: f64,
-    pub load_balance_s: f64,
-    pub rollback_s: f64,
-    pub rollbacks: u64,
-    pub livelock: bool,
-}
-
-impl OverheadBreakdown {
-    pub fn total_s(&self) -> f64 {
-        self.contention_s + self.load_balance_s + self.rollback_s
-    }
-}
-
-/// Table-1 style per-contention-manager overhead comparison of simulated
-/// runs: one text rendering shared by `contention_lab` and the bench
-/// harnesses.
-pub fn render_overhead_table(rows: &[(String, OverheadBreakdown, f64)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<12} {:>10} {:>10} {:>12} {:>12} {:>12} {:>12} {:>9}",
-        "CM",
-        "time(s)",
-        "rollbacks",
-        "contention",
-        "loadbal",
-        "rollback-ovh",
-        "total-ovh",
-        "livelock"
-    );
-    for (label, o, wall) in rows {
-        let _ = writeln!(
-            out,
-            "{:<12} {:>10.4} {:>10} {:>12.4} {:>12.4} {:>12.4} {:>12.4} {:>9}",
-            label,
-            wall,
-            o.rollbacks,
-            o.contention_s,
-            o.load_balance_s,
-            o.rollback_s,
-            o.total_s(),
-            if o.livelock { "YES" } else { "no" },
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,34 +459,5 @@ mod tests {
         // the rollback sample keeps the committed cumulative and adds waste
         assert!((arg(w0[2], "committed") - 0.003).abs() < 1e-12);
         assert!((arg(w0[2], "rolled_back") - 0.001).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overhead_table_renders_rows() {
-        let rows = vec![
-            (
-                "Local".to_string(),
-                OverheadBreakdown {
-                    contention_s: 0.5,
-                    load_balance_s: 0.25,
-                    rollback_s: 0.125,
-                    rollbacks: 7,
-                    livelock: false,
-                },
-                2.0,
-            ),
-            (
-                "Aggressive".to_string(),
-                OverheadBreakdown {
-                    livelock: true,
-                    ..Default::default()
-                },
-                0.1,
-            ),
-        ];
-        let t = render_overhead_table(&rows);
-        assert!(t.contains("Local"));
-        assert!(t.contains("0.8750")); // total overhead
-        assert!(t.contains("YES"));
     }
 }

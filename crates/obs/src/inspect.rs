@@ -188,7 +188,7 @@ pub struct ReportInfo {
     /// Top contended `(region code, conflicts)`, most-contended first.
     pub hot_regions: Vec<(u64, u64)>,
     /// The worker-time attribution; `None` for a report that describes no
-    /// refinement run of its own (a simulator row).
+    /// refinement run of its own (the serve daemon's aggregate).
     pub attribution: Option<TimeAttribution>,
     /// The sharded-run section, when the report carries one.
     pub shard: Option<ShardInfo>,

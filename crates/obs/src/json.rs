@@ -179,13 +179,20 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so an unbounded document could overflow the stack; run
+/// reports and job traces nest fewer than 10 levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document (the subset the exporters emit, plus standard
 /// escapes). Duplicate object keys keep the last occurrence for `get`
-/// symmetry with serde-style parsers.
+/// symmetry with serde-style parsers. Nesting deeper than `MAX_DEPTH` (128) is
+/// an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -199,6 +206,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -240,8 +249,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH}"));
+                }
+                self.depth += 1;
+                let v = if b == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
@@ -408,6 +428,24 @@ mod tests {
         assert_eq!(Json::int(7).dump(), "7");
         assert_eq!(Json::num(0.5).dump(), "0.5");
         assert_eq!(Json::num(f64::INFINITY).dump(), "null");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&nested(MAX_DEPTH + 1)),
+            Err(format!("nesting deeper than {MAX_DEPTH}"))
+        );
+        // objects count too, and a deep document is refused, not a crash
+        let obj = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&obj).unwrap_err().contains("nesting deeper"));
+        assert!(parse(&nested(200_000)).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Unified observability substrate for the PI2M pipeline (tentpole of the
 //! `pi2m-obs` issue): every crate — EDT, oracle, Delaunay kernel, refinement,
-//! simulator — records into the same catalog of counters and log-bucketed
+//! serve — records into the same catalog of counters and log-bucketed
 //! histograms through **thread-local recorders with no atomics on the hot
 //! path**, mirroring the `ThreadStats` ownership model of `pi2m-refine`
 //! (exclusive per-worker ownership, drained and merged at thread join).
@@ -50,9 +50,7 @@ pub mod span;
 pub use analyze::{analyze, AnalyzeOpts, ContentionReport};
 pub use attribution::{attribute, Category, TimeAttribution, WorkerAttribution};
 pub use cancel::{CancelToken, Cancelled};
-pub use export::{
-    render_chrome_trace, render_overhead_table, render_prometheus, OverheadBreakdown,
-};
+pub use export::{render_chrome_trace, render_prometheus};
 pub use flight::{EventKind, EventRing, FlightEvent, FlightHandle, FlightLog, FlightRecorder};
 pub use inspect::{
     load_artifact, render_diff, render_summary, Artifact, ArtifactKind, ReportInfo, ShardInfo,

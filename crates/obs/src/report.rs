@@ -114,8 +114,7 @@ pub struct RunReport {
     pub contention: Option<ContentionReport>,
     /// The workers' wall-time attribution: the report's one decomposition
     /// of worker time (`None` — key absent — for a report that describes no
-    /// refinement run of its own, such as a simulator row or the serve
-    /// daemon's aggregate).
+    /// refinement run of its own, such as the serve daemon's aggregate).
     pub attribution: Option<TimeAttribution>,
     /// Sharded-run accounting (`None` — key absent — for monolithic runs).
     pub shard: Option<ShardSection>,

@@ -4,8 +4,8 @@
 //! each completed operation, donate newly created poor elements to the
 //! longest-waiting beggar. This is the flat list of the paper's RWS. Its
 //! hierarchical variant HWS (§6.1) splits the list along a cc-NUMA
-//! machine's memory hierarchy; it is modelled in `pi2m-sim` only, the one
-//! place that knows a machine's shape.
+//! machine's memory hierarchy; it is not implemented, since the engine
+//! never learns the host's shape.
 
 use crate::cm::ContentionManager;
 use crate::sync::EngineSync;

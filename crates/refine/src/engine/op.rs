@@ -14,7 +14,7 @@
 //! ```
 
 use super::worker::{handle_created, push_own, Env, PelEnd};
-use crate::stats::{OverheadKind, ThreadStats};
+use crate::stats::ThreadStats;
 use pi2m_delaunay::{CellId, InsertResult, OpCtx, OpError, RemoveResult, VertexId, VertexKind};
 use pi2m_faults::sites;
 use pi2m_geometry::Aabb;
@@ -364,11 +364,11 @@ pub(crate) fn run_op(
                 pack_owner_region(owner as u16, region),
                 dur_ns_u32(t_end - t0),
             );
-            stats.add_overhead(OverheadKind::Rollback, rolled);
+            stats.rolled_back_s += rolled;
             rec.observe(metrics::ROLLBACK_SECONDS, rolled);
             op.on_conflict(env, tid, rec);
             let waited = env.cm.on_rollback(tid, owner as usize, env.sync);
-            stats.add_overhead(OverheadKind::Contention, waited);
+            stats.cm_park_s += waited;
             rec.observe(metrics::LOCK_WAIT_SECONDS, waited);
             OpOutcome::Conflicted
         }

@@ -16,7 +16,7 @@ use super::op::{dur_ns_u32, run_op, InsertOp, OpOutcome, RegionMap, RemoveOp};
 use crate::balancer::{BegOutcome, BeggingList, DONATE_THRESHOLD};
 use crate::cm::{make_cm, ContentionManager};
 use crate::rules::{FacetMemo, Rules};
-use crate::stats::{OverheadKind, ThreadStats};
+use crate::stats::ThreadStats;
 use crate::sync::EngineSync;
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
@@ -254,7 +254,7 @@ pub(crate) fn worker(
                 let _ = f.fire(sites::BALANCER_BEG, tid as u32);
             }
             let (outcome, waited) = env.bal.beg(tid, env.sync, env.cm);
-            stats.add_overhead(OverheadKind::LoadBalance, waited);
+            stats.beg_park_s += waited;
             rec.observe(metrics::LB_WAIT_SECONDS, waited);
             match outcome {
                 BegOutcome::Finished => break,
@@ -494,7 +494,7 @@ fn process_item(
                 );
                 push_own(env, tid, rec, std::iter::once((cid, gen)), PelEnd::Bottom);
                 let waited = env.cm.on_rollback(tid, tid, env.sync);
-                stats.add_overhead(OverheadKind::Contention, waited);
+                stats.cm_park_s += waited;
                 rec.observe(metrics::LOCK_WAIT_SECONDS, waited);
                 return false;
             }

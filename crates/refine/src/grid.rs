@@ -142,9 +142,22 @@ impl PointGrid {
 
     /// Call `scan` with the list head of every bucket a ball of `radius`
     /// around `p` can reach, in a fixed order; stops when it returns `false`.
+    /// A ball whose cube of cells is at least as large as the table (an
+    /// overflowed radius of `inf`, say) visits each bucket once instead: the
+    /// same candidates, in at most `BUCKETS` steps.
     #[inline]
     fn for_each_bucket(&self, p: [f64; 3], radius: f64, mut scan: impl FnMut(u32) -> bool) {
-        let reach = (radius / self.cell).ceil() as i64;
+        let reach = (radius / self.cell).ceil();
+        let side = 2.0 * reach + 1.0;
+        if side * side * side >= BUCKETS as f64 {
+            for head in self.heads.iter() {
+                if !scan(head.load(Ordering::Acquire)) {
+                    return;
+                }
+            }
+            return;
+        }
+        let reach = reach as i64;
         let c0 = self.cell_of(p);
         for dx in -reach..=reach {
             for dy in -reach..=reach {
@@ -482,6 +495,54 @@ mod tests {
             }
             out
         }
+    }
+
+    /// A ball whose cube of cells outgrows the table — an infinite radius,
+    /// or one 20 cells wide — finds the same vertices as the reference, each
+    /// once, without walking the cube.
+    #[test]
+    fn huge_radius_visits_each_bucket_once() {
+        let m = SharedMesh::with_box(Aabb::new(Point3::ORIGIN, Point3::new(10.0, 10.0, 10.0)));
+        let mut ctx = m.make_ctx(0);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut vs = Vec::new();
+        while vs.len() < 200 {
+            let p = [0; 3].map(|_| 0.5 + 9.0 * xorshift(&mut x));
+            if let Ok(r) = ctx.insert(p, VertexKind::Circumcenter) {
+                vs.push(r.vertex);
+                ctx.recycle_insert(r);
+            }
+        }
+        let sorted = |mut v: Vec<VertexId>| {
+            v.sort_unstable_by_key(|u| u.0);
+            v
+        };
+        let centre = [5.0, 5.0, 5.0];
+        for (cell, radius, reference_radius) in [(1.0, f64::INFINITY, 20.0), (0.25, 4.0, 4.0)] {
+            let (grid, reference) = (PointGrid::new(cell), MutexGrid::new(cell));
+            for &v in &vs {
+                grid.insert(v, m.pos3(v));
+                reference.insert(&grid, v, m.pos3(v));
+            }
+            let got = sorted(grid.collect_near(&m, centre, radius, VertexKind::Circumcenter));
+            let mut want = sorted(reference.collect(&grid, &m, centre, reference_radius, |k| {
+                k == VertexKind::Circumcenter
+            }));
+            // the reference walks the cube, whose cells share buckets
+            want.dedup();
+            assert_eq!(got, want, "cell {cell}, radius {radius}");
+            assert!(!got.is_empty());
+        }
+        let grid = PointGrid::new(1.0);
+        for &v in &vs {
+            grid.insert(v, m.pos3(v));
+        }
+        assert!(grid.any_near(&m, centre, f64::INFINITY, VertexKind::Circumcenter));
+        assert_eq!(
+            grid.collect_near(&m, centre, f64::INFINITY, VertexKind::Circumcenter)
+                .len(),
+            vs.len()
+        );
     }
 
     /// Every vertex a finished multi-tissue run ever allocated (the removed

@@ -6,8 +6,8 @@
 //! Delaunay **insertions and removals** driven by rules R1–R6, with
 //! pluggable contention managers (Aggressive / Random / Global / Local,
 //! paper §5), load balancing over one flat begging list (paper §4.4; the
-//! hierarchical HWS variant of §6.1 is modelled in `pi2m-sim`), full
-//! wasted-cycle accounting, and livelock watchdogging.
+//! hierarchical HWS variant of §6.1 is not implemented), full wasted-cycle
+//! accounting, and livelock watchdogging.
 //!
 //! The engine runs as a staged pipeline (Load → EDT → Oracle →
 //! SurfaceRecovery → VolumeRefine → Quality → Export) over a persistent
@@ -50,8 +50,7 @@ pub mod shard;
 pub mod stats;
 pub mod sync;
 
-pub use balancer::DONATE_THRESHOLD;
-pub use cm::{CmKind, ContentionManager, R_PLUS, S_PLUS};
+pub use cm::{CmKind, ContentionManager};
 pub use engine::{
     CancelTelemetry, MeshOutput, MesherConfig, MeshingSession, RunOptions, Stage, StageCallback,
     StageEvent, StageStatus,
@@ -66,5 +65,5 @@ pub use shard::{
     mesh_sharded, parse_shard_grid, split_plan, ChunkRun, ChunkSpec, ShardError, ShardRun,
     ShardSpec,
 };
-pub use stats::{time_attribution, OverheadKind, RefineStats, ThreadStats};
+pub use stats::{time_attribution, RefineStats, ThreadStats};
 pub use sync::EngineSync;

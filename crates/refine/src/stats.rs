@@ -7,17 +7,6 @@
 
 use pi2m_obs::{TimeAttribution, WorkerAttribution};
 
-/// Categories of wasted time tracked per thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OverheadKind {
-    /// Busy-waiting in a contention list / CM backoff sleep, plus CM access.
-    Contention,
-    /// Waiting in a begging list for work, plus begging-list access.
-    LoadBalance,
-    /// Time spent on partially completed operations that rolled back.
-    Rollback,
-}
-
 /// Per-thread counters; owned exclusively by its worker, merged at join.
 #[derive(Clone, Debug, Default)]
 pub struct ThreadStats {
@@ -40,9 +29,12 @@ pub struct ThreadStats {
     pub recovery_rollbacks: u64,
     /// Operations abandoned on a typed kernel-invariant error.
     pub kernel_errors: u64,
-    pub contention_overhead: f64,
-    pub load_balance_overhead: f64,
-    pub rollback_overhead: f64,
+    /// Seconds inside operations that rolled back.
+    pub rolled_back_s: f64,
+    /// Seconds parked by the contention manager after a rollback.
+    pub cm_park_s: f64,
+    /// Seconds waiting in the begging list for work.
+    pub beg_park_s: f64,
     /// Seconds inside committed insertions.
     pub committed_insert_s: f64,
     /// Seconds inside committed R6 removals.
@@ -50,20 +42,6 @@ pub struct ThreadStats {
     /// Donation handoff seconds (beggar-PEL lock, push, wake), on the
     /// donor's clock.
     pub steal_donate_s: f64,
-}
-
-impl ThreadStats {
-    pub fn total_overhead(&self) -> f64 {
-        self.contention_overhead + self.load_balance_overhead + self.rollback_overhead
-    }
-
-    pub fn add_overhead(&mut self, kind: OverheadKind, secs: f64) {
-        match kind {
-            OverheadKind::Contention => self.contention_overhead += secs,
-            OverheadKind::LoadBalance => self.load_balance_overhead += secs,
-            OverheadKind::Rollback => self.rollback_overhead += secs,
-        }
-    }
 }
 
 /// The run's wall-time attribution, from the workers' own sums: worker `t`
@@ -81,9 +59,9 @@ pub fn time_attribution(per_thread: &[ThreadStats], wall_s: f64) -> TimeAttribut
             committed_s: t.committed_insert_s + t.committed_remove_s,
             committed_insert_s: t.committed_insert_s,
             committed_remove_s: t.committed_remove_s,
-            rolled_back_s: t.rollback_overhead,
-            cm_park_s: t.contention_overhead,
-            beg_park_s: t.load_balance_overhead,
+            rolled_back_s: t.rolled_back_s,
+            cm_park_s: t.cm_park_s,
+            beg_park_s: t.beg_park_s,
             steal_donate_s: t.steal_donate_s,
             idle_s: 0.0,
         })
@@ -141,27 +119,6 @@ impl RefineStats {
         self.per_thread.iter().map(|t| t.kernel_errors).sum()
     }
 
-    pub fn contention_overhead(&self) -> f64 {
-        self.per_thread.iter().map(|t| t.contention_overhead).sum()
-    }
-
-    pub fn load_balance_overhead(&self) -> f64 {
-        self.per_thread
-            .iter()
-            .map(|t| t.load_balance_overhead)
-            .sum()
-    }
-
-    pub fn rollback_overhead(&self) -> f64 {
-        self.per_thread.iter().map(|t| t.rollback_overhead).sum()
-    }
-
-    /// Sum of the three wasted-cycle categories over all threads (the
-    /// paper's "total overhead").
-    pub fn total_overhead(&self) -> f64 {
-        self.per_thread.iter().map(|t| t.total_overhead()).sum()
-    }
-
     pub fn total_donations(&self) -> u64 {
         self.per_thread.iter().map(|t| t.donations_made).sum()
     }
@@ -181,32 +138,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn overhead_accumulates() {
-        let mut s = ThreadStats::default();
-        s.add_overhead(OverheadKind::Contention, 0.5);
-        s.add_overhead(OverheadKind::Rollback, 0.25);
-        s.add_overhead(OverheadKind::LoadBalance, 0.125);
-        assert_eq!(s.total_overhead(), 0.875);
-        assert_eq!(
-            (
-                s.contention_overhead,
-                s.rollback_overhead,
-                s.load_balance_overhead
-            ),
-            (0.5, 0.25, 0.125)
-        );
-    }
-
-    #[test]
     fn aggregation() {
         let a = ThreadStats {
             rollbacks: 3,
-            contention_overhead: 1.0,
             ..Default::default()
         };
         let b = ThreadStats {
             rollbacks: 5,
-            rollback_overhead: 2.0,
             ..Default::default()
         };
         let stats = RefineStats {
@@ -216,7 +154,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(stats.total_rollbacks(), 8);
-        assert_eq!(stats.total_overhead(), 3.0);
         assert_eq!(stats.elements_per_second(), 50.0);
     }
 
@@ -225,9 +162,9 @@ mod tests {
         let t = ThreadStats {
             committed_insert_s: 0.25,
             committed_remove_s: 0.125,
-            rollback_overhead: 0.0625,
-            contention_overhead: 0.03125,
-            load_balance_overhead: 0.015625,
+            rolled_back_s: 0.0625,
+            cm_park_s: 0.03125,
+            beg_park_s: 0.015625,
             steal_donate_s: 0.0078125,
             ..Default::default()
         };

@@ -1,18 +1,19 @@
 //! # pi2m-sim
 //!
-//! A discrete-event simulated cc-NUMA machine executing the PI2M
-//! speculative refinement algorithm in virtual time. The paper's scaling
-//! studies ran on PSC Blacklight (256 blades, cc-NUMA, retired); this crate
-//! substitutes it (see DESIGN.md), executing the *real* algorithm over the
-//! real concurrent mesh kernel with virtual threads, an incremental
-//! lock-acquisition model that admits genuine mutual rollbacks and
-//! livelocks, and a calibrated NUMA/congestion cost model — reproducing the
-//! paper's Tables 1, 4, 5 and Figures 5–6 shapes on a single host core.
+//! The shape and prices of the machine the paper's scaling studies ran on:
+//! PSC Blacklight (256 blades, cc-NUMA, retired) and the CRTC workstation
+//! (paper Table 2). [`MachineTopology`] maps threads onto cores, sockets
+//! and blades; [`SimMachine`] adds a virtual-time [`CostModel`] — compute,
+//! lock steps, NUMA hops, root-switch congestion, SMT sharing and power —
+//! that prices a yield point by where its thread and the data it touches
+//! live.
+//!
+//! No engine runs here: a model of the paper's scaling studies is meant to
+//! run over the one real worker loop and price its yield points with this
+//! crate, not to re-implement that loop.
 
-pub mod engine;
 pub mod machine;
 pub mod topology;
 
-pub use engine::{BalancerKind, SimConfig, SimMesher, SimOutput, SimStats, TraceEvent};
 pub use machine::{CostModel, SimMachine};
 pub use topology::MachineTopology;

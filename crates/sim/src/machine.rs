@@ -1,14 +1,11 @@
 //! The simulated machine: topology plus a virtual-time cost model.
 //!
-//! The simulator executes the *real* speculative algorithm (actual mesh,
-//! actual rules, actual conflicts) but charges operations in virtual seconds
-//! using this model: compute costs per classification/operation, incremental
-//! lock-acquisition steps (which enable mutual preemption and hence genuine
-//! livelocks for the non-blocking contention managers), and a cc-NUMA memory
-//! model — touched cells homed on another socket or blade cost extra, with
-//! hop counts and a root-switch congestion term reproducing the paper's
-//! degradation beyond 144 cores (§6.3: each hop adds a ~2000 cycle penalty
-//! and the upper-level switches saturate).
+//! The model charges work in virtual seconds: compute costs per
+//! classification/operation, incremental lock-acquisition steps, and a
+//! cc-NUMA memory model — touched cells homed on another socket or blade
+//! cost extra, with hop counts and a root-switch congestion term for the
+//! paper's degradation beyond 144 cores (§6.3: each hop adds a ~2000 cycle
+//! penalty and the upper-level switches saturate).
 
 use crate::topology::MachineTopology;
 

@@ -1,8 +1,8 @@
 //! Machine topology descriptions (paper Table 2).
 //!
-//! The simulator's hierarchical begging lists and its NUMA cost model need
-//! to know how virtual threads map onto sockets and blades. The real engine
-//! runs on whatever host it is given and keeps one flat begging list.
+//! The NUMA cost model needs to know how virtual threads map onto sockets
+//! and blades. The real engine runs on whatever host it is given and keeps
+//! one flat begging list.
 
 /// A cc-NUMA machine shape: `cores_per_socket × sockets_per_blade × blades`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -20,7 +20,6 @@
 //! | [`faults`] | deterministic fault-injection plans (DST-style testing) |
 //! | [`refine`] | PI2M refinement engine: rules R1–R6, contention managers, work stealing |
 //! | [`obs`] | observability: metric catalog, phase spans, run reports, trace exporters |
-//! | [`sim`] | discrete-event simulated cc-NUMA machine for scaling studies |
 //! | [`baseline`] | sequential "CGAL-like" and "TetGen-like" comparison meshers |
 //! | [`quality`] | mesh statistics, Hausdorff fidelity measurement |
 //! | [`meshio`] | VTK / OFF / node-ele exporters |
@@ -61,4 +60,3 @@ pub use pi2m_predicates as predicates;
 pub use pi2m_quality as quality;
 pub use pi2m_refine as refine;
 pub use pi2m_serve as serve;
-pub use pi2m_sim as sim;

@@ -89,3 +89,35 @@ fn phantom_clamps_tiny_scale() {
     assert!(stderr.contains("8x8x8"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A δ near `f64::MAX` is valid but overflows the proximity query radius to
+/// `inf`; the grid then visits each bucket once instead of walking an
+/// unbounded cube of cells, so the run ends at once with an empty mesh. A
+/// watchdog kills the child and fails the test if it spins.
+#[test]
+fn mesh_with_huge_delta_terminates() {
+    let dir = std::env::temp_dir().join(format!("pi2m-cli-delta-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("m.vtk");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pi2m"))
+        .args(["mesh", "phantom:sphere", "--delta", "1e308", "-o"])
+        .arg(&out)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("pi2m runs");
+    let t0 = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if t0.elapsed() > std::time::Duration::from_secs(30) {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("pi2m mesh --delta 1e308 still running after 30 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}

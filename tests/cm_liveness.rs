@@ -3,6 +3,7 @@
 //! or livelock; runs terminate under heavy artificial contention.
 
 use pi2m::image::phantoms;
+use pi2m::obs::Category;
 use pi2m::refine::{CmKind, MesherConfig, MeshingSession};
 
 /// A tiny image with a small surface forces many threads into the same
@@ -48,17 +49,21 @@ fn overheads_are_accounted() {
     let out = MeshingSession::new(6)
         .mesh(phantoms::sphere(16, 1.0), contended_cfg(CmKind::Local, 6))
         .unwrap();
-    let s = &out.stats;
-    // overhead categories are finite, non-negative
-    assert!(s.contention_overhead() >= 0.0);
-    assert!(s.load_balance_overhead() >= 0.0);
-    assert!(s.rollback_overhead() >= 0.0);
-    // and bounded by total thread-time
-    let budget = s.wall_time * s.threads() as f64;
-    assert!(
-        s.total_overhead() <= budget * 1.5,
-        "overhead {} exceeds plausible budget {}",
-        s.total_overhead(),
-        budget
-    );
+    let a = &out.attribution;
+    assert_eq!(a.per_worker.len(), 6);
+    for w in &a.per_worker {
+        // every bucket is finite and non-negative...
+        for cat in Category::ALL {
+            let v = w.get(cat);
+            assert!(v.is_finite() && v >= 0.0, "worker {} {cat:?} = {v}", w.tid);
+        }
+        // ...and the buckets account for the wall, no more and no less
+        assert!(
+            (w.total_s() - a.wall_s).abs() <= 0.02 * a.wall_s,
+            "worker {} buckets sum to {} s, wall {} s",
+            w.tid,
+            w.total_s(),
+            a.wall_s
+        );
+    }
 }

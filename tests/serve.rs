@@ -351,12 +351,12 @@ fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
     (status, payload)
 }
 
-#[test]
-fn sigterm_drains_spawned_daemon_cleanly() {
+/// Spawn `pi2m serve` on an ephemeral port with one session and return it
+/// with the address from its "pi2m serve: listening on HOST:PORT" banner.
+fn spawn_daemon(spool_dir: &std::path::Path) -> (std::process::Child, String) {
     use std::io::BufRead;
     use std::process::{Command, Stdio};
 
-    let spool_dir = spool("sigterm");
     let mut child = Command::new(env!("CARGO_BIN_EXE_pi2m"))
         .args([
             "serve",
@@ -377,7 +377,6 @@ fn sigterm_drains_spawned_daemon_cleanly() {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn pi2m serve");
-    // the daemon prints "pi2m serve: listening on HOST:PORT" on stdout
     let stdout = child.stdout.take().unwrap();
     let mut line = String::new();
     std::io::BufReader::new(stdout)
@@ -390,6 +389,98 @@ fn sigterm_drains_spawned_daemon_cleanly() {
         .expect("address in listen line")
         .to_string();
     assert!(line.contains("listening on"), "unexpected banner: {line}");
+    (child, addr)
+}
+
+/// SIGTERM the daemon and require the clean-drain exit 0.
+fn terminate(mut child: std::process::Child) {
+    let pid = child.id().to_string();
+    let status = std::process::Command::new("kill")
+        .args(["-TERM", &pid])
+        .status()
+        .unwrap();
+    assert!(status.success(), "kill -TERM failed");
+    let status = child.wait().expect("daemon exit status");
+    assert!(status.success(), "clean drain must exit 0, got {status:?}");
+}
+
+/// The job name in a `POST /jobs` reply.
+fn job_id(body: &str) -> String {
+    let v = json::parse(body).unwrap();
+    v.get("id").unwrap().as_str().unwrap().to_string()
+}
+
+/// Poll `GET /jobs/{name}` until the job is terminal; returns its status.
+fn poll_terminal(addr: &str, name: &str, timeout: Duration) -> String {
+    let t0 = Instant::now();
+    loop {
+        let (code, body) = http(addr, "GET", &format!("/jobs/{name}"), "");
+        assert_eq!(code, 200, "{body}");
+        let v = json::parse(&body).unwrap();
+        let status = v.get("status").unwrap().as_str().unwrap().to_string();
+        if ["succeeded", "failed", "cancelled"].contains(&status.as_str()) {
+            return status;
+        }
+        assert!(t0.elapsed() < timeout, "{name} stuck {status}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// Hostile request bodies are refused or finished, never fatal: 40 KB of
+/// nested brackets (under the body cap) is a 400, not a stack overflow, and
+/// a δ near `f64::MAX` runs to a terminal state instead of spinning in the
+/// proximity grid. The same daemon then meshes a normal job and drains
+/// cleanly.
+#[test]
+fn hostile_bodies_leave_the_daemon_serving() {
+    let spool_dir = spool("hostile");
+    let (mut child, addr) = spawn_daemon(&spool_dir);
+    let result = std::panic::catch_unwind(|| {
+        let deep = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
+        let (code, body) = http(&addr, "POST", "/jobs", &deep);
+        assert_eq!(code, 400, "{body}");
+        assert!(body.contains("nesting deeper than"), "{body}");
+
+        let (code, body) = http(
+            &addr,
+            "POST",
+            "/jobs",
+            r#"{"input":"phantom:sphere","delta":1e308,"deadline":5}"#,
+        );
+        assert_eq!(code, 202, "{body}");
+        let name = job_id(&body);
+        poll_terminal(&addr, &name, Duration::from_secs(60));
+
+        let (code, body) = http(&addr, "GET", "/healthz", "");
+        assert_eq!((code, body.as_str()), (200, "ok\n"));
+        let (code, body) = http(
+            &addr,
+            "POST",
+            "/jobs",
+            r#"{"input":"phantom:sphere","delta":4.0}"#,
+        );
+        assert_eq!(code, 202, "{body}");
+        let name = job_id(&body);
+        assert_eq!(
+            poll_terminal(&addr, &name, Duration::from_secs(60)),
+            "succeeded"
+        );
+    });
+    if let Err(p) = result {
+        child.kill().ok();
+        child.wait().ok();
+        std::panic::resume_unwind(p);
+    }
+    terminate(child);
+    let _ = std::fs::remove_dir_all(&spool_dir);
+}
+
+#[test]
+fn sigterm_drains_spawned_daemon_cleanly() {
+    use std::process::Command;
+
+    let spool_dir = spool("sigterm");
+    let (mut child, addr) = spawn_daemon(&spool_dir);
 
     let result = std::panic::catch_unwind(|| {
         let (code, body) = http(&addr, "GET", "/healthz", "");
@@ -481,23 +572,11 @@ fn http_api_round_trips_jobs_and_metrics() {
         r#"{"input":"phantom:sphere","delta":4.0}"#,
     );
     assert_eq!(code, 202, "{body}");
-    let v = json::parse(&body).unwrap();
-    let name = v.get("id").unwrap().as_str().unwrap().to_string();
-
-    // poll over HTTP until terminal
-    let t0 = Instant::now();
-    let record = loop {
-        let (code, body) = http(&addr, "GET", &format!("/jobs/{name}"), "");
-        assert_eq!(code, 200, "{body}");
-        let v = json::parse(&body).unwrap();
-        let status = v.get("status").unwrap().as_str().unwrap().to_string();
-        if ["succeeded", "failed", "cancelled"].contains(&status.as_str()) {
-            break v;
-        }
-        assert!(t0.elapsed() < Duration::from_secs(60), "job stuck {status}");
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert_eq!(record.get("status").unwrap().as_str(), Some("succeeded"));
+    let name = job_id(&body);
+    assert_eq!(
+        poll_terminal(&addr, &name, Duration::from_secs(60)),
+        "succeeded"
+    );
 
     let (code, vtk) = http(&addr, "GET", &format!("/jobs/{name}/artifact"), "");
     assert_eq!(code, 200);
