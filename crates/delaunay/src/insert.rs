@@ -23,7 +23,6 @@ use crate::mesh::{InsertResult, KernelError, OpCtx, OpError};
 use crate::scratch::{KernelScratch, TestEntry};
 use pi2m_faults::{sites, Injected};
 use pi2m_geometry::TET_FACES;
-use pi2m_obs::flight::{cause as flight_cause, EventKind};
 use pi2m_predicates::{insphere_sos_batch, orient3d_batch_gather, BATCH_LANES, MAX_WAVE_LANES};
 
 // `expand_cavity` starts a cell while its wave holds fewer than
@@ -115,17 +114,6 @@ impl OpCtx<'_> {
             }
         }
         let res = self.commit_insert(prep);
-        // Lock-acquisition batch summary for the flight recorder: one event
-        // per committed op instead of one per try-lock (overhead budget).
-        if let Some(f) = &self.flight {
-            f.emit(
-                EventKind::LockBatch,
-                flight_cause::OP_INSERT,
-                self.locked.len() as u32,
-                res.killed.len() as u32,
-                0,
-            );
-        }
         self.unlock_all();
         Ok(res)
     }

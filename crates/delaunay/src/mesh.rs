@@ -298,6 +298,12 @@ impl SharedMesh {
         self.verts.len()
     }
 
+    /// High-water cell-slot count: every slot ever reserved, alive, freed
+    /// or never activated. Bounds the alive cells.
+    pub fn num_cell_slots(&self) -> usize {
+        self.cells.len()
+    }
+
     /// Count alive cells (O(slots); quiescent use).
     pub fn num_alive_cells(&self) -> usize {
         self.cells.alive_ids().count()
@@ -537,8 +543,8 @@ pub struct OpCtx<'m> {
     /// Fault-injection plan (None = nothing armed; a single branch per site).
     pub(crate) faults: Option<Arc<FaultPlan>>,
     /// Flight-recorder writer handle (None = recorder off; a single branch
-    /// per emission site). Emits lock-conflict and lock-batch events on the
-    /// kernel's own lock/insert/remove paths.
+    /// per emission site). Emits a lock-conflict event where the kernel's
+    /// lock path meets a vertex another thread holds.
     pub(crate) flight: Option<FlightHandle>,
     /// Wide-lane filter occupancy/fallback counters (drained like
     /// `pred_stats`).
@@ -699,8 +705,8 @@ impl<'m> OpCtx<'m> {
     }
 
     /// Attach a flight-recorder writer handle: the kernel then emits
-    /// lock-conflict events (conflicting vertex + owner) and per-operation
-    /// lock-batch summaries into the worker's ring.
+    /// lock-conflict events (conflicting vertex + owner) into the worker's
+    /// ring.
     pub fn set_flight(&mut self, handle: FlightHandle) {
         self.flight = Some(handle);
     }
@@ -718,9 +724,8 @@ impl<'m> OpCtx<'m> {
             }
             Ok(false) => Ok(()),
             Err(owner) => {
-                // Conflicts only — successful try-locks are O(ns) and far too
-                // frequent to record individually (the commit-time lock batch
-                // carries the acquisition count instead).
+                // Conflicts only: successful try-locks are O(ns) and far too
+                // frequent to record.
                 if let Some(f) = &self.flight {
                     f.emit(
                         EventKind::LockConflict,

@@ -412,8 +412,8 @@ impl<T: Default> Pool<T> {
     /// Reserve `n` consecutive slots never handed out before and return the
     /// first. (A cell context keeps them on its free list and reuses them
     /// from there.) Each pool is only ever bumped by one `n` — 1 for
-    /// vertices, `CELL_CHUNK` for cells — which divides `SEG_SIZE`, so the
-    /// run lies within one segment.
+    /// vertices and [`append`](Self::append), `CELL_CHUNK` for cells — which
+    /// divides `SEG_SIZE`, so the run lies within one segment.
     ///
     /// The segment is allocated before the length is raised past the run,
     /// so every id below [`len`](Self::len) is backed by memory: a reader
@@ -438,9 +438,24 @@ impl<T: Default> Pool<T> {
             }
         }
     }
+
+    /// Reserve the next slot and return its id, backed by memory. The
+    /// record is whatever the slot holds: a default one the first time, or
+    /// what was written to it before a [`rewind`](Pool::rewind). The caller
+    /// writes it before publishing the id.
+    pub fn append(&self) -> u32 {
+        self.bump(1)
+    }
 }
 
 impl<T> Pool<T> {
+    /// Forget every slot handed out, keeping the memory behind them: the
+    /// next [`append`](Pool::append) hands out id 0 again, record contents
+    /// and all. Exclusive access means no id is in use.
+    pub fn rewind(&mut self) {
+        *self.len.get_mut() = 0;
+    }
+
     /// Number of slots ever reserved (high-water mark). Cell slots are
     /// reserved a chunk at a time, so the tail of this range may never have
     /// been activated: such slots are dead at generation 0. Every id below
@@ -819,6 +834,27 @@ mod tests {
         assert_eq!(cell.index_of(VertexId(2)), Some(2));
         assert_eq!(cell.face_to(CellId(12)), Some(2));
         assert_eq!(cell.face_to(CellId(99)), None);
+    }
+
+    /// `append` hands out consecutive ids across a segment boundary;
+    /// `rewind` starts them over on the same memory, records unchanged.
+    #[test]
+    fn append_and_rewind_reuse_the_segments() {
+        let mut pool: Pool<AtomicU32> = Pool::new();
+        for i in 0..SEG_SIZE as u32 + 3 {
+            let id = pool.append();
+            assert_eq!(id, i);
+            pool.get(id).store(i + 1, Ordering::Relaxed);
+        }
+        let last = pool.get(SEG_SIZE as u32) as *const AtomicU32;
+        pool.rewind();
+        assert!(pool.is_empty());
+        assert_eq!(pool.append(), 0);
+        assert_eq!(pool.get(0).load(Ordering::Relaxed), 1);
+        for _ in 1..=SEG_SIZE {
+            pool.append();
+        }
+        assert!(std::ptr::eq(pool.get(SEG_SIZE as u32), last));
     }
 
     #[test]

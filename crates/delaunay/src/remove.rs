@@ -35,7 +35,6 @@ use crate::mesh::{KernelError, OpCtx, OpError, RemoveResult};
 use crate::scratch::KernelScratch;
 use pi2m_faults::{sites, Injected};
 use pi2m_geometry::{signed_volume, Point3, TET_FACES};
-use pi2m_obs::flight::{cause as flight_cause, EventKind};
 use std::collections::hash_map::Entry;
 
 /// Neighbor specification of a planned fill cell.
@@ -105,16 +104,6 @@ impl OpCtx<'_> {
             }
         }
         let res = self.commit_remove(prep);
-        // Lock-acquisition batch summary (see the insert wrapper).
-        if let Some(f) = &self.flight {
-            f.emit(
-                EventKind::LockBatch,
-                flight_cause::OP_REMOVE,
-                self.locked.len() as u32,
-                res.killed.len() as u32,
-                0,
-            );
-        }
         self.unlock_all();
         Ok(res)
     }

@@ -1,11 +1,12 @@
 //! Offline analysis of a drained flight-recorder timeline: what only the
 //! rings know — who conflicted with whom (hot vertices, hot grid regions,
-//! lock conflicts) and when (a windowed rollback-ratio and lock-wait
-//! series). The result is the run report's `contention` section; where a
-//! worker's time went is the report's `time_attribution`, from the
-//! workers' own sums.
+//! lock conflicts) and when (a windowed rollback and lock-wait series).
+//! The rings hold no committed operations; the commit count comes from the
+//! workers' sums the drain appends. The result is the run report's
+//! `contention` section; where a worker's time went is the report's
+//! `time_attribution`, from the same sums.
 
-use crate::flight::{EventKind, FlightEvent};
+use crate::flight::{EventKind, FlightEvent, SumBucket};
 use crate::json::Json;
 use std::collections::HashMap;
 
@@ -30,28 +31,14 @@ pub struct AnalyzeOpts {
 pub struct WindowStats {
     /// Window start, seconds since the run origin.
     pub t0_s: f64,
-    pub commits: u64,
     pub rollbacks: u64,
     /// CM-park seconds *ending* in this window, summed over threads.
     pub lock_wait_s: f64,
 }
 
-impl WindowStats {
-    pub fn rollback_ratio(&self) -> f64 {
-        ratio(self.rollbacks, self.commits + self.rollbacks)
-    }
-}
-
-fn ratio(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        part as f64 / whole as f64
-    }
-}
-
 /// The contention report derived from one flight-recorder drain. Its
-/// totals count the events the rings kept, not the run's.
+/// conflict totals count the events the rings kept, not the run's;
+/// `commits` is the run's, from the workers' sums.
 #[derive(Clone, Debug, Default)]
 pub struct ContentionReport {
     pub total_events: u64,
@@ -71,7 +58,8 @@ pub struct ContentionReport {
 
 impl ContentionReport {
     pub fn rollback_ratio(&self) -> f64 {
-        ratio(self.rollbacks, self.commits + self.rollbacks)
+        let attempts = self.commits + self.rollbacks;
+        self.rollbacks as f64 / attempts.max(1) as f64
     }
 
     pub fn to_json(&self) -> Json {
@@ -95,9 +83,7 @@ impl ContentionReport {
                     let denom = WINDOW_S * self.threads as f64;
                     Json::obj(vec![
                         ("t0_s", Json::num(w.t0_s)),
-                        ("commits", Json::int(w.commits)),
                         ("rollbacks", Json::int(w.rollbacks)),
-                        ("rollback_ratio", Json::num(w.rollback_ratio())),
                         ("lock_wait_s", Json::num(w.lock_wait_s)),
                         (
                             "lock_wait_fraction",
@@ -161,9 +147,11 @@ pub fn analyze(events: &[FlightEvent], opts: AnalyzeOpts) -> ContentionReport {
     // a foreign tid (corrupt or out-of-range) is skipped
     for e in events.iter().filter(|e| (e.tid as usize) < threads) {
         match e.kind {
-            EventKind::OpCommit => {
-                commits += 1;
-                windows[win_of(e.t_s())].commits += 1;
+            EventKind::WorkerSums => {
+                if let Some((SumBucket::CommittedInsert | SumBucket::CommittedRemove, _)) = e.sum()
+                {
+                    commits += e.c as u64;
+                }
             }
             EventKind::Rollback => {
                 rollbacks += 1;
@@ -185,7 +173,7 @@ pub fn analyze(events: &[FlightEvent], opts: AnalyzeOpts) -> ContentionReport {
     // Drop empty trailing windows (short runs produce mostly-empty tails).
     while windows.len() > 1 {
         let last = windows.last().unwrap();
-        if last.commits == 0 && last.rollbacks == 0 && last.lock_wait_s == 0.0 {
+        if last.rollbacks == 0 && last.lock_wait_s == 0.0 {
             windows.pop();
         } else {
             break;
@@ -222,24 +210,25 @@ mod tests {
         }
     }
 
+    fn opts(threads: usize, wall_s: f64) -> AnalyzeOpts {
+        AnalyzeOpts {
+            threads,
+            wall_s,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn attribution_ranks_hot_vertices_and_regions() {
         let ms = 1_000_000u32;
         let events = vec![
-            e(10, 0, EventKind::OpCommit, 5, 3, ms),
             e(20, 1, EventKind::Rollback, 77, pack_owner_region(0, 9), ms),
             e(30, 1, EventKind::Rollback, 77, pack_owner_region(0, 9), ms),
             e(40, 0, EventKind::Rollback, 42, pack_owner_region(1, 4), ms),
             e(50, 1, EventKind::LockConflict, 77, 0, 1),
+            FlightEvent::worker_sum(100, 0, SumBucket::CommittedInsert, 5_000, 1),
         ];
-        let r = analyze(
-            &events,
-            AnalyzeOpts {
-                threads: 2,
-                wall_s: 0.1,
-                ..Default::default()
-            },
-        );
+        let r = analyze(&events, opts(2, 0.1));
         assert_eq!(r.commits, 1);
         assert_eq!(r.rollbacks, 3);
         assert_eq!(r.lock_conflicts, 1);
@@ -250,26 +239,36 @@ mod tests {
         assert_eq!(r.rollback_ratio(), 0.75);
     }
 
+    /// Commits are the committed buckets' counts, insertions and removals;
+    /// the other sums count something else and add none.
+    #[test]
+    fn commits_come_from_the_worker_sums() {
+        let events: Vec<FlightEvent> = SumBucket::ALL
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &b)| {
+                (0..2u16).map(move |tid| FlightEvent::worker_sum(100, tid, b, 1_000, 10 + i as u32))
+            })
+            .collect();
+        let r = analyze(&events, opts(2, 0.01));
+        assert_eq!(r.commits, 2 * (10 + 11));
+        assert_eq!((r.rollbacks, r.lock_conflicts), (0, 0));
+        assert_eq!(r.total_events, 12);
+    }
+
     #[test]
     fn foreign_tids_and_time_keeping_events_are_not_folded() {
         let ms = 1_000_000u32;
         let events = vec![
-            e(1, 0, EventKind::OpCommit, 1, 0, ms),
             e(2, 0, EventKind::CmUnpark, 0, 0, 2 * ms),
             e(3, 1, EventKind::BegUnpark, 0, 0, 5 * ms),
             e(4, 1, EventKind::Steal, 0, 0, 0),
             e(5, 7, EventKind::Rollback, 3, 0, ms),
+            FlightEvent::worker_sum(6, 7, SumBucket::CommittedInsert, 1, 4),
         ];
-        let r = analyze(
-            &events,
-            AnalyzeOpts {
-                threads: 2,
-                wall_s: 0.01,
-                ..Default::default()
-            },
-        );
+        let r = analyze(&events, opts(2, 0.01));
         assert_eq!(r.total_events, 5);
-        assert_eq!((r.commits, r.rollbacks), (1, 0));
+        assert_eq!((r.commits, r.rollbacks), (0, 0));
         assert!(r.hot_vertices.is_empty());
         assert!((r.windows[0].lock_wait_s - 0.002).abs() < 1e-12);
     }
@@ -278,28 +277,19 @@ mod tests {
     fn windows_bucket_by_time() {
         let ms = 1_000_000u32;
         let mut events = Vec::new();
-        // 4 commits in [0, 0.25), 1 commit + 3 rollbacks in [0.25, 0.5)
-        for i in 0..4 {
-            events.push(e(10 + i, 0, EventKind::OpCommit, 0, 0, ms));
-        }
-        events.push(e(300, 0, EventKind::OpCommit, 0, 0, ms));
+        // 1 rollback and 4 ms of lock wait in [0, 0.25), 3 rollbacks in
+        // [0.25, 0.5)
+        events.push(e(10, 0, EventKind::Rollback, 1, 0, ms));
+        events.push(e(20, 0, EventKind::CmUnpark, 0, 0, 4 * ms));
         for i in 0..3 {
             events.push(e(310 + i, 0, EventKind::Rollback, 1, 0, ms));
         }
-        let r = analyze(
-            &events,
-            AnalyzeOpts {
-                threads: 1,
-                wall_s: 0.5,
-                ..Default::default()
-            },
-        );
+        let r = analyze(&events, opts(1, 0.5));
         assert_eq!(r.windows.len(), 2);
-        assert_eq!(r.windows[0].commits, 4);
-        assert_eq!(r.windows[0].rollbacks, 0);
-        assert_eq!(r.windows[1].commits, 1);
+        assert_eq!(r.windows[0].rollbacks, 1);
+        assert!((r.windows[0].lock_wait_s - 0.004).abs() < 1e-12);
         assert_eq!(r.windows[1].rollbacks, 3);
-        assert_eq!(r.windows[1].rollback_ratio(), 0.75);
+        assert_eq!(r.windows[1].lock_wait_s, 0.0);
     }
 
     #[test]
@@ -312,14 +302,7 @@ mod tests {
             pack_owner_region(1, 2),
             1000,
         )];
-        let r = analyze(
-            &events,
-            AnalyzeOpts {
-                threads: 2,
-                wall_s: 0.001,
-                ..Default::default()
-            },
-        );
+        let r = analyze(&events, opts(2, 0.001));
         let j = crate::json::parse(&r.to_json().dump()).unwrap();
         for key in [
             "total_events",
@@ -338,6 +321,14 @@ mod tests {
         let hv = j.get("hot_vertices").unwrap().as_arr().unwrap();
         assert_eq!(hv[0].get("vertex").unwrap().as_f64(), Some(9.0));
         assert_eq!(hv[0].get("conflicts").unwrap().as_f64(), Some(1.0));
+        let Json::Obj(window) = &j.get("windows").unwrap().as_arr().unwrap()[0] else {
+            panic!("a window is not an object");
+        };
+        let keys: Vec<&str> = window.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["t0_s", "rollbacks", "lock_wait_s", "lock_wait_fraction"]
+        );
     }
 
     #[test]

@@ -5,25 +5,23 @@
 //!
 //! Every category is *measured*, not modeled. A run's attribution comes
 //! from its workers' own sums (`pi2m_refine::stats::time_attribution`),
-//! exact whatever the flight recorder kept. [`attribute`] folds the same
-//! durations out of a drained flight log — the `c` word of the `OpCommit`,
-//! `Rollback`, `CmUnpark`, `BegUnpark` and `Donate` events — and is the
-//! reference the sums are tested against; it covers only what the rings
-//! still held. Committed time is split by op kind (insertions vs R6
-//! removals). The idle remainder absorbs what no category measures
-//! (classification, oracle queries and PEL traffic between operations,
-//! scheduler preemption), which is why [`WorkerAttribution::fractions`]
-//! always sums to ~1.0 by construction: the normalizer is
-//! `max(wall, accounted)` so a worker whose measured time overruns the wall
-//! clock (timer skew, oversubscribed cores) still reports a sane unit
-//! breakdown with `idle = 0`.
+//! exact whatever the flight recorder kept; [`attribute`] folds the same
+//! sums back out of the flight log, where the drain appends them (the
+//! benchmark's traced ledger calls it). Committed time is split by op kind
+//! (insertions vs R6 removals). The idle remainder absorbs what no
+//! category measures (classification, oracle queries and PEL traffic
+//! between operations, scheduler preemption), which is why
+//! [`WorkerAttribution::fractions`] always sums to ~1.0 by construction:
+//! the normalizer is `max(wall, accounted)` so a worker whose measured time
+//! overruns the wall clock (timer skew, oversubscribed cores) still reports
+//! a sane unit breakdown with `idle = 0`.
 //!
 //! Surfaced in the `time_attribution` section of the
 //! [`RunReport`](crate::RunReport), in `pi2m analyze`, and as the
-//! `pi2m_overhead_seconds` gauge; the Chrome trace draws the same
-//! categories over time from the flight log.
+//! `pi2m_overhead_seconds` gauge; the Chrome trace samples the same
+//! categories once per worker from the flight log's sums.
 
-use crate::flight::{cause, EventKind, FlightEvent};
+use crate::flight::{FlightEvent, SumBucket};
 use crate::json::Json;
 
 /// The attribution categories, in serialization order. `Idle` is always the
@@ -131,6 +129,20 @@ impl WorkerAttribution {
             }
         }
         f
+    }
+
+    /// Add `s` seconds to the category a worker sum of `bucket` feeds;
+    /// committed time also lands in its op kind's split.
+    pub(crate) fn add_sum(&mut self, bucket: SumBucket, s: f64) {
+        match bucket {
+            SumBucket::CommittedInsert => self.committed_insert_s += s,
+            SumBucket::CommittedRemove => self.committed_remove_s += s,
+            SumBucket::RolledBack => self.rolled_back_s += s,
+            SumBucket::CmPark => self.cm_park_s += s,
+            SumBucket::BegPark => self.beg_park_s += s,
+            SumBucket::StealDonate => self.steal_donate_s += s,
+        }
+        self.committed_s = self.committed_insert_s + self.committed_remove_s;
     }
 
     fn to_json(self) -> Json {
@@ -273,12 +285,11 @@ impl TimeAttribution {
     }
 }
 
-/// Fold a time-sorted drained event log into the per-worker wall-time
-/// decomposition: the reference the workers' sums are tested against, and
-/// what the benchmark's ledger reads from its traced call. `wall_s` is the
+/// Fold the `WorkerSums` events of a drained flight log, and nothing else,
+/// into the per-worker wall-time decomposition: the run's own attribution,
+/// each sum rounded to whole nanoseconds, at any ring size. `wall_s` is the
 /// refinement-section wall clock; `threads` fixes the worker count so
-/// fully-idle workers still appear. Events a ring overwrote before the
-/// drain are not here, and their time lands in `idle`.
+/// fully-idle workers still appear.
 pub fn attribute(events: &[FlightEvent], threads: usize, wall_s: f64) -> TimeAttribution {
     let threads = threads.max(1);
     let mut per_worker: Vec<WorkerAttribution> = (0..threads)
@@ -288,25 +299,10 @@ pub fn attribute(events: &[FlightEvent], threads: usize, wall_s: f64) -> TimeAtt
         })
         .collect();
     for e in events {
-        let Some(w) = per_worker.get_mut(e.tid as usize) else {
-            continue; // foreign tid (corrupt or out-of-range): skip
+        let (Some(w), Some((bucket, ns))) = (per_worker.get_mut(e.tid as usize), e.sum()) else {
+            continue; // not a sum, or a foreign tid (corrupt or out-of-range)
         };
-        let dur_s = e.c as f64 * 1e-9;
-        match e.kind {
-            EventKind::OpCommit => {
-                w.committed_s += dur_s;
-                if e.cause == cause::OP_REMOVE {
-                    w.committed_remove_s += dur_s;
-                } else {
-                    w.committed_insert_s += dur_s;
-                }
-            }
-            EventKind::Rollback => w.rolled_back_s += dur_s,
-            EventKind::CmUnpark => w.cm_park_s += dur_s,
-            EventKind::BegUnpark => w.beg_park_s += dur_s,
-            EventKind::Donate => w.steal_donate_s += dur_s,
-            _ => {}
-        }
+        w.add_sum(bucket, ns as f64 * 1e-9);
     }
     TimeAttribution::from_workers(wall_s, per_worker)
 }
@@ -314,32 +310,38 @@ pub fn attribute(events: &[FlightEvent], threads: usize, wall_s: f64) -> TimeAtt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::EventKind;
 
-    fn e(tid: u16, kind: EventKind, c_ns: u32) -> FlightEvent {
-        FlightEvent {
-            t_ns: 1_000,
-            kind,
-            cause: 0,
-            tid,
-            a: 0,
-            b: 0,
-            c: c_ns,
-        }
+    const MS: u64 = 1_000_000;
+
+    fn sum(tid: u16, bucket: SumBucket, ns: u64) -> FlightEvent {
+        FlightEvent::worker_sum(1_000, tid, bucket, ns, 1)
     }
 
     #[test]
     fn decomposition_buckets_by_kind_and_tid() {
-        let ms = 1_000_000u32;
+        let ring_event = |kind| FlightEvent {
+            t_ns: 1_000,
+            kind,
+            cause: 0,
+            tid: 0,
+            a: 0,
+            b: 0,
+            c: 9 * MS as u32,
+        };
         let events = vec![
-            e(0, EventKind::OpCommit, 10 * ms),
-            e(0, EventKind::Rollback, 5 * ms),
-            e(0, EventKind::CmUnpark, 2 * ms),
-            e(1, EventKind::BegUnpark, 40 * ms),
-            e(1, EventKind::Donate, ms),
-            e(1, EventKind::OpCommit, 20 * ms),
-            // kinds without a duration payload are ignored
-            e(0, EventKind::Steal, 7 * ms),
-            e(0, EventKind::LockConflict, 9 * ms),
+            sum(0, SumBucket::CommittedInsert, 10 * MS),
+            sum(0, SumBucket::RolledBack, 5 * MS),
+            sum(0, SumBucket::CmPark, 2 * MS),
+            sum(1, SumBucket::BegPark, 40 * MS),
+            sum(1, SumBucket::StealDonate, MS),
+            sum(1, SumBucket::CommittedInsert, 20 * MS),
+            // the rings' events carry durations too, but the sums are the
+            // account: they are not folded
+            ring_event(EventKind::Rollback),
+            ring_event(EventKind::CmUnpark),
+            ring_event(EventKind::Steal),
+            ring_event(EventKind::LockConflict),
         ];
         let a = attribute(&events, 2, 0.1);
         let w0 = &a.per_worker[0];
@@ -354,12 +356,27 @@ mod tests {
         assert!((w1.committed_s - 0.020).abs() < 1e-12);
     }
 
+    /// A sum past `u32::MAX` nanoseconds (4.3 s) survives whole, and a
+    /// sum of a foreign tid is skipped.
+    #[test]
+    fn long_sums_and_foreign_tids() {
+        let events = vec![
+            sum(0, SumBucket::CommittedRemove, 7_000 * MS),
+            sum(5, SumBucket::CommittedInsert, MS),
+        ];
+        let a = attribute(&events, 1, 8.0);
+        assert_eq!(a.per_worker.len(), 1);
+        assert_eq!(a.per_worker[0].committed_remove_s, 7.0);
+        assert_eq!(a.per_worker[0].committed_s, 7.0);
+        assert_eq!(a.per_worker[0].committed_insert_s, 0.0);
+    }
+
     #[test]
     fn committed_splits_by_op_kind_and_sums() {
-        let ms = 1_000_000u32;
-        let mut rem = e(0, EventKind::OpCommit, 30 * ms);
-        rem.cause = cause::OP_REMOVE;
-        let events = vec![e(0, EventKind::OpCommit, 10 * ms), rem, rem];
+        let events = vec![
+            sum(0, SumBucket::CommittedInsert, 10 * MS),
+            sum(0, SumBucket::CommittedRemove, 60 * MS),
+        ];
         let a = attribute(&events, 1, 0.1);
         let w = &a.per_worker[0];
         assert!((w.committed_insert_s - 0.010).abs() < 1e-12);
@@ -380,11 +397,10 @@ mod tests {
 
     #[test]
     fn fractions_sum_to_one_per_worker() {
-        let ms = 1_000_000u32;
         let events = vec![
-            e(0, EventKind::OpCommit, 30 * ms),
-            e(0, EventKind::Rollback, 10 * ms),
-            e(1, EventKind::CmUnpark, 90 * ms),
+            sum(0, SumBucket::CommittedInsert, 30 * MS),
+            sum(0, SumBucket::RolledBack, 10 * MS),
+            sum(1, SumBucket::CmPark, 90 * MS),
         ];
         let a = attribute(&events, 3, 0.05);
         for w in &a.per_worker {
@@ -399,7 +415,7 @@ mod tests {
     fn overrun_clamps_idle_and_still_normalizes() {
         // measured time (90ms) exceeds the wall clock (50ms): idle clamps
         // to zero and fractions normalize over the measured total.
-        let events = vec![e(0, EventKind::OpCommit, 90_000_000)];
+        let events = vec![sum(0, SumBucket::CommittedInsert, 90 * MS)];
         let a = attribute(&events, 1, 0.05);
         let w = &a.per_worker[0];
         assert_eq!(w.idle_s, 0.0);
@@ -410,12 +426,11 @@ mod tests {
 
     #[test]
     fn totals_fractions_and_dominant_waste() {
-        let ms = 1_000_000u32;
         let events = vec![
-            e(0, EventKind::OpCommit, 40 * ms),
-            e(0, EventKind::Rollback, 10 * ms),
-            e(1, EventKind::Rollback, 20 * ms),
-            e(1, EventKind::OpCommit, 20 * ms),
+            sum(0, SumBucket::CommittedInsert, 40 * MS),
+            sum(0, SumBucket::RolledBack, 10 * MS),
+            sum(1, SumBucket::RolledBack, 20 * MS),
+            sum(1, SumBucket::CommittedInsert, 20 * MS),
         ];
         let a = attribute(&events, 2, 0.05);
         assert!((a.total(Category::Committed) - 0.060).abs() < 1e-12);
@@ -431,8 +446,8 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let events = vec![
-            e(0, EventKind::OpCommit, 7_000_000),
-            e(1, EventKind::BegUnpark, 3_000_000),
+            sum(0, SumBucket::CommittedInsert, 7 * MS),
+            sum(1, SumBucket::BegPark, 3 * MS),
         ];
         let a = attribute(&events, 2, 0.02);
         let j = crate::json::parse(&a.to_json().dump()).unwrap();

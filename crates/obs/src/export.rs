@@ -1,11 +1,11 @@
 //! Exporters: Prometheus text exposition and Chrome Trace Event JSON.
 
-use crate::attribution::Category;
+use crate::attribution::{Category, WorkerAttribution};
 use crate::flight::{EventKind, FlightEvent};
 use crate::json::Json;
 use crate::metrics::{bucket_upper_bound, ObsEvent};
 use crate::report::{RunReport, TraceSpan};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Prometheus text exposition (0.0.4 format) of a run report: counters,
@@ -104,19 +104,12 @@ pub fn render_prometheus(report: &RunReport) -> String {
 /// * `events` (worker lifetimes, a served job's lifecycle markers) appear
 ///   on `tid = worker + 1`.
 /// * `flight`, the flight-recorder timeline, lands on the same worker
-///   tracks. Duration-bearing kinds (committed ops, rollbacks, CM parks,
-///   begging waits) render as complete (`"X"`) slices so rollback storms
-///   are visually dense; point-in-time kinds (lock conflicts, steals,
-///   donations, worker deaths) render as instant (`"i"`) markers.
-///   `OpBegin`/`CmPark`/`BegPark` and the lock batches are skipped — their
-///   information is carried by the paired end/summary events.
-///
-/// Each worker with flight events additionally gets a synthetic counter
-/// track (`"ph":"C"`, name `attribution w<tid>`): at every duration-bearing
-/// event, the cumulative seconds per attribution category
-/// ([`crate::attribution::Category`]) are re-emitted, so Perfetto draws the
-/// committed/rolled-back/parked/steal-donate areas growing over the run —
-/// the time-resolved view of the run report's `time_attribution` section.
+///   tracks: rollbacks, CM parks and begging waits as complete (`"X"`)
+///   slices, lock conflicts, steals, donations and worker deaths as instant
+///   (`"i"`) markers (`CmPark`/`BegPark` are skipped: their end events
+///   carry the duration). A worker's `WorkerSums` events become one sample
+///   on its counter track (`"ph":"C"`, `attribution w<tid>`): its seconds
+///   per measured [`Category`], the report's `time_attribution` row.
 ///
 /// All timestamps must share the run-origin time base; they are emitted in
 /// microseconds as the format requires.
@@ -170,54 +163,17 @@ pub fn render_chrome_trace(
         ]));
     }
 
-    // Cumulative attribution seconds per worker, re-emitted as a counter
-    // sample whenever a duration-bearing event lands on that worker.
-    let mut attr_cum: HashMap<u16, [f64; 5]> = HashMap::new();
-    let attr_slot = |kind: EventKind| -> Option<usize> {
-        match kind {
-            EventKind::OpCommit => Some(0),
-            EventKind::Rollback => Some(1),
-            EventKind::CmUnpark => Some(2),
-            EventKind::BegUnpark => Some(3),
-            EventKind::Donate => Some(4),
-            _ => None,
-        }
-    };
+    // Each worker's sums, summed up for its one counter sample.
+    let mut sums: BTreeMap<u16, (u64, WorkerAttribution)> = BTreeMap::new();
     for e in flight {
         let end_us = e.t_ns as f64 * 1e-3;
         let dur_us = e.c as f64 * 1e-3;
         let tid = Json::int(e.tid as u64 + 1);
-        if let Some(slot) = attr_slot(e.kind) {
-            let cum = attr_cum.entry(e.tid).or_default();
-            cum[slot] += e.c as f64 * 1e-9;
-            trace_events.push(Json::obj(vec![
-                ("name", Json::str(format!("attribution w{}", e.tid))),
-                ("cat", Json::str("attribution")),
-                ("ph", Json::str("C")),
-                ("pid", Json::int(1)),
-                ("tid", tid.clone()),
-                ("ts", Json::num(end_us)),
-                (
-                    "args",
-                    Json::Obj(
-                        Category::ALL[..5]
-                            .iter()
-                            .zip(cum.iter())
-                            .map(|(c, &v)| (c.key().to_string(), Json::num(v)))
-                            .collect(),
-                    ),
-                ),
-            ]));
-        }
         match e.kind {
             // duration-bearing: the event is stamped at the *end*; its `c`
             // word is the duration in ns, so the slice starts at t - c.
-            EventKind::OpCommit
-            | EventKind::Rollback
-            | EventKind::CmUnpark
-            | EventKind::BegUnpark => {
+            EventKind::Rollback | EventKind::CmUnpark | EventKind::BegUnpark => {
                 let name = match e.kind {
-                    EventKind::OpCommit => "op",
                     EventKind::Rollback => "rollback",
                     EventKind::CmUnpark => "cm_park",
                     _ => "beg_wait",
@@ -240,8 +196,6 @@ pub fn render_chrome_trace(
                             ("region", Json::int(e.rollback_region() as u64)),
                         ]),
                     ));
-                } else if e.kind == EventKind::OpCommit {
-                    obj.push(("args", Json::obj(vec![("vertex", Json::int(e.a as u64))])));
                 }
                 trace_events.push(Json::obj(obj));
             }
@@ -267,8 +221,34 @@ pub fn render_chrome_trace(
                     ),
                 ]));
             }
-            EventKind::OpBegin | EventKind::CmPark | EventKind::BegPark | EventKind::LockBatch => {}
+            EventKind::WorkerSums => {
+                if let Some((bucket, ns)) = e.sum() {
+                    let (t_ns, w) = sums.entry(e.tid).or_default();
+                    *t_ns = (*t_ns).max(e.t_ns);
+                    w.add_sum(bucket, ns as f64 * 1e-9);
+                }
+            }
+            EventKind::CmPark | EventKind::BegPark => {}
         }
+    }
+    for (tid, (t_ns, w)) in sums {
+        trace_events.push(Json::obj(vec![
+            ("name", Json::str(format!("attribution w{tid}"))),
+            ("cat", Json::str("attribution")),
+            ("ph", Json::str("C")),
+            ("pid", Json::int(1)),
+            ("tid", Json::int(tid as u64 + 1)),
+            ("ts", Json::num(t_ns as f64 * 1e-3)),
+            (
+                "args",
+                Json::Obj(
+                    Category::ALL[..5]
+                        .iter()
+                        .map(|&c| (c.key().to_string(), Json::num(w.get(c))))
+                        .collect(),
+                ),
+            ),
+        ]));
     }
 
     Json::obj(vec![
@@ -418,24 +398,28 @@ mod tests {
         assert!(s.contains("worker 0") && s.contains("worker 1"));
     }
 
+    /// One counter sample per worker, from its sums, whatever else the
+    /// log holds: the rings' duration-bearing events draw slices only.
     #[test]
-    fn chrome_trace_emits_attribution_counter_tracks() {
-        let op = |t_ms: u64, tid: u16, kind: EventKind, dur_ms: u32| FlightEvent {
-            t_ns: t_ms * 1_000_000,
-            kind,
+    fn chrome_trace_samples_attribution_once_per_worker() {
+        use crate::flight::SumBucket;
+        let ms = 1_000_000u64;
+        let sum = |tid: u16, bucket, ns| FlightEvent::worker_sum(9 * ms, tid, bucket, ns, 1);
+        let rollback = FlightEvent {
+            t_ns: 6 * ms,
+            kind: EventKind::Rollback,
             cause: 0,
-            tid,
+            tid: 0,
             a: 0,
             b: 0,
-            c: dur_ms * 1_000_000,
+            c: ms as u32,
         };
         let flight = [
-            op(2, 0, EventKind::OpCommit, 1),
-            op(5, 0, EventKind::OpCommit, 2),
-            op(6, 0, EventKind::Rollback, 1),
-            op(4, 1, EventKind::BegUnpark, 3),
-            // instant kinds do not produce counter samples
-            op(7, 1, EventKind::Steal, 0),
+            rollback,
+            sum(0, SumBucket::CommittedInsert, ms),
+            sum(0, SumBucket::CommittedRemove, 2 * ms),
+            sum(0, SumBucket::RolledBack, ms),
+            sum(1, SumBucket::BegPark, 3 * ms),
         ];
         let s = render_chrome_trace(&[], &[], &flight);
         let j = json::parse(&s).unwrap();
@@ -444,20 +428,23 @@ mod tests {
             .iter()
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
             .collect();
-        // one sample per duration-bearing event
-        assert_eq!(counters.len(), 4);
-        let w0: Vec<&Json> = counters
-            .iter()
-            .copied()
-            .filter(|e| e.get("name").and_then(Json::as_str) == Some("attribution w0"))
-            .collect();
-        assert_eq!(w0.len(), 3);
-        // the committed track accumulates: 1ms, then 3ms
+        assert_eq!(counters.len(), 2);
+        let name = |e: &Json| e.get("name").and_then(Json::as_str).unwrap().to_string();
+        assert_eq!(name(counters[0]), "attribution w0");
+        assert_eq!(name(counters[1]), "attribution w1");
         let arg = |e: &Json, key: &str| e.get("args").unwrap().get(key).unwrap().as_f64().unwrap();
-        assert!((arg(w0[0], "committed") - 0.001).abs() < 1e-12);
-        assert!((arg(w0[1], "committed") - 0.003).abs() < 1e-12);
-        // the rollback sample keeps the committed cumulative and adds waste
-        assert!((arg(w0[2], "committed") - 0.003).abs() < 1e-12);
-        assert!((arg(w0[2], "rolled_back") - 0.001).abs() < 1e-12);
+        // committed sums both op kinds; the sample sits at the sums' time
+        assert!((arg(counters[0], "committed") - 0.003).abs() < 1e-12);
+        assert!((arg(counters[0], "rolled_back") - 0.001).abs() < 1e-12);
+        assert_eq!(counters[0].get("ts").unwrap().as_f64(), Some(9_000.0));
+        assert!((arg(counters[1], "beg_park") - 0.003).abs() < 1e-12);
+        assert_eq!(arg(counters[1], "committed"), 0.0);
+        // the sums draw no slices; the rollback still does
+        let slices: Vec<String> = evs
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .map(name)
+            .collect();
+        assert_eq!(slices, ["rollback"]);
     }
 }

@@ -1,7 +1,7 @@
 //! The concurrency flight recorder: fixed-capacity per-worker SPSC event
-//! rings holding compact binary events for the speculative-op lifecycle
-//! (op begin/commit, rollback + conflicting vertex, lock conflicts, CM
-//! park/unpark, balancer beg/steal/donate, worker death / heir bequest).
+//! rings of conflicts and waits, not operations (rollback + conflicting
+//! vertex, lock conflicts, CM park/unpark, balancer beg/steal/donate,
+//! worker death / heir bequest); the drain appends each worker's time sums.
 //!
 //! Design constraints (see DESIGN.md "Flight recorder & contention
 //! analysis"):
@@ -23,25 +23,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default per-worker ring capacity (events). 16 Ki events × 24 B = 384 KiB
-/// per worker — enough for several seconds of a contended run.
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
+/// Default per-worker ring capacity (events). 4 Ki events × 24 B = 96 KiB
+/// per worker: at ≤ 0.1 events per op, 40 000 ops.
+pub const DEFAULT_RING_CAPACITY: usize = 1 << 12;
 
 /// Version of the on-ring event layout (slot encoding, [`EventKind`] byte
-/// values, and [`cause`] constants). Bumped whenever any of those change, so
-/// archived flight logs and `--report` JSON can be matched to the binary
-/// layout that produced them (`pi2m --version` prints it).
-pub const LAYOUT_VERSION: u32 = 2;
+/// values, and [`cause`] / [`SumBucket`] constants). Bumped whenever any of
+/// those change, so archived flight logs and `--report` JSON can be matched
+/// to the binary layout that produced them (`pi2m --version` prints it).
+pub const LAYOUT_VERSION: u32 = 3;
 
-/// What happened, encoded in the event's kind byte.
+/// What happened, encoded in the event's kind byte. Bytes 1, 2 and 5 are
+/// retired (layout 2's per-operation kinds) and do not decode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// A speculative operation attempt started (`a` = poor-cell id).
-    OpBegin = 1,
-    /// An operation committed (`a` = vertex id, `b` = region code,
-    /// `c` = operation duration in ns; `cause` 0 = insert, 1 = remove).
-    OpCommit = 2,
     /// A rollback (`a` = conflicting vertex id, `b` = owner tid << 16 |
     /// region code, `c` = rolled-back work in ns; `cause` is a
     /// [`cause`] constant).
@@ -49,11 +45,6 @@ pub enum EventKind {
     /// A vertex try-lock failed inside the kernel (`a` = vertex id,
     /// `b` = owning tid, `c` = locks already held).
     LockConflict = 4,
-    /// Lock-acquisition batch summary of one committed kernel operation
-    /// (`a` = locks acquired, `b` = cavity cells; `cause` 0 = insert,
-    /// 1 = remove). Try-locks acquire in O(1), so per-acquire events would
-    /// blow the ≤2% overhead budget; the batch keeps the information.
-    LockBatch = 5,
     /// The contention manager parked this thread.
     CmPark = 6,
     /// The contention manager released this thread (`c` = parked ns).
@@ -73,17 +64,17 @@ pub enum EventKind {
     WorkerDeath = 12,
     /// The dying worker bequeathed its PEL (`a` = heir tid, `b` = items).
     HeirBequest = 13,
+    /// One of a worker's time sums, appended by the drain, never in a ring
+    /// (see [`FlightEvent::worker_sum`]).
+    WorkerSums = 14,
 }
 
 impl EventKind {
     pub fn from_u8(v: u8) -> Option<EventKind> {
         use EventKind::*;
         Some(match v {
-            1 => OpBegin,
-            2 => OpCommit,
             3 => Rollback,
             4 => LockConflict,
-            5 => LockBatch,
             6 => CmPark,
             7 => CmUnpark,
             8 => BegPark,
@@ -92,6 +83,7 @@ impl EventKind {
             11 => Donate,
             12 => WorkerDeath,
             13 => HeirBequest,
+            14 => WorkerSums,
             _ => return None,
         })
     }
@@ -100,11 +92,8 @@ impl EventKind {
     pub fn name(self) -> &'static str {
         use EventKind::*;
         match self {
-            OpBegin => "op_begin",
-            OpCommit => "op_commit",
             Rollback => "rollback",
             LockConflict => "lock_conflict",
-            LockBatch => "lock_batch",
             CmPark => "cm_park",
             CmUnpark => "cm_unpark",
             BegPark => "beg_park",
@@ -113,6 +102,7 @@ impl EventKind {
             Donate => "donate",
             WorkerDeath => "worker_death",
             HeirBequest => "heir_bequest",
+            WorkerSums => "worker_sums",
         }
     }
 }
@@ -125,12 +115,39 @@ pub mod cause {
     pub const REMOVE_CONFLICT: u8 = 1;
     /// Fault injection denied the operation (synthetic self-conflict).
     pub const INJECTED: u8 = 2;
-    /// Op kind for commit/lock-batch events.
-    pub const OP_INSERT: u8 = 0;
-    pub const OP_REMOVE: u8 = 1;
     /// BegUnpark: woken with work vs. run finished.
     pub const BEG_GOT_WORK: u8 = 0;
     pub const BEG_FINISHED: u8 = 1;
+}
+
+/// Which `ThreadStats` time sum a [`EventKind::WorkerSums`] event carries
+/// (its `cause` byte). Its count word counts, in order: insertions,
+/// removals, rollbacks, rollbacks (each consults the CM once), donations
+/// received, donations made.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
+pub enum SumBucket {
+    CommittedInsert = 0,
+    CommittedRemove = 1,
+    RolledBack = 2,
+    CmPark = 3,
+    BegPark = 4,
+    StealDonate = 5,
+}
+
+impl SumBucket {
+    pub const ALL: [SumBucket; 6] = [
+        SumBucket::CommittedInsert,
+        SumBucket::CommittedRemove,
+        SumBucket::RolledBack,
+        SumBucket::CmPark,
+        SumBucket::BegPark,
+        SumBucket::StealDonate,
+    ];
+
+    pub fn from_u8(v: u8) -> Option<SumBucket> {
+        SumBucket::ALL.get(v as usize).copied()
+    }
 }
 
 /// One decoded flight-recorder event.
@@ -149,6 +166,29 @@ pub struct FlightEvent {
 }
 
 impl FlightEvent {
+    /// Worker `tid`'s `bucket` sum at `t_ns`: `ns` nanoseconds (in `a`:`b`,
+    /// high:low) over `count` items (in `c`).
+    pub fn worker_sum(t_ns: u64, tid: u16, bucket: SumBucket, ns: u64, count: u32) -> Self {
+        FlightEvent {
+            t_ns,
+            kind: EventKind::WorkerSums,
+            cause: bucket as u8,
+            tid,
+            a: (ns >> 32) as u32,
+            b: ns as u32,
+            c: count,
+        }
+    }
+
+    /// For worker-sums events: the bucket and its nanoseconds.
+    pub fn sum(&self) -> Option<(SumBucket, u64)> {
+        if self.kind != EventKind::WorkerSums {
+            return None;
+        }
+        let ns = ((self.a as u64) << 32) | self.b as u64;
+        SumBucket::from_u8(self.cause).map(|b| (b, ns))
+    }
+
     pub fn t_s(&self) -> f64 {
         self.t_ns as f64 * 1e-9
     }
@@ -291,8 +331,6 @@ pub struct FlightRecorder {
 pub struct FlightLog {
     pub events: Vec<FlightEvent>,
     pub dropped: u64,
-    /// Per-ring capacity, for the report.
-    pub ring_capacity: usize,
 }
 
 impl FlightRecorder {
@@ -319,14 +357,6 @@ impl FlightRecorder {
         self.origin.elapsed().as_nanos() as u64
     }
 
-    /// Convert an already-taken `Instant` to recorder time. Pure arithmetic
-    /// — lets hot paths that have a timestamp in hand emit without paying a
-    /// second clock read.
-    #[inline]
-    pub fn ns_at(&self, at: Instant) -> u64 {
-        at.saturating_duration_since(self.origin).as_nanos() as u64
-    }
-
     /// A cheap per-worker writer handle (clones the ring `Arc`).
     pub fn handle(&self, tid: usize) -> FlightHandle {
         FlightHandle {
@@ -340,25 +370,8 @@ impl FlightRecorder {
     /// that owns ring `tid` (the rings are single-producer).
     #[inline]
     pub fn emit(&self, tid: usize, kind: EventKind, cause: u8, a: u32, b: u32, c: u32) {
-        self.emit_at(tid, self.now_ns(), kind, cause, a, b, c);
-    }
-
-    /// [`emit`](Self::emit) with a caller-supplied recorder timestamp (from
-    /// [`now_ns`](Self::now_ns) or [`ns_at`](Self::ns_at)).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn emit_at(
-        &self,
-        tid: usize,
-        t_ns: u64,
-        kind: EventKind,
-        cause: u8,
-        a: u32,
-        b: u32,
-        c: u32,
-    ) {
         self.rings[tid].push(&FlightEvent {
-            t_ns,
+            t_ns: self.now_ns(),
             kind,
             cause,
             tid: tid as u16,
@@ -394,11 +407,7 @@ impl FlightRecorder {
             dropped += r.dropped;
         }
         events.sort_by_key(|e| e.t_ns);
-        FlightLog {
-            events,
-            dropped,
-            ring_capacity: self.rings.first().map_or(0, |r| r.capacity()),
-        }
+        FlightLog { events, dropped }
     }
 }
 
@@ -460,16 +469,43 @@ mod tests {
 
     #[test]
     fn bad_kind_does_not_decode() {
-        let mut w = encode(&ev(1, EventKind::OpBegin, 2));
+        let mut w = encode(&ev(1, EventKind::Steal, 2));
         w[1] = (w[1] & !(0xffu64 << 56)) | (200u64 << 56);
         assert!(decode(w).is_none());
+    }
+
+    /// Layout 2's per-operation kinds (op begin, op commit, lock batch)
+    /// are retired: their bytes no longer decode.
+    #[test]
+    fn retired_kind_bytes_do_not_decode() {
+        for retired in [1u8, 2, 5] {
+            assert_eq!(EventKind::from_u8(retired), None);
+        }
+        for kind in (0..=255).filter_map(EventKind::from_u8) {
+            assert_eq!(EventKind::from_u8(kind as u8), Some(kind));
+        }
+    }
+
+    #[test]
+    fn worker_sum_carries_a_u64_of_nanoseconds() {
+        let ns = 5 * (1u64 << 32) + 123_456_789;
+        let e = FlightEvent::worker_sum(42, 3, SumBucket::BegPark, ns, 17);
+        let d = decode(encode(&e)).unwrap();
+        assert_eq!(d, e);
+        assert_eq!(d.sum(), Some((SumBucket::BegPark, ns)));
+        assert_eq!((d.tid, d.c), (3, 17));
+        assert_eq!(ev(1, EventKind::Rollback, 0).sum(), None);
+        for b in SumBucket::ALL {
+            assert_eq!(SumBucket::from_u8(b as u8), Some(b));
+        }
+        assert_eq!(SumBucket::from_u8(6), None);
     }
 
     #[test]
     fn ring_reads_back_in_order() {
         let ring = EventRing::new(16);
         for i in 0..10 {
-            ring.push(&ev(i, EventKind::OpBegin, i as u32));
+            ring.push(&ev(i, EventKind::Rollback, i as u32));
         }
         let r = ring.read_from(0);
         assert_eq!(r.dropped, 0);
@@ -485,7 +521,7 @@ mod tests {
         let ring = EventRing::new(8); // power of two, stays 8
         assert_eq!(ring.capacity(), 8);
         for i in 0..20 {
-            ring.push(&ev(i, EventKind::OpBegin, i as u32));
+            ring.push(&ev(i, EventKind::LockConflict, i as u32));
         }
         let r = ring.read_from(0);
         // 20 pushed into 8 slots: the 12 oldest are gone
@@ -509,7 +545,7 @@ mod tests {
         let mut dropped = 0u64;
         for round in 0..5u64 {
             for i in 0..6 {
-                ring.push(&ev(round * 6 + i, EventKind::OpCommit, 0));
+                ring.push(&ev(round * 6 + i, EventKind::Rollback, 0));
             }
             let r = ring.read_from(cursor);
             cursor = r.cursor;
@@ -523,8 +559,8 @@ mod tests {
     #[test]
     fn recorder_merges_rings_time_sorted() {
         let rec = FlightRecorder::new(3, 64);
-        rec.emit(2, EventKind::OpBegin, 0, 1, 0, 0);
-        rec.emit(0, EventKind::OpCommit, 0, 2, 0, 0);
+        rec.emit(2, EventKind::CmPark, 0, 1, 0, 0);
+        rec.emit(0, EventKind::LockConflict, 0, 2, 0, 0);
         rec.emit(1, EventKind::Rollback, 0, 3, 0, 0);
         let log = rec.drain();
         assert_eq!(log.events.len(), 3);

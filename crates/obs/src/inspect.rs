@@ -761,7 +761,7 @@ mod tests {
     use super::*;
     use crate::analyze::{analyze, AnalyzeOpts};
     use crate::attribution::attribute;
-    use crate::flight::{cause, EventKind, FlightEvent};
+    use crate::flight::{EventKind, FlightEvent, SumBucket};
     use crate::metrics;
 
     fn ev(t_ms: u64, tid: u16, kind: EventKind, a: u32, c: u32) -> FlightEvent {
@@ -796,12 +796,19 @@ mod tests {
         r.to_json_string()
     }
 
+    /// Worker `tid`'s `bucket` sum, appended at the end of the 20 ms wall.
+    fn sum(tid: u16, bucket: SumBucket, ns: u64) -> FlightEvent {
+        FlightEvent::worker_sum(20_000_000, tid, bucket, ns, 1)
+    }
+
     fn sample_report(rollback_ns: u32) -> String {
         let ms = 1_000_000u32;
         report_of(&[
-            ev(1, 0, EventKind::OpCommit, 0, 10 * ms),
             ev(2, 1, EventKind::Rollback, 7, rollback_ns),
             ev(3, 1, EventKind::CmUnpark, 0, 2 * ms),
+            sum(0, SumBucket::CommittedInsert, 10 * ms as u64),
+            sum(1, SumBucket::RolledBack, rollback_ns as u64),
+            sum(1, SumBucket::CmPark, 2 * ms as u64),
         ])
     }
 
@@ -843,12 +850,12 @@ mod tests {
         );
     }
 
-    /// Only `run_report` schema 7 and `job_trace` schema 2 load; an
+    /// Only `run_report` schema 8 and `job_trace` schema 2 load; an
     /// artifact of an older schema, or of a kind no longer written, is
     /// rejected with what it opens with and what the loader reads.
     #[test]
     fn rejects_other_schemas_and_kinds_by_name() {
-        let reads = "pi2m analyze reads kind \"run_report\" schema 7 and \
+        let reads = "pi2m analyze reads kind \"run_report\" schema 8 and \
                      kind \"job_trace\" schema 2";
         for (text, found) in [
             (
@@ -860,8 +867,8 @@ mod tests {
                 "found no kind tag, trace_schema_version 1",
             ),
             (
-                r#"{"kind": "run_report", "schema": 6}"#,
-                "found kind \"run_report\" schema 6",
+                r#"{"kind": "run_report", "schema": 7}"#,
+                "found kind \"run_report\" schema 7",
             ),
             (
                 r#"{"kind": "contention", "schema": 6}"#,
@@ -876,7 +883,7 @@ mod tests {
     #[test]
     fn summary_renders_all_sections() {
         let s = render_summary(&load_artifact(&sample_report(1_000_000)).unwrap());
-        assert!(s.contains("run report (pi2m, schema v7)"), "{s}");
+        assert!(s.contains("run report (pi2m, schema v8)"), "{s}");
         assert!(s.contains("input=phantom:sphere"), "{s}");
         assert!(s.contains("500 elements"), "{s}");
         assert!(s.contains("time attribution"), "{s}");
@@ -888,10 +895,11 @@ mod tests {
 
     #[test]
     fn summary_splits_committed_by_op_kind() {
-        let ms = 1_000_000u32;
-        let mut rem = ev(2, 0, EventKind::OpCommit, 0, 12 * ms);
-        rem.cause = cause::OP_REMOVE;
-        let text = report_of(&[ev(1, 0, EventKind::OpCommit, 0, 4 * ms), rem]);
+        let ms = 1_000_000u64;
+        let text = report_of(&[
+            sum(0, SumBucket::CommittedInsert, 4 * ms),
+            sum(0, SumBucket::CommittedRemove, 12 * ms),
+        ]);
         let s = render_summary(&load_artifact(&text).unwrap());
         let line = |name: &str| {
             s.lines()
@@ -945,7 +953,7 @@ mod tests {
         // a cancelled sharded run can flush the section header without the
         // per-chunk accounting; analyze must render, not error
         let text = r#"{
-            "kind": "run_report", "schema": 7, "tool": "pi2m", "threads": 2, "wall_s": 0.5,
+            "kind": "run_report", "schema": 8, "tool": "pi2m", "threads": 2, "wall_s": 0.5,
             "shard": {"grid": "2x2x2", "halo": 3, "lanes": 4, "seed_points": 0}
         }"#;
         assert!(report(text).shard.expect("shard info").chunks.is_none());
@@ -1024,7 +1032,7 @@ mod tests {
     #[test]
     fn batch_counters_load_and_render() {
         let text = r#"{
-            "kind": "run_report", "schema": 7, "tool": "pi2m", "threads": 1, "wall_s": 0.5,
+            "kind": "run_report", "schema": 8, "tool": "pi2m", "threads": 1, "wall_s": 0.5,
             "counters": {
                 "pred_batch_orient_batches": 100, "pred_batch_orient_lanes": 900,
                 "pred_batch_orient_fallbacks": 9,
@@ -1048,7 +1056,7 @@ mod tests {
     fn classify_line_splits_stale_from_live_pops() {
         let summary = |counters: &str| {
             let text = format!(
-                r#"{{"kind": "run_report", "schema": 7, "tool": "pi2m", "threads": 1,
+                r#"{{"kind": "run_report", "schema": 8, "tool": "pi2m", "threads": 1,
                     "wall_s": 0.5, "counters": {{"ops_total": 100, {counters}}}}}"#
             );
             render_summary(&load_artifact(&text).unwrap())

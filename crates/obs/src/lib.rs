@@ -13,9 +13,9 @@
 //!   and histogram ids, [`ThreadRecorder`] (hot path) and
 //!   [`MetricsSnapshot`] (merged at join).
 //! * [`flight`] + [`mod@analyze`] — the concurrency flight recorder: fixed
-//!   capacity per-worker SPSC event rings for the speculative-op lifecycle,
-//!   drained once after the workers join, and the offline contention
-//!   analyzer.
+//!   capacity per-worker SPSC event rings for conflicts and waits (not
+//!   operations), drained once after the workers join with each worker's
+//!   time sums appended, and the offline contention analyzer.
 //! * [`span`] — RAII wall-clock phase timing ([`Phases`], [`SpanGuard`]).
 //! * [`report`] + [`export`] — the self-describing [`RunReport`] and its
 //!   exporters: structured JSON, Prometheus text exposition, and Chrome

@@ -123,7 +123,7 @@ pub struct RunReport {
 impl RunReport {
     /// The one run-report schema written and read: a report opens with
     /// `"kind": "run_report"` and `"schema"` set to this.
-    pub const SCHEMA_VERSION: u32 = 7;
+    pub const SCHEMA_VERSION: u32 = 8;
 
     pub fn new(tool: &str) -> Self {
         RunReport {
@@ -334,7 +334,7 @@ mod tests {
             assert!(j.get(key).is_some(), "missing key {key}");
         }
         assert_eq!(j.get("kind").unwrap().as_str(), Some("run_report"));
-        assert_eq!(j.get("schema").unwrap().as_f64(), Some(7.0));
+        assert_eq!(j.get("schema").unwrap().as_f64(), Some(8.0));
         // repeated phases aggregate
         assert_eq!(
             j.get("phases").unwrap().get("edt").unwrap().as_f64(),

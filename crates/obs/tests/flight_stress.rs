@@ -24,7 +24,7 @@ fn eight_writers_then_one_drain_accounts_for_every_push() {
             let h = rec.handle(tid);
             s.spawn(move || {
                 for a in 0..PER_WRITER {
-                    h.emit(EventKind::OpCommit, 0, a, expected_b(tid as u16, a), !a);
+                    h.emit(EventKind::Rollback, 0, a, expected_b(tid as u16, a), !a);
                 }
             });
         }
@@ -46,7 +46,7 @@ fn eight_writers_then_one_drain_accounts_for_every_push() {
         assert_eq!(seen, cap, "ring {t} must hold exactly its newest {cap}");
         assert_eq!(r.cursor, PER_WRITER as u64);
         for (e, a) in r.events.iter().zip(PER_WRITER - cap as u32..) {
-            assert_eq!(e.kind, EventKind::OpCommit);
+            assert_eq!(e.kind, EventKind::Rollback);
             assert_eq!(e.tid as usize, t, "event crossed rings");
             assert_eq!(e.a, a, "ring {t}: survivors out of order");
             assert_eq!(e.b, expected_b(t as u16, a), "ring {t}: payload torn");

@@ -40,9 +40,11 @@ pub struct MesherConfig {
     /// production). Threaded into every kernel context and consulted at the
     /// engine's own named sites.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Always-on concurrency flight recorder (per-worker SPSC event rings).
+    /// Always-on concurrency flight recorder (per-worker SPSC event rings
+    /// of conflicts and waits).
     pub flight: bool,
-    /// Per-worker ring capacity in events (rounded up to a power of two).
+    /// Per-worker ring capacity in events (rounded up to a power of two;
+    /// default [`DEFAULT_RING_CAPACITY`], 4 Ki).
     pub flight_capacity: usize,
 }
 
@@ -82,7 +84,8 @@ pub struct MeshOutput {
     /// origin.
     pub phases: Vec<TraceSpan>,
     /// Flight-recorder events (time-sorted, shifted into the run-origin time
-    /// base). Empty when the recorder was disabled.
+    /// base): the conflicts and waits the rings kept, then each worker's
+    /// `WorkerSums` events. Empty when the recorder was disabled.
     pub flight: Vec<FlightEvent>,
     /// Events lost to ring overwrites (rings keep the newest window).
     pub flight_dropped: u64,

@@ -35,7 +35,7 @@ mod tests {
     use pi2m_delaunay::VertexKind;
     use pi2m_geometry::Aabb;
     use pi2m_image::phantoms;
-    use pi2m_obs::flight::EventKind;
+    use pi2m_obs::flight::{EventKind, SumBucket};
     use pi2m_obs::metrics;
 
     fn small_run(threads: usize, cm: CmKind) -> MeshOutput {
@@ -148,24 +148,38 @@ mod tests {
         }
     }
 
+    /// The drained log ends with six `WorkerSums` events per worker, whose
+    /// committed counts are the run's operations.
     #[test]
-    fn flight_records_op_lifecycle() {
+    fn flight_log_ends_with_every_workers_sums() {
         let out = small_run(2, CmKind::Local);
-        assert!(!out.flight.is_empty(), "recorder on by default");
         // drained log is time-sorted
         assert!(out.flight.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
-        let commits = out
+        let (ring, sums) = out
             .flight
-            .iter()
-            .filter(|e| e.kind == EventKind::OpCommit)
-            .count() as u64;
-        let total = out.stats.total_operations();
-        assert!(commits > 0, "no commits recorded");
-        assert!(commits <= total, "more commits than operations");
-        // without ring wrap, one commit per completed operation
-        if out.flight_dropped == 0 {
-            assert_eq!(commits, total, "commits {commits} vs operations {total}");
+            .split_at(out.flight.len() - 2 * SumBucket::ALL.len());
+        assert!(sums.iter().all(|e| e.kind == EventKind::WorkerSums));
+        assert!(ring.iter().all(|e| e.kind != EventKind::WorkerSums));
+        for tid in 0..2 {
+            let mine: Vec<SumBucket> = sums
+                .iter()
+                .filter(|e| e.tid == tid)
+                .filter_map(|e| e.sum().map(|(b, _)| b))
+                .collect();
+            assert_eq!(mine, SumBucket::ALL, "worker {tid}");
         }
+        let commits: u64 = sums
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.sum(),
+                    Some((SumBucket::CommittedInsert | SumBucket::CommittedRemove, _))
+                )
+            })
+            .map(|e| e.c as u64)
+            .sum();
+        assert!(commits > 0, "no commits summed");
+        assert_eq!(commits, out.stats.total_operations());
     }
 
     #[test]

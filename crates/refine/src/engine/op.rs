@@ -8,10 +8,13 @@
 //! contention manager, the begging list, and the flight recorder observe:
 //!
 //! ```text
-//! OpBegin → execute → OpCommit  → progress → CM success → enqueue created
-//!                   ↘ Rollback  → overheads → op conflict hook → CM rollback
-//!                   ↘ rejection → per-kind counters (quarantine / skip / block)
+//! execute → commit    → time sums → progress → CM success → enqueue created
+//!         ↘ Rollback  → overheads → op conflict hook → CM rollback
+//!         ↘ rejection → per-kind counters (quarantine / skip / block)
 //! ```
+//!
+//! Only the rollback is a flight event: committed work lands in the
+//! worker's time sums, which the drain appends to the flight log.
 
 use super::worker::{handle_created, push_own, Env, PelEnd};
 use crate::stats::ThreadStats;
@@ -94,24 +97,14 @@ pub(crate) enum OpOutcome {
 
 /// One speculative operation kind. Implementations provide only what
 /// genuinely differs between insertions and removals; everything the rest of
-/// the system observes (flight events, progress, CM calls, overhead
+/// the system observes (rollback events, progress, CM calls, overhead
 /// accounting, created-cell handling) lives once, in [`run_op`].
 pub(crate) trait SpeculativeOp {
-    /// Flight cause byte tagging OpBegin/OpCommit events
-    /// ([`flight_cause::OP_INSERT`] / [`flight_cause::OP_REMOVE`]).
-    fn kind_cause(&self) -> u8;
-
     /// Flight cause byte tagging a conflict rollback.
     fn conflict_cause(&self) -> u8;
 
-    /// Payload word `a` of the OpBegin event (poor cell / victim vertex).
-    fn begin_id(&self) -> u32;
-
     /// Run the operation through the kernel.
     fn execute(&self, ctx: &mut OpCtx<'_>) -> Result<OpResult, OpError>;
-
-    /// Payload word `a` of the OpCommit event.
-    fn commit_id(&self, res: &OpResult) -> u32;
 
     /// Per-kind commit counters/histograms, and the op's `secs` added to its
     /// kind's committed time (`operations` and cell counts are common and
@@ -158,28 +151,13 @@ impl InsertOp {
 }
 
 impl SpeculativeOp for InsertOp {
-    fn kind_cause(&self) -> u8 {
-        flight_cause::OP_INSERT
-    }
-
     fn conflict_cause(&self) -> u8 {
         flight_cause::INSERT_CONFLICT
-    }
-
-    fn begin_id(&self) -> u32 {
-        self.cid
     }
 
     fn execute(&self, ctx: &mut OpCtx<'_>) -> Result<OpResult, OpError> {
         ctx.insert_for(self.point, self.kind, CellId(self.cid), self.gen)
             .map(OpResult::Inserted)
-    }
-
-    fn commit_id(&self, res: &OpResult) -> u32 {
-        match res {
-            OpResult::Inserted(r) => r.vertex.0,
-            OpResult::Removed(_) => unreachable!("insert op yielded a removal result"),
-        }
     }
 
     fn count_commit(
@@ -247,24 +225,12 @@ pub(crate) struct RemoveOp {
 }
 
 impl SpeculativeOp for RemoveOp {
-    fn kind_cause(&self) -> u8 {
-        flight_cause::OP_REMOVE
-    }
-
     fn conflict_cause(&self) -> u8 {
         flight_cause::REMOVE_CONFLICT
     }
 
-    fn begin_id(&self) -> u32 {
-        self.victim.0
-    }
-
     fn execute(&self, ctx: &mut OpCtx<'_>) -> Result<OpResult, OpError> {
         ctx.remove(self.victim).map(OpResult::Removed)
-    }
-
-    fn commit_id(&self, _res: &OpResult) -> u32 {
-        self.victim.0
     }
 
     fn count_commit(
@@ -305,10 +271,10 @@ impl SpeculativeOp for RemoveOp {
     }
 }
 
-/// Execute one speculative operation through the shared lifecycle: flight
-/// begin/commit/rollback events, progress notes, contention-manager
-/// consultation, overhead accounting, and created-cell enqueueing all happen
-/// here, identically for every op kind.
+/// Execute one speculative operation through the shared lifecycle: the
+/// rollback event, progress notes, contention-manager consultation,
+/// overhead accounting, and created-cell enqueueing all happen here,
+/// identically for every op kind.
 pub(crate) fn run_op(
     env: &Env<'_>,
     tid: usize,
@@ -319,15 +285,6 @@ pub(crate) fn run_op(
     op: &dyn SpeculativeOp,
 ) -> OpOutcome {
     let t0 = Instant::now();
-    env.sync.flight_emit_at(
-        tid,
-        t0,
-        EventKind::OpBegin,
-        op.kind_cause(),
-        op.begin_id(),
-        0,
-        0,
-    );
     match op.execute(ctx) {
         Ok(res) => {
             let t_end = Instant::now();
@@ -335,15 +292,6 @@ pub(crate) fn run_op(
             stats.cells_created += res.created().len() as u64;
             stats.cells_killed += res.killed_len() as u64;
             op.count_commit(stats, rec, &res, (t_end - t0).as_secs_f64());
-            env.sync.flight_emit_at(
-                tid,
-                t_end,
-                EventKind::OpCommit,
-                op.kind_cause(),
-                op.commit_id(&res),
-                region as u32,
-                dur_ns_u32(t_end - t0),
-            );
             env.sync.note_progress(t_end);
             env.cm.on_success(tid);
             op.after_commit(env, tid, rec, &res);
@@ -355,9 +303,8 @@ pub(crate) fn run_op(
             stats.rollbacks += 1;
             let t_end = Instant::now();
             let rolled = (t_end - t0).as_secs_f64();
-            env.sync.flight_emit_at(
+            env.sync.flight_emit(
                 tid,
-                t_end,
                 EventKind::Rollback,
                 op.conflict_cause(),
                 vertex.0,

@@ -52,7 +52,8 @@ pub struct RunOptions {
 /// [`RefineError::Cancelled`].
 #[derive(Clone, Debug, Default)]
 pub struct CancelTelemetry {
-    /// Flight events drained at cancellation, re-based onto the run clock.
+    /// Flight events drained at cancellation, re-based onto the run clock,
+    /// each worker's `WorkerSums` events last.
     pub flight: Vec<pi2m_obs::FlightEvent>,
     /// Events lost to ring overwrites during this run.
     pub flight_dropped: u64,
@@ -436,7 +437,9 @@ fn run_pipeline(
 /// The telemetry tail of every run that reached refinement, completed or
 /// cancelled, once its workers have joined. Drains this run's flight events,
 /// re-based onto the run clock, and parks the recorder with its cursors past
-/// them, so the next run on these rings does not replay them. Merges the
+/// them, so the next run on these rings does not replay them. Each worker's
+/// time sums follow the drained events, stamped at the drain: they never
+/// sit in a ring, so no ring size drops them. Merges the
 /// pipeline's and every worker's recorder into one snapshot, worker events
 /// shifted into the run-origin time base: the workers are done, so these are
 /// plain reads, and the whole run records without a single atomic RMW. Then
@@ -456,12 +459,17 @@ fn drain_telemetry(
             mut cursors,
             base_ns,
         }) => {
+            // after every ring event, on the same clock
+            let sums_ns = (rec.now_ns() as i128 - base_ns).max(0) as u64;
             let mut log = rec.drain_from(&mut cursors);
             for e in &mut log.events {
                 // recorder clock → run clock
                 e.t_ns = (e.t_ns as i128 - base_ns).max(0) as u64;
             }
             pool.park_flight(rec, cursors, cfg.flight_capacity);
+            for (tid, st) in per_thread.iter().enumerate() {
+                log.events.extend(st.sum_events(tid as u16, sums_ns));
+            }
             (log.events, log.dropped)
         }
         None => (Vec::new(), 0),

@@ -188,8 +188,8 @@ pub(crate) fn worker(
         .mesh
         .make_ctx_with_faults(tid as u32, env.cfg.faults.clone());
     ctx.install_scratch(std::mem::take(arena));
-    // Hand the kernel this worker's ring so lock-path events (conflicts,
-    // commit-time lock batches) land on the same per-thread timeline.
+    // Hand the kernel this worker's ring so its lock conflicts land on the
+    // same per-thread timeline.
     if let Some(rec) = env.sync.flight() {
         ctx.set_flight(rec.handle(tid));
     }

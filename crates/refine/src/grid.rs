@@ -5,46 +5,32 @@
 //! answered by this grid, keyed at cell size δ. Entries are never physically
 //! removed (removed vertices are filtered by their alive flag at query
 //! time), so a bucket is an append-only singly linked list: an atomic head
-//! index into a segmented pool of nodes, each holding the vertex id, a copy
-//! of its position and the index of the next node. An insert writes its node
-//! and publishes it with one compare-and-swap on the bucket head; a query
-//! loads the head and follows `next`. Neither takes a lock, and a query
-//! writes nothing at all.
+//! index into a pool of 8-byte nodes, each holding the vertex id and the
+//! index of the next node. A node keeps no position: a query reads it from
+//! the vertex record it reads anyway for the alive flag and the kind. An
+//! insert writes its node and publishes it with one compare-and-swap on the
+//! bucket head; a query loads the head and follows `next`. Neither takes a
+//! lock, and a query writes nothing at all.
 
+use pi2m_delaunay::pool::Pool;
 use pi2m_delaunay::{SharedMesh, VertexId, VertexKind};
 use pi2m_geometry::Point3;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 const BUCKETS: usize = 1 << 15;
 /// End-of-list / empty-bucket marker.
 const NIL: u32 = u32::MAX;
-/// log2 of the node-pool segment capacity.
-const SEG_SHIFT: u32 = 13;
-const SEG_SIZE: usize = 1 << SEG_SHIFT;
-/// Segment table length: caps the grid at 64 Mi entries.
-const MAX_SEGS: usize = 1 << 13;
 
-/// One grid entry. Every field is written once, before the node is
+/// One grid entry. Both fields are written once, before the node is
 /// published through its bucket head, and not again until
-/// [`PointGrid::reset`] (which holds `&mut`), so relaxed accesses suffice and
-/// a reader can never see a half-written position.
+/// [`PointGrid::reset`] (which holds `&mut`), so relaxed accesses suffice.
+/// The vertex's position, kind and alive flag are its record's, in the
+/// mesh: the kernel writes the position once, before the vertex reaches
+/// the grid, and the head's release/acquire pair carries it to a reader.
+#[derive(Default)]
 struct Node {
     vertex: AtomicU32,
-    pos: [AtomicU64; 3],
     next: AtomicU32,
-}
-
-type Segment = Box<[Node]>;
-
-fn new_segment() -> Segment {
-    (0..SEG_SIZE)
-        .map(|_| Node {
-            vertex: AtomicU32::new(NIL),
-            pos: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            next: AtomicU32::new(NIL),
-        })
-        .collect()
 }
 
 /// Lock-free spatial hash over vertex positions.
@@ -52,11 +38,9 @@ pub struct PointGrid {
     cell: f64,
     /// Per bucket, the index of its most recently inserted node.
     heads: Box<[AtomicU32]>,
-    /// Lazily allocated node segments; a warm session keeps them across
-    /// runs.
-    segs: Box<[OnceLock<Segment>]>,
-    /// Nodes handed out since the last reset.
-    len: AtomicU32,
+    /// The nodes, segments allocated as they fill; a warm session keeps
+    /// them across runs.
+    nodes: Pool<Node>,
 }
 
 impl PointGrid {
@@ -66,8 +50,7 @@ impl PointGrid {
         PointGrid {
             cell,
             heads: (0..BUCKETS).map(|_| AtomicU32::new(NIL)).collect(),
-            segs: (0..MAX_SEGS).map(|_| OnceLock::new()).collect(),
-            len: AtomicU32::new(0),
+            nodes: Pool::new(),
         }
     }
 
@@ -90,16 +73,6 @@ impl PointGrid {
         (h as usize) & (BUCKETS - 1)
     }
 
-    /// The node at pool index `i`, which a bucket list handed us: its
-    /// segment was allocated before the index was published.
-    #[inline]
-    fn node(&self, i: u32) -> &Node {
-        let seg = self.segs[(i >> SEG_SHIFT) as usize]
-            .get()
-            .expect("published grid node lies in an allocated segment");
-        &seg[i as usize & (SEG_SIZE - 1)]
-    }
-
     /// Reset the grid for a new run at cell size `cell`: every bucket
     /// emptied and the node pool rewound, its segments kept — a warm
     /// session's pool recycles one grid across runs instead of reallocating
@@ -110,22 +83,15 @@ impl PointGrid {
         for head in self.heads.iter_mut() {
             *head.get_mut() = NIL;
         }
-        *self.len.get_mut() = 0;
+        self.nodes.rewind();
     }
 
-    /// Register a vertex at position `p`.
+    /// Register vertex `v`, which lies at `p` (its own position: the grid
+    /// reads it back from the vertex record).
     pub fn insert(&self, v: VertexId, p: [f64; 3]) {
-        let i = self.len.fetch_add(1, Ordering::Relaxed);
-        let seg = self
-            .segs
-            .get((i >> SEG_SHIFT) as usize)
-            .expect("proximity grid node space exhausted")
-            .get_or_init(new_segment);
-        let node = &seg[i as usize & (SEG_SIZE - 1)];
+        let i = self.nodes.append();
+        let node = self.nodes.get(i);
         node.vertex.store(v.0, Ordering::Relaxed);
-        for (slot, x) in node.pos.iter().zip(p) {
-            slot.store(x.to_bits(), Ordering::Relaxed);
-        }
         // Publish: the release half makes this node's fields (and its
         // segment) visible to whoever acquires the head; the acquire half
         // keeps the chain behind it visible through us.
@@ -186,14 +152,14 @@ impl PointGrid {
     ) -> bool {
         let mut i = head;
         while i != NIL {
-            let node = self.node(i);
+            let node = self.nodes.get(i);
             i = node.next.load(Ordering::Relaxed);
-            let vp = [0, 1, 2].map(|k| f64::from_bits(node.pos[k].load(Ordering::Relaxed)));
+            let v = VertexId(node.vertex.load(Ordering::Relaxed));
+            let vx = mesh.vertex(v);
+            let vp = vx.pos();
             if q.distance_squared(Point3::from_array(vp)) > r2 {
                 continue;
             }
-            let v = VertexId(node.vertex.load(Ordering::Relaxed));
-            let vx = mesh.vertex(v);
             if vx.is_alive() && filter(vx.kind()) && !visit(v, vp) {
                 return false;
             }
@@ -373,7 +339,7 @@ mod tests {
         assert!(!g.any_near(&m, [2.0, 2.0, 2.0], 3.0, VertexKind::Isosurface));
         // the next run's entries reuse the first nodes of the kept segment
         g.insert(vs[2], m.pos3(vs[2]));
-        assert_eq!(*g.len.get_mut(), 1);
+        assert_eq!(g.nodes.len(), 1);
         assert!(g.any_near(&m, [8.0, 8.0, 8.0], 0.1, VertexKind::Isosurface));
         assert!(!g.any_near(&m, [2.0, 2.0, 2.0], 0.1, VertexKind::Isosurface));
     }
@@ -591,5 +557,92 @@ mod tests {
         }
         // the comparison saw both answers of each query, and dead entries
         assert!(removed > 0 && separated > 0 && separated < all.len() && victims > 0);
+    }
+
+    const KINDS: [VertexKind; 3] = [
+        VertexKind::Isosurface,
+        VertexKind::SurfaceCenter,
+        VertexKind::Circumcenter,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Every query, at radii 0, δ/2, δ, 2δ and ∞, answers what a scan
+        /// of every vertex ever registered answers: the alive vertices of
+        /// the asked kinds within the radius. Some vertices are removed
+        /// after registration, as R6 does; queries sit at random points
+        /// and on vertices (where radius 0 still finds the vertex).
+        #[test]
+        fn queries_equal_brute_force(
+            cell in 0.3f64..3.0,
+            n in 1usize..48,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let m = SharedMesh::with_box(Aabb::new(Point3::ORIGIN, Point3::new(10.0, 10.0, 10.0)));
+            let grid = PointGrid::new(cell);
+            let mut ctx = m.make_ctx(0);
+            let mut x = seed | 1;
+            let mut all = Vec::new();
+            let mut doomed = Vec::new();
+            for _ in 0..n {
+                let p = [0; 3].map(|_| 0.5 + 9.0 * xorshift(&mut x));
+                let kind = KINDS[(3.0 * xorshift(&mut x)) as usize];
+                if let Ok(r) = ctx.insert(p, kind) {
+                    grid.insert(r.vertex, p);
+                    all.push(r.vertex);
+                    if xorshift(&mut x) < 0.3 {
+                        doomed.push(r.vertex);
+                    }
+                    ctx.recycle_insert(r);
+                }
+            }
+            let queries: Vec<[f64; 3]> =
+                (0..4).map(|_| [0; 3].map(|_| 10.0 * xorshift(&mut x))).collect();
+            for v in doomed {
+                if let Ok(r) = ctx.remove(v) {
+                    ctx.recycle_remove(r);
+                }
+            }
+            let on_vertices = all.iter().take(3).map(|&v| m.pos3(v));
+            for q in queries.iter().copied().chain(on_vertices) {
+                for r in [0.0, cell / 2.0, cell, 2.0 * cell, f64::INFINITY] {
+                    let brute = |pass: &dyn Fn(VertexKind) -> bool| -> Vec<VertexId> {
+                        all.iter()
+                            .copied()
+                            .filter(|&v| {
+                                let vx = m.vertex(v);
+                                vx.is_alive()
+                                    && pass(vx.kind())
+                                    && Point3::from_array(q).distance_squared(m.position(v)) <= r * r
+                            })
+                            .collect()
+                    };
+                    // a cube of cells can hash two of its cells to one
+                    // bucket and list a vertex twice: compare as sets
+                    let set = |mut v: Vec<VertexId>| {
+                        v.sort_unstable_by_key(|u| u.0);
+                        v.dedup();
+                        v
+                    };
+                    let surface = brute(&|k| matches!(k, VertexKind::Isosurface | VertexKind::SurfaceCenter));
+                    proptest::prop_assert_eq!(grid.any_surface_sample_near(&m, q, r), !surface.is_empty());
+                    for kind in KINDS {
+                        let want = brute(&|k| k == kind);
+                        proptest::prop_assert_eq!(grid.any_near(&m, q, r, kind), !want.is_empty());
+                        let mut seen = Vec::new();
+                        grid.for_each_near(&m, q, r, kind, |v, vp| {
+                            assert_eq!(vp, m.pos3(v));
+                            seen.push(v);
+                            true
+                        });
+                        proptest::prop_assert_eq!(set(seen), want.clone(), "for_each_near {:?} r {}", kind, r);
+                        // R6's victims query
+                        let victims = grid.collect_near(&m, q, r, kind);
+                        proptest::prop_assert_eq!(set(victims), want, "collect_near {:?} r {}", kind, r);
+                    }
+                }
+            }
+        }
     }
 }

@@ -44,11 +44,23 @@ impl FinalMesh {
     /// Extract from the shared triangulation at quiescence: scan the cell
     /// pool and keep alive cells whose circumcenter lies inside O, labeling
     /// each by the tissue at its circumcenter.
+    ///
+    /// The arrays are reserved up front, by the cell slots and the
+    /// vertices the scan can meet, so none of them regrows — copying itself
+    /// into a buffer twice its size — while the whole triangulation is
+    /// still resident. Pages of the reservation the scan never writes are
+    /// never touched.
     pub fn extract(mesh: &SharedMesh, oracle: &IsosurfaceOracle) -> FinalMesh {
         const UNSEEN: u32 = u32::MAX;
-        let mut out = FinalMesh::default();
+        let (slots, vertices) = (mesh.num_cell_slots(), mesh.num_vertices());
+        let mut out = FinalMesh {
+            points: Vec::with_capacity(vertices),
+            point_kinds: Vec::with_capacity(vertices),
+            tets: Vec::with_capacity(slots),
+            labels: Vec::with_capacity(slots),
+        };
         // Vertex id → point index, assigned in first-seen order.
-        let mut vmap = vec![UNSEEN; mesh.num_vertices()];
+        let mut vmap = vec![UNSEEN; vertices];
         for c in mesh.alive_cells() {
             let cell = mesh.cell(c);
             let p = mesh.cell_points(c);

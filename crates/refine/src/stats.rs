@@ -5,6 +5,7 @@
 //! The worker sums are the run's one account of worker time:
 //! [`time_attribution`] turns them into the attribution every artifact shows.
 
+use pi2m_obs::flight::{FlightEvent, SumBucket};
 use pi2m_obs::{TimeAttribution, WorkerAttribution};
 
 /// Per-thread counters; owned exclusively by its worker, merged at join.
@@ -44,12 +45,33 @@ pub struct ThreadStats {
     pub steal_donate_s: f64,
 }
 
+impl ThreadStats {
+    /// This worker's time sums as flight-log events stamped `t_ns`: one
+    /// `WorkerSums` event per [`SumBucket`], its seconds rounded to whole
+    /// nanoseconds, its count the operations or handoffs it sums.
+    pub fn sum_events(&self, tid: u16, t_ns: u64) -> [FlightEvent; 6] {
+        use SumBucket::*;
+        [
+            (CommittedInsert, self.committed_insert_s, self.insertions),
+            (CommittedRemove, self.committed_remove_s, self.removals),
+            (RolledBack, self.rolled_back_s, self.rollbacks),
+            (CmPark, self.cm_park_s, self.rollbacks),
+            (BegPark, self.beg_park_s, self.donations_received),
+            (StealDonate, self.steal_donate_s, self.donations_made),
+        ]
+        .map(|(bucket, s, n)| {
+            let ns = (s * 1e9).round() as u64;
+            FlightEvent::worker_sum(t_ns, tid, bucket, ns, n.min(u32::MAX as u64) as u32)
+        })
+    }
+}
+
 /// The run's wall-time attribution, from the workers' own sums: worker `t`
 /// is `per_thread[t]`, and whatever part of `wall_s` its sums do not cover
 /// is its idle remainder. Exact at any flight-ring size and with the
-/// recorder off; the fold over flight events
-/// ([`pi2m_obs::attribution::attribute`]) agrees with it to within the
-/// nanosecond each event's `u32` duration word truncates.
+/// recorder off; folding the [`ThreadStats::sum_events`] the drain appends
+/// to the flight log ([`pi2m_obs::attribution::attribute`]) gives it back
+/// to within the half nanosecond each sum is rounded by.
 pub fn time_attribution(per_thread: &[ThreadStats], wall_s: f64) -> TimeAttribution {
     let workers = per_thread
         .iter()
@@ -155,6 +177,43 @@ mod tests {
         };
         assert_eq!(stats.total_rollbacks(), 8);
         assert_eq!(stats.elements_per_second(), 50.0);
+    }
+
+    /// The sums the drain appends fold back into the attribution the sums
+    /// give directly, bucket by bucket, each within half a nanosecond.
+    #[test]
+    fn sum_events_fold_back_into_the_attribution() {
+        let t = ThreadStats {
+            insertions: 7,
+            removals: 2,
+            rollbacks: 3,
+            donations_made: 1,
+            committed_insert_s: 1.234_567_890_4,
+            committed_remove_s: 5.000_000_000_6,
+            rolled_back_s: 0.1,
+            cm_park_s: 0.02,
+            beg_park_s: 0.003,
+            steal_donate_s: 4e-10,
+            ..Default::default()
+        };
+        let per_thread = [ThreadStats::default(), t];
+        let events: Vec<FlightEvent> = per_thread
+            .iter()
+            .enumerate()
+            .flat_map(|(tid, st)| st.sum_events(tid as u16, 99))
+            .collect();
+        assert!(events.iter().all(|e| e.t_ns == 99));
+        let want = time_attribution(&per_thread, 10.0);
+        let got = pi2m_obs::attribute(&events, 2, 10.0);
+        for (w, g) in want.per_worker.iter().zip(&got.per_worker) {
+            for cat in pi2m_obs::Category::ALL {
+                assert!((w.get(cat) - g.get(cat)).abs() <= 3e-9, "{cat:?}");
+            }
+            assert!((w.committed_insert_s - g.committed_insert_s).abs() <= 0.5e-9);
+            assert!((w.committed_remove_s - g.committed_remove_s).abs() <= 0.5e-9);
+        }
+        let counts: Vec<u32> = per_thread[1].sum_events(1, 0).map(|e| e.c).to_vec();
+        assert_eq!(counts, [7, 2, 3, 3, 0, 1]);
     }
 
     #[test]

@@ -79,25 +79,6 @@ impl EngineSync {
         }
     }
 
-    /// [`flight_emit`](Self::flight_emit) stamped with an `Instant` the hot
-    /// path already took — avoids a second clock read per event.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn flight_emit_at(
-        &self,
-        tid: usize,
-        at: Instant,
-        kind: EventKind,
-        cause: u8,
-        a: u32,
-        b: u32,
-        c: u32,
-    ) {
-        if let Some(rec) = &self.flight {
-            rec.emit_at(tid, rec.ns_at(at), kind, cause, a, b, c);
-        }
-    }
-
     #[inline]
     pub fn is_done(&self) -> bool {
         self.done.load(Ordering::Acquire)

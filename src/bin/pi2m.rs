@@ -111,18 +111,25 @@ fn positive_finite(args: &Args, name: &str) -> Result<Option<f64>, String> {
         .transpose()
 }
 
+/// The most threads one `--threads` or `--sessions` may ask for: four times
+/// the paper's largest run (256 cores). A count in the tens of thousands
+/// would exhaust the process's threads before the first mesh.
+const MAX_THREADS: usize = 1024;
+
 /// Parse and bound-check the mesh options. A bad `--threads`, `--delta` or
 /// `--size` is refused here, naming its flag, before any input is loaded.
 fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
     let delta = positive_finite(args, "delta")?;
     let threads = match args.flags.get("threads") {
         Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => return Err(format!("bad --threads '{v}': must be an integer >= 1")),
+            Ok(n) if (1..=MAX_THREADS).contains(&n) => n,
+            _ => {
+                return Err(format!(
+                    "bad --threads '{v}': must be an integer from 1 to {MAX_THREADS}"
+                ))
+            }
         },
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        None => std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_THREADS)),
     };
     let cm = match args.flags.get("cm").map(String::as_str) {
         None | Some("local") => CmKind::Local,
@@ -683,6 +690,12 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         .unwrap_or_else(|| "127.0.0.1:7473".into());
     let sessions = parse_usize("sessions", 2)?.max(1);
     let threads = parse_usize("threads", 2)?.max(1);
+    // refused before a slot or pool thread is spawned
+    for (name, n) in [("sessions", sessions), ("threads", threads)] {
+        if n > MAX_THREADS {
+            return Err(format!("bad --{name} '{n}': must be at most {MAX_THREADS}").into());
+        }
+    }
     let queue_capacity = parse_usize("queue-cap", 16)?.max(1);
     let max_retries = parse_usize("max-retries", 2)? as u32;
     let spool = std::path::PathBuf::from(

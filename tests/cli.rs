@@ -121,3 +121,69 @@ fn mesh_with_huge_delta_terminates() {
     assert_eq!(status.code(), Some(0));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Run `pi2m` with `args`, killing it and failing the test if it is still
+/// running after 30 s; returns its exit code and stderr.
+fn pi2m_watched(args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pi2m"))
+        .args(args)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("pi2m runs");
+    let t0 = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if t0.elapsed() > std::time::Duration::from_secs(30) {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("pi2m {args:?} still running after 30 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    (status.code(), stderr)
+}
+
+/// A thread count past the cap (1024) is a usage error naming its flag,
+/// refused before a pool thread is spawned: asked for 70 000, `mesh` and
+/// `batch` used to spawn threads until the process aborted.
+#[test]
+fn mesh_and_batch_refuse_absurd_thread_counts() {
+    for cmd in ["mesh", "batch"] {
+        let (code, stderr) =
+            pi2m_watched(&[cmd, "phantom:sphere", "--threads", "70000", "--delta", "4"]);
+        assert_eq!(code, Some(1), "{cmd}: {stderr}");
+        assert!(stderr.contains("--threads"), "{cmd}: {stderr}");
+    }
+}
+
+/// `serve` refuses a `--sessions` or `--threads` past the cap before it
+/// binds or spawns a slot, instead of spawning thousands of slot threads
+/// whose pools then fail to spawn.
+#[test]
+fn serve_refuses_absurd_session_and_thread_counts() {
+    let spool = std::env::temp_dir().join(format!("pi2m-cli-serve-{}", std::process::id()));
+    let spool = spool.to_str().unwrap();
+    for flag in ["--sessions", "--threads"] {
+        let args = [
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--spool",
+            spool,
+            flag,
+            "70000",
+        ];
+        let (code, stderr) = pi2m_watched(&args);
+        assert_eq!(code, Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+    }
+    assert!(
+        !std::path::Path::new(spool).exists(),
+        "serve made its spool"
+    );
+}

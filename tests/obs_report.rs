@@ -10,7 +10,7 @@ use pi2m::obs::metrics;
 use pi2m::obs::{render_chrome_trace, RunReport};
 use pi2m::refine::{MesherConfig, MeshingSession};
 
-/// The schema-7 run report's keys, in order: the envelope, then the run.
+/// The schema-8 run report's keys, in order: the envelope, then the run.
 const REPORT_KEYS: &[&str] = &[
     "kind",
     "schema",
@@ -52,7 +52,7 @@ fn real_run_produces_schema_valid_report_and_trace() {
     let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(keys, REPORT_KEYS);
     assert_eq!(j.get("kind").and_then(Json::as_str), Some("run_report"));
-    assert_eq!(j.get("schema").and_then(Json::as_f64), Some(7.0));
+    assert_eq!(j.get("schema").and_then(Json::as_f64), Some(8.0));
 
     // phase timings present for the acceptance-criteria phases
     let phases = j.get("phases").unwrap();
@@ -153,6 +153,14 @@ fn real_run_produces_schema_valid_report_and_trace() {
             "no events on worker track {tid}"
         );
     }
+    // one attribution sample per worker, from the sums the drain appended
+    assert_eq!(
+        by("C").count(),
+        threads,
+        "one attribution sample per worker"
+    );
+    // no per-op slices: the rings hold conflicts, not operations
+    assert!(!by("X").any(|e| e.get("name").and_then(Json::as_str) == Some("op")));
     // every complete event has non-negative microsecond timestamps
     for e in by("X") {
         assert!(e.get("ts").unwrap().as_f64().unwrap() >= 0.0);
@@ -208,7 +216,7 @@ fn analyze_degrades_cancelled_sharded_report_to_not_recorded() {
     // to "not recorded", not error on the missing keys.
     let cancelled = r#"{
         "kind": "run_report",
-        "schema": 7,
+        "schema": 8,
         "tool": "pi2m",
         "config": {"shards": "2x2x1", "halo": 3.0},
         "threads": 2.0,
