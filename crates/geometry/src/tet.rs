@@ -134,18 +134,20 @@ pub fn dihedral_extremes(p: &[Point3; 4]) -> (f64, f64) {
     (lo, hi)
 }
 
+/// Cosine of the angle at `apex` between the rays to `u` and `v`, clamped to
+/// `[-1, 1]` (NaN stays NaN); `None` when a ray has no length, an angle
+/// [`triangle_angles`] takes as 0°.
+#[inline]
+fn corner_cos(apex: Point3, u: Point3, v: Point3) -> Option<f64> {
+    let d1 = u - apex;
+    let d2 = v - apex;
+    let denom = d1.norm() * d2.norm();
+    (denom > 0.0).then(|| (d1.dot(d2) / denom).clamp(-1.0, 1.0))
+}
+
 /// The 3 planar angles of a triangle (degrees), in vertex order.
 pub fn triangle_angles(a: Point3, b: Point3, c: Point3) -> [f64; 3] {
-    let ang = |apex: Point3, u: Point3, v: Point3| {
-        let d1 = u - apex;
-        let d2 = v - apex;
-        let denom = d1.norm() * d2.norm();
-        if denom > 0.0 {
-            (d1.dot(d2) / denom).clamp(-1.0, 1.0).acos().to_degrees()
-        } else {
-            0.0
-        }
-    };
+    let ang = |apex, u, v| corner_cos(apex, u, v).map_or(0.0, |x| x.acos().to_degrees());
     [ang(a, b, c), ang(b, c, a), ang(c, a, b)]
 }
 
@@ -154,6 +156,44 @@ pub fn min_triangle_angle(a: Point3, b: Point3, c: Point3) -> f64 {
     triangle_angles(a, b, c)
         .into_iter()
         .fold(f64::INFINITY, f64::min)
+}
+
+/// A bound on planar angles in degrees, with its cosine, for deciding
+/// `min_triangle_angle(a, b, c) < deg` without the three `acos` calls.
+#[derive(Clone, Copy, Debug)]
+pub struct AngleBound {
+    deg: f64,
+    /// `cos(deg)`, NaN where the cosine is not monotone in the angle
+    /// (outside `[0°, 180°]`), which sends every decision to `acos`.
+    cos: f64,
+}
+
+impl AngleBound {
+    pub fn new(deg: f64) -> Self {
+        let cos = if (0.0..=180.0).contains(&deg) {
+            deg.to_radians().cos()
+        } else {
+            f64::NAN
+        };
+        AngleBound { deg, cos }
+    }
+
+    /// Exactly `min_triangle_angle(a, b, c) < deg`. Each corner's cosine is
+    /// the one [`triangle_angles`] takes the `acos` of, and the angle falls
+    /// as the cosine rises, so a cosine more than 1e-9 from `cos(deg)`
+    /// decides by comparison: the angle is then at least 5.7e-8° from the
+    /// bound, and `acos` and the conversion to degrees err by less than
+    /// 1e-13°. A cosine within 1e-9 takes the `acos`, a NaN one included
+    /// (NaN < deg is false, as `fold(min)` ignores it), and a corner with a
+    /// zero-length side reads 0°, as there.
+    pub fn any_angle_below(&self, a: Point3, b: Point3, c: Point3) -> bool {
+        let below = |apex, u, v| match corner_cos(apex, u, v) {
+            None => 0.0 < self.deg,
+            Some(x) if (x - self.cos).abs() > 1e-9 => x > self.cos,
+            Some(x) => x.acos().to_degrees() < self.deg,
+        };
+        below(a, b, c) || below(b, c, a) || below(c, a, b)
+    }
 }
 
 /// Circumcenter of a triangle embedded in 3D (center of its circumscribed

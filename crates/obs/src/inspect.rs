@@ -203,10 +203,12 @@ pub struct ReportInfo {
     pub classify_stale: u64,
     /// Dead PEL entries dropped without being popped (`pel_pruned`).
     pub pel_pruned: u64,
-    /// Facets rule R3 reached (`r3_facets`), and how many of them the
-    /// worker's facet memo cleared without a traversal (`r3_memo_hits`).
+    /// Facets rule R3 reached (`r3_facets`), how many of them the worker's
+    /// facet memo cleared without a traversal (`r3_memo_hits`), and how
+    /// many Voronoi edges the traversal walked (`r3_traversals`).
     pub r3_facets: u64,
     pub r3_memo_hits: u64,
+    pub r3_traversals: u64,
 }
 
 impl ReportInfo {
@@ -370,6 +372,7 @@ fn load_report(j: &Json) -> ReportInfo {
         pel_pruned: cnt("pel_pruned"),
         r3_facets: cnt("r3_facets"),
         r3_memo_hits: cnt("r3_memo_hits"),
+        r3_traversals: cnt("r3_traversals"),
     }
 }
 
@@ -638,6 +641,14 @@ fn render_report_summary(out: &mut String, r: &ReportInfo) {
                 r.r3_memo_hits,
                 r.r3_memo_hits as f64 * 100.0 / r.r3_facets as f64
             );
+            if r.r3_traversals > 0 {
+                let _ = write!(
+                    out,
+                    ", {} ({:.1}%) traversed",
+                    r.r3_traversals,
+                    r.r3_traversals as f64 * 100.0 / r.r3_facets as f64
+                );
+            }
         }
         out.push('\n');
     }
@@ -1080,6 +1091,14 @@ mod tests {
         );
         assert!(
             s.contains("850 live (8.5/op); R3 3000 facets, 1000 (33.3%) cleared by the memo\n"),
+            "{s}"
+        );
+        // ... and the Voronoi edges the traversal walked end it
+        let s = summary(
+            r#""classify_calls": 2600, "r3_facets": 3000, "r3_memo_hits": 1000, "r3_traversals": 120"#,
+        );
+        assert!(
+            s.contains("R3 3000 facets, 1000 (33.3%) cleared by the memo, 120 (4.0%) traversed\n"),
             "{s}"
         );
         // zero counters are not written: no stale pop reads as none

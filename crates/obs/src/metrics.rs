@@ -148,6 +148,8 @@ counters! {
     // rule R3 in live classifications: memo hits are a subset of the facets
     R3_FACETS            = ("r3_facets", "facets", "Facets with a neighbour reached by rule R3's Voronoi-edge test"),
     R3_MEMO_HITS         = ("r3_memo_hits", "facets", "R3 facets cleared by the worker's facet memo without a traversal"),
+    // of the facets, the Voronoi edges that reached the voxel traversal
+    R3_TRAVERSALS        = ("r3_traversals", "facets", "R3 Voronoi edges tested by the voxel traversal, past the probe's bound and the one-label voxel box"),
 }
 
 histograms! {

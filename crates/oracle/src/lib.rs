@@ -23,5 +23,5 @@
 pub mod oracle;
 pub mod sizefn;
 
-pub use oracle::{IsosurfaceOracle, SurfaceProbe};
+pub use oracle::{IsosurfaceOracle, SegmentTest, SurfaceProbe};
 pub use sizefn::{RadialSize, SizeFn, UniformSize};

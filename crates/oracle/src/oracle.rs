@@ -15,6 +15,8 @@ pub struct IsosurfaceOracle {
     /// Half a voxel diagonal: the interface bounding a surface voxel lies
     /// within this distance of the voxel's center.
     half_diag: f64,
+    /// `1 / spacing` per axis, for [`one_label_box`](Self::one_label_box).
+    inv_spacing: [f64; 3],
 }
 
 /// One look at a query point: its label and the surface voxel nearest to
@@ -58,6 +60,30 @@ impl SurfaceProbe {
     }
 }
 
+/// How a segment test was settled; see
+/// [`IsosurfaceOracle::segment_test_from`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum SegmentTest {
+    /// No crossing, read off the segment's length and the start's probe.
+    Rejected,
+    /// No crossing: the ends and the segment's whole voxel box share a
+    /// label.
+    Certified,
+    /// The traversal ran, and found this first crossing, if any.
+    Traversed(Option<Point3>),
+}
+
+impl SegmentTest {
+    /// The first crossing of ∂O, if any.
+    #[inline]
+    pub fn crossing(self) -> Option<Point3> {
+        match self {
+            SegmentTest::Traversed(hit) => hit,
+            SegmentTest::Rejected | SegmentTest::Certified => None,
+        }
+    }
+}
+
 impl IsosurfaceOracle {
     /// Build the oracle, computing the surface feature transform with
     /// `threads` workers (the paper's parallel EDT preprocessing step).
@@ -85,7 +111,13 @@ impl IsosurfaceOracle {
         );
         let sp = img.spacing();
         let half_diag = 0.5 * (sp[0] * sp[0] + sp[1] * sp[1] + sp[2] * sp[2]).sqrt();
-        IsosurfaceOracle { img, ft, half_diag }
+        let inv_spacing = sp.map(|x| 1.0 / x);
+        IsosurfaceOracle {
+            img,
+            ft,
+            half_diag,
+            inv_spacing,
+        }
     }
 
     /// The underlying image.
@@ -306,29 +338,93 @@ impl IsosurfaceOracle {
     /// `c_surf(f)` of rule R3 when `a`, `b` are the circumcenters joined by
     /// the facet's Voronoi edge.
     pub fn segment_surface_intersection(&self, a: Point3, b: Point3) -> Option<Point3> {
-        self.segment_surface_intersection_from(&self.probe(a), b, self.label_at(b))
+        self.segment_test_from(&self.probe(a), b, self.label_at(b))
+            .crossing()
     }
 
     /// [`segment_surface_intersection`](Self::segment_surface_intersection)
-    /// from an already probed start point to `b`, whose label is `lb`.
-    pub fn segment_surface_intersection_from(
-        &self,
-        a: &SurfaceProbe,
-        b: Point3,
-        lb: Label,
-    ) -> Option<Point3> {
+    /// from an already probed start point to `b`, whose label is `lb`,
+    /// telling how it was settled. Rule R3 tests every facet's Voronoi edge,
+    /// and most of those edges are settled before the traversal:
+    /// * a segment whose ends share a label and which stays provably farther
+    ///   from ∂O than its length (the probe's lower bound) cannot cross;
+    /// * nor can one whose ends share a label with every voxel of its index
+    ///   box, when that box is at most 3 voxels per axis and inside the
+    ///   image (DESIGN.md "Classification cost").
+    pub fn segment_test_from(&self, a: &SurfaceProbe, b: Point3, lb: Label) -> SegmentTest {
         let dir = b - a.p;
+        let len = dir.norm();
+        if len <= 1e-12 {
+            return SegmentTest::Rejected;
+        }
+        if a.label == lb {
+            if a.surface_distance_lower_bound() > len {
+                return SegmentTest::Rejected;
+            }
+            if self.one_label_box(a.p, b, lb) {
+                return SegmentTest::Certified;
+            }
+        }
+        SegmentTest::Traversed(self.march(a.p, a.label, dir / len, len))
+    }
+
+    /// The traversal alone, without the shortcuts of
+    /// [`segment_test_from`](Self::segment_test_from): the first label
+    /// change from `a` along the segment to `b`.
+    pub fn traverse_segment(&self, a: Point3, b: Point3) -> Option<Point3> {
+        let dir = b - a;
         let len = dir.norm();
         if len <= 1e-12 {
             return None;
         }
-        // Cheap reject (hot path: rule R3 tests every facet): if both
-        // endpoints have the same label and the whole segment provably stays
-        // farther from ∂O than its length, it cannot cross.
-        if a.label == lb && a.surface_distance_lower_bound() > len {
-            return None;
+        self.march(a, self.label_at(a), dir / len, len)
+    }
+
+    /// Does every voxel the traversal from `a` to `b` can read carry
+    /// `label`? Then it finds no voxel of another label, and, never leaving
+    /// the image, no background beyond it: no crossing.
+    ///
+    /// The traversal reads voxels in index space, `(p − origin) / spacing`,
+    /// entering each at a face the segment reaches, the one at its far end
+    /// included. Per axis, those faces lie between the ends' index
+    /// coordinates, so the voxels lie in the box between `floor` of the
+    /// smaller coordinate and `floor` of the larger. The box is widened by
+    /// 1e-9 voxel on each side: an end exactly on a face, or within
+    /// rounding of one, then holds the voxel the traversal steps into there
+    /// too. (The coordinates here are taken by multiplying with
+    /// `1 / spacing`, a few ulps from the traversal's quotients, which the
+    /// widening covers too.) The box is tested only while it is at most 3
+    /// voxels per axis and inside the image, and its reads stop at the first
+    /// foreign label.
+    fn one_label_box(&self, a: Point3, b: Point3, label: Label) -> bool {
+        const HAIR: f64 = 1e-9;
+        let (o, inv) = (self.img.origin().to_array(), self.inv_spacing);
+        let n = self.img.dims();
+        let (a, b) = (a.to_array(), b.to_array());
+        let (mut lo, mut hi) = ([0usize; 3], [0usize; 3]);
+        for ax in 0..3 {
+            let (ga, gb) = ((a[ax] - o[ax]) * inv[ax], (b[ax] - o[ax]) * inv[ax]);
+            if !(ga.is_finite() && gb.is_finite()) {
+                return false;
+            }
+            let (first, last) = (ga.min(gb) - HAIR, ga.max(gb) + HAIR);
+            if first < 0.0 || last >= n[ax] as f64 {
+                return false;
+            }
+            // Non-negative from here, so truncation is `floor` (a software
+            // routine on the baseline x86-64 target, which lacks SSE4.1).
+            (lo[ax], hi[ax]) = (first as usize, last as usize);
+            if hi[ax] - lo[ax] > 2 {
+                return false;
+            }
         }
-        self.march(a.p, a.label, dir / len, len)
+        let data = self.img.data();
+        (lo[2]..=hi[2]).all(|k| {
+            (lo[1]..=hi[1]).all(|j| {
+                let row = (k * n[1] + j) * n[0];
+                data[row + lo[0]..=row + hi[0]].iter().all(|&l| l == label)
+            })
+        })
     }
 
     /// True iff the segment `a → b` crosses the isosurface.

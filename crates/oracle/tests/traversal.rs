@@ -7,7 +7,7 @@
 
 use pi2m_geometry::Point3;
 use pi2m_image::{phantoms, Label, LabeledImage};
-use pi2m_oracle::IsosurfaceOracle;
+use pi2m_oracle::{IsosurfaceOracle, SegmentTest};
 use proptest::prelude::*;
 use proptest::prop_assume;
 
@@ -253,6 +253,117 @@ proptest! {
             "{:?} <-> {:?}", a, b
         );
     }
+}
+
+/// Segments of up to about 2.5 voxels per axis from `a`, the span the voxel
+/// box certificate covers, with ends moved onto voxel faces, edges and
+/// corners by `snap` (bit `axis` of the low three snaps `a` on that axis, of
+/// the high three `b`). Whenever `segment_test_from` certifies one, the
+/// traversal must find no crossing either way. Returns how many certified.
+fn certified_segments_do_not_cross(
+    oracle: &IsosurfaceOracle,
+    seed: u64,
+    margin: f64,
+    count: usize,
+) -> usize {
+    let img = oracle.image();
+    let (o, sp) = (img.origin().to_array(), img.spacing());
+    let mut s = seed.max(1);
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s >> 11) as f64 / (1u64 << 53) as f64
+    };
+    // onto the nearest face plane of `axis`, as `o + k·spacing` rounds
+    let on_face = |x: f64, axis: usize| o[axis] + ((x - o[axis]) / sp[axis]).round() * sp[axis];
+    let mut certified = 0;
+    for _ in 0..count {
+        let mut a = point_in(img, [next(), next(), next()], margin).to_array();
+        let mut b = [0, 1, 2].map(|ax| a[ax] + (5.0 * next() - 2.5) * sp[ax]);
+        let snap = (next() * 64.0) as usize;
+        for ax in 0..3 {
+            if snap & (1 << ax) != 0 {
+                a[ax] = on_face(a[ax], ax);
+            }
+            if snap & (8 << ax) != 0 {
+                b[ax] = on_face(b[ax], ax);
+            }
+        }
+        let (a, b) = (Point3::from_array(a), Point3::from_array(b));
+        let test = oracle.segment_test_from(&oracle.probe(a), b, oracle.label_at(b));
+        if test == SegmentTest::Certified {
+            certified += 1;
+            assert_eq!(oracle.traverse_segment(a, b), None, "{a:?} -> {b:?}");
+            assert_eq!(oracle.traverse_segment(b, a), None, "{b:?} -> {a:?}");
+        }
+        // and however it was settled, the answer is the traversal's
+        if test != SegmentTest::Rejected {
+            assert_eq!(test.crossing(), oracle.traverse_segment(a, b));
+        }
+    }
+    certified
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The box certificate never hides a crossing: random blobs on unit and
+    /// anisotropic voxels, images with an origin, ends on voxel faces, edges
+    /// and corners, and segments that leave the image.
+    #[test]
+    fn the_box_certificate_never_hides_a_crossing(
+        seed in 1u64..10_000,
+        which in 0usize..3,
+        shift in unit3(),
+    ) {
+        let (dims, spacing) = [
+            ([14, 14, 14], [1.0; 3]),
+            ([16, 16, 8], [0.96, 0.96, 2.4]),
+            ([12, 18, 10], [1.7, 0.55, 1.25]),
+        ][which];
+        let mut img = blobs(seed, dims, spacing);
+        img.set_origin(Point3::new(
+            (shift[0] - 0.5) * 40.0,
+            (shift[1] - 0.5) * 7.3,
+            shift[2] * 101.1,
+        ));
+        let oracle = IsosurfaceOracle::new(img, 1);
+        let certified = certified_segments_do_not_cross(&oracle, seed, 0.15, 400);
+        prop_assert!(certified > 0, "no segment was certified");
+    }
+}
+
+#[test]
+fn the_box_certificate_covers_the_voxel_entered_at_the_far_end() {
+    // Label 1 fills x < 3; label 2 the voxel column at x = 2 on row y = 1.
+    let mut labels = vec![([2, 1, 1], 2)];
+    for i in 0..3 {
+        for j in 0..4 {
+            for k in 0..4 {
+                if (i, j, k) != (2, 1, 1) {
+                    labels.push(([i, j, k], 1));
+                }
+            }
+        }
+    }
+    let o = voxels([6, 4, 4], &labels);
+    // Ends inside voxel (1,1,1); `b` exactly on its face x = 2, with (2,1,1)
+    // beyond it: the traversal enters (2,1,1) at the far end, so this is a
+    // crossing at `b`, and the box must see it.
+    let (a, b) = (Point3::new(1.5, 1.5, 1.5), Point3::new(2.0, 1.5, 1.5));
+    let test = o.segment_test_from(&o.probe(a), b, o.label_at(a));
+    assert_eq!(o.traverse_segment(a, b), Some(b));
+    assert_eq!(test, SegmentTest::Traversed(Some(b)));
+    // Short of the face, the box is (1,1,1) alone, and certifies.
+    let b = Point3::new(1.9, 1.5, 1.5);
+    let test = o.segment_test_from(&o.probe(a), b, o.label_at(b));
+    assert_eq!(test, SegmentTest::Certified);
+    // A box reaching the image's border is not tested: the traversal
+    // leaves the image there, and leaving is a crossing for foreground.
+    let (a, b) = (Point3::new(0.5, 2.5, 2.5), Point3::new(0.0, 2.5, 2.5));
+    let test = o.segment_test_from(&o.probe(a), b, o.label_at(a));
+    assert_eq!(test, SegmentTest::Traversed(Some(b)));
 }
 
 /// Unit voxels; `(i, j, k)` names the voxel `[i, i+1) × [j, j+1) × [k, k+1)`.

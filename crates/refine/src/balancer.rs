@@ -161,6 +161,33 @@ mod tests {
         assert_eq!(outcome, BegOutcome::GotWork);
     }
 
+    /// The termination check must not strand a donation. At T=2, beggar Y
+    /// checks for termination while X runs its last entry; between Y's
+    /// loads (the seam), X pushes the cells its operation created, pops one
+    /// of them, donates the next batch to Y and wakes it, drains the rest
+    /// of its own PEL and begs. Y must come out of the begging list with
+    /// the donation, not declare the run over with five entries queued.
+    #[test]
+    fn a_donation_during_the_termination_check_is_not_stranded() {
+        let (x, y) = (0, 1);
+        let b = Arc::new(BeggingList::new(2));
+        let sync = EngineSync::new(2);
+        let bal = Arc::clone(&b);
+        *sync.seam.lock() = Some(Box::new(move |s: &EngineSync| {
+            s.poor_added(5); // X's created cells, on its own PEL
+            s.poor_taken(1); // X pops one, and its operation creates more
+            assert_eq!(bal.pick_beggar(x), Some(y));
+            s.poor_added(5); // donated to Y's PEL
+            bal.wake(y);
+            s.poor_taken(4); // X's own PEL, drained
+            s.enter_begging(); // X begs
+        }));
+        let (outcome, _) = b.beg(y, &sync, &AggressiveCm);
+        assert_eq!(outcome, BegOutcome::GotWork, "the donation was stranded");
+        assert!(!sync.is_done());
+        assert_eq!(sync.total_poor(), 5);
+    }
+
     #[test]
     fn termination_when_quiescent() {
         let b = Arc::new(BeggingList::new(1));

@@ -249,13 +249,20 @@ mod tests {
     }
 
     /// Live classifications count the facets R3 reached, and the worker's
-    /// facet memo clears some, not all, of them without a traversal.
+    /// facet memo clears some, not all, of them without a traversal. Of the
+    /// rest, some reach the traversal and some are settled before it.
     #[test]
     fn r3_memo_hits_are_counted() {
         let out = small_run(1, CmKind::Local);
         let facets = out.metrics.counter(metrics::R3_FACETS);
         let hits = out.metrics.counter(metrics::R3_MEMO_HITS);
         assert!(hits > 0 && hits < facets, "{hits} hits of {facets} facets");
+        let walked = out.metrics.counter(metrics::R3_TRAVERSALS);
+        assert!(
+            walked > 0 && walked < facets - hits,
+            "{walked} traversals of {} unmemoised facets",
+            facets - hits
+        );
     }
 
     /// The refinement stage on the calling thread: the run state the pipeline

@@ -463,6 +463,7 @@ fn drain_memo_stats(memo: &mut FacetMemo, rec: &mut ThreadRecorder) {
     if memo.visits > 0 {
         rec.inc(metrics::R3_FACETS, std::mem::take(&mut memo.visits));
         rec.inc(metrics::R3_MEMO_HITS, std::mem::take(&mut memo.hits));
+        rec.inc(metrics::R3_TRAVERSALS, std::mem::take(&mut memo.traversals));
     }
 }
 

@@ -108,11 +108,20 @@ impl PointGrid {
 
     /// Call `scan` with the list head of every bucket a ball of `radius`
     /// around `p` can reach, in a fixed order; stops when it returns `false`.
-    /// A ball whose cube of cells is at least as large as the table (an
-    /// overflowed radius of `inf`, say) visits each bucket once instead: the
-    /// same candidates, in at most `BUCKETS` steps.
+    /// The order runs through the cube of cells around `p`'s cell; with
+    /// `centre_first`, `p`'s own cell comes first, which is where a query
+    /// that wants one hit most often finds it. A ball whose cube of cells is
+    /// at least as large as the table (an overflowed radius of `inf`, say)
+    /// visits each bucket once instead: the same candidates, in at most
+    /// `BUCKETS` steps.
     #[inline]
-    fn for_each_bucket(&self, p: [f64; 3], radius: f64, mut scan: impl FnMut(u32) -> bool) {
+    fn for_each_bucket(
+        &self,
+        p: [f64; 3],
+        radius: f64,
+        centre_first: bool,
+        mut scan: impl FnMut(u32) -> bool,
+    ) {
         let reach = (radius / self.cell).ceil();
         let side = 2.0 * reach + 1.0;
         if side * side * side >= BUCKETS as f64 {
@@ -125,9 +134,15 @@ impl PointGrid {
         }
         let reach = reach as i64;
         let c0 = self.cell_of(p);
+        if centre_first && !scan(self.heads[self.bucket(c0)].load(Ordering::Acquire)) {
+            return;
+        }
         for dx in -reach..=reach {
             for dy in -reach..=reach {
                 for dz in -reach..=reach {
+                    if centre_first && dx == 0 && dy == 0 && dz == 0 {
+                        continue;
+                    }
                     let b = self.bucket([c0[0] + dx, c0[1] + dy, c0[2] + dz]);
                     if !scan(self.heads[b].load(Ordering::Acquire)) {
                         return;
@@ -178,9 +193,30 @@ impl PointGrid {
         mut visit: impl FnMut(VertexId, [f64; 3]) -> bool,
     ) {
         let (q, r2) = (Point3::from_array(p), radius * radius);
-        self.for_each_bucket(p, radius, |head| {
+        self.for_each_bucket(p, radius, false, |head| {
             self.scan_bucket(mesh, head, q, r2, &filter, &mut visit)
         });
+    }
+
+    /// Is any alive vertex whose kind passes `filter` within `radius` of
+    /// `p`? The answer does not depend on the order, so the query's own
+    /// cell is searched first.
+    fn any_near_with(
+        &self,
+        mesh: &SharedMesh,
+        p: [f64; 3],
+        radius: f64,
+        filter: impl Fn(VertexKind) -> bool,
+    ) -> bool {
+        let (q, r2) = (Point3::from_array(p), radius * radius);
+        let mut found = false;
+        self.for_each_bucket(p, radius, true, |head| {
+            self.scan_bucket(mesh, head, q, r2, &filter, &mut |_, _| {
+                found = true;
+                false
+            })
+        });
+        found
     }
 
     /// Visit every *alive* vertex of the given kind within `radius` of `p`.
@@ -200,28 +236,14 @@ impl PointGrid {
     /// both lie precisely on ∂O) within `radius` of `p`? Used by rule R1's
     /// δ-separation.
     pub fn any_surface_sample_near(&self, mesh: &SharedMesh, p: [f64; 3], radius: f64) -> bool {
-        let mut found = false;
-        self.for_each_near_with(
-            mesh,
-            p,
-            radius,
-            |k| matches!(k, VertexKind::Isosurface | VertexKind::SurfaceCenter),
-            |_, _| {
-                found = true;
-                false
-            },
-        );
-        found
+        self.any_near_with(mesh, p, radius, |k| {
+            matches!(k, VertexKind::Isosurface | VertexKind::SurfaceCenter)
+        })
     }
 
     /// Is any alive vertex of `kind` within `radius` of `p`?
     pub fn any_near(&self, mesh: &SharedMesh, p: [f64; 3], radius: f64, kind: VertexKind) -> bool {
-        let mut found = false;
-        self.for_each_near(mesh, p, radius, kind, |_, _| {
-            found = true;
-            false
-        });
-        found
+        self.any_near_with(mesh, p, radius, |k| k == kind)
     }
 
     /// Collect alive vertices of `kind` within `radius` of `p`, bucket by
@@ -237,7 +259,7 @@ impl PointGrid {
     ) -> Vec<VertexId> {
         let (q, r2) = (Point3::from_array(p), radius * radius);
         let mut out = Vec::new();
-        self.for_each_bucket(p, radius, |head| {
+        self.for_each_bucket(p, radius, false, |head| {
             let start = out.len();
             self.scan_bucket(mesh, head, q, r2, &|k| k == kind, &mut |v, _| {
                 out.push(v);

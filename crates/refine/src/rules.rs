@@ -20,9 +20,9 @@
 
 use crate::grid::PointGrid;
 use pi2m_delaunay::{CellId, SharedMesh, VertexKind};
-use pi2m_geometry::{circumcenter, min_triangle_angle, Point3, TET_EDGES, TET_FACES};
+use pi2m_geometry::{circumcenter, AngleBound, Point3, TET_EDGES, TET_FACES};
 use pi2m_image::{Label, BACKGROUND};
-use pi2m_oracle::{IsosurfaceOracle, SizeFn};
+use pi2m_oracle::{IsosurfaceOracle, SegmentTest, SizeFn};
 use std::sync::Arc;
 
 /// Rule parameters.
@@ -82,6 +82,19 @@ pub struct InsertAction {
 /// slots (16 KiB) is the knee.
 const MEMO_BITS: u32 = 10;
 
+/// log₂ of a [`FacetMemo`]'s circumsphere slots: 2048 of 40 B (80 KiB).
+const SPHERE_BITS: u32 = 11;
+
+/// A cell's circumcenter and the label there, under the cell's
+/// `(id, generation)` key; key 0 (cell 0 at generation 0, which is dead)
+/// marks an empty slot.
+#[derive(Clone, Copy, Default)]
+struct SphereSlot {
+    key: u64,
+    cc: Point3,
+    label: Label,
+}
+
 /// One worker's record of the facets whose R3 test found no remedy, keyed
 /// by the unordered pair of `(cell id, generation)` on its two sides.
 ///
@@ -100,21 +113,38 @@ const MEMO_BITS: u32 = 10;
 /// Direct-mapped: a new pair overwrites whatever shared its slot, which
 /// costs a later traversal, never a wrong verdict. A memo lives for one run
 /// of one worker, so it needs no invalidation and no synchronization.
+///
+/// The memo also keeps circumspheres: a cell's circumcenter and its label,
+/// keyed by `(cell id, generation)`. Its own classification and the R3
+/// test of each of its neighbours want them, and a key names one vertex set
+/// in one order, whose positions never change, so a stored value is the one
+/// recomputation gives. Direct-mapped as well, overwritten on collision.
 #[derive(Default)]
 pub(crate) struct FacetMemo {
     /// Pair keys; 0 (cell 0 at generation 0 on both sides) is never a key.
     /// Empty in the memo [`Rules::classify`] runs over, which never hits.
     slots: Box<[u128]>,
+    /// Circumspheres; empty in that memo too.
+    spheres: Box<[SphereSlot]>,
     /// Facets with a neighbour that the R3 loop reached.
     pub(crate) visits: u64,
     /// Of those, the ones a recorded pair cleared.
     pub(crate) hits: u64,
+    /// Voronoi edges the R3 loop left to the traversal.
+    pub(crate) traversals: u64,
+    /// Voronoi edges the voxel box certificate cleared.
+    #[cfg(test)]
+    certified: u64,
+    /// Circumspheres read from the table.
+    #[cfg(test)]
+    sphere_hits: u64,
 }
 
 impl FacetMemo {
     pub(crate) fn new() -> Self {
         FacetMemo {
             slots: vec![0; 1 << MEMO_BITS].into_boxed_slice(),
+            spheres: vec![SphereSlot::default(); 1 << SPHERE_BITS].into_boxed_slice(),
             ..Default::default()
         }
     }
@@ -141,6 +171,41 @@ impl FacetMemo {
             *slot = key;
         }
     }
+
+    /// The circumcenter of cell `c` at generation `gen` and the label
+    /// there, from the table or else from `points`, the cell's corners.
+    fn circumsphere(
+        &mut self,
+        rules: &Rules,
+        (c, gen): (CellId, u32),
+        points: impl FnOnce() -> [Point3; 4],
+    ) -> Option<(Point3, Label)> {
+        let key = (c.0 as u64) << 32 | gen as u64;
+        let i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - SPHERE_BITS)) as usize;
+        let Some(slot) = self.spheres.get_mut(i) else {
+            return rules.circumsphere(points());
+        };
+        if slot.key == key {
+            #[cfg(test)]
+            {
+                self.sphere_hits += 1;
+            }
+            return Some((slot.cc, slot.label));
+        }
+        let (cc, label) = rules.circumsphere(points())?;
+        *slot = SphereSlot { key, cc, label };
+        Some((cc, label))
+    }
+
+    /// Count how the oracle settled a Voronoi edge.
+    fn count(&mut self, test: SegmentTest) {
+        match test {
+            SegmentTest::Traversed(_) => self.traversals += 1,
+            #[cfg(test)]
+            SegmentTest::Certified => self.certified += 1,
+            _ => {}
+        }
+    }
 }
 
 /// Shared, immutable rule evaluator.
@@ -148,6 +213,8 @@ pub struct Rules {
     pub cfg: RuleConfig,
     pub oracle: Arc<IsosurfaceOracle>,
     pub grid: Arc<PointGrid>,
+    /// `cfg.planar_angle_min_deg` with its cosine, for R3's angle test.
+    min_angle: AngleBound,
     /// Calls of [`Rules::classify_with`], for the engine's pop-accounting
     /// test.
     #[cfg(test)]
@@ -157,6 +224,7 @@ pub struct Rules {
 impl Rules {
     pub fn new(cfg: RuleConfig, oracle: Arc<IsosurfaceOracle>, grid: Arc<PointGrid>) -> Self {
         Rules {
+            min_angle: AngleBound::new(cfg.planar_angle_min_deg),
             cfg,
             oracle,
             grid,
@@ -185,7 +253,8 @@ impl Rules {
     }
 
     /// [`classify`](Self::classify), skipping the R3 test of every facet
-    /// `memo` holds as cleared and recording each facet it clears.
+    /// `memo` holds as cleared and recording each facet it clears, and
+    /// reading circumspheres through `memo`'s table.
     pub(crate) fn classify_with(
         &self,
         mesh: &SharedMesh,
@@ -199,7 +268,7 @@ impl Rules {
         let snap = mesh.cell(c).snapshot().filter(|s| s.gen == gen)?;
         let verts = snap.verts;
         let p = verts.map(|v| mesh.position(v));
-        let (cc, label) = self.circumsphere(p)?;
+        let (cc, label) = memo.circumsphere(self, (c, gen), || p)?;
         let r = cc.distance(p[0]);
         let probe = self.oracle.probe_labeled(cc, label);
 
@@ -258,8 +327,7 @@ impl Rules {
                 memo.hits += 1;
                 continue;
             }
-            let small_angle =
-                || min_triangle_angle(p[f[0]], p[f[1]], p[f[2]]) < self.cfg.planar_angle_min_deg;
+            let small_angle = || self.min_angle.any_angle_below(p[f[0]], p[f[1]], p[f[2]]);
             if f.iter().all(|&k| on_surface[k]) && !small_angle() {
                 continue;
             }
@@ -275,15 +343,15 @@ impl Rules {
             if !nsnap.neis.contains(&c) {
                 continue;
             }
-            let Some((ncc, nlabel)) = self.circumsphere(nsnap.verts.map(|v| mesh.position(v)))
-            else {
+            let Some((ncc, nlabel)) = memo.circumsphere(self, (n, nsnap.gen), || {
+                nsnap.verts.map(|v| mesh.position(v))
+            }) else {
                 continue;
             };
             // Voronoi edge of the shared facet.
-            if let Some(cs) = self
-                .oracle
-                .segment_surface_intersection_from(&probe, ncc, nlabel)
-            {
+            let test = self.oracle.segment_test_from(&probe, ncc, nlabel);
+            memo.count(test);
+            if let Some(cs) = test.crossing() {
                 return Some(InsertAction {
                     point: cs.to_array(),
                     kind: VertexKind::SurfaceCenter,
@@ -333,6 +401,7 @@ impl Rules {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pi2m_geometry::min_triangle_angle;
     use pi2m_image::{phantoms, LabeledImage};
 
     fn setup(delta: f64) -> (SharedMesh, Rules) {
@@ -606,6 +675,11 @@ mod tests {
             fired[reference.map_or(0, |a| a.rule as usize)] += 1;
         }
         assert!(memo.hits > 0, "{name}: the memo never hit");
+        assert!(memo.certified > 0, "{name}: the voxel box never certified");
+        assert!(
+            memo.sphere_hits > 0,
+            "{name}: the circumsphere table never hit"
+        );
         assert_facets_read_alike(name, &rules, mesh);
         fired
     }

@@ -8,6 +8,19 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Steps of other threads, replayed inside a termination check.
+#[cfg(test)]
+pub(crate) type Seam = Box<dyn FnOnce(&EngineSync) + Send>;
+
+/// One exit from the begging list, in the begging word's high half.
+const BEG_EXIT: u64 = 1 << 32;
+
+/// The parked count of a begging word.
+#[inline]
+fn parked(word: u64) -> usize {
+    (word & (BEG_EXIT - 1)) as usize
+}
+
 /// Counters shared by all workers, their contention manager, and their
 /// begging list.
 ///
@@ -26,8 +39,11 @@ pub struct EngineSync {
     done: AtomicBool,
     livelock: AtomicBool,
     cancelled: AtomicBool,
-    /// Threads parked in the begging list.
-    begging: AtomicUsize,
+    /// Threads parked in the begging list (the low 32 bits), and how many
+    /// times a thread has left it (the high 32): one word, so that
+    /// [`quiescent`](Self::quiescent) can tell from two loads that nobody
+    /// left in between.
+    begging: AtomicU64,
     /// Threads parked by the contention manager.
     cm_blocked: AtomicUsize,
     /// Workers that died to an un-recovered panic (isolated, not respawned).
@@ -37,6 +53,11 @@ pub struct EngineSync {
     /// Milliseconds-since-start of the last completed operation (watchdog).
     last_progress_ms: CachePadded<AtomicU64>,
     start: Instant,
+    /// Run once by the next [`quiescent`](Self::quiescent) call, between
+    /// its loads: a test puts other threads' steps there to replay an
+    /// interleaving deterministically.
+    #[cfg(test)]
+    pub(crate) seam: parking_lot::Mutex<Option<Seam>>,
 }
 
 impl EngineSync {
@@ -47,12 +68,14 @@ impl EngineSync {
             done: AtomicBool::new(false),
             livelock: AtomicBool::new(false),
             cancelled: AtomicBool::new(false),
-            begging: AtomicUsize::new(0),
+            begging: AtomicU64::new(0),
             cm_blocked: AtomicUsize::new(0),
             dead: AtomicUsize::new(0),
             total_poor: CachePadded::new(AtomicI64::new(0)),
             last_progress_ms: CachePadded::new(AtomicU64::new(0)),
             start: Instant::now(),
+            #[cfg(test)]
+            seam: Default::default(),
         }
     }
 
@@ -117,60 +140,61 @@ impl EngineSync {
     #[inline]
     pub fn active(&self) -> usize {
         self.threads
-            .saturating_sub(self.begging.load(Ordering::Acquire))
-            .saturating_sub(self.cm_blocked.load(Ordering::Acquire))
-            .saturating_sub(self.dead.load(Ordering::Acquire))
+            .saturating_sub(self.begging())
+            .saturating_sub(self.cm_blocked.load(Ordering::SeqCst))
+            .saturating_sub(self.dead.load(Ordering::SeqCst))
     }
 
     #[inline]
     pub fn begging(&self) -> usize {
-        self.begging.load(Ordering::Acquire)
+        parked(self.begging.load(Ordering::SeqCst))
     }
 
     #[inline]
     pub fn cm_blocked(&self) -> usize {
-        self.cm_blocked.load(Ordering::Acquire)
+        self.cm_blocked.load(Ordering::SeqCst)
     }
 
     pub fn enter_begging(&self) {
-        self.begging.fetch_add(1, Ordering::AcqRel);
+        self.begging.fetch_add(1, Ordering::SeqCst);
     }
 
+    /// One fewer parked and one more exit, in one step.
     pub fn exit_begging(&self) {
-        self.begging.fetch_sub(1, Ordering::AcqRel);
+        self.begging.fetch_add(BEG_EXIT - 1, Ordering::SeqCst);
     }
 
     /// Permanently retire a worker that died to an un-recovered panic. A dead
     /// worker counts like a begging one for termination: it will never produce
     /// or consume work again.
     pub fn worker_died(&self) {
-        self.dead.fetch_add(1, Ordering::AcqRel);
+        self.dead.fetch_add(1, Ordering::SeqCst);
     }
 
     #[inline]
     pub fn dead(&self) -> usize {
-        self.dead.load(Ordering::Acquire)
+        self.dead.load(Ordering::SeqCst)
     }
 
     pub fn enter_cm_block(&self) {
-        self.cm_blocked.fetch_add(1, Ordering::AcqRel);
+        self.cm_blocked.fetch_add(1, Ordering::SeqCst);
     }
 
     pub fn exit_cm_block(&self) {
-        self.cm_blocked.fetch_sub(1, Ordering::AcqRel);
+        self.cm_blocked.fetch_sub(1, Ordering::SeqCst);
     }
 
     #[inline]
     pub fn total_poor(&self) -> i64 {
-        self.total_poor.load(Ordering::Acquire)
+        self.total_poor.load(Ordering::SeqCst)
     }
 
     pub fn poor_added(&self, n: i64) {
-        self.total_poor.fetch_add(n, Ordering::AcqRel);
+        self.total_poor.fetch_add(n, Ordering::SeqCst);
     }
 
     pub fn poor_taken(&self, n: i64) {
-        self.total_poor.fetch_sub(n, Ordering::AcqRel);
+        self.total_poor.fetch_sub(n, Ordering::SeqCst);
     }
 
     /// Record an operation completed at `at` (a clock reading the caller
@@ -190,10 +214,32 @@ impl EngineSync {
     /// True when every thread is parked (or dead) and no work remains — the
     /// global termination condition. (Stale PEL entries keep `total_poor`
     /// positive, so their owners cannot be parked; see DESIGN.md.)
+    ///
+    /// The loads are not one snapshot, so the check reads the begging word,
+    /// then `cm_blocked` and `total_poor`, then the begging word again, and
+    /// holds only if every thread was parked at the first read and none has
+    /// left since. Nobody was working in between, then: a parked thread
+    /// leaves only to work, and a thread's queued entries, donated ones
+    /// included, are counted in `total_poor` before it can park. So the
+    /// count read in between is every entry there is, and with it zero,
+    /// nothing can create more (DESIGN.md "Concurrency design").
     pub fn quiescent(&self) -> bool {
-        self.cm_blocked() == 0
+        let before = self.begging.load(Ordering::SeqCst);
+        let all_parked = parked(before) + self.dead() >= self.threads;
+        #[cfg(test)]
+        self.run_seam();
+        all_parked
+            && self.cm_blocked() == 0
             && self.total_poor() == 0
-            && self.begging() + self.dead() >= self.threads
+            && self.begging.load(Ordering::SeqCst) >> 32 == before >> 32
+    }
+
+    #[cfg(test)]
+    fn run_seam(&self) {
+        let seam = self.seam.lock().take();
+        if let Some(f) = seam {
+            f(self);
+        }
     }
 }
 
@@ -225,6 +271,27 @@ mod tests {
         s.poor_added(3);
         assert!(!s.quiescent());
         s.poor_taken(3);
+        assert!(s.quiescent());
+    }
+
+    /// A beggar that leaves between the check's loads defers termination,
+    /// though `total_poor` reads zero then: it has popped its donation, and
+    /// what its operation creates is not pushed yet.
+    #[test]
+    fn a_beggar_leaving_during_the_check_defers_termination() {
+        let s = EngineSync::new(2);
+        s.poor_added(1); // donated to Y, which has not woken yet
+        s.enter_begging();
+        s.enter_begging();
+        *s.seam.lock() = Some(Box::new(|s: &EngineSync| {
+            s.exit_begging(); // Y wakes
+            s.poor_taken(1); // and pops the donation
+        }));
+        assert!(!s.quiescent());
+        // Y's operation creates cells; Y classifies them all and parks again
+        s.poor_added(3);
+        s.poor_taken(3);
+        s.enter_begging();
         assert!(s.quiescent());
     }
 
