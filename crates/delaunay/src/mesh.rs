@@ -27,7 +27,6 @@ use crate::pool::{Cell, CellPool, CellSnap, Vertex, VertexPool, MAX_LOCK_TIDS};
 use crate::scratch::{KernelScratch, ScratchStats};
 use pi2m_faults::{sites, FaultPlan, Injected};
 use pi2m_geometry::{orient3d_sign, signed_volume, Aabb, Point3, TET_FACES};
-use pi2m_obs::flight::{EventKind, FlightHandle};
 use pi2m_predicates::{BatchStats, FilterStats, SemiStaticBounds};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -362,7 +361,6 @@ impl SharedMesh {
             batch_stats: BatchStats::default(),
             scratch: KernelScratch::default(),
             faults,
-            flight: None,
         }
     }
 
@@ -542,10 +540,6 @@ pub struct OpCtx<'m> {
     pub(crate) scratch: KernelScratch,
     /// Fault-injection plan (None = nothing armed; a single branch per site).
     pub(crate) faults: Option<Arc<FaultPlan>>,
-    /// Flight-recorder writer handle (None = recorder off; a single branch
-    /// per emission site). Emits a lock-conflict event where the kernel's
-    /// lock path meets a vertex another thread holds.
-    pub(crate) flight: Option<FlightHandle>,
     /// Wide-lane filter occupancy/fallback counters (drained like
     /// `pred_stats`).
     pub(crate) batch_stats: BatchStats,
@@ -704,13 +698,6 @@ impl<'m> OpCtx<'m> {
         }
     }
 
-    /// Attach a flight-recorder writer handle: the kernel then emits
-    /// lock-conflict events (conflicting vertex + owner) into the worker's
-    /// ring.
-    pub fn set_flight(&mut self, handle: FlightHandle) {
-        self.flight = Some(handle);
-    }
-
     /// Try to lock `v`; on failure report the owning thread (rollback path).
     #[inline]
     pub(crate) fn lock_vertex(&mut self, v: VertexId) -> Result<(), OpError> {
@@ -723,20 +710,7 @@ impl<'m> OpCtx<'m> {
                 Ok(())
             }
             Ok(false) => Ok(()),
-            Err(owner) => {
-                // Conflicts only: successful try-locks are O(ns) and far too
-                // frequent to record.
-                if let Some(f) = &self.flight {
-                    f.emit(
-                        EventKind::LockConflict,
-                        0,
-                        v.0,
-                        owner,
-                        self.locked.len() as u32,
-                    );
-                }
-                Err(OpError::Conflict { owner, vertex: v })
-            }
+            Err(owner) => Err(OpError::Conflict { owner, vertex: v }),
         }
     }
 

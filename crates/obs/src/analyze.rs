@@ -1,7 +1,7 @@
 //! Offline analysis of a drained flight-recorder timeline: what only the
-//! rings know — who conflicted with whom (hot vertices, hot grid regions,
+//! logs know — who conflicted with whom (hot vertices, hot grid regions,
 //! lock conflicts) and when (a windowed rollback and lock-wait series).
-//! The rings hold no committed operations; the commit count comes from the
+//! The logs hold no committed operations; the commit count comes from the
 //! workers' sums the drain appends. The result is the run report's
 //! `contention` section; where a worker's time went is the report's
 //! `time_attribution`, from the same sums.
@@ -22,7 +22,7 @@ pub struct AnalyzeOpts {
     pub threads: usize,
     /// Wall time of the refinement section, seconds.
     pub wall_s: f64,
-    /// Events lost to ring overwrites (from the drain).
+    /// Events the workers' bounded logs dropped (from the drain).
     pub dropped: u64,
 }
 
@@ -37,7 +37,7 @@ pub struct WindowStats {
 }
 
 /// The contention report derived from one flight-recorder drain. Its
-/// conflict totals count the events the rings kept, not the run's;
+/// conflict totals count the events the logs kept, not the run's;
 /// `commits` is the run's, from the workers' sums.
 #[derive(Clone, Debug, Default)]
 pub struct ContentionReport {
@@ -45,9 +45,9 @@ pub struct ContentionReport {
     pub dropped_events: u64,
     pub commits: u64,
     pub rollbacks: u64,
+    /// Rollbacks on a vertex another worker held (not injected denials).
     pub lock_conflicts: u64,
-    /// Top-K `(vertex id, conflict count)` by rollback + lock-conflict
-    /// attribution, most-contended first.
+    /// Top-K `(vertex id, rollback count)`, most-contended first.
     pub hot_vertices: Vec<(u32, u64)>,
     /// Top-K `(region code, conflict count)` over the engine's coarse
     /// spatial lattice, most-contended first.
@@ -155,13 +155,10 @@ pub fn analyze(events: &[FlightEvent], opts: AnalyzeOpts) -> ContentionReport {
             }
             EventKind::Rollback => {
                 rollbacks += 1;
+                lock_conflicts += e.is_lock_conflict() as u64;
                 *vertex_conflicts.entry(e.a).or_insert(0) += 1;
                 *region_conflicts.entry(e.rollback_region()).or_insert(0) += 1;
                 windows[win_of(e.t_s())].rollbacks += 1;
-            }
-            EventKind::LockConflict => {
-                lock_conflicts += 1;
-                *vertex_conflicts.entry(e.a).or_insert(0) += 1;
             }
             EventKind::CmUnpark => {
                 windows[win_of(e.t_s())].lock_wait_s += e.c as f64 * 1e-9;
@@ -196,7 +193,7 @@ pub fn analyze(events: &[FlightEvent], opts: AnalyzeOpts) -> ContentionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flight::pack_owner_region;
+    use crate::flight::{cause, pack_owner_region};
 
     fn e(t_ms: u64, tid: u16, kind: EventKind, a: u32, b: u32, c: u32) -> FlightEvent {
         FlightEvent {
@@ -225,18 +222,45 @@ mod tests {
             e(20, 1, EventKind::Rollback, 77, pack_owner_region(0, 9), ms),
             e(30, 1, EventKind::Rollback, 77, pack_owner_region(0, 9), ms),
             e(40, 0, EventKind::Rollback, 42, pack_owner_region(1, 4), ms),
-            e(50, 1, EventKind::LockConflict, 77, 0, 1),
             FlightEvent::worker_sum(100, 0, SumBucket::CommittedInsert, 5_000, 1),
         ];
         let r = analyze(&events, opts(2, 0.1));
         assert_eq!(r.commits, 1);
         assert_eq!(r.rollbacks, 3);
-        assert_eq!(r.lock_conflicts, 1);
-        assert_eq!(r.hot_vertices[0], (77, 3));
+        assert_eq!(r.lock_conflicts, 3);
+        assert_eq!(r.hot_vertices[0], (77, 2));
         assert_eq!(r.hot_vertices[1], (42, 1));
         assert_eq!(r.hot_regions[0], (9, 2));
         assert_eq!(r.hot_vertices.len(), 2);
         assert_eq!(r.rollback_ratio(), 0.75);
+    }
+
+    /// A conflict is one fact: its rollback counts once among the hot
+    /// vertices and once as a lock conflict. An injected denial is a
+    /// rollback but no lock conflict, whether the kernel injected it (it
+    /// names the rolling-back worker as the owner) or the engine did
+    /// (cause `INJECTED`).
+    #[test]
+    fn each_conflict_counts_once() {
+        let rollback = |t_ms, cause, owner, vertex| {
+            let b = pack_owner_region(owner, 3);
+            FlightEvent {
+                cause,
+                ..e(t_ms, 1, EventKind::Rollback, vertex, b, 0)
+            }
+        };
+        let r = analyze(&[rollback(1, cause::INSERT_CONFLICT, 0, 5)], opts(2, 0.1));
+        assert_eq!((r.rollbacks, r.lock_conflicts), (1, 1));
+        assert_eq!(r.hot_vertices, [(5, 1)]);
+
+        let events = [
+            rollback(1, cause::REMOVE_CONFLICT, 0, 5),
+            rollback(2, cause::INSERT_CONFLICT, 1, 6),
+            rollback(3, cause::INJECTED, 1, 7),
+        ];
+        let r = analyze(&events, opts(2, 0.1));
+        assert_eq!((r.rollbacks, r.lock_conflicts), (3, 1));
+        assert_eq!(r.hot_vertices, [(5, 1), (6, 1), (7, 1)]);
     }
 
     /// Commits are the committed buckets' counts, insertions and removals;
@@ -262,12 +286,11 @@ mod tests {
         let events = vec![
             e(2, 0, EventKind::CmUnpark, 0, 0, 2 * ms),
             e(3, 1, EventKind::BegUnpark, 0, 0, 5 * ms),
-            e(4, 1, EventKind::Steal, 0, 0, 0),
             e(5, 7, EventKind::Rollback, 3, 0, ms),
             FlightEvent::worker_sum(6, 7, SumBucket::CommittedInsert, 1, 4),
         ];
         let r = analyze(&events, opts(2, 0.01));
-        assert_eq!(r.total_events, 5);
+        assert_eq!(r.total_events, 4);
         assert_eq!((r.commits, r.rollbacks), (0, 0));
         assert!(r.hot_vertices.is_empty());
         assert!((r.windows[0].lock_wait_s - 0.002).abs() < 1e-12);

@@ -287,7 +287,7 @@ impl TimeAttribution {
 
 /// Fold the `WorkerSums` events of a drained flight log, and nothing else,
 /// into the per-worker wall-time decomposition: the run's own attribution,
-/// each sum rounded to whole nanoseconds, at any ring size. `wall_s` is the
+/// each sum rounded to whole nanoseconds, at any log capacity. `wall_s` is the
 /// refinement-section wall clock; `threads` fixes the worker count so
 /// fully-idle workers still appear.
 pub fn attribute(events: &[FlightEvent], threads: usize, wall_s: f64) -> TimeAttribution {
@@ -320,7 +320,7 @@ mod tests {
 
     #[test]
     fn decomposition_buckets_by_kind_and_tid() {
-        let ring_event = |kind| FlightEvent {
+        let logged = |kind| FlightEvent {
             t_ns: 1_000,
             kind,
             cause: 0,
@@ -336,12 +336,12 @@ mod tests {
             sum(1, SumBucket::BegPark, 40 * MS),
             sum(1, SumBucket::StealDonate, MS),
             sum(1, SumBucket::CommittedInsert, 20 * MS),
-            // the rings' events carry durations too, but the sums are the
+            // the logged events carry durations too, but the sums are the
             // account: they are not folded
-            ring_event(EventKind::Rollback),
-            ring_event(EventKind::CmUnpark),
-            ring_event(EventKind::Steal),
-            ring_event(EventKind::LockConflict),
+            logged(EventKind::Rollback),
+            logged(EventKind::CmUnpark),
+            logged(EventKind::BegUnpark),
+            logged(EventKind::Donate),
         ];
         let a = attribute(&events, 2, 0.1);
         let w0 = &a.per_worker[0];

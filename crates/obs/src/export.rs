@@ -105,9 +105,9 @@ pub fn render_prometheus(report: &RunReport) -> String {
 ///   on `tid = worker + 1`.
 /// * `flight`, the flight-recorder timeline, lands on the same worker
 ///   tracks: rollbacks, CM parks and begging waits as complete (`"X"`)
-///   slices, lock conflicts, steals, donations and worker deaths as instant
-///   (`"i"`) markers (`CmPark`/`BegPark` are skipped: their end events
-///   carry the duration). A worker's `WorkerSums` events become one sample
+///   slices (each event is stamped at its end and carries its duration),
+///   donations, worker deaths and heir bequests as instant (`"i"`)
+///   markers. A worker's `WorkerSums` events become one sample
 ///   on its counter track (`"ph":"C"`, `attribution w<tid>`): its seconds
 ///   per measured [`Category`], the report's `time_attribution` row.
 ///
@@ -199,11 +199,7 @@ pub fn render_chrome_trace(
                 }
                 trace_events.push(Json::obj(obj));
             }
-            EventKind::LockConflict
-            | EventKind::Steal
-            | EventKind::Donate
-            | EventKind::WorkerDeath
-            | EventKind::HeirBequest => {
+            EventKind::Donate | EventKind::WorkerDeath | EventKind::HeirBequest => {
                 trace_events.push(Json::obj(vec![
                     ("name", Json::str(e.kind.name())),
                     ("cat", Json::str("flight")),
@@ -228,7 +224,6 @@ pub fn render_chrome_trace(
                     w.add_sum(bucket, ns as f64 * 1e-9);
                 }
             }
-            EventKind::CmPark | EventKind::BegPark => {}
         }
     }
     for (tid, (t_ns, w)) in sums {
@@ -356,21 +351,21 @@ mod tests {
             },
             FlightEvent {
                 t_ns: 3_000_000,
-                kind: EventKind::Steal,
+                kind: EventKind::Donate,
                 cause: 0,
                 tid: 1,
                 a: 0,
-                b: 0,
+                b: 6,
                 c: 0,
             },
             FlightEvent {
-                t_ns: 100, // paired-begin kinds are skipped
-                kind: EventKind::CmPark,
+                t_ns: 5_000_000, // a CM wait ending at 5ms, 2ms long
+                kind: EventKind::CmUnpark,
                 cause: 0,
                 tid: 0,
-                a: 0,
+                a: 1,
                 b: 0,
-                c: 0,
+                c: 2_000_000,
             },
         ];
         let s = render_chrome_trace(&[], &[], &flight);
@@ -386,20 +381,24 @@ mod tests {
         let args = rb.get("args").unwrap();
         assert_eq!(args.get("vertex").unwrap().as_f64(), Some(42.0));
         assert_eq!(args.get("owner").unwrap().as_f64(), Some(1.0));
-        let steal = evs
+        let donate = evs
             .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("steal"))
-            .expect("steal marker");
-        assert_eq!(steal.get("ph").unwrap().as_str(), Some("i"));
-        assert!(!evs
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("donate"))
+            .expect("donate marker");
+        assert_eq!(donate.get("ph").unwrap().as_str(), Some("i"));
+        let cm = evs
             .iter()
-            .any(|e| e.get("name").and_then(Json::as_str) == Some("cm_park")));
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("cm_park"))
+            .expect("cm_park slice");
+        assert_eq!(cm.get("ph").unwrap().as_str(), Some("X"));
+        // 5ms - 2ms
+        assert_eq!(cm.get("ts").unwrap().as_f64(), Some(3_000.0));
         // worker tracks exist for both tids
         assert!(s.contains("worker 0") && s.contains("worker 1"));
     }
 
     /// One counter sample per worker, from its sums, whatever else the
-    /// log holds: the rings' duration-bearing events draw slices only.
+    /// log holds: the logged duration-bearing events draw slices only.
     #[test]
     fn chrome_trace_samples_attribution_once_per_worker() {
         use crate::flight::SumBucket;

@@ -315,7 +315,7 @@ fn load_trace(j: &Json) -> TraceInfo {
 }
 
 /// Read a run report's sections: its counters (exact, whatever the flight
-/// ring kept), its contention section's hot spots, and its attribution.
+/// logs kept), its contention section's hot spots, and its attribution.
 fn load_report(j: &Json) -> ReportInfo {
     let c = j.get("contention");
     let counters = j.get("counters");

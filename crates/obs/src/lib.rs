@@ -12,10 +12,10 @@
 //! * [`metrics`] — the static metric catalog ([`metrics::catalog`]), counter
 //!   and histogram ids, [`ThreadRecorder`] (hot path) and
 //!   [`MetricsSnapshot`] (merged at join).
-//! * [`flight`] + [`mod@analyze`] — the concurrency flight recorder: fixed
-//!   capacity per-worker SPSC event rings for conflicts and waits (not
-//!   operations), drained once after the workers join with each worker's
-//!   time sums appended, and the offline contention analyzer.
+//! * [`flight`] + [`mod@analyze`] — the concurrency flight recorder: a
+//!   bounded log of conflicts and waits (not operations) in each worker's
+//!   [`ThreadRecorder`], concatenated once after the workers join with each
+//!   worker's time sums appended, and the offline contention analyzer.
 //! * [`span`] — RAII wall-clock phase timing ([`Phases`], [`SpanGuard`]).
 //! * [`report`] + [`export`] — the self-describing [`RunReport`] and its
 //!   exporters: structured JSON, Prometheus text exposition, and Chrome
@@ -51,7 +51,7 @@ pub use analyze::{analyze, AnalyzeOpts, ContentionReport};
 pub use attribution::{attribute, Category, TimeAttribution, WorkerAttribution};
 pub use cancel::{CancelToken, Cancelled};
 pub use export::{render_chrome_trace, render_prometheus};
-pub use flight::{EventKind, EventRing, FlightEvent, FlightHandle, FlightLog, FlightRecorder};
+pub use flight::{EventKind, FlightEvent, FlightLog};
 pub use inspect::{
     load_artifact, render_diff, render_summary, Artifact, ArtifactKind, ReportInfo, ShardInfo,
     TraceInfo,

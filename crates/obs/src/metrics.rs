@@ -23,6 +23,8 @@
 //! r.inc(metrics::OPS_INSERTIONS, 1); // ERROR: `inc` needs `&mut`
 //! ```
 
+use crate::flight::FlightLog;
+
 /// What a metric measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricKind {
@@ -275,6 +277,9 @@ pub struct ThreadRecorder {
     hists: Vec<Hist>,
     /// Optional timeline events (worker lifetime, overhead episodes).
     pub events: Vec<ObsEvent>,
+    /// The worker's flight log (conflicts and waits); the run's drain
+    /// takes it, [`merge_into`](Self::merge_into) leaves it alone.
+    pub flight: FlightLog,
 }
 
 impl Default for ThreadRecorder {
@@ -289,6 +294,7 @@ impl ThreadRecorder {
             counters: vec![0; COUNTERS.len()],
             hists: vec![Hist::default(); HISTOGRAMS.len()],
             events: Vec::new(),
+            flight: FlightLog::default(),
         }
     }
 

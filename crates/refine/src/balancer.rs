@@ -11,7 +11,6 @@ use crate::cm::ContentionManager;
 use crate::sync::EngineSync;
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
-use pi2m_obs::flight::{cause as flight_cause, EventKind};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -92,7 +91,6 @@ fn beg_wait(
 ) -> (BegOutcome, f64) {
     let has_work = &bal.has_work[tid];
     let t0 = Instant::now();
-    sync.flight_emit(tid, EventKind::BegPark, 0, 0, 0, 0);
     sync.enter_begging();
     let outcome = loop {
         if sync.is_done() {
@@ -119,14 +117,7 @@ fn beg_wait(
         std::thread::yield_now();
     };
     sync.exit_begging();
-    let waited = t0.elapsed().as_secs_f64();
-    let cause = match outcome {
-        BegOutcome::GotWork => flight_cause::BEG_GOT_WORK,
-        BegOutcome::Finished => flight_cause::BEG_FINISHED,
-    };
-    let wait_ns = (waited * 1e9).min(u32::MAX as f64) as u32;
-    sync.flight_emit(tid, EventKind::BegUnpark, cause, 0, 0, wait_ns);
-    (outcome, waited)
+    (outcome, t0.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]

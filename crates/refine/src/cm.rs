@@ -11,7 +11,6 @@
 use crate::sync::EngineSync;
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
-use pi2m_obs::flight::EventKind;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -65,44 +64,17 @@ pub fn make_cm(kind: CmKind, threads: usize) -> Box<dyn ContentionManager> {
 }
 
 /// Park-until-flag-cleared busy wait with yields (the host may be heavily
-/// oversubscribed). Returns seconds waited.
-fn busy_wait_while(flag: &AtomicBool, sync: &EngineSync) -> f64 {
+/// oversubscribed), for a caller that already counted itself blocked
+/// (`sync.enter_cm_block()`); counts it unblocked after. Returns seconds
+/// waited.
+fn cm_wait(flag: &AtomicBool, sync: &EngineSync) -> f64 {
     let t0 = Instant::now();
     while flag.load(Ordering::Acquire) && !sync.is_done() {
         std::hint::spin_loop();
         std::thread::yield_now();
     }
-    t0.elapsed().as_secs_f64()
-}
-
-/// Seconds → saturated u32 nanoseconds for a flight-event payload word.
-#[inline]
-fn secs_to_ns_u32(s: f64) -> u32 {
-    (s * 1e9).min(u32::MAX as f64) as u32
-}
-
-/// CM park with flight-recorder bracketing: CmPark when the thread commits
-/// to waiting, CmUnpark (duration in `c`) when it resumes.
-fn recorded_cm_wait(tid: usize, owner: usize, flag: &AtomicBool, sync: &EngineSync) -> f64 {
-    sync.enter_cm_block();
-    recorded_cm_wait_entered(tid, owner, flag, sync)
-}
-
-/// [`recorded_cm_wait`] for a caller that already counted itself blocked
-/// (`sync.enter_cm_block()`).
-fn recorded_cm_wait_entered(tid: usize, owner: usize, flag: &AtomicBool, sync: &EngineSync) -> f64 {
-    sync.flight_emit(tid, EventKind::CmPark, 0, owner as u32, 0, 0);
-    let waited = busy_wait_while(flag, sync);
     sync.exit_cm_block();
-    sync.flight_emit(
-        tid,
-        EventKind::CmUnpark,
-        0,
-        owner as u32,
-        0,
-        secs_to_ns_u32(waited),
-    );
-    waited
+    t0.elapsed().as_secs_f64()
 }
 
 // --------------------------------------------------------------------------
@@ -167,23 +139,13 @@ impl ContentionManager for RandomCm {
         self.consecutive[tid].store(0, Ordering::Relaxed);
     }
 
-    fn on_rollback(&self, tid: usize, owner: usize, sync: &EngineSync) -> f64 {
+    fn on_rollback(&self, tid: usize, _owner: usize, _sync: &EngineSync) -> f64 {
         let r = self.consecutive[tid].fetch_add(1, Ordering::Relaxed) + 1;
         if r > R_PLUS {
             let ms = 1 + self.next_rand(tid) % (R_PLUS as u64);
-            sync.flight_emit(tid, EventKind::CmPark, 0, owner as u32, 0, 0);
             let t0 = Instant::now();
             std::thread::sleep(Duration::from_millis(ms));
-            let waited = t0.elapsed().as_secs_f64();
-            sync.flight_emit(
-                tid,
-                EventKind::CmUnpark,
-                0,
-                owner as u32,
-                0,
-                secs_to_ns_u32(waited),
-            );
-            return waited;
+            return t0.elapsed().as_secs_f64();
         }
         0.0
     }
@@ -244,7 +206,7 @@ impl ContentionManager for GlobalCm {
         }
     }
 
-    fn on_rollback(&self, tid: usize, owner: usize, sync: &EngineSync) -> f64 {
+    fn on_rollback(&self, tid: usize, _owner: usize, sync: &EngineSync) -> f64 {
         self.streak[tid].store(0, Ordering::Relaxed);
         {
             // A thread may not park if it is the only active thread (paper
@@ -259,7 +221,7 @@ impl ContentionManager for GlobalCm {
             cl.push_back(tid);
             sync.enter_cm_block();
         }
-        recorded_cm_wait_entered(tid, owner, &self.parked[tid], sync)
+        cm_wait(&self.parked[tid], sync)
     }
 
     fn before_beg(&self, _tid: usize, _sync: &EngineSync) {
@@ -355,7 +317,8 @@ impl ContentionManager for LocalCm {
         self.slots[owner].cl.lock().push_back(tid);
         drop(_g2);
         drop(_g1);
-        recorded_cm_wait(tid, owner, &self.slots[tid].busy_wait, sync)
+        sync.enter_cm_block();
+        cm_wait(&self.slots[tid].busy_wait, sync)
     }
 
     fn before_beg(&self, tid: usize, _sync: &EngineSync) {

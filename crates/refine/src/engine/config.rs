@@ -5,7 +5,7 @@ use crate::output::FinalMesh;
 use crate::stats::RefineStats;
 use pi2m_delaunay::SharedMesh;
 use pi2m_faults::FaultPlan;
-use pi2m_obs::flight::{FlightEvent, DEFAULT_RING_CAPACITY};
+use pi2m_obs::flight::{FlightEvent, DEFAULT_FLIGHT_CAPACITY};
 use pi2m_obs::metrics::MetricsSnapshot;
 use pi2m_obs::{TimeAttribution, TraceSpan};
 use pi2m_oracle::{IsosurfaceOracle, SizeFn};
@@ -40,11 +40,11 @@ pub struct MesherConfig {
     /// production). Threaded into every kernel context and consulted at the
     /// engine's own named sites.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Always-on concurrency flight recorder (per-worker SPSC event rings
-    /// of conflicts and waits).
+    /// Always-on concurrency flight recorder (a bounded per-worker log of
+    /// conflicts and waits).
     pub flight: bool,
-    /// Per-worker ring capacity in events (rounded up to a power of two;
-    /// default [`DEFAULT_RING_CAPACITY`], 4 Ki).
+    /// Per-worker log capacity in events: each worker keeps its newest this
+    /// many (default [`DEFAULT_FLIGHT_CAPACITY`], 4 Ki).
     pub flight_capacity: usize,
 }
 
@@ -63,7 +63,7 @@ impl Default for MesherConfig {
             max_operations: 0,
             faults: None,
             flight: true,
-            flight_capacity: DEFAULT_RING_CAPACITY,
+            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
         }
     }
 }
@@ -84,10 +84,10 @@ pub struct MeshOutput {
     /// origin.
     pub phases: Vec<TraceSpan>,
     /// Flight-recorder events (time-sorted, shifted into the run-origin time
-    /// base): the conflicts and waits the rings kept, then each worker's
-    /// `WorkerSums` events. Empty when the recorder was disabled.
+    /// base): the conflicts and waits the workers' logs kept, then each
+    /// worker's `WorkerSums` events. Empty when the recorder was disabled.
     pub flight: Vec<FlightEvent>,
-    /// Events lost to ring overwrites (rings keep the newest window).
+    /// Events the workers' logs dropped (each keeps its newest events).
     pub flight_dropped: u64,
     /// The workers' wall-time attribution of the refinement section, from
     /// their own sums: exact whatever the flight recorder kept.

@@ -155,11 +155,11 @@ mod tests {
         let out = small_run(2, CmKind::Local);
         // drained log is time-sorted
         assert!(out.flight.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
-        let (ring, sums) = out
+        let (logged, sums) = out
             .flight
             .split_at(out.flight.len() - 2 * SumBucket::ALL.len());
         assert!(sums.iter().all(|e| e.kind == EventKind::WorkerSums));
-        assert!(ring.iter().all(|e| e.kind != EventKind::WorkerSums));
+        assert!(logged.iter().all(|e| e.kind != EventKind::WorkerSums));
         for tid in 0..2 {
             let mine: Vec<SumBucket> = sums
                 .iter()
@@ -292,7 +292,6 @@ mod tests {
             cfg,
             &domain,
             pi2m_obs::CancelToken::new(),
-            None,
             false,
         );
         let mut rec = metrics::ThreadRecorder::new();

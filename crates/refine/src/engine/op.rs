@@ -13,8 +13,9 @@
 //!         ↘ rejection → per-kind counters (quarantine / skip / block)
 //! ```
 //!
-//! Only the rollback is a flight event: committed work lands in the
-//! worker's time sums, which the drain appends to the flight log.
+//! Only the rollback, and the contention-manager wait it may lead to, are
+//! flight events: committed work lands in the worker's time sums, which the
+//! drain appends to the flight log.
 
 use super::worker::{handle_created, push_own, Env, PelEnd};
 use crate::stats::ThreadStats;
@@ -23,12 +24,12 @@ use pi2m_faults::sites;
 use pi2m_geometry::Aabb;
 use pi2m_obs::flight::{cause as flight_cause, pack_owner_region, EventKind};
 use pi2m_obs::metrics::{self, ThreadRecorder};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Duration → saturated u32 nanoseconds for a flight-event payload word.
+/// Seconds → saturated u32 nanoseconds for a flight-event payload word.
 #[inline]
-pub(crate) fn dur_ns_u32(d: Duration) -> u32 {
-    d.as_nanos().min(u32::MAX as u128) as u32
+pub(crate) fn ns_u32(secs: f64) -> u32 {
+    (secs * 1e9).min(u32::MAX as f64) as u32
 }
 
 /// Maps world points onto a coarse 16×16×16 grid over the image domain; the
@@ -301,27 +302,48 @@ pub(crate) fn run_op(
         }
         Err(OpError::Conflict { owner, vertex, .. }) => {
             stats.rollbacks += 1;
-            let t_end = Instant::now();
-            let rolled = (t_end - t0).as_secs_f64();
-            env.sync.flight_emit(
+            let rolled = t0.elapsed().as_secs_f64();
+            let owner_region = pack_owner_region(owner as u16, region);
+            env.log(
+                rec,
                 tid,
                 EventKind::Rollback,
                 op.conflict_cause(),
-                vertex.0,
-                pack_owner_region(owner as u16, region),
-                dur_ns_u32(t_end - t0),
+                [vertex.0, owner_region, ns_u32(rolled)],
             );
             stats.rolled_back_s += rolled;
             rec.observe(metrics::ROLLBACK_SECONDS, rolled);
             op.on_conflict(env, tid, rec);
-            let waited = env.cm.on_rollback(tid, owner as usize, env.sync);
-            stats.cm_park_s += waited;
-            rec.observe(metrics::LOCK_WAIT_SECONDS, waited);
+            consult_cm(env, tid, owner as usize, stats, rec);
             OpOutcome::Conflicted
         }
         Err(e) => {
             op.count_rejected(stats, &e);
             OpOutcome::Rejected
         }
+    }
+}
+
+/// Report a rollback against `owner` to the contention manager, and
+/// account for the time it parked `tid`: its sum, its histogram and, if it
+/// parked at all, one `CmUnpark` event.
+pub(crate) fn consult_cm(
+    env: &Env<'_>,
+    tid: usize,
+    owner: usize,
+    stats: &mut ThreadStats,
+    rec: &mut ThreadRecorder,
+) {
+    let waited = env.cm.on_rollback(tid, owner, env.sync);
+    stats.cm_park_s += waited;
+    rec.observe(metrics::LOCK_WAIT_SECONDS, waited);
+    if waited > 0.0 {
+        env.log(
+            rec,
+            tid,
+            EventKind::CmUnpark,
+            0,
+            [owner as u32, 0, ns_u32(waited)],
+        );
     }
 }

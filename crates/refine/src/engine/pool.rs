@@ -2,11 +2,11 @@
 //!
 //! A session's first run pays setup that its later runs skip: spawning OS
 //! threads, growing each worker's kernel scratch arenas to their
-//! steady-state footprint, allocating the flight-recorder rings, and
-//! allocating the proximity grid's bucket heads and node segments. The pool
-//! owns all four. Threads live across runs and receive one [`Job`] per run;
-//! the warm resources are checked out at run start and parked again at run
-//! end.
+//! steady-state footprint, and allocating the proximity grid's bucket heads
+//! and node segments. The pool owns all three. Threads live across runs and
+//! receive one [`Job`] per run; the grid is checked out at run start and
+//! parked again at run end. Each job gets a fresh `ThreadRecorder`, flight
+//! log included, which the worker hands back in its [`WorkerDone`].
 //!
 //! Correctness of reuse:
 //! - **Arenas** are capacity-only caches ([`KernelScratch`] buffers are
@@ -15,16 +15,13 @@
 //!   head cleared, the node pool rewound to empty, the cell size re-keyed to
 //!   the run's δ. The node segments stay allocated and still hold the last
 //!   run's entries, which nothing can reach any more.
-//! - **Flight rings** keep old events in place; per-run drains read from
-//!   saved cursors ([`FlightRecorder::drain_from`]) so each run sees only its
-//!   own events and its drop accounting stays per-run.
 
 use super::session::CancelTelemetry;
 use super::worker::{worker, worker_death_cleanup, RunState};
 use crate::grid::PointGrid;
 use crate::stats::ThreadStats;
 use pi2m_delaunay::KernelScratch;
-use pi2m_obs::flight::FlightRecorder;
+use pi2m_obs::flight::FlightLog;
 use pi2m_obs::metrics::ThreadRecorder;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -55,17 +52,9 @@ struct PoolThread {
 pub(crate) struct WorkerPool {
     threads: Vec<PoolThread>,
     grid: Option<Arc<PointGrid>>,
-    flight: Option<FlightSlot>,
     /// Telemetry salvaged from the last cancelled run (the typed
     /// `RefineError::Cancelled` cannot carry it — the error derives `Eq`).
     cancel_telemetry: Option<CancelTelemetry>,
-}
-
-struct FlightSlot {
-    rec: Arc<FlightRecorder>,
-    /// Per-ring read cursors: where the previous run's drain stopped.
-    cursors: Vec<u64>,
-    capacity: usize,
 }
 
 impl WorkerPool {
@@ -73,7 +62,6 @@ impl WorkerPool {
         let mut pool = WorkerPool {
             threads: Vec::new(),
             grid: None,
-            flight: None,
             cancel_telemetry: None,
         };
         pool.ensure_threads(threads.max(1));
@@ -140,25 +128,6 @@ impl WorkerPool {
         self.grid = Some(grid);
     }
 
-    /// Check out the flight recorder and its per-ring drain cursors. The
-    /// parked recorder is reused only when its shape (ring count, capacity)
-    /// matches this run; otherwise a fresh one is built with zeroed cursors.
-    pub(crate) fn checkout_flight(
-        &mut self,
-        threads: usize,
-        capacity: usize,
-    ) -> (Arc<FlightRecorder>, Vec<u64>) {
-        if let Some(slot) = self.flight.take() {
-            if slot.rec.threads() == threads && slot.capacity == capacity {
-                return (slot.rec, slot.cursors);
-            }
-        }
-        (
-            Arc::new(FlightRecorder::new(threads, capacity)),
-            vec![0; threads.max(1)],
-        )
-    }
-
     /// Stash the telemetry of a cancelled run for the caller to collect.
     pub(crate) fn stash_cancel_telemetry(&mut self, t: CancelTelemetry) {
         self.cancel_telemetry = Some(t);
@@ -167,20 +136,6 @@ impl WorkerPool {
     /// Take (and clear) the last cancelled run's telemetry.
     pub(crate) fn take_cancel_telemetry(&mut self) -> Option<CancelTelemetry> {
         self.cancel_telemetry.take()
-    }
-
-    /// Park the recorder with the cursors advanced past this run's events.
-    pub(crate) fn park_flight(
-        &mut self,
-        rec: Arc<FlightRecorder>,
-        cursors: Vec<u64>,
-        capacity: usize,
-    ) {
-        self.flight = Some(FlightSlot {
-            rec,
-            cursors,
-            capacity,
-        });
     }
 }
 
@@ -206,6 +161,7 @@ fn pool_thread_main(rx: mpsc::Receiver<Job>) {
         let Job { state, tid, done } = job;
         let mut stats = ThreadStats::default();
         let mut rec = ThreadRecorder::new();
+        rec.flight = FlightLog::new(state.cfg.flight_capacity);
         let died;
         {
             let env = state.env();

@@ -2,9 +2,8 @@
 //!
 //! A [`MeshingSession`] is created once and then meshes any number of images:
 //! its [`WorkerPool`] keeps the worker threads, per-thread kernel scratch
-//! arenas, flight-recorder rings, and the proximity grid warm across runs,
-//! so the second and later `session.mesh(...)` calls skip the per-run setup
-//! the first one pays.
+//! arenas and the proximity grid warm across runs, so the second and later
+//! `session.mesh(...)` calls skip the per-run setup the first one pays.
 //!
 //! Every run walks the typed [`Stage`] sequence (Load → EDT → Oracle →
 //! SurfaceRecovery → VolumeRefine → Quality → Export), records one obs phase
@@ -22,7 +21,7 @@ use crate::rules::{RuleConfig, Rules};
 use crate::stats::{time_attribution, RefineStats, ThreadStats};
 use pi2m_delaunay::{SharedMesh, VertexKind};
 use pi2m_image::LabeledImage;
-use pi2m_obs::flight::{FlightEvent, FlightRecorder};
+use pi2m_obs::flight::FlightEvent;
 use pi2m_obs::metrics::{self, MetricsSnapshot, ThreadRecorder};
 use pi2m_obs::{CancelToken, Phases, TimeAttribution};
 use pi2m_oracle::IsosurfaceOracle;
@@ -55,7 +54,7 @@ pub struct CancelTelemetry {
     /// Flight events drained at cancellation, re-based onto the run clock,
     /// each worker's `WorkerSums` events last.
     pub flight: Vec<pi2m_obs::FlightEvent>,
-    /// Events lost to ring overwrites during this run.
+    /// Events the workers' bounded logs dropped during this run.
     pub flight_dropped: u64,
     /// Metrics merged from the pipeline thread and every worker.
     pub metrics: MetricsSnapshot,
@@ -100,8 +99,8 @@ impl MeshingSession {
     }
 
     /// Replace the warm worker pool with a fresh one of the same width,
-    /// discarding every parked resource (threads, arenas, flight rings,
-    /// proximity grid). This is the quarantine path for a session that
+    /// discarding every parked resource (threads, arenas, proximity grid).
+    /// This is the quarantine path for a session that
     /// served a poisoned run — e.g. one whose workers died or that returned
     /// [`RefineError::WorkerQuorumLost`] — where a caller like `pi2m serve`
     /// wants the next job to start from provably clean state. Blocks until
@@ -161,15 +160,6 @@ impl MeshingSession {
     ) -> Result<MeshOutput, RefineError> {
         run_pipeline(&mut self.pool, img, cfg, opts, seed)
     }
-}
-
-/// This run's flight recorder, checked out of the pool: the per-ring drain
-/// cursors, and where the run origin sits on the recorder clock. A warm
-/// recorder's clock starts at *its* creation, which may be runs ago.
-struct RunFlight {
-    rec: Arc<FlightRecorder>,
-    cursors: Vec<u64>,
-    base_ns: i128,
 }
 
 /// Run the staged pipeline once over `pool`. A run that reaches refinement
@@ -277,15 +267,6 @@ fn run_pipeline(
     cancel.check().map_err(|_| RefineError::Cancelled)?;
 
     // ---- Stage: VolumeRefine ----
-    let flight = cfg.flight.then(|| {
-        let (rec, cursors) = pool.checkout_flight(cfg.threads, cfg.flight_capacity);
-        let base_ns = rec.now_ns() as i128 - (phases.now() * 1e9) as i128;
-        RunFlight {
-            rec,
-            cursors,
-            base_ns,
-        }
-    });
     // Offset between the refinement clock (EngineSync, which timestamps
     // worker events) and the run origin, so all exported timelines share one
     // time base.
@@ -296,7 +277,6 @@ fn run_pipeline(
         cfg.clone(),
         &domain,
         cancel,
-        flight.as_ref().map(|f| Arc::clone(&f.rec)),
         !seed.is_empty(),
     ));
     pool.ensure_threads(cfg.threads);
@@ -324,6 +304,8 @@ fn run_pipeline(
     let wall_time = t_refine.elapsed().as_secs_f64();
     // The run's one account of worker time, from the workers' own sums.
     let attribution = time_attribution(&per_thread, wall_time);
+    // Where the drain stamps the workers' sums: after every logged event.
+    let sums_ns = ((sync_origin + state.sync.now()) * 1e9) as u64;
 
     // Every pool thread drops its Arc before it reports done: this is the
     // last one.
@@ -359,13 +341,12 @@ fn run_pipeline(
     // run report for the run it had to kill.
     if sync.was_cancelled() {
         let (flight, flight_dropped, metrics) = drain_telemetry(
-            pool,
-            flight,
             &cfg,
             &pipeline_rec,
             recorders,
             &per_thread,
             sync_origin,
+            sums_ns,
         );
         pool.stash_cancel_telemetry(CancelTelemetry {
             flight,
@@ -382,13 +363,12 @@ fn run_pipeline(
     let (flight_events, flight_dropped, snap) = {
         let _g = phases.span(Stage::Quality.phase_name());
         drain_telemetry(
-            pool,
-            flight,
             &cfg,
             &pipeline_rec,
             recorders,
             &per_thread,
             sync_origin,
+            sums_ns,
         )
     };
     reporter.finished(Stage::Quality, t0.elapsed().as_secs_f64());
@@ -435,52 +415,44 @@ fn run_pipeline(
 }
 
 /// The telemetry tail of every run that reached refinement, completed or
-/// cancelled, once its workers have joined. Drains this run's flight events,
-/// re-based onto the run clock, and parks the recorder with its cursors past
-/// them, so the next run on these rings does not replay them. Each worker's
-/// time sums follow the drained events, stamped at the drain: they never
-/// sit in a ring, so no ring size drops them. Merges the
-/// pipeline's and every worker's recorder into one snapshot, worker events
-/// shifted into the run-origin time base: the workers are done, so these are
-/// plain reads, and the whole run records without a single atomic RMW. Then
-/// bridges the `ThreadStats` counters and counts the injected faults.
+/// cancelled, once its workers have joined. Concatenates the workers'
+/// flight logs, shifted like their timeline events from the sync clock
+/// into the run-origin time base, sorts them, and appends each worker's
+/// time sums, stamped at `sums_ns`: the sums never sit in a log, so no log
+/// capacity drops them. Merges the pipeline's and every worker's recorder
+/// into one snapshot: the workers are done, so these are plain reads, and
+/// the whole run records without a single atomic RMW. Then bridges the
+/// `ThreadStats` counters and counts the injected faults.
 fn drain_telemetry(
-    pool: &mut WorkerPool,
-    flight: Option<RunFlight>,
     cfg: &MesherConfig,
     pipeline_rec: &ThreadRecorder,
     mut recorders: Vec<ThreadRecorder>,
     per_thread: &[ThreadStats],
     sync_origin: f64,
+    sums_ns: u64,
 ) -> (Vec<FlightEvent>, u64, MetricsSnapshot) {
-    let (events, dropped) = match flight {
-        Some(RunFlight {
-            rec,
-            mut cursors,
-            base_ns,
-        }) => {
-            // after every ring event, on the same clock
-            let sums_ns = (rec.now_ns() as i128 - base_ns).max(0) as u64;
-            let mut log = rec.drain_from(&mut cursors);
-            for e in &mut log.events {
-                // recorder clock → run clock
-                e.t_ns = (e.t_ns as i128 - base_ns).max(0) as u64;
-            }
-            pool.park_flight(rec, cursors, cfg.flight_capacity);
-            for (tid, st) in per_thread.iter().enumerate() {
-                log.events.extend(st.sum_events(tid as u16, sums_ns));
-            }
-            (log.events, log.dropped)
-        }
-        None => (Vec::new(), 0),
-    };
+    let origin_ns = (sync_origin * 1e9) as u64;
+    let mut events = Vec::new();
+    let mut dropped = 0;
     let mut snap = MetricsSnapshot::new();
     pipeline_rec.merge_into(cfg.threads as u32, &mut snap);
     for (tid, rec) in recorders.iter_mut().enumerate() {
+        let (logged, lost) = rec.flight.take();
+        events.extend(logged.into_iter().map(|e| FlightEvent {
+            t_ns: e.t_ns + origin_ns,
+            ..e
+        }));
+        dropped += lost;
         for e in &mut rec.events {
             e.at_s += sync_origin;
         }
         rec.merge_into(tid as u32, &mut snap);
+    }
+    events.sort_by_key(|e| e.t_ns);
+    if cfg.flight {
+        for (tid, st) in per_thread.iter().enumerate() {
+            events.extend(st.sum_events(tid as u16, sums_ns));
+        }
     }
     for st in per_thread {
         bridge_thread_stats(st, &mut snap);

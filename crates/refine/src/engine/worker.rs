@@ -12,7 +12,7 @@
 //! checked at the same loop boundary stops a run on demand.
 
 use super::config::MesherConfig;
-use super::op::{dur_ns_u32, run_op, InsertOp, OpOutcome, RegionMap, RemoveOp};
+use super::op::{consult_cm, ns_u32, run_op, InsertOp, OpOutcome, RegionMap, RemoveOp};
 use crate::balancer::{BegOutcome, BeggingList, DONATE_THRESHOLD};
 use crate::cm::{make_cm, ContentionManager};
 use crate::rules::{FacetMemo, Rules};
@@ -23,12 +23,11 @@ use parking_lot::Mutex;
 use pi2m_delaunay::{CellId, KernelScratch, OpCtx, SharedMesh, VertexKind};
 use pi2m_faults::sites;
 use pi2m_geometry::Aabb;
-use pi2m_obs::flight::{cause as flight_cause, EventKind, FlightRecorder};
+use pi2m_obs::flight::{cause as flight_cause, pack_owner_region, EventKind, FlightEvent};
 use pi2m_obs::metrics::{self, MetricsSnapshot, ThreadRecorder};
 use pi2m_obs::CancelToken;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One thread's Poor Element List: `(cell id, generation)` pairs, used as a
@@ -85,25 +84,20 @@ pub(crate) struct RunState {
 
 impl RunState {
     /// Assemble a run over `mesh`: one empty PEL, PEL counter and death flag
-    /// per worker, the engine sync (recording into `flight`, when given), the
-    /// contention manager and the begging list. Every alive cell of `mesh` is
-    /// seeded into PEL 0 (paper §4.4: "only the main thread might have a
-    /// non-empty PEL"). The sync's clock starts here. `stitch` marks the
-    /// stitch pass of a sharded run.
+    /// per worker, the engine sync, the contention manager and the begging
+    /// list. Every alive cell of `mesh` is seeded into PEL 0 (paper §4.4:
+    /// "only the main thread might have a non-empty PEL"). The sync's clock
+    /// starts here. `stitch` marks the stitch pass of a sharded run.
     pub(crate) fn new(
         mesh: SharedMesh,
         rules: Rules,
         cfg: MesherConfig,
         domain: &Aabb,
         cancel: CancelToken,
-        flight: Option<Arc<FlightRecorder>>,
         stitch: bool,
     ) -> Self {
         let threads = cfg.threads;
-        let mut sync = EngineSync::new(threads);
-        if let Some(rec) = flight {
-            sync.set_flight(rec);
-        }
+        let sync = EngineSync::new(threads);
         let pels: Vec<Pel> = (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
         let counters: Vec<CachePadded<AtomicI64>> = (0..threads)
             .map(|_| CachePadded::new(AtomicI64::new(0)))
@@ -172,6 +166,33 @@ pub(crate) struct Env<'a> {
     pub stitch: bool,
 }
 
+impl Env<'_> {
+    /// Log one flight event (`[a, b, c]` its payload) in `rec`, worker
+    /// `tid`'s own log, stamped on the run's sync clock; nothing when the
+    /// recorder is off.
+    #[inline]
+    pub(crate) fn log(
+        &self,
+        rec: &mut ThreadRecorder,
+        tid: usize,
+        kind: EventKind,
+        cause: u8,
+        [a, b, c]: [u32; 3],
+    ) {
+        if self.cfg.flight {
+            rec.flight.push(FlightEvent {
+                t_ns: self.sync.now_ns(),
+                kind,
+                cause,
+                tid: tid as u16,
+                a,
+                b,
+                c,
+            });
+        }
+    }
+}
+
 pub(crate) fn worker(
     env: &Env<'_>,
     tid: usize,
@@ -188,11 +209,6 @@ pub(crate) fn worker(
         .mesh
         .make_ctx_with_faults(tid as u32, env.cfg.faults.clone());
     ctx.install_scratch(std::mem::take(arena));
-    // Hand the kernel this worker's ring so its lock conflicts land on the
-    // same per-thread timeline.
-    if let Some(rec) = env.sync.flight() {
-        ctx.set_flight(rec.handle(tid));
-    }
     let t_spawn = env.sync.now();
     // Fresh per run: the (cell, generation) pairs it holds are this run's.
     let mut memo = FacetMemo::new();
@@ -256,18 +272,21 @@ pub(crate) fn worker(
             let (outcome, waited) = env.bal.beg(tid, env.sync, env.cm);
             stats.beg_park_s += waited;
             rec.observe(metrics::LB_WAIT_SECONDS, waited);
+            let cause = match outcome {
+                BegOutcome::GotWork => flight_cause::BEG_GOT_WORK,
+                BegOutcome::Finished => flight_cause::BEG_FINISHED,
+            };
+            env.log(
+                rec,
+                tid,
+                EventKind::BegUnpark,
+                cause,
+                [0, 0, ns_u32(waited)],
+            );
             match outcome {
                 BegOutcome::Finished => break,
                 BegOutcome::GotWork => {
                     stats.donations_received += 1;
-                    env.sync.flight_emit(
-                        tid,
-                        EventKind::Steal,
-                        0,
-                        0,
-                        0,
-                        (waited * 1e9).min(u32::MAX as f64) as u32,
-                    );
                     continue;
                 }
             }
@@ -485,18 +504,16 @@ fn process_item(
         match f.fire(sites::ENGINE_OP, tid as u32) {
             Some(pi2m_faults::Injected::Deny) => {
                 stats.rollbacks += 1;
-                env.sync.flight_emit(
+                let owner_region = pack_owner_region(tid as u16, 0);
+                env.log(
+                    rec,
                     tid,
                     EventKind::Rollback,
                     flight_cause::INJECTED,
-                    cid,
-                    pi2m_obs::flight::pack_owner_region(tid as u16, 0),
-                    0,
+                    [cid, owner_region, 0],
                 );
                 push_own(env, tid, rec, std::iter::once((cid, gen)), PelEnd::Bottom);
-                let waited = env.cm.on_rollback(tid, tid, env.sync);
-                stats.cm_park_s += waited;
-                rec.observe(metrics::LOCK_WAIT_SECONDS, waited);
+                consult_cm(env, tid, tid, stats, rec);
                 return false;
             }
             Some(pi2m_faults::Injected::Fail) => {
@@ -542,11 +559,9 @@ pub(crate) fn worker_death_cleanup(env: &Env<'_>, tid: usize, rec: &mut ThreadRe
     env.dead_flags[tid].store(true, Ordering::Release);
     env.sync.worker_died();
     rec.inc(metrics::WORKER_DEATHS, 1);
-    // This still runs on the dying thread itself, so the SPSC discipline
-    // holds — the ring (and everything recorded before the panic) survives
-    // because the recorder is owned by the engine, not the worker closure.
-    env.sync
-        .flight_emit(tid, EventKind::WorkerDeath, 0, 0, 0, 0);
+    // The recorder lives in the pool thread, outside the worker's unwind,
+    // so this log still holds everything logged before the panic.
+    env.log(rec, tid, EventKind::WorkerDeath, 0, [0, 0, 0]);
 
     // Bequeath the dead worker's PEL to the nearest surviving thread so no
     // queued element is silently lost.
@@ -570,8 +585,7 @@ pub(crate) fn worker_death_cleanup(env: &Env<'_>, tid: usize, rec: &mut ThreadRe
                 }
                 env.counters[h].fetch_add(n, Ordering::AcqRel);
                 env.bal.wake(h);
-                env.sync
-                    .flight_emit(tid, EventKind::HeirBequest, 0, h as u32, n as u32, 0);
+                env.log(rec, tid, EventKind::HeirBequest, 0, [h as u32, n as u32, 0]);
             }
             None => {
                 // no survivors: the work is lost, but so is the run — keep
@@ -625,15 +639,14 @@ pub(crate) fn handle_created(
             env.bal.wake(b);
             // The handoff (beggar-PEL lock, push, wake) is the donor's time:
             // summed into its stats, and carried in the event's `c`.
-            let handoff = t_donate.elapsed();
-            stats.steal_donate_s += handoff.as_secs_f64();
-            env.sync.flight_emit(
+            let handoff = t_donate.elapsed().as_secs_f64();
+            stats.steal_donate_s += handoff;
+            env.log(
+                rec,
                 tid,
                 EventKind::Donate,
                 0,
-                b as u32,
-                n as u32,
-                dur_ns_u32(handoff),
+                [b as u32, n as u32, ns_u32(handoff)],
             );
             stats.donations_made += 1;
         }

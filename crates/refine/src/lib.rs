@@ -63,7 +63,7 @@ pub use pi2m_obs::{CancelToken, Cancelled};
 pub use rules::{InsertAction, RuleConfig, Rules};
 pub use shard::{
     mesh_sharded, parse_shard_grid, split_plan, ChunkRun, ChunkSpec, ShardError, ShardRun,
-    ShardSpec,
+    ShardSpec, MAX_HALO,
 };
 pub use stats::{time_attribution, RefineStats, ThreadStats};
 pub use sync::EngineSync;

@@ -30,6 +30,10 @@ use pi2m_obs::metrics::{self, MetricsSnapshot};
 use pi2m_obs::Phases;
 use std::time::Instant;
 
+/// The widest halo a caller may ask for, in voxels: the bound `pi2m mesh
+/// --halo` and a serve job spec's `halo` share.
+pub const MAX_HALO: usize = 4096;
+
 /// How to shard a run: the chunk grid, the halo width, and the fan-out.
 #[derive(Clone, Debug)]
 pub struct ShardSpec {

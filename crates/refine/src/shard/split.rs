@@ -165,7 +165,7 @@ pub fn split_plan(
                     core_lo[a] = cut(dims[a], grid[a], index[a]);
                     core_hi[a] = cut(dims[a], grid[a], index[a] + 1);
                     lo[a] = core_lo[a].saturating_sub(halo);
-                    hi[a] = (core_hi[a] + halo).min(dims[a]);
+                    hi[a] = core_hi[a].saturating_add(halo).min(dims[a]);
                 }
                 plan.push(ChunkSpec {
                     index,
@@ -240,6 +240,16 @@ mod tests {
         );
         // a 1-shard axis has no seam: a huge halo is fine there
         assert!(split_plan([8, 8, 8], [1, 1, 1], 100).is_ok());
+    }
+
+    /// A halo too wide to add to a core bound clamps to the image like any
+    /// other: on one-shard axes the view is the whole image, as at halo 0.
+    #[test]
+    fn a_usize_max_halo_on_one_shard_axes_tiles_like_halo_0() {
+        let dims = [9, 5, 7];
+        let wide = split_plan(dims, [1, 1, 1], usize::MAX).unwrap();
+        assert_eq!(wide, split_plan(dims, [1, 1, 1], 0).unwrap());
+        assert_eq!((wide[0].lo, wide[0].hi), ([0; 3], dims));
     }
 
     #[test]

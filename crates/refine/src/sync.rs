@@ -3,9 +3,7 @@
 //! contention managers and the begging list.
 
 use crossbeam_utils::CachePadded;
-use pi2m_obs::flight::{EventKind, FlightRecorder};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Steps of other threads, replayed inside a termination check.
@@ -32,10 +30,6 @@ fn parked(word: u64) -> usize {
 /// only polling the flags.
 pub struct EngineSync {
     pub threads: usize,
-    /// Flight recorder, when enabled. Carried here so the contention managers
-    /// and the begging list can emit park/unpark events without changing
-    /// their signatures.
-    flight: Option<Arc<FlightRecorder>>,
     done: AtomicBool,
     livelock: AtomicBool,
     cancelled: AtomicBool,
@@ -64,7 +58,6 @@ impl EngineSync {
     pub fn new(threads: usize) -> Self {
         EngineSync {
             threads,
-            flight: None,
             done: AtomicBool::new(false),
             livelock: AtomicBool::new(false),
             cancelled: AtomicBool::new(false),
@@ -84,22 +77,10 @@ impl EngineSync {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Attach the flight recorder (before workers start).
-    pub fn set_flight(&mut self, rec: Arc<FlightRecorder>) {
-        self.flight = Some(rec);
-    }
-
+    /// [`now`](Self::now) in whole nanoseconds: the flight events' clock.
     #[inline]
-    pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
-        self.flight.as_ref()
-    }
-
-    /// Emit a flight event on `tid`'s ring; no-op when the recorder is off.
-    #[inline]
-    pub fn flight_emit(&self, tid: usize, kind: EventKind, cause: u8, a: u32, b: u32, c: u32) {
-        if let Some(rec) = &self.flight {
-            rec.emit(tid, kind, cause, a, b, c);
-        }
+    pub fn now_ns(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64
     }
 
     #[inline]

@@ -92,8 +92,8 @@ fn single_worker_death_is_survivable() {
 
 /// Regression: a dying worker's observability must survive it. The per-op
 /// recovery counters are merged at join (they live outside the panic
-/// boundary) and the flight ring is owned by the engine, so the death event
-/// recorded *on the dying thread* must appear in the drained log along with
+/// boundary) and so is the worker's flight log, so the death event recorded
+/// *on the dying thread* must appear in the drained log along with
 /// everything the worker recorded before the panic.
 #[test]
 fn dead_workers_counters_and_flight_ring_survive() {
@@ -114,7 +114,7 @@ fn dead_workers_counters_and_flight_ring_survive() {
     // ThreadRecorder (in the cleanup path) and still reached the merged
     // snapshot.
     assert_eq!(out.metrics.counter(metrics::WORKER_DEATHS), 1);
-    // The dying thread's ring was drained, not dropped: its terminal
+    // The dying thread's log was drained, not dropped: its terminal
     // WorkerDeath event (emitted during cleanup, on the dying thread) is in
     // the global timeline.
     let deaths: Vec<_> = out

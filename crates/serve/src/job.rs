@@ -145,8 +145,9 @@ impl JobSpec {
                 }
                 "halo" => {
                     let h = val.as_f64().ok_or("halo: expected a number")?;
-                    if h.fract() != 0.0 || !(0.0..=4096.0).contains(&h) {
-                        return Err(format!("halo: must be an integer in 0..=4096, got {h}"));
+                    let max = pi2m_refine::MAX_HALO;
+                    if h.fract() != 0.0 || !(0.0..=max as f64).contains(&h) {
+                        return Err(format!("halo: must be an integer in 0..={max}, got {h}"));
                     }
                     spec.halo = Some(h as usize);
                 }

@@ -5,19 +5,19 @@
 //!             [--cm aggressive|random|global|local] [--no-removals]
 //!             [--size S] [--off out.off] [--stats]
 //!             [--report run.json] [--trace-out trace.json] [--metrics]
-//!             [--audit] [--no-flight] [--force] [--deadline DUR]
+//!             [--audit] [--force] [--deadline DUR]
 //!             [--shards AxBxC [--halo N]]
 //!             (a run killed by --deadline still writes its --report /
 //!             --trace-out / --metrics artifacts, from the same run report
 //!             a finished run writes; --shards meshes the image as a grid
 //!             of overlapping chunks and stitches the seams — see README
-//!             "Sharded meshing")
+//!             "Sharded meshing"; --halo is 0 to 4096 voxels)
 //! pi2m batch  <inputs...> [--outdir DIR] [--keep-going] [--reports]
 //!             [--delta D] [--threads N] [--cm ...] [--no-removals]
-//!             [--size S] [--no-flight] [--force]
+//!             [--size S] [--force]
 //!             mesh several inputs sequentially over ONE warm session
-//!             (threads, kernel arenas, flight rings, and the proximity
-//!             grid are reused run-to-run); --reports adds one
+//!             (threads, kernel arenas, and the proximity grid are
+//!             reused run-to-run); --reports adds one
 //!             <stem>.report.json per job next to its mesh
 //! pi2m phantom <name> <out.pim> [--scale S]    generate a phantom image
 //! pi2m info   <input.pim>                      print image metadata
@@ -56,7 +56,9 @@ use pi2m::obs::journal::{Journal, Level};
 use pi2m::obs::json::Json;
 use pi2m::obs::{render_chrome_trace, render_prometheus, FlightEvent, RunReport, TraceSpan};
 use pi2m::quality;
-use pi2m::refine::{CancelToken, CmKind, MeshOutput, MesherConfig, MeshingSession, RunOptions};
+use pi2m::refine::{
+    CancelToken, CmKind, MeshOutput, MesherConfig, MeshingSession, RunOptions, MAX_HALO,
+};
 use pi2m::serve::parse_duration_str;
 use std::io::BufWriter;
 use std::process::ExitCode;
@@ -93,7 +95,6 @@ struct MeshOpts {
     size_fn: Option<Arc<dyn pi2m::oracle::SizeFn>>,
     enable_removals: bool,
     force: bool,
-    flight: bool,
     faults: Option<Arc<pi2m::faults::FaultPlan>>,
 }
 
@@ -164,7 +165,6 @@ fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
         size_fn,
         enable_removals: !args.switches.contains("no-removals"),
         force: args.switches.contains("force"),
-        flight: !args.switches.contains("no-flight"),
         faults,
     })
 }
@@ -177,7 +177,6 @@ fn config_for(o: &MeshOpts, img: &LabeledImage) -> MesherConfig {
         size_fn: o.size_fn.clone(),
         enable_removals: o.enable_removals,
         faults: o.faults.clone(),
-        flight: o.flight,
         ..Default::default()
     }
 }
@@ -207,6 +206,30 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
         .ok_or("usage: pi2m mesh <input.pim|phantom:NAME> [options]")?;
     let journal = init_journal(args, false)?;
     let o = parse_mesh_opts(args, &journal)?;
+    // `--halo` is bounded whether or not `--shards` reads it, so a bad one
+    // is refused before the input loads.
+    let halo = args
+        .flags
+        .get("halo")
+        .map(|v| match v.parse::<usize>() {
+            Ok(h) if h <= MAX_HALO => Ok(h),
+            _ => Err(format!(
+                "bad --halo '{v}': must be an integer from 0 to {MAX_HALO}"
+            )),
+        })
+        .transpose()?;
+    let shard_spec = args
+        .flags
+        .get("shards")
+        .map(|v| -> Result<pi2m::refine::ShardSpec, String> {
+            let grid = pi2m::refine::parse_shard_grid(v).map_err(|e| e.to_string())?;
+            Ok(pi2m::refine::ShardSpec {
+                grid,
+                halo,
+                lanes: None,
+            })
+        })
+        .transpose()?;
     let img = load_input(input).map_err(CliError::Io)?;
     let cfg = config_for(&o, &img);
     let (delta, threads, cm, force) = (cfg.delta, o.threads, o.cm, o.force);
@@ -239,23 +262,6 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
             .transpose()?,
         on_stage: None,
     };
-    let shard_spec = args
-        .flags
-        .get("shards")
-        .map(|v| -> Result<pi2m::refine::ShardSpec, String> {
-            let grid = pi2m::refine::parse_shard_grid(v).map_err(|e| e.to_string())?;
-            let halo = args
-                .flags
-                .get("halo")
-                .map(|h| h.parse().map_err(|_| "bad --halo".to_string()))
-                .transpose()?;
-            Ok(pi2m::refine::ShardSpec {
-                grid,
-                halo,
-                lanes: None,
-            })
-        })
-        .transpose()?;
 
     let t0 = Instant::now();
     let (out, shard) = if let Some(spec) = &shard_spec {
@@ -515,16 +521,15 @@ fn batch_output_name(input: &str) -> String {
 }
 
 /// `pi2m batch`: mesh every input sequentially over ONE warm
-/// [`MeshingSession`] — worker threads, kernel scratch arenas, flight rings,
-/// and the proximity grid are created once and reused run-to-run instead of
+/// [`MeshingSession`] — worker threads, kernel scratch arenas and the
+/// proximity grid are created once and reused run-to-run instead of
 /// being torn down after every image like repeated `pi2m mesh` calls.
 fn cmd_batch(args: &Args) -> Result<(), CliError> {
     let inputs = &args.positional[1..];
     if inputs.is_empty() {
         return Err(
             "usage: pi2m batch <inputs...> [--outdir DIR] [--keep-going] [--reports] \
-             [--delta D] [--threads N] [--cm ...] [--no-removals] [--size S] [--no-flight] \
-             [--force]"
+             [--delta D] [--threads N] [--cm ...] [--no-removals] [--size S] [--force]"
                 .into(),
         );
     }
@@ -915,13 +920,12 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     }
 }
 
-/// `pi2m --version`: the crate version plus the versions of the two stable
-/// on-disk layouts tools may depend on — the run-report JSON schema and the
-/// flight-recorder event layout.
+/// `pi2m --version`: the crate version plus the versions of the on-disk
+/// JSON layouts tools may depend on — the run report, the journal and the
+/// job trace.
 fn print_version() {
     println!("pi2m {}", env!("CARGO_PKG_VERSION"));
     println!("report-schema {}", RunReport::SCHEMA_VERSION);
-    println!("flight-layout {}", pi2m::obs::flight::LAYOUT_VERSION);
     println!("journal-schema {}", pi2m::obs::journal::SCHEMA_VERSION);
     println!("job-trace-schema {}", pi2m::serve::TRACE_SCHEMA_VERSION);
 }

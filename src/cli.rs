@@ -27,7 +27,6 @@ pub const SWITCHES: &[&str] = &[
     "audit",
     "reports",
     "log",
-    "no-flight",
     "force",
     "keep-going",
     "version",
@@ -53,26 +52,11 @@ pub fn command_options(cmd: &str) -> Option<(&'static [&'static str], &'static [
                 "halo",
                 "log",
             ],
-            &[
-                "no-removals",
-                "no-flight",
-                "force",
-                "stats",
-                "metrics",
-                "audit",
-                "log",
-            ],
+            &["no-removals", "force", "stats", "metrics", "audit", "log"],
         ),
         "batch" => (
             &["outdir", "delta", "threads", "cm", "size", "log"],
-            &[
-                "no-removals",
-                "no-flight",
-                "force",
-                "keep-going",
-                "reports",
-                "log",
-            ],
+            &["no-removals", "force", "keep-going", "reports", "log"],
         ),
         "serve" => (
             &[

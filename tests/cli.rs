@@ -36,6 +36,33 @@ fn mesh_refuses_balancer() {
     assert!(stderr.contains("--balancer"), "{stderr}");
 }
 
+/// The recorder is always on: `--no-flight` is gone from `mesh` and
+/// `batch`.
+#[test]
+fn mesh_and_batch_refuse_no_flight() {
+    for cmd in ["mesh", "batch"] {
+        let (code, stderr) = pi2m(&[cmd, "phantom:sphere", "--no-flight"]);
+        assert_eq!(code, Some(1), "{cmd}: {stderr}");
+        assert!(stderr.contains("--no-flight"), "{cmd}: {stderr}");
+    }
+}
+
+/// A `--halo` outside 0..=4096 is refused before the input loads (it
+/// does not exist here, so loading it would exit 4), with or without
+/// `--shards`.
+#[test]
+fn mesh_refuses_a_halo_out_of_bounds() {
+    for halo in ["4097", "18446744073709551614", "-1", "2.5"] {
+        for shards in [&["--shards", "1x1x1"][..], &[]] {
+            let mut args = vec!["mesh", "no-such-input.pim", "--halo", halo];
+            args.extend(shards);
+            let (code, stderr) = pi2m(&args);
+            assert_eq!(code, Some(1), "--halo {halo}: {stderr}");
+            assert!(stderr.contains("--halo"), "--halo {halo}: {stderr}");
+        }
+    }
+}
+
 /// The input does not exist, so a command that got as far as loading it
 /// would exit 4 (I/O) instead.
 #[test]

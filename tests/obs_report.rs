@@ -159,7 +159,7 @@ fn real_run_produces_schema_valid_report_and_trace() {
         threads,
         "one attribution sample per worker"
     );
-    // no per-op slices: the rings hold conflicts, not operations
+    // no per-op slices: the logs hold conflicts, not operations
     assert!(!by("X").any(|e| e.get("name").and_then(Json::as_str) == Some("op")));
     // every complete event has non-negative microsecond timestamps
     for e in by("X") {

@@ -43,7 +43,7 @@ fn audit(out: &MeshOutput, what: &str) {
 #[test]
 fn warm_session_matches_cold_runs_single_thread() {
     // Single-threaded refinement is deterministic, so a warm pool (reused
-    // arenas, flight rings, and a proximity grid whose node segments still
+    // arenas and a proximity grid whose node segments still
     // hold the previous run's entries behind its cleared bucket heads) must
     // produce the *identical* mesh as a fresh session's first run, array for
     // array — twice in a row.
@@ -94,7 +94,7 @@ fn warm_session_is_sound_at_eight_threads() {
 #[test]
 fn session_reuses_pool_across_different_images() {
     // Different dimensions, labels, and deltas over one pool: the parked
-    // grid/rings must reset cleanly between incompatible runs.
+    // grid must reset cleanly between incompatible runs.
     let mut session = MeshingSession::new(2);
     let a = session
         .mesh(phantoms::sphere(16, 1.0), cfg(2.0, 2))
@@ -187,7 +187,7 @@ fn cancel_mid_volume_refine_is_typed_prompt_and_recoverable() {
     // the salvage is take-once: a second take yields nothing
     assert!(session.take_cancel_telemetry().is_none());
 
-    // The session survives: no leaked locks, grid/rings parked, next run ok.
+    // The session survives: no leaked locks, grid parked, next run ok.
     let out = session
         .mesh(phantoms::sphere(16, 1.0), cfg(2.0, 4))
         .unwrap();
@@ -267,11 +267,11 @@ fn pre_expired_deadline_cancels_before_refinement() {
 /// A run its deadline cancelled reports through the same builder as a
 /// finished one: the finished run's config keys plus `cancelled`, an
 /// attribution that covers its worker's wall, and the workers' own rollback
-/// count, which the wrapped flight ring alone would undercount.
+/// count, which the wrapped flight log alone would undercount.
 #[test]
 fn cancelled_run_reports_like_a_finished_one() {
     // one worker, every 7th element denied (one rollback each), and a
-    // 64-event ring that wraps many times over
+    // 64-event log that wraps many times over
     let job = || {
         let spec = format!("site={},kind=deny,every=7", sites::ENGINE_OP);
         let cfg = MesherConfig {
