@@ -72,6 +72,26 @@ pub mod sites {
     /// here kills a stitch worker mid-seam, exercising the guarantee that a
     /// sharded session survives a mid-stitch death.
     pub const SHARD_STITCH: &str = "shard.stitch";
+
+    /// Every site some code fires. [`FaultPlan::parse`](super::FaultPlan::parse)
+    /// refuses a rule that names none of them, so a misspelt drill fails
+    /// loudly instead of arming nothing.
+    pub const ALL: &[&str] = &[
+        LOCK_ACQUIRE,
+        INSERT_PREPARE,
+        INSERT_COMMIT,
+        REMOVE_PREPARE,
+        REMOVE_COMMIT,
+        WALK_LOCATE,
+        ENGINE_OP,
+        ENGINE_WORKER,
+        CM_ROLLBACK,
+        BALANCER_BEG,
+        SERVE_ADMIT,
+        SERVE_CHECKOUT,
+        SERVE_ARTIFACT,
+        SHARD_STITCH,
+    ];
 }
 
 /// What a firing rule does.
@@ -226,6 +246,16 @@ impl FaultPlan {
             }
             let site = site.ok_or_else(|| format!("rule {ri}: missing site="))?;
             let kind = kind.ok_or_else(|| format!("rule {ri}: missing kind="))?;
+            let known = match site.strip_suffix('*') {
+                Some(prefix) => sites::ALL.iter().any(|s| s.starts_with(prefix)),
+                None => sites::ALL.contains(&site.as_str()),
+            };
+            if !known {
+                return Err(format!(
+                    "rule {ri}: unknown site '{site}' (sites: {})",
+                    sites::ALL.join(", ")
+                ));
+            }
             let phase = if nth == 0 && every > 1 {
                 mix(seed ^ hash_str(&site) ^ (ri as u64)) % every
             } else {
@@ -301,6 +331,10 @@ impl FaultPlan {
     /// (`kind=delay`); returns `Some` when the caller must act ([`Injected`]).
     #[inline]
     pub fn fire(&self, site: &'static str, tid: u32) -> Option<Injected> {
+        debug_assert!(
+            sites::ALL.contains(&site),
+            "fault site '{site}' is not in sites::ALL"
+        );
         if self.rules.is_empty() {
             return None;
         }
@@ -409,8 +443,8 @@ mod tests {
     #[test]
     fn seed_perturbs_periodic_phase() {
         // two seeds should (for this site/period) fire at different arrivals
-        let a = FaultPlan::parse(1, "site=s,kind=deny,every=50").unwrap();
-        let b = FaultPlan::parse(2, "site=s,kind=deny,every=50").unwrap();
+        let a = FaultPlan::parse(1, "site=delaunay.lock.acquire,kind=deny,every=50").unwrap();
+        let b = FaultPlan::parse(2, "site=delaunay.lock.acquire,kind=deny,every=50").unwrap();
         assert_ne!(a.rules()[0].phase, b.rules()[0].phase);
     }
 
@@ -438,6 +472,18 @@ mod tests {
         assert!(FaultPlan::parse(0, "site=x,kind=deny,prob=1.5").is_err());
         assert!(FaultPlan::parse(0, "site=x,kind=deny,bogus=1").is_err());
         assert!(FaultPlan::parse(0, "site=x,kind=deny,novalue").is_err());
+    }
+
+    #[test]
+    fn parse_refuses_sites_that_nothing_fires() {
+        for site in ["lock.acquire", "serve.queue", "nope*", "refine.engine.ops"] {
+            let err = FaultPlan::parse(0, &format!("site={site},kind=deny")).unwrap_err();
+            assert!(err.contains(&format!("'{site}'")), "{site}: {err}");
+        }
+        // an exact name and a prefix that matches some site both parse
+        assert!(FaultPlan::parse(0, "site=delaunay.lock.acquire,kind=deny").is_ok());
+        assert!(FaultPlan::parse(0, "site=serve.*,kind=fail").is_ok());
+        assert!(FaultPlan::parse(0, "site=*,kind=delay").is_ok());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::attribution::{Category, WorkerAttribution};
 use crate::flight::{EventKind, FlightEvent};
 use crate::json::Json;
-use crate::metrics::{bucket_upper_bound, ObsEvent};
+use crate::metrics::{bucket_upper_bound, Hist, ObsEvent, HIST_BUCKETS};
 use crate::report::{RunReport, TraceSpan};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -30,25 +30,7 @@ pub fn render_prometheus(report: &RunReport) -> String {
         let name = format!("pi2m_{}", def.name);
         let _ = writeln!(out, "# HELP {name} {} ({})", def.help, def.unit);
         let _ = writeln!(out, "# TYPE {name} histogram");
-        let mut cum = 0u64;
-        for (i, &c) in h.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            cum += c;
-            let le = bucket_upper_bound(i);
-            if le.is_infinite() {
-                let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cum}");
-            } else {
-                let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}");
-            }
-        }
-        if h.buckets[h.buckets.len() - 1] == 0 {
-            // the exposition format requires a closing +Inf bucket
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-        }
-        let _ = writeln!(out, "{name}_sum {}", h.sum);
-        let _ = writeln!(out, "{name}_count {}", h.count);
+        render_histogram(&mut out, &name, "", h);
     }
 
     let _ = writeln!(
@@ -94,6 +76,30 @@ pub fn render_prometheus(report: &RunReport) -> String {
         let _ = writeln!(out, "pi2m_elements {}", report.elements);
     }
     out
+}
+
+/// The sample lines of one histogram (its HELP/TYPE lines are the
+/// caller's): cumulative `le` buckets for the non-empty finite buckets,
+/// the closing `+Inf` bucket, then `_sum` and `_count`. `labels` (e.g.
+/// `class="high"`, or empty) go first in every label set.
+pub fn render_histogram(out: &mut String, name: &str, labels: &str, h: &Hist) {
+    let sep = if labels.is_empty() { "" } else { "," };
+    let mut cum = 0u64;
+    for (i, &c) in h.buckets[..HIST_BUCKETS - 1].iter().enumerate() {
+        if c > 0 {
+            cum += c;
+            let le = bucket_upper_bound(i);
+            let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cum}");
+        }
+    }
+    let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", h.count);
+    let set = if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{{{labels}}}")
+    };
+    let _ = writeln!(out, "{name}_sum{set} {}", h.sum);
+    let _ = writeln!(out, "{name}_count{set} {}", h.count);
 }
 
 /// Chrome Trace Event JSON (the `chrome://tracing` / Perfetto "JSON Array

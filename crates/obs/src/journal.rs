@@ -10,8 +10,10 @@
 //!
 //! Properties the serve daemon leans on:
 //!
-//! * **Leveled** — events below the journal's minimum level are dropped
-//!   before any formatting (`PI2M_LOG_LEVEL=debug|info|warn|error`).
+//! * **Leveled** — events below the journal's minimum level, and every
+//!   event of a null journal, are dropped before any formatting
+//!   (`PI2M_LOG_LEVEL=debug|info|warn|error`); callers that build fields
+//!   for a line ask [`Journal::enabled`] first.
 //! * **Rate-limited per event name** — at most [`RATE_MAX_PER_WINDOW`]
 //!   lines per event name per one-second window, so a flapping socket or a
 //!   recycle storm cannot flood stderr. Suppressed lines are counted, and
@@ -20,12 +22,9 @@
 //! * **Monotonic timestamps** — `t` is seconds since the journal was
 //!   created, measured on [`Instant`] and clamped so lines never go
 //!   backwards even across threads.
-//! * **Bounded memory** — the last [`RING_CAP`] accepted events are kept in
-//!   an in-memory ring ([`Journal::recent`]) for post-mortems; nothing else
-//!   accumulates.
 
 use crate::json::Json;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -34,9 +33,6 @@ use std::time::Instant;
 /// fields). Bump when a stable field changes meaning; printed by
 /// `pi2m --version` as `journal-schema`.
 pub const SCHEMA_VERSION: u32 = 1;
-
-/// Accepted events kept in memory for [`Journal::recent`].
-pub const RING_CAP: usize = 256;
 
 /// Max lines per event name per one-second window before suppression.
 pub const RATE_MAX_PER_WINDOW: u32 = 10;
@@ -71,10 +67,8 @@ impl Level {
     }
 }
 
-/// Where accepted lines go. The ring and rate limiter run regardless.
+/// Where accepted lines go.
 enum Sink {
-    /// Drop the line (tests and library embedders that only want `recent`).
-    Null,
     /// Human lines on stderr: the event's `msg` field when present, else
     /// `event key=value …`.
     StderrText,
@@ -94,9 +88,7 @@ struct Rate {
 
 struct Inner {
     sink: Sink,
-    ring: VecDeque<Json>,
     rates: HashMap<String, Rate>,
-    suppressed_total: u64,
     /// Last emitted timestamp; lines are clamped to never go backwards.
     last_t: f64,
 }
@@ -107,7 +99,8 @@ struct Inner {
 pub struct Journal {
     min: Level,
     origin: Instant,
-    inner: Mutex<Inner>,
+    /// `None` for a null journal, which accepts nothing.
+    inner: Option<Mutex<Inner>>,
 }
 
 impl Journal {
@@ -115,20 +108,22 @@ impl Journal {
         Arc::new(Journal {
             min,
             origin: Instant::now(),
-            inner: Mutex::new(Inner {
+            inner: Some(Mutex::new(Inner {
                 sink,
-                ring: VecDeque::new(),
                 rates: HashMap::new(),
-                suppressed_total: 0,
                 last_t: 0.0,
-            }),
+            })),
         })
     }
 
-    /// A journal that keeps the ring but writes nowhere. The default for
+    /// A journal that writes nowhere and formats nothing. The default for
     /// library embedders (e.g. the serve `ServiceConfig` in tests).
     pub fn null() -> Arc<Journal> {
-        Journal::with_sink(Level::Info, Sink::Null)
+        Arc::new(Journal {
+            min: Level::Info,
+            origin: Instant::now(),
+            inner: None,
+        })
     }
 
     /// Human-readable lines on stderr (interactive CLI default).
@@ -173,22 +168,10 @@ impl Journal {
         }
     }
 
-    pub fn min_level(&self) -> Level {
-        self.min
-    }
-
-    /// The last [`RING_CAP`] accepted events, oldest first.
-    pub fn recent(&self) -> Vec<Json> {
-        self.inner.lock().unwrap().ring.iter().cloned().collect()
-    }
-
-    /// Total lines dropped by the rate limiter over the journal lifetime.
-    pub fn suppressed_total(&self) -> u64 {
-        self.inner.lock().unwrap().suppressed_total
-    }
-
-    pub fn debug(&self, event: &str, fields: &[(&str, Json)]) {
-        self.emit(Level::Debug, event, fields);
+    /// Whether an event at `level` would reach a sink (it may still be
+    /// rate-limited). False for every level of a null journal.
+    pub fn enabled(&self, level: Level) -> bool {
+        level >= self.min && self.inner.is_some()
     }
 
     pub fn info(&self, event: &str, fields: &[(&str, Json)]) {
@@ -204,7 +187,7 @@ impl Journal {
     }
 
     /// Record one event. Level-filtered, rate-limited, then written to the
-    /// sink and the ring with a monotonic timestamp.
+    /// sink with a monotonic timestamp.
     pub fn emit(&self, level: Level, event: &str, fields: &[(&str, Json)]) {
         self.emit_at(self.origin.elapsed().as_secs_f64(), level, event, fields);
     }
@@ -213,10 +196,10 @@ impl Journal {
     /// origin) — the testable core: window rollover and monotonicity are
     /// driven by `t`, not the wall clock.
     fn emit_at(&self, t: f64, level: Level, event: &str, fields: &[(&str, Json)]) {
-        if level < self.min {
+        let Some(inner) = self.inner.as_ref().filter(|_| level >= self.min) else {
             return;
-        }
-        let mut inner = self.inner.lock().unwrap();
+        };
+        let mut inner = inner.lock().unwrap();
         let t = if t > inner.last_t { t } else { inner.last_t };
         inner.last_t = t;
         let window = t as u64;
@@ -246,7 +229,6 @@ impl Journal {
             }
         };
         let Some(backlog) = backlog else {
-            inner.suppressed_total += 1;
             return;
         };
         let mut obj: Vec<(&str, Json)> = Vec::with_capacity(fields.len() + 4);
@@ -261,12 +243,7 @@ impl Journal {
             obj.push(("suppressed", Json::int(backlog)));
         }
         let line = Json::obj(obj);
-        if inner.ring.len() >= RING_CAP {
-            inner.ring.pop_front();
-        }
-        inner.ring.push_back(line.clone());
         match &mut inner.sink {
-            Sink::Null => {}
             Sink::StderrText => eprintln!("{}", render_text(event, fields, backlog)),
             Sink::StderrJsonl => eprintln!("{}", line.dump()),
             Sink::Jsonl(w) => {
@@ -367,16 +344,23 @@ mod tests {
     fn levels_filter_below_minimum() {
         let buf = Buf::default();
         let jl = Journal::to_writer(Level::Warn, Box::new(buf.clone()));
-        jl.debug("noisy", &[]);
+        jl.emit(Level::Debug, "noisy", &[]);
         jl.info("noisy", &[]);
         jl.warn("kept", &[]);
         jl.error("kept", &[]);
         let lines = buf.lines();
         assert_eq!(lines.len(), 2, "{lines:?}");
         assert!(lines.iter().all(|l| l.contains("kept")));
-        // filtered lines do not reach the ring either
-        assert_eq!(jl.recent().len(), 2);
-        assert_eq!(jl.suppressed_total(), 0, "filtering is not suppression");
+        assert!(!jl.enabled(Level::Info) && jl.enabled(Level::Warn));
+    }
+
+    #[test]
+    fn a_null_journal_accepts_nothing() {
+        let jl = Journal::null();
+        for level in [Level::Debug, Level::Info, Level::Warn, Level::Error] {
+            assert!(!jl.enabled(level), "{level:?}");
+        }
+        jl.error("dropped", &[("i", Json::int(1))]);
     }
 
     #[test]
@@ -394,7 +378,6 @@ mod tests {
             RATE_MAX_PER_WINDOW as usize + 1,
             "cap per event name per window"
         );
-        assert_eq!(jl.suppressed_total(), 50 - RATE_MAX_PER_WINDOW as u64);
         // the next window's first line carries the suppressed count
         jl.emit_at(1.5, Level::Info, "flap", &[]);
         let last = buf.lines().pop().unwrap();
@@ -403,29 +386,6 @@ mod tests {
             v.get("suppressed").unwrap().as_f64(),
             Some((50 - RATE_MAX_PER_WINDOW) as f64),
             "{last}"
-        );
-    }
-
-    #[test]
-    fn ring_is_bounded_and_keeps_newest() {
-        let jl = Journal::null();
-        // distinct event names dodge the rate limiter; the ring still caps
-        for i in 0..(RING_CAP + 40) {
-            jl.emit_at(
-                i as f64,
-                Level::Info,
-                &format!("e{i}"),
-                &[("i", Json::int(i as u64))],
-            );
-        }
-        let recent = jl.recent();
-        assert_eq!(recent.len(), RING_CAP);
-        let first = recent.first().unwrap();
-        assert_eq!(first.get("event").unwrap().as_str(), Some("e40"));
-        let last = recent.last().unwrap();
-        assert_eq!(
-            last.get("event").unwrap().as_str(),
-            Some(format!("e{}", RING_CAP + 39).as_str())
         );
     }
 

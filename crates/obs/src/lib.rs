@@ -21,8 +21,7 @@
 //!   exporters: structured JSON, Prometheus text exposition, and Chrome
 //!   Trace Event JSON (loadable in `chrome://tracing` / Perfetto).
 //! * [`journal`] — leveled, rate-limited JSONL structured logging
-//!   ([`Journal`]) for control-plane events (admissions, retries, drains),
-//!   with a bounded in-memory ring of recent events.
+//!   ([`Journal`]) for control-plane events (admissions, retries, drains).
 //!
 //! ```
 //! use pi2m_obs::metrics::{self, ThreadRecorder, MetricsSnapshot};

@@ -161,7 +161,6 @@ histograms! {
     LB_WAIT_SECONDS      = ("lb_wait_seconds", "seconds", "Begging-list wait per empty-PEL episode"),
     WALK_STEPS_PER_LOCATE = ("walk_steps_per_locate", "cells", "Cells visited per point-location walk"),
     EDT_PASS_SECONDS     = ("edt_pass_seconds", "seconds", "Wall time per separable EDT axis pass"),
-    SERVE_QUEUE_WAIT_SECONDS = ("serve_queue_wait_seconds", "seconds", "Time jobs spent queued before their first attempt"),
     SHARD_CHUNK_SECONDS  = ("shard_chunk_seconds", "seconds", "Wall time per meshed chunk of a sharded run"),
 }
 

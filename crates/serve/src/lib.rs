@@ -13,9 +13,9 @@
 //!   measured job rate) instead of buffering without bound.
 //! * **Typed terminal states** — every admitted job ends `succeeded`,
 //!   `failed` (typed error, fail-fast for deterministic causes), or
-//!   `cancelled` (per-job deadline). Nothing hangs: deadlines ride the
-//!   engine's cooperative [`CancelToken`](pi2m_obs::CancelToken), with a
-//!   watchdog force-cancelling attempts that overstay.
+//!   `cancelled` (per-job deadline). Nothing hangs: the deadline is the
+//!   attempt's [`CancelToken`](pi2m_obs::CancelToken), which every
+//!   cooperative cancellation point of the engine polls.
 //! * **Crash isolation and retries** — transient failures (worker-quorum
 //!   loss, livelock, injected checkout/artifact faults) retry with capped
 //!   exponential backoff; a poisoned run quarantines its session (the slot
@@ -27,9 +27,10 @@
 //! * **Per-job accountability** — every admitted job accumulates a typed
 //!   [`JobTrace`] (admit → queue wait → checkout → attempts/backoffs →
 //!   stage transitions → shard chunks → terminal), served at
-//!   `GET /jobs/<id>/trace`; control-plane events flow through a leveled,
-//!   rate-limited JSONL [`Journal`](pi2m_obs::Journal), and `/metrics`
-//!   carries per-class latency histograms.
+//!   `GET /jobs/<id>/trace`. Each trace event is also the journal line
+//!   `job.<kind>` in a leveled, rate-limited JSONL
+//!   [`Journal`](pi2m_obs::Journal), and `/metrics` carries per-class
+//!   latency histograms.
 //!
 //! See `DESIGN.md` ("Service architecture & failure model") for the state
 //! machines and the drain sequence, and `tests/serve.rs` at the workspace

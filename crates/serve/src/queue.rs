@@ -10,7 +10,6 @@
 use crate::job::{JobId, Priority};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::time::Duration;
 
 /// Why a submission was rejected at the door.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,10 +72,6 @@ impl JobQueue {
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Jobs currently waiting (not running).
     pub fn depth(&self) -> usize {
         self.inner.lock().len
@@ -126,24 +121,6 @@ impl JobQueue {
         }
     }
 
-    /// Like [`pop`](Self::pop) but gives up after `timeout` with `None`
-    /// while the queue stays open (used by tests and by slots that need to
-    /// interleave housekeeping).
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<JobId> {
-        let mut g = self.inner.lock();
-        loop {
-            for class in &mut g.classes {
-                if let Some(id) = class.pop_front() {
-                    g.len -= 1;
-                    return Some(id);
-                }
-            }
-            if g.draining || self.cond.wait_for(&mut g, timeout) {
-                return None;
-            }
-        }
-    }
-
     /// Stop admitting; wake every blocked consumer so it can finish the
     /// backlog and observe end-of-stream.
     pub fn begin_drain(&self) {
@@ -156,6 +133,7 @@ impl JobQueue {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn sheds_typed_once_full() {
@@ -206,13 +184,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.begin_drain();
         assert_eq!(h.join().unwrap(), None);
-    }
-
-    #[test]
-    fn pop_timeout_expires_on_open_queue() {
-        let q = JobQueue::new(1);
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), None);
-        q.admit(9, Priority::Normal, 1).unwrap();
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), Some(9));
     }
 }

@@ -21,10 +21,23 @@
 //! [`MeshingSession`] — fresh pool threads, arenas, rings, grid — before
 //! the retry, so a poisoned run can never bleed state into the next
 //! attempt. A *successful* run that still lost workers (the PEL-bequest
-//! recovery path) is also followed by a recycle, acting as the worker-death
-//! watchdog. An independent watchdog thread force-cancels jobs that
-//! overstay their deadline by more than a grace period, so no job can hang
-//! the service even if a cooperative cancellation point is missed.
+//! recovery path) is also followed by a recycle.
+//!
+//! A job's deadline is its attempt's [`CancelToken`] deadline, which every
+//! cooperative cancellation point of the engine polls (the worker loop,
+//! the EDT passes, the stage boundaries, the shard chunk loop); a backoff
+//! checks the same instant. No other timer exists.
+//!
+//! ## One account per job
+//!
+//! Every lifecycle fact of a job after its admission is one call,
+//! `MeshService::event` (`finish` for the terminal one): under one hold of
+//! the jobs lock it appends the trace event, updates the record fields the
+//! event implies and bumps the matching counter (and, at the terminal, the
+//! latency panel); after the lock it writes the journal line `job.<kind>`.
+//! Admission writes the record, its opening `admitted` event, the counter
+//! and the line under the same lock. The trace, the record, `/metrics` and
+//! the journal therefore cannot disagree about a job.
 
 use crate::job::{job_name, JobId, JobRecord, JobSpec, JobStatus, Priority};
 use crate::queue::{AdmitError, JobQueue};
@@ -32,6 +45,7 @@ use crate::trace::TraceEventKind;
 use parking_lot::Mutex;
 use pi2m_faults::{sites, FaultPlan};
 use pi2m_image::load_input;
+use pi2m_obs::export::render_histogram;
 use pi2m_obs::journal::Journal;
 use pi2m_obs::json::Json;
 use pi2m_obs::metrics::{self, Hist, MetricsSnapshot};
@@ -64,14 +78,6 @@ pub struct ServiceConfig {
     pub default_deadline_s: Option<f64>,
     /// Default retry budget for transient failures.
     pub max_retries: u32,
-    /// First retry backoff; doubles per attempt.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling.
-    pub backoff_cap_ms: u64,
-    /// Seconds past a job's deadline before the watchdog force-cancels it.
-    pub deadline_grace_s: f64,
-    /// Watchdog sweep interval.
-    pub watchdog_interval_ms: u64,
     /// Deterministic fault plan, consulted at the service sites
     /// (`serve.queue.admit`, `serve.session.checkout`,
     /// `serve.artifact.write`) and threaded into every job's engine config.
@@ -91,15 +97,16 @@ impl Default for ServiceConfig {
             spool: std::env::temp_dir().join("pi2m-spool"),
             default_deadline_s: None,
             max_retries: 2,
-            backoff_base_ms: 50,
-            backoff_cap_ms: 2_000,
-            deadline_grace_s: 5.0,
-            watchdog_interval_ms: 100,
             faults: None,
             journal: Journal::null(),
         }
     }
 }
+
+/// First retry backoff; doubles per attempt up to [`BACKOFF_CAP`].
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+/// Backoff ceiling.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 /// How an attempt failed, and what that means for the job.
 enum FailureClass {
@@ -158,12 +165,16 @@ struct AttemptSuccess {
     dirty: bool,
 }
 
+/// How a job ended: what its `Terminal` event stores on the record.
+type Outcome = Result<AttemptSuccess, AttemptFailure>;
+
 const LATENCY_CLASSES: [&str; 3] = ["high", "normal", "low"];
 const LATENCY_STATES: [&str; 3] = ["succeeded", "failed", "cancelled"];
 
 /// Per-priority-class, per-terminal-state latency histograms, observed once
 /// when a job goes terminal and rendered into `/metrics` as the labeled
 /// `pi2m_serve_queue_wait_seconds` / `pi2m_serve_run_seconds` families.
+#[derive(Default)]
 struct LatencyPanel {
     /// Indexed `[Priority::class()][terminal state]`.
     queue_wait: [[Hist; 3]; 3],
@@ -171,13 +182,6 @@ struct LatencyPanel {
 }
 
 impl LatencyPanel {
-    fn new() -> LatencyPanel {
-        LatencyPanel {
-            queue_wait: std::array::from_fn(|_| std::array::from_fn(|_| Hist::default())),
-            run: std::array::from_fn(|_| std::array::from_fn(|_| Hist::default())),
-        }
-    }
-
     fn state_index(status: JobStatus) -> usize {
         match status {
             JobStatus::Succeeded => 0,
@@ -192,58 +196,37 @@ impl LatencyPanel {
         self.run[c][s].observe(run_s);
     }
 
+    /// Each family with observations: HELP/TYPE once, then each label set
+    /// with observations through `render_prometheus`'s histogram lines.
     fn render(&self, out: &mut String) {
-        LatencyPanel::render_family(
-            out,
-            "pi2m_serve_queue_wait_seconds",
-            "Seconds jobs spent queued before their first attempt, by priority class and terminal state (s)",
-            &self.queue_wait,
-        );
-        LatencyPanel::render_family(
-            out,
-            "pi2m_serve_run_seconds",
-            "Seconds jobs spent executing after leaving the queue, by priority class and terminal state (s)",
-            &self.run,
-        );
-    }
-
-    /// One labeled histogram family, following the exposition-format rules
-    /// `render_prometheus` uses: HELP/TYPE once, cumulative `le` buckets
-    /// with a closing `+Inf`, `_sum`/`_count` per label set; label sets
-    /// with no observations are skipped.
-    fn render_family(out: &mut String, name: &str, help: &str, grid: &[[Hist; 3]; 3]) {
-        if grid.iter().flatten().all(|h| h.count == 0) {
-            return;
-        }
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        for (c, row) in grid.iter().enumerate() {
-            for (s, h) in row.iter().enumerate() {
-                if h.count == 0 {
-                    continue;
+        for (name, what, grid) in [
+            (
+                "pi2m_serve_queue_wait_seconds",
+                "spent queued before their first attempt",
+                &self.queue_wait,
+            ),
+            (
+                "pi2m_serve_run_seconds",
+                "spent executing after leaving the queue",
+                &self.run,
+            ),
+        ] {
+            if grid.iter().flatten().all(|h| h.count == 0) {
+                continue;
+            }
+            let _ = writeln!(
+                out,
+                "# HELP {name} Seconds jobs {what}, by priority class and terminal state (s)"
+            );
+            let _ = writeln!(out, "# TYPE {name} histogram");
+            for (c, row) in grid.iter().enumerate() {
+                for (s, h) in row.iter().enumerate().filter(|(_, h)| h.count > 0) {
+                    let labels = format!(
+                        "class=\"{}\",state=\"{}\"",
+                        LATENCY_CLASSES[c], LATENCY_STATES[s]
+                    );
+                    render_histogram(out, name, &labels, h);
                 }
-                let labels = format!(
-                    "class=\"{}\",state=\"{}\"",
-                    LATENCY_CLASSES[c], LATENCY_STATES[s]
-                );
-                let mut cum = 0u64;
-                for (i, &n) in h.buckets.iter().enumerate() {
-                    if n == 0 {
-                        continue;
-                    }
-                    cum += n;
-                    let le = metrics::bucket_upper_bound(i);
-                    if le.is_infinite() {
-                        let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {cum}");
-                    } else {
-                        let _ = writeln!(out, "{name}_bucket{{{labels},le=\"{le}\"}} {cum}");
-                    }
-                }
-                if h.buckets[h.buckets.len() - 1] == 0 {
-                    let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {}", h.count);
-                }
-                let _ = writeln!(out, "{name}_sum{{{labels}}} {}", h.sum);
-                let _ = writeln!(out, "{name}_count{{{labels}}} {}", h.count);
             }
         }
     }
@@ -255,8 +238,8 @@ pub struct MeshService {
     cfg: ServiceConfig,
     queue: JobQueue,
     jobs: Mutex<HashMap<JobId, JobRecord>>,
-    /// Cancel handles (and deadlines) of attempts currently executing.
-    running: Mutex<HashMap<JobId, (CancelToken, Option<Instant>)>>,
+    /// Cancel handles of attempts currently executing.
+    running: Mutex<HashMap<JobId, CancelToken>>,
     /// Service-lifetime metrics: the serve counters plus every finished
     /// job's engine metrics merged in.
     metrics: Mutex<MetricsSnapshot>,
@@ -268,14 +251,13 @@ pub struct MeshService {
     busy_slots: AtomicUsize,
     /// Set when a drain exhausted its grace: attempts and backoffs abort.
     abort: AtomicBool,
-    watchdog_stop: AtomicBool,
     handles: Mutex<Vec<JoinHandle<()>>>,
     started: Instant,
 }
 
 impl MeshService {
-    /// Create the spool directory, spawn the session slots and the
-    /// watchdog, and start serving the queue.
+    /// Create the spool directory, spawn one thread per session slot, and
+    /// start serving the queue.
     pub fn start(cfg: ServiceConfig) -> Result<Arc<MeshService>, String> {
         assert!(cfg.sessions >= 1, "need at least one session slot");
         assert!(cfg.threads >= 1, "need at least one worker thread");
@@ -288,11 +270,10 @@ impl MeshService {
             running: Mutex::new(HashMap::new()),
             metrics: Mutex::new(MetricsSnapshot::new()),
             avg_run_s: Mutex::new(None),
-            latency: Mutex::new(LatencyPanel::new()),
+            latency: Mutex::default(),
             next_id: AtomicU64::new(1),
             busy_slots: AtomicUsize::new(0),
             abort: AtomicBool::new(false),
-            watchdog_stop: AtomicBool::new(false),
             handles: Mutex::new(Vec::new()),
             started: Instant::now(),
             cfg,
@@ -307,21 +288,8 @@ impl MeshService {
                     .map_err(|e| format!("cannot spawn slot thread: {e}"))?,
             );
         }
-        {
-            let s = Arc::clone(&svc);
-            handles.push(
-                std::thread::Builder::new()
-                    .name("pi2m-watchdog".into())
-                    .spawn(move || s.watchdog())
-                    .map_err(|e| format!("cannot spawn watchdog thread: {e}"))?,
-            );
-        }
         *svc.handles.lock() = handles;
         Ok(svc)
-    }
-
-    pub fn config(&self) -> &ServiceConfig {
-        &self.cfg
     }
 
     /// The service's structured log (the HTTP front door logs through it).
@@ -378,32 +346,26 @@ impl MeshService {
         let deadline = deadline_s.map(|s| Instant::now() + Duration::from_secs_f64(s));
         let prio = spec.priority;
         let depth = self.queue.depth();
-        // Insert the record BEFORE admission so a slot popping the id always
-        // finds it; roll back on shed.
-        let mut rec = JobRecord::new(id, spec, deadline);
-        rec.trace.push(
-            0.0,
-            TraceEventKind::Admitted {
-                priority: prio,
-                queue_depth: depth,
-            },
-        );
-        self.jobs.lock().insert(id, rec);
+        // The jobs lock is held across admission, so a slot that pops the
+        // id waits for the record, and no later event of the job (each
+        // waits for this lock) can be journaled before `job.admitted`.
+        // Only an admitted job gets a record, a count and a line.
+        let admitted = TraceEventKind::Admitted {
+            priority: prio,
+            queue_depth: depth,
+        };
+        let mut jobs = self.jobs.lock();
         match self.queue.admit(id, prio, retry_after_s) {
             Ok(()) => {
+                let mut rec = JobRecord::new(id, spec, deadline);
+                rec.trace.push(0.0, admitted.clone());
+                jobs.insert(id, rec);
                 self.count(metrics::SERVE_JOBS_SUBMITTED, 1);
-                self.cfg.journal.info(
-                    "job.admitted",
-                    &[
-                        ("job", Json::str(job_name(id))),
-                        ("priority", Json::str(prio.as_str())),
-                        ("depth", Json::int(depth as u64)),
-                    ],
-                );
+                self.journal_event(id, &admitted);
                 Ok(id)
             }
             Err(e) => {
-                self.jobs.lock().remove(&id);
+                drop(jobs);
                 self.count(metrics::SERVE_JOBS_SHED, 1);
                 let reason = match e {
                     AdmitError::QueueFull { .. } => "queue full",
@@ -464,14 +426,13 @@ impl MeshService {
             if Instant::now() >= deadline {
                 // Out of grace: abort backoffs and cancel running attempts.
                 self.abort.store(true, Ordering::SeqCst);
-                for (token, _) in self.running.lock().values() {
+                for token in self.running.lock().values() {
                     token.cancel();
                 }
                 break false;
             }
             std::thread::sleep(Duration::from_millis(10));
         };
-        self.watchdog_stop.store(true, Ordering::SeqCst);
         let handles = std::mem::take(&mut *self.handles.lock());
         for h in handles {
             let _ = h.join();
@@ -552,103 +513,170 @@ impl MeshService {
             if attempt.is_err() {
                 self.running.lock().remove(&id);
                 self.recycle(&mut session, slot, "panic escaped the attempt");
-                self.finish_failed(
+                self.finish(
                     id,
-                    JobStatus::Failed,
-                    &AttemptFailure {
+                    Err(AttemptFailure {
                         class: FailureClass::Deterministic,
                         kind: "panic",
                         message: "attempt panicked; session slot quarantined".into(),
-                    },
+                    }),
                 );
             }
             self.busy_slots.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
-    /// Append one lifecycle event to a job's trace, timestamped on the
-    /// record's submission clock.
-    fn trace(&self, id: JobId, kind: TraceEventKind) {
-        if let Some(r) = self.jobs.lock().get_mut(&id) {
-            let t = r.submitted.elapsed().as_secs_f64();
-            r.trace.push(t, kind);
-        }
+    /// Record one lifecycle event of job `id`. Under one hold of the jobs
+    /// lock: append it to the trace (stamped on the record's submission
+    /// clock), update the record fields it implies, and bump its counter;
+    /// then journal it as `job.<kind>`. A terminal job takes no further
+    /// event, so nothing overwrites or double-counts its end.
+    fn event(&self, id: JobId, kind: TraceEventKind) {
+        self.record(id, kind, None);
     }
 
-    /// Bridge one refine stage notification into the job's trace. Invoked
-    /// synchronously from the pipeline thread via the run's
-    /// [`StageCallback`]; `elapsed_s` is seconds since the *attempt's* run
-    /// origin and is preserved as `run_t_s` so stage durations survive
-    /// retries.
-    fn trace_stage(&self, id: JobId, ev: StageEvent) {
-        let stage = ev.stage.phase_name();
-        let kind = match ev.status {
-            StageStatus::Started => TraceEventKind::StageStarted {
-                stage,
-                run_t_s: ev.elapsed_s,
-            },
-            StageStatus::Finished => TraceEventKind::StageFinished {
-                stage,
-                run_t_s: ev.elapsed_s,
-            },
+    /// End job `id`: its `Terminal` event, with the outcome stored on the
+    /// record under the same lock hold as the status.
+    fn finish(&self, id: JobId, outcome: Outcome) {
+        let status = match &outcome {
+            Ok(_) => JobStatus::Succeeded,
+            Err(f) if matches!(f.class, FailureClass::Cancelled) => JobStatus::Cancelled,
+            Err(_) => JobStatus::Failed,
         };
-        self.trace(id, kind);
+        let kind = TraceEventKind::Terminal {
+            status,
+            attempts: 0, // the record's count, filled in under the lock
+        };
+        self.record(id, kind, Some(outcome));
+    }
+
+    /// The body of [`event`](Self::event) and [`finish`](Self::finish).
+    fn record(&self, id: JobId, mut kind: TraceEventKind, outcome: Option<Outcome>) {
+        {
+            let mut jobs = self.jobs.lock();
+            let Some(r) = jobs.get_mut(&id) else { return };
+            if r.status.is_terminal() {
+                return;
+            }
+            let age = r.submitted.elapsed().as_secs_f64();
+            match &mut kind {
+                TraceEventKind::QueueWait { wait_s } => {
+                    r.status = JobStatus::Running;
+                    r.queue_wait_s = Some(*wait_s);
+                }
+                TraceEventKind::Checkout {
+                    attempt,
+                    session_generation,
+                    ..
+                } => {
+                    r.attempts = *attempt;
+                    r.session_generation = Some(*session_generation);
+                }
+                TraceEventKind::Backoff { .. } => self.count(metrics::SERVE_JOB_RETRIES, 1),
+                TraceEventKind::Terminal { status, attempts } => {
+                    r.status = *status;
+                    *attempts = r.attempts;
+                    match outcome {
+                        Some(Ok(done)) => {
+                            r.run_s = Some(done.run_s);
+                            r.tets = Some(done.tets);
+                            r.artifact = Some(done.artifact);
+                        }
+                        Some(Err(fail)) => {
+                            r.error_kind = Some(fail.kind.to_string());
+                            r.error = Some(fail.message);
+                        }
+                        None => {}
+                    }
+                    self.count(
+                        match status {
+                            JobStatus::Succeeded => metrics::SERVE_JOBS_SUCCEEDED,
+                            JobStatus::Cancelled => metrics::SERVE_JOBS_CANCELLED,
+                            _ => metrics::SERVE_JOBS_FAILED,
+                        },
+                        1,
+                    );
+                    // The queue wait is known exactly; the run side is
+                    // everything after it (attempts, backoffs), so the two
+                    // sum to the job's age at its end.
+                    let wait = r.queue_wait_s.unwrap_or(age);
+                    self.latency.lock().observe(
+                        r.spec.priority,
+                        *status,
+                        wait,
+                        (age - wait).max(0.0),
+                    );
+                }
+                _ => {}
+            }
+            r.trace.push(age, kind.clone());
+        }
+        self.journal_event(id, &kind);
+    }
+
+    /// The journal line `job.<kind>` of one event, built only when the
+    /// journal takes its level.
+    fn journal_event(&self, id: JobId, kind: &TraceEventKind) {
+        let level = kind.journal_level();
+        if self.cfg.journal.enabled(level) {
+            let mut fields = vec![("job", Json::str(job_name(id)))];
+            fields.extend(kind.fields());
+            let event = format!("job.{}", kind.name());
+            self.cfg.journal.emit(level, &event, &fields);
+        }
     }
 
     /// Execute one job to a typed terminal state, retrying transient
     /// failures with capped exponential backoff.
     fn run_job(self: Arc<Self>, session: &mut MeshingSession, slot: usize, id: JobId) {
-        let Some((spec, deadline, wait_s)) = ({
-            let mut jobs = self.jobs.lock();
-            jobs.get_mut(&id).map(|r| {
-                r.status = JobStatus::Running;
-                let wait = r.submitted.elapsed().as_secs_f64();
-                r.queue_wait_s = Some(wait);
-                r.trace
-                    .push(wait, TraceEventKind::QueueWait { wait_s: wait });
-                (r.spec.clone(), r.deadline, wait)
-            })
-        }) else {
+        let Some((spec, deadline, submitted)) = self
+            .jobs
+            .lock()
+            .get(&id)
+            .map(|r| (r.spec.clone(), r.deadline, r.submitted))
+        else {
             return; // record vanished (never happens in practice)
         };
-        self.cfg.journal.debug(
-            "job.start",
-            &[
-                ("job", Json::str(job_name(id))),
-                ("wait_s", Json::num(wait_s)),
-                ("slot", Json::int(slot as u64)),
-            ],
+        self.event(
+            id,
+            TraceEventKind::QueueWait {
+                wait_s: submitted.elapsed().as_secs_f64(),
+            },
         );
         // Stage notifications outlive the borrow of `self` held by the
-        // attempt, so the callback captures a weak handle.
+        // attempt, so the callback captures a weak handle. `run_t_s` is
+        // seconds since the *attempt's* run origin, so stage durations
+        // survive retries.
         let weak = Arc::downgrade(&self);
-        let on_stage: StageCallback = Arc::new(move |ev| {
+        let on_stage: StageCallback = Arc::new(move |ev: StageEvent| {
             if let Some(svc) = weak.upgrade() {
-                svc.trace_stage(id, ev);
+                let (stage, run_t_s) = (ev.stage.phase_name(), ev.elapsed_s);
+                svc.event(
+                    id,
+                    match ev.status {
+                        StageStatus::Started => TraceEventKind::StageStarted { stage, run_t_s },
+                        StageStatus::Finished => TraceEventKind::StageFinished { stage, run_t_s },
+                    },
+                );
             }
         });
         let max_retries = spec.max_retries.unwrap_or(self.cfg.max_retries);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            if let Some(r) = self.jobs.lock().get_mut(&id) {
-                r.attempts = attempt;
-                r.session_generation = Some(session.generation());
-                let t = r.submitted.elapsed().as_secs_f64();
-                r.trace.push(
-                    t,
-                    TraceEventKind::Checkout {
-                        attempt,
-                        slot,
-                        session_generation: session.generation(),
-                    },
-                );
-            }
-            match self.attempt(session, slot, id, &spec, deadline, &on_stage) {
+            self.event(
+                id,
+                TraceEventKind::Checkout {
+                    attempt,
+                    slot,
+                    session_generation: session.generation(),
+                },
+            );
+            let fail = match self.attempt(session, slot, id, &spec, deadline, &on_stage) {
                 Ok(done) => {
                     if done.dirty {
-                        // Worker-death watchdog: the run finished (PEL
-                        // bequest kept it sound) but the slot is suspect.
+                        // The run finished (PEL bequest kept it sound) but
+                        // workers died: the slot is suspect.
                         self.recycle(session, slot, "workers died during a successful run");
                     }
                     let mut avg = self.avg_run_s.lock();
@@ -657,158 +685,56 @@ impl MeshService {
                         None => done.run_s,
                     });
                     drop(avg);
-                    if let Some(r) = self.jobs.lock().get_mut(&id) {
-                        r.status = JobStatus::Succeeded;
-                        r.run_s = Some(done.run_s);
-                        r.tets = Some(done.tets);
-                        r.artifact = Some(done.artifact);
-                        let t = r.submitted.elapsed().as_secs_f64();
-                        r.trace.push(
-                            t,
-                            TraceEventKind::Terminal {
-                                status: JobStatus::Succeeded,
-                                attempts: attempt,
-                            },
-                        );
-                    }
-                    self.count(metrics::SERVE_JOBS_SUCCEEDED, 1);
-                    self.observe_latency(id, JobStatus::Succeeded);
-                    self.cfg.journal.info(
-                        "job.terminal",
-                        &[
-                            ("job", Json::str(job_name(id))),
-                            ("status", Json::str("succeeded")),
-                            ("attempts", Json::int(attempt as u64)),
-                            ("run_s", Json::num(done.run_s)),
-                            ("tets", Json::int(done.tets)),
-                        ],
-                    );
+                    self.finish(id, Ok(done));
                     return;
                 }
-                Err(fail) => {
-                    let will_retry = matches!(fail.class, FailureClass::Transient { .. })
-                        && attempt <= max_retries
-                        && !self.abort.load(Ordering::SeqCst);
-                    self.trace(
-                        id,
-                        TraceEventKind::AttemptFailed {
-                            attempt,
-                            kind: fail.kind,
-                            class: fail.class.name(),
-                            will_retry,
-                        },
-                    );
-                    self.cfg.journal.warn(
-                        "job.attempt_failed",
-                        &[
-                            ("job", Json::str(job_name(id))),
-                            ("attempt", Json::int(attempt as u64)),
-                            ("error_kind", Json::str(fail.kind)),
-                            ("class", Json::str(fail.class.name())),
-                            ("will_retry", Json::Bool(will_retry)),
-                        ],
-                    );
-                    if let FailureClass::Transient { poison: true } = fail.class {
-                        self.recycle(session, slot, fail.kind);
-                    }
-                    match fail.class {
-                        FailureClass::Cancelled => {
-                            self.finish_failed(id, JobStatus::Cancelled, &fail);
-                            return;
-                        }
-                        FailureClass::Deterministic => {
-                            self.finish_failed(id, JobStatus::Failed, &fail);
-                            return;
-                        }
-                        FailureClass::Transient { .. } => {
-                            if attempt > max_retries {
-                                let fail = AttemptFailure {
-                                    message: format!(
-                                        "{} (retry budget of {max_retries} spent over {attempt} attempts)",
-                                        fail.message
-                                    ),
-                                    ..fail
-                                };
-                                self.finish_failed(id, JobStatus::Failed, &fail);
-                                return;
-                            }
-                            self.count(metrics::SERVE_JOB_RETRIES, 1);
-                            let backoff_s = self.backoff_duration(attempt).as_secs_f64();
-                            self.trace(id, TraceEventKind::Backoff { attempt, backoff_s });
-                            if !self.backoff(attempt, deadline) {
-                                let fail = AttemptFailure {
-                                    class: FailureClass::Cancelled,
-                                    kind: "cancelled",
-                                    message: format!(
-                                        "deadline passed while backing off after: {}",
-                                        fail.message
-                                    ),
-                                };
-                                self.finish_failed(id, JobStatus::Cancelled, &fail);
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Feed a terminal job's latency split into the per-class histograms.
-    /// The queue wait is known exactly; the run side is everything after it
-    /// (attempts, backoffs), so the two sum to the job's age at terminal.
-    fn observe_latency(&self, id: JobId, status: JobStatus) {
-        let Some((priority, wait_s, run_s)) = ({
-            let jobs = self.jobs.lock();
-            jobs.get(&id).map(|r| {
-                let age = r.submitted.elapsed().as_secs_f64();
-                let wait = r.queue_wait_s.unwrap_or(age);
-                (r.spec.priority, wait, (age - wait).max(0.0))
-            })
-        }) else {
-            return;
-        };
-        self.latency.lock().observe(priority, status, wait_s, run_s);
-    }
-
-    fn finish_failed(&self, id: JobId, status: JobStatus, fail: &AttemptFailure) {
-        let attempts = {
-            let mut jobs = self.jobs.lock();
-            let Some(r) = jobs.get_mut(&id) else { return };
-            if r.status.is_terminal() {
-                return; // already terminal; never overwrite (or double-count)
-            }
-            r.status = status;
-            r.error_kind = Some(fail.kind.to_string());
-            r.error = Some(fail.message.clone());
-            let t = r.submitted.elapsed().as_secs_f64();
-            r.trace.push(
-                t,
-                TraceEventKind::Terminal {
-                    status,
-                    attempts: r.attempts,
+                Err(fail) => fail,
+            };
+            let will_retry = matches!(fail.class, FailureClass::Transient { .. })
+                && attempt <= max_retries
+                && !self.abort.load(Ordering::SeqCst);
+            self.event(
+                id,
+                TraceEventKind::AttemptFailed {
+                    attempt,
+                    kind: fail.kind,
+                    class: fail.class.name(),
+                    will_retry,
                 },
             );
-            r.attempts
-        };
-        self.count(
-            match status {
-                JobStatus::Cancelled => metrics::SERVE_JOBS_CANCELLED,
-                _ => metrics::SERVE_JOBS_FAILED,
-            },
-            1,
-        );
-        self.observe_latency(id, status);
-        self.cfg.journal.warn(
-            "job.terminal",
-            &[
-                ("job", Json::str(job_name(id))),
-                ("status", Json::str(status.as_str())),
-                ("attempts", Json::int(attempts as u64)),
-                ("error_kind", Json::str(fail.kind)),
-                ("error", Json::str(fail.message.clone())),
-            ],
-        );
+            if let FailureClass::Transient { poison: true } = fail.class {
+                self.recycle(session, slot, fail.kind);
+            }
+            if !matches!(fail.class, FailureClass::Transient { .. }) {
+                self.finish(id, Err(fail));
+                return;
+            }
+            if attempt > max_retries {
+                let message = format!(
+                    "{} (retry budget of {max_retries} spent over {attempt} attempts)",
+                    fail.message
+                );
+                self.finish(id, Err(AttemptFailure { message, ..fail }));
+                return;
+            }
+            let backoff = backoff_duration(attempt);
+            self.event(
+                id,
+                TraceEventKind::Backoff {
+                    attempt,
+                    backoff_s: backoff.as_secs_f64(),
+                },
+            );
+            if !self.backoff(backoff, deadline) {
+                let fail = AttemptFailure {
+                    class: FailureClass::Cancelled,
+                    kind: "cancelled",
+                    message: format!("deadline passed while backing off after: {}", fail.message),
+                };
+                self.finish(id, Err(fail));
+                return;
+            }
+        }
     }
 
     fn recycle(&self, session: &mut MeshingSession, slot: usize, why: &str) {
@@ -887,7 +813,7 @@ impl MeshService {
             Some(d) => CancelToken::with_deadline(d),
             None => CancelToken::new(),
         };
-        self.running.lock().insert(id, (token.clone(), deadline));
+        self.running.lock().insert(id, token.clone());
         let t0 = Instant::now();
         let run_opts = RunOptions {
             cancel: Some(token),
@@ -911,7 +837,7 @@ impl MeshService {
             .map(|run| {
                 // Chunk accounting becomes per-chunk spans on the trace.
                 for c in &run.chunks {
-                    self.trace(
+                    self.event(
                         id,
                         TraceEventKind::ShardChunk {
                             index: c.index,
@@ -991,55 +917,26 @@ impl MeshService {
         Ok(path)
     }
 
-    /// The capped exponential backoff before retry `attempt + 1`.
-    fn backoff_duration(&self, attempt: u32) -> Duration {
-        let exp = self
-            .cfg
-            .backoff_base_ms
-            .saturating_mul(1u64 << (attempt - 1).min(16));
-        Duration::from_millis(exp.min(self.cfg.backoff_cap_ms))
-    }
-
-    /// Sleep out a retry backoff (capped exponential), aborting early on
-    /// the job deadline or a drain running out of grace. Returns `false`
-    /// when the job must stop retrying.
-    fn backoff(&self, attempt: u32, deadline: Option<Instant>) -> bool {
-        let until = Instant::now() + self.backoff_duration(attempt);
+    /// Sleep out a retry backoff, aborting early on the job deadline or a
+    /// drain running out of grace. Returns `false` when the job must stop
+    /// retrying.
+    fn backoff(&self, backoff: Duration, deadline: Option<Instant>) -> bool {
+        let until = Instant::now() + backoff;
         while Instant::now() < until {
-            if self.abort.load(Ordering::SeqCst) {
+            if self.abort.load(Ordering::SeqCst) || deadline.is_some_and(|d| Instant::now() >= d) {
                 return false;
-            }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return false;
-                }
             }
             std::thread::sleep(Duration::from_millis(5));
         }
         true
     }
+}
 
-    // ---- watchdog -------------------------------------------------------
-
-    /// Deadline enforcement of last resort: if a running attempt overstays
-    /// its deadline by more than the grace period (a missed cooperative
-    /// cancellation point), cancel its token so the engine unwinds at the
-    /// next boundary and the job terminates `Cancelled` instead of hanging.
-    fn watchdog(self: Arc<Self>) {
-        let interval = Duration::from_millis(self.cfg.watchdog_interval_ms.max(10));
-        let grace = Duration::from_secs_f64(self.cfg.deadline_grace_s.max(0.0));
-        while !self.watchdog_stop.load(Ordering::SeqCst) {
-            std::thread::sleep(interval);
-            let now = Instant::now();
-            for (token, deadline) in self.running.lock().values() {
-                if let Some(d) = deadline {
-                    if now >= *d + grace {
-                        token.cancel();
-                    }
-                }
-            }
-        }
-    }
+/// The capped exponential backoff before retry `attempt + 1`.
+fn backoff_duration(attempt: u32) -> Duration {
+    BACKOFF_BASE
+        .saturating_mul(1u32 << (attempt - 1).min(16))
+        .min(BACKOFF_CAP)
 }
 
 impl Drop for MeshService {
@@ -1048,8 +945,7 @@ impl Drop for MeshService {
         // the process can exit. (Drain is the intended path.)
         self.queue.begin_drain();
         self.abort.store(true, Ordering::SeqCst);
-        self.watchdog_stop.store(true, Ordering::SeqCst);
-        for (token, _) in self.running.lock().values() {
+        for token in self.running.lock().values() {
             token.cancel();
         }
         for h in std::mem::take(&mut *self.handles.lock()) {

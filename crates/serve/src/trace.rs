@@ -17,6 +17,7 @@
 
 use crate::job::{job_name, JobId, JobStatus, Priority};
 use pi2m_obs::inspect::ArtifactKind;
+use pi2m_obs::journal::Level;
 use pi2m_obs::json::Json;
 use pi2m_obs::metrics::ObsEvent;
 use pi2m_obs::report::TraceSpan;
@@ -96,7 +97,23 @@ impl TraceEventKind {
         }
     }
 
-    fn fields(&self) -> Vec<(&'static str, Json)> {
+    /// The level of the event's journal line `job.<name>`: admissions
+    /// and successes at info, failures at warn, the rest (queue wait,
+    /// checkouts, stages, shard chunks, backoffs) at debug.
+    pub(crate) fn journal_level(&self) -> Level {
+        match self {
+            TraceEventKind::Admitted { .. }
+            | TraceEventKind::Terminal {
+                status: JobStatus::Succeeded,
+                ..
+            } => Level::Info,
+            TraceEventKind::AttemptFailed { .. } | TraceEventKind::Terminal { .. } => Level::Warn,
+            _ => Level::Debug,
+        }
+    }
+
+    /// The event's fields, shared by its trace JSON and its journal line.
+    pub(crate) fn fields(&self) -> Vec<(&'static str, Json)> {
         match self {
             TraceEventKind::Admitted {
                 priority,
@@ -181,10 +198,6 @@ impl JobTrace {
 
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// The wire form served at `GET /jobs/<id>/trace`.

@@ -11,7 +11,8 @@
 //!             --trace-out / --metrics artifacts, from the same run report
 //!             a finished run writes; --shards meshes the image as a grid
 //!             of overlapping chunks and stitches the seams — see README
-//!             "Sharded meshing"; --halo is 0 to 4096 voxels)
+//!             "Sharded meshing"; --halo is 0 to 4096 voxels and
+//!             needs --shards)
 //! pi2m batch  <inputs...> [--outdir DIR] [--keep-going] [--reports]
 //!             [--delta D] [--threads N] [--cm ...] [--no-removals]
 //!             [--size S] [--force]
@@ -206,8 +207,8 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
         .ok_or("usage: pi2m mesh <input.pim|phantom:NAME> [options]")?;
     let journal = init_journal(args, false)?;
     let o = parse_mesh_opts(args, &journal)?;
-    // `--halo` is bounded whether or not `--shards` reads it, so a bad one
-    // is refused before the input loads.
+    // `--halo` is only read by a sharded run, and both refusals come
+    // before the input loads.
     let halo = args
         .flags
         .get("halo")
@@ -218,6 +219,9 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
             )),
         })
         .transpose()?;
+    if halo.is_some() && !args.flags.contains_key("shards") {
+        return Err("--halo needs --shards: only a sharded run has a halo".into());
+    }
     let shard_spec = args
         .flags
         .get("shards")
@@ -747,7 +751,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         max_retries,
         faults,
         journal: Arc::clone(&journal),
-        ..Default::default()
     })?;
     serve::signal::install();
     let server =

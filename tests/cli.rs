@@ -63,6 +63,34 @@ fn mesh_refuses_a_halo_out_of_bounds() {
     }
 }
 
+/// `--halo` means something only to a sharded run, so `mesh` refuses it
+/// without `--shards` instead of meshing unsharded and ignoring it.
+#[test]
+fn mesh_refuses_a_halo_without_shards() {
+    for input in ["phantom:sphere", "no-such-input.pim"] {
+        let (code, stderr) = pi2m(&["mesh", input, "--halo", "3"]);
+        assert_eq!(code, Some(1), "{input}: {stderr}");
+        assert!(stderr.contains("--halo"), "{input}: {stderr}");
+    }
+}
+
+/// A fault plan naming a site that nothing fires would arm nothing, so
+/// the drill is refused, naming the site, instead of testing nothing.
+#[test]
+fn a_fault_plan_with_an_unknown_site_is_refused() {
+    let out = Command::new(env!("CARGO_BIN_EXE_pi2m"))
+        .args(["mesh", "phantom:sphere", "--delta", "3"])
+        .env(
+            "PI2M_FAULT_PLAN",
+            "site=lock.acquire,kind=deny,every=400,count=6",
+        )
+        .output()
+        .expect("pi2m runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("'lock.acquire'"), "{stderr}");
+}
+
 /// The input does not exist, so a command that got as far as loading it
 /// would exit 4 (I/O) instead.
 #[test]

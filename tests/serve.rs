@@ -9,7 +9,9 @@
 use pi2m::faults::FaultPlan;
 use pi2m::obs::json;
 use pi2m::obs::metrics as m;
-use pi2m::serve::{AdmitError, JobSpec, JobStatus, MeshService, Priority, ServiceConfig};
+use pi2m::serve::{
+    AdmitError, JobSpec, JobStatus, MeshService, Priority, ServiceConfig, TraceEventKind,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -158,7 +160,6 @@ fn worker_death_mid_job_retries_on_fresh_session() {
 
 #[test]
 fn retried_job_trace_records_both_attempts() {
-    use pi2m::serve::TraceEventKind;
     // Same poisoned-worker setup as the drill above, but the assertion
     // target is the job's end-to-end trace: both attempts must be visible,
     // each with the session generation that served it.
@@ -287,6 +288,177 @@ fn deadline_cancels_job_stuck_behind_slow_queue() {
     let b = wait_terminal(&svc, blocker, Duration::from_secs(60));
     assert_eq!(b.status, JobStatus::Succeeded);
     assert_eq!(svc.counter(m::SERVE_JOBS_CANCELLED), 1);
+    assert!(svc.drain(Duration::from_secs(10)));
+}
+
+/// The seconds (since submission) of the first trace event matching `pick`.
+fn trace_t(r: &pi2m::serve::JobRecord, pick: impl Fn(&TraceEventKind) -> bool) -> Option<f64> {
+    r.trace
+        .events()
+        .iter()
+        .find(|e| pick(&e.kind))
+        .map(|e| e.t_s)
+}
+
+#[test]
+fn deadline_mid_refinement_cancels_within_a_second() {
+    // The attempt's cancel token carries the job's deadline, and the
+    // engine polls it; nothing waits for a grace period on top. Two
+    // untimed runs of the same job (the second on a warm session) time
+    // its volume refinement; the third gets a deadline a quarter of the
+    // way into it, counted from submission like every job deadline.
+    let svc = MeshService::start(ServiceConfig {
+        sessions: 1,
+        threads: 1,
+        queue_capacity: 4,
+        spool: spool("midrefine"),
+        ..Default::default()
+    })
+    .unwrap();
+    let job = || JobSpec {
+        delta: Some(0.8),
+        ..spec("phantom:sphere")
+    };
+    let mut timed = None;
+    for _ in 0..2 {
+        let id = svc.submit(job()).unwrap();
+        let r = wait_terminal(&svc, id, Duration::from_secs(120));
+        assert_eq!(r.status, JobStatus::Succeeded, "{:?}", r.error);
+        let started = trace_t(&r, |e| {
+            matches!(
+                e,
+                TraceEventKind::StageStarted {
+                    stage: "volume_refinement",
+                    ..
+                }
+            )
+        });
+        let finished = trace_t(&r, |e| {
+            matches!(
+                e,
+                TraceEventKind::StageFinished {
+                    stage: "volume_refinement",
+                    ..
+                }
+            )
+        });
+        timed = started.zip(finished);
+    }
+    let (started, finished) = timed.expect("volume refinement is traced");
+    let deadline_s = started + (finished - started) / 4.0;
+
+    let id = svc
+        .submit(JobSpec {
+            deadline_s: Some(deadline_s),
+            ..job()
+        })
+        .unwrap();
+    let r = wait_terminal(&svc, id, Duration::from_secs(120));
+    assert_eq!(r.status, JobStatus::Cancelled, "{:?}", r.error);
+    assert_eq!(r.error_kind.as_deref(), Some("cancelled"));
+    assert!(
+        trace_t(&r, |e| matches!(e, TraceEventKind::StageStarted { .. })).is_some(),
+        "the job was running when its deadline passed"
+    );
+    let ended = trace_t(&r, |e| matches!(e, TraceEventKind::Terminal { .. })).unwrap();
+    assert!(
+        ended - deadline_s < 1.0,
+        "cancelled {:.3} s after a deadline {deadline_s:.3} s into a {:.3} s refinement",
+        ended - deadline_s,
+        finished - started
+    );
+    assert!(svc.drain(Duration::from_secs(10)));
+}
+
+/// A shared byte buffer that a journal writes into.
+#[derive(Clone, Default)]
+struct Capture(Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl std::io::Write for Capture {
+    fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(b);
+        Ok(b.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn journal_and_trace_tell_the_same_story() {
+    use pi2m::obs::journal::{Journal, Level};
+    // One injected checkout fault: the job's first attempt fails transient,
+    // the slot recycles, and the retry succeeds. Every lifecycle event is
+    // one call, so the debug journal's `job.*` lines for the job are its
+    // trace kinds, in order, ending in exactly one `job.terminal`.
+    let faults =
+        FaultPlan::parse(7, "site=serve.session.checkout,kind=fail,nth=1,count=1").unwrap();
+    let capture = Capture::default();
+    let svc = MeshService::start(ServiceConfig {
+        sessions: 1,
+        threads: 1,
+        queue_capacity: 4,
+        spool: spool("journal"),
+        faults: Some(Arc::new(faults)),
+        journal: Journal::to_writer(Level::Debug, Box::new(capture.clone())),
+        ..Default::default()
+    })
+    .unwrap();
+    let id = svc.submit(spec("phantom:sphere")).unwrap();
+    let r = wait_terminal(&svc, id, Duration::from_secs(60));
+    assert_eq!(r.status, JobStatus::Succeeded, "{:?}", r.error);
+    assert_eq!(r.attempts, 2);
+    assert!(svc.drain(Duration::from_secs(10)));
+
+    let text = String::from_utf8(capture.0.lock().unwrap().clone()).unwrap();
+    let name = format!("job-{id}");
+    let journaled: Vec<String> = text
+        .lines()
+        .map(|l| json::parse(l).expect("every journal line is JSON"))
+        .filter(|v| v.get("job").and_then(json::Json::as_str) == Some(name.as_str()))
+        .filter_map(|v| {
+            let event = v.get("event")?.as_str()?;
+            event.strip_prefix("job.").map(String::from)
+        })
+        .collect();
+    let traced: Vec<String> = r
+        .trace
+        .events()
+        .iter()
+        .map(|e| e.kind.name().to_string())
+        .collect();
+    assert_eq!(journaled, traced);
+    assert_eq!(journaled.iter().filter(|k| *k == "terminal").count(), 1);
+    assert!(traced.contains(&"attempt_failed".to_string()), "{traced:?}");
+}
+
+#[test]
+fn metrics_declare_each_family_once() {
+    // One success and one failure put every kind of family on the page:
+    // the serve counters, the merged engine histograms and both labeled
+    // latency families, with two label sets each.
+    let svc = MeshService::start(ServiceConfig {
+        sessions: 1,
+        threads: 1,
+        queue_capacity: 4,
+        spool: spool("families"),
+        ..Default::default()
+    })
+    .unwrap();
+    for input in ["phantom:sphere", "phantom:no-such-phantom"] {
+        let id = svc.submit(spec(input)).unwrap();
+        wait_terminal(&svc, id, Duration::from_secs(60));
+    }
+    let text = svc.render_metrics();
+    let mut seen = std::collections::HashMap::new();
+    for line in text.lines().filter(|l| l.starts_with("# TYPE ")) {
+        let name = line.split_whitespace().nth(2).unwrap();
+        *seen.entry(name.to_string()).or_insert(0) += 1;
+    }
+    assert!(seen.contains_key("pi2m_serve_queue_wait_seconds"), "{text}");
+    assert!(seen.contains_key("pi2m_serve_run_seconds"), "{text}");
+    let twice: Vec<_> = seen.iter().filter(|(_, &n)| n > 1).collect();
+    assert!(twice.is_empty(), "declared more than once: {twice:?}");
     assert!(svc.drain(Duration::from_secs(10)));
 }
 
