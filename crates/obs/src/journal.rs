@@ -1,4 +1,4 @@
-//! Structured logging: a leveled, rate-limited JSONL journal.
+//! Structured logging: a leveled JSONL journal.
 //!
 //! Every line the journal emits is one JSON object — `{"t":…,"level":…,
 //! "event":…,…}` — so daemon stderr (and `--log=PATH` files) can be parsed,
@@ -14,17 +14,15 @@
 //!   event of a null journal, are dropped before any formatting
 //!   (`PI2M_LOG_LEVEL=debug|info|warn|error`); callers that build fields
 //!   for a line ask [`Journal::enabled`] first.
-//! * **Rate-limited per event name** — at most [`RATE_MAX_PER_WINDOW`]
-//!   lines per event name per one-second window, so a flapping socket or a
-//!   recycle storm cannot flood stderr. Suppressed lines are counted, and
-//!   the count is surfaced on the next emitted line of that event
-//!   (`"suppressed": N`) when the window rolls.
+//! * **Complete** — every accepted event is written: a line is never
+//!   dropped for being frequent, so the journal is a full account of the
+//!   jobs and inputs it logs. A caller that could repeat an event without
+//!   bound paces itself (the HTTP accept loop sleeps 50 ms after an error).
 //! * **Monotonic timestamps** — `t` is seconds since the journal was
 //!   created, measured on [`Instant`] and clamped so lines never go
 //!   backwards even across threads.
 
 use crate::json::Json;
-use std::collections::HashMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -33,9 +31,6 @@ use std::time::Instant;
 /// fields). Bump when a stable field changes meaning; printed by
 /// `pi2m --version` as `journal-schema`.
 pub const SCHEMA_VERSION: u32 = 1;
-
-/// Max lines per event name per one-second window before suppression.
-pub const RATE_MAX_PER_WINDOW: u32 = 10;
 
 /// Event severity, ordered. The journal drops anything below its minimum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -78,22 +73,13 @@ enum Sink {
     Jsonl(Box<dyn Write + Send>),
 }
 
-/// Per-event-name rate limiter state for one window.
-struct Rate {
-    /// Window index: whole seconds since the journal origin.
-    window: u64,
-    emitted: u32,
-    suppressed: u64,
-}
-
 struct Inner {
     sink: Sink,
-    rates: HashMap<String, Rate>,
     /// Last emitted timestamp; lines are clamped to never go backwards.
     last_t: f64,
 }
 
-/// A leveled, rate-limited structured log. Cheap to share (`Arc`); all
+/// A leveled structured log. Cheap to share (`Arc`); all
 /// state sits behind one mutex — journals are for control-plane events
 /// (admissions, retries, drains), not hot-path metrics.
 pub struct Journal {
@@ -108,11 +94,7 @@ impl Journal {
         Arc::new(Journal {
             min,
             origin: Instant::now(),
-            inner: Some(Mutex::new(Inner {
-                sink,
-                rates: HashMap::new(),
-                last_t: 0.0,
-            })),
+            inner: Some(Mutex::new(Inner { sink, last_t: 0.0 })),
         })
     }
 
@@ -126,50 +108,38 @@ impl Journal {
         })
     }
 
-    /// Human-readable lines on stderr (interactive CLI default).
-    pub fn stderr_text(min: Level) -> Arc<Journal> {
-        Journal::with_sink(min, Sink::StderrText)
-    }
-
-    /// JSONL on stderr (daemon default; also bare `--log`).
-    pub fn stderr_jsonl(min: Level) -> Arc<Journal> {
-        Journal::with_sink(min, Sink::StderrJsonl)
-    }
-
     /// JSONL into an arbitrary writer (tests capture lines this way).
     pub fn to_writer(min: Level, w: Box<dyn Write + Send>) -> Arc<Journal> {
         Journal::with_sink(min, Sink::Jsonl(w))
     }
 
-    /// JSONL appended to a file, created if absent.
-    pub fn to_path(min: Level, path: &str) -> Result<Arc<Journal>, String> {
-        let f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("cannot open log file {path}: {e}"))?;
-        Ok(Journal::with_sink(min, Sink::Jsonl(Box::new(f))))
-    }
-
     /// Resolve a `--log[=PATH]` / `PI2M_LOG` spec. `None` falls back to
-    /// stderr — JSONL when `default_jsonl` (daemons), else text
+    /// stderr — JSONL when `default_jsonl` (daemons), else human lines
     /// (interactive commands). `"stderr"`, `"-"`, or empty force stderr
-    /// JSONL; anything else is a file path.
+    /// JSONL; anything else is a file path, appended to and created if
+    /// absent.
     pub fn from_spec(
         spec: Option<&str>,
         min: Level,
         default_jsonl: bool,
     ) -> Result<Arc<Journal>, String> {
-        match spec {
-            Some("stderr") | Some("-") | Some("") => Ok(Journal::stderr_jsonl(min)),
-            Some(path) => Journal::to_path(min, path),
-            None if default_jsonl => Ok(Journal::stderr_jsonl(min)),
-            None => Ok(Journal::stderr_text(min)),
-        }
+        let sink = match spec {
+            Some("stderr") | Some("-") | Some("") => Sink::StderrJsonl,
+            Some(path) => Sink::Jsonl(Box::new(
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(path)
+                    .map_err(|e| format!("cannot open log file {path}: {e}"))?,
+            )),
+            None if default_jsonl => Sink::StderrJsonl,
+            None => Sink::StderrText,
+        };
+        Ok(Journal::with_sink(min, sink))
     }
 
-    /// Whether an event at `level` would reach a sink (it may still be
-    /// rate-limited). False for every level of a null journal.
+    /// Whether an event at `level` would reach a sink. False for every
+    /// level of a null journal.
     pub fn enabled(&self, level: Level) -> bool {
         level >= self.min && self.inner.is_some()
     }
@@ -186,15 +156,15 @@ impl Journal {
         self.emit(Level::Error, event, fields);
     }
 
-    /// Record one event. Level-filtered, rate-limited, then written to the
-    /// sink with a monotonic timestamp.
+    /// Record one event. Level-filtered, then written to the sink with a
+    /// monotonic timestamp.
     pub fn emit(&self, level: Level, event: &str, fields: &[(&str, Json)]) {
         self.emit_at(self.origin.elapsed().as_secs_f64(), level, event, fields);
     }
 
     /// [`emit`](Journal::emit) with an explicit timestamp (seconds since
-    /// origin) — the testable core: window rollover and monotonicity are
-    /// driven by `t`, not the wall clock.
+    /// origin) — the testable core: monotonicity is driven by `t`, not the
+    /// wall clock.
     fn emit_at(&self, t: f64, level: Level, event: &str, fields: &[(&str, Json)]) {
         let Some(inner) = self.inner.as_ref().filter(|_| level >= self.min) else {
             return;
@@ -202,36 +172,7 @@ impl Journal {
         let mut inner = inner.lock().unwrap();
         let t = if t > inner.last_t { t } else { inner.last_t };
         inner.last_t = t;
-        let window = t as u64;
-        let backlog = {
-            let rate = inner.rates.entry(event.to_string()).or_insert(Rate {
-                window,
-                emitted: 0,
-                suppressed: 0,
-            });
-            let rolled = if rate.window != window {
-                let s = rate.suppressed;
-                *rate = Rate {
-                    window,
-                    emitted: 0,
-                    suppressed: 0,
-                };
-                s
-            } else {
-                0
-            };
-            if rate.emitted >= RATE_MAX_PER_WINDOW {
-                rate.suppressed += 1;
-                None
-            } else {
-                rate.emitted += 1;
-                Some(rolled)
-            }
-        };
-        let Some(backlog) = backlog else {
-            return;
-        };
-        let mut obj: Vec<(&str, Json)> = Vec::with_capacity(fields.len() + 4);
+        let mut obj: Vec<(&str, Json)> = Vec::with_capacity(fields.len() + 3);
         // microsecond precision keeps lines short without losing ordering
         obj.push(("t", Json::num((t * 1e6).round() / 1e6)));
         obj.push(("level", Json::str(level.as_str())));
@@ -239,12 +180,9 @@ impl Journal {
         for (k, v) in fields {
             obj.push((k, v.clone()));
         }
-        if backlog > 0 {
-            obj.push(("suppressed", Json::int(backlog)));
-        }
         let line = Json::obj(obj);
         match &mut inner.sink {
-            Sink::StderrText => eprintln!("{}", render_text(event, fields, backlog)),
+            Sink::StderrText => eprintln!("{}", render_text(event, fields)),
             Sink::StderrJsonl => eprintln!("{}", line.dump()),
             Sink::Jsonl(w) => {
                 let _ = writeln!(w, "{}", line.dump());
@@ -257,8 +195,8 @@ impl Journal {
 /// The human form of one event: its `msg` field verbatim when present
 /// (the interactive CLI passes its legacy progress lines this way), else
 /// `event key=value …`.
-fn render_text(event: &str, fields: &[(&str, Json)], backlog: u64) -> String {
-    let mut line = match fields.iter().find(|(k, _)| *k == "msg") {
+fn render_text(event: &str, fields: &[(&str, Json)]) -> String {
+    match fields.iter().find(|(k, _)| *k == "msg") {
         Some((_, Json::Str(msg))) => msg.clone(),
         _ => {
             let mut s = event.to_string();
@@ -271,11 +209,7 @@ fn render_text(event: &str, fields: &[(&str, Json)], backlog: u64) -> String {
             }
             s
         }
-    };
-    if backlog > 0 {
-        line.push_str(&format!(" ({backlog} similar suppressed)"));
     }
-    line
 }
 
 #[cfg(test)]
@@ -364,29 +298,14 @@ mod tests {
     }
 
     #[test]
-    fn rate_limiter_bounds_each_event_name_and_surfaces_backlog() {
+    fn frequent_lines_of_one_name_are_all_written() {
         let buf = Buf::default();
         let jl = Journal::to_writer(Level::Info, Box::new(buf.clone()));
-        // 50 identical events inside one window: only the cap gets through
-        for i in 0..50 {
-            jl.emit_at(0.01 * i as f64, Level::Info, "flap", &[]);
+        // 40 lines of one event name inside one second
+        for i in 0..40 {
+            jl.emit_at(0.02 * i as f64, Level::Info, "job.admitted", &[]);
         }
-        // a different event name is not throttled by "flap"'s window
-        jl.emit_at(0.9, Level::Info, "other", &[]);
-        assert_eq!(
-            buf.lines().len(),
-            RATE_MAX_PER_WINDOW as usize + 1,
-            "cap per event name per window"
-        );
-        // the next window's first line carries the suppressed count
-        jl.emit_at(1.5, Level::Info, "flap", &[]);
-        let last = buf.lines().pop().unwrap();
-        let v = crate::json::parse(&last).unwrap();
-        assert_eq!(
-            v.get("suppressed").unwrap().as_f64(),
-            Some((50 - RATE_MAX_PER_WINDOW) as f64),
-            "{last}"
-        );
+        assert_eq!(buf.lines().len(), 40);
     }
 
     #[test]
@@ -415,16 +334,15 @@ mod tests {
     #[test]
     fn text_mode_prints_msg_verbatim() {
         assert_eq!(
-            render_text("mesh.done", &[("msg", Json::str("12 tets in 0.5s"))], 0),
+            render_text("mesh.done", &[("msg", Json::str("12 tets in 0.5s"))]),
             "12 tets in 0.5s"
         );
         assert_eq!(
             render_text(
                 "serve.recycle",
-                &[("slot", Json::int(2)), ("why", Json::str("livelock"))],
-                3
+                &[("slot", Json::int(2)), ("why", Json::str("livelock"))]
             ),
-            "serve.recycle slot=2 why=livelock (3 similar suppressed)"
+            "serve.recycle slot=2 why=livelock"
         );
     }
 

@@ -20,7 +20,7 @@
 //! * [`report`] + [`export`] — the self-describing [`RunReport`] and its
 //!   exporters: structured JSON, Prometheus text exposition, and Chrome
 //!   Trace Event JSON (loadable in `chrome://tracing` / Perfetto).
-//! * [`journal`] — leveled, rate-limited JSONL structured logging
+//! * [`journal`] — leveled JSONL structured logging
 //!   ([`Journal`]) for control-plane events (admissions, retries, drains).
 //!
 //! ```

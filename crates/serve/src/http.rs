@@ -388,8 +388,8 @@ impl HttpServer {
                     idle = (idle * 2).min(IDLE_MAX);
                 }
                 Err(e) => {
-                    // Rate-limited by the journal: a flapping socket cannot
-                    // flood stderr.
+                    // The sleep paces a flapping socket to at most 20
+                    // lines a second, so it cannot flood stderr.
                     svc.journal()
                         .warn("serve.accept_error", &[("error", Json::str(e.to_string()))]);
                     std::thread::sleep(Duration::from_millis(50));

@@ -28,7 +28,7 @@
 //!   [`JobTrace`] (admit → queue wait → checkout → attempts/backoffs →
 //!   stage transitions → shard chunks → terminal), served at
 //!   `GET /jobs/<id>/trace`. Each trace event is also the journal line
-//!   `job.<kind>` in a leveled, rate-limited JSONL
+//!   `job.<kind>` in a leveled JSONL
 //!   [`Journal`](pi2m_obs::Journal), and `/metrics` carries per-class
 //!   latency histograms.
 //!

@@ -47,8 +47,8 @@ fn main() -> std::io::Result<()> {
     std::fs::create_dir_all(out_dir)?;
     let delta = 2.0;
 
-    // Both atlases mesh over one warm session (the batch workflow the CLI's
-    // `pi2m batch` exposes); the baselines below stay one-shot by design.
+    // Both atlases mesh over one warm session (what `pi2m mesh` does with
+    // several inputs); the baselines below stay one-shot by design.
     let mut session = MeshingSession::new(4);
     for (name, img) in [
         ("knee", phantoms::knee(scale)),

@@ -1,25 +1,24 @@
 //! `pi2m` — command-line Image-to-Mesh conversion.
 //!
 //! ```text
-//! pi2m mesh   <input.pim|phantom:NAME> [-o out.vtk] [--delta D] [--threads N]
+//! pi2m mesh   <input.pim|phantom:NAME>... [--delta D] [--threads N]
 //!             [--cm aggressive|random|global|local] [--no-removals]
-//!             [--size S] [--off out.off] [--stats]
-//!             [--report run.json] [--trace-out trace.json] [--metrics]
-//!             [--audit] [--force] [--deadline DUR]
+//!             [--size S] [--stats] [--audit] [--force] [--deadline DUR]
 //!             [--shards AxBxC [--halo N]]
-//!             (a run killed by --deadline still writes its --report /
-//!             --trace-out / --metrics artifacts, from the same run report
-//!             a finished run writes; --shards meshes the image as a grid
-//!             of overlapping chunks and stitches the seams — see README
-//!             "Sharded meshing"; --halo is 0 to 4096 voxels and
-//!             needs --shards)
-//! pi2m batch  <inputs...> [--outdir DIR] [--keep-going] [--reports]
-//!             [--delta D] [--threads N] [--cm ...] [--no-removals]
-//!             [--size S] [--force]
-//!             mesh several inputs sequentially over ONE warm session
-//!             (threads, kernel arenas, and the proximity grid are
-//!             reused run-to-run); --reports adds one
-//!             <stem>.report.json per job next to its mesh
+//!             one input:    [-o out.vtk] [--off out.off] [--report run.json]
+//!                           [--trace-out trace.json] [--metrics]
+//!             many inputs:  [--outdir DIR] [--reports] [--keep-going]
+//!             mesh every input in order over ONE warm session (threads,
+//!             kernel arenas and the proximity grid are reused run-to-run).
+//!             With several inputs or --outdir, each input writes
+//!             <outdir>/<stem>.vtk (outdir defaults to .), --reports adds
+//!             <stem>.report.json, and the one-input file flags are
+//!             refused. Every output path is checked before the first input
+//!             loads. --deadline gives each input a fresh deadline, and a
+//!             run it kills still writes its run report; --shards meshes
+//!             the image as a grid of overlapping chunks and stitches the
+//!             seams — see README "Sharded meshing"; --halo is 0 to 4096
+//!             voxels and needs --shards
 //! pi2m phantom <name> <out.pim> [--scale S]    generate a phantom image
 //! pi2m info   <input.pim>                      print image metadata
 //! pi2m analyze <artifact.json> [new.json]      offline artifact inspection:
@@ -46,25 +45,29 @@
 //! meshes a built-in phantom directly (sphere, nested, torus, abdominal,
 //! knee, head-neck).
 //!
-//! Every command refuses an option it does not read (exit 1, naming it).
+//! Every command refuses an option it does not read, and a positional
+//! argument past the ones it takes (exit 1, naming it).
 //! Failures exit with a typed code (see [`pi2m::cli::CliError`]): 1 generic,
 //! 3 cancelled (deadline), 4 I/O, 5 integrity, 6 worker loss.
 
-use pi2m::cli::{check_options, parse_args, run_report, write_new, Args, CliError, RunEnd};
-use pi2m::image::{io as img_io, load_input, phantoms, LabeledImage};
+use pi2m::cli::{
+    check_new, check_options, parse_args, run_report, write_new, Args, CliError, RunEnd,
+};
+use pi2m::image::{io as img_io, load_input, phantoms};
 use pi2m::meshio;
 use pi2m::obs::journal::{Journal, Level};
 use pi2m::obs::json::Json;
 use pi2m::obs::{render_chrome_trace, render_prometheus, FlightEvent, RunReport, TraceSpan};
 use pi2m::quality;
 use pi2m::refine::{
-    CancelToken, CmKind, MeshOutput, MesherConfig, MeshingSession, RunOptions, MAX_HALO,
+    CancelToken, CmKind, MesherConfig, MeshingSession, RefineError, RunOptions, ShardError,
+    ShardSpec, MAX_HALO,
 };
 use pi2m::serve::parse_duration_str;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Build a command's journal from `--log[=PATH]`, `PI2M_LOG`, and
 /// `PI2M_LOG_LEVEL`. With none of them set, interactive commands keep
@@ -86,17 +89,23 @@ fn init_journal(args: &Args, default_jsonl: bool) -> Result<Arc<Journal>, String
     Journal::from_spec(spec.as_deref(), min, default_jsonl)
 }
 
-/// Mesh options shared by `pi2m mesh` and `pi2m batch`, parsed once. `delta`
-/// stays optional here because its default depends on each input image's
-/// voxel spacing.
+/// The `pi2m mesh` options, parsed once for every input. `delta` stays
+/// optional here because its default depends on each input image's voxel
+/// spacing.
 struct MeshOpts {
     delta: Option<f64>,
     threads: usize,
     cm: CmKind,
     size_fn: Option<Arc<dyn pi2m::oracle::SizeFn>>,
     enable_removals: bool,
-    force: bool,
     faults: Option<Arc<pi2m::faults::FaultPlan>>,
+    shards: Option<ShardSpec>,
+    /// Each input's run gets a fresh token with this deadline.
+    deadline: Option<Duration>,
+    audit: bool,
+    stats: bool,
+    metrics: bool,
+    force: bool,
 }
 
 /// The value of `--NAME`, which must be a positive finite number (the bound
@@ -118,8 +127,9 @@ fn positive_finite(args: &Args, name: &str) -> Result<Option<f64>, String> {
 /// would exhaust the process's threads before the first mesh.
 const MAX_THREADS: usize = 1024;
 
-/// Parse and bound-check the mesh options. A bad `--threads`, `--delta` or
-/// `--size` is refused here, naming its flag, before any input is loaded.
+/// Parse and bound-check the mesh options. A bad `--threads`, `--delta`,
+/// `--size`, `--halo`, `--shards` or `--deadline` is refused here, naming
+/// its flag, before any input is loaded.
 fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
     let delta = positive_finite(args, "delta")?;
     let threads = match args.flags.get("threads") {
@@ -142,8 +152,58 @@ fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
     };
     let size_fn = positive_finite(args, "size")?
         .map(|s| Arc::new(pi2m::oracle::UniformSize(s)) as Arc<dyn pi2m::oracle::SizeFn>);
-    // Deterministic fault injection (testing): armed only when the
-    // PI2M_FAULT_PLAN / PI2M_FAULT_SEED environment variables are set.
+    // `--halo` is only read by a sharded run.
+    let halo = args
+        .flags
+        .get("halo")
+        .map(|v| match v.parse::<usize>() {
+            Ok(h) if h <= MAX_HALO => Ok(h),
+            _ => Err(format!(
+                "bad --halo '{v}': must be an integer from 0 to {MAX_HALO}"
+            )),
+        })
+        .transpose()?;
+    if halo.is_some() && !args.flags.contains_key("shards") {
+        return Err("--halo needs --shards: only a sharded run has a halo".into());
+    }
+    let shards = args
+        .flags
+        .get("shards")
+        .map(|v| -> Result<ShardSpec, String> {
+            let grid = pi2m::refine::parse_shard_grid(v).map_err(|e| e.to_string())?;
+            Ok(ShardSpec {
+                grid,
+                halo,
+                lanes: None,
+            })
+        })
+        .transpose()?;
+    let deadline = args
+        .flags
+        .get("deadline")
+        .map(|v| parse_duration_str(v).map_err(|e| format!("bad --deadline: {e}")))
+        .transpose()?
+        .map(Duration::from_secs_f64);
+    Ok(MeshOpts {
+        delta,
+        threads,
+        cm,
+        size_fn,
+        enable_removals: !args.switches.contains("no-removals"),
+        faults: arm_faults(journal)?,
+        shards,
+        deadline,
+        audit: args.switches.contains("audit"),
+        stats: args.switches.contains("stats"),
+        metrics: args.switches.contains("metrics"),
+        force: args.switches.contains("force"),
+    })
+}
+
+/// The deterministic fault plan (testing) that the `PI2M_FAULT_PLAN` /
+/// `PI2M_FAULT_SEED` environment variables arm, announced on the journal;
+/// `None` when they are unset.
+fn arm_faults(journal: &Journal) -> Result<Option<Arc<pi2m::faults::FaultPlan>>, String> {
     let faults = pi2m::faults::FaultPlan::from_env()
         .map_err(|e| format!("bad fault plan: {e}"))?
         .map(Arc::new);
@@ -159,34 +219,100 @@ fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
             ],
         );
     }
-    Ok(MeshOpts {
-        delta,
-        threads,
-        cm,
-        size_fn,
-        enable_removals: !args.switches.contains("no-removals"),
-        force: args.switches.contains("force"),
-        faults,
-    })
+    Ok(faults)
 }
 
-fn config_for(o: &MeshOpts, img: &LabeledImage) -> MesherConfig {
-    MesherConfig {
-        delta: o.delta.unwrap_or(2.0 * img.min_spacing()),
-        threads: o.threads,
-        cm: o.cm,
-        size_fn: o.size_fn.clone(),
-        enable_removals: o.enable_removals,
-        faults: o.faults.clone(),
-        ..Default::default()
+/// Where one input's artifacts go.
+struct Outputs {
+    vtk: String,
+    off: Option<String>,
+    report: Option<String>,
+    trace: Option<String>,
+}
+
+/// The file stem of an input's outputs under `--outdir`: `phantom:torus` →
+/// `torus`, `scans/knee.pim` → `knee`.
+fn output_stem(input: &str) -> &str {
+    let file_stem = || std::path::Path::new(input).file_stem()?.to_str();
+    input
+        .strip_prefix("phantom:")
+        .or_else(file_stem)
+        .unwrap_or("mesh")
+}
+
+/// Every output path of every input, checked before the first input
+/// loads: no two inputs may write one path, and no path may exist unless
+/// `--force`. Without `outdir` the one input writes where `-o`, `--off`,
+/// `--report` and `--trace-out` say; with it, each input writes
+/// `<outdir>/<stem>.vtk`, plus `<stem>.report.json` with `--reports`.
+fn plan_outputs(
+    args: &Args,
+    inputs: &[String],
+    outdir: Option<&str>,
+    force: bool,
+) -> Result<Vec<Outputs>, CliError> {
+    // each way of naming outputs refuses the other's flags
+    let (refused, why) = match outdir {
+        None => (&["reports"][..], "needs several inputs or --outdir"),
+        Some(_) => (
+            &["o", "off", "report", "trace-out", "metrics"][..],
+            "is for one input: with several inputs or --outdir, each input writes \
+             <outdir>/<stem>.vtk",
+        ),
+    };
+    if let Some(name) = refused
+        .iter()
+        .find(|&&name| args.flags.contains_key(name) || args.switches.contains(name))
+    {
+        let dash = if name.len() == 1 { "-" } else { "--" };
+        return Err(format!("{dash}{name} {why}").into());
     }
-}
-
-fn write_vtk(out: &MeshOutput, path: &str, journal: &Journal) -> Result<(), String> {
-    let f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-    meshio::write_vtk(&out.mesh, &mut BufWriter::new(f)).map_err(|e| e.to_string())?;
-    wrote(journal, path);
-    Ok(())
+    let plans: Vec<Outputs> = match outdir {
+        None => {
+            let flag = |name: &str| args.flags.get(name).cloned();
+            vec![Outputs {
+                vtk: flag("o").unwrap_or_else(|| "mesh.vtk".into()),
+                off: flag("off"),
+                report: flag("report"),
+                trace: flag("trace-out"),
+            }]
+        }
+        Some(dir) => {
+            let reports = args.switches.contains("reports");
+            let path = |stem: &str, ext: &str| {
+                let p = std::path::Path::new(dir).join(format!("{stem}.{ext}"));
+                p.to_string_lossy().into_owned()
+            };
+            inputs
+                .iter()
+                .map(|input| {
+                    let stem = output_stem(input);
+                    Outputs {
+                        vtk: path(stem, "vtk"),
+                        off: None,
+                        report: reports.then(|| path(stem, "report.json")),
+                        trace: None,
+                    }
+                })
+                .collect()
+        }
+    };
+    let mut writer: std::collections::BTreeMap<&str, &str> = Default::default();
+    for (input, out) in inputs.iter().zip(&plans) {
+        let optional = [&out.off, &out.report, &out.trace];
+        for path in std::iter::once(&out.vtk).chain(optional.into_iter().flatten()) {
+            if let Some(first) = writer.insert(path, input) {
+                return Err(format!("{first} and {input} both write {path}").into());
+            }
+        }
+    }
+    for path in writer.keys() {
+        check_new(path, force).map_err(CliError::Io)?;
+    }
+    if let Some(dir) = outdir {
+        std::fs::create_dir_all(dir).map_err(|e| CliError::Io(format!("{dir}: {e}")))?;
+    }
+    Ok(plans)
 }
 
 /// The `wrote <path>` artifact confirmation, as a journal event.
@@ -200,44 +326,99 @@ fn wrote(journal: &Journal, path: &str) {
     );
 }
 
+/// `pi2m mesh`: mesh every input in order over ONE warm
+/// [`MeshingSession`] — worker threads, kernel scratch arenas and the
+/// proximity grid are created once and reused run-to-run. With
+/// `--keep-going` a failed input is logged and the rest still run; the
+/// command then exits with the class of the first failure.
 fn cmd_mesh(args: &Args) -> Result<(), CliError> {
-    let input = args
-        .positional
-        .get(1)
-        .ok_or("usage: pi2m mesh <input.pim|phantom:NAME> [options]")?;
+    let inputs = &args.positional[1..];
+    if inputs.is_empty() {
+        return Err("usage: pi2m mesh <input.pim|phantom:NAME>... [options]".into());
+    }
     let journal = init_journal(args, false)?;
     let o = parse_mesh_opts(args, &journal)?;
-    // `--halo` is only read by a sharded run, and both refusals come
-    // before the input loads.
-    let halo = args
-        .flags
-        .get("halo")
-        .map(|v| match v.parse::<usize>() {
-            Ok(h) if h <= MAX_HALO => Ok(h),
-            _ => Err(format!(
-                "bad --halo '{v}': must be an integer from 0 to {MAX_HALO}"
-            )),
-        })
-        .transpose()?;
-    if halo.is_some() && !args.flags.contains_key("shards") {
-        return Err("--halo needs --shards: only a sharded run has a halo".into());
-    }
-    let shard_spec = args
-        .flags
-        .get("shards")
-        .map(|v| -> Result<pi2m::refine::ShardSpec, String> {
-            let grid = pi2m::refine::parse_shard_grid(v).map_err(|e| e.to_string())?;
-            Ok(pi2m::refine::ShardSpec {
-                grid,
-                halo,
-                lanes: None,
-            })
-        })
-        .transpose()?;
-    let img = load_input(input).map_err(CliError::Io)?;
-    let cfg = config_for(&o, &img);
-    let (delta, threads, cm, force) = (cfg.delta, o.threads, o.cm, o.force);
+    let outdir = match args.flags.get("outdir") {
+        Some(dir) => Some(dir.as_str()),
+        None if inputs.len() > 1 => Some("."),
+        None => None,
+    };
+    let outputs = plan_outputs(args, inputs, outdir, o.force)?;
 
+    let mut session = MeshingSession::new(o.threads);
+    let t_all = Instant::now();
+    let mut tets = 0;
+    let mut failures: Vec<(&str, CliError)> = Vec::new();
+    for (input, out) in inputs.iter().zip(&outputs) {
+        match mesh_one(input, out, &o, &mut session, &journal) {
+            Ok(n) => tets += n,
+            Err(e) if args.switches.contains("keep-going") => {
+                journal.error(
+                    "mesh.failed",
+                    &[
+                        ("msg", Json::str(format!("error: {input}: {e}"))),
+                        ("input", Json::str(input.as_str())),
+                        ("kind", Json::str(e.kind())),
+                    ],
+                );
+                failures.push((input.as_str(), e));
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    if outdir.is_some() {
+        let done = inputs.len() - failures.len();
+        let mut msg = format!(
+            "mesh: {done}/{} inputs, {tets} tets in {:.2}s over one warm session ({} threads)",
+            inputs.len(),
+            t_all.elapsed().as_secs_f64(),
+            session.threads(),
+        );
+        // each failure was logged as it happened; the closing line repeats
+        // them so a long run ends with the complete casualty list
+        for (input, e) in &failures {
+            msg.push_str(&format!("\n  failed {input}: [{}] {e}", e.kind()));
+        }
+        let level = if failures.is_empty() {
+            Level::Info
+        } else {
+            Level::Error
+        };
+        journal.emit(
+            level,
+            "mesh.done",
+            &[
+                ("msg", Json::str(msg)),
+                ("done", Json::int(done as u64)),
+                ("inputs", Json::int(inputs.len() as u64)),
+                ("tets", Json::int(tets as u64)),
+            ],
+        );
+    }
+    // exit with the class of the first failure so scripts can branch
+    failures.into_iter().next().map_or(Ok(()), |(_, e)| Err(e))
+}
+
+/// Mesh one input over the shared session and write its artifacts to
+/// `out`; returns its tet count.
+fn mesh_one(
+    input: &str,
+    out: &Outputs,
+    o: &MeshOpts,
+    session: &mut MeshingSession,
+    journal: &Journal,
+) -> Result<usize, CliError> {
+    let img = load_input(input).map_err(CliError::Io)?;
+    let cfg = MesherConfig {
+        delta: o.delta.unwrap_or(2.0 * img.min_spacing()),
+        threads: o.threads,
+        cm: o.cm,
+        size_fn: o.size_fn.clone(),
+        enable_removals: o.enable_removals,
+        faults: o.faults.clone(),
+        ..Default::default()
+    };
+    let (delta, threads, cm) = (cfg.delta, o.threads, o.cm);
     journal.info(
         "mesh.start",
         &[
@@ -252,25 +433,19 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
             ("threads", Json::int(threads as u64)),
         ],
     );
-    let mut session = MeshingSession::new(threads);
     let run_opts = RunOptions {
-        cancel: args
-            .flags
-            .get("deadline")
-            .map(|v| -> Result<_, String> {
-                let secs = parse_duration_str(v).map_err(|e| format!("bad --deadline: {e}"))?;
-                Ok(CancelToken::with_deadline(
-                    std::time::Duration::from_secs_f64(secs),
-                ))
-            })
-            .transpose()?,
+        cancel: o.deadline.map(CancelToken::with_deadline),
         on_stage: None,
     };
 
     let t0 = Instant::now();
-    let (out, shard) = if let Some(spec) = &shard_spec {
-        match pi2m::refine::mesh_sharded(&mut session, img, cfg.clone(), &run_opts, spec) {
-            Ok(run) => {
+    let ran = match &o.shards {
+        None => session
+            .mesh_with(img, cfg.clone(), &run_opts)
+            .map(|out| (out, None))
+            .map_err(ShardError::Run),
+        Some(spec) => {
+            pi2m::refine::mesh_sharded(session, img, cfg.clone(), &run_opts, spec).map(|run| {
                 journal.info(
                     "mesh.sharded",
                     &[
@@ -309,60 +484,52 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
                         .collect(),
                 };
                 (run.out, Some(section))
-            }
-            Err(pi2m::refine::ShardError::Run(pi2m::refine::RefineError::Cancelled)) => {
-                return Err(report_cancelled(
-                    args,
-                    &o,
-                    input,
-                    &cfg,
-                    &mut session,
-                    t0,
-                    &journal,
-                ));
-            }
-            Err(pi2m::refine::ShardError::Run(e)) => return Err(CliError::from_refine(&e)),
-            Err(e) => return Err(CliError::Generic(e.to_string())),
-        }
-    } else {
-        match session.mesh_with(img, cfg.clone(), &run_opts) {
-            Ok(out) => (out, None),
-            Err(pi2m::refine::RefineError::Cancelled) => {
-                return Err(report_cancelled(
-                    args,
-                    &o,
-                    input,
-                    &cfg,
-                    &mut session,
-                    t0,
-                    &journal,
-                ));
-            }
-            Err(e) => return Err(CliError::from_refine(&e)),
+            })
         }
     };
+    let (mesh, shard) = match ran {
+        Ok(ran) => ran,
+        Err(ShardError::Run(RefineError::Cancelled)) => {
+            // A run its deadline killed still reports, through the same
+            // builder and writer as a finished one, from the telemetry the
+            // session salvaged at the cancellation point (none when the run
+            // stopped before refinement: the artifacts are then
+            // structurally complete but all-zero).
+            let tel = session.take_cancel_telemetry().unwrap_or_default();
+            let wall_s = t0.elapsed().as_secs_f64();
+            let report = run_report(input, &cfg, RunEnd::Cancelled(&tel), wall_s);
+            write_run_artifacts(out, o, &report, &tel.phases, &tel.flight, journal)
+                .map_err(CliError::Io)?;
+            return Err(CliError::Cancelled(
+                "run cancelled (deadline); observability artifacts written".into(),
+            ));
+        }
+        Err(ShardError::Run(e)) => return Err(CliError::from_refine(&e)),
+        Err(e) => return Err(CliError::Generic(e.to_string())),
+    };
     let dt = t0.elapsed().as_secs_f64();
+    let tets = mesh.mesh.num_tets();
     journal.info(
         "mesh.result",
         &[
             (
                 "msg",
                 Json::str(format!(
-                    "{} tets / {} points in {:.2}s ({:.0} elements/s), {} rollbacks, {} removals",
-                    out.mesh.num_tets(),
-                    out.mesh.num_points(),
-                    dt,
-                    out.mesh.num_tets() as f64 / dt,
-                    out.stats.total_rollbacks(),
-                    out.stats.total_removals()
+                    "{tets} tets / {} points in {dt:.2}s ({:.0} elements/s), {} rollbacks, \
+                     {} removals",
+                    mesh.mesh.num_points(),
+                    tets as f64 / dt,
+                    mesh.stats.total_rollbacks(),
+                    mesh.stats.total_removals()
                 )),
             ),
-            ("tets", Json::int(out.mesh.num_tets() as u64)),
-            ("points", Json::int(out.mesh.num_points() as u64)),
+            ("input", Json::str(input)),
+            ("tets", Json::int(tets as u64)),
+            ("points", Json::int(mesh.mesh.num_points() as u64)),
             ("wall_s", Json::num(dt)),
         ],
     );
-    if out.stats.total_panics() > 0 || out.stats.workers_died > 0 {
+    if mesh.stats.total_panics() > 0 || mesh.stats.workers_died > 0 {
         journal.warn(
             "mesh.recovered",
             &[
@@ -371,20 +538,20 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
                     Json::str(format!(
                         "recovered: {} op panics, {} quarantined, {} recovery rollbacks, \
                          {} workers died",
-                        out.stats.total_panics(),
-                        out.stats.total_quarantined(),
-                        out.stats.total_recovery_rollbacks(),
-                        out.stats.workers_died
+                        mesh.stats.total_panics(),
+                        mesh.stats.total_quarantined(),
+                        mesh.stats.total_recovery_rollbacks(),
+                        mesh.stats.workers_died
                     )),
                 ),
-                ("panics", Json::int(out.stats.total_panics())),
-                ("workers_died", Json::int(out.stats.workers_died as u64)),
+                ("panics", Json::int(mesh.stats.total_panics())),
+                ("workers_died", Json::int(mesh.stats.workers_died as u64)),
             ],
         );
     }
 
-    if args.switches.contains("audit") {
-        let report = pi2m::refine::audit_mesh(&out.shared, 42);
+    if o.audit {
+        let report = pi2m::refine::audit_mesh(&mesh.shared, 42);
         journal.info(
             "mesh.audit",
             &[
@@ -400,11 +567,11 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
         }
     }
 
-    if args.switches.contains("stats") {
-        let q = quality::mesh_quality(&out.mesh);
-        let b = quality::boundary_report(&out.mesh);
-        let tris = out.mesh.boundary_triangles();
-        let hd = quality::hausdorff_distance(&out.mesh.points, &tris, &out.oracle, 7);
+    if o.stats {
+        let q = quality::mesh_quality(&mesh.mesh);
+        let b = quality::boundary_report(&mesh.mesh);
+        let tris = mesh.mesh.boundary_triangles();
+        let hd = quality::hausdorff_distance(&mesh.mesh.points, &tris, &mesh.oracle, 7);
         journal.info(
             "mesh.quality",
             &[
@@ -427,252 +594,55 @@ fn cmd_mesh(args: &Args) -> Result<(), CliError> {
     }
 
     // --- observability exports -------------------------------------------
-    if args.flags.contains_key("report")
-        || args.flags.contains_key("trace-out")
-        || args.switches.contains("metrics")
-    {
-        let mut report = run_report(input, &cfg, RunEnd::Finished(&out), dt);
+    if out.report.is_some() || out.trace.is_some() || o.metrics {
+        let mut report = run_report(input, &cfg, RunEnd::Finished(&mesh), dt);
         if let Some(s) = &shard {
             report.config("shards", &s.grid).config("halo", s.halo);
             report.shard = Some(s.clone());
         }
-        write_run_artifacts(args, &report, &out.phases, &out.flight, force, &journal)
+        write_run_artifacts(out, o, &report, &mesh.phases, &mesh.flight, journal)
             .map_err(CliError::Io)?;
     }
 
-    let out_path = args
-        .flags
-        .get("o")
-        .cloned()
-        .unwrap_or_else(|| "mesh.vtk".into());
-    write_vtk(&out, &out_path, &journal).map_err(CliError::Io)?;
-    if let Some(off) = args.flags.get("off") {
-        let f = std::fs::File::create(off).map_err(|e| CliError::Io(format!("{off}: {e}")))?;
-        meshio::write_off(&out.mesh, &mut BufWriter::new(f))
-            .map_err(|e| CliError::Io(e.to_string()))?;
-        wrote(&journal, off);
+    // the flush returns the write error that dropping the buffer would drop
+    let io = |path: &str, e: std::io::Error| CliError::Io(format!("{path}: {e}"));
+    let mut w = BufWriter::new(std::fs::File::create(&out.vtk).map_err(|e| io(&out.vtk, e))?);
+    meshio::write_vtk(&mesh.mesh, &mut w)
+        .and_then(|()| w.flush())
+        .map_err(|e| io(&out.vtk, e))?;
+    wrote(journal, &out.vtk);
+    if let Some(off) = &out.off {
+        let mut w = BufWriter::new(std::fs::File::create(off).map_err(|e| io(off, e))?);
+        meshio::write_off(&mesh.mesh, &mut w)
+            .and_then(|()| w.flush())
+            .map_err(|e| io(off, e))?;
+        wrote(journal, off);
     }
-    Ok(())
+    Ok(tets)
 }
 
-/// Write a run's requested `--report`, `--trace-out` and `--metrics`
-/// artifacts, all from its one run report (the trace adds the run's phase
-/// spans and flight log).
+/// Write a run's requested report, trace and `--metrics` artifacts, all
+/// from its one run report (the trace adds the run's phase spans and
+/// flight log).
 fn write_run_artifacts(
-    args: &Args,
+    out: &Outputs,
+    o: &MeshOpts,
     report: &RunReport,
     phases: &[TraceSpan],
     flight: &[FlightEvent],
-    force: bool,
     journal: &Journal,
 ) -> Result<(), String> {
-    if let Some(path) = args.flags.get("report") {
-        write_new(path, &report.to_json_string(), force)?;
+    if let Some(path) = &out.report {
+        write_new(path, &report.to_json_string(), o.force)?;
         wrote(journal, path);
     }
-    if let Some(path) = args.flags.get("trace-out") {
+    if let Some(path) = &out.trace {
         let trace = render_chrome_trace(phases, &report.metrics.events, flight);
-        write_new(path, &trace, force)?;
+        write_new(path, &trace, o.force)?;
         wrote(journal, path);
     }
-    if args.switches.contains("metrics") {
+    if o.metrics {
         print!("{}", render_prometheus(report));
-    }
-    Ok(())
-}
-
-/// A run its deadline killed still reports, through the same builder and
-/// writer as a finished one, from the telemetry the session salvaged at the
-/// cancellation point (none when the run stopped before refinement: the
-/// artifacts are then structurally complete but all-zero). Returns the
-/// error the command exits with.
-fn report_cancelled(
-    args: &Args,
-    o: &MeshOpts,
-    input: &str,
-    cfg: &MesherConfig,
-    session: &mut MeshingSession,
-    t0: Instant,
-    journal: &Journal,
-) -> CliError {
-    let tel = session.take_cancel_telemetry().unwrap_or_default();
-    let wall_s = t0.elapsed().as_secs_f64();
-    let report = run_report(input, cfg, RunEnd::Cancelled(&tel), wall_s);
-    match write_run_artifacts(args, &report, &tel.phases, &tel.flight, o.force, journal) {
-        Ok(()) => {
-            CliError::Cancelled("run cancelled (deadline); observability artifacts written".into())
-        }
-        Err(e) => CliError::Io(e),
-    }
-}
-
-/// The output stem for one batch input: `phantom:torus` → `torus`,
-/// `scans/knee.pim` → `knee`.
-fn batch_stem(input: &str) -> String {
-    match input.strip_prefix("phantom:") {
-        Some(name) => name.to_string(),
-        None => std::path::Path::new(input)
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "mesh".into()),
-    }
-}
-
-/// The output filename for one batch input: `phantom:torus` → `torus.vtk`,
-/// `scans/knee.pim` → `knee.vtk`.
-fn batch_output_name(input: &str) -> String {
-    format!("{}.vtk", batch_stem(input))
-}
-
-/// `pi2m batch`: mesh every input sequentially over ONE warm
-/// [`MeshingSession`] — worker threads, kernel scratch arenas and the
-/// proximity grid are created once and reused run-to-run instead of
-/// being torn down after every image like repeated `pi2m mesh` calls.
-fn cmd_batch(args: &Args) -> Result<(), CliError> {
-    let inputs = &args.positional[1..];
-    if inputs.is_empty() {
-        return Err(
-            "usage: pi2m batch <inputs...> [--outdir DIR] [--keep-going] [--reports] \
-             [--delta D] [--threads N] [--cm ...] [--no-removals] [--size S] [--force]"
-                .into(),
-        );
-    }
-    let journal = init_journal(args, false)?;
-    let o = parse_mesh_opts(args, &journal)?;
-    let keep_going = args.switches.contains("keep-going");
-    let write_reports = args.switches.contains("reports");
-    let outdir = std::path::PathBuf::from(
-        args.flags
-            .get("outdir")
-            .cloned()
-            .unwrap_or_else(|| ".".into()),
-    );
-    std::fs::create_dir_all(&outdir)
-        .map_err(|e| CliError::Io(format!("{}: {e}", outdir.display())))?;
-
-    let mut session = MeshingSession::new(o.threads);
-    let t_all = Instant::now();
-    let (mut done, mut tets) = (0usize, 0u64);
-    let mut failures: Vec<(String, CliError)> = Vec::new();
-    for (i, input) in inputs.iter().enumerate() {
-        let mut run = || -> Result<(), CliError> {
-            let path = outdir.join(batch_output_name(input));
-            let path = path.to_string_lossy().into_owned();
-            if !o.force && std::path::Path::new(&path).exists() {
-                return Err(CliError::Io(format!(
-                    "{path} already exists; pass --force to overwrite it"
-                )));
-            }
-            // fail the clobber check BEFORE meshing, not after the work
-            let rpath = outdir.join(format!("{}.report.json", batch_stem(input)));
-            let rpath = rpath.to_string_lossy().into_owned();
-            if write_reports && !o.force && std::path::Path::new(&rpath).exists() {
-                return Err(CliError::Io(format!(
-                    "{rpath} already exists; pass --force to overwrite it"
-                )));
-            }
-            let img = load_input(input).map_err(CliError::Io)?;
-            let cfg = config_for(&o, &img);
-            let delta = cfg.delta;
-            let t0 = Instant::now();
-            let out = session
-                .mesh(img, cfg.clone())
-                .map_err(|e| CliError::from_refine(&e))?;
-            let dt = t0.elapsed().as_secs_f64();
-            journal.info(
-                "batch.job",
-                &[
-                    (
-                        "msg",
-                        Json::str(format!(
-                            "[{}/{}] {input}: δ={delta}, {} tets in {dt:.2}s ({:.0} elements/s)",
-                            i + 1,
-                            inputs.len(),
-                            out.mesh.num_tets(),
-                            out.mesh.num_tets() as f64 / dt,
-                        )),
-                    ),
-                    ("input", Json::str(input.as_str())),
-                    ("tets", Json::int(out.mesh.num_tets() as u64)),
-                    ("wall_s", Json::num(dt)),
-                ],
-            );
-            tets += out.mesh.num_tets() as u64;
-            write_vtk(&out, &path, &journal).map_err(CliError::Io)?;
-            if write_reports {
-                // one run report per job, next to its mesh
-                let report = run_report(input, &cfg, RunEnd::Finished(&out), dt);
-                write_new(&rpath, &report.to_json_string(), o.force).map_err(CliError::Io)?;
-                wrote(&journal, &rpath);
-            }
-            Ok(())
-        };
-        match run() {
-            Ok(()) => done += 1,
-            Err(e) if keep_going => {
-                journal.error(
-                    "batch.job_failed",
-                    &[
-                        ("msg", Json::str(format!("error: {input}: {e}"))),
-                        ("input", Json::str(input.as_str())),
-                        ("kind", Json::str(e.kind())),
-                        ("error", Json::str(e.to_string())),
-                    ],
-                );
-                failures.push((input.clone(), e));
-            }
-            Err(e) => {
-                return Err(match e {
-                    CliError::Generic(m) => CliError::Generic(format!("{input}: {m}")),
-                    CliError::Cancelled(m) => CliError::Cancelled(format!("{input}: {m}")),
-                    CliError::Io(m) => CliError::Io(format!("{input}: {m}")),
-                    CliError::Integrity(m) => CliError::Integrity(format!("{input}: {m}")),
-                    CliError::WorkerLoss(m) => CliError::WorkerLoss(format!("{input}: {m}")),
-                })
-            }
-        }
-    }
-    journal.info(
-        "batch.done",
-        &[
-            (
-                "msg",
-                Json::str(format!(
-                    "batch: {done}/{} inputs, {tets} tets in {:.2}s over one warm session \
-                     ({} threads)",
-                    inputs.len(),
-                    t_all.elapsed().as_secs_f64(),
-                    session.threads(),
-                )),
-            ),
-            ("done", Json::int(done as u64)),
-            ("inputs", Json::int(inputs.len() as u64)),
-            ("tets", Json::int(tets)),
-        ],
-    );
-    if !failures.is_empty() {
-        // --keep-going already logged each error inline as it happened;
-        // repeat them as one summary block so a long run ends with the
-        // complete casualty list in one place.
-        let mut block = format!(
-            "batch: {} of {} input(s) failed:",
-            failures.len(),
-            inputs.len()
-        );
-        for (input, e) in &failures {
-            block.push_str(&format!("\n  {input}: [{}] {e}", e.kind()));
-        }
-        journal.error(
-            "batch.failures",
-            &[
-                ("msg", Json::str(block)),
-                ("failed", Json::int(failures.len() as u64)),
-                ("inputs", Json::int(inputs.len() as u64)),
-            ],
-        );
-        // exit with the class of the first failure so scripts can branch
-        let (_, first) = failures.swap_remove(0);
-        return Err(first);
     }
     Ok(())
 }
@@ -724,23 +694,8 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         .map(|v| parse_duration_str(v).map_err(|e| format!("bad --drain-grace: {e}")))
         .transpose()?
         .unwrap_or(30.0);
-    let faults = pi2m::faults::FaultPlan::from_env()
-        .map_err(|e| format!("bad fault plan: {e}"))?
-        .map(Arc::new);
     // the daemon's stderr defaults to JSONL so every line is machine-parseable
     let journal = init_journal(args, true)?;
-    if let Some(f) = &faults {
-        journal.info(
-            "faults.armed",
-            &[
-                (
-                    "msg",
-                    Json::str(format!("fault injection armed: {}", f.describe())),
-                ),
-                ("plan", Json::str(f.describe())),
-            ],
-        );
-    }
 
     let svc = MeshService::start(ServiceConfig {
         sessions,
@@ -749,7 +704,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         spool: spool.clone(),
         default_deadline_s,
         max_retries,
-        faults,
+        faults: arm_faults(&journal)?,
         journal: Arc::clone(&journal),
     })?;
     serve::signal::install();
@@ -939,7 +894,6 @@ fn run(args: &Args) -> Result<(), CliError> {
     check_options(args)?;
     match args.positional.first().map(String::as_str) {
         Some("mesh") => cmd_mesh(args),
-        Some("batch") => cmd_batch(args),
         Some("serve") => cmd_serve(args),
         Some("phantom") => cmd_phantom(args).map_err(CliError::from),
         Some("info") => cmd_info(args).map_err(CliError::from),
@@ -948,9 +902,7 @@ fn run(args: &Args) -> Result<(), CliError> {
             print_version();
             Ok(())
         }
-        _ => Err(
-            "usage: pi2m <mesh|batch|serve|phantom|info|analyze|version> ... (see README)".into(),
-        ),
+        _ => Err("usage: pi2m <mesh|serve|phantom|info|analyze|version> ... (see README)".into()),
     }
 }
 
@@ -976,9 +928,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn batch_output_names() {
-        assert_eq!(batch_output_name("phantom:torus"), "torus.vtk");
-        assert_eq!(batch_output_name("scans/knee.pim"), "knee.vtk");
-        assert_eq!(batch_output_name("plain"), "plain.vtk");
+    fn output_stems() {
+        assert_eq!(output_stem("phantom:torus"), "torus");
+        assert_eq!(output_stem("scans/knee.pim"), "knee");
+        assert_eq!(output_stem("plain"), "plain");
     }
 }

@@ -32,10 +32,13 @@ pub const SWITCHES: &[&str] = &[
     "version",
 ];
 
-/// The options one subcommand reads: its value-taking flags and its
-/// switches. `--log` is in both lists of the commands that log, as bare
-/// `--log` and as `--log=PATH`.
-pub fn command_options(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+/// What one subcommand reads: its value-taking flags, its switches, and
+/// the most positional arguments it takes after its name. `--log` is in
+/// both lists of the commands that log, as bare `--log` and as
+/// `--log=PATH`.
+pub fn command_options(
+    cmd: &str,
+) -> Option<(&'static [&'static str], &'static [&'static str], usize)> {
     Some(match cmd {
         "mesh" => (
             &[
@@ -50,13 +53,20 @@ pub fn command_options(cmd: &str) -> Option<(&'static [&'static str], &'static [
                 "deadline",
                 "shards",
                 "halo",
+                "outdir",
                 "log",
             ],
-            &["no-removals", "force", "stats", "metrics", "audit", "log"],
-        ),
-        "batch" => (
-            &["outdir", "delta", "threads", "cm", "size", "log"],
-            &["no-removals", "force", "keep-going", "reports", "log"],
+            &[
+                "no-removals",
+                "force",
+                "stats",
+                "metrics",
+                "audit",
+                "reports",
+                "keep-going",
+                "log",
+            ],
+            usize::MAX,
         ),
         "serve" => (
             &[
@@ -71,23 +81,33 @@ pub fn command_options(cmd: &str) -> Option<(&'static [&'static str], &'static [
                 "log",
             ],
             &["log"],
+            0,
         ),
-        "phantom" => (&["scale"], &[]),
-        "info" | "analyze" | "version" => (&[], &[]),
+        "phantom" => (&["scale"], &[], 2),
+        "info" => (&[], &[], 1),
+        "analyze" => (&[], &[], 2),
+        "version" => (&[], &[], 0),
         _ => return None,
     })
 }
 
-/// Refuse every option the subcommand in `args` does not read (see
+/// Refuse every option the subcommand in `args` does not read, and the
+/// first positional argument past the ones it takes (see
 /// [`command_options`]), naming the first one found. An unknown subcommand
 /// passes: dispatch reports it.
 pub fn check_options(args: &Args) -> Result<(), String> {
     let Some(cmd) = args.positional.first() else {
         return Ok(());
     };
-    let Some((flags, switches)) = command_options(cmd) else {
+    let Some((flags, switches, max_positional)) = command_options(cmd) else {
         return Ok(());
     };
+    if let Some(extra) = args.positional[1..].get(max_positional) {
+        return Err(format!(
+            "pi2m {cmd} takes at most {max_positional} positional argument(s): \
+             unexpected '{extra}'"
+        ));
+    }
     let dashed = |name: &str| match name.len() {
         1 => format!("-{name}"),
         _ => format!("--{name}"),
@@ -243,14 +263,21 @@ impl From<&str> for CliError {
     }
 }
 
-/// Write an output artifact, refusing to clobber an existing file unless the
-/// user passed `--force`.
-pub fn write_new(path: &str, contents: &str, force: bool) -> Result<(), String> {
+/// Refuse an output path that already exists unless the user passed
+/// `--force`.
+pub fn check_new(path: &str, force: bool) -> Result<(), String> {
     if !force && std::path::Path::new(path).exists() {
         return Err(format!(
             "{path} already exists; pass --force to overwrite it"
         ));
     }
+    Ok(())
+}
+
+/// Write an output artifact, refusing to clobber an existing file unless the
+/// user passed `--force`.
+pub fn write_new(path: &str, contents: &str, force: bool) -> Result<(), String> {
+    check_new(path, force)?;
     std::fs::write(path, contents).map_err(|e| format!("{path}: {e}"))
 }
 
@@ -261,12 +288,12 @@ pub enum RunEnd<'a> {
     Cancelled(&'a CancelTelemetry),
 }
 
-/// The run report of one `pi2m mesh` run or `pi2m batch --reports` job,
-/// finished or cancelled alike: the configuration the run was given, its
-/// phases and metrics, the contention analysis of its flight log, and the
-/// attribution from its workers' own sums. `wall_s` is the wall the caller
-/// measured around the run. A cancelled run's config gains
-/// `cancelled=true`, and it reports no elements.
+/// The run report of one `pi2m mesh` input, finished or cancelled alike:
+/// the configuration the run was given, its phases and metrics, the
+/// contention analysis of its flight log, and the attribution from its
+/// workers' own sums. `wall_s` is the wall the caller measured around the
+/// run. A cancelled run's config gains `cancelled=true`, and it reports no
+/// elements.
 pub fn run_report(input: &str, cfg: &MesherConfig, end: RunEnd<'_>, wall_s: f64) -> RunReport {
     let (phases, metrics, flight, flight_dropped, attribution, elements) = match end {
         RunEnd::Finished(o) => (
@@ -373,13 +400,13 @@ mod tests {
         );
         for flag in ["--shards", "--deadline"] {
             assert_eq!(
-                err(&["batch", "phantom:sphere", flag, "2x1x1"]),
-                format!("pi2m batch does not take {flag}")
+                err(&["serve", flag, "2x1x1"]),
+                format!("pi2m serve does not take {flag}")
             );
         }
         assert_eq!(
-            err(&["batch", "phantom:sphere", "--audit"]),
-            "pi2m batch does not take --audit"
+            err(&["analyze", "r.json", "--audit"]),
+            "pi2m analyze does not take --audit"
         );
         assert_eq!(
             err(&["info", "x.pim", "-o", "y"]),
@@ -394,11 +421,11 @@ mod tests {
 
     #[test]
     fn every_documented_option_of_a_command_passes() {
-        for cmd in ["mesh", "batch", "serve", "phantom", "info", "analyze"] {
-            let (flags, switches) = command_options(cmd).unwrap();
+        for cmd in ["mesh", "serve", "phantom", "info", "analyze", "version"] {
+            let (flags, switches, _) = command_options(cmd).unwrap();
             let mut raw = vec![cmd.to_string()];
             for f in flags {
-                raw.extend([format!("--{f}"), "1".to_string()]);
+                raw.push(format!("--{f}=1"));
             }
             raw.extend(switches.iter().map(|s| format!("--{s}")));
             assert_eq!(check_options(&parse_args(&raw)), Ok(()), "{cmd}");
@@ -409,9 +436,29 @@ mod tests {
 
     #[test]
     fn switch_does_not_swallow_following_positional() {
-        let a = parse_args(&argv(&["batch", "--keep-going", "a.pim", "b.pim"]));
+        let a = parse_args(&argv(&["mesh", "--keep-going", "a.pim", "b.pim"]));
         assert!(a.switches.contains("keep-going"));
-        assert_eq!(a.positional, vec!["batch", "a.pim", "b.pim"]);
+        assert_eq!(a.positional, vec!["mesh", "a.pim", "b.pim"]);
+    }
+
+    #[test]
+    fn every_command_refuses_positionals_past_the_ones_it_takes() {
+        let check = |args: &[&str]| check_options(&parse_args(&argv(args)));
+        for (args, extra) in [
+            (&["serve", "stray"][..], "stray"),
+            (&["version", "x"], "x"),
+            (&["phantom", "sphere", "a.pim", "extra"], "extra"),
+            (&["info", "a.pim", "b.pim"], "b.pim"),
+            (&["analyze", "a.json", "b.json", "c.json"], "c.json"),
+        ] {
+            let e = check(args).unwrap_err();
+            assert!(e.contains(&format!("'{extra}'")), "{args:?}: {e}");
+        }
+        let many: Vec<String> = (0..40).map(|i| format!("in{i}.pim")).collect();
+        let mut mesh = vec!["mesh".to_string()];
+        mesh.extend(many);
+        assert_eq!(check_options(&parse_args(&mesh)), Ok(()));
+        assert_eq!(check(&["analyze", "a.json", "b.json"]), Ok(()));
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! The `pi2m` binary refuses options its subcommand does not read, and mesh
-//! options out of their bounds: a usage error (exit 1) naming the option,
-//! before any input is loaded or meshed.
+//! The `pi2m` binary refuses options its subcommand does not read, mesh
+//! options out of their bounds, and outputs it may not write: an error
+//! naming the option or path, before any input is loaded or meshed. One
+//! `pi2m mesh` call meshes one input or many.
 
+use pi2m::obs::json::Json;
 use std::process::Command;
 
 fn pi2m(args: &[&str]) -> (Option<i32>, String) {
@@ -23,27 +25,27 @@ fn mesh_refuses_live() {
 }
 
 #[test]
-fn batch_refuses_shards() {
-    let (code, stderr) = pi2m(&["batch", "phantom:sphere", "--shards", "2x1x1"]);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(stderr.contains("--shards"), "{stderr}");
-}
-
-#[test]
 fn mesh_refuses_balancer() {
     let (code, stderr) = pi2m(&["mesh", "phantom:sphere", "--balancer", "hws"]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("--balancer"), "{stderr}");
 }
 
-/// The recorder is always on: `--no-flight` is gone from `mesh` and
-/// `batch`.
+/// The two shapes of a `mesh` call: one input, and several inputs over one
+/// warm session.
+const ONE_AND_MANY: [&[&str]; 2] = [
+    &["mesh", "no-such-input.pim"],
+    &["mesh", "no-such-input.pim", "no-such-other.pim"],
+];
+
+/// The recorder is always on: `--no-flight` is gone from `mesh`, for one
+/// input or many.
 #[test]
 fn mesh_and_batch_refuse_no_flight() {
-    for cmd in ["mesh", "batch"] {
-        let (code, stderr) = pi2m(&[cmd, "phantom:sphere", "--no-flight"]);
-        assert_eq!(code, Some(1), "{cmd}: {stderr}");
-        assert!(stderr.contains("--no-flight"), "{cmd}: {stderr}");
+    for call in ONE_AND_MANY {
+        let (code, stderr) = pi2m(&[call, &["--no-flight"]].concat());
+        assert_eq!(code, Some(1), "{call:?}: {stderr}");
+        assert!(stderr.contains("--no-flight"), "{call:?}: {stderr}");
     }
 }
 
@@ -105,10 +107,10 @@ fn mesh_and_batch_refuse_bad_numbers_before_loading_input() {
         ("--size", "-1"),
         ("--size", "nan"),
     ] {
-        for cmd in ["mesh", "batch"] {
-            let (code, stderr) = pi2m(&[cmd, "no-such-input.pim", flag, value]);
-            assert_eq!(code, Some(1), "{cmd} {flag} {value}: {stderr}");
-            assert!(stderr.contains(flag), "{cmd} {flag} {value}: {stderr}");
+        for call in ONE_AND_MANY {
+            let (code, stderr) = pi2m(&[call, &[flag, value]].concat());
+            assert_eq!(code, Some(1), "{call:?} {flag} {value}: {stderr}");
+            assert!(stderr.contains(flag), "{call:?} {flag} {value}: {stderr}");
         }
     }
 }
@@ -204,15 +206,18 @@ fn pi2m_watched(args: &[&str]) -> (Option<i32>, String) {
 }
 
 /// A thread count past the cap (1024) is a usage error naming its flag,
-/// refused before a pool thread is spawned: asked for 70 000, `mesh` and
-/// `batch` used to spawn threads until the process aborted.
+/// refused before a pool thread is spawned: asked for 70 000, `mesh` used
+/// to spawn threads until the process aborted.
 #[test]
 fn mesh_and_batch_refuse_absurd_thread_counts() {
-    for cmd in ["mesh", "batch"] {
+    for call in [
+        &["mesh", "phantom:sphere"][..],
+        &["mesh", "phantom:sphere", "phantom:torus"],
+    ] {
         let (code, stderr) =
-            pi2m_watched(&[cmd, "phantom:sphere", "--threads", "70000", "--delta", "4"]);
-        assert_eq!(code, Some(1), "{cmd}: {stderr}");
-        assert!(stderr.contains("--threads"), "{cmd}: {stderr}");
+            pi2m_watched(&[call, &["--threads", "70000", "--delta", "4"]].concat());
+        assert_eq!(code, Some(1), "{call:?}: {stderr}");
+        assert!(stderr.contains("--threads"), "{call:?}: {stderr}");
     }
 }
 
@@ -241,4 +246,198 @@ fn serve_refuses_absurd_session_and_thread_counts() {
         !std::path::Path::new(spool).exists(),
         "serve made its spool"
     );
+}
+
+/// A fresh, empty directory for one test.
+fn fresh_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("pi2m-cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Several inputs on one `mesh` call each get the whole per-input path:
+/// sharding, a deadline, the audit, and a run report with its shard
+/// section, written as `<outdir>/<stem>.*`.
+#[test]
+fn mesh_of_many_inputs_shards_audits_and_reports_each() {
+    let dir = fresh_dir("many");
+    let outdir = dir.join("multi");
+    let outdir = outdir.to_str().unwrap();
+    let (code, stderr) = pi2m_watched(&[
+        "mesh",
+        "phantom:sphere",
+        "phantom:torus",
+        "--delta",
+        "3",
+        "--threads",
+        "2",
+        "--shards",
+        "2x1x1",
+        "--deadline",
+        "60s",
+        "--audit",
+        "--reports",
+        "--outdir",
+        outdir,
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("mesh: 2/2 inputs"), "{stderr}");
+    for stem in ["sphere", "torus"] {
+        let vtk = std::fs::read_to_string(format!("{outdir}/{stem}.vtk")).unwrap();
+        assert!(vtk.starts_with("# vtk"), "{stem}");
+        let report = std::fs::read_to_string(format!("{outdir}/{stem}.report.json")).unwrap();
+        let report = pi2m::obs::json::parse(&report).unwrap();
+        let shard = report.get("shard").expect("a shard section");
+        assert_eq!(shard.get("grid").and_then(Json::as_str), Some("2x1x1"));
+        assert_eq!(
+            shard.get("chunks").and_then(Json::as_arr).map(<[_]>::len),
+            Some(2)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--keep-going` meshes the inputs after a failed one, then exits with
+/// the class of the first failure (4: the missing input).
+#[test]
+fn keep_going_meshes_the_rest_and_exits_with_the_first_failure() {
+    let dir = fresh_dir("keep-going");
+    let outdir = dir.to_str().unwrap();
+    let (code, stderr) = pi2m_watched(&[
+        "mesh",
+        "no-such-input.pim",
+        "phantom:sphere",
+        "--delta",
+        "4",
+        "--keep-going",
+        "--outdir",
+        outdir,
+    ]);
+    assert_eq!(code, Some(4), "{stderr}");
+    assert!(stderr.contains("mesh: 1/2 inputs"), "{stderr}");
+    assert!(dir.join("sphere.vtk").exists(), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The journal writes every line: 15 inputs log 15 `mesh.result` lines,
+/// however fast they come.
+#[test]
+fn every_input_logs_its_result_line() {
+    let dir = fresh_dir("fifteen");
+    let image = dir.join("s.pim");
+    let (code, stderr) = pi2m(&[
+        "phantom",
+        "sphere",
+        image.to_str().unwrap(),
+        "--scale",
+        "0.5",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let log = dir.join("log.jsonl");
+    let mut args: Vec<String> = ["mesh", "--delta", "4", "--threads", "1"]
+        .map(String::from)
+        .into();
+    args.push(format!("--outdir={}", dir.join("out").display()));
+    args.push(format!("--log={}", log.display()));
+    for i in 0..15 {
+        let input = dir.join(format!("in{i}.pim"));
+        std::fs::copy(&image, &input).unwrap();
+        args.push(input.display().to_string());
+    }
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (code, stderr) = pi2m_watched(&args);
+    assert_eq!(code, Some(0), "{stderr}");
+    let log = std::fs::read_to_string(log).unwrap();
+    let results = log
+        .lines()
+        .filter(|l| l.contains("\"event\":\"mesh.result\""))
+        .count();
+    assert_eq!(results, 15, "{log}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An output that exists is refused (exit 4) before the input is meshed,
+/// whichever flag names it, unless `--force` is given.
+#[test]
+fn an_existing_output_is_refused_before_meshing() {
+    let dir = fresh_dir("clobber");
+    let existing = dir.join("existing");
+    std::fs::write(&existing, "keep me").unwrap();
+    let existing = existing.to_str().unwrap();
+    let fresh = dir.join("fresh.vtk");
+    let fresh = fresh.to_str().unwrap();
+    for flag in ["--report", "--trace-out", "--off"] {
+        let (code, stderr) = pi2m(&["mesh", "phantom:sphere", "-o", fresh, flag, existing]);
+        assert_eq!(code, Some(4), "{flag}: {stderr}");
+        assert!(stderr.contains("pass --force"), "{flag}: {stderr}");
+        assert!(!stderr.contains("meshing"), "{flag} meshed first: {stderr}");
+        assert!(!std::path::Path::new(fresh).exists(), "{flag}");
+    }
+    let (code, stderr) = pi2m(&["mesh", "phantom:sphere", "-o", existing]);
+    assert_eq!(code, Some(4), "-o: {stderr}");
+    assert_eq!(std::fs::read_to_string(existing).unwrap(), "keep me");
+    let (code, stderr) = pi2m(&[
+        "mesh",
+        "phantom:sphere",
+        "--delta",
+        "4",
+        "-o",
+        existing,
+        "--force",
+    ]);
+    assert_eq!(code, Some(0), "--force: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two inputs that would write one path are refused (exit 1), naming both,
+/// and so are the one-input file flags on a call of several inputs.
+#[test]
+fn many_inputs_refuse_clashing_and_single_file_outputs() {
+    for (a, b) in [
+        ("phantom:sphere", "phantom:sphere"),
+        ("a/knee.pim", "b/knee.pim"),
+    ] {
+        let (code, stderr) = pi2m(&["mesh", a, b]);
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(stderr.contains(a) && stderr.contains(b), "{stderr}");
+        assert!(
+            stderr.contains("knee.vtk") || stderr.contains("sphere.vtk"),
+            "{stderr}"
+        );
+    }
+    for flag in ["-o", "--off", "--report", "--trace-out"] {
+        let (code, stderr) = pi2m(&["mesh", "a.pim", "b.pim", flag, "x"]);
+        assert_eq!(code, Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+    }
+    let (code, stderr) = pi2m(&["mesh", "a.pim", "--outdir", "d", "--metrics"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("--metrics"), "{stderr}");
+    let (code, stderr) = pi2m(&["mesh", "a.pim", "--reports"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("--reports"), "{stderr}");
+}
+
+/// A positional argument past the ones a command takes is refused (exit 1)
+/// naming it, and `batch` is gone: `mesh` takes many inputs.
+#[test]
+fn surplus_positionals_and_batch_are_refused() {
+    for args in [
+        &["serve", "stray"][..],
+        &["phantom", "sphere", "a.pim", "extra"],
+        &["info", "a.pim", "extra"],
+        &["analyze", "a.json", "b.json", "extra"],
+        &["version", "extra"],
+    ] {
+        let (code, stderr) = pi2m_watched(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("'extra'") || stderr.contains("'stray'"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let (code, stderr) = pi2m(&["batch", "phantom:sphere"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("usage: pi2m <"), "{stderr}");
 }
