@@ -46,7 +46,8 @@ pub fn write_off<W: Write>(mesh: &FinalMesh, w: &mut W) -> io::Result<()> {
 }
 
 /// Write TetGen-style `.node` and `.ele` contents (1-based indices, labels
-/// as the region attribute).
+/// as the region attribute). Each element's nodes are in the mesh's own
+/// right-handed order, (p1−p0)×(p2−p0)·(p3−p0) > 0.
 pub fn write_node_ele<W1: Write, W2: Write>(
     mesh: &FinalMesh,
     node: &mut W1,

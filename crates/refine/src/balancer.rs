@@ -7,7 +7,7 @@
 //! machine's memory hierarchy; it is not implemented, since the engine
 //! never learns the host's shape.
 
-use crate::cm::ContentionManager;
+use crate::cm::LocalCm;
 use crate::sync::EngineSync;
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
@@ -47,12 +47,7 @@ impl BeggingList {
     /// Park until donated work arrives or the run terminates. Also performs
     /// global termination detection and deadlock-breaking release of
     /// CM-parked threads. Returns the outcome and the seconds spent parked.
-    pub fn beg(
-        &self,
-        tid: usize,
-        sync: &EngineSync,
-        cm: &dyn ContentionManager,
-    ) -> (BegOutcome, f64) {
+    pub fn beg(&self, tid: usize, sync: &EngineSync, cm: &LocalCm) -> (BegOutcome, f64) {
         self.list.lock().push_back(tid);
         beg_wait(tid, sync, cm, self)
     }
@@ -83,12 +78,7 @@ impl BeggingList {
 }
 
 /// The parked-wait loop with termination detection.
-fn beg_wait(
-    tid: usize,
-    sync: &EngineSync,
-    cm: &dyn ContentionManager,
-    bal: &BeggingList,
-) -> (BegOutcome, f64) {
+fn beg_wait(tid: usize, sync: &EngineSync, cm: &LocalCm, bal: &BeggingList) -> (BegOutcome, f64) {
     let has_work = &bal.has_work[tid];
     let t0 = Instant::now();
     sync.enter_begging();
@@ -123,7 +113,6 @@ fn beg_wait(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cm::AggressiveCm;
     use std::sync::Arc;
 
     #[test]
@@ -141,7 +130,7 @@ mod tests {
         sync.poor_added(1); // pretend pending work exists so no termination
         let b2 = Arc::clone(&b);
         let sync2 = Arc::clone(&sync);
-        let h = std::thread::spawn(move || b2.beg(0, &sync2, &AggressiveCm));
+        let h = std::thread::spawn(move || b2.beg(0, &sync2, &LocalCm::new(2)));
         while sync.begging() == 0 {
             std::thread::yield_now();
         }
@@ -173,7 +162,7 @@ mod tests {
             s.poor_taken(4); // X's own PEL, drained
             s.enter_begging(); // X begs
         }));
-        let (outcome, _) = b.beg(y, &sync, &AggressiveCm);
+        let (outcome, _) = b.beg(y, &sync, &LocalCm::new(2));
         assert_eq!(outcome, BegOutcome::GotWork, "the donation was stranded");
         assert!(!sync.is_done());
         assert_eq!(sync.total_poor(), 5);
@@ -184,7 +173,7 @@ mod tests {
         let b = Arc::new(BeggingList::new(1));
         let sync = Arc::new(EngineSync::new(1));
         // no poor work at all: the only thread begging must terminate
-        let (outcome, _) = b.beg(0, &sync, &AggressiveCm);
+        let (outcome, _) = b.beg(0, &sync, &LocalCm::new(1));
         assert_eq!(outcome, BegOutcome::Finished);
         assert!(sync.is_done());
     }

@@ -1,6 +1,5 @@
 //! Run configuration and the assembled run output.
 
-use crate::cm::CmKind;
 use crate::output::FinalMesh;
 use crate::stats::RefineStats;
 use pi2m_delaunay::SharedMesh;
@@ -27,8 +26,6 @@ pub struct MesherConfig {
     /// Optional surface density function (spatially varying δ, clamped to
     /// `delta`).
     pub surface_size_fn: Option<Arc<dyn SizeFn>>,
-    /// Contention manager policy.
-    pub cm: CmKind,
     /// Enable rule R6 removals.
     pub enable_removals: bool,
     /// Watchdog: seconds without any completed operation before a livelock
@@ -57,7 +54,6 @@ impl Default for MesherConfig {
             planar_angle_min_deg: 30.0,
             size_fn: None,
             surface_size_fn: None,
-            cm: CmKind::Local,
             enable_removals: true,
             livelock_timeout: 30.0,
             max_operations: 0,

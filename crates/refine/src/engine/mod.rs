@@ -31,27 +31,29 @@ pub use stage::{Stage, StageCallback, StageEvent, StageStatus};
 mod tests {
     use super::op::RegionMap;
     use super::*;
-    use crate::cm::CmKind;
     use pi2m_delaunay::VertexKind;
     use pi2m_geometry::Aabb;
     use pi2m_image::phantoms;
     use pi2m_obs::flight::{EventKind, SumBucket};
     use pi2m_obs::metrics;
 
-    fn small_run(threads: usize, cm: CmKind) -> MeshOutput {
-        let img = phantoms::sphere(16, 1.0);
-        let cfg = MesherConfig {
+    fn small_cfg(threads: usize) -> MesherConfig {
+        MesherConfig {
             delta: 2.0,
             threads,
-            cm,
             ..Default::default()
-        };
-        MeshingSession::new(cfg.threads).mesh(img, cfg).unwrap()
+        }
+    }
+
+    fn small_run(threads: usize) -> MeshOutput {
+        MeshingSession::new(threads)
+            .mesh(phantoms::sphere(16, 1.0), small_cfg(threads))
+            .unwrap()
     }
 
     #[test]
     fn single_threaded_sphere() {
-        let out = small_run(1, CmKind::Local);
+        let out = small_run(1);
         assert!(out.mesh.num_tets() > 50, "got {}", out.mesh.num_tets());
         assert_eq!(out.stats.total_rollbacks(), 0);
         out.shared.check_adjacency().unwrap();
@@ -67,8 +69,8 @@ mod tests {
 
     #[test]
     fn multi_threaded_matches_structurally() {
-        let a = small_run(1, CmKind::Local);
-        let b = small_run(4, CmKind::Local);
+        let a = small_run(1);
+        let b = small_run(4);
         // same rules, different schedules: sizes in the same ballpark
         let (na, nb) = (a.mesh.num_tets() as f64, b.mesh.num_tets() as f64);
         assert!(
@@ -80,15 +82,13 @@ mod tests {
     }
 
     #[test]
-    fn all_cms_terminate_on_small_input() {
-        for cm in [
-            CmKind::Aggressive,
-            CmKind::Random,
-            CmKind::Global,
-            CmKind::Local,
-        ] {
-            let out = small_run(3, cm);
-            assert!(out.mesh.num_tets() > 0, "cm {cm:?} produced an empty mesh");
+    fn runs_terminate_on_one_warm_session() {
+        let mut session = MeshingSession::new(3);
+        for run in 0..2 {
+            let out = session
+                .mesh(phantoms::sphere(16, 1.0), small_cfg(3))
+                .unwrap();
+            assert!(out.mesh.num_tets() > 0, "run {run} produced an empty mesh");
         }
     }
 
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_mirrors_stats() {
-        let out = small_run(2, CmKind::Local);
+        let out = small_run(2);
         let m = &out.metrics;
         // bridged ThreadStats counters agree with the legacy accessors
         assert_eq!(m.counter(metrics::OPS_TOTAL), out.stats.total_operations());
@@ -152,7 +152,7 @@ mod tests {
     /// committed counts are the run's operations.
     #[test]
     fn flight_log_ends_with_every_workers_sums() {
-        let out = small_run(2, CmKind::Local);
+        let out = small_run(2);
         // drained log is time-sorted
         assert!(out.flight.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
         let (logged, sums) = out
@@ -229,7 +229,7 @@ mod tests {
     /// push are not pops and are counted on their own.
     #[test]
     fn stale_pops_are_counted_apart() {
-        let out = small_run(1, CmKind::Local);
+        let out = small_run(1);
         let calls = out.metrics.counter(metrics::CLASSIFY_CALLS);
         let stale = out.metrics.counter(metrics::CLASSIFY_STALE);
         let pruned = out.metrics.counter(metrics::PEL_PRUNED);
@@ -253,7 +253,7 @@ mod tests {
     /// rest, some reach the traversal and some are settled before it.
     #[test]
     fn r3_memo_hits_are_counted() {
-        let out = small_run(1, CmKind::Local);
+        let out = small_run(1);
         let facets = out.metrics.counter(metrics::R3_FACETS);
         let hits = out.metrics.counter(metrics::R3_MEMO_HITS);
         assert!(hits > 0 && hits < facets, "{hits} hits of {facets} facets");
@@ -296,7 +296,7 @@ mod tests {
         );
         let mut rec = metrics::ThreadRecorder::new();
         worker::worker(
-            &state.env(),
+            &state,
             0,
             &mut crate::ThreadStats::default(),
             &mut rec,

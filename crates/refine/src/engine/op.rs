@@ -17,7 +17,7 @@
 //! flight events: committed work lands in the worker's time sums, which the
 //! drain appends to the flight log.
 
-use super::worker::{handle_created, push_own, Env, PelEnd};
+use super::worker::{handle_created, push_own, PelEnd, RunState};
 use crate::stats::ThreadStats;
 use pi2m_delaunay::{CellId, InsertResult, OpCtx, OpError, RemoveResult, VertexId, VertexKind};
 use pi2m_faults::sites;
@@ -121,12 +121,12 @@ pub(crate) trait SpeculativeOp {
     /// Post-commit hook running before created-cell handling (the insert op
     /// registers its new vertex in the proximity grid here, and requeues its
     /// element if the insertion left it standing).
-    fn after_commit(&self, env: &Env<'_>, tid: usize, rec: &mut ThreadRecorder, res: &OpResult);
+    fn after_commit(&self, run: &RunState, tid: usize, rec: &mut ThreadRecorder, res: &OpResult);
 
     /// Conflict disposition, after rollback accounting and before the
     /// contention manager is consulted: an insert requeues its still-poor
     /// element; a removal drops the victim (best effort).
-    fn on_conflict(&self, env: &Env<'_>, tid: usize, rec: &mut ThreadRecorder);
+    fn on_conflict(&self, run: &RunState, tid: usize, rec: &mut ThreadRecorder);
 
     /// Typed-rejection accounting (`Err` other than `Conflict`).
     fn count_rejected(&self, stats: &mut ThreadStats, err: &OpError);
@@ -146,8 +146,8 @@ pub(crate) struct InsertOp {
 
 impl InsertOp {
     /// Put the element back on `tid`'s PEL, at `end`.
-    fn requeue(&self, env: &Env<'_>, tid: usize, rec: &mut ThreadRecorder, end: PelEnd) {
-        push_own(env, tid, rec, std::iter::once((self.cid, self.gen)), end);
+    fn requeue(&self, run: &RunState, tid: usize, rec: &mut ThreadRecorder, end: PelEnd) {
+        push_own(run, tid, rec, std::iter::once((self.cid, self.gen)), end);
     }
 }
 
@@ -173,9 +173,9 @@ impl SpeculativeOp for InsertOp {
         rec.observe(metrics::CAVITY_CELLS, res.killed_len() as f64);
     }
 
-    fn after_commit(&self, env: &Env<'_>, tid: usize, rec: &mut ThreadRecorder, res: &OpResult) {
+    fn after_commit(&self, run: &RunState, tid: usize, rec: &mut ThreadRecorder, res: &OpResult) {
         if let OpResult::Inserted(r) = res {
-            env.rules.grid.insert(r.vertex, self.point);
+            run.rules.grid.insert(r.vertex, self.point);
         }
         // A remedy need not kill the cell it was computed for: a
         // surface-center lies on the facet's Voronoi edge, which runs on
@@ -183,17 +183,17 @@ impl SpeculativeOp for InsertOp {
         // then still there, and whatever else is wrong with it (R3 is tried
         // before R4) would never be looked at again. It goes on top, under
         // the cells the insertion created.
-        let cell = env.mesh.cell(CellId(self.cid));
+        let cell = run.mesh.cell(CellId(self.cid));
         if cell.is_alive() && cell.gen() == self.gen {
-            self.requeue(env, tid, rec, PelEnd::Top);
+            self.requeue(run, tid, rec, PelEnd::Top);
         }
     }
 
-    fn on_conflict(&self, env: &Env<'_>, tid: usize, rec: &mut ThreadRecorder) {
+    fn on_conflict(&self, run: &RunState, tid: usize, rec: &mut ThreadRecorder) {
         // the element is still poor: requeue it at the bottom, to be retried
         // after the rest of the PEL, then consult the CM
-        self.requeue(env, tid, rec, PelEnd::Bottom);
-        if let Some(f) = &env.cfg.faults {
+        self.requeue(run, tid, rec, PelEnd::Bottom);
+        if let Some(f) = &run.cfg.faults {
             let _ = f.fire(sites::CM_ROLLBACK, tid as u32);
         }
     }
@@ -247,14 +247,14 @@ impl SpeculativeOp for RemoveOp {
 
     fn after_commit(
         &self,
-        _env: &Env<'_>,
+        _run: &RunState,
         _tid: usize,
         _rec: &mut ThreadRecorder,
         _res: &OpResult,
     ) {
     }
 
-    fn on_conflict(&self, _env: &Env<'_>, _tid: usize, _rec: &mut ThreadRecorder) {
+    fn on_conflict(&self, _run: &RunState, _tid: usize, _rec: &mut ThreadRecorder) {
         // best-effort: drop this victim
     }
 
@@ -277,7 +277,7 @@ impl SpeculativeOp for RemoveOp {
 /// overhead accounting, and created-cell enqueueing all happen here,
 /// identically for every op kind.
 pub(crate) fn run_op(
-    env: &Env<'_>,
+    run: &RunState,
     tid: usize,
     ctx: &mut OpCtx<'_>,
     stats: &mut ThreadStats,
@@ -293,10 +293,10 @@ pub(crate) fn run_op(
             stats.cells_created += res.created().len() as u64;
             stats.cells_killed += res.killed_len() as u64;
             op.count_commit(stats, rec, &res, (t_end - t0).as_secs_f64());
-            env.sync.note_progress(t_end);
-            env.cm.on_success(tid);
-            op.after_commit(env, tid, rec, &res);
-            handle_created(env, tid, stats, rec, res.created());
+            run.sync.note_progress(t_end);
+            run.cm.on_success(tid);
+            op.after_commit(run, tid, rec, &res);
+            handle_created(run, tid, stats, rec, res.created());
             op.recycle(ctx, res);
             OpOutcome::Committed
         }
@@ -304,7 +304,7 @@ pub(crate) fn run_op(
             stats.rollbacks += 1;
             let rolled = t0.elapsed().as_secs_f64();
             let owner_region = pack_owner_region(owner as u16, region);
-            env.log(
+            run.log(
                 rec,
                 tid,
                 EventKind::Rollback,
@@ -313,8 +313,8 @@ pub(crate) fn run_op(
             );
             stats.rolled_back_s += rolled;
             rec.observe(metrics::ROLLBACK_SECONDS, rolled);
-            op.on_conflict(env, tid, rec);
-            consult_cm(env, tid, owner as usize, stats, rec);
+            op.on_conflict(run, tid, rec);
+            consult_cm(run, tid, owner as usize, stats, rec);
             OpOutcome::Conflicted
         }
         Err(e) => {
@@ -328,17 +328,17 @@ pub(crate) fn run_op(
 /// account for the time it parked `tid`: its sum, its histogram and, if it
 /// parked at all, one `CmUnpark` event.
 pub(crate) fn consult_cm(
-    env: &Env<'_>,
+    run: &RunState,
     tid: usize,
     owner: usize,
     stats: &mut ThreadStats,
     rec: &mut ThreadRecorder,
 ) {
-    let waited = env.cm.on_rollback(tid, owner, env.sync);
+    let waited = run.cm.on_rollback(tid, owner, &run.sync);
     stats.cm_park_s += waited;
     rec.observe(metrics::LOCK_WAIT_SECONDS, waited);
     if waited > 0.0 {
-        env.log(
+        run.log(
             rec,
             tid,
             EventKind::CmUnpark,

@@ -164,14 +164,13 @@ fn pool_thread_main(rx: mpsc::Receiver<Job>) {
         rec.flight = FlightLog::new(state.cfg.flight_capacity);
         let died;
         {
-            let env = state.env();
             // Same isolation contract as the scoped-thread engine had: a
             // panic escaping the worker's per-operation boundary retires the
             // worker *for this run*; the pool thread itself survives and can
             // serve the next run. (The warm arena is lost with the panicked
             // context — `mem::take` left a fresh default in its place.)
             died = catch_unwind(AssertUnwindSafe(|| {
-                worker(&env, tid, &mut stats, &mut rec, &mut arena)
+                worker(&state, tid, &mut stats, &mut rec, &mut arena)
             }))
             .is_err();
             if died {
@@ -180,7 +179,7 @@ fn pool_thread_main(rx: mpsc::Receiver<Job>) {
                 // channel. (It has never panicked in the scoped engine
                 // either; this is the pool's containment boundary.)
                 let _ = catch_unwind(AssertUnwindSafe(|| {
-                    worker_death_cleanup(&env, tid, &mut rec)
+                    worker_death_cleanup(&state, tid, &mut rec)
                 }));
             }
         }

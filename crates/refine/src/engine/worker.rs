@@ -7,14 +7,14 @@
 //! contention manager; empty PELs park in the begging list;
 //! newly created cells are enqueued locally or donated to beggars;
 //! termination is detected when every thread is parked and no work remains.
-//! A watchdog aborts runs whose contention manager livelocks
-//! (Aggressive/Random, paper Table 1), and a cooperative [`CancelToken`]
-//! checked at the same loop boundary stops a run on demand.
+//! A watchdog aborts a run in which no operation completes for
+//! `livelock_timeout` seconds, and a cooperative [`CancelToken`] checked at
+//! the same loop boundary stops a run on demand.
 
 use super::config::MesherConfig;
 use super::op::{consult_cm, ns_u32, run_op, InsertOp, OpOutcome, RegionMap, RemoveOp};
 use crate::balancer::{BegOutcome, BeggingList, DONATE_THRESHOLD};
-use crate::cm::{make_cm, ContentionManager};
+use crate::cm::LocalCm;
 use crate::rules::{FacetMemo, Rules};
 use crate::stats::ThreadStats;
 use crate::sync::EngineSync;
@@ -44,8 +44,10 @@ pub(crate) enum PelEnd {
     Top,
     /// Popped after everything queued now: an element whose operation
     /// rolled back is retried after the rest of the stack, as a queue
-    /// retried it after the rest of the queue, so a contention manager that
-    /// retries at once does not hammer one hot spot.
+    /// retried it after the rest of the queue, so a thread that the
+    /// contention manager does not park (its conflict partner is parked
+    /// itself, or it is the last active thread) does not hammer one hot
+    /// spot.
     Bottom,
 }
 
@@ -64,7 +66,7 @@ pub(crate) struct RunState {
     pub pels: Vec<Pel>,
     pub counters: Vec<CachePadded<AtomicI64>>,
     pub sync: EngineSync,
-    pub cm: Box<dyn ContentionManager>,
+    pub cm: LocalCm,
     pub bal: BeggingList,
     pub cfg: MesherConfig,
     pub ops_total: AtomicU64,
@@ -117,7 +119,7 @@ impl RunState {
             pels,
             counters,
             sync,
-            cm: make_cm(cfg.cm, threads),
+            cm: LocalCm::new(threads),
             bal: BeggingList::new(threads),
             ops_total: AtomicU64::new(0),
             dead_flags: (0..threads)
@@ -130,43 +132,6 @@ impl RunState {
         }
     }
 
-    /// Borrowed view of the run state, in the shape the worker helpers take.
-    pub(crate) fn env(&self) -> Env<'_> {
-        Env {
-            mesh: &self.mesh,
-            rules: &self.rules,
-            pels: &self.pels,
-            counters: &self.counters,
-            sync: &self.sync,
-            cm: self.cm.as_ref(),
-            bal: &self.bal,
-            cfg: &self.cfg,
-            ops_total: &self.ops_total,
-            dead_flags: &self.dead_flags,
-            regions: &self.regions,
-            cancel: &self.cancel,
-            stitch: self.stitch,
-        }
-    }
-}
-
-pub(crate) struct Env<'a> {
-    pub mesh: &'a SharedMesh,
-    pub rules: &'a Rules,
-    pub pels: &'a [Pel],
-    pub counters: &'a [CachePadded<AtomicI64>],
-    pub sync: &'a EngineSync,
-    pub cm: &'a dyn ContentionManager,
-    pub bal: &'a BeggingList,
-    pub cfg: &'a MesherConfig,
-    pub ops_total: &'a AtomicU64,
-    pub dead_flags: &'a [CachePadded<AtomicBool>],
-    pub regions: &'a RegionMap,
-    pub cancel: &'a CancelToken,
-    pub stitch: bool,
-}
-
-impl Env<'_> {
     /// Log one flight event (`[a, b, c]` its payload) in `rec`, worker
     /// `tid`'s own log, stamped on the run's sync clock; nothing when the
     /// recorder is off.
@@ -194,7 +159,7 @@ impl Env<'_> {
 }
 
 pub(crate) fn worker(
-    env: &Env<'_>,
+    run: &RunState,
     tid: usize,
     stats: &mut ThreadStats,
     // Exclusively owned by this worker — every inc/observe below is a plain
@@ -205,17 +170,17 @@ pub(crate) fn worker(
     // this thread starts with warm scratch buffers.
     arena: &mut KernelScratch,
 ) {
-    let mut ctx = env
+    let mut ctx = run
         .mesh
-        .make_ctx_with_faults(tid as u32, env.cfg.faults.clone());
+        .make_ctx_with_faults(tid as u32, run.cfg.faults.clone());
     ctx.install_scratch(std::mem::take(arena));
-    let t_spawn = env.sync.now();
+    let t_spawn = run.sync.now();
     // Fresh per run: the (cell, generation) pairs it holds are this run's.
     let mut memo = FacetMemo::new();
 
     let mut iteration = 0u32;
     loop {
-        if env.sync.is_done() {
+        if run.sync.is_done() {
             break;
         }
         // The explicit-cancel flag is one relaxed load; the two checks that
@@ -226,30 +191,32 @@ pub(crate) fn worker(
         // Cooperative cancellation: the first worker that sees the token
         // tripped settles the run exactly like the op cap does — everyone
         // else exits at the `is_done` check or is woken out of a park.
-        if env.cancel.cancel_requested() || (poll_clocks && env.cancel.is_cancelled()) {
-            env.sync.declare_cancelled();
-            env.cm.release_all();
-            env.bal.release_all();
+        if run.cancel.cancel_requested() || (poll_clocks && run.cancel.is_cancelled()) {
+            run.sync.declare_cancelled();
+            run.cm.release_all();
+            run.bal.release_all();
             break;
         }
-        // Livelock watchdog (paper §5.5: Aggressive/Random can livelock).
+        // Livelock watchdog. Local-CM cannot livelock (paper Lemma 2):
+        // this is the backstop for injected denials, which can refuse an
+        // operation on every attempt, and for defects in the protocol.
         if poll_clocks
-            && env.sync.since_progress() > env.cfg.livelock_timeout
-            && (env.sync.total_poor() > 0 || env.sync.cm_blocked() > 0)
+            && run.sync.since_progress() > run.cfg.livelock_timeout
+            && (run.sync.total_poor() > 0 || run.sync.cm_blocked() > 0)
         {
-            env.sync.declare_livelock();
-            env.cm.release_all();
-            env.bal.release_all();
+            run.sync.declare_livelock();
+            run.cm.release_all();
+            run.bal.release_all();
             break;
         }
         // Worker-scope injection: a `panic` here escapes the per-operation
         // isolation below and kills this worker (the death-cleanup path).
-        if let Some(f) = &env.cfg.faults {
+        if let Some(f) = &run.cfg.faults {
             let _ = f.fire(sites::ENGINE_WORKER, tid as u32);
             // The stitch pass of a sharded run exposes its own worker-scope
             // site so shard drills can kill a worker mid-seam without also
             // firing in the surrounding (monolithic or chunk) runs.
-            if env.stitch {
+            if run.stitch {
                 let _ = f.fire(sites::SHARD_STITCH, tid as u32);
             }
         }
@@ -257,26 +224,26 @@ pub(crate) fn worker(
         // `max_operations` caps PEL pops, so a batch may not pop past it.
         // (At T threads another worker can spend the remainder first; one
         // pop over the cap then, as ever.)
-        let budget = match env.cfg.max_operations {
+        let budget = match run.cfg.max_operations {
             0 => u64::MAX,
             cap => cap
-                .saturating_sub(env.ops_total.load(Ordering::Relaxed))
+                .saturating_sub(run.ops_total.load(Ordering::Relaxed))
                 .max(1),
         };
-        let (popped, live) = pop_live(env, tid, budget);
+        let (popped, live) = pop_live(run, tid, budget);
         if popped == 0 {
-            env.cm.before_beg(tid, env.sync);
-            if let Some(f) = &env.cfg.faults {
+            run.cm.before_beg(tid);
+            if let Some(f) = &run.cfg.faults {
                 let _ = f.fire(sites::BALANCER_BEG, tid as u32);
             }
-            let (outcome, waited) = env.bal.beg(tid, env.sync, env.cm);
+            let (outcome, waited) = run.bal.beg(tid, &run.sync, &run.cm);
             stats.beg_park_s += waited;
             rec.observe(metrics::LB_WAIT_SECONDS, waited);
             let cause = match outcome {
                 BegOutcome::GotWork => flight_cause::BEG_GOT_WORK,
                 BegOutcome::Finished => flight_cause::BEG_FINISHED,
             };
-            env.log(
+            run.log(
                 rec,
                 tid,
                 EventKind::BegUnpark,
@@ -293,8 +260,8 @@ pub(crate) fn worker(
         }
         // One settlement for the whole batch: the stale entries and the live
         // one behind them.
-        env.counters[tid].fetch_sub(popped as i64, Ordering::AcqRel);
-        env.sync.poor_taken(popped as i64);
+        run.counters[tid].fetch_sub(popped as i64, Ordering::AcqRel);
+        run.sync.poor_taken(popped as i64);
         rec.inc(metrics::CLASSIFY_CALLS, popped);
         rec.inc(metrics::CLASSIFY_STALE, popped - live.is_some() as u64);
 
@@ -305,7 +272,7 @@ pub(crate) fn worker(
             // quarantines the work item (it is never requeued), and the
             // worker keeps going.
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                process_item(env, tid, &mut ctx, &mut memo, stats, rec, item)
+                process_item(run, tid, &mut ctx, &mut memo, stats, rec, item)
             }));
             if caught.is_err() {
                 stats.panics += 1;
@@ -316,7 +283,7 @@ pub(crate) fn worker(
                 }
                 // Quarantining the poison item is progress: the watchdog
                 // must not blame the recovery for the missing completions.
-                env.sync.note_progress(Instant::now());
+                run.sync.note_progress(Instant::now());
             }
 
             // An element that never reached the kernel (satisfied, or denied
@@ -327,21 +294,21 @@ pub(crate) fn worker(
             drain_memo_stats(&mut memo, rec);
         }
 
-        if env.cfg.max_operations > 0 {
-            let done = env.ops_total.fetch_add(popped, Ordering::Relaxed) + popped;
-            if done >= env.cfg.max_operations {
-                env.sync.set_done();
-                env.cm.release_all();
-                env.bal.release_all();
+        if run.cfg.max_operations > 0 {
+            let done = run.ops_total.fetch_add(popped, Ordering::Relaxed) + popped;
+            if done >= run.cfg.max_operations {
+                run.sync.set_done();
+                run.cm.release_all();
+                run.bal.release_all();
                 break;
             }
         }
     }
 
     // A finished worker must leave nobody parked on its contention list.
-    env.cm.before_beg(tid, env.sync);
+    run.cm.before_beg(tid);
     // Every worker contributes at least this lifetime event to the trace.
-    rec.event("worker", "worker", t_spawn, env.sync.now() - t_spawn);
+    rec.event("worker", "worker", t_spawn, run.sync.now() - t_spawn);
     // Hand the (now warm) kernel arena back to the pool thread.
     *arena = ctx.take_scratch();
 }
@@ -352,15 +319,15 @@ pub(crate) fn worker(
 /// died, or its slot was recycled, while the element sat in the PEL) and
 /// cost one `flags`/`gen` read each. Returns how many entries were popped
 /// and the live one, if the batch ended on it.
-fn pop_live(env: &Env<'_>, tid: usize, budget: u64) -> (u64, Option<(u32, u32)>) {
-    let mut pel = env.pels[tid].lock();
+fn pop_live(run: &RunState, tid: usize, budget: u64) -> (u64, Option<(u32, u32)>) {
+    let mut pel = run.pels[tid].lock();
     let mut popped = 0;
     while popped < budget {
         let Some((cid, gen)) = pel.pop_back() else {
             break;
         };
         popped += 1;
-        if is_live(env.mesh, cid, gen) {
+        if is_live(&run.mesh, cid, gen) {
             return (popped, Some((cid, gen)));
         }
     }
@@ -382,7 +349,7 @@ fn is_live(mesh: &SharedMesh, cid: u32, gen: u32) -> bool {
 /// `pel_pruned`. A pruned entry is not a pop, so `classify_calls` and the
 /// `max_operations` cap never see it.
 pub(crate) fn push_own(
-    env: &Env<'_>,
+    run: &RunState,
     tid: usize,
     rec: &mut ThreadRecorder,
     items: impl ExactSizeIterator<Item = (u32, u32)>,
@@ -390,9 +357,9 @@ pub(crate) fn push_own(
 ) {
     let n = items.len();
     let pruned = {
-        let mut pel = env.pels[tid].lock();
+        let mut pel = run.pels[tid].lock();
         let pruned = if pel.len() + n > pel.capacity() {
-            prune(&mut pel, env.mesh)
+            prune(&mut pel, &run.mesh)
         } else {
             0
         };
@@ -403,8 +370,8 @@ pub(crate) fn push_own(
         pruned
     };
     let net = n as i64 - pruned as i64;
-    env.counters[tid].fetch_add(net, Ordering::AcqRel);
-    env.sync.poor_added(net);
+    run.counters[tid].fetch_add(net, Ordering::AcqRel);
+    run.sync.poor_added(net);
     if pruned > 0 {
         rec.inc(metrics::PEL_PRUNED, pruned as u64);
     }
@@ -490,7 +457,7 @@ fn drain_memo_stats(memo: &mut FacetMemo, rec: &mut ThreadRecorder) {
 /// kernel operation ran. Runs inside the worker's per-operation
 /// `catch_unwind` boundary.
 fn process_item(
-    env: &Env<'_>,
+    run: &RunState,
     tid: usize,
     ctx: &mut OpCtx<'_>,
     memo: &mut FacetMemo,
@@ -500,20 +467,20 @@ fn process_item(
 ) -> bool {
     // Operation-scope injection: deny re-queues the item through the normal
     // rollback path (a synthetic self-conflict), fail quarantines it.
-    if let Some(f) = &env.cfg.faults {
+    if let Some(f) = &run.cfg.faults {
         match f.fire(sites::ENGINE_OP, tid as u32) {
             Some(pi2m_faults::Injected::Deny) => {
                 stats.rollbacks += 1;
                 let owner_region = pack_owner_region(tid as u16, 0);
-                env.log(
+                run.log(
                     rec,
                     tid,
                     EventKind::Rollback,
                     flight_cause::INJECTED,
                     [cid, owner_region, 0],
                 );
-                push_own(env, tid, rec, std::iter::once((cid, gen)), PelEnd::Bottom);
-                consult_cm(env, tid, tid, stats, rec);
+                push_own(run, tid, rec, std::iter::once((cid, gen)), PelEnd::Bottom);
+                consult_cm(run, tid, tid, stats, rec);
                 return false;
             }
             Some(pi2m_faults::Injected::Fail) => {
@@ -525,28 +492,28 @@ fn process_item(
     }
 
     // A cell that died since `pop_live` looked classifies as satisfied.
-    let Some(action) = env.rules.classify_with(env.mesh, CellId(cid), gen, memo) else {
+    let Some(action) = run.rules.classify_with(&run.mesh, CellId(cid), gen, memo) else {
         return false; // satisfied — drop
     };
 
-    let region = env.regions.code(action.point);
+    let region = run.regions.code(action.point);
     let insert = InsertOp {
         cid,
         gen,
         point: action.point,
         kind: action.kind,
     };
-    let outcome = run_op(env, tid, ctx, stats, rec, region, &insert);
+    let outcome = run_op(run, tid, ctx, stats, rec, region, &insert);
 
     // R6: an isosurface vertex evicts nearby circumcenters. The removals are
     // attributed to the insertion's region — they happen within 2δ of it.
     if outcome == OpOutcome::Committed
         && action.kind == VertexKind::Isosurface
-        && env.cfg.enable_removals
+        && run.cfg.enable_removals
     {
-        for victim in env.rules.r6_victims(env.mesh, action.point) {
+        for victim in run.rules.r6_victims(&run.mesh, action.point) {
             let remove = RemoveOp { victim };
-            run_op(env, tid, ctx, stats, rec, region, &remove);
+            run_op(run, tid, ctx, stats, rec, region, &remove);
         }
     }
     true
@@ -555,50 +522,50 @@ fn process_item(
 /// Retire a worker whose panic escaped the per-operation isolation: mark it
 /// dead for termination detection, bequeath its queued work to a surviving
 /// heir, and wake anyone parked on its contention list.
-pub(crate) fn worker_death_cleanup(env: &Env<'_>, tid: usize, rec: &mut ThreadRecorder) {
-    env.dead_flags[tid].store(true, Ordering::Release);
-    env.sync.worker_died();
+pub(crate) fn worker_death_cleanup(run: &RunState, tid: usize, rec: &mut ThreadRecorder) {
+    run.dead_flags[tid].store(true, Ordering::Release);
+    run.sync.worker_died();
     rec.inc(metrics::WORKER_DEATHS, 1);
     // The recorder lives in the pool thread, outside the worker's unwind,
     // so this log still holds everything logged before the panic.
-    env.log(rec, tid, EventKind::WorkerDeath, 0, [0, 0, 0]);
+    run.log(rec, tid, EventKind::WorkerDeath, 0, [0, 0, 0]);
 
     // Bequeath the dead worker's PEL to the nearest surviving thread so no
     // queued element is silently lost.
     let drained: Vec<(u32, u32)> = {
-        let mut pel = env.pels[tid].lock();
+        let mut pel = run.pels[tid].lock();
         pel.drain(..).collect()
     };
     if !drained.is_empty() {
         let n = drained.len() as i64;
-        env.counters[tid].fetch_sub(n, Ordering::AcqRel);
-        let heir = (1..env.cfg.threads)
-            .map(|k| (tid + k) % env.cfg.threads)
-            .find(|&h| !env.dead_flags[h].load(Ordering::Acquire));
+        run.counters[tid].fetch_sub(n, Ordering::AcqRel);
+        let heir = (1..run.cfg.threads)
+            .map(|k| (tid + k) % run.cfg.threads)
+            .find(|&h| !run.dead_flags[h].load(Ordering::Acquire));
         match heir {
             Some(h) => {
                 {
-                    let mut pel = env.pels[h].lock();
+                    let mut pel = run.pels[h].lock();
                     for it in drained {
                         pel.push_back(it);
                     }
                 }
-                env.counters[h].fetch_add(n, Ordering::AcqRel);
-                env.bal.wake(h);
-                env.log(rec, tid, EventKind::HeirBequest, 0, [h as u32, n as u32, 0]);
+                run.counters[h].fetch_add(n, Ordering::AcqRel);
+                run.bal.wake(h);
+                run.log(rec, tid, EventKind::HeirBequest, 0, [h as u32, n as u32, 0]);
             }
             None => {
                 // no survivors: the work is lost, but so is the run — keep
                 // the poor count consistent so nothing spins on it
-                env.sync.poor_taken(n);
+                run.sync.poor_taken(n);
             }
         }
     }
     // Nobody may stay parked on a dead thread's contention list, and the
     // termination condition (begging + dead >= threads) may have just
     // become true — wake the beggars so one of them settles it.
-    env.cm.before_beg(tid, env.sync);
-    env.sync.note_progress(Instant::now());
+    run.cm.before_beg(tid);
+    run.sync.note_progress(Instant::now());
 }
 
 /// Enqueue newly created cells for (lazy) classification, donating to a
@@ -606,7 +573,7 @@ pub(crate) fn worker_death_cleanup(env: &Env<'_>, tid: usize, rec: &mut ThreadRe
 /// cells go on top of the own PEL in boundary-face order, so the last face's
 /// cell is classified first.
 pub(crate) fn handle_created(
-    env: &Env<'_>,
+    run: &RunState,
     tid: usize,
     stats: &mut ThreadStats,
     rec: &mut ThreadRecorder,
@@ -618,9 +585,9 @@ pub(crate) fn handle_created(
     // The begging lists sit behind mutexes every donor would take; with
     // nobody parked there is nobody to pick. (A beggar that has queued but
     // not yet counted itself is served by the next commit.)
-    let own = env.counters[tid].load(Ordering::Acquire);
-    let target = if own >= DONATE_THRESHOLD && env.sync.begging() > 0 {
-        env.bal.pick_beggar(tid)
+    let own = run.counters[tid].load(Ordering::Acquire);
+    let target = if own >= DONATE_THRESHOLD && run.sync.begging() > 0 {
+        run.bal.pick_beggar(tid)
     } else {
         None
     };
@@ -629,19 +596,19 @@ pub(crate) fn handle_created(
         Some(b) => {
             let t_donate = Instant::now();
             {
-                let mut pel = env.pels[b].lock();
+                let mut pel = run.pels[b].lock();
                 for &nc in created {
-                    pel.push_back((nc.0, env.mesh.cell(nc).gen()));
+                    pel.push_back((nc.0, run.mesh.cell(nc).gen()));
                 }
             }
-            env.counters[b].fetch_add(n, Ordering::AcqRel);
-            env.sync.poor_added(n);
-            env.bal.wake(b);
+            run.counters[b].fetch_add(n, Ordering::AcqRel);
+            run.sync.poor_added(n);
+            run.bal.wake(b);
             // The handoff (beggar-PEL lock, push, wake) is the donor's time:
             // summed into its stats, and carried in the event's `c`.
             let handoff = t_donate.elapsed().as_secs_f64();
             stats.steal_donate_s += handoff;
-            env.log(
+            run.log(
                 rec,
                 tid,
                 EventKind::Donate,
@@ -651,10 +618,10 @@ pub(crate) fn handle_created(
             stats.donations_made += 1;
         }
         None => push_own(
-            env,
+            run,
             tid,
             rec,
-            created.iter().map(|&nc| (nc.0, env.mesh.cell(nc).gen())),
+            created.iter().map(|&nc| (nc.0, run.mesh.cell(nc).gen())),
             PelEnd::Top,
         ),
     }

@@ -3,11 +3,10 @@
 //! The PI2M refinement engine: the paper's primary contribution. Starting
 //! from a multi-label segmented image, it triangulates a virtual box,
 //! recovers the isosurface(s) and meshes the volume by parallel speculative
-//! Delaunay **insertions and removals** driven by rules R1–R6, with
-//! pluggable contention managers (Aggressive / Random / Global / Local,
-//! paper §5), load balancing over one flat begging list (paper §4.4; the
-//! hierarchical HWS variant of §6.1 is not implemented), full wasted-cycle
-//! accounting, and livelock watchdogging.
+//! Delaunay **insertions and removals** driven by rules R1–R6, with the
+//! paper's Local contention manager (§5), load balancing over one flat
+//! begging list (paper §4.4; the hierarchical HWS variant of §6.1 is not
+//! implemented), full wasted-cycle accounting, and livelock watchdogging.
 //!
 //! The engine runs as a staged pipeline (Load → EDT → Oracle →
 //! SurfaceRecovery → VolumeRefine → Quality → Export) over a persistent
@@ -50,7 +49,6 @@ pub mod shard;
 pub mod stats;
 pub mod sync;
 
-pub use cm::{CmKind, ContentionManager};
 pub use engine::{
     CancelTelemetry, MeshOutput, MesherConfig, MeshingSession, RunOptions, Stage, StageCallback,
     StageEvent, StageStatus,

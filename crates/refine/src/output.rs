@@ -14,7 +14,8 @@ pub struct FinalMesh {
     pub points: Vec<Point3>,
     /// Kind of each point (isosurface sample, circumcenter, ...).
     pub point_kinds: Vec<VertexKind>,
-    /// Tetrahedra as indices into `points`, positively oriented.
+    /// Tetrahedra as indices into `points`, right-handed:
+    /// (p1−p0)×(p2−p0)·(p3−p0) > 0, the order VTK expects of a tetrahedron.
     pub tets: Vec<[u32; 4]>,
     /// Tissue label of each tetrahedron (label at its circumcenter).
     pub labels: Vec<Label>,
@@ -82,6 +83,10 @@ impl FinalMesh {
                 }
                 *slot = *idx;
             }
+            // The kernel's cells are positive under orient3d, which makes
+            // them left-handed; the swap, made after the points are
+            // numbered, leaves the point order as it was.
+            tet.swap(2, 3);
             out.tets.push(tet);
             out.labels.push(label);
         }
@@ -124,12 +129,7 @@ impl FinalMesh {
     pub fn label_volumes(&self) -> Vec<(Label, f64)> {
         let mut vols: HashMap<Label, f64> = HashMap::new();
         for (t, &label) in self.tets.iter().zip(&self.labels) {
-            *vols.entry(label).or_insert(0.0) += pi2m_geometry::signed_volume(
-                self.points[t[0] as usize],
-                self.points[t[1] as usize],
-                self.points[t[2] as usize],
-                self.points[t[3] as usize],
-            );
+            *vols.entry(label).or_insert(0.0) += self.tet_volume(t);
         }
         let mut out: Vec<(Label, f64)> = vols.into_iter().collect();
         out.sort_by_key(|&(l, _)| l);
@@ -138,17 +138,13 @@ impl FinalMesh {
 
     /// Total volume of the mesh (world units³).
     pub fn volume(&self) -> f64 {
-        self.tets
-            .iter()
-            .map(|t| {
-                pi2m_geometry::signed_volume(
-                    self.points[t[0] as usize],
-                    self.points[t[1] as usize],
-                    self.points[t[2] as usize],
-                    self.points[t[3] as usize],
-                )
-            })
-            .sum()
+        self.tets.iter().map(|t| self.tet_volume(t)).sum()
+    }
+
+    /// Volume of one tetrahedron, positive in the right-handed order.
+    fn tet_volume(&self, t: &[u32; 4]) -> f64 {
+        let [a, b, c, d] = t.map(|i| self.points[i as usize]);
+        (b - a).cross(c - a).dot(d - a) / 6.0
     }
 }
 

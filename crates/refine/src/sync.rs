@@ -1,6 +1,6 @@
 //! Shared engine-wide synchronization state: termination detection inputs,
 //! the livelock watchdog clock, and global progress accounting shared by the
-//! contention managers and the begging list.
+//! contention manager and the begging list.
 
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};

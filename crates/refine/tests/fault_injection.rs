@@ -9,9 +9,7 @@
 use pi2m_faults::{sites, FaultPlan};
 use pi2m_image::phantoms;
 use pi2m_obs::metrics;
-use pi2m_refine::{
-    audit_mesh, CancelToken, CmKind, MesherConfig, MeshingSession, RefineError, RunOptions,
-};
+use pi2m_refine::{audit_mesh, CancelToken, MesherConfig, MeshingSession, RefineError, RunOptions};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,7 +24,6 @@ fn cfg_with(threads: usize, plan: FaultPlan) -> MesherConfig {
     MesherConfig {
         delta: 2.0,
         threads,
-        cm: CmKind::Local,
         faults: Some(Arc::new(plan)),
         ..Default::default()
     }

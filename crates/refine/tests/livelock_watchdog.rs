@@ -4,7 +4,7 @@
 
 use pi2m_faults::{sites, FaultPlan};
 use pi2m_image::phantoms;
-use pi2m_refine::{audit_mesh, CmKind, MesherConfig, MeshingSession, RefineError};
+use pi2m_refine::{audit_mesh, MesherConfig, MeshingSession, RefineError};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -22,7 +22,6 @@ fn always_conflicting_workload_trips_watchdog() {
     let cfg = MesherConfig {
         delta: 2.0,
         threads: 4,
-        cm: CmKind::Local,
         livelock_timeout: 0.5,
         ..Default::default()
     };

@@ -92,9 +92,18 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Request, String> {
     if content_length > MAX_BODY {
         return Err(format!("body of {content_length} bytes exceeds {MAX_BODY}"));
     }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)
+    // Read through `take` into a growing buffer: the content-length is the
+    // client's promise, so memory follows the bytes that actually arrive.
+    let mut body = Vec::new();
+    r.take(content_length as u64)
+        .read_to_end(&mut body)
         .map_err(|e| format!("short body: {e}"))?;
+    if body.len() != content_length {
+        return Err(format!(
+            "short body: content-length promises {content_length} bytes, got {}",
+            body.len()
+        ));
+    }
     Ok(Request { method, path, body })
 }
 

@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! pi2m mesh   <input.pim|phantom:NAME>... [--delta D] [--threads N]
-//!             [--cm aggressive|random|global|local] [--no-removals]
-//!             [--size S] [--stats] [--audit] [--force] [--deadline DUR]
-//!             [--shards AxBxC [--halo N]]
+//!             [--no-removals] [--size S] [--stats] [--audit] [--force]
+//!             [--deadline DUR] [--shards AxBxC [--halo N]]
 //!             one input:    [-o out.vtk] [--off out.off] [--report run.json]
 //!                           [--trace-out trace.json] [--metrics]
 //!             many inputs:  [--outdir DIR] [--reports] [--keep-going]
@@ -60,8 +59,8 @@ use pi2m::obs::json::Json;
 use pi2m::obs::{render_chrome_trace, render_prometheus, FlightEvent, RunReport, TraceSpan};
 use pi2m::quality;
 use pi2m::refine::{
-    CancelToken, CmKind, MesherConfig, MeshingSession, RefineError, RunOptions, ShardError,
-    ShardSpec, MAX_HALO,
+    CancelToken, MesherConfig, MeshingSession, RefineError, RunOptions, ShardError, ShardSpec,
+    MAX_HALO,
 };
 use pi2m::serve::parse_duration_str;
 use std::io::{BufWriter, Write};
@@ -95,7 +94,6 @@ fn init_journal(args: &Args, default_jsonl: bool) -> Result<Arc<Journal>, String
 struct MeshOpts {
     delta: Option<f64>,
     threads: usize,
-    cm: CmKind,
     size_fn: Option<Arc<dyn pi2m::oracle::SizeFn>>,
     enable_removals: bool,
     faults: Option<Arc<pi2m::faults::FaultPlan>>,
@@ -143,13 +141,6 @@ fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
         },
         None => std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_THREADS)),
     };
-    let cm = match args.flags.get("cm").map(String::as_str) {
-        None | Some("local") => CmKind::Local,
-        Some("global") => CmKind::Global,
-        Some("random") => CmKind::Random,
-        Some("aggressive") => CmKind::Aggressive,
-        Some(other) => return Err(format!("unknown --cm '{other}'")),
-    };
     let size_fn = positive_finite(args, "size")?
         .map(|s| Arc::new(pi2m::oracle::UniformSize(s)) as Arc<dyn pi2m::oracle::SizeFn>);
     // `--halo` is only read by a sharded run.
@@ -187,7 +178,6 @@ fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
     Ok(MeshOpts {
         delta,
         threads,
-        cm,
         size_fn,
         enable_removals: !args.switches.contains("no-removals"),
         faults: arm_faults(journal)?,
@@ -412,21 +402,18 @@ fn mesh_one(
     let cfg = MesherConfig {
         delta: o.delta.unwrap_or(2.0 * img.min_spacing()),
         threads: o.threads,
-        cm: o.cm,
         size_fn: o.size_fn.clone(),
         enable_removals: o.enable_removals,
         faults: o.faults.clone(),
         ..Default::default()
     };
-    let (delta, threads, cm) = (cfg.delta, o.threads, o.cm);
+    let (delta, threads) = (cfg.delta, o.threads);
     journal.info(
         "mesh.start",
         &[
             (
                 "msg",
-                Json::str(format!(
-                    "meshing {input}: δ={delta}, {threads} threads, {cm:?}-CM"
-                )),
+                Json::str(format!("meshing {input}: δ={delta}, {threads} threads")),
             ),
             ("input", Json::str(input)),
             ("delta", Json::num(delta)),
@@ -498,11 +485,16 @@ fn mesh_one(
             let tel = session.take_cancel_telemetry().unwrap_or_default();
             let wall_s = t0.elapsed().as_secs_f64();
             let report = run_report(input, &cfg, RunEnd::Cancelled(&tel), wall_s);
-            write_run_artifacts(out, o, &report, &tel.phases, &tel.flight, journal)
+            let written = write_run_artifacts(out, o, &report, &tel.phases, &tel.flight, journal)
                 .map_err(CliError::Io)?;
-            return Err(CliError::Cancelled(
-                "run cancelled (deadline); observability artifacts written".into(),
-            ));
+            let what = if written.is_empty() {
+                "no run report or trace was requested".to_string()
+            } else {
+                format!("wrote {}", written.join(", "))
+            };
+            return Err(CliError::Cancelled(format!(
+                "run cancelled (deadline); {what}"
+            )));
         }
         Err(ShardError::Run(e)) => return Err(CliError::from_refine(&e)),
         Err(e) => return Err(CliError::Generic(e.to_string())),
@@ -623,28 +615,31 @@ fn mesh_one(
 
 /// Write a run's requested report, trace and `--metrics` artifacts, all
 /// from its one run report (the trace adds the run's phase spans and
-/// flight log).
-fn write_run_artifacts(
-    out: &Outputs,
+/// flight log). Returns the paths of the files written.
+fn write_run_artifacts<'a>(
+    out: &'a Outputs,
     o: &MeshOpts,
     report: &RunReport,
     phases: &[TraceSpan],
     flight: &[FlightEvent],
     journal: &Journal,
-) -> Result<(), String> {
+) -> Result<Vec<&'a str>, String> {
+    let mut written = Vec::new();
     if let Some(path) = &out.report {
         write_new(path, &report.to_json_string(), o.force)?;
         wrote(journal, path);
+        written.push(path.as_str());
     }
     if let Some(path) = &out.trace {
         let trace = render_chrome_trace(phases, &report.metrics.events, flight);
         write_new(path, &trace, o.force)?;
         wrote(journal, path);
+        written.push(path.as_str());
     }
     if o.metrics {
         print!("{}", render_prometheus(report));
     }
-    Ok(())
+    Ok(written)
 }
 
 /// `pi2m serve`: the long-running meshing service (see `crates/serve`).

@@ -45,7 +45,6 @@ pub fn command_options(
                 "o",
                 "delta",
                 "threads",
-                "cm",
                 "size",
                 "off",
                 "report",
@@ -318,7 +317,6 @@ pub fn run_report(input: &str, cfg: &MesherConfig, end: RunEnd<'_>, wall_s: f64)
         .config("input", input)
         .config("delta", cfg.delta)
         .config("threads", cfg.threads)
-        .config("cm", format!("{:?}", cfg.cm))
         .config("enable_removals", cfg.enable_removals);
     if let RunEnd::Cancelled(_) = end {
         report.config("cancelled", true);

@@ -31,6 +31,14 @@ fn mesh_refuses_balancer() {
     assert!(stderr.contains("--balancer"), "{stderr}");
 }
 
+/// One contention manager, Local-CM: `--cm` is gone.
+#[test]
+fn mesh_refuses_cm() {
+    let (code, stderr) = pi2m(&["mesh", "phantom:sphere", "--cm", "local"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("--cm"), "{stderr}");
+}
+
 /// The two shapes of a `mesh` call: one input, and several inputs over one
 /// warm session.
 const ONE_AND_MANY: [&[&str]; 2] = [
@@ -440,4 +448,35 @@ fn surplus_positionals_and_batch_are_refused() {
     let (code, stderr) = pi2m(&["batch", "phantom:sphere"]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("usage: pi2m <"), "{stderr}");
+}
+
+/// A run its deadline kills exits 3 without writing its mesh, and names
+/// the artifacts it did write: none unless a report or trace was asked for.
+#[test]
+fn a_deadline_killed_run_names_what_it_wrote() {
+    let dir = fresh_dir("deadline");
+    let vtk = dir.join("dd.vtk");
+    let vtk = vtk.to_str().unwrap();
+    let report = dir.join("r.json");
+    let report = report.to_str().unwrap();
+    let killed = ["mesh", "phantom:sphere", "--deadline", "1ms", "-o", vtk];
+    let (code, stderr) = pi2m(&killed);
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(
+        stderr.contains("no run report or trace was requested"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("artifacts written"), "{stderr}");
+    let (code, stderr) = pi2m(&[&killed[..], &["--report", report]].concat());
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(
+        stderr.contains(&format!("deadline); wrote {report}")),
+        "{stderr}"
+    );
+    assert!(std::path::Path::new(report).exists());
+    assert!(
+        !std::path::Path::new(vtk).exists(),
+        "a killed run wrote its mesh"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

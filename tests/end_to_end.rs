@@ -4,7 +4,7 @@
 
 use pi2m::image::phantoms;
 use pi2m::quality::{boundary_report, hausdorff_distance, mesh_quality};
-use pi2m::refine::{CmKind, MesherConfig, MeshingSession};
+use pi2m::refine::{MesherConfig, MeshingSession};
 
 // One fresh session per run; tests/session.rs covers warm reuse.
 fn run(img: pi2m::image::LabeledImage, delta: f64, threads: usize) -> pi2m::refine::MeshOutput {
@@ -128,29 +128,23 @@ fn oversubscribed_parallel_run_is_consistent() {
 }
 
 #[test]
-fn every_cm_terminates_on_one_warm_session() {
-    // All four contention managers run back-to-back over ONE warm session:
-    // the contention manager and begging list are per-run state, so swapping
-    // the manager between runs on a reused pool must be safe.
+fn local_cm_terminates_on_one_warm_session() {
+    // Runs back-to-back over ONE warm session: the contention manager and
+    // begging list are per-run state, so a reused pool must start each run
+    // with fresh ones.
     let mut session = MeshingSession::new(3);
-    for cm in [
-        CmKind::Aggressive,
-        CmKind::Random,
-        CmKind::Global,
-        CmKind::Local,
-    ] {
+    for run in 0..2 {
         let out = session
             .mesh(
                 phantoms::sphere(14, 1.0),
                 MesherConfig {
                     delta: 2.5,
                     threads: 3,
-                    cm,
                     ..Default::default()
                 },
             )
-            .unwrap_or_else(|e| panic!("{cm:?} failed: {e}"));
-        assert!(out.mesh.num_tets() > 0, "{cm:?} produced empty mesh");
+            .unwrap_or_else(|e| panic!("run {run} failed: {e}"));
+        assert!(out.mesh.num_tets() > 0, "run {run} produced empty mesh");
     }
 }
 
@@ -181,4 +175,47 @@ fn meshio_roundtrip_artifacts() {
     let mut off = Vec::new();
     pi2m::meshio::write_off(&out.mesh, &mut off).unwrap();
     assert!(String::from_utf8(off).unwrap().starts_with("OFF"));
+}
+
+/// Every tetrahedron read back from a VTK file is right-handed, as VTK
+/// expects: (p1−p0)×(p2−p0)·(p3−p0) > 0.
+#[test]
+fn vtk_tets_read_back_right_handed() {
+    let out = run(phantoms::abdominal(1.0), 2.0, 2);
+    let mut vtk = Vec::new();
+    pi2m::meshio::write_vtk(&out.mesh, &mut vtk).unwrap();
+    let text = String::from_utf8(vtk).unwrap();
+    let mut lines = text.lines();
+    let count = |lines: &mut std::str::Lines, key: &str| -> usize {
+        let line = lines.find(|l| l.starts_with(key)).unwrap();
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    };
+    let nums = |line: &str| -> Vec<f64> {
+        line.split_whitespace()
+            .map(|t| t.parse().unwrap())
+            .collect()
+    };
+    let points: Vec<Vec<f64>> = (0..count(&mut lines, "POINTS"))
+        .map(|_| nums(lines.next().unwrap()))
+        .collect();
+    let cells = count(&mut lines, "CELLS");
+    assert_eq!(cells, out.mesh.num_tets());
+    let inverted = (0..cells)
+        .filter(|_| {
+            let c = nums(lines.next().unwrap());
+            let [p0, p1, p2, p3] = [1, 2, 3, 4].map(|k| &points[c[k] as usize]);
+            let e = |p: &Vec<f64>| [p[0] - p0[0], p[1] - p0[1], p[2] - p0[2]];
+            let (a, b, d) = (e(p1), e(p2), e(p3));
+            let cross = [
+                a[1] * b[2] - a[2] * b[1],
+                a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0],
+            ];
+            cross[0] * d[0] + cross[1] * d[1] + cross[2] * d[2] <= 0.0
+        })
+        .count();
+    assert_eq!(
+        inverted, 0,
+        "{inverted} of {cells} tets are not right-handed"
+    );
 }

@@ -7,7 +7,7 @@ use pi2m::image::phantoms;
 use pi2m::obs::flight::EventKind;
 use pi2m::obs::json::{self, Json};
 use pi2m::obs::{analyze, attribute, AnalyzeOpts, Category, RunReport};
-use pi2m::refine::{time_attribution, CmKind, MeshOutput, MesherConfig, MeshingSession};
+use pi2m::refine::{time_attribution, MeshOutput, MesherConfig, MeshingSession};
 use std::sync::Arc;
 
 const CONTENTION_KEYS: &[&str] = &[
@@ -23,15 +23,14 @@ const CONTENTION_KEYS: &[&str] = &[
     "windows",
 ];
 
-fn run(threads: usize, cm: CmKind, res: usize) -> MeshOutput {
-    run_with(threads, cm, res, None)
+fn run(threads: usize, res: usize) -> MeshOutput {
+    run_with(threads, res, None)
 }
 
-fn run_with(threads: usize, cm: CmKind, res: usize, faults: Option<FaultPlan>) -> MeshOutput {
+fn run_with(threads: usize, res: usize, faults: Option<FaultPlan>) -> MeshOutput {
     let cfg = MesherConfig {
         delta: 2.0,
         threads,
-        cm,
         faults: faults.map(Arc::new),
         ..Default::default()
     };
@@ -44,7 +43,7 @@ fn run_with(threads: usize, cm: CmKind, res: usize, faults: Option<FaultPlan>) -
 /// golden keys, whose totals agree with the engine's own counters.
 #[test]
 fn two_thread_run_produces_golden_contention_structure() {
-    let out = run(2, CmKind::Local, 16);
+    let out = run(2, 16);
     let report = analyze(
         &out.flight,
         AnalyzeOpts {
@@ -100,18 +99,19 @@ fn two_thread_run_produces_golden_contention_structure() {
 /// contention-analysis work).
 #[test]
 fn four_thread_run_attributes_rollbacks() {
-    // Aggressive CM on a small sphere: maximal speculative contention. On
-    // two cores the four workers may still never collide, so a seeded plan
-    // also denies every 400th lock acquisition (a few times per run): an
+    // Four workers on a small sphere: maximal speculative contention. On
+    // two cores the workers may still never collide, so a seeded plan also
+    // denies every 400th lock acquisition (a few times per run): an
     // injected denial rolls back through the same path as a real conflict
     // and names the vertex it was taking, so every schedule has rollbacks
-    // to attribute.
+    // to attribute. The denial names the operating thread as the owner,
+    // so the contention manager never parks on it.
     let plan = FaultPlan::parse(
         42,
         &format!("site={},kind=deny,every=400,count=6", sites::LOCK_ACQUIRE),
     )
     .unwrap();
-    let out = run_with(4, CmKind::Aggressive, 20, Some(plan));
+    let out = run_with(4, 20, Some(plan));
     assert!(
         out.stats.total_rollbacks() > 0,
         "no contention generated — test workload too easy"

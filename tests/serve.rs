@@ -889,3 +889,95 @@ fn sharded_job_runs_and_echoes_spec() {
     assert_eq!(r.attempts, 1, "plan errors must not retry");
     assert!(svc.drain(Duration::from_secs(10)));
 }
+
+/// `len` bytes of a xorshift stream seeded by `seed`.
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        })
+        .collect()
+}
+
+/// `valid` after `edits` byte edits drawn from `seed`: each overwrites,
+/// inserts or deletes one byte, and half of the written bytes are ASCII
+/// digits and delimiters, which reach further into a parser than noise.
+fn mutate(valid: &[u8], edits: usize, seed: u64) -> Vec<u8> {
+    let mut out = valid.to_vec();
+    let draws = noise(4 * edits, seed);
+    for d in draws.chunks(4) {
+        let at = (u16::from_le_bytes([d[0], d[1]]) as usize) % (out.len() + 1);
+        const SYNTAX: &[u8] = b"0123456789-.:,{}[]\"\r\n eE";
+        let byte = match d[3] % 2 {
+            0 => SYNTAX[d[2] as usize % SYNTAX.len()],
+            _ => d[2],
+        };
+        match d[3] % 3 {
+            0 if at < out.len() => out[at] = byte,
+            1 if at < out.len() => {
+                out.remove(at);
+            }
+            _ => out.insert(at, byte),
+        }
+    }
+    out
+}
+
+const SPEC_TEXT: &str = r#"{"input":"phantom:sphere","delta":3.0,"threads":2,"priority":"high","deadline":"5s","max_retries":1,"shards":"2x1x1","halo":3}"#;
+
+fn request_text() -> Vec<u8> {
+    format!(
+        "POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{SPEC_TEXT}",
+        SPEC_TEXT.len()
+    )
+    .into_bytes()
+}
+
+use proptest::prelude::*;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// Any bytes on the socket give a request or a typed error, and a
+    /// request's body is the bytes that follow its header block.
+    #[test]
+    fn read_request_never_panics(
+        noisy in 0u8..2,
+        len in 0usize..600,
+        edits in 1usize..12,
+        seed in any::<u64>(),
+    ) {
+        let bytes = match noisy {
+            0 => noise(len, seed),
+            _ => mutate(&request_text(), edits, seed),
+        };
+        if let Ok(req) = pi2m::serve::http::read_request(&mut &bytes[..]) {
+            prop_assert!(req.path.starts_with('/'));
+            let head = bytes.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+            prop_assert_eq!(&bytes[head..head + req.body.len()], &req.body[..]);
+        }
+    }
+
+    /// Any bytes as a job spec give a spec or a typed error.
+    #[test]
+    fn job_spec_from_json_never_panics(
+        noisy in 0u8..2,
+        len in 0usize..300,
+        edits in 1usize..12,
+        seed in any::<u64>(),
+    ) {
+        let bytes = match noisy {
+            0 => noise(len, seed),
+            _ => mutate(SPEC_TEXT.as_bytes(), edits, seed),
+        };
+        if let Ok(v) = json::parse(&String::from_utf8_lossy(&bytes)) {
+            if let Ok(spec) = JobSpec::from_json(&v) {
+                prop_assert!(!spec.input.is_empty());
+            }
+        }
+    }
+}
