@@ -82,8 +82,6 @@ pub struct TraceInfo {
     /// Completed stages as `(name, seconds)` in completion order, paired
     /// from `stage_started`/`stage_finished` events on the run clock.
     pub stages: Vec<(String, f64)>,
-    /// Per-chunk spans of a sharded job.
-    pub shard_chunks: u64,
     /// `(status, t_s)` of the terminal event, `None` while non-terminal.
     pub terminal: Option<(String, f64)>,
 }
@@ -96,22 +94,6 @@ impl TraceInfo {
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(n, s)| (n.as_str(), *s))
     }
-}
-
-/// Lenient view of a run report's sharded-run section. Every field is
-/// optional on disk: a run cancelled mid-shard may carry the section header
-/// without per-chunk accounting, and the renderer must degrade to "not
-/// recorded" rather than erroring.
-#[derive(Clone, Debug, Default)]
-pub struct ShardInfo {
-    /// Chunk grid as `AxBxC`, or `"?"` when absent.
-    pub grid: String,
-    pub halo: u64,
-    pub lanes: u64,
-    pub seed_points: u64,
-    /// Per-chunk `(tets, wall_s)` in plan order; `None` when the report was
-    /// cut short before chunk accounting was written.
-    pub chunks: Option<Vec<(u64, f64)>>,
 }
 
 /// Batched-kernel counters of a run report (the `pred_batch_*` and
@@ -190,8 +172,6 @@ pub struct ReportInfo {
     /// The worker-time attribution; `None` for a report that describes no
     /// refinement run of its own (the serve daemon's aggregate).
     pub attribution: Option<TimeAttribution>,
-    /// The sharded-run section, when the report carries one.
-    pub shard: Option<ShardInfo>,
     pub batch: BatchKernelInfo,
     /// Completed kernel operations (`ops_total`).
     pub ops_total: u64,
@@ -306,7 +286,6 @@ fn load_trace(j: &Json) -> TraceInfo {
                     t.stages.push((name, get_f64(ev, "run_t_s") - started));
                 }
             }
-            "shard_chunk" => t.shard_chunks += 1,
             "terminal" => t.terminal = Some((get_str(ev, "status"), get_f64(ev, "t_s"))),
             _ => {}
         }
@@ -344,17 +323,6 @@ fn load_report(j: &Json) -> ReportInfo {
         attribution: j
             .get("time_attribution")
             .and_then(TimeAttribution::from_json),
-        shard: j.get("shard").map(|s| ShardInfo {
-            grid: get_str(s, "grid"),
-            halo: get_u64(s, "halo"),
-            lanes: get_u64(s, "lanes"),
-            seed_points: get_u64(s, "seed_points"),
-            chunks: s.get("chunks").and_then(Json::as_arr).map(|arr| {
-                arr.iter()
-                    .map(|c| (get_u64(c, "tets"), get_f64(c, "wall_s")))
-                    .collect()
-            }),
-        }),
         batch: BatchKernelInfo {
             orient_batches: cnt("pred_batch_orient_batches"),
             orient_lanes: cnt("pred_batch_orient_lanes"),
@@ -450,7 +418,7 @@ fn render_attribution(out: &mut String, a: &TimeAttribution) {
 
 /// Render a served job's lifecycle timeline: queue wait, per-attempt
 /// checkouts and failures, completed stage durations with the dominant
-/// phase, shard chunks, terminal state. Anything the trace did not record
+/// phase, terminal state. Anything the trace did not record
 /// degrades to an explicit "not recorded" line.
 fn render_trace_summary(out: &mut String, t: &TraceInfo) {
     let _ = writeln!(
@@ -511,15 +479,6 @@ fn render_trace_summary(out: &mut String, t: &TraceInfo) {
             }
         }
     }
-    if t.shard_chunks > 0 {
-        let _ = writeln!(out, "shards  : {} chunk span{}", t.shard_chunks, {
-            if t.shard_chunks == 1 {
-                ""
-            } else {
-                "s"
-            }
-        });
-    }
     match &t.terminal {
         Some((status, at)) => {
             let _ = writeln!(out, "terminal: {status} at {at:.3}s");
@@ -530,8 +489,8 @@ fn render_trace_summary(out: &mut String, t: &TraceInfo) {
     }
 }
 
-/// Render a run report: config, throughput, rollback ratio, phases, shard
-/// and kernel counters, the attribution table and the hot spots.
+/// Render a run report: config, throughput, rollback ratio, phases,
+/// kernel counters, the attribution table and the hot spots.
 fn render_report_summary(out: &mut String, r: &ReportInfo) {
     let _ = writeln!(
         out,
@@ -566,36 +525,6 @@ fn render_report_summary(out: &mut String, r: &ReportInfo) {
             .map(|(name, s)| format!("{name} {s:.3}s"))
             .collect();
         let _ = writeln!(out, "phases  : {}", phases.join(", "));
-    }
-    if let Some(shard) = &r.shard {
-        let _ = writeln!(
-            out,
-            "sharded : grid {}, halo {}, {} lane{}, {} seed vertices",
-            shard.grid,
-            shard.halo,
-            shard.lanes,
-            if shard.lanes == 1 { "" } else { "s" },
-            shard.seed_points
-        );
-        match &shard.chunks {
-            Some(chunks) if !chunks.is_empty() => {
-                let tets: u64 = chunks.iter().map(|&(t, _)| t).sum();
-                let slowest = chunks.iter().map(|&(_, w)| w).fold(0.0f64, f64::max);
-                let _ = writeln!(
-                    out,
-                    "chunks  : {} meshed, {} pre-stitch tets, slowest {:.3}s",
-                    chunks.len(),
-                    tets,
-                    slowest
-                );
-            }
-            _ => {
-                let _ = writeln!(
-                    out,
-                    "chunks  : not recorded (run cancelled before chunk accounting)"
-                );
-            }
-        }
     }
     let b = &r.batch;
     let _ = writeln!(
@@ -925,55 +854,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_section_loads_and_renders() {
-        let mut r = RunReport::new("pi2m");
-        r.threads = 2;
-        r.wall_s = 1.0;
-        r.shard = Some(crate::report::ShardSection {
-            grid: "2x1x1".into(),
-            halo: 4,
-            lanes: 2,
-            seed_points: 100,
-            seed_duplicates: 1,
-            chunks: vec![
-                crate::report::ShardChunk {
-                    index: [0, 0, 0],
-                    tets: 80,
-                    vertices: 40,
-                    wall_s: 0.1,
-                },
-                crate::report::ShardChunk {
-                    index: [1, 0, 0],
-                    tets: 90,
-                    vertices: 45,
-                    wall_s: 0.2,
-                },
-            ],
-        });
-        let text = r.to_json_string();
-        let shard = report(&text).shard.expect("shard info");
-        assert_eq!(shard.grid, "2x1x1");
-        assert_eq!(shard.chunks.as_deref(), Some(&[(80, 0.1), (90, 0.2)][..]));
-        let s = render_summary(&load_artifact(&text).unwrap());
-        assert!(s.contains("grid 2x1x1, halo 4, 2 lanes"), "{s}");
-        assert!(s.contains("2 meshed, 170 pre-stitch tets"), "{s}");
-    }
-
-    #[test]
-    fn truncated_shard_section_degrades_to_not_recorded() {
-        // a cancelled sharded run can flush the section header without the
-        // per-chunk accounting; analyze must render, not error
+    fn an_old_shard_section_is_skipped_like_any_unknown_key() {
+        // reports written while the CLI still sharded carry a `shard`
+        // section; it is an unknown key now and must not stop the render
         let text = r#"{
             "kind": "run_report", "schema": 8, "tool": "pi2m", "threads": 2, "wall_s": 0.5,
             "shard": {"grid": "2x2x2", "halo": 3, "lanes": 4, "seed_points": 0}
         }"#;
-        assert!(report(text).shard.expect("shard info").chunks.is_none());
         let s = render_summary(&load_artifact(text).unwrap());
-        assert!(s.contains("grid 2x2x2"), "{s}");
-        assert!(
-            s.contains("chunks  : not recorded (run cancelled before chunk accounting)"),
-            "{s}"
-        );
+        assert!(s.contains("run     : 2 threads, 0.500s wall"), "{s}");
+        assert!(!s.contains("2x2x2"), "{s}");
     }
 
     #[test]
@@ -996,23 +886,21 @@ mod tests {
                 {"t_s": 0.15, "kind": "stage_started", "stage": "volume_refinement", "run_t_s": 0.031},
                 {"t_s": 0.35, "kind": "stage_finished", "stage": "volume_refinement", "run_t_s": 0.231},
                 {"t_s": 0.36, "kind": "shard_chunk", "index": "0,0,0", "tets": 100, "wall_s": 0.1},
-                {"t_s": 0.36, "kind": "shard_chunk", "index": "1,0,0", "tets": 120, "wall_s": 0.12},
                 {"t_s": 0.4, "kind": "terminal", "status": "succeeded", "attempts": 2}
             ]
         }"#;
         let t = trace(text);
         assert_eq!(t.id, "job-3");
-        assert_eq!(t.events, 15);
+        assert_eq!(t.events, 14);
         assert_eq!(t.queue_wait_s, Some(0.01));
         assert_eq!(t.checkouts, vec![0, 1]);
         assert_eq!(t.backoffs, 1);
         assert_eq!(t.failures, vec!["worker_loss (transient, retried)"]);
         assert_eq!(t.stages.len(), 3);
-        assert_eq!(t.shard_chunks, 2);
         assert_eq!(t.terminal.as_ref().unwrap().0, "succeeded");
         assert_eq!(t.dominant_stage().unwrap().0, "volume_refinement");
         let s = render_summary(&load_artifact(text).unwrap());
-        assert!(s.contains("job trace (job-3, schema v2, 15 events)"), "{s}");
+        assert!(s.contains("job trace (job-3, schema v2, 14 events)"), "{s}");
         assert!(s.contains("queue   : waited 0.010s"), "{s}");
         assert!(s.contains("2 checkouts (gen 0, gen 1), 1 backoff"), "{s}");
         assert!(
@@ -1020,7 +908,9 @@ mod tests {
             "{s}"
         );
         assert!(s.contains("dominant stage: volume_refinement"), "{s}");
-        assert!(s.contains("shards  : 2 chunk spans"), "{s}");
+        // an event kind this reader does not know (an old trace's
+        // `shard_chunk`) is counted and otherwise skipped
+        assert!(!s.contains("shard"), "{s}");
         assert!(s.contains("terminal: succeeded at 0.400s"), "{s}");
     }
 

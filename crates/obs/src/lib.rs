@@ -52,10 +52,9 @@ pub use cancel::{CancelToken, Cancelled};
 pub use export::{render_chrome_trace, render_prometheus};
 pub use flight::{EventKind, FlightEvent, FlightLog};
 pub use inspect::{
-    load_artifact, render_diff, render_summary, Artifact, ArtifactKind, ReportInfo, ShardInfo,
-    TraceInfo,
+    load_artifact, render_diff, render_summary, Artifact, ArtifactKind, ReportInfo, TraceInfo,
 };
 pub use journal::{Journal, Level};
 pub use metrics::{CounterId, HistId, MetricDef, MetricKind, MetricsSnapshot, ThreadRecorder};
-pub use report::{PhaseReport, RunReport, ShardChunk, ShardSection, TraceSpan};
+pub use report::{PhaseReport, RunReport, TraceSpan};
 pub use span::{Phases, SpanGuard};

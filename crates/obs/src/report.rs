@@ -24,70 +24,6 @@ pub struct PhaseReport {
     pub seconds: f64,
 }
 
-/// Per-chunk record inside a [`ShardSection`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShardChunk {
-    /// Position in the shard grid (`[ix, iy, iz]`).
-    pub index: [usize; 3],
-    /// Tetrahedra in the chunk's pre-stitch mesh.
-    pub tets: u64,
-    /// Vertices in the chunk's pre-stitch mesh.
-    pub vertices: u64,
-    /// Wall time of the chunk's pipeline run, seconds.
-    pub wall_s: f64,
-}
-
-/// The sharded-run section of a report (`None` — key absent — for
-/// monolithic runs and for sharded runs cancelled before chunk accounting).
-#[derive(Clone, Debug, Default)]
-pub struct ShardSection {
-    /// Chunk grid as `AxBxC`, e.g. `"2x2x1"`.
-    pub grid: String,
-    /// Halo overlap in voxels.
-    pub halo: usize,
-    /// Concurrent chunk lanes used.
-    pub lanes: usize,
-    /// Vertices carried from the chunks into the stitch seed.
-    pub seed_points: u64,
-    /// Bit-exact duplicates dropped while gathering the seed.
-    pub seed_duplicates: u64,
-    /// Per-chunk records, in plan order.
-    pub chunks: Vec<ShardChunk>,
-}
-
-impl ShardSection {
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("grid", Json::str(&self.grid)),
-            ("halo", Json::int(self.halo as u64)),
-            ("lanes", Json::int(self.lanes as u64)),
-            ("seed_points", Json::int(self.seed_points)),
-            ("seed_duplicates", Json::int(self.seed_duplicates)),
-            (
-                "chunks",
-                Json::Arr(
-                    self.chunks
-                        .iter()
-                        .map(|c| {
-                            Json::obj(vec![
-                                (
-                                    "index",
-                                    Json::Arr(
-                                        c.index.iter().map(|&i| Json::int(i as u64)).collect(),
-                                    ),
-                                ),
-                                ("tets", Json::int(c.tets)),
-                                ("vertices", Json::int(c.vertices)),
-                                ("wall_s", Json::num(c.wall_s)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
 /// A machine-readable account of one run.
 #[derive(Clone, Debug, Default)]
 pub struct RunReport {
@@ -116,8 +52,6 @@ pub struct RunReport {
     /// of worker time (`None` — key absent — for a report that describes no
     /// refinement run of its own, such as the serve daemon's aggregate).
     pub attribution: Option<TimeAttribution>,
-    /// Sharded-run accounting (`None` — key absent — for monolithic runs).
-    pub shard: Option<ShardSection>,
 }
 
 impl RunReport {
@@ -255,9 +189,6 @@ impl RunReport {
         if let Some(a) = &self.attribution {
             fields.push(("time_attribution", a.to_json()));
         }
-        if let Some(s) = &self.shard {
-            fields.push(("shard", s.to_json()));
-        }
         Json::obj(fields)
     }
 
@@ -352,42 +283,9 @@ mod tests {
         assert_eq!(h.get("count").unwrap().as_f64(), Some(1.0));
         assert_eq!(r.elements_per_second(), 500.0);
         // optional sections are absent while their producers are off
-        for key in ["contention", "time_attribution", "shard"] {
+        for key in ["contention", "time_attribution"] {
             assert!(j.get(key).is_none(), "unexpected {key}");
         }
-    }
-
-    #[test]
-    fn shard_section_appears_when_set() {
-        let mut r = RunReport::new("test");
-        r.shard = Some(ShardSection {
-            grid: "2x1x1".to_string(),
-            halo: 4,
-            lanes: 2,
-            seed_points: 120,
-            seed_duplicates: 3,
-            chunks: vec![
-                ShardChunk {
-                    index: [0, 0, 0],
-                    tets: 80,
-                    vertices: 40,
-                    wall_s: 0.1,
-                },
-                ShardChunk {
-                    index: [1, 0, 0],
-                    tets: 90,
-                    vertices: 45,
-                    wall_s: 0.12,
-                },
-            ],
-        });
-        let j = crate::json::parse(&r.to_json_string()).unwrap();
-        let s = j.get("shard").expect("shard section");
-        assert_eq!(s.get("grid").unwrap().as_str(), Some("2x1x1"));
-        assert_eq!(s.get("halo").unwrap().as_f64(), Some(4.0));
-        let chunks = s.get("chunks").unwrap().as_arr().unwrap();
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[1].get("tets").unwrap().as_f64(), Some(90.0));
     }
 
     #[test]

@@ -59,9 +59,6 @@ pub use integrity::{audit_mesh, AuditReport, Violation};
 pub use output::FinalMesh;
 pub use pi2m_obs::{CancelToken, Cancelled};
 pub use rules::{InsertAction, RuleConfig, Rules};
-pub use shard::{
-    mesh_sharded, parse_shard_grid, split_plan, ChunkRun, ChunkSpec, ShardError, ShardRun,
-    ShardSpec, MAX_HALO,
-};
+pub use shard::{mesh_sharded, split_plan, ChunkRun, ChunkSpec, ShardError, ShardRun, ShardSpec};
 pub use stats::{time_attribution, RefineStats, ThreadStats};
 pub use sync::EngineSync;

@@ -95,31 +95,59 @@ impl FinalMesh {
 
     /// The boundary triangles of the mesh: faces incident to exactly one
     /// tetrahedron, plus interior faces separating tetrahedra of different
-    /// tissue labels (multi-material interfaces). Oriented arbitrarily.
+    /// tissue labels (multi-material interfaces).
+    ///
+    /// Each face comes out once, in the order of the first tetrahedron that
+    /// has it, wound so its normal (b−a)×(c−a) points out of the
+    /// tetrahedron that owns it: the only one on the boundary, the
+    /// lower-label one on an interface. The closed surface of a one-tissue
+    /// mesh therefore encloses `+volume()`.
     pub fn boundary_triangles(&self) -> Vec<[u32; 3]> {
-        use std::collections::HashMap;
-        // sorted face key -> (first label, count)
-        let mut faces: HashMap<[u32; 3], (Label, u8, [u32; 3])> = HashMap::new();
+        // A face as its owner sees it: outward winding, owner label, how
+        // many tetrahedra share it, and whether their labels differ.
+        struct Face {
+            tri: [u32; 3],
+            label: Label,
+            count: u8,
+            interface: bool,
+        }
+        // A mesh of T tets has (4T + hull faces) / 2 distinct faces; 5T/2
+        // covers a hull of up to T faces without regrowing.
+        let distinct = 5 * self.tets.len() / 2;
+        let mut faces: Vec<Face> = Vec::with_capacity(distinct);
+        // sorted face key -> index into `faces`
+        let mut index: HashMap<[u32; 3], u32> = HashMap::with_capacity(distinct);
         for (t, &label) in self.tets.iter().zip(&self.labels) {
             for f in pi2m_geometry::TET_FACES {
-                let tri = [t[f[0]], t[f[1]], t[f[2]]];
+                // `TET_FACES` winds outward for orient3d-positive tets; the
+                // tets here are right-handed, so each face is reversed.
+                let tri = [t[f[0]], t[f[2]], t[f[1]]];
                 let mut key = tri;
                 key.sort_unstable();
-                faces
-                    .entry(key)
-                    .and_modify(|e| {
-                        e.1 += 1;
-                        if e.0 != label {
-                            e.1 |= 0x80; // mark label mismatch
-                        }
-                    })
-                    .or_insert((label, 1, tri));
+                let next = u32::try_from(faces.len()).expect("fewer than 2^32 faces");
+                let i = *index.entry(key).or_insert(next) as usize;
+                if i == faces.len() {
+                    faces.push(Face {
+                        tri,
+                        label,
+                        count: 1,
+                        interface: false,
+                    });
+                    continue;
+                }
+                let face = &mut faces[i];
+                face.count += 1;
+                face.interface |= face.label != label;
+                if label < face.label {
+                    face.tri = tri;
+                    face.label = label;
+                }
             }
         }
         faces
-            .into_values()
-            .filter(|&(_, count, _)| count == 1 || count & 0x80 != 0)
-            .map(|(_, _, tri)| tri)
+            .into_iter()
+            .filter(|f| f.count == 1 || f.interface)
+            .map(|f| f.tri)
             .collect()
     }
 

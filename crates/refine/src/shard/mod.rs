@@ -1,5 +1,11 @@
 //! Sharded meshing: chunked domain decomposition with seam stitching.
 //!
+//! No front door reaches this module: `pi2m mesh`, `pi2m serve` and the run
+//! report mesh one image with one refinement. On one machine a sharded run
+//! is 2.0–2.6× slower than a single refinement, uses more memory and emits
+//! more tets, so it stays only for the benchmark's `knee-sharded` workload
+//! and its `shard.*` per-layer metrics, and goes with them.
+//!
 //! A sharded run splits the labeled image into a grid of overlapping
 //! axis-aligned chunks ([`split_plan`]), meshes every chunk independently,
 //! and then *stitches*: the union of the chunk meshes' owned vertices is
@@ -19,7 +25,7 @@
 mod split;
 mod stitch;
 
-pub use split::{parse_shard_grid, split_plan, ChunkSpec, ShardError};
+pub use split::{split_plan, ChunkSpec, ShardError};
 
 use crate::engine::{MeshOutput, MesherConfig, MeshingSession, RunOptions};
 use crate::error::RefineError;
@@ -30,32 +36,21 @@ use pi2m_obs::metrics::{self, MetricsSnapshot};
 use pi2m_obs::Phases;
 use std::time::Instant;
 
-/// The widest halo a caller may ask for, in voxels: the bound `pi2m mesh
-/// --halo` and a serve job spec's `halo` share.
-pub const MAX_HALO: usize = 4096;
-
-/// How to shard a run: the chunk grid, the halo width, and the fan-out.
+/// How to shard a run: the chunk grid and the fan-out. The halo is always
+/// [`auto_halo`]'s, derived from δ.
 #[derive(Clone, Debug)]
 pub struct ShardSpec {
     /// Chunk grid (`[x, y, z]` counts), e.g. `[2, 2, 1]`.
     pub grid: [usize; 3],
-    /// Halo overlap in voxels per seam side. `None` derives one from δ:
-    /// `max(2, ceil(2δ / min_spacing))`, the reach of the R1/R2 proximity
-    /// checks in voxels.
-    pub halo: Option<usize>,
     /// Concurrent chunk lanes (each lane is its own single-threaded warm
     /// session). `None` uses `min(chunk count, cfg.threads)`.
     pub lanes: Option<usize>,
 }
 
 impl ShardSpec {
-    /// A spec for `grid` with derived halo and fan-out.
+    /// A spec for `grid` with derived fan-out.
     pub fn new(grid: [usize; 3]) -> ShardSpec {
-        ShardSpec {
-            grid,
-            halo: None,
-            lanes: None,
-        }
+        ShardSpec { grid, lanes: None }
     }
 }
 
@@ -94,8 +89,9 @@ pub struct ShardRun {
     pub seed_duplicates: u64,
 }
 
-/// The δ-derived default halo: the R1/R2 proximity checks reach 2δ, so the
-/// halo must cover at least that many voxels of context past the seam.
+/// The halo of every sharded run, in voxels per seam side: the R1/R2
+/// proximity checks reach 2δ, so the halo must cover at least that many
+/// voxels of context past the seam.
 pub fn auto_halo(delta: f64, min_spacing: f64) -> usize {
     ((2.0 * delta / min_spacing).ceil() as usize).max(2)
 }
@@ -121,9 +117,7 @@ pub fn mesh_sharded(
 ) -> Result<ShardRun, ShardError> {
     let mut phases = Phases::new();
     let origin = Instant::now();
-    let halo = spec
-        .halo
-        .unwrap_or_else(|| auto_halo(cfg.delta, img.min_spacing()));
+    let halo = auto_halo(cfg.delta, img.min_spacing());
     let plan = {
         let _g = phases.span("shard_split");
         split_plan(img.dims(), spec.grid, halo)?

@@ -42,7 +42,7 @@ impl ChunkSpec {
     }
 }
 
-/// Typed failures of shard planning (and of parsing a `AxBxC` grid spec).
+/// Typed failures of shard planning.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShardError {
     /// A grid axis was zero.
@@ -60,8 +60,6 @@ pub enum ShardError {
         halo: usize,
         chunk: usize,
     },
-    /// A `AxBxC` grid spec that did not parse.
-    BadGridSpec(String),
     /// A chunk or stitch run failed with a typed engine error.
     Run(crate::error::RefineError),
 }
@@ -80,9 +78,6 @@ impl std::fmt::Display for ShardError {
                 f,
                 "halo {halo} is not narrower than the {chunk}-voxel chunk core on axis {axis}"
             ),
-            ShardError::BadGridSpec(s) => {
-                write!(f, "bad shard grid '{s}' (expected AxBxC, e.g. 2x2x1)")
-            }
             ShardError::Run(e) => write!(f, "sharded run failed: {e}"),
         }
     }
@@ -94,24 +89,6 @@ impl From<crate::error::RefineError> for ShardError {
     fn from(e: crate::error::RefineError) -> ShardError {
         ShardError::Run(e)
     }
-}
-
-/// Parse a `AxBxC` shard-grid spec (e.g. `2x2x1`).
-pub fn parse_shard_grid(s: &str) -> Result<[usize; 3], ShardError> {
-    let bad = || ShardError::BadGridSpec(s.to_string());
-    let mut it = s.trim().split('x');
-    let mut grid = [0usize; 3];
-    for g in &mut grid {
-        *g = it
-            .next()
-            .and_then(|t| t.parse().ok())
-            .filter(|&v| v >= 1)
-            .ok_or_else(bad)?;
-    }
-    if it.next().is_some() {
-        return Err(bad());
-    }
-    Ok(grid)
 }
 
 /// Chunk boundary `i` of `shards` over `dim` voxels (balanced split).
@@ -250,14 +227,5 @@ mod tests {
         let wide = split_plan(dims, [1, 1, 1], usize::MAX).unwrap();
         assert_eq!(wide, split_plan(dims, [1, 1, 1], 0).unwrap());
         assert_eq!((wide[0].lo, wide[0].hi), ([0; 3], dims));
-    }
-
-    #[test]
-    fn grid_spec_parses_and_rejects() {
-        assert_eq!(parse_shard_grid("2x2x1"), Ok([2, 2, 1]));
-        assert_eq!(parse_shard_grid(" 1x1x1 "), Ok([1, 1, 1]));
-        for bad in ["", "2x2", "2x2x2x2", "0x1x1", "ax1x1", "2X2X2", "-1x1x1"] {
-            assert!(parse_shard_grid(bad).is_err(), "accepted '{bad}'");
-        }
     }
 }

@@ -79,11 +79,6 @@ pub struct JobSpec {
     pub deadline_s: Option<f64>,
     /// Per-job override of the service retry budget.
     pub max_retries: Option<u32>,
-    /// Shard grid `[x, y, z]`: mesh as overlapping chunks and stitch the
-    /// seams instead of one monolithic run. Submitted as `"shards":"AxBxC"`.
-    pub shards: Option<[usize; 3]>,
-    /// Halo overlap in voxels for a sharded job (δ-derived when absent).
-    pub halo: Option<usize>,
 }
 
 impl JobSpec {
@@ -100,8 +95,6 @@ impl JobSpec {
             priority: Priority::Normal,
             deadline_s: None,
             max_retries: None,
-            shards: None,
-            halo: None,
         };
         for (k, val) in fields {
             match k.as_str() {
@@ -138,19 +131,6 @@ impl JobSpec {
                     }
                     spec.deadline_s = Some(d);
                 }
-                "shards" => {
-                    let g = val.as_str().ok_or("shards: expected a 'AxBxC' string")?;
-                    spec.shards =
-                        Some(pi2m_refine::parse_shard_grid(g).map_err(|e| format!("shards: {e}"))?);
-                }
-                "halo" => {
-                    let h = val.as_f64().ok_or("halo: expected a number")?;
-                    let max = pi2m_refine::MAX_HALO;
-                    if h.fract() != 0.0 || !(0.0..=max as f64).contains(&h) {
-                        return Err(format!("halo: must be an integer in 0..={max}, got {h}"));
-                    }
-                    spec.halo = Some(h as usize);
-                }
                 "max_retries" => {
                     let n = val.as_f64().ok_or("max_retries: expected a number")?;
                     if n.fract() != 0.0 || !(0.0..=100.0).contains(&n) {
@@ -183,12 +163,6 @@ impl JobSpec {
         }
         if let Some(n) = self.max_retries {
             fields.push(("max_retries", Json::int(n as u64)));
-        }
-        if let Some(g) = self.shards {
-            fields.push(("shards", Json::str(format!("{}x{}x{}", g[0], g[1], g[2]))));
-        }
-        if let Some(h) = self.halo {
-            fields.push(("halo", Json::int(h as u64)));
         }
         Json::obj(fields)
     }
@@ -361,8 +335,7 @@ mod tests {
     fn spec_parses_full_form() {
         let v = json::parse(
             r#"{"input":"phantom:sphere","delta":3.0,"threads":2,
-                "priority":"high","deadline":"500ms","max_retries":1,
-                "shards":"2x2x1","halo":3}"#,
+                "priority":"high","deadline":"500ms","max_retries":1}"#,
         )
         .unwrap();
         let s = JobSpec::from_json(&v).unwrap();
@@ -372,12 +345,9 @@ mod tests {
         assert_eq!(s.priority, Priority::High);
         assert_eq!(s.deadline_s, Some(0.5));
         assert_eq!(s.max_retries, Some(1));
-        assert_eq!(s.shards, Some([2, 2, 1]));
-        assert_eq!(s.halo, Some(3));
         // echoed on the wire
         let j = s.to_json();
-        assert_eq!(j.get("shards").unwrap().as_str(), Some("2x2x1"));
-        assert_eq!(j.get("halo").unwrap().as_f64(), Some(3.0));
+        assert_eq!(j.get("max_retries").unwrap().as_f64(), Some(1.0));
     }
 
     #[test]
@@ -389,9 +359,8 @@ mod tests {
             r#"{"input":"x","priority":"urgent"}"#, // bad priority
             r#"{"input":"x","deadline":0}"#,        // zero deadline
             r#"{"input":"x","bogus":1}"#,           // unknown field
-            r#"{"input":"x","shards":"2x2"}"#,      // bad shard grid
-            r#"{"input":"x","shards":221}"#,        // shards must be a string
-            r#"{"input":"x","halo":2.5}"#,          // fractional halo
+            r#"{"input":"x","shards":"2x1x1"}"#,    // sharding is not a job field
+            r#"{"input":"x","halo":3}"#,            // nor is a halo
             r#"[1,2,3]"#,                           // not an object
         ] {
             let v = json::parse(body).unwrap();

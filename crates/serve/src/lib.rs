@@ -26,7 +26,7 @@
 //!   starts, `/metrics` exposes the queue/shed/retry/drain counters.
 //! * **Per-job accountability** — every admitted job accumulates a typed
 //!   [`JobTrace`] (admit → queue wait → checkout → attempts/backoffs →
-//!   stage transitions → shard chunks → terminal), served at
+//!   stage transitions → terminal), served at
 //!   `GET /jobs/<id>/trace`. Each trace event is also the journal line
 //!   `job.<kind>` in a leveled JSONL
 //!   [`Journal`](pi2m_obs::Journal), and `/metrics` carries per-class

@@ -25,8 +25,8 @@
 //!
 //! A job's deadline is its attempt's [`CancelToken`] deadline, which every
 //! cooperative cancellation point of the engine polls (the worker loop,
-//! the EDT passes, the stage boundaries, the shard chunk loop); a backoff
-//! checks the same instant. No other timer exists.
+//! the EDT passes, the stage boundaries); a backoff checks the same
+//! instant. No other timer exists.
 //!
 //! ## One account per job
 //!
@@ -819,47 +819,9 @@ impl MeshService {
             cancel: Some(token),
             on_stage: Some(on_stage.clone()),
         };
-        // Sharded jobs route through the chunk-and-stitch orchestrator on
-        // the same warm session; plan errors are deterministic (a retry
-        // cannot fix a degenerate grid), engine errors keep their class.
-        let result = match spec.shards {
-            Some(grid) => pi2m_refine::mesh_sharded(
-                session,
-                img,
-                cfg,
-                &run_opts,
-                &pi2m_refine::ShardSpec {
-                    grid,
-                    halo: spec.halo,
-                    lanes: None,
-                },
-            )
-            .map(|run| {
-                // Chunk accounting becomes per-chunk spans on the trace.
-                for c in &run.chunks {
-                    self.event(
-                        id,
-                        TraceEventKind::ShardChunk {
-                            index: c.index,
-                            tets: c.tets,
-                            wall_s: c.wall_s,
-                        },
-                    );
-                }
-                run.out
-            })
-            .map_err(|e| match e {
-                pi2m_refine::ShardError::Run(e) => AttemptFailure::from_refine(&e),
-                other => AttemptFailure {
-                    class: FailureClass::Deterministic,
-                    kind: "shard",
-                    message: other.to_string(),
-                },
-            }),
-            None => session
-                .mesh_with(img, cfg, &run_opts)
-                .map_err(|e| AttemptFailure::from_refine(&e)),
-        };
+        let result = session
+            .mesh_with(img, cfg, &run_opts)
+            .map_err(|e| AttemptFailure::from_refine(&e));
         self.running.lock().remove(&id);
         let out = result?;
         let run_s = t0.elapsed().as_secs_f64();

@@ -4,9 +4,9 @@
 //! timestamped events covering its whole lifecycle — admission, queue wait,
 //! slot checkout (with the session generation that served it), every
 //! attempt's failure classification and backoff, pipeline stage
-//! transitions (via the refine `StageCallback`), per-chunk shard spans,
-//! and the terminal state. The trace answers "where did *this* job's
-//! latency go?", which `/metrics` aggregates cannot.
+//! transitions (via the refine `StageCallback`), and the terminal state.
+//! The trace answers "where did *this* job's latency go?", which
+//! `/metrics` aggregates cannot.
 //!
 //! Timestamps are seconds since the job was *submitted*, measured on the
 //! record's monotonic clock and clamped non-decreasing on push. The trace
@@ -26,10 +26,10 @@ use pi2m_obs::report::TraceSpan;
 /// `"job_trace"`): the one `pi2m analyze` reads.
 pub const TRACE_SCHEMA_VERSION: u32 = ArtifactKind::JobTrace.schema();
 
-/// Hard cap on events per job. A sharded retry storm is the worst case
-/// (chunks × attempts + stages); past the cap the trace drops further
-/// events and records how many were lost, so a pathological job cannot
-/// grow its record without bound.
+/// Hard cap on events per job. A retry storm is the worst case (each
+/// attempt adds a checkout, its stages, a failure and a backoff); past the
+/// cap the trace drops further events and records how many were lost, so a
+/// pathological job cannot grow its record without bound.
 pub const TRACE_EVENT_CAP: usize = 512;
 
 /// One lifecycle moment. `t_s` is seconds since submission.
@@ -62,12 +62,6 @@ pub enum TraceEventKind {
     StageStarted { stage: &'static str, run_t_s: f64 },
     /// A pipeline stage finished.
     StageFinished { stage: &'static str, run_t_s: f64 },
-    /// One shard chunk completed (sharded jobs only).
-    ShardChunk {
-        index: [usize; 3],
-        tets: u64,
-        wall_s: f64,
-    },
     /// An attempt died with a classified failure.
     AttemptFailed {
         attempt: u32,
@@ -90,7 +84,6 @@ impl TraceEventKind {
             TraceEventKind::Checkout { .. } => "checkout",
             TraceEventKind::StageStarted { .. } => "stage_started",
             TraceEventKind::StageFinished { .. } => "stage_finished",
-            TraceEventKind::ShardChunk { .. } => "shard_chunk",
             TraceEventKind::AttemptFailed { .. } => "attempt_failed",
             TraceEventKind::Backoff { .. } => "backoff",
             TraceEventKind::Terminal { .. } => "terminal",
@@ -99,7 +92,7 @@ impl TraceEventKind {
 
     /// The level of the event's journal line `job.<name>`: admissions
     /// and successes at info, failures at warn, the rest (queue wait,
-    /// checkouts, stages, shard chunks, backoffs) at debug.
+    /// checkouts, stages, backoffs) at debug.
     pub(crate) fn journal_level(&self) -> Level {
         match self {
             TraceEventKind::Admitted { .. }
@@ -136,18 +129,6 @@ impl TraceEventKind {
             | TraceEventKind::StageFinished { stage, run_t_s } => vec![
                 ("stage", Json::str(*stage)),
                 ("run_t_s", Json::num(*run_t_s)),
-            ],
-            TraceEventKind::ShardChunk {
-                index,
-                tets,
-                wall_s,
-            } => vec![
-                (
-                    "index",
-                    Json::str(format!("{},{},{}", index[0], index[1], index[2])),
-                ),
-                ("tets", Json::int(*tets)),
-                ("wall_s", Json::num(*wall_s)),
             ],
             TraceEventKind::AttemptFailed {
                 attempt,
@@ -228,15 +209,13 @@ impl JobTrace {
     /// Durations are reconstructed from the typed events: the queue wait
     /// becomes a span ending at its record time, stage started/finished
     /// pairs become pipeline spans (per attempt — a retried job shows each
-    /// attempt's stages), and each shard chunk becomes a span on its own
-    /// track. Instant lifecycle moments (checkout, failures, backoff,
-    /// terminal) render as zero-duration markers.
+    /// attempt's stages). Instant lifecycle moments (checkout, failures,
+    /// backoff, terminal) render as zero-duration markers.
     pub fn to_chrome_trace(&self) -> String {
         let mut phases: Vec<TraceSpan> = Vec::new();
         let mut events: Vec<(u32, ObsEvent)> = Vec::new();
         // Open stage starts awaiting their finish, by stage name.
         let mut open: Vec<(&'static str, f64, f64)> = Vec::new(); // (stage, t_s, run_t_s)
-        let mut chunk_track: u32 = 0;
         for e in &self.events {
             match &e.kind {
                 TraceEventKind::QueueWait { wait_s } => phases.push(TraceSpan {
@@ -257,21 +236,9 @@ impl JobTrace {
                         });
                     }
                 }
-                TraceEventKind::ShardChunk { wall_s, .. } => {
-                    events.push((
-                        chunk_track,
-                        ObsEvent {
-                            name: "chunk",
-                            cat: "shard",
-                            at_s: (e.t_s - wall_s).max(0.0),
-                            dur_s: *wall_s,
-                        },
-                    ));
-                    chunk_track += 1;
-                }
                 other => {
                     events.push((
-                        chunk_track,
+                        0,
                         ObsEvent {
                             name: other.name(),
                             cat: "job",

@@ -3,7 +3,7 @@
 //! ```text
 //! pi2m mesh   <input.pim|phantom:NAME>... [--delta D] [--threads N]
 //!             [--no-removals] [--size S] [--stats] [--audit] [--force]
-//!             [--deadline DUR] [--shards AxBxC [--halo N]]
+//!             [--deadline DUR]
 //!             one input:    [-o out.vtk] [--off out.off] [--report run.json]
 //!                           [--trace-out trace.json] [--metrics]
 //!             many inputs:  [--outdir DIR] [--reports] [--keep-going]
@@ -14,10 +14,7 @@
 //!             <stem>.report.json, and the one-input file flags are
 //!             refused. Every output path is checked before the first input
 //!             loads. --deadline gives each input a fresh deadline, and a
-//!             run it kills still writes its run report; --shards meshes
-//!             the image as a grid of overlapping chunks and stitches the
-//!             seams — see README "Sharded meshing"; --halo is 0 to 4096
-//!             voxels and needs --shards
+//!             run it kills still writes its run report
 //! pi2m phantom <name> <out.pim> [--scale S]    generate a phantom image
 //! pi2m info   <input.pim>                      print image metadata
 //! pi2m analyze <artifact.json> [new.json]      offline artifact inspection:
@@ -58,10 +55,7 @@ use pi2m::obs::journal::{Journal, Level};
 use pi2m::obs::json::Json;
 use pi2m::obs::{render_chrome_trace, render_prometheus, FlightEvent, RunReport, TraceSpan};
 use pi2m::quality;
-use pi2m::refine::{
-    CancelToken, MesherConfig, MeshingSession, RefineError, RunOptions, ShardError, ShardSpec,
-    MAX_HALO,
-};
+use pi2m::refine::{CancelToken, MesherConfig, MeshingSession, RefineError, RunOptions};
 use pi2m::serve::parse_duration_str;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
@@ -97,7 +91,6 @@ struct MeshOpts {
     size_fn: Option<Arc<dyn pi2m::oracle::SizeFn>>,
     enable_removals: bool,
     faults: Option<Arc<pi2m::faults::FaultPlan>>,
-    shards: Option<ShardSpec>,
     /// Each input's run gets a fresh token with this deadline.
     deadline: Option<Duration>,
     audit: bool,
@@ -126,8 +119,8 @@ fn positive_finite(args: &Args, name: &str) -> Result<Option<f64>, String> {
 const MAX_THREADS: usize = 1024;
 
 /// Parse and bound-check the mesh options. A bad `--threads`, `--delta`,
-/// `--size`, `--halo`, `--shards` or `--deadline` is refused here, naming
-/// its flag, before any input is loaded.
+/// `--size` or `--deadline` is refused here, naming its flag, before any
+/// input is loaded.
 fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
     let delta = positive_finite(args, "delta")?;
     let threads = match args.flags.get("threads") {
@@ -143,32 +136,6 @@ fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
     };
     let size_fn = positive_finite(args, "size")?
         .map(|s| Arc::new(pi2m::oracle::UniformSize(s)) as Arc<dyn pi2m::oracle::SizeFn>);
-    // `--halo` is only read by a sharded run.
-    let halo = args
-        .flags
-        .get("halo")
-        .map(|v| match v.parse::<usize>() {
-            Ok(h) if h <= MAX_HALO => Ok(h),
-            _ => Err(format!(
-                "bad --halo '{v}': must be an integer from 0 to {MAX_HALO}"
-            )),
-        })
-        .transpose()?;
-    if halo.is_some() && !args.flags.contains_key("shards") {
-        return Err("--halo needs --shards: only a sharded run has a halo".into());
-    }
-    let shards = args
-        .flags
-        .get("shards")
-        .map(|v| -> Result<ShardSpec, String> {
-            let grid = pi2m::refine::parse_shard_grid(v).map_err(|e| e.to_string())?;
-            Ok(ShardSpec {
-                grid,
-                halo,
-                lanes: None,
-            })
-        })
-        .transpose()?;
     let deadline = args
         .flags
         .get("deadline")
@@ -181,7 +148,6 @@ fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
         size_fn,
         enable_removals: !args.switches.contains("no-removals"),
         faults: arm_faults(journal)?,
-        shards,
         deadline,
         audit: args.switches.contains("audit"),
         stats: args.switches.contains("stats"),
@@ -426,57 +392,9 @@ fn mesh_one(
     };
 
     let t0 = Instant::now();
-    let ran = match &o.shards {
-        None => session
-            .mesh_with(img, cfg.clone(), &run_opts)
-            .map(|out| (out, None))
-            .map_err(ShardError::Run),
-        Some(spec) => {
-            pi2m::refine::mesh_sharded(session, img, cfg.clone(), &run_opts, spec).map(|run| {
-                journal.info(
-                    "mesh.sharded",
-                    &[
-                        (
-                            "msg",
-                            Json::str(format!(
-                                "sharded: {} chunks over {} lane(s), halo {} voxels, {} seed \
-                                 vertices ({} duplicates dropped)",
-                                run.chunks.len(),
-                                run.lanes,
-                                run.halo,
-                                run.seed_points,
-                                run.seed_duplicates
-                            )),
-                        ),
-                        ("chunks", Json::int(run.chunks.len() as u64)),
-                        ("lanes", Json::int(run.lanes as u64)),
-                        ("halo", Json::int(run.halo as u64)),
-                    ],
-                );
-                let section = pi2m::obs::ShardSection {
-                    grid: format!("{}x{}x{}", run.grid[0], run.grid[1], run.grid[2]),
-                    halo: run.halo,
-                    lanes: run.lanes,
-                    seed_points: run.seed_points,
-                    seed_duplicates: run.seed_duplicates,
-                    chunks: run
-                        .chunks
-                        .iter()
-                        .map(|c| pi2m::obs::ShardChunk {
-                            index: c.index,
-                            tets: c.tets,
-                            vertices: c.vertices,
-                            wall_s: c.wall_s,
-                        })
-                        .collect(),
-                };
-                (run.out, Some(section))
-            })
-        }
-    };
-    let (mesh, shard) = match ran {
-        Ok(ran) => ran,
-        Err(ShardError::Run(RefineError::Cancelled)) => {
+    let mesh = match session.mesh_with(img, cfg.clone(), &run_opts) {
+        Ok(mesh) => mesh,
+        Err(RefineError::Cancelled) => {
             // A run its deadline killed still reports, through the same
             // builder and writer as a finished one, from the telemetry the
             // session salvaged at the cancellation point (none when the run
@@ -496,8 +414,7 @@ fn mesh_one(
                 "run cancelled (deadline); {what}"
             )));
         }
-        Err(ShardError::Run(e)) => return Err(CliError::from_refine(&e)),
-        Err(e) => return Err(CliError::Generic(e.to_string())),
+        Err(e) => return Err(CliError::from_refine(&e)),
     };
     let dt = t0.elapsed().as_secs_f64();
     let tets = mesh.mesh.num_tets();
@@ -587,11 +504,7 @@ fn mesh_one(
 
     // --- observability exports -------------------------------------------
     if out.report.is_some() || out.trace.is_some() || o.metrics {
-        let mut report = run_report(input, &cfg, RunEnd::Finished(&mesh), dt);
-        if let Some(s) = &shard {
-            report.config("shards", &s.grid).config("halo", s.halo);
-            report.shard = Some(s.clone());
-        }
+        let report = run_report(input, &cfg, RunEnd::Finished(&mesh), dt);
         write_run_artifacts(out, o, &report, &mesh.phases, &mesh.flight, journal)
             .map_err(CliError::Io)?;
     }

@@ -50,8 +50,6 @@ pub fn command_options(
                 "report",
                 "trace-out",
                 "deadline",
-                "shards",
-                "halo",
                 "outdir",
                 "log",
             ],
@@ -396,6 +394,12 @@ mod tests {
             err(&["mesh", "phantom:sphere", "--thread", "7"]),
             "pi2m mesh does not take --thread"
         );
+        for flag in ["--shards", "--halo"] {
+            assert_eq!(
+                err(&["mesh", "x.pim", flag, "2"]),
+                format!("pi2m mesh does not take {flag}")
+            );
+        }
         for flag in ["--shards", "--deadline"] {
             assert_eq!(
                 err(&["serve", flag, "2x1x1"]),

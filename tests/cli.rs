@@ -57,9 +57,9 @@ fn mesh_and_batch_refuse_no_flight() {
     }
 }
 
-/// A `--halo` outside 0..=4096 is refused before the input loads (it
-/// does not exist here, so loading it would exit 4), with or without
-/// `--shards`.
+/// A `--halo` of any value is refused before the input loads (it does
+/// not exist here, so loading it would exit 4), with or without
+/// `--shards`: `mesh` no longer reads either option.
 #[test]
 fn mesh_refuses_a_halo_out_of_bounds() {
     for halo in ["4097", "18446744073709551614", "-1", "2.5"] {
@@ -73,14 +73,25 @@ fn mesh_refuses_a_halo_out_of_bounds() {
     }
 }
 
-/// `--halo` means something only to a sharded run, so `mesh` refuses it
-/// without `--shards` instead of meshing unsharded and ignoring it.
+/// `--halo` without `--shards` is refused too, instead of meshing and
+/// ignoring it.
 #[test]
 fn mesh_refuses_a_halo_without_shards() {
     for input in ["phantom:sphere", "no-such-input.pim"] {
         let (code, stderr) = pi2m(&["mesh", input, "--halo", "3"]);
         assert_eq!(code, Some(1), "{input}: {stderr}");
         assert!(stderr.contains("--halo"), "{input}: {stderr}");
+    }
+}
+
+/// One refinement per image: `--shards` and `--halo` are gone, and are
+/// refused like any option `mesh` does not read.
+#[test]
+fn mesh_refuses_shards_and_halo() {
+    for (flag, value) in [("--shards", "2x1x1"), ("--halo", "3")] {
+        let (code, stderr) = pi2m(&["mesh", "phantom:sphere", flag, value]);
+        assert_eq!(code, Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
     }
 }
 
@@ -265,10 +276,9 @@ fn fresh_dir(name: &str) -> std::path::PathBuf {
 }
 
 /// Several inputs on one `mesh` call each get the whole per-input path:
-/// sharding, a deadline, the audit, and a run report with its shard
-/// section, written as `<outdir>/<stem>.*`.
+/// a deadline, the audit, and a run report, written as `<outdir>/<stem>.*`.
 #[test]
-fn mesh_of_many_inputs_shards_audits_and_reports_each() {
+fn mesh_of_many_inputs_audits_and_reports_each() {
     let dir = fresh_dir("many");
     let outdir = dir.join("multi");
     let outdir = outdir.to_str().unwrap();
@@ -280,8 +290,6 @@ fn mesh_of_many_inputs_shards_audits_and_reports_each() {
         "3",
         "--threads",
         "2",
-        "--shards",
-        "2x1x1",
         "--deadline",
         "60s",
         "--audit",
@@ -296,12 +304,11 @@ fn mesh_of_many_inputs_shards_audits_and_reports_each() {
         assert!(vtk.starts_with("# vtk"), "{stem}");
         let report = std::fs::read_to_string(format!("{outdir}/{stem}.report.json")).unwrap();
         let report = pi2m::obs::json::parse(&report).unwrap();
-        let shard = report.get("shard").expect("a shard section");
-        assert_eq!(shard.get("grid").and_then(Json::as_str), Some("2x1x1"));
         assert_eq!(
-            shard.get("chunks").and_then(Json::as_arr).map(<[_]>::len),
-            Some(2)
+            report.get("kind").and_then(Json::as_str),
+            Some("run_report")
         );
+        assert!(report.get("time_attribution").is_some(), "{stem}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -177,6 +177,56 @@ fn meshio_roundtrip_artifacts() {
     assert!(String::from_utf8(off).unwrap().starts_with("OFF"));
 }
 
+/// The OFF surface of a one-tissue mesh faces outward, so the volume it
+/// encloses (the divergence sum over its triangles) is the mesh's own
+/// `+volume()`, and writing it twice gives the same bytes.
+#[test]
+fn off_surface_encloses_the_mesh_volume_and_is_reproducible() {
+    let out = run(phantoms::sphere(24, 1.0), 3.0, 1);
+    let write = || {
+        let mut off = Vec::new();
+        pi2m::meshio::write_off(&out.mesh, &mut off).unwrap();
+        String::from_utf8(off).unwrap()
+    };
+    let text = write();
+    assert_eq!(text, write(), "two writes of one mesh differ");
+    let mut lines = text.lines();
+    assert_eq!(lines.next(), Some("OFF"));
+    let counts: Vec<usize> = lines
+        .next()
+        .unwrap()
+        .split_whitespace()
+        .map(|t| t.parse().unwrap())
+        .collect();
+    let nums = |line: &str| -> Vec<f64> {
+        line.split_whitespace()
+            .map(|t| t.parse().unwrap())
+            .collect()
+    };
+    let points: Vec<Vec<f64>> = (0..counts[0])
+        .map(|_| nums(lines.next().unwrap()))
+        .collect();
+    let enclosed: f64 = (0..counts[1])
+        .map(|_| {
+            let f = nums(lines.next().unwrap());
+            assert_eq!(f[0], 3.0);
+            let [a, b, c] = [1, 2, 3].map(|k| &points[f[k] as usize]);
+            let cross = [
+                b[1] * c[2] - b[2] * c[1],
+                b[2] * c[0] - b[0] * c[2],
+                b[0] * c[1] - b[1] * c[0],
+            ];
+            (a[0] * cross[0] + a[1] * cross[1] + a[2] * cross[2]) / 6.0
+        })
+        .sum();
+    let volume = out.mesh.volume();
+    assert!(volume > 0.0);
+    assert!(
+        (enclosed - volume).abs() <= 1e-9 * volume,
+        "OFF encloses {enclosed}, the tets sum to {volume}"
+    );
+}
+
 /// Every tetrahedron read back from a VTK file is right-handed, as VTK
 /// expects: (p1−p0)×(p2−p0)·(p3−p0) > 0.
 #[test]

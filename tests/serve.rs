@@ -29,8 +29,6 @@ fn spec(input: &str) -> JobSpec {
         priority: Priority::Normal,
         deadline_s: None,
         max_retries: None,
-        shards: None,
-        halo: None,
     }
 }
 
@@ -842,51 +840,44 @@ fn http_api_round_trips_jobs_and_metrics() {
     handle.join().unwrap();
 }
 
+/// One refinement per image: a job asking for `shards` or a `halo` is
+/// refused at submission like any other unknown field, and never queued.
 #[test]
-fn sharded_job_runs_and_echoes_spec() {
+fn a_job_with_shards_or_halo_is_refused() {
+    use pi2m::serve::HttpServer;
+
     let svc = MeshService::start(ServiceConfig {
         sessions: 1,
-        threads: 2,
+        threads: 1,
         queue_capacity: 4,
-        spool: spool("shard"),
+        spool: spool("no-shards"),
         ..Default::default()
     })
     .unwrap();
-    let id = svc
-        .submit(JobSpec {
-            shards: Some([2, 1, 1]),
-            halo: Some(3),
-            ..spec("phantom:sphere")
+    let server = HttpServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let handle = {
+        let svc = Arc::clone(&svc);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            server.serve(svc, || stop.load(std::sync::atomic::Ordering::SeqCst))
         })
-        .unwrap();
-    let r = wait_terminal(&svc, id, Duration::from_secs(120));
-    assert_eq!(r.status, JobStatus::Succeeded, "{:?}", r.error);
-    assert!(r.tets.unwrap() > 50);
-    assert!(r.artifact.as_ref().unwrap().exists());
-    // the record echoes the sharding the job ran with
-    let j = r.to_json();
-    let spec_json = j.get("spec").unwrap();
-    assert_eq!(spec_json.get("shards").unwrap().as_str(), Some("2x1x1"));
-    assert_eq!(spec_json.get("halo").unwrap().as_f64(), Some(3.0));
-    // and its trace carries one span per chunk of the 2x1x1 grid
-    let chunk_spans = r
-        .trace
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, pi2m::serve::TraceEventKind::ShardChunk { .. }))
-        .count();
-    assert_eq!(chunk_spans, 2, "one shard span per chunk");
-    // a degenerate grid fails deterministically (no retries burned)
-    let id = svc
-        .submit(JobSpec {
-            shards: Some([64, 64, 64]),
-            ..spec("phantom:sphere")
-        })
-        .unwrap();
-    let r = wait_terminal(&svc, id, Duration::from_secs(60));
-    assert_eq!(r.status, JobStatus::Failed);
-    assert_eq!(r.error_kind.as_deref(), Some("shard"));
-    assert_eq!(r.attempts, 1, "plan errors must not retry");
+    };
+    for (field, body) in [
+        ("shards", r#"{"input":"phantom:sphere","shards":"2x1x1"}"#),
+        ("halo", r#"{"input":"phantom:sphere","halo":3}"#),
+    ] {
+        let (code, reply) = http(&addr, "POST", "/jobs", body);
+        assert_eq!(code, 400, "{field}: {reply}");
+        assert!(
+            reply.contains(&format!("unknown job field '{field}'")),
+            "{field}: {reply}"
+        );
+    }
+    assert_eq!(svc.counter(m::SERVE_JOBS_SUBMITTED), 0);
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    handle.join().unwrap();
     assert!(svc.drain(Duration::from_secs(10)));
 }
 
@@ -927,7 +918,7 @@ fn mutate(valid: &[u8], edits: usize, seed: u64) -> Vec<u8> {
     out
 }
 
-const SPEC_TEXT: &str = r#"{"input":"phantom:sphere","delta":3.0,"threads":2,"priority":"high","deadline":"5s","max_retries":1,"shards":"2x1x1","halo":3}"#;
+const SPEC_TEXT: &str = r#"{"input":"phantom:sphere","delta":3.0,"threads":2,"priority":"high","deadline":"5s","max_retries":1}"#;
 
 fn request_text() -> Vec<u8> {
     format!(

@@ -296,11 +296,7 @@ fn splitter_degenerates_are_typed_errors() {
         phantoms::sphere(8, 1.0),
         cfg(2.0, 1),
         &Default::default(),
-        &ShardSpec {
-            grid: [9, 1, 1],
-            halo: Some(0),
-            lanes: None,
-        },
+        &ShardSpec::new([9, 1, 1]),
     );
     match result {
         Err(ShardError::GridExceedsDim { .. }) => {}
@@ -328,7 +324,6 @@ fn stitched_mesh_is_identical_across_lane_fanouts() {
             &Default::default(),
             &ShardSpec {
                 grid: [2, 2, 2],
-                halo: None,
                 lanes: Some(lanes),
             },
         )
