@@ -7,11 +7,20 @@
 //! symbolically perturbed [`insphere_sos`] predicate (keys = insertion
 //! timestamps), which makes the triangulation of any vertex set *unique*;
 //! the initial subdivision must therefore be the SoS-Delaunay triangulation
-//! of the corners under their keys — computed here by brute force over all
-//! 4-subsets (70 candidates, each an exact-arithmetic tie — ~0.4 ms, which
-//! is why it runs once per mesh and never per operation).
+//! of the corners under their keys. Brute force finds it over all 4-subsets
+//! (70 candidates, each needing exact-arithmetic ties: 0.5–1 ms). The
+//! answer is the same for every box with positive extents: `orient3d` of
+//! four corners is ex·ey·ez times a determinant of −1/0/1 entries, and any
+//! five corners are cospherical, so every sign the perturbed predicate
+//! reads is the unit box's. It is therefore computed once per process, and
+//! a box only supplies its corners.
 
 use pi2m_geometry::{insphere_sos, orient3d_sign, signed_volume, Aabb, Point3};
+use std::sync::OnceLock;
+
+/// The corners' keys: their vertex ids, as [`crate::SharedMesh::with_box`]
+/// allocates the corners first and in corner order.
+const CORNER_KEYS: [u64; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
 
 /// The 8 corners of a box; corner `i` uses `max` on axis `a` iff bit `a` of
 /// `i` is set.
@@ -125,11 +134,33 @@ pub fn virtual_box(domain: &Aabb) -> Aabb {
 /// of the initial box triangulation.
 pub type BoxMesh = ([[f64; 3]; 8], Vec<[usize; 4]>, Vec<[usize; 4]>);
 
+/// Tetrahedra as corner indices, and their adjacency.
+type CornerTets = (Vec<[usize; 4]>, Vec<[usize; 4]>);
+
+/// The SoS-Delaunay tetrahedra of a box's corners under `CORNER_KEYS`, and
+/// their adjacency: the same for every box (see the module doc), so they
+/// are brute-forced once, on the unit box.
+fn corner_triangulation() -> &'static CornerTets {
+    static TRIANGULATION: OnceLock<CornerTets> = OnceLock::new();
+    TRIANGULATION.get_or_init(|| {
+        let unit = Aabb::new(Point3::ORIGIN, Point3::new(1.0, 1.0, 1.0));
+        let tets = sos_delaunay_of_corners(&box_corners(&unit), &CORNER_KEYS);
+        let adj = brute_force_adjacency(&tets);
+        (tets, adj)
+    })
+}
+
 /// The initial triangulation of a box: corners, positively oriented
-/// SoS-Delaunay tetrahedra (under `keys`), and their adjacency.
-pub fn box_mesh(b: &Aabb, keys: &[u64; 8]) -> BoxMesh {
+/// SoS-Delaunay tetrahedra (under the corners' vertex ids), and their
+/// adjacency. Panics unless every extent of `b` is positive.
+pub fn box_mesh(b: &Aabb) -> BoxMesh {
+    let e = b.extent();
+    assert!(
+        e.x > 0.0 && e.y > 0.0 && e.z > 0.0,
+        "virtual box {b:?} has a non-positive extent"
+    );
     let corners = box_corners(b);
-    let tets = sos_delaunay_of_corners(&corners, keys);
+    let (tets, adj) = corner_triangulation();
     // the SoS-DT of hull points always tiles the hull; assert it
     let total: f64 = tets
         .iter()
@@ -142,13 +173,12 @@ pub fn box_mesh(b: &Aabb, keys: &[u64; 8]) -> BoxMesh {
             )
         })
         .sum();
-    let expect = b.extent().x * b.extent().y * b.extent().z;
+    let expect = e.x * e.y * e.z;
     assert!(
         (total - expect).abs() <= 1e-9 * expect,
         "box SoS-DT does not tile the box: {total} vs {expect}"
     );
-    let adj = brute_force_adjacency(&tets);
-    (corners, tets, adj)
+    (corners, tets.clone(), adj.clone())
 }
 
 #[cfg(test)]
@@ -160,11 +190,9 @@ mod tests {
         Aabb::new(P::new(0.0, 0.0, 0.0), P::new(1.0, 1.0, 1.0))
     }
 
-    const KEYS: [u64; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
-
     #[test]
     fn sos_dt_tiles_the_box() {
-        let (c, tets, _) = box_mesh(&unit_box(), &KEYS);
+        let (c, tets, _) = box_mesh(&unit_box());
         // 5 or 6 tets depending on the tie resolution; all positive volume
         assert!(
             tets.len() == 5 || tets.len() == 6,
@@ -184,27 +212,69 @@ mod tests {
 
     #[test]
     fn sos_dt_is_deterministic() {
-        let (_, t1, _) = box_mesh(&unit_box(), &KEYS);
-        let (_, t2, _) = box_mesh(&unit_box(), &KEYS);
+        let (_, t1, _) = box_mesh(&unit_box());
+        let (_, t2, _) = box_mesh(&unit_box());
         assert_eq!(t1, t2);
     }
 
+    /// Only the keys' order reaches the perturbed predicate: keys in
+    /// another order of magnitude, but in the same order, give the same
+    /// tets.
     #[test]
-    fn different_keys_still_tile() {
-        // any key assignment (here huge, in another order of magnitude than
-        // the init keys) must also produce a valid tiling
+    fn keys_in_the_same_order_give_the_same_tets() {
         let mut keys = [0u64; 8];
         for (k, slot) in keys.iter_mut().enumerate() {
             *slot = u64::MAX - 8 + k as u64;
         }
-        let (_, tets, adj) = box_mesh(&unit_box(), &keys);
-        assert!(!tets.is_empty());
-        assert_eq!(adj.len(), tets.len());
+        let corners = box_corners(&unit_box());
+        assert_eq!(
+            sos_delaunay_of_corners(&corners, &keys),
+            corner_triangulation().0
+        );
+    }
+
+    /// The once-computed triangulation is the brute-force one of any box:
+    /// random origins, extents from 1e-3 to 1e3 per axis, and thin slabs.
+    #[test]
+    fn cached_tets_match_brute_force_on_random_boxes() {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let cached = &corner_triangulation().0;
+        for i in 0..200 {
+            let min = P::new(
+                (next() - 0.5) * 2e3,
+                (next() - 0.5) * 2e3,
+                (next() - 0.5) * 2e3,
+            );
+            // log-uniform extents in [1e-3, 1e3]; every fourth box is a slab
+            // with one extent six orders of magnitude below another
+            let mut ext: [f64; 3] = std::array::from_fn(|_| 10f64.powf(next() * 6.0 - 3.0));
+            if i % 4 == 0 {
+                ext[i / 4 % 3] = 1e-3;
+                ext[(i / 4 + 1) % 3] = 1e3;
+            }
+            let b = Aabb::new(min, min + P::new(ext[0], ext[1], ext[2]));
+            let brute = sos_delaunay_of_corners(&box_corners(&b), &CORNER_KEYS);
+            assert_eq!(&brute, cached, "box {b:?}");
+            let (_, tets, _) = box_mesh(&b);
+            assert_eq!(&tets, cached);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-positive extent")]
+    fn a_flat_box_is_refused() {
+        box_mesh(&Aabb::new(P::new(0.0, 0.0, 0.0), P::new(1.0, 1.0, 0.0)));
     }
 
     #[test]
     fn adjacency_is_symmetric_and_complete() {
-        let (_, tets, adj) = box_mesh(&unit_box(), &KEYS);
+        let (_, tets, adj) = box_mesh(&unit_box());
         for (a, na) in adj.iter().enumerate() {
             for (i, &b) in na.iter().enumerate() {
                 if b == usize::MAX {
@@ -248,7 +318,7 @@ mod tests {
     #[test]
     fn anisotropic_box_works() {
         let b = Aabb::new(P::new(0.0, 0.0, 0.0), P::new(4.0, 2.0, 1.0));
-        let (_, tets, _) = box_mesh(&b, &KEYS);
+        let (_, tets, _) = box_mesh(&b);
         assert!(!tets.is_empty());
     }
 }

@@ -167,9 +167,8 @@ impl SharedMesh {
     pub fn with_box(b: Aabb) -> SharedMesh {
         let verts = VertexPool::new();
         let cells = CellPool::new();
-        // corner keys = their future vertex ids (0..8)
-        let keys: [u64; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
-        let (corners, tets, adj) = box_mesh(&b, &keys);
+        // the corners' keys in `box_mesh` are the ids allocated here (0..8)
+        let (corners, tets, adj) = box_mesh(&b);
 
         let mut corner_ids = [VertexId(NONE); 8];
         for (i, c) in corners.iter().enumerate() {
@@ -824,5 +823,18 @@ mod tests {
         assert_eq!(a.locks_held(), 1);
         a.unlock_all();
         assert_eq!(m.vertex(v).lock_owner(), None);
+    }
+
+    /// A small mesh holds one segment per pool: the box and a few points
+    /// fit the first, and nothing is allocated ahead of the ids in use.
+    #[test]
+    fn a_small_mesh_allocates_one_segment_per_pool() {
+        let m = unit_mesh();
+        let mut ctx = m.make_ctx(0);
+        for p in [[0.5, 0.5, 0.5], [0.25, 0.5, 0.5], [0.5, 0.75, 0.25]] {
+            ctx.insert(p, VertexKind::Circumcenter).unwrap();
+        }
+        assert_eq!(m.num_vertices(), 11);
+        assert_eq!((m.verts.segments(), m.cells.segments()), (1, 1));
     }
 }

@@ -1,14 +1,14 @@
 //! Lock-free segmented pools for vertices and cells.
 //!
 //! Both pools are arrays of lazily allocated fixed-size segments reached
-//! through a two-level table: 64 top entries inline in the pool, each
+//! through a two-level table: 256 top entries inline in the pool, each
 //! pointing to a leaf of 1024 segment pointers that is installed with its
 //! first segment. `get(id)` is three dependent loads (top → leaf → segment)
 //! and no locks — readers may race with writers by design (all fields are
 //! atomics; the speculative locking protocol plus generation validation make
 //! the races benign, see `crate::mesh`). What a pool allocates grows with the
 //! ids it has handed out, not with its 2^30-id capacity: one 8 KiB leaf per
-//! 2^24 ids beside the segments themselves.
+//! 2^22 ids beside the segments themselves.
 //!
 //! A [`Cell`] is 36 bytes and a [`Vertex`] 32: each record holds only what
 //! the kernel reads, with the alive bits folded into words it already has.
@@ -18,15 +18,20 @@ use std::marker::PhantomData;
 use std::ptr;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
-/// log2 of segment capacity.
-const SEG_SHIFT: u32 = 14;
+/// log2 of segment capacity. A segment is written in full when it is
+/// made (every record starts as `T::default()`), so it is resident from
+/// then on whether or not its slots are used: the vacant tail of the last
+/// segment is memory a call holds for nothing. 4096 records keep that
+/// tail under 144 KiB of cells and 128 KiB of vertices, and still make a
+/// segment install rare (one per 64 cell chunks).
+const SEG_SHIFT: u32 = 12;
 const SEG_SIZE: usize = 1 << SEG_SHIFT;
-/// log2 of the segment pointers in one leaf.
+/// log2 of the segment pointers in one leaf (an 8 KiB leaf).
 const LEAF_SHIFT: u32 = 10;
 const LEAF_SIZE: usize = 1 << LEAF_SHIFT;
-/// Top-level entries of a pool's table; with the two levels below them a
-/// pool holds at most 2^30 ids.
-const TOP_SIZE: usize = 64;
+/// Top-level entries of a pool's table (2 KiB inline in the pool); with
+/// the two levels below them a pool holds at most 2^30 ids.
+const TOP_SIZE: usize = 256;
 const MAX_IDS: usize = TOP_SIZE * LEAF_SIZE * SEG_SIZE;
 const _: () = assert!(MAX_IDS == 1 << 30);
 /// Cell slots a context reserves at a time when its free list runs dry: one
@@ -506,6 +511,19 @@ impl<T> Pool<T> {
         let _ = id;
     }
 
+    /// Segments allocated so far, counted through the table.
+    #[cfg(test)]
+    pub(crate) fn segments(&self) -> usize {
+        self.top
+            .iter()
+            .map(|slot| slot.load(Ordering::Acquire))
+            .filter(|leaf| !leaf.is_null())
+            // SAFETY: a non-null leaf lives until the pool drops.
+            .flat_map(|leaf| unsafe { &*leaf }.iter())
+            .filter(|seg| !seg.load(Ordering::Acquire).is_null())
+            .count()
+    }
+
     /// Access an element. Panics on ids past the table.
     #[inline]
     pub fn get(&self, id: u32) -> &T {
@@ -706,7 +724,7 @@ mod tests {
         assert_eq!(split(0), (0, 0, 0));
         assert_eq!(split(last), (TOP_SIZE - 1, LEAF_SIZE - 1, SEG_SIZE - 1));
         assert_eq!(split(last + 1).0, TOP_SIZE, "2^30 lies past the table");
-        assert_eq!(split(NONE).0, (NONE as usize) >> 24);
+        assert_eq!(split(NONE).0, (NONE as usize) >> (SEG_SHIFT + LEAF_SHIFT));
         for top in 0..TOP_SIZE {
             for seg in 0..LEAF_SIZE {
                 let first = ((top * LEAF_SIZE + seg) * SEG_SIZE) as u32;

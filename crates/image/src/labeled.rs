@@ -219,27 +219,36 @@ impl LabeledImage {
 
     /// World-space bounding box of foreground voxels (whole-voxel extents);
     /// `None` when the image is all background.
+    ///
+    /// Each row contributes its first and last foreground index; the box
+    /// is then the extreme voxels' faces. Voxel-center arithmetic is
+    /// monotone in the index, so this is bit for bit the box of every
+    /// foreground voxel's faces.
     pub fn foreground_bounds(&self) -> Option<Aabb> {
-        let mut bb = Aabb::empty();
-        let mut any = false;
-        for k in 0..self.dims[2] {
-            for j in 0..self.dims[1] {
-                for i in 0..self.dims[0] {
-                    if self.get(i, j, k) != BACKGROUND {
-                        any = true;
-                        let c = self.voxel_center(i, j, k);
-                        let h = Point3::new(
-                            self.spacing[0] * 0.5,
-                            self.spacing[1] * 0.5,
-                            self.spacing[2] * 0.5,
-                        );
-                        bb.include(c - h);
-                        bb.include(c + h);
-                    }
-                }
-            }
+        let fg = |&v: &Label| v != BACKGROUND;
+        let mut lo = [usize::MAX; 3];
+        let mut hi = [0; 3];
+        for (r, row) in self.data.chunks_exact(self.dims[0]).enumerate() {
+            let Some(first) = row.iter().position(fg) else {
+                continue;
+            };
+            let last = row.iter().rposition(fg).unwrap_or(first);
+            let (j, k) = (r % self.dims[1], r / self.dims[1]);
+            lo = [lo[0].min(first), lo[1].min(j), lo[2].min(k)];
+            hi = [hi[0].max(last), hi[1].max(j), hi[2].max(k)];
         }
-        any.then_some(bb)
+        if lo[0] == usize::MAX {
+            return None;
+        }
+        let h = Point3::new(
+            self.spacing[0] * 0.5,
+            self.spacing[1] * 0.5,
+            self.spacing[2] * 0.5,
+        );
+        Some(Aabb::new(
+            self.voxel_center(lo[0], lo[1], lo[2]) - h,
+            self.voxel_center(hi[0], hi[1], hi[2]) + h,
+        ))
     }
 
     /// Histogram of label populations, indexed by label value.
@@ -421,5 +430,76 @@ mod tests {
         assert_eq!(bb.max, Point3::new(3.0, 3.0, 2.0));
         let empty = LabeledImage::new([3, 3, 3], [1.0; 3]);
         assert!(empty.foreground_bounds().is_none());
+    }
+
+    /// The box of every foreground voxel's faces, voxel by voxel: the
+    /// reference `foreground_bounds` must equal bit for bit.
+    fn foreground_bounds_per_voxel(img: &LabeledImage) -> Option<Aabb> {
+        let mut bb = Aabb::empty();
+        let mut any = false;
+        let [nx, ny, nz] = img.dims();
+        let s = img.spacing();
+        let h = Point3::new(s[0] * 0.5, s[1] * 0.5, s[2] * 0.5);
+        for k in 0..nz {
+            for j in 0..ny {
+                for i in 0..nx {
+                    if img.get(i, j, k) != BACKGROUND {
+                        any = true;
+                        let c = img.voxel_center(i, j, k);
+                        bb.include(c - h);
+                        bb.include(c + h);
+                    }
+                }
+            }
+        }
+        any.then_some(bb)
+    }
+
+    fn same_bits(a: Option<Aabb>, b: Option<Aabb>) -> bool {
+        let bits = |bb: Option<Aabb>| {
+            bb.map(|bb| [bb.min, bb.max].map(|p| p.to_array().map(f64::to_bits)))
+        };
+        bits(a) == bits(b)
+    }
+
+    #[test]
+    fn foreground_bounds_match_the_per_voxel_box() {
+        for spec in crate::phantoms::specs(0.5) {
+            let img = crate::phantoms::by_name(spec.name, 0.5).unwrap();
+            let want = foreground_bounds_per_voxel(&img);
+            assert!(want.is_some(), "{}", spec.name);
+            assert!(same_bits(img.foreground_bounds(), want), "{}", spec.name);
+        }
+        let mut s = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s % n
+        };
+        for _ in 0..300 {
+            let dims = [0; 3].map(|_| 1 + next(9) as usize);
+            let spacing = [0; 3].map(|_| 0.1 + next(1000) as f64 / 333.0);
+            let mut img = LabeledImage::new(dims, spacing);
+            img.set_origin(Point3::new(
+                next(2001) as f64 / 7.0 - 140.0,
+                next(2001) as f64 / 3.0 - 300.0,
+                next(2001) as f64 * 0.37 - 0.1,
+            ));
+            // from empty to dense, so all-background images come up too
+            let odds = next(6);
+            for k in 0..dims[2] {
+                for j in 0..dims[1] {
+                    for i in 0..dims[0] {
+                        if next(8) < odds {
+                            img.set(i, j, k, 1 + next(3) as Label);
+                        }
+                    }
+                }
+            }
+            let want = foreground_bounds_per_voxel(&img);
+            let at = (dims, spacing, img.origin());
+            assert!(same_bits(img.foreground_bounds(), want), "{at:?}");
+        }
     }
 }

@@ -6,6 +6,11 @@
 //! connections are answered `503` immediately — the same shedding
 //! philosophy as the job queue), `Connection: close` on every response.
 //!
+//! An artifact is never read into memory: its response holds the open
+//! spool file, which is copied onto the socket through the connection's
+//! write buffer, so a fetch costs the daemon that buffer whatever the
+//! mesh's size.
+//!
 //! Routes:
 //!
 //! | route | behaviour |
@@ -15,7 +20,7 @@
 //! | `GET /jobs?recent=N` | compact summaries of the N newest jobs |
 //! | `GET /jobs/job-N` | poll one job record |
 //! | `GET /jobs/job-N/trace` | the job's lifecycle trace; `?format=chrome` for Perfetto |
-//! | `GET /jobs/job-N/artifact` | fetch the flushed VTK artifact (`409` until terminal) |
+//! | `GET /jobs/job-N/artifact` | stream the flushed VTK artifact from the spool (`409` until terminal) |
 //! | `GET /healthz` | liveness: `200` while the process serves |
 //! | `GET /readyz` | readiness: `503` once draining |
 //! | `GET /metrics` | Prometheus exposition |
@@ -25,7 +30,8 @@ use crate::job::{parse_job_name, JobSpec, JobStatus};
 use crate::queue::AdmitError;
 use crate::service::MeshService;
 use pi2m_obs::json::{self, Json};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::fs::File;
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -113,7 +119,26 @@ pub struct Response {
     pub status: u16,
     pub content_type: &'static str,
     pub retry_after_s: Option<u64>,
-    pub body: Vec<u8>,
+    pub body: Body,
+}
+
+/// What follows a response's head.
+pub enum Body {
+    Bytes(Vec<u8>),
+    /// An open file, sent from its read position (its start, once opened),
+    /// and its length. The length is read from the open file, and a
+    /// spooled artifact is renamed into place complete and never
+    /// rewritten, so the file cannot change size under the copy.
+    File(File, u64),
+}
+
+impl Body {
+    fn len(&self) -> u64 {
+        match self {
+            Body::Bytes(b) => b.len() as u64,
+            Body::File(_, len) => *len,
+        }
+    }
 }
 
 impl Response {
@@ -124,7 +149,7 @@ impl Response {
             status,
             content_type: "application/json",
             retry_after_s: None,
-            body,
+            body: Body::Bytes(body),
         }
     }
 
@@ -133,7 +158,7 @@ impl Response {
             status,
             content_type: "text/plain; charset=utf-8",
             retry_after_s: None,
-            body: s.as_bytes().to_vec(),
+            body: Body::Bytes(s.as_bytes().to_vec()),
         }
     }
 
@@ -160,8 +185,10 @@ impl Response {
         }
     }
 
-    /// Serialize onto the wire (`Connection: close` always).
-    pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
+    /// Serialize onto the wire (`Connection: close` always). A file body
+    /// is copied in pieces through `w`; one that ends before its promised
+    /// length is an `UnexpectedEof` error, never a short body sent as whole.
+    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
         write!(w, "HTTP/1.1 {} {}\r\n", self.status, self.reason())?;
         write!(w, "Content-Type: {}\r\n", self.content_type)?;
         write!(w, "Content-Length: {}\r\n", self.body.len())?;
@@ -169,7 +196,18 @@ impl Response {
             write!(w, "Retry-After: {s}\r\n")?;
         }
         write!(w, "Connection: close\r\n\r\n")?;
-        w.write_all(&self.body)?;
+        match &self.body {
+            Body::Bytes(b) => w.write_all(b)?,
+            Body::File(f, len) => {
+                let sent = io::copy(&mut f.take(*len), w)?;
+                if sent != *len {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        format!("file body ended after {sent} of {len} bytes"),
+                    ));
+                }
+            }
+        }
         w.flush()
     }
 }
@@ -335,12 +373,14 @@ fn artifact(svc: &MeshService, name: &str) -> Response {
     let Some(path) = &record.artifact else {
         return Response::error(409, "no_artifact", "job succeeded but recorded no artifact");
     };
-    match std::fs::read(path) {
-        Ok(bytes) => Response {
+    // The file is streamed by `write_to`, not read here: a fetch holds a
+    // file handle, not the mesh.
+    match File::open(path).and_then(|f| Ok((f.metadata()?.len(), f))) {
+        Ok((len, f)) => Response {
             status: 200,
             content_type: "application/octet-stream",
             retry_after_s: None,
-            body: bytes,
+            body: Body::File(f, len),
         },
         Err(e) => Response::error(404, "artifact_missing", &format!("{}: {e}", path.display())),
     }
@@ -469,5 +509,40 @@ mod tests {
         assert!(text.contains("Retry-After: 7\r\n"));
         assert!(text.contains("Content-Length: 4\r\n"));
         assert!(text.ends_with("\r\n\r\nbusy"));
+    }
+
+    /// A file body goes out after the head exactly as the file holds it,
+    /// through a writer buffer many times smaller than the file; one whose
+    /// file ends short of the promised length is an error.
+    #[test]
+    fn file_body_writes_head_then_the_file() {
+        let path = std::env::temp_dir().join(format!("pi2m-http-body-{}", std::process::id()));
+        let content: Vec<u8> = (0..100_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        std::fs::write(&path, &content).unwrap();
+        let open = || File::open(&path).unwrap();
+        let resp = Response {
+            status: 200,
+            content_type: "application/octet-stream",
+            retry_after_s: None,
+            body: Body::File(open(), content.len() as u64),
+        };
+        let mut out = Vec::new();
+        resp.write_to(&mut BufWriter::with_capacity(8192, &mut out))
+            .unwrap();
+        let head = b"HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n\
+                     Content-Length: 100000\r\nConnection: close\r\n\r\n";
+        assert_eq!(&out[..head.len()], &head[..]);
+        assert!(
+            out[head.len()..] == content[..],
+            "body differs from the file"
+        );
+
+        let short = Response {
+            body: Body::File(open(), content.len() as u64 + 1),
+            ..resp
+        };
+        let err = short.write_to(&mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -43,7 +43,7 @@ pub mod service;
 pub mod signal;
 pub mod trace;
 
-pub use http::{HttpServer, Request, Response};
+pub use http::{Body, HttpServer, Request, Response};
 pub use job::{JobId, JobRecord, JobSpec, JobStatus, Priority};
 pub use queue::{AdmitError, JobQueue};
 pub use service::{MeshService, ServiceConfig};

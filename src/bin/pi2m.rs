@@ -478,8 +478,8 @@ fn mesh_one(
 
     if o.stats {
         let q = quality::mesh_quality(&mesh.mesh);
-        let b = quality::boundary_report(&mesh.mesh);
         let tris = mesh.mesh.boundary_triangles();
+        let b = quality::report::boundary_report_of(&mesh.mesh.points, &tris);
         let hd = quality::hausdorff_distance(&mesh.mesh.points, &tris, &mesh.oracle, 7);
         journal.info(
             "mesh.quality",

@@ -840,6 +840,91 @@ fn http_api_round_trips_jobs_and_metrics() {
     handle.join().unwrap();
 }
 
+/// `GET` over a fresh connection, returning the status, the
+/// `Content-Length` header and the body as raw bytes.
+fn http_bytes(addr: &str, path: &str) -> (u16, usize, Vec<u8>) {
+    use std::io::{Read, Write};
+    let mut s = std::net::TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write!(s, "GET {path} HTTP/1.1\r\nHost: pi2m\r\n\r\n").unwrap();
+    let mut raw = Vec::new();
+    s.read_to_end(&mut raw).expect("read response");
+    let end = raw
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .expect("a header block");
+    let head = String::from_utf8(raw[..end].to_vec()).expect("an ASCII head");
+    let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+    let length = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("a Content-Length header")
+        .parse()
+        .unwrap();
+    (status, length, raw[end + 4..].to_vec())
+}
+
+/// An artifact streams from the spool: the bytes fetched are the spool
+/// file's, under a `Content-Length` read from the file, for a mesh many
+/// times the connection's 8 KiB write buffer. A spool file gone before
+/// the fetch is a typed 404.
+#[test]
+fn artifact_streams_byte_identical_from_the_spool() {
+    use pi2m::serve::HttpServer;
+
+    let spool_dir = spool("stream");
+    let svc = MeshService::start(ServiceConfig {
+        sessions: 1,
+        threads: 1,
+        queue_capacity: 4,
+        spool: spool_dir.clone(),
+        ..Default::default()
+    })
+    .unwrap();
+    let server = HttpServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let handle = {
+        let svc = Arc::clone(&svc);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            server.serve(svc, || stop.load(std::sync::atomic::Ordering::SeqCst))
+        })
+    };
+
+    let id = svc
+        .submit(JobSpec {
+            delta: Some(1.0),
+            ..spec("phantom:sphere")
+        })
+        .unwrap();
+    let record = wait_terminal(&svc, id, Duration::from_secs(120));
+    assert_eq!(record.status, JobStatus::Succeeded, "{:?}", record.error);
+    let path = record.artifact.expect("a spooled artifact");
+    let file = std::fs::read(&path).unwrap();
+    assert!(file.len() > 10 * 8192, "VTK of {} bytes", file.len());
+
+    let url = format!("/jobs/job-{id}/artifact");
+    let (code, length, body) = http_bytes(&addr, &url);
+    assert_eq!(code, 200);
+    assert_eq!(length, file.len());
+    assert!(body == file, "fetched artifact differs from its spool file");
+
+    std::fs::remove_file(&path).unwrap();
+    let (code, _, body) = http_bytes(&addr, &url);
+    assert_eq!(code, 404);
+    let v = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+    assert_eq!(
+        v.get("error").and_then(json::Json::as_str),
+        Some("artifact_missing")
+    );
+
+    assert!(svc.drain(Duration::from_secs(30)));
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&spool_dir);
+}
+
 /// One refinement per image: a job asking for `shards` or a `halo` is
 /// refused at submission like any other unknown field, and never queued.
 #[test]
