@@ -36,17 +36,6 @@ pub fn box_corners(b: &Aabb) -> [[f64; 3]; 8] {
     out
 }
 
-/// Swap two vertices if needed so that `orient3d(t0, t1, t2, t3) > 0`.
-/// Panics on degenerate (coplanar) tetrahedra — callers construct
-/// non-degenerate ones.
-pub fn orient_positively(vs: &mut [usize; 4], pts: &[[f64; 3]]) {
-    let s = orient3d_sign(&pts[vs[0]], &pts[vs[1]], &pts[vs[2]], &pts[vs[3]]);
-    assert!(s != 0, "degenerate tetrahedron in box initialization");
-    if s < 0 {
-        vs.swap(2, 3);
-    }
-}
-
 /// The SoS-Delaunay tetrahedra of the 8 box corners under the given keys:
 /// every positively oriented 4-subset whose perturbed circumsphere excludes
 /// the other 4 corners.

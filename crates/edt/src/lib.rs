@@ -24,7 +24,6 @@
 mod transform;
 
 pub use transform::{
-    feature_transform, feature_transform_obs, surface_feature_transform,
-    surface_feature_transform_obs, try_feature_transform_obs, try_surface_feature_transform_obs,
-    FeatureTransform, EDT_BATCH_WIDTH, NO_SITE,
+    feature_transform, surface_feature_transform, try_feature_transform_obs,
+    try_surface_feature_transform_obs, FeatureTransform, EDT_BATCH_WIDTH, NO_SITE,
 };

@@ -350,29 +350,18 @@ pub fn feature_transform(
     is_site: impl Fn(usize, usize, usize) -> bool + Sync,
     threads: usize,
 ) -> FeatureTransform {
-    feature_transform_obs(dims, spacing, origin, is_site, threads, None)
-}
-
-/// [`feature_transform`] with observability: records voxel count, pass
-/// count, and per-axis pass wall time into `rec` when provided. The recorder
-/// belongs to the calling (pipeline) thread; worker threads inside the
-/// passes record nothing, keeping the hot loops untouched.
-pub fn feature_transform_obs(
-    dims: [usize; 3],
-    spacing: [f64; 3],
-    origin: Point3,
-    is_site: impl Fn(usize, usize, usize) -> bool + Sync,
-    threads: usize,
-    rec: Option<&mut ThreadRecorder>,
-) -> FeatureTransform {
-    try_feature_transform_obs(dims, spacing, origin, is_site, threads, rec, None)
+    try_feature_transform_obs(dims, spacing, origin, is_site, threads, None, None)
         .expect("infallible without a cancel token")
 }
 
-/// [`feature_transform_obs`] with cooperative cancellation: the token is
-/// polled between line chunks inside each pass and between passes; a tripped
-/// token aborts the sweep and returns `Err(Cancelled)` (any partial pass
-/// output is discarded with the transform).
+/// [`feature_transform`] with observability and cooperative cancellation.
+/// When `rec` is given, records voxel count, pass count, and per-axis pass
+/// wall time into it; the recorder belongs to the calling (pipeline) thread,
+/// and worker threads inside the passes record nothing, keeping the hot
+/// loops untouched. The token is polled between line chunks inside each
+/// pass and between passes; a tripped token aborts the sweep and returns
+/// `Err(Cancelled)` (any partial pass output is discarded with the
+/// transform).
 ///
 /// The three passes share one `u32` feature per voxel and update it in
 /// place: a scan line reads its voxels' sites, recomputes from each the
@@ -516,28 +505,12 @@ pub fn try_feature_transform_obs(
 /// what the refinement rules query (paper §3: "the EDT returns the surface
 /// voxel q which is closest to p").
 pub fn surface_feature_transform(img: &LabeledImage, threads: usize) -> FeatureTransform {
-    surface_feature_transform_obs(img, threads, None)
+    try_surface_feature_transform_obs(img, threads, None, None)
+        .expect("infallible without a cancel token")
 }
 
-/// [`surface_feature_transform`] with observability (see
-/// [`feature_transform_obs`]).
-pub fn surface_feature_transform_obs(
-    img: &LabeledImage,
-    threads: usize,
-    rec: Option<&mut ThreadRecorder>,
-) -> FeatureTransform {
-    feature_transform_obs(
-        img.dims(),
-        img.spacing(),
-        img.origin(),
-        |i, j, k| img.is_surface_voxel(i, j, k),
-        threads,
-        rec,
-    )
-}
-
-/// [`surface_feature_transform_obs`] with cooperative cancellation (see
-/// [`try_feature_transform_obs`]).
+/// [`surface_feature_transform`] with observability and cooperative
+/// cancellation (see [`try_feature_transform_obs`]).
 pub fn try_surface_feature_transform_obs(
     img: &LabeledImage,
     threads: usize,

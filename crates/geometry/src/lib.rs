@@ -15,9 +15,9 @@ pub mod tet;
 
 pub use point::{Aabb, Point3};
 pub use tet::{
-    circumcenter, circumradius, dihedral_angles, dihedral_extremes, longest_edge,
-    min_triangle_angle, radius_edge_ratio, shortest_edge, signed_volume, triangle_angles,
-    triangle_circumcenter, volume, AngleBound, TET_EDGES, TET_FACES,
+    circumcenter, circumradius, dihedral_angles, dihedral_extremes, min_triangle_angle,
+    radius_edge_ratio, shortest_edge, signed_volume, triangle_angles, triangle_circumcenter,
+    volume, AngleBound, TET_EDGES, TET_FACES,
 };
 
 /// Re-exported predicate entry points so downstream crates can depend on one

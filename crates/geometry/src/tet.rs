@@ -67,14 +67,6 @@ pub fn shortest_edge(p: &[Point3; 4]) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Length of the longest edge.
-pub fn longest_edge(p: &[Point3; 4]) -> f64 {
-    TET_EDGES
-        .iter()
-        .map(|&(i, j)| p[i].distance(p[j]))
-        .fold(0.0, f64::max)
-}
-
 /// Radius-edge ratio `R / l_min` — the quality functional bounded by rule R4
 /// (paper: ratio ≤ 2 in the final mesh). `None` for degenerate tetrahedra.
 pub fn radius_edge_ratio(p: &[Point3; 4]) -> Option<f64> {

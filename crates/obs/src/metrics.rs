@@ -202,7 +202,7 @@ pub fn bucket_upper_bound(i: usize) -> f64 {
 }
 
 /// One histogram's merged state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Hist {
     pub buckets: [u64; HIST_BUCKETS],
     pub count: u64,
@@ -255,7 +255,7 @@ impl Hist {
 }
 
 /// A timeline event recorded by a worker (bridged into the Chrome trace).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ObsEvent {
     /// Event name (e.g. `"rollback"`, `"worker"`).
     pub name: &'static str,
@@ -341,7 +341,7 @@ impl ThreadRecorder {
 }
 
 /// Merged, run-level metrics: the read side handed to exporters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MetricsSnapshot {
     counters: Vec<u64>,
     hists: Vec<Hist>,

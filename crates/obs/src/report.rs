@@ -7,9 +7,10 @@ use crate::attribution::TimeAttribution;
 use crate::inspect::ArtifactKind;
 use crate::json::Json;
 use crate::metrics::MetricsSnapshot;
+use std::sync::OnceLock;
 
 /// One timed phase occurrence (also the unit of the Chrome trace export).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceSpan {
     pub name: &'static str,
     /// Seconds since the run origin.
@@ -87,13 +88,6 @@ impl RunReport {
             }
         }
         self
-    }
-
-    pub fn phase_seconds(&self, name: &str) -> Option<f64> {
-        self.phases
-            .iter()
-            .find(|p| p.name == name)
-            .map(|p| p.seconds)
     }
 
     /// Elements per second of wall time.
@@ -199,17 +193,20 @@ impl RunReport {
 }
 
 /// Best-effort `git describe --always --dirty` for provenance; `None` when
-/// git or the work tree is unavailable.
+/// git or the work tree is unavailable. Runs `git` once per process: a
+/// daemon builds a report on every metrics scrape.
 pub fn git_describe() -> Option<String> {
-    let out = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let s = String::from_utf8_lossy(&out.stdout).trim().to_string();
-    (!s.is_empty()).then_some(s)
+    static DESCRIBE: OnceLock<Option<String>> = OnceLock::new();
+    DESCRIBE
+        .get_or_init(|| {
+            let out = std::process::Command::new("git")
+                .args(["describe", "--always", "--dirty"])
+                .output()
+                .ok()?;
+            let s = String::from_utf8_lossy(&out.stdout).trim().to_string();
+            (out.status.success() && !s.is_empty()).then_some(s)
+        })
+        .clone()
 }
 
 #[cfg(test)]

@@ -1,9 +1,8 @@
 //! The isosurface oracle: continuous-space queries against a labeled image.
 
-use pi2m_edt::{surface_feature_transform, surface_feature_transform_obs, FeatureTransform};
+use pi2m_edt::{surface_feature_transform, FeatureTransform};
 use pi2m_geometry::Point3;
 use pi2m_image::{Label, LabeledImage, BACKGROUND};
-use pi2m_obs::metrics::{self, ThreadRecorder};
 
 /// Continuous-space isosurface queries for the refinement rules.
 ///
@@ -89,14 +88,6 @@ impl IsosurfaceOracle {
     /// `threads` workers (the paper's parallel EDT preprocessing step).
     pub fn new(img: LabeledImage, threads: usize) -> Self {
         let ft = surface_feature_transform(&img, threads);
-        Self::from_parts(img, ft)
-    }
-
-    /// [`IsosurfaceOracle::new`] with observability: EDT pass timings and
-    /// voxel/surface-site counts are recorded into `rec`.
-    pub fn new_with_obs(img: LabeledImage, threads: usize, rec: &mut ThreadRecorder) -> Self {
-        let ft = surface_feature_transform_obs(&img, threads, Some(rec));
-        rec.inc(metrics::ORACLE_SURFACE_VOXELS, ft.num_sites() as u64);
         Self::from_parts(img, ft)
     }
 

@@ -40,13 +40,6 @@ impl Expansion {
         Expansion::from_pair(x, y)
     }
 
-    /// The exact product `a * b` of two doubles as a (≤2)-component expansion.
-    #[inline]
-    pub fn from_product(a: f64, b: f64) -> Self {
-        let (x, y) = two_product(a, b);
-        Expansion::from_pair(x, y)
-    }
-
     /// Build from a (high, low) error-free transformation pair.
     #[inline]
     pub fn from_pair(x: f64, y: f64) -> Self {

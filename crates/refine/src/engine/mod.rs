@@ -11,10 +11,10 @@
 //!   (death cleanup, donation).
 //! - `pool` — persistent worker threads plus the warm resources (kernel
 //!   arenas, flight rings, proximity grid) they reuse across runs.
-//! - `stage` — the typed [`Stage`] sequence with per-stage phase spans and
-//!   progress callbacks.
+//! - `stage` — the typed [`Stage`] sequence and its progress events.
 //! - `session` — [`MeshingSession`] and the staged pipeline itself, the one
-//!   way to run the engine.
+//!   way to run the engine, with the driver that spans and reports each
+//!   stage.
 
 mod config;
 mod op;

@@ -16,7 +16,6 @@
 //!   the run's δ. The node segments stay allocated and still hold the last
 //!   run's entries, which nothing can reach any more.
 
-use super::session::CancelTelemetry;
 use super::worker::{worker, worker_death_cleanup, RunState};
 use crate::grid::PointGrid;
 use crate::stats::ThreadStats;
@@ -52,9 +51,6 @@ struct PoolThread {
 pub(crate) struct WorkerPool {
     threads: Vec<PoolThread>,
     grid: Option<Arc<PointGrid>>,
-    /// Telemetry salvaged from the last cancelled run (the typed
-    /// `RefineError::Cancelled` cannot carry it — the error derives `Eq`).
-    cancel_telemetry: Option<CancelTelemetry>,
 }
 
 impl WorkerPool {
@@ -62,7 +58,6 @@ impl WorkerPool {
         let mut pool = WorkerPool {
             threads: Vec::new(),
             grid: None,
-            cancel_telemetry: None,
         };
         pool.ensure_threads(threads.max(1));
         pool
@@ -126,16 +121,6 @@ impl WorkerPool {
     /// (the rules) have dropped their clones.
     pub(crate) fn park_grid(&mut self, grid: Arc<PointGrid>) {
         self.grid = Some(grid);
-    }
-
-    /// Stash the telemetry of a cancelled run for the caller to collect.
-    pub(crate) fn stash_cancel_telemetry(&mut self, t: CancelTelemetry) {
-        self.cancel_telemetry = Some(t);
-    }
-
-    /// Take (and clear) the last cancelled run's telemetry.
-    pub(crate) fn take_cancel_telemetry(&mut self) -> Option<CancelTelemetry> {
-        self.cancel_telemetry.take()
     }
 }
 

@@ -9,11 +9,12 @@
 //! SurfaceRecovery → VolumeRefine → Quality → Export), records one obs phase
 //! span per stage, reports progress through an optional callback, and honors
 //! a cooperative [`CancelToken`] between stages, inside the EDT scan passes,
-//! and at every worker loop boundary.
+//! and at every worker loop boundary. A cancelled run returns what it
+//! recorded inside its [`RefineError::Cancelled`].
 
 use super::config::{MeshOutput, MesherConfig};
 use super::pool::WorkerPool;
-use super::stage::{Stage, StageCallback, StageReporter};
+use super::stage::{Stage, StageCallback, StageEvent, StageStatus};
 use super::worker::{bridge_thread_stats, RunState};
 use crate::error::RefineError;
 use crate::output::FinalMesh;
@@ -27,32 +28,31 @@ use pi2m_obs::{CancelToken, Phases, TimeAttribution};
 use pi2m_oracle::IsosurfaceOracle;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-run options beyond the [`MesherConfig`]: cancellation and progress
 /// reporting.
 #[derive(Clone, Default)]
 pub struct RunOptions {
     /// Cooperative cancellation token (explicit trip or deadline). When it
-    /// fires, the run returns [`RefineError::Cancelled`] at the next
-    /// cancellation point; no locks or pool resources leak, and the session
-    /// stays usable.
+    /// fires, the run returns [`RefineError::Cancelled`], with the telemetry
+    /// recorded so far, at the next cancellation point; no locks or pool
+    /// resources leak, and the session stays usable.
     pub cancel: Option<CancelToken>,
     /// Stage progress callback, fired on every stage entry and exit from the
     /// pipeline thread.
     pub on_stage: Option<StageCallback>,
 }
 
-/// Telemetry salvaged from a cancelled run: the drained flight events (in
-/// the run time base), the merged metric snapshot, the phase spans recorded
-/// up to the cancellation point, and the workers' attribution. A run that
-/// is killed by a deadline is exactly the run whose observability artifacts
-/// matter most — this is what lets the CLI still write its run report after
-/// [`RefineError::Cancelled`].
-#[derive(Clone, Debug, Default)]
+/// What a cancelled run recorded up to its cancellation point, carried by
+/// [`RefineError::Cancelled`]: the phase spans and the merged metric
+/// snapshot, and, once refinement has started, the drained flight events (in
+/// the run time base) and the workers' attribution. A run that is killed by
+/// a deadline is exactly the run whose observability artifacts matter most —
+/// this is what lets the CLI still write its run report for it.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CancelTelemetry {
     /// Flight events drained at cancellation, re-based onto the run clock,
-    /// each worker's `WorkerSums` events last.
+    /// each worker's `WorkerSums` events last (empty before refinement).
     pub flight: Vec<pi2m_obs::FlightEvent>,
     /// Events the workers' bounded logs dropped during this run.
     pub flight_dropped: u64,
@@ -61,7 +61,8 @@ pub struct CancelTelemetry {
     /// Phase spans recorded up to the cancellation point.
     pub phases: Vec<pi2m_obs::TraceSpan>,
     /// The workers' attribution of the (truncated) refinement section, from
-    /// their own sums: its wall, and one row per worker.
+    /// their own sums: its wall, and one row per worker (no rows before
+    /// refinement).
     pub attribution: TimeAttribution,
 }
 
@@ -117,12 +118,6 @@ impl MeshingSession {
         self.generation
     }
 
-    /// Take the telemetry salvaged from the last cancelled run, if any.
-    /// Cleared by the take and overwritten by the next cancelled run.
-    pub fn take_cancel_telemetry(&mut self) -> Option<CancelTelemetry> {
-        self.pool.take_cancel_telemetry()
-    }
-
     /// Mesh one image over the warm pool. Global failures (cancellation, a
     /// worker-quorum loss, a contention-manager livelock) surface as typed
     /// errors; the session stays usable after any of them.
@@ -165,7 +160,9 @@ impl MeshingSession {
 /// Run the staged pipeline once over `pool`. A run that reaches refinement
 /// parks the warm resources before it returns, whatever the outcome. One
 /// that a majority of its workers did not survive, or that the livelock
-/// watchdog stopped, then returns its typed error in place of the mesh.
+/// watchdog stopped, then returns its typed error in place of the mesh. A
+/// cancelled run returns [`RefineError::Cancelled`] carrying what it
+/// recorded up to the cancellation point.
 fn run_pipeline(
     pool: &mut WorkerPool,
     img: LabeledImage,
@@ -174,99 +171,96 @@ fn run_pipeline(
     seed: &[([f64; 3], VertexKind)],
 ) -> Result<MeshOutput, RefineError> {
     let cancel = opts.cancel.clone().unwrap_or_default();
-    let reporter = StageReporter::new(opts.on_stage.clone());
+    let on_stage = opts.on_stage.as_ref();
     let mut phases = Phases::new();
-    let t0 = Instant::now();
     // Pipeline-thread recorder: EDT/oracle preprocessing metrics.
     let mut pipeline_rec = ThreadRecorder::new();
+    // A cancel before refinement has no worker telemetry: it carries the
+    // spans recorded so far and the pipeline thread's metrics.
+    let cancelled_early = |phases: &Phases, rec: &ThreadRecorder| {
+        RefineError::Cancelled(Box::new(CancelTelemetry {
+            metrics: drain_telemetry(&cfg, rec, Vec::new(), &[], 0.0, 0).2,
+            phases: phases.spans().to_vec(),
+            ..Default::default()
+        }))
+    };
 
-    // ---- Stage: Load ----
-    reporter.started(Stage::Load, t0.elapsed().as_secs_f64());
-    {
-        let _g = phases.span(Stage::Load.phase_name());
+    stage(&mut phases, on_stage, Stage::Load, || {
         assert!(cfg.threads >= 1, "need at least one thread");
         assert!(cfg.delta > 0.0, "delta must be positive");
-    }
-    reporter.finished(Stage::Load, t0.elapsed().as_secs_f64());
-    cancel.check().map_err(|_| RefineError::Cancelled)?;
+    });
+    cancel
+        .check()
+        .map_err(|_| cancelled_early(&phases, &pipeline_rec))?;
 
-    // ---- Stage: EDT ----
-    reporter.started(Stage::Edt, t0.elapsed().as_secs_f64());
-    let t_edt = Instant::now();
-    let ft = {
-        let _g = phases.span(Stage::Edt.phase_name());
+    let ft = stage(&mut phases, on_stage, Stage::Edt, || {
         pi2m_edt::try_surface_feature_transform_obs(
             &img,
             cfg.threads,
             Some(&mut pipeline_rec),
             Some(&cancel),
         )
-        .map_err(|_| RefineError::Cancelled)?
-    };
-    let edt_time = t_edt.elapsed().as_secs_f64();
-    reporter.finished(Stage::Edt, t0.elapsed().as_secs_f64());
+    })
+    .map_err(|_| cancelled_early(&phases, &pipeline_rec))?;
+    let edt_time = phases.total(Stage::Edt.phase_name());
 
-    // ---- Stage: Oracle ----
-    reporter.started(Stage::Oracle, t0.elapsed().as_secs_f64());
-    let oracle = {
-        let _g = phases.span(Stage::Oracle.phase_name());
+    let oracle = stage(&mut phases, on_stage, Stage::Oracle, || {
         pipeline_rec.inc(metrics::ORACLE_SURFACE_VOXELS, ft.num_sites() as u64);
         Arc::new(IsosurfaceOracle::from_parts(img, ft))
-    };
-    reporter.finished(Stage::Oracle, t0.elapsed().as_secs_f64());
-    cancel.check().map_err(|_| RefineError::Cancelled)?;
+    });
+    cancel
+        .check()
+        .map_err(|_| cancelled_early(&phases, &pipeline_rec))?;
 
-    // ---- Stage: SurfaceRecovery ----
     // The virtual-box triangulation enclosing the object, the (recycled)
     // proximity grid, and the refinement rules.
-    reporter.started(Stage::SurfaceRecovery, t0.elapsed().as_secs_f64());
-    let (mesh, rules, grid_park, domain) = {
-        let _g = phases.span(Stage::SurfaceRecovery.phase_name());
-        let domain = oracle
-            .image()
-            .foreground_bounds()
-            .unwrap_or_else(|| oracle.image().bounds());
-        let mesh = SharedMesh::enclosing(&domain);
-        let grid = pool.checkout_grid(cfg.delta);
-        let grid_park = Arc::clone(&grid);
-        let rules = Rules::new(
-            RuleConfig {
-                delta: cfg.delta,
-                radius_edge_bound: cfg.radius_edge_bound,
-                planar_angle_min_deg: cfg.planar_angle_min_deg,
-                size_fn: cfg.size_fn.clone(),
-                surface_size_fn: cfg.surface_size_fn.clone(),
-            },
-            Arc::clone(&oracle),
-            grid,
-        );
-        // Pre-seed the triangulation (stitch pass of a sharded run): insert
-        // the union of the chunk vertices sequentially, registering each in
-        // the proximity grid exactly as a committed refinement insertion
-        // would. Duplicates (identical halo copies from adjacent chunks) and
-        // points outside the virtual box are dropped — the kernel's typed
-        // rejections are the backstop behind the caller's own dedup.
-        if !seed.is_empty() {
-            let mut ctx = mesh.make_ctx(0);
-            let (mut kept, mut dropped) = (0u64, 0u64);
-            for &(p, kind) in seed {
-                match ctx.insert(p, kind) {
-                    Ok(r) => {
-                        rules.grid.insert(r.vertex, p);
-                        kept += 1;
+    let (mesh, rules, grid_park, domain) =
+        stage(&mut phases, on_stage, Stage::SurfaceRecovery, || {
+            let domain = oracle
+                .image()
+                .foreground_bounds()
+                .unwrap_or_else(|| oracle.image().bounds());
+            let mesh = SharedMesh::enclosing(&domain);
+            let grid = pool.checkout_grid(cfg.delta);
+            let grid_park = Arc::clone(&grid);
+            let rules = Rules::new(
+                RuleConfig {
+                    delta: cfg.delta,
+                    radius_edge_bound: cfg.radius_edge_bound,
+                    planar_angle_min_deg: cfg.planar_angle_min_deg,
+                    size_fn: cfg.size_fn.clone(),
+                    surface_size_fn: cfg.surface_size_fn.clone(),
+                },
+                Arc::clone(&oracle),
+                grid,
+            );
+            // Pre-seed the triangulation (stitch pass of a sharded run): insert
+            // the union of the chunk vertices sequentially, registering each in
+            // the proximity grid exactly as a committed refinement insertion
+            // would. Duplicates (identical halo copies from adjacent chunks) and
+            // points outside the virtual box are dropped — the kernel's typed
+            // rejections are the backstop behind the caller's own dedup.
+            if !seed.is_empty() {
+                let mut ctx = mesh.make_ctx(0);
+                let (mut kept, mut dropped) = (0u64, 0u64);
+                for &(p, kind) in seed {
+                    match ctx.insert(p, kind) {
+                        Ok(r) => {
+                            rules.grid.insert(r.vertex, p);
+                            kept += 1;
+                        }
+                        Err(_) => dropped += 1,
                     }
-                    Err(_) => dropped += 1,
                 }
+                pipeline_rec.inc(metrics::SHARD_SEED_VERTICES, kept);
+                pipeline_rec.inc(metrics::SHARD_SEED_DUPLICATES, dropped);
             }
-            pipeline_rec.inc(metrics::SHARD_SEED_VERTICES, kept);
-            pipeline_rec.inc(metrics::SHARD_SEED_DUPLICATES, dropped);
-        }
-        (mesh, rules, grid_park, domain)
-    };
-    reporter.finished(Stage::SurfaceRecovery, t0.elapsed().as_secs_f64());
-    cancel.check().map_err(|_| RefineError::Cancelled)?;
+            (mesh, rules, grid_park, domain)
+        });
+    cancel
+        .check()
+        .map_err(|_| cancelled_early(&phases, &pipeline_rec))?;
 
-    // ---- Stage: VolumeRefine ----
     // Offset between the refinement clock (EngineSync, which timestamps
     // worker events) and the run origin, so all exported timelines share one
     // time base.
@@ -281,32 +275,30 @@ fn run_pipeline(
     ));
     pool.ensure_threads(cfg.threads);
 
-    let t_refine = Instant::now();
-    reporter.started(Stage::VolumeRefine, t0.elapsed().as_secs_f64());
-    let mut per_thread: Vec<ThreadStats> =
-        (0..cfg.threads).map(|_| ThreadStats::default()).collect();
-    let mut recorders: Vec<ThreadRecorder> =
-        (0..cfg.threads).map(|_| ThreadRecorder::new()).collect();
-    let mut workers_died = 0usize;
-    {
-        let _g = phases.span(Stage::VolumeRefine.phase_name());
-        let done_rx = pool.dispatch(&state);
-        for _ in 0..cfg.threads {
-            // The pool thread's own catch_unwind boundaries make this recv
-            // infallible for any panic raised inside the worker loop itself.
-            let d = done_rx.recv().expect("pool worker thread lost");
-            workers_died += d.died as usize;
-            per_thread[d.tid] = d.stats;
-            recorders[d.tid] = d.rec;
-        }
-    }
-    reporter.finished(Stage::VolumeRefine, t0.elapsed().as_secs_f64());
-    let wall_time = t_refine.elapsed().as_secs_f64();
+    let (per_thread, recorders, workers_died) =
+        stage(&mut phases, on_stage, Stage::VolumeRefine, || {
+            let mut per_thread: Vec<ThreadStats> =
+                (0..cfg.threads).map(|_| ThreadStats::default()).collect();
+            let mut recorders: Vec<ThreadRecorder> =
+                (0..cfg.threads).map(|_| ThreadRecorder::new()).collect();
+            let mut workers_died = 0usize;
+            let done_rx = pool.dispatch(&state);
+            for _ in 0..cfg.threads {
+                // The pool thread's own catch_unwind boundaries make this
+                // recv infallible for any panic raised inside the worker
+                // loop itself.
+                let d = done_rx.recv().expect("pool worker thread lost");
+                workers_died += d.died as usize;
+                per_thread[d.tid] = d.stats;
+                recorders[d.tid] = d.rec;
+            }
+            (per_thread, recorders, workers_died)
+        });
+    let wall_time = phases.total(Stage::VolumeRefine.phase_name());
     // The run's one account of worker time, from the workers' own sums.
     let attribution = time_attribution(&per_thread, wall_time);
     // Where the drain stamps the workers' sums: after every logged event.
     let sums_ns = ((sync_origin + state.sync.now()) * 1e9) as u64;
-
     // Every pool thread drops its Arc before it reports done: this is the
     // last one.
     let RunState {
@@ -336,9 +328,9 @@ fn run_pipeline(
     drop(rules);
     pool.park_grid(grid_park);
 
-    // A cancelled run returns the typed error, but its telemetry is salvaged
-    // first and stashed in the pool, so the caller can still write a complete
-    // run report for the run it had to kill.
+    // A cancelled run returns the typed error carrying its salvaged
+    // telemetry, so the caller can still write a complete run report for the
+    // run it had to kill.
     if sync.was_cancelled() {
         let (flight, flight_dropped, metrics) = drain_telemetry(
             &cfg,
@@ -348,37 +340,29 @@ fn run_pipeline(
             sync_origin,
             sums_ns,
         );
-        pool.stash_cancel_telemetry(CancelTelemetry {
+        return Err(RefineError::Cancelled(Box::new(CancelTelemetry {
             flight,
             flight_dropped,
             metrics,
             phases: phases.spans().to_vec(),
             attribution,
-        });
-        return Err(RefineError::Cancelled);
+        })));
     }
 
-    // ---- Stage: Quality ----
-    reporter.started(Stage::Quality, t0.elapsed().as_secs_f64());
-    let (flight_events, flight_dropped, snap) = {
-        let _g = phases.span(Stage::Quality.phase_name());
-        drain_telemetry(
-            &cfg,
-            &pipeline_rec,
-            recorders,
-            &per_thread,
-            sync_origin,
-            sums_ns,
-        )
-    };
-    reporter.finished(Stage::Quality, t0.elapsed().as_secs_f64());
-
-    // ---- Stage: Export ----
-    reporter.started(Stage::Export, t0.elapsed().as_secs_f64());
-    let final_mesh = phases.time(Stage::Export.phase_name(), || {
+    let (flight_events, flight_dropped, snap) =
+        stage(&mut phases, on_stage, Stage::Quality, || {
+            drain_telemetry(
+                &cfg,
+                &pipeline_rec,
+                recorders,
+                &per_thread,
+                sync_origin,
+                sums_ns,
+            )
+        });
+    let final_mesh = stage(&mut phases, on_stage, Stage::Export, || {
         FinalMesh::extract(&mesh, &oracle)
     });
-    reporter.finished(Stage::Export, t0.elapsed().as_secs_f64());
 
     // The one exit contract: a run a majority of its workers did not survive,
     // or one the watchdog stopped, is not a mesh.
@@ -412,6 +396,30 @@ fn run_pipeline(
         flight_dropped,
         attribution,
     })
+}
+
+/// One stage of a run: fires its `Started` and `Finished` events through the
+/// run's callback, stamped on the run clock, and runs `body` inside the
+/// stage's phase span, passing its value through.
+fn stage<T>(
+    phases: &mut Phases,
+    on_stage: Option<&StageCallback>,
+    stage: Stage,
+    body: impl FnOnce() -> T,
+) -> T {
+    let fire = |status, elapsed_s| {
+        if let Some(cb) = on_stage {
+            cb(StageEvent {
+                stage,
+                status,
+                elapsed_s,
+            });
+        }
+    };
+    fire(StageStatus::Started, phases.now());
+    let value = phases.time(stage.phase_name(), body);
+    fire(StageStatus::Finished, phases.now());
+    value
 }
 
 /// The telemetry tail of every run that reached refinement, completed or

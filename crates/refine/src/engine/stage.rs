@@ -1,12 +1,15 @@
 //! The typed stage sequence of the meshing pipeline.
 //!
-//! Every run walks the same seven stages in order. Each stage opens an obs
-//! phase span under its [`phase_name`](Stage::phase_name) (so reports,
-//! traces, and tests see one canonical naming) and fires the run's optional
-//! progress callback on entry and exit. The
+//! Every run walks the same seven stages in order, through one stage driver
+//! in the session: it runs each stage inside an obs phase span under its
+//! [`phase_name`](Stage::phase_name) (so reports, traces, and tests see one
+//! canonical naming) and fires the run's optional progress callback on
+//! entry and exit, stamped on the spans' clock. The
 //! [`CancelToken`](pi2m_obs::CancelToken) is checked between stages, inside
 //! the EDT's scan passes, and at every worker loop boundary during
-//! [`VolumeRefine`](Stage::VolumeRefine).
+//! [`VolumeRefine`](Stage::VolumeRefine); a cancelled run hands back the
+//! spans and metrics it recorded in
+//! [`RefineError::Cancelled`](crate::RefineError::Cancelled).
 
 /// One stage of the meshing pipeline, in execution order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -81,44 +84,13 @@ pub enum StageStatus {
 pub struct StageEvent {
     pub stage: Stage,
     pub status: StageStatus,
-    /// Seconds since the run origin.
+    /// Seconds since the run origin, on the clock of the run's phase spans.
     pub elapsed_s: f64,
 }
 
 /// A run's progress callback. Invoked synchronously from the pipeline
 /// thread, twice per stage; keep it cheap.
 pub type StageCallback = std::sync::Arc<dyn Fn(StageEvent) + Send + Sync>;
-
-/// Fires the stage callback (when present) around stage bodies.
-pub(crate) struct StageReporter {
-    cb: Option<StageCallback>,
-}
-
-impl StageReporter {
-    pub(crate) fn new(cb: Option<StageCallback>) -> Self {
-        StageReporter { cb }
-    }
-
-    pub(crate) fn started(&self, stage: Stage, elapsed_s: f64) {
-        if let Some(cb) = &self.cb {
-            cb(StageEvent {
-                stage,
-                status: StageStatus::Started,
-                elapsed_s,
-            });
-        }
-    }
-
-    pub(crate) fn finished(&self, stage: Stage, elapsed_s: f64) {
-        if let Some(cb) = &self.cb {
-            cb(StageEvent {
-                stage,
-                status: StageStatus::Finished,
-                elapsed_s,
-            });
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

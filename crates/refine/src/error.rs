@@ -3,12 +3,14 @@
 //! The engine absorbs individual worker panics (isolation + quarantine) and
 //! kernel-invariant errors (typed `OpError::Kernel`); a run only escalates to
 //! a `RefineError` when the failure is global — a majority of workers dead,
-//! or the livelock watchdog declaring no-progress.
+//! or the livelock watchdog declaring no-progress — or when it is cancelled,
+//! and then the error hands back the telemetry the run recorded.
 
+use crate::engine::CancelTelemetry;
 use pi2m_delaunay::KernelError;
 
 /// A refinement run failed as a whole.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum RefineError {
     /// More than half the workers died to un-recovered panics; the surviving
     /// minority cannot be trusted to finish the schedule.
@@ -21,8 +23,9 @@ pub enum RefineError {
     /// The run's [`CancelToken`](pi2m_obs::cancel::CancelToken) tripped (an
     /// explicit cancel or an expired deadline). Cooperative: workers stop at
     /// the next operation boundary, so no locks or partial operations leak,
-    /// and the session pool stays reusable.
-    Cancelled,
+    /// and the session pool stays reusable. Carries what the run recorded up
+    /// to that point, so its caller can still report it.
+    Cancelled(Box<CancelTelemetry>),
 }
 
 impl std::fmt::Display for RefineError {
@@ -33,7 +36,9 @@ impl std::fmt::Display for RefineError {
             }
             RefineError::Livelock => write!(f, "livelock watchdog fired: no progress"),
             RefineError::Kernel(e) => write!(f, "kernel invariant broken: {e}"),
-            RefineError::Cancelled => write!(f, "run cancelled (token tripped or deadline passed)"),
+            RefineError::Cancelled(_) => {
+                write!(f, "run cancelled (token tripped or deadline passed)")
+            }
         }
     }
 }

@@ -151,7 +151,7 @@ pub fn mesh_sharded(
                 let mut i = lane;
                 while i < plan.len() {
                     if cancel.is_cancelled() {
-                        *results[i].lock() = Some(Err(RefineError::Cancelled));
+                        *results[i].lock() = Some(Err(RefineError::Cancelled(Box::default())));
                         i += lanes;
                         continue;
                     }
@@ -179,7 +179,7 @@ pub fn mesh_sharded(
         match cell.into_inner() {
             Some(Ok(out)) => chunk_outs.push(out),
             Some(Err(e)) => return Err(ShardError::Run(e)),
-            None => return Err(ShardError::Run(RefineError::Cancelled)),
+            None => return Err(ShardError::Run(RefineError::Cancelled(Box::default()))),
         }
     }
     for out in &chunk_outs {

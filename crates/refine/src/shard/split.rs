@@ -23,15 +23,6 @@ pub struct ChunkSpec {
 }
 
 impl ChunkSpec {
-    /// Voxel dimensions of the owned core.
-    pub fn core_dims(&self) -> [usize; 3] {
-        [
-            self.core_hi[0] - self.core_lo[0],
-            self.core_hi[1] - self.core_lo[1],
-            self.core_hi[2] - self.core_lo[2],
-        ]
-    }
-
     /// Voxel dimensions of the halo-padded view.
     pub fn dims(&self) -> [usize; 3] {
         [
@@ -43,7 +34,7 @@ impl ChunkSpec {
 }
 
 /// Typed failures of shard planning.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ShardError {
     /// A grid axis was zero.
     EmptyAxis { axis: usize },

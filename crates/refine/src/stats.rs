@@ -141,10 +141,6 @@ impl RefineStats {
         self.per_thread.iter().map(|t| t.kernel_errors).sum()
     }
 
-    pub fn total_donations(&self) -> u64 {
-        self.per_thread.iter().map(|t| t.donations_made).sum()
-    }
-
     /// Elements generated per second of wall time.
     pub fn elements_per_second(&self) -> f64 {
         if self.wall_time > 0.0 {

@@ -201,17 +201,14 @@ fn cancelled_run_telemetry_counts_injected_faults() {
         faults: Some(faults.clone()),
         ..cfg_with(1, FaultPlan::disarmed())
     };
-    let err = session
-        .mesh_with(phantoms::sphere(16, 1.0), cfg, &opts)
-        .err();
+    let run = session.mesh_with(phantoms::sphere(16, 1.0), cfg, &opts);
     watcher.join().unwrap();
-    assert!(
-        matches!(err, Some(RefineError::Cancelled)),
-        "expected Cancelled, got {err:?}"
-    );
-    let tel = session
-        .take_cancel_telemetry()
-        .expect("a refinement-section cancel stashes telemetry");
+    let Err(RefineError::Cancelled(tel)) = run else {
+        panic!(
+            "expected Cancelled, got {:?}",
+            run.map(|out| out.mesh.num_tets())
+        );
+    };
     assert_eq!(
         tel.metrics.counter(metrics::FAULTS_INJECTED),
         faults.injected()

@@ -140,7 +140,7 @@ struct AttemptFailure {
 impl AttemptFailure {
     fn from_refine(e: &RefineError) -> AttemptFailure {
         let (class, kind) = match e {
-            RefineError::Cancelled => (FailureClass::Cancelled, "cancelled"),
+            RefineError::Cancelled(_) => (FailureClass::Cancelled, "cancelled"),
             RefineError::WorkerQuorumLost { .. } => (
                 FailureClass::Transient { poison: true },
                 "worker_quorum_lost",

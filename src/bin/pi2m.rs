@@ -58,6 +58,7 @@ use pi2m::quality;
 use pi2m::refine::{CancelToken, MesherConfig, MeshingSession, RefineError, RunOptions};
 use pi2m::serve::parse_duration_str;
 use std::io::{BufWriter, Write};
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -118,22 +119,33 @@ fn positive_finite(args: &Args, name: &str) -> Result<Option<f64>, String> {
 /// would exhaust the process's threads before the first mesh.
 const MAX_THREADS: usize = 1024;
 
+/// The value of `--NAME`, which must be an integer in `bounds`.
+fn bounded_count(
+    args: &Args,
+    name: &str,
+    bounds: RangeInclusive<usize>,
+) -> Result<Option<usize>, String> {
+    args.flags
+        .get(name)
+        .map(|v| match v.parse::<usize>() {
+            Ok(n) if bounds.contains(&n) => Ok(n),
+            _ => Err(format!(
+                "bad --{name} '{v}': must be an integer from {} to {}",
+                bounds.start(),
+                bounds.end()
+            )),
+        })
+        .transpose()
+}
+
 /// Parse and bound-check the mesh options. A bad `--threads`, `--delta`,
 /// `--size` or `--deadline` is refused here, naming its flag, before any
 /// input is loaded.
 fn parse_mesh_opts(args: &Args, journal: &Journal) -> Result<MeshOpts, String> {
     let delta = positive_finite(args, "delta")?;
-    let threads = match args.flags.get("threads") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if (1..=MAX_THREADS).contains(&n) => n,
-            _ => {
-                return Err(format!(
-                    "bad --threads '{v}': must be an integer from 1 to {MAX_THREADS}"
-                ))
-            }
-        },
-        None => std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_THREADS)),
-    };
+    let threads = bounded_count(args, "threads", 1..=MAX_THREADS)?.unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_THREADS))
+    });
     let size_fn = positive_finite(args, "size")?
         .map(|s| Arc::new(pi2m::oracle::UniformSize(s)) as Arc<dyn pi2m::oracle::SizeFn>);
     let deadline = args
@@ -394,13 +406,11 @@ fn mesh_one(
     let t0 = Instant::now();
     let mesh = match session.mesh_with(img, cfg.clone(), &run_opts) {
         Ok(mesh) => mesh,
-        Err(RefineError::Cancelled) => {
+        Err(RefineError::Cancelled(tel)) => {
             // A run its deadline killed still reports, through the same
             // builder and writer as a finished one, from the telemetry the
-            // session salvaged at the cancellation point (none when the run
-            // stopped before refinement: the artifacts are then
-            // structurally complete but all-zero).
-            let tel = session.take_cancel_telemetry().unwrap_or_default();
+            // error carries (before refinement: the phases and preprocessing
+            // metrics so far, and no workers).
             let wall_s = t0.elapsed().as_secs_f64();
             let report = run_report(input, &cfg, RunEnd::Cancelled(&tel), wall_s);
             let written = write_run_artifacts(out, o, &report, &tel.phases, &tel.flight, journal)
@@ -563,28 +573,17 @@ fn write_run_artifacts<'a>(
 fn cmd_serve(args: &Args) -> Result<(), CliError> {
     use pi2m::serve::{self, HttpServer, MeshService, ServiceConfig};
 
-    let parse_usize = |name: &str, default: usize| -> Result<usize, String> {
-        args.flags
-            .get(name)
-            .map(|v| v.parse().map_err(|_| format!("bad --{name} '{v}'")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
     let addr = args
         .flags
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7473".into());
-    let sessions = parse_usize("sessions", 2)?.max(1);
-    let threads = parse_usize("threads", 2)?.max(1);
-    // refused before a slot or pool thread is spawned
-    for (name, n) in [("sessions", sessions), ("threads", threads)] {
-        if n > MAX_THREADS {
-            return Err(format!("bad --{name} '{n}': must be at most {MAX_THREADS}").into());
-        }
-    }
-    let queue_capacity = parse_usize("queue-cap", 16)?.max(1);
-    let max_retries = parse_usize("max-retries", 2)? as u32;
+    // refused before a slot or pool thread is spawned; a job spec's
+    // `max_retries` has the same bounds
+    let sessions = bounded_count(args, "sessions", 1..=MAX_THREADS)?.unwrap_or(2);
+    let threads = bounded_count(args, "threads", 1..=MAX_THREADS)?.unwrap_or(2);
+    let queue_capacity = bounded_count(args, "queue-cap", 1..=usize::MAX)?.unwrap_or(16);
+    let max_retries = bounded_count(args, "max-retries", 0..=100)?.unwrap_or(2) as u32;
     let spool = std::path::PathBuf::from(
         args.flags
             .get("spool")

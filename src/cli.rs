@@ -225,7 +225,7 @@ impl CliError {
     pub fn from_refine(e: &crate::refine::RefineError) -> CliError {
         use crate::refine::RefineError;
         match e {
-            RefineError::Cancelled => CliError::Cancelled(e.to_string()),
+            RefineError::Cancelled(_) => CliError::Cancelled(e.to_string()),
             RefineError::Kernel(_) => CliError::Integrity(e.to_string()),
             RefineError::WorkerQuorumLost { .. } | RefineError::Livelock => {
                 CliError::WorkerLoss(e.to_string())
@@ -484,7 +484,7 @@ mod tests {
     fn cli_error_classifies_refine_errors() {
         use crate::refine::RefineError;
         assert_eq!(
-            CliError::from_refine(&RefineError::Cancelled).exit_code(),
+            CliError::from_refine(&RefineError::Cancelled(Box::default())).exit_code(),
             3
         );
         assert_eq!(

@@ -242,12 +242,23 @@ fn mesh_and_batch_refuse_absurd_thread_counts() {
 
 /// `serve` refuses a `--sessions` or `--threads` past the cap before it
 /// binds or spawns a slot, instead of spawning thousands of slot threads
-/// whose pools then fail to spawn.
+/// whose pools then fail to spawn; and it refuses every count it cannot
+/// honour as given.
 #[test]
 fn serve_refuses_absurd_session_and_thread_counts() {
     let spool = std::env::temp_dir().join(format!("pi2m-cli-serve-{}", std::process::id()));
     let spool = spool.to_str().unwrap();
-    for flag in ["--sessions", "--threads"] {
+    // a zero count, and a retry count outside a job spec's 0..=100 (2^32 + 1
+    // must not wrap to one retry), are refused as given
+    for (flag, value) in [
+        ("--sessions", "70000"),
+        ("--threads", "70000"),
+        ("--sessions", "0"),
+        ("--threads", "0"),
+        ("--queue-cap", "0"),
+        ("--max-retries", "4294967297"),
+        ("--max-retries", "101"),
+    ] {
         let args = [
             "serve",
             "--addr",
@@ -255,11 +266,11 @@ fn serve_refuses_absurd_session_and_thread_counts() {
             "--spool",
             spool,
             flag,
-            "70000",
+            value,
         ];
         let (code, stderr) = pi2m_watched(&args);
-        assert_eq!(code, Some(1), "{flag}: {stderr}");
-        assert!(stderr.contains(flag), "{flag}: {stderr}");
+        assert_eq!(code, Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
     }
     assert!(
         !std::path::Path::new(spool).exists(),
@@ -485,5 +496,77 @@ fn a_deadline_killed_run_names_what_it_wrote() {
         !std::path::Path::new(vtk).exists(),
         "a killed run wrote its mesh"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--stats` logs the mesh's quality line: its radius-edge ratio and its
+/// Hausdorff distance.
+#[test]
+fn mesh_stats_logs_the_quality_line() {
+    let dir = fresh_dir("stats");
+    let vtk = dir.join("s.vtk");
+    let (code, stderr) = pi2m_watched(&[
+        "mesh",
+        "phantom:sphere",
+        "--delta",
+        "3",
+        "--threads",
+        "1",
+        "--stats",
+        "-o",
+        vtk.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("quality:"))
+        .unwrap_or_else(|| panic!("no quality line: {stderr}"));
+    assert!(line.contains("max radius-edge"), "{line}");
+    assert!(line.contains("Hausdorff"), "{line}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--no-removals` reaches the engine: the run report says so and counts
+/// no removal, where the same run with removals on counts some.
+#[test]
+fn mesh_no_removals_reports_no_removals() {
+    let dir = fresh_dir("no-removals");
+    let report = |switch: Option<&str>, name: &str| {
+        let (vtk, json) = (
+            dir.join(format!("{name}.vtk")),
+            dir.join(format!("{name}.json")),
+        );
+        let mut args = vec![
+            "mesh",
+            "phantom:sphere",
+            "--delta",
+            "3",
+            "--threads",
+            "1",
+            "-o",
+            vtk.to_str().unwrap(),
+            "--report",
+            json.to_str().unwrap(),
+        ];
+        args.extend(switch);
+        let (code, stderr) = pi2m_watched(&args);
+        assert_eq!(code, Some(0), "{stderr}");
+        pi2m::obs::json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap()
+    };
+    let removals = |r: &Json| {
+        let c = r.get("counters").unwrap();
+        assert!(c.get("ops_insertions").is_some(), "no insertions counted");
+        c.get("ops_removals").and_then(Json::as_f64)
+    };
+    let enabled = |r: &Json| {
+        let c = r.get("config").unwrap().get("enable_removals");
+        c.and_then(Json::as_str).map(str::to_string)
+    };
+    let on = report(None, "on");
+    assert_eq!(enabled(&on).as_deref(), Some("true"));
+    assert!(removals(&on).is_some_and(|n| n > 0.0));
+    let off = report(Some("--no-removals"), "off");
+    assert_eq!(enabled(&off).as_deref(), Some("false"));
+    assert_eq!(removals(&off), None);
     std::fs::remove_dir_all(&dir).ok();
 }

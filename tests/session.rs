@@ -9,8 +9,8 @@ use pi2m::faults::{sites, FaultPlan};
 use pi2m::image::phantoms;
 use pi2m::obs::json::{self, Json};
 use pi2m::refine::{
-    audit_mesh, CancelToken, MeshOutput, MesherConfig, MeshingSession, RefineError, RunOptions,
-    Stage, StageStatus,
+    audit_mesh, CancelTelemetry, CancelToken, MeshOutput, MesherConfig, MeshingSession,
+    RefineError, RunOptions, Stage, StageStatus,
 };
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -33,6 +33,18 @@ fn mesh_arrays(out: &MeshOutput) -> (Vec<[u64; 3]>, &[[u32; 4]], &[u8]) {
         .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
         .collect();
     (points, &out.mesh.tets, &out.mesh.labels)
+}
+
+/// The telemetry a cancelled run hands back; any other outcome fails.
+fn cancelled(run: Result<MeshOutput, RefineError>) -> Box<CancelTelemetry> {
+    match run {
+        Err(RefineError::Cancelled(tel)) => tel,
+        Err(e) => panic!("expected Cancelled, got {e}"),
+        Ok(out) => panic!(
+            "expected Cancelled, got a mesh of {} tets",
+            out.mesh.num_tets()
+        ),
+    }
 }
 
 fn audit(out: &MeshOutput, what: &str) {
@@ -156,17 +168,7 @@ fn cancel_mid_volume_refine_is_typed_prompt_and_recoverable() {
     };
     let mut session = MeshingSession::new(4);
     let t0 = Instant::now();
-    let err = match session.mesh_with(phantoms::sphere(24, 1.0), cfg(1.2, 4), &opts) {
-        Err(e) => e,
-        Ok(out) => panic!(
-            "expected Cancelled, got a mesh of {} tets",
-            out.mesh.num_tets()
-        ),
-    };
-    assert!(
-        matches!(err, RefineError::Cancelled),
-        "expected Cancelled, got {err:?}"
-    );
+    let tel = cancelled(session.mesh_with(phantoms::sphere(24, 1.0), cfg(1.2, 4), &opts));
     // Cooperative, not sloppy: workers bail at a loop boundary, well inside
     // any human timeout (generous bound for loaded CI machines).
     assert!(
@@ -175,17 +177,12 @@ fn cancel_mid_volume_refine_is_typed_prompt_and_recoverable() {
         t0.elapsed()
     );
 
-    // A refinement-section cancel salvages the run's telemetry: the flight
+    // A refinement-section cancel carries the run's telemetry: the flight
     // log, phase spans, and wall clock survive so the CLI can still write
     // complete observability artifacts for the aborted run.
-    let tel = session
-        .take_cancel_telemetry()
-        .expect("cancelled refinement stashes telemetry");
     assert_eq!(tel.attribution.per_worker.len(), 4);
     assert!(tel.attribution.wall_s >= 0.0);
     assert!(!tel.phases.is_empty(), "phase spans salvaged");
-    // the salvage is take-once: a second take yields nothing
-    assert!(session.take_cancel_telemetry().is_none());
 
     // The session survives: no leaked locks, grid parked, next run ok.
     let out = session
@@ -227,15 +224,11 @@ fn deadline_mid_volume_refine_is_seen_between_clock_polls() {
     };
     let t0 = Instant::now();
     let (img, c) = job();
-    let err = session.mesh_with(img, c, &opts).err();
+    let tel = cancelled(session.mesh_with(img, c, &opts));
     let late = t0.elapsed().saturating_sub(midway);
-    assert!(
-        matches!(err, Some(RefineError::Cancelled)),
-        "expected Cancelled, got {err:?}"
-    );
     // stopped by a worker, mid-refinement, and not a whole remaining
     // refinement later
-    assert!(session.take_cancel_telemetry().is_some());
+    assert_eq!(tel.attribution.per_worker.len(), 1);
     assert!(
         late < Duration::from_secs_f64((finished - started) / 4.0 + 0.25),
         "deadline overshot by {late:?} of a {:.3} s refinement",
@@ -250,13 +243,16 @@ fn pre_expired_deadline_cancels_before_refinement() {
         on_stage: None,
     };
     let mut session = MeshingSession::new(2);
-    let err = match session.mesh_with(phantoms::sphere(24, 1.0), cfg(1.5, 2), &opts) {
-        Err(e) => e,
-        Ok(_) => panic!("expected Cancelled"),
-    };
-    assert!(matches!(err, RefineError::Cancelled));
-    // a cancel before refinement has no worker telemetry to salvage
-    assert!(session.take_cancel_telemetry().is_none());
+    let tel = cancelled(session.mesh_with(phantoms::sphere(24, 1.0), cfg(1.5, 2), &opts));
+    // a cancel before refinement carries the spans it recorded, and no
+    // worker telemetry
+    assert!(
+        tel.phases.iter().any(|s| s.name == "load"),
+        "{:?}",
+        tel.phases
+    );
+    assert!(tel.attribution.per_worker.is_empty());
+    assert!(tel.flight.is_empty());
     // and again: the session is not poisoned by an early-stage cancel
     let out = session
         .mesh(phantoms::sphere(14, 1.0), cfg(2.5, 2))
@@ -312,14 +308,7 @@ fn cancelled_run_reports_like_a_finished_one() {
         on_stage: None,
     };
     let t0 = Instant::now();
-    let err = session.mesh_with(img, c.clone(), &opts).err();
-    assert!(
-        matches!(err, Some(RefineError::Cancelled)),
-        "expected Cancelled, got {err:?}"
-    );
-    let tel = session
-        .take_cancel_telemetry()
-        .expect("cancelled refinement stashes telemetry");
+    let tel = cancelled(session.mesh_with(img, c.clone(), &opts));
     let cut = run_report(
         "phantom:sphere",
         &c,
