@@ -579,7 +579,7 @@ mod tests {
         assert_eq!(ctx.locks_held(), 0);
         m.check_adjacency().unwrap();
         m.check_orientation().unwrap();
-        m.check_delaunay().unwrap();
+        m.check_delaunay_sos().unwrap();
         assert!((m.total_volume() - 1.0).abs() < 1e-12);
     }
 
@@ -605,7 +605,7 @@ mod tests {
         }
         m.check_adjacency().unwrap();
         m.check_orientation().unwrap();
-        m.check_delaunay().unwrap();
+        m.check_delaunay_sos().unwrap();
         assert!((m.total_volume() - 1.0).abs() < 1e-9);
         assert_eq!(m.num_vertices(), 208);
     }
@@ -622,7 +622,7 @@ mod tests {
             other => panic!("expected duplicate, got {other:?}"),
         }
         assert_eq!(ctx.locks_held(), 0);
-        m.check_delaunay().unwrap();
+        m.check_delaunay_sos().unwrap();
     }
 
     #[test]
@@ -652,7 +652,7 @@ mod tests {
         // and succeeds once the lock is gone
         ctx.insert([0.5, 0.5, 0.5], VertexKind::Circumcenter)
             .unwrap();
-        m.check_delaunay().unwrap();
+        m.check_delaunay_sos().unwrap();
     }
 
     #[test]
@@ -672,7 +672,7 @@ mod tests {
         }
         m.check_adjacency().unwrap();
         m.check_orientation().unwrap();
-        m.check_delaunay().unwrap();
+        m.check_delaunay_sos().unwrap();
         assert!((m.total_volume() - 1.0).abs() < 1e-9);
     }
 

@@ -413,48 +413,13 @@ impl SharedMesh {
         Ok(())
     }
 
-    /// Local Delaunay check: for each interior face, the opposite vertex of
-    /// the neighbor must not lie strictly inside the cell's circumsphere.
-    /// With exact predicates this implies the global Delaunay property.
-    /// Quiescent only.
-    pub fn check_delaunay(&self) -> Result<(), String> {
-        for c in self.alive_cells() {
-            let cell = self.cell(c);
-            let pts = self.cell_points(c);
-            for i in 0..4 {
-                let n = cell.nei(i);
-                if n.is_none() {
-                    continue;
-                }
-                let ncell = self.cell(n);
-                // the neighbor's vertex not shared with c
-                let opp = (0..4)
-                    .map(|k| ncell.vert(k))
-                    .find(|&v| !cell.has_vertex(v))
-                    .ok_or_else(|| format!("{n:?} duplicates {c:?}"))?;
-                let w = self.pos3(opp);
-                let s = pi2m_predicates::insphere_sign(
-                    &pts[0].to_array(),
-                    &pts[1].to_array(),
-                    &pts[2].to_array(),
-                    &pts[3].to_array(),
-                    &w,
-                );
-                if s > 0 {
-                    return Err(format!(
-                        "Delaunay violation: vertex {opp:?} inside circumsphere of {c:?}"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Strict (symbolically perturbed) local Delaunay check: for each
     /// interior face the neighbor's opposite vertex must be strictly outside
     /// the perturbed circumsphere. Passing this certifies the triangulation
     /// is *the* unique SoS-Delaunay triangulation of its vertex set — the
-    /// invariant that removals rely on. Quiescent only.
+    /// invariant that removals rely on — and so a Delaunay one: a vertex
+    /// strictly inside a circumsphere is inside its perturbed one too.
+    /// Quiescent only.
     pub fn check_delaunay_sos(&self) -> Result<(), String> {
         for c in self.alive_cells() {
             let cell = self.cell(c);
@@ -782,7 +747,7 @@ mod tests {
         assert_eq!(m.num_vertices(), 8);
         m.check_adjacency().unwrap();
         m.check_orientation().unwrap();
-        m.check_delaunay().unwrap();
+        m.check_delaunay_sos().unwrap();
         assert!((m.total_volume() - 1.0).abs() < 1e-12);
     }
 

@@ -435,7 +435,7 @@ mod tests {
         assert_eq!(m.num_alive_cells(), 6); // back to the box subdivision
         m.check_adjacency().unwrap();
         m.check_orientation().unwrap();
-        m.check_delaunay().unwrap();
+        m.check_delaunay_sos().unwrap();
         assert!((m.total_volume() - 1.0).abs() < 1e-12);
     }
 
@@ -480,7 +480,7 @@ mod tests {
         );
         m.check_adjacency().unwrap();
         m.check_orientation().unwrap();
-        m.check_delaunay().unwrap();
+        m.check_delaunay_sos().unwrap();
         assert!((m.total_volume() - 1.0).abs() < 1e-9);
     }
 
@@ -501,7 +501,7 @@ mod tests {
         assert!(m.vertex(r.vertex).is_alive());
         other.unlock_all();
         ctx.remove(r.vertex).unwrap();
-        m.check_delaunay().unwrap();
+        m.check_delaunay_sos().unwrap();
     }
 
     #[test]
@@ -524,7 +524,7 @@ mod tests {
             }
             m.check_adjacency()
                 .unwrap_or_else(|e| panic!("round {round}: {e}"));
-            m.check_delaunay()
+            m.check_delaunay_sos()
                 .unwrap_or_else(|e| panic!("round {round}: {e}"));
         }
         assert!((m.total_volume() - 1.0).abs() < 1e-9);

@@ -18,7 +18,6 @@ fn unit_mesh() -> SharedMesh {
 fn full_checks(m: &SharedMesh) {
     m.check_adjacency().unwrap();
     m.check_orientation().unwrap();
-    m.check_delaunay().unwrap();
     m.check_delaunay_sos().unwrap();
 }
 

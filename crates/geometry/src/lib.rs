@@ -22,8 +22,4 @@ pub use tet::{
 
 /// Re-exported predicate entry points so downstream crates can depend on one
 /// geometry facade.
-pub use pi2m_predicates::{
-    insphere, insphere_sign, insphere_sos, insphere_sos_batch, insphere_sos_staged,
-    insphere_staged, orient3d, orient3d_batch4, orient3d_sign, orient3d_sign_staged,
-    orient3d_staged, BatchStats, FilterStats, SemiStaticBounds, BATCH_LANES,
-};
+pub use pi2m_predicates::{insphere_sos, orient3d, orient3d_sign};

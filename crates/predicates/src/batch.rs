@@ -12,16 +12,16 @@
 //! vertex pool for insphere, an index table into a point snapshot for
 //! orient3d), all lane determinants are evaluated in one straight-line pass
 //! with no intervening branches, and only then are the results classified.
-//! Lanes whose determinant clears the semi-static bound are certified
-//! exactly as the scalar stage 1 would have certified them — the per-lane arithmetic is the *same sequence of f64
-//! operations* as [`orient3d_staged`] / [`insphere_sos_staged`] stage 1, so a
-//! certified lane returns the bit-identical determinant. Lanes that fail the
-//! bound fall back, per lane, to the full scalar staged cascade (which
-//! recomputes the same determinant, fails stage 1 the same way, and proceeds
-//! to the dynamic/exact stages). A wave is therefore **sign- and
-//! value-identical** to the scalar cascade lane for lane, and the shared
-//! [`FilterStats`] counters advance identically — batching changes the
-//! schedule, never the answer.
+//! The scalar pass 1 calls the cascade's own determinant functions
+//! (`staged::orient_det` / `staged::insphere_det`), so a lane whose
+//! determinant clears the semi-static bound is certified with the
+//! bit-identical value [`orient3d_staged`] / [`insphere_sos_staged`] stage 1
+//! would have certified. Lanes that fail the bound fall back, per lane, to
+//! the full scalar staged cascade (which recomputes the same determinant,
+//! fails stage 1 the same way, and proceeds to the dynamic/exact stages). A
+//! wave is therefore **sign- and value-identical** to the scalar cascade
+//! lane for lane, and the shared [`FilterStats`] counters advance
+//! identically — batching changes the schedule, never the answer.
 //!
 //! For the symbolically perturbed insphere, a certified lane implies
 //! `det != 0`, so the SoS cofactor cascade is provably not consulted and the
@@ -35,7 +35,9 @@
 //! produces bitwise the scalar determinants.
 
 use crate::orient::P3;
-use crate::staged::{insphere_sos_staged, orient3d_staged, FilterStats, SemiStaticBounds};
+use crate::staged::{
+    insphere_det, insphere_sos_staged, orient3d_staged, orient_det, FilterStats, SemiStaticBounds,
+};
 
 /// Preferred wave width for callers staging lanes: waves near this size
 /// amortize the classification pass without growing the gather buffers.
@@ -315,68 +317,6 @@ fn run_insphere_pass1(xs: &[f64], ys: &[f64], zs: &[f64], pe: &P3, dets: &mut [f
         return;
     }
     insphere_pass1(xs, ys, zs, pe, dets)
-}
-
-/// Stage-1 orient3d determinant for one lane — the exact operation sequence
-/// of [`orient3d_staged`]'s determinant, kept in one `#[inline]` function so
-/// the batched and (hypothetical) scalar evaluations cannot drift apart.
-#[inline(always)]
-fn orient_det(pa: &P3, pb: &P3, pc: &P3, pd: &P3) -> f64 {
-    let adx = pa[0] - pd[0];
-    let bdx = pb[0] - pd[0];
-    let cdx = pc[0] - pd[0];
-    let ady = pa[1] - pd[1];
-    let bdy = pb[1] - pd[1];
-    let cdy = pc[1] - pd[1];
-    let adz = pa[2] - pd[2];
-    let bdz = pb[2] - pd[2];
-    let cdz = pc[2] - pd[2];
-
-    let bdxcdy = bdx * cdy;
-    let cdxbdy = cdx * bdy;
-    let cdxady = cdx * ady;
-    let adxcdy = adx * cdy;
-    let adxbdy = adx * bdy;
-    let bdxady = bdx * ady;
-
-    adz * (bdxcdy - cdxbdy) + bdz * (cdxady - adxcdy) + cdz * (adxbdy - bdxady)
-}
-
-/// Stage-1 insphere determinant for one lane — the exact operation sequence
-/// of [`insphere_staged`](crate::staged::insphere_staged)'s determinant.
-#[inline(always)]
-fn insphere_det(pa: &P3, pb: &P3, pc: &P3, pd: &P3, pe: &P3) -> f64 {
-    let aex = pa[0] - pe[0];
-    let bex = pb[0] - pe[0];
-    let cex = pc[0] - pe[0];
-    let dex = pd[0] - pe[0];
-    let aey = pa[1] - pe[1];
-    let bey = pb[1] - pe[1];
-    let cey = pc[1] - pe[1];
-    let dey = pd[1] - pe[1];
-    let aez = pa[2] - pe[2];
-    let bez = pb[2] - pe[2];
-    let cez = pc[2] - pe[2];
-    let dez = pd[2] - pe[2];
-
-    let ab = aex * bey - bex * aey;
-    let bc = bex * cey - cex * bey;
-    let cd = cex * dey - dex * cey;
-    let da = dex * aey - aex * dey;
-    let ac = aex * cey - cex * aey;
-    let bd = bex * dey - dex * bey;
-
-    let abc = aez * bc - bez * ac + cez * ab;
-    let bcd = bez * cd - cez * bd + dez * bc;
-    let cda = cez * da + dez * ac + aez * cd;
-    let dab = dez * ab + aez * bd + bez * da;
-
-    let alift = aex * aex + aey * aey + aez * aez;
-    let blift = bex * bex + bey * bey + bez * bez;
-    let clift = cex * cex + cey * cey + cez * cez;
-    let dlift = dex * dex + dey * dey + dez * dez;
-
-    (dlift * abc - clift * dab) + (blift * cda - alift * bcd)
 }
 
 /// Batched staged orient3d over `idx.len()` lanes against a shared query

@@ -13,149 +13,23 @@
 //! which is positive when `e` lies inside the circumsphere, **provided the
 //! tetrahedron `a b c d` is positively oriented** (`orient3d(a,b,c,d) > 0`).
 //! For negatively oriented tetrahedra the sign flips; callers in the Delaunay
-//! kernel normalize orientation first.
+//! kernel normalize orientation first. [`insphere()`] is the staged cascade of [`crate::staged`] without a
+//! semi-static bound.
 
 use crate::expansion::Expansion;
-use crate::orient::{det3_exact, P3};
-use crate::primitives::EPSILON;
-
-/// Error-bound coefficient for the filtered stage (Shewchuk's `isperrboundA`).
-const ISP_ERRBOUND_A: f64 = (16.0 + 224.0 * EPSILON) * EPSILON;
-
-/// Fast, non-robust insphere evaluation.
-#[inline]
-pub fn insphere_fast(pa: &P3, pb: &P3, pc: &P3, pd: &P3, pe: &P3) -> f64 {
-    let aex = pa[0] - pe[0];
-    let bex = pb[0] - pe[0];
-    let cex = pc[0] - pe[0];
-    let dex = pd[0] - pe[0];
-    let aey = pa[1] - pe[1];
-    let bey = pb[1] - pe[1];
-    let cey = pc[1] - pe[1];
-    let dey = pd[1] - pe[1];
-    let aez = pa[2] - pe[2];
-    let bez = pb[2] - pe[2];
-    let cez = pc[2] - pe[2];
-    let dez = pd[2] - pe[2];
-
-    let ab = aex * bey - bex * aey;
-    let bc = bex * cey - cex * bey;
-    let cd = cex * dey - dex * cey;
-    let da = dex * aey - aex * dey;
-    let ac = aex * cey - cex * aey;
-    let bd = bex * dey - dex * bey;
-
-    let abc = aez * bc - bez * ac + cez * ab;
-    let bcd = bez * cd - cez * bd + dez * bc;
-    let cda = cez * da + dez * ac + aez * cd;
-    let dab = dez * ab + aez * bd + bez * da;
-
-    let alift = aex * aex + aey * aey + aez * aez;
-    let blift = bex * bex + bey * bey + bez * bez;
-    let clift = cex * cex + cey * cey + cez * cez;
-    let dlift = dex * dex + dey * dey + dez * dez;
-
-    (dlift * abc - clift * dab) + (blift * cda - alift * bcd)
-}
+use crate::orient::{det3_exact, signed_estimate, P3};
+use crate::staged::{insphere_sos_staged, insphere_staged, sign, FilterStats, SemiStaticBounds};
 
 /// Robust insphere: sign-correct double (exactly zero for cospherical points).
 pub fn insphere(pa: &P3, pb: &P3, pc: &P3, pd: &P3, pe: &P3) -> f64 {
-    let aex = pa[0] - pe[0];
-    let bex = pb[0] - pe[0];
-    let cex = pc[0] - pe[0];
-    let dex = pd[0] - pe[0];
-    let aey = pa[1] - pe[1];
-    let bey = pb[1] - pe[1];
-    let cey = pc[1] - pe[1];
-    let dey = pd[1] - pe[1];
-    let aez = pa[2] - pe[2];
-    let bez = pb[2] - pe[2];
-    let cez = pc[2] - pe[2];
-    let dez = pd[2] - pe[2];
-
-    let aexbey = aex * bey;
-    let bexaey = bex * aey;
-    let ab = aexbey - bexaey;
-    let bexcey = bex * cey;
-    let cexbey = cex * bey;
-    let bc = bexcey - cexbey;
-    let cexdey = cex * dey;
-    let dexcey = dex * cey;
-    let cd = cexdey - dexcey;
-    let dexaey = dex * aey;
-    let aexdey = aex * dey;
-    let da = dexaey - aexdey;
-    let aexcey = aex * cey;
-    let cexaey = cex * aey;
-    let ac = aexcey - cexaey;
-    let bexdey = bex * dey;
-    let dexbey = dex * bey;
-    let bd = bexdey - dexbey;
-
-    let abc = aez * bc - bez * ac + cez * ab;
-    let bcd = bez * cd - cez * bd + dez * bc;
-    let cda = cez * da + dez * ac + aez * cd;
-    let dab = dez * ab + aez * bd + bez * da;
-
-    let alift = aex * aex + aey * aey + aez * aez;
-    let blift = bex * bex + bey * bey + bez * bez;
-    let clift = cex * cex + cey * cey + cez * cez;
-    let dlift = dex * dex + dey * dey + dez * dez;
-
-    let det = (dlift * abc - clift * dab) + (blift * cda - alift * bcd);
-
-    let aezplus = aez.abs();
-    let bezplus = bez.abs();
-    let cezplus = cez.abs();
-    let dezplus = dez.abs();
-    let aexbeyplus = aexbey.abs();
-    let bexaeyplus = bexaey.abs();
-    let bexceyplus = bexcey.abs();
-    let cexbeyplus = cexbey.abs();
-    let cexdeyplus = cexdey.abs();
-    let dexceyplus = dexcey.abs();
-    let dexaeyplus = dexaey.abs();
-    let aexdeyplus = aexdey.abs();
-    let aexceyplus = aexcey.abs();
-    let cexaeyplus = cexaey.abs();
-    let bexdeyplus = bexdey.abs();
-    let dexbeyplus = dexbey.abs();
-
-    let permanent = ((cexdeyplus + dexceyplus) * bezplus
-        + (dexbeyplus + bexdeyplus) * cezplus
-        + (bexceyplus + cexbeyplus) * dezplus)
-        * alift
-        + ((dexaeyplus + aexdeyplus) * cezplus
-            + (aexceyplus + cexaeyplus) * dezplus
-            + (cexdeyplus + dexceyplus) * aezplus)
-            * blift
-        + ((aexbeyplus + bexaeyplus) * dezplus
-            + (bexdeyplus + dexbeyplus) * aezplus
-            + (dexaeyplus + aexdeyplus) * bezplus)
-            * clift
-        + ((bexceyplus + cexbeyplus) * aezplus
-            + (cexaeyplus + aexceyplus) * bezplus
-            + (aexbeyplus + bexaeyplus) * cezplus)
-            * dlift;
-    let errbound = ISP_ERRBOUND_A * permanent;
-    if det > errbound || -det > errbound {
-        return det;
-    }
-
-    insphere_exact(pa, pb, pc, pd, pe)
+    let none = SemiStaticBounds::none();
+    insphere_staged(&none, &mut FilterStats::default(), pa, pb, pc, pd, pe)
 }
 
 /// The sign of robust insphere as -1 / 0 / +1.
 #[inline]
 pub fn insphere_sign(pa: &P3, pb: &P3, pc: &P3, pd: &P3, pe: &P3) -> i8 {
-    let v = insphere(pa, pb, pc, pd, pe);
-    if v > 0.0 {
-        1
-    } else if v < 0.0 {
-        -1
-    } else {
-        0
-    }
+    sign(insphere(pa, pb, pc, pd, pe))
 }
 
 /// Symbolically perturbed insphere: never returns 0 for five points that are
@@ -175,37 +49,8 @@ pub fn insphere_sign(pa: &P3, pb: &P3, pc: &P3, pd: &P3, pe: &P3) -> i8 {
 /// oriented tetrahedron `(pa, pb, pc, pd)`, -1 if outside, 0 only when all
 /// five points are coplanar.
 pub fn insphere_sos(pa: &P3, pb: &P3, pc: &P3, pd: &P3, pe: &P3, keys: [u64; 5]) -> i8 {
-    let det = insphere(pa, pb, pc, pd, pe);
-    if det > 0.0 {
-        return 1;
-    }
-    if det < 0.0 {
-        return -1;
-    }
-    // Cospherical: perturb. det4(ε) = det4 + ε_e·S − Σ_{i∈{a..d}} ε_i·C_i
-    // with C_a = -orient3d(b,c,d,e), C_b = +orient3d(a,c,d,e),
-    // C_c = -orient3d(a,b,d,e), C_d = +orient3d(a,b,c,e),
-    // S = orient3d(a,b,c,d).
-    let mut order = [0usize, 1, 2, 3, 4];
-    order.sort_unstable_by(|&i, &j| keys[j].cmp(&keys[i]));
-    for &i in &order {
-        let coeff = match i {
-            0 => orient3d_sign_of(pb, pc, pd, pe),
-            1 => -orient3d_sign_of(pa, pc, pd, pe),
-            2 => orient3d_sign_of(pa, pb, pd, pe),
-            3 => -orient3d_sign_of(pa, pb, pc, pe),
-            _ => orient3d_sign_of(pa, pb, pc, pd),
-        };
-        if coeff != 0 {
-            return coeff;
-        }
-    }
-    0
-}
-
-#[inline]
-fn orient3d_sign_of(a: &P3, b: &P3, c: &P3, d: &P3) -> i8 {
-    crate::orient::orient3d_sign(a, b, c, d)
+    let none = SemiStaticBounds::none();
+    insphere_sos_staged(&none, &mut FilterStats::default(), pa, pb, pc, pd, pe, keys)
 }
 
 /// Exact insphere via expansion arithmetic on exactly translated coordinates.
@@ -241,17 +86,7 @@ pub fn insphere_exact(pa: &P3, pb: &P3, pc: &P3, pd: &P3, pe: &P3) -> f64 {
         .sub(&lc.mul(&m(&a, &b, &d)))
         .add(&ld.mul(&m(&a, &b, &c)));
 
-    match det.sign() {
-        0 => 0.0,
-        s => {
-            let est = det.estimate();
-            if est != 0.0 && (est > 0.0) == (s > 0) {
-                est
-            } else {
-                s as f64 * f64::MIN_POSITIVE
-            }
-        }
-    }
+    signed_estimate(&det)
 }
 
 #[cfg(test)]

@@ -9,10 +9,12 @@
 //! * [`orient3d`] — side-of-plane test,
 //! * [`insphere()`] — in-circumsphere test,
 //!
-//! each implemented as a *filtered* fast floating-point evaluation with a
-//! proven forward error bound (Shewchuk's stage-A bounds), escalating to
-//! fully exact evaluation with [`expansion::Expansion`] arithmetic only when
-//! the filter cannot certify the sign. On meshing workloads the exact path
+//! each one filter cascade ([`staged`]): a semi-static bound computed once
+//! per mesh, then a fast floating-point evaluation with a proven forward
+//! error bound (Shewchuk's stage-A bounds), escalating to fully exact
+//! evaluation with [`expansion::Expansion`] arithmetic only when neither
+//! filter can certify the sign. The plain entry points run the cascade
+//! without a semi-static bound. On meshing workloads the exact path
 //! triggers for a small fraction of calls, so robustness costs little.
 //!
 //! Degeneracy policy: both predicates return exactly `0.0` for degenerate
@@ -34,10 +36,10 @@ pub use batch::{
     MAX_WAVE_LANES,
 };
 pub use expansion::Expansion;
-pub use insphere::{insphere, insphere_exact, insphere_fast, insphere_sign, insphere_sos};
-pub use orient::{orient3d, orient3d_exact, orient3d_fast, orient3d_sign, P3};
+pub use insphere::{insphere, insphere_exact, insphere_sign, insphere_sos};
+pub use orient::{orient3d, orient3d_exact, orient3d_sign, P3};
 pub use primitives::EPSILON;
 pub use staged::{
-    insphere_sign_staged, insphere_sos_staged, insphere_staged, orient3d_sign_staged,
-    orient3d_staged, FilterStats, SemiStaticBounds,
+    insphere_sos_staged, insphere_staged, orient3d_sign_staged, orient3d_staged, FilterStats,
+    SemiStaticBounds,
 };

@@ -10,81 +10,28 @@
 //! ```
 //!
 //! Positive when `d` is below the plane oriented so that `a`, `b`, `c` appear
-//! counterclockwise from above (the usual Shewchuk convention). A fast
-//! floating-point evaluation is attempted first with a forward error bound;
-//! only near-degenerate inputs fall back to exact expansion arithmetic.
+//! counterclockwise from above (the usual Shewchuk convention). [`orient3d`]
+//! is the staged cascade of [`crate::staged`] without a semi-static bound:
+//! a filtered floating-point evaluation with a forward error bound, and
+//! exact expansion arithmetic only for near-degenerate inputs.
 
 use crate::expansion::Expansion;
-use crate::primitives::EPSILON;
-
-/// Error-bound coefficient for the filtered stage (Shewchuk's `o3derrboundA`).
-const O3D_ERRBOUND_A: f64 = (7.0 + 56.0 * EPSILON) * EPSILON;
+use crate::staged::{orient3d_staged, sign, FilterStats, SemiStaticBounds};
 
 /// Point in 3D, plain coordinates.
 pub type P3 = [f64; 3];
 
-/// Fast, *non-robust* orient3d evaluation. Only use when the caller tolerates
-/// sign errors near degeneracy (e.g. as a heuristic inside a walk that is
-/// validated elsewhere).
-#[inline]
-pub fn orient3d_fast(pa: &P3, pb: &P3, pc: &P3, pd: &P3) -> f64 {
-    let adx = pa[0] - pd[0];
-    let bdx = pb[0] - pd[0];
-    let cdx = pc[0] - pd[0];
-    let ady = pa[1] - pd[1];
-    let bdy = pb[1] - pd[1];
-    let cdy = pc[1] - pd[1];
-    let adz = pa[2] - pd[2];
-    let bdz = pb[2] - pd[2];
-    let cdz = pc[2] - pd[2];
-
-    adx * (bdy * cdz - bdz * cdy) + bdx * (cdy * adz - cdz * ady) + cdx * (ady * bdz - adz * bdy)
-}
-
 /// Robust orient3d: returns a double whose *sign* is guaranteed correct
 /// (positive, negative, or exactly zero for coplanar points).
 pub fn orient3d(pa: &P3, pb: &P3, pc: &P3, pd: &P3) -> f64 {
-    let adx = pa[0] - pd[0];
-    let bdx = pb[0] - pd[0];
-    let cdx = pc[0] - pd[0];
-    let ady = pa[1] - pd[1];
-    let bdy = pb[1] - pd[1];
-    let cdy = pc[1] - pd[1];
-    let adz = pa[2] - pd[2];
-    let bdz = pb[2] - pd[2];
-    let cdz = pc[2] - pd[2];
-
-    let bdxcdy = bdx * cdy;
-    let cdxbdy = cdx * bdy;
-    let cdxady = cdx * ady;
-    let adxcdy = adx * cdy;
-    let adxbdy = adx * bdy;
-    let bdxady = bdx * ady;
-
-    let det = adz * (bdxcdy - cdxbdy) + bdz * (cdxady - adxcdy) + cdz * (adxbdy - bdxady);
-
-    let permanent = (bdxcdy.abs() + cdxbdy.abs()) * adz.abs()
-        + (cdxady.abs() + adxcdy.abs()) * bdz.abs()
-        + (adxbdy.abs() + bdxady.abs()) * cdz.abs();
-    let errbound = O3D_ERRBOUND_A * permanent;
-    if det > errbound || -det > errbound {
-        return det;
-    }
-
-    orient3d_exact(pa, pb, pc, pd)
+    let none = SemiStaticBounds::none();
+    orient3d_staged(&none, &mut FilterStats::default(), pa, pb, pc, pd)
 }
 
 /// The sign of robust orient3d as -1 / 0 / +1.
 #[inline]
 pub fn orient3d_sign(pa: &P3, pb: &P3, pc: &P3, pd: &P3) -> i8 {
-    let v = orient3d(pa, pb, pc, pd);
-    if v > 0.0 {
-        1
-    } else if v < 0.0 {
-        -1
-    } else {
-        0
-    }
+    sign(orient3d(pa, pb, pc, pd))
 }
 
 /// Exact orient3d via expansion arithmetic on exactly translated coordinates.
@@ -101,11 +48,16 @@ pub fn orient3d_exact(pa: &P3, pb: &P3, pc: &P3, pd: &P3) -> f64 {
     let cdz = Expansion::from_diff(pc[2], pd[2]);
 
     let det = det3_exact(&adx, &ady, &adz, &bdx, &bdy, &bdz, &cdx, &cdy, &cdz);
+    signed_estimate(&det)
+}
+
+/// An exact determinant as a double with its exact sign (exactly zero when it
+/// vanishes); the estimate keeps relative magnitude information for callers
+/// that want it.
+pub(crate) fn signed_estimate(det: &Expansion) -> f64 {
     match det.sign() {
         0 => 0.0,
         s => {
-            // Return a value with the exact sign; the estimate keeps relative
-            // magnitude information for callers that want it.
             let est = det.estimate();
             if est != 0.0 && (est > 0.0) == (s > 0) {
                 est

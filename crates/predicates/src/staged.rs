@@ -1,13 +1,17 @@
 //! Staged predicate pipeline: semi-static filter → dynamic filter → exact.
 //!
-//! The plain [`crate::orient3d`] / [`crate::insphere()`] entry points already
-//! run a two-stage pipeline (Shewchuk's stage-A *dynamic* filter, then exact
-//! expansion arithmetic). The dynamic filter is sign-safe for arbitrary
-//! inputs, but it pays for that generality on every call: the error bound is
-//! a *permanent* — a sum of absolute-value products mirroring the determinant
-//! — which costs almost as many flops as the determinant itself.
+//! This is the only robust orient3d / insphere evaluation in the crate. The
+//! plain [`crate::orient3d`] / [`crate::insphere()`] / [`crate::insphere_sos`]
+//! entry points are this cascade run with [`SemiStaticBounds::none`], and
+//! the batched filters in [`crate::batch`] evaluate their pass 1 with the
+//! same scalar determinant functions (`orient_det`, `insphere_det`), one per
+//! predicate. Shewchuk's stage-A *dynamic* filter, followed by exact
+//! expansion arithmetic, is sign-safe for arbitrary inputs, but it pays for
+//! that generality on every call: the error bound is a *permanent* — a sum
+//! of absolute-value products mirroring the determinant — which costs
+//! almost as many flops as the determinant itself.
 //!
-//! This module adds a cheaper stage in front: a **semi-static filter** in the
+//! The cascade puts a cheaper stage in front: a **semi-static filter** in the
 //! style of Devillers–Pion. For a mesh whose vertices all live inside a known
 //! bounding box, the permanent is bounded *a priori* by a constant computed
 //! once per mesh ([`SemiStaticBounds`]). A predicate call then only computes
@@ -154,16 +158,12 @@ impl FilterStats {
     }
 }
 
-/// Staged robust orient3d: semi-static filter → dynamic filter → exact.
-/// Sign-identical to [`crate::orient3d`] for in-box inputs.
-pub fn orient3d_staged(
-    b: &SemiStaticBounds,
-    st: &mut FilterStats,
-    pa: &P3,
-    pb: &P3,
-    pc: &P3,
-    pd: &P3,
-) -> f64 {
+/// The orient3d determinant, the one scalar form of it: the staged cascade's
+/// stage 1 and the batched pass 1 in [`crate::batch`] both evaluate this
+/// operation sequence, so they cannot drift apart (the AVX2 lanes mirror it
+/// line for line).
+#[inline(always)]
+pub(crate) fn orient_det(pa: &P3, pb: &P3, pc: &P3, pd: &P3) -> f64 {
     let adx = pa[0] - pd[0];
     let bdx = pb[0] - pd[0];
     let cdx = pc[0] - pd[0];
@@ -181,7 +181,68 @@ pub fn orient3d_staged(
     let adxbdy = adx * bdy;
     let bdxady = bdx * ady;
 
-    let det = adz * (bdxcdy - cdxbdy) + bdz * (cdxady - adxcdy) + cdz * (adxbdy - bdxady);
+    adz * (bdxcdy - cdxbdy) + bdz * (cdxady - adxcdy) + cdz * (adxbdy - bdxady)
+}
+
+/// The insphere determinant, the one scalar form of it (see [`orient_det`]).
+#[inline(always)]
+pub(crate) fn insphere_det(pa: &P3, pb: &P3, pc: &P3, pd: &P3, pe: &P3) -> f64 {
+    let aex = pa[0] - pe[0];
+    let bex = pb[0] - pe[0];
+    let cex = pc[0] - pe[0];
+    let dex = pd[0] - pe[0];
+    let aey = pa[1] - pe[1];
+    let bey = pb[1] - pe[1];
+    let cey = pc[1] - pe[1];
+    let dey = pd[1] - pe[1];
+    let aez = pa[2] - pe[2];
+    let bez = pb[2] - pe[2];
+    let cez = pc[2] - pe[2];
+    let dez = pd[2] - pe[2];
+
+    let ab = aex * bey - bex * aey;
+    let bc = bex * cey - cex * bey;
+    let cd = cex * dey - dex * cey;
+    let da = dex * aey - aex * dey;
+    let ac = aex * cey - cex * aey;
+    let bd = bex * dey - dex * bey;
+
+    let abc = aez * bc - bez * ac + cez * ab;
+    let bcd = bez * cd - cez * bd + dez * bc;
+    let cda = cez * da + dez * ac + aez * cd;
+    let dab = dez * ab + aez * bd + bez * da;
+
+    let alift = aex * aex + aey * aey + aez * aez;
+    let blift = bex * bex + bey * bey + bez * bez;
+    let clift = cex * cex + cey * cey + cez * cez;
+    let dlift = dex * dex + dey * dey + dez * dez;
+
+    (dlift * abc - clift * dab) + (blift * cda - alift * bcd)
+}
+
+/// A predicate value's sign as -1 / 0 / +1.
+#[inline]
+pub(crate) fn sign(v: f64) -> i8 {
+    if v > 0.0 {
+        1
+    } else if v < 0.0 {
+        -1
+    } else {
+        0
+    }
+}
+
+/// Staged robust orient3d: semi-static filter → dynamic filter → exact.
+/// With [`SemiStaticBounds::none`] this is [`crate::orient3d`].
+pub fn orient3d_staged(
+    b: &SemiStaticBounds,
+    st: &mut FilterStats,
+    pa: &P3,
+    pb: &P3,
+    pc: &P3,
+    pd: &P3,
+) -> f64 {
+    let det = orient_det(pa, pb, pc, pd);
 
     // Stage 1 — semi-static: one comparison against the per-mesh constant.
     if det > b.orient || -det > b.orient {
@@ -189,10 +250,20 @@ pub fn orient3d_staged(
         return det;
     }
 
-    // Stage 2 — dynamic: the input-dependent permanent bound.
-    let permanent = (bdxcdy.abs() + cdxbdy.abs()) * adz.abs()
-        + (cdxady.abs() + adxcdy.abs()) * bdz.abs()
-        + (adxbdy.abs() + bdxady.abs()) * cdz.abs();
+    // Stage 2 — dynamic: the input-dependent permanent bound, over the
+    // translated coordinates and products the determinant was built from.
+    let adx = pa[0] - pd[0];
+    let bdx = pb[0] - pd[0];
+    let cdx = pc[0] - pd[0];
+    let ady = pa[1] - pd[1];
+    let bdy = pb[1] - pd[1];
+    let cdy = pc[1] - pd[1];
+    let adz = pa[2] - pd[2];
+    let bdz = pb[2] - pd[2];
+    let cdz = pc[2] - pd[2];
+    let permanent = ((bdx * cdy).abs() + (cdx * bdy).abs()) * adz.abs()
+        + ((cdx * ady).abs() + (adx * cdy).abs()) * bdz.abs()
+        + ((adx * bdy).abs() + (bdx * ady).abs()) * cdz.abs();
     let errbound = O3D_ERRBOUND_A * permanent;
     if det > errbound || -det > errbound {
         st.orient_filtered += 1;
@@ -214,18 +285,11 @@ pub fn orient3d_sign_staged(
     pc: &P3,
     pd: &P3,
 ) -> i8 {
-    let v = orient3d_staged(b, st, pa, pb, pc, pd);
-    if v > 0.0 {
-        1
-    } else if v < 0.0 {
-        -1
-    } else {
-        0
-    }
+    sign(orient3d_staged(b, st, pa, pb, pc, pd))
 }
 
 /// Staged robust insphere: semi-static filter → dynamic filter → exact.
-/// Sign-identical to [`crate::insphere()`] for in-box inputs.
+/// With [`SemiStaticBounds::none`] this is [`crate::insphere()`].
 pub fn insphere_staged(
     b: &SemiStaticBounds,
     st: &mut FilterStats,
@@ -235,6 +299,16 @@ pub fn insphere_staged(
     pd: &P3,
     pe: &P3,
 ) -> f64 {
+    let det = insphere_det(pa, pb, pc, pd, pe);
+
+    // Stage 1 — semi-static: skip the 24-term permanent entirely.
+    if det > b.insphere || -det > b.insphere {
+        st.insphere_semi_static += 1;
+        return det;
+    }
+
+    // Stage 2 — dynamic: the permanent over the determinant's own
+    // translated coordinates, two-products and lifts.
     let aex = pa[0] - pe[0];
     let bex = pb[0] - pe[0];
     let cex = pc[0] - pe[0];
@@ -248,77 +322,24 @@ pub fn insphere_staged(
     let cez = pc[2] - pe[2];
     let dez = pd[2] - pe[2];
 
-    let aexbey = aex * bey;
-    let bexaey = bex * aey;
-    let ab = aexbey - bexaey;
-    let bexcey = bex * cey;
-    let cexbey = cex * bey;
-    let bc = bexcey - cexbey;
-    let cexdey = cex * dey;
-    let dexcey = dex * cey;
-    let cd = cexdey - dexcey;
-    let dexaey = dex * aey;
-    let aexdey = aex * dey;
-    let da = dexaey - aexdey;
-    let aexcey = aex * cey;
-    let cexaey = cex * aey;
-    let ac = aexcey - cexaey;
-    let bexdey = bex * dey;
-    let dexbey = dex * bey;
-    let bd = bexdey - dexbey;
-
-    let abc = aez * bc - bez * ac + cez * ab;
-    let bcd = bez * cd - cez * bd + dez * bc;
-    let cda = cez * da + dez * ac + aez * cd;
-    let dab = dez * ab + aez * bd + bez * da;
+    // Each pair is a two-product bracket of the determinant, in absolute value.
+    let ab = (aex * bey).abs() + (bex * aey).abs();
+    let bc = (bex * cey).abs() + (cex * bey).abs();
+    let cd = (cex * dey).abs() + (dex * cey).abs();
+    let da = (dex * aey).abs() + (aex * dey).abs();
+    let ac = (aex * cey).abs() + (cex * aey).abs();
+    let bd = (bex * dey).abs() + (dex * bey).abs();
 
     let alift = aex * aex + aey * aey + aez * aez;
     let blift = bex * bex + bey * bey + bez * bez;
     let clift = cex * cex + cey * cey + cez * cez;
     let dlift = dex * dex + dey * dey + dez * dez;
 
-    let det = (dlift * abc - clift * dab) + (blift * cda - alift * bcd);
-
-    // Stage 1 — semi-static: skip the 24-term permanent entirely.
-    if det > b.insphere || -det > b.insphere {
-        st.insphere_semi_static += 1;
-        return det;
-    }
-
-    // Stage 2 — dynamic filter (identical to `crate::insphere`).
-    let aezplus = aez.abs();
-    let bezplus = bez.abs();
-    let cezplus = cez.abs();
-    let dezplus = dez.abs();
-    let aexbeyplus = aexbey.abs();
-    let bexaeyplus = bexaey.abs();
-    let bexceyplus = bexcey.abs();
-    let cexbeyplus = cexbey.abs();
-    let cexdeyplus = cexdey.abs();
-    let dexceyplus = dexcey.abs();
-    let dexaeyplus = dexaey.abs();
-    let aexdeyplus = aexdey.abs();
-    let aexceyplus = aexcey.abs();
-    let cexaeyplus = cexaey.abs();
-    let bexdeyplus = bexdey.abs();
-    let dexbeyplus = dexbey.abs();
-
-    let permanent = ((cexdeyplus + dexceyplus) * bezplus
-        + (dexbeyplus + bexdeyplus) * cezplus
-        + (bexceyplus + cexbeyplus) * dezplus)
-        * alift
-        + ((dexaeyplus + aexdeyplus) * cezplus
-            + (aexceyplus + cexaeyplus) * dezplus
-            + (cexdeyplus + dexceyplus) * aezplus)
-            * blift
-        + ((aexbeyplus + bexaeyplus) * dezplus
-            + (bexdeyplus + dexbeyplus) * aezplus
-            + (dexaeyplus + aexdeyplus) * bezplus)
-            * clift
-        + ((bexceyplus + cexbeyplus) * aezplus
-            + (cexaeyplus + aexceyplus) * bezplus
-            + (aexbeyplus + bexaeyplus) * cezplus)
-            * dlift;
+    let (az, bz, cz, dz) = (aez.abs(), bez.abs(), cez.abs(), dez.abs());
+    let permanent = (cd * bz + bd * cz + bc * dz) * alift
+        + (da * cz + ac * dz + cd * az) * blift
+        + (ab * dz + bd * az + da * bz) * clift
+        + (bc * az + ac * bz + ab * cz) * dlift;
     let errbound = ISP_ERRBOUND_A * permanent;
     if det > errbound || -det > errbound {
         st.insphere_filtered += 1;
@@ -330,31 +351,10 @@ pub fn insphere_staged(
     insphere_exact(pa, pb, pc, pd, pe)
 }
 
-/// Sign of [`insphere_staged`] as -1 / 0 / +1.
-#[inline]
-pub fn insphere_sign_staged(
-    b: &SemiStaticBounds,
-    st: &mut FilterStats,
-    pa: &P3,
-    pb: &P3,
-    pc: &P3,
-    pd: &P3,
-    pe: &P3,
-) -> i8 {
-    let v = insphere_staged(b, st, pa, pb, pc, pd, pe);
-    if v > 0.0 {
-        1
-    } else if v < 0.0 {
-        -1
-    } else {
-        0
-    }
-}
-
-/// Staged, symbolically perturbed insphere — the staged counterpart of
-/// [`crate::insphere_sos`], with identical results. See that function for
-/// the perturbation scheme; the orient3d cofactors consulted on ties run
-/// through the staged pipeline too.
+/// Staged, symbolically perturbed insphere: [`insphere_staged`], with ties
+/// broken by the perturbation scheme described at [`crate::insphere_sos`];
+/// the orient3d cofactors consulted on ties run through the cascade too.
+/// With [`SemiStaticBounds::none`] this is [`crate::insphere_sos`].
 #[allow(clippy::too_many_arguments)]
 pub fn insphere_sos_staged(
     b: &SemiStaticBounds,
@@ -373,6 +373,10 @@ pub fn insphere_sos_staged(
     if det < 0.0 {
         return -1;
     }
+    // Cospherical: perturb. det4(ε) = det4 + ε_e·S − Σ_{i∈{a..d}} ε_i·C_i
+    // with C_a = -orient3d(b,c,d,e), C_b = +orient3d(a,c,d,e),
+    // C_c = -orient3d(a,b,d,e), C_d = +orient3d(a,b,c,e),
+    // S = orient3d(a,b,c,d).
     let mut order = [0usize, 1, 2, 3, 4];
     order.sort_unstable_by(|&i, &j| keys[j].cmp(&keys[i]));
     for &i in &order {
@@ -393,8 +397,6 @@ pub fn insphere_sos_staged(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insphere::{insphere_sign, insphere_sos};
-    use crate::orient::orient3d_sign;
 
     const A: P3 = [0.0, 0.0, 0.0];
     const B: P3 = [1.0, 0.0, 0.0];
@@ -436,21 +438,21 @@ mod tests {
     }
 
     #[test]
-    fn near_degenerate_signs_match_plain_path() {
+    fn near_degenerate_signs_match_exact() {
         let b = unit_bounds();
         let mut st = FilterStats::default();
         let eps = 2f64.powi(-60);
         for d in [[0.3, 0.4, -eps], [0.3, 0.4, eps]] {
             assert_eq!(
                 orient3d_sign_staged(&b, &mut st, &A, &B, &C, &d),
-                orient3d_sign(&A, &B, &C, &d)
+                sign(orient3d_exact(&A, &B, &C, &d))
             );
         }
         let eps = 2f64.powi(-45);
         for e in [[1.0 - eps, 1.0, -1.0], [1.0 + eps, 1.0, -1.0]] {
             assert_eq!(
-                insphere_sign_staged(&b, &mut st, &A, &B, &C, &D, &e),
-                insphere_sign(&A, &B, &C, &D, &e)
+                sign(insphere_staged(&b, &mut st, &A, &B, &C, &D, &e)),
+                sign(insphere_exact(&A, &B, &C, &D, &e))
             );
         }
     }
@@ -465,16 +467,24 @@ mod tests {
     }
 
     #[test]
-    fn sos_staged_matches_sos() {
+    fn sos_staged_matches_exact_tie_break() {
         let b = unit_bounds();
         let mut st = FilterStats::default();
         let e = [1.0, 1.0, -1.0]; // exactly cospherical
+        assert_eq!(insphere_exact(&A, &B, &C, &D, &e), 0.0);
+        let p = [&A, &B, &C, &D, &e];
         for perm in 0..5 {
             let mut keys = [0u64, 1, 2, 3, 4];
             keys.rotate_left(perm);
+            // the youngest point's cofactor, (-1)^i times the exact orient3d
+            // of the other four (none vanishes for this configuration)
+            let i = (0..5).max_by_key(|&i| keys[i]).unwrap();
+            let rest: Vec<&P3> = (0..5).filter(|&j| j != i).map(|j| p[j]).collect();
+            let cofactor = sign(orient3d_exact(rest[0], rest[1], rest[2], rest[3]));
+            assert_ne!(cofactor, 0);
             assert_eq!(
                 insphere_sos_staged(&b, &mut st, &A, &B, &C, &D, &e, keys),
-                insphere_sos(&A, &B, &C, &D, &e, keys)
+                if i % 2 == 0 { cofactor } else { -cofactor }
             );
         }
         assert!(st.insphere_exact > 0);

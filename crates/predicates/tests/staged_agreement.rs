@@ -19,8 +19,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use pi2m_predicates::{
-    insphere_sign, insphere_sign_staged, insphere_sos, insphere_sos_batch, insphere_sos_staged,
-    orient3d_batch_gather, orient3d_sign, orient3d_sign_staged, orient3d_staged, BatchStats,
+    insphere_exact, insphere_sos_batch, insphere_sos_staged, insphere_staged,
+    orient3d_batch_gather, orient3d_exact, orient3d_sign_staged, orient3d_staged, BatchStats,
     FilterStats, SemiStaticBounds, BATCH_LANES,
 };
 
@@ -91,6 +91,48 @@ fn bounds_for(pts: &[[f64; 3]]) -> SemiStaticBounds {
     SemiStaticBounds::for_box(&lo, &hi)
 }
 
+fn sign_of(d: f64) -> i8 {
+    if d > 0.0 {
+        1
+    } else if d < 0.0 {
+        -1
+    } else {
+        0
+    }
+}
+
+/// The exact orient3d sign: the reference every staged orient3d answer is
+/// held against.
+fn orient_ref(pa: &[f64; 3], pb: &[f64; 3], pc: &[f64; 3], pd: &[f64; 3]) -> i8 {
+    sign_of(orient3d_exact(pa, pb, pc, pd))
+}
+
+/// The exact insphere sign.
+fn insphere_ref(p: [&[f64; 3]; 5]) -> i8 {
+    sign_of(insphere_exact(p[0], p[1], p[2], p[3], p[4]))
+}
+
+/// Symbolically perturbed insphere built from the exact predicates alone:
+/// the exact insphere sign, and on a tie the first nonzero cofactor taken in
+/// decreasing key order, where point `i`'s cofactor is `(-1)^i` times the
+/// exact orient3d of the other four points in order.
+fn sos_ref(p: [&[f64; 3]; 5], keys: [u64; 5]) -> i8 {
+    let s = insphere_ref(p);
+    if s != 0 {
+        return s;
+    }
+    let mut order = [0usize, 1, 2, 3, 4];
+    order.sort_by(|&i, &j| keys[j].cmp(&keys[i]));
+    for i in order {
+        let rest: Vec<&[f64; 3]> = (0..5).filter(|&j| j != i).map(|j| p[j]).collect();
+        let s = orient_ref(rest[0], rest[1], rest[2], rest[3]);
+        if s != 0 {
+            return if i % 2 == 0 { s } else { -s };
+        }
+    }
+    0
+}
+
 /// Nudge `x` by up to ±2 ulps (identity near zero, where bit arithmetic
 /// would jump across the sign boundary).
 fn ulp_nudge(x: f64, r: &mut Rng) -> f64 {
@@ -127,7 +169,7 @@ fn coplanar_lattice_orient_agrees_with_exact() {
         }
         let b = bounds_for(&p);
         let staged = orient3d_sign_staged(&b, &mut st, &p[0], &p[1], &p[2], &p[3]);
-        let exact = orient3d_sign(&p[0], &p[1], &p[2], &p[3]);
+        let exact = orient_ref(&p[0], &p[1], &p[2], &p[3]);
         assert_eq!(staged, exact, "case {case}: {p:?}");
         if exact == 0 {
             zeros += 1;
@@ -167,7 +209,7 @@ fn ulp_perturbed_orient_agrees_with_exact() {
         }
         let b = bounds_for(&p);
         let staged = orient3d_sign_staged(&b, &mut st, &p[0], &p[1], &p[2], &p[3]);
-        let exact = orient3d_sign(&p[0], &p[1], &p[2], &p[3]);
+        let exact = orient_ref(&p[0], &p[1], &p[2], &p[3]);
         assert_eq!(staged, exact, "case {case}: {p:?}");
     }
     assert_eq!(st.orient_total(), N_ULP_ORIENT as u64);
@@ -204,7 +246,7 @@ fn translated_orient_agrees_with_exact() {
         }
         let b = bounds_for(&p);
         let staged = orient3d_sign_staged(&b, &mut st, &p[0], &p[1], &p[2], &p[3]);
-        let exact = orient3d_sign(&p[0], &p[1], &p[2], &p[3]);
+        let exact = orient_ref(&p[0], &p[1], &p[2], &p[3]);
         assert_eq!(staged, exact, "case {case}: {p:?}");
     }
     assert_eq!(st.orient_total(), N_TRANSLATED_ORIENT as u64);
@@ -272,8 +314,10 @@ fn cospherical_orbit_insphere_agrees_with_exact() {
             p[i][k] += r.int(-1, 1) as f64;
         }
         let bb = bounds_for(&p);
-        let staged = insphere_sign_staged(&bb, &mut st, &p[0], &p[1], &p[2], &p[3], &p[4]);
-        let exact = insphere_sign(&p[0], &p[1], &p[2], &p[3], &p[4]);
+        let staged = sign_of(insphere_staged(
+            &bb, &mut st, &p[0], &p[1], &p[2], &p[3], &p[4],
+        ));
+        let exact = insphere_ref([&p[0], &p[1], &p[2], &p[3], &p[4]]);
         assert_eq!(staged, exact, "case {case}: {p:?}");
         if exact == 0 {
             zeros += 1;
@@ -307,8 +351,10 @@ fn ulp_perturbed_insphere_agrees_with_exact() {
             }
         }
         let bb = bounds_for(&p);
-        let staged = insphere_sign_staged(&bb, &mut st, &p[0], &p[1], &p[2], &p[3], &p[4]);
-        let exact = insphere_sign(&p[0], &p[1], &p[2], &p[3], &p[4]);
+        let staged = sign_of(insphere_staged(
+            &bb, &mut st, &p[0], &p[1], &p[2], &p[3], &p[4],
+        ));
+        let exact = insphere_ref([&p[0], &p[1], &p[2], &p[3], &p[4]]);
         assert_eq!(staged, exact, "case {case}: {p:?}");
     }
     assert_eq!(st.insphere_total(), N_ULP_INSPHERE as u64);
@@ -332,8 +378,10 @@ fn translated_insphere_agrees_with_exact() {
             }
         }
         let bb = bounds_for(&p);
-        let staged = insphere_sign_staged(&bb, &mut st, &p[0], &p[1], &p[2], &p[3], &p[4]);
-        let exact = insphere_sign(&p[0], &p[1], &p[2], &p[3], &p[4]);
+        let staged = sign_of(insphere_staged(
+            &bb, &mut st, &p[0], &p[1], &p[2], &p[3], &p[4],
+        ));
+        let exact = insphere_ref([&p[0], &p[1], &p[2], &p[3], &p[4]]);
         assert_eq!(staged, exact, "case {case}: {p:?}");
     }
     assert_eq!(st.insphere_total(), N_TRANSLATED_INSPHERE as u64);
@@ -366,7 +414,7 @@ fn sos_staged_matches_sos_exact_on_ties() {
         }
         let bb = bounds_for(&p);
         let staged = insphere_sos_staged(&bb, &mut st, &p[0], &p[1], &p[2], &p[3], &p[4], keys);
-        let exact = insphere_sos(&p[0], &p[1], &p[2], &p[3], &p[4], keys);
+        let exact = sos_ref([&p[0], &p[1], &p[2], &p[3], &p[4]], keys);
         assert_eq!(staged, exact, "case {case}: {p:?} keys {keys:?}");
         if staged != 0 {
             broken += 1;
@@ -390,16 +438,6 @@ fn sos_staged_matches_sos_exact_on_ties() {
 // that is the whole "batching changes the schedule, never the answer"
 // contract the kernel relies on for byte-identical meshes.
 // ---------------------------------------------------------------------------
-
-fn sign_of(d: f64) -> i8 {
-    if d > 0.0 {
-        1
-    } else if d < 0.0 {
-        -1
-    } else {
-        0
-    }
-}
 
 #[test]
 fn batched_orient_agrees_on_coplanar_lattice_waves() {
@@ -449,7 +487,7 @@ fn batched_orient_agrees_on_coplanar_lattice_waves() {
                 scalar.to_bits(),
                 "wave {wave} lane {l}: batched det diverged from scalar staged"
             );
-            let exact = orient3d_sign(&pa, &pb, &pc, &pd);
+            let exact = orient_ref(&pa, &pb, &pc, &pd);
             assert_eq!(sign_of(dets[l]), exact, "wave {wave} lane {l}");
             if exact == 0 {
                 zeros += 1;
@@ -515,7 +553,7 @@ fn batched_orient_agrees_on_translated_ulp_waves() {
             assert_eq!(dets[l].to_bits(), scalar.to_bits(), "wave {wave} lane {l}");
             assert_eq!(
                 sign_of(dets[l]),
-                orient3d_sign(&pa, &pb, &pc, &pd),
+                orient_ref(&pa, &pb, &pc, &pd),
                 "wave {wave} lane {l}"
             );
         }
@@ -595,11 +633,11 @@ fn batched_insphere_agrees_on_cospherical_orbit_waves() {
             let pd = [xs[4 * l + 3], ys[4 * l + 3], zs[4 * l + 3]];
             let scalar = insphere_sos_staged(&bb, &mut st_s, &pa, &pb, &pc, &pd, &pe, keys[l]);
             assert_eq!(signs[l], scalar, "wave {wave} lane {l}");
-            let exact = insphere_sos(&pa, &pb, &pc, &pd, &pe, keys[l]);
+            let exact = sos_ref([&pa, &pb, &pc, &pd, &pe], keys[l]);
             assert_eq!(signs[l], exact, "wave {wave} lane {l}");
             // where the unperturbed determinant itself is nonzero, the SoS
             // sign is the plain sign — check it against the exact predicate
-            let plain = insphere_sign(&pa, &pb, &pc, &pd, &pe);
+            let plain = insphere_ref([&pa, &pb, &pc, &pd, &pe]);
             if plain == 0 {
                 zeros += 1;
             } else {
@@ -681,7 +719,7 @@ fn batched_insphere_agrees_on_ulp_sphere_waves() {
             assert_eq!(signs[l], scalar, "wave {wave} lane {l}");
             assert_eq!(
                 signs[l],
-                insphere_sos(&pa, &pb, &pc, &pd, &pe, keys[l]),
+                sos_ref([&pa, &pb, &pc, &pd, &pe], keys[l]),
                 "wave {wave} lane {l}"
             );
         }

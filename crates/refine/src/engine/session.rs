@@ -159,8 +159,9 @@ impl MeshingSession {
 
 /// Run the staged pipeline once over `pool`. A run that reaches refinement
 /// parks the warm resources before it returns, whatever the outcome. One
-/// that a majority of its workers did not survive, or that the livelock
-/// watchdog stopped, then returns its typed error in place of the mesh. A
+/// that a majority of its workers did not survive, that the livelock
+/// watchdog stopped, or that converged to no element, then returns its
+/// typed error in place of the mesh. A
 /// cancelled run returns [`RefineError::Cancelled`] carrying what it
 /// recorded up to the cancellation point.
 fn run_pipeline(
@@ -375,6 +376,11 @@ fn run_pipeline(
     }
     if sync.livelocked() {
         return Err(RefineError::Livelock);
+    }
+    // Nor is a converged run that kept no element; a capped run may simply
+    // have stopped before it made one.
+    if final_mesh.num_tets() == 0 && cfg.max_operations == 0 {
+        return Err(RefineError::NoElements { delta: cfg.delta });
     }
 
     let stats = RefineStats {

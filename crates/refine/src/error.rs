@@ -3,7 +3,8 @@
 //! The engine absorbs individual worker panics (isolation + quarantine) and
 //! kernel-invariant errors (typed `OpError::Kernel`); a run only escalates to
 //! a `RefineError` when the failure is global — a majority of workers dead,
-//! or the livelock watchdog declaring no-progress — or when it is cancelled,
+//! or the livelock watchdog declaring no-progress — when a converged run
+//! kept no element (δ too coarse for the image), or when it is cancelled,
 //! and then the error hands back the telemetry the run recorded.
 
 use crate::engine::CancelTelemetry;
@@ -20,6 +21,9 @@ pub enum RefineError {
     Livelock,
     /// A kernel invariant broke outside any recoverable operation scope.
     Kernel(KernelError),
+    /// The run converged but kept no tetrahedron: every feature of the image
+    /// is finer than `delta`, so there is no mesh to write.
+    NoElements { delta: f64 },
     /// The run's [`CancelToken`](pi2m_obs::cancel::CancelToken) tripped (an
     /// explicit cancel or an expired deadline). Cooperative: workers stop at
     /// the next operation boundary, so no locks or partial operations leak,
@@ -36,6 +40,10 @@ impl std::fmt::Display for RefineError {
             }
             RefineError::Livelock => write!(f, "livelock watchdog fired: no progress"),
             RefineError::Kernel(e) => write!(f, "kernel invariant broken: {e}"),
+            RefineError::NoElements { delta } => write!(
+                f,
+                "no elements: the run at delta {delta:?} kept no tetrahedron (delta is too coarse for this image)"
+            ),
             RefineError::Cancelled(_) => {
                 write!(f, "run cancelled (token tripped or deadline passed)")
             }

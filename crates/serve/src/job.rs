@@ -10,6 +10,7 @@
 
 use crate::trace::JobTrace;
 use pi2m_obs::json::Json;
+use pi2m_obs::CancelToken;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -213,15 +214,17 @@ pub struct JobRecord {
     /// Attempts started (1 on the first run; retries increment it).
     pub attempts: u32,
     /// Typed error class of the last failure: `cancelled`, `load`,
-    /// `kernel`, `worker_quorum_lost`, `livelock`, `checkout`, `io`,
-    /// `panic`.
+    /// `kernel`, `no_elements`, `worker_quorum_lost`, `livelock`,
+    /// `checkout`, `io`, `panic`.
     pub error_kind: Option<String>,
     /// Human-readable error of the last failure.
     pub error: Option<String>,
     /// When the job was admitted.
     pub submitted: Instant,
-    /// Absolute deadline derived from the spec (or service default).
-    pub deadline: Option<Instant>,
+    /// The job's cancel token, made at admission with the spec's deadline
+    /// (or the service default). Every attempt runs under a clone of it,
+    /// and a drain out of grace cancels it.
+    pub cancel: CancelToken,
     /// Seconds spent queued before the first attempt started.
     pub queue_wait_s: Option<f64>,
     /// Seconds of the successful attempt's mesh run.
@@ -238,7 +241,7 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
-    pub fn new(id: JobId, spec: JobSpec, deadline: Option<Instant>) -> JobRecord {
+    pub fn new(id: JobId, spec: JobSpec, cancel: CancelToken) -> JobRecord {
         JobRecord {
             id,
             spec,
@@ -247,7 +250,7 @@ impl JobRecord {
             error_kind: None,
             error: None,
             submitted: Instant::now(),
-            deadline,
+            cancel,
             queue_wait_s: None,
             run_s: None,
             tets: None,
@@ -371,7 +374,7 @@ mod tests {
     #[test]
     fn record_json_has_terminal_fields() {
         let v = json::parse(r#"{"input":"phantom:sphere"}"#).unwrap();
-        let mut r = JobRecord::new(3, JobSpec::from_json(&v).unwrap(), None);
+        let mut r = JobRecord::new(3, JobSpec::from_json(&v).unwrap(), CancelToken::new());
         r.status = JobStatus::Failed;
         r.error_kind = Some("kernel".into());
         r.error = Some("boom".into());

@@ -13,16 +13,17 @@
 //!   measured job rate) instead of buffering without bound.
 //! * **Typed terminal states** — every admitted job ends `succeeded`,
 //!   `failed` (typed error, fail-fast for deterministic causes), or
-//!   `cancelled` (per-job deadline). Nothing hangs: the deadline is the
-//!   attempt's [`CancelToken`](pi2m_obs::CancelToken), which every
-//!   cooperative cancellation point of the engine polls.
+//!   `cancelled` (per-job deadline). Nothing hangs: each job has one
+//!   [`CancelToken`](pi2m_obs::CancelToken), made at admission with its
+//!   deadline, which every attempt runs under and every cooperative
+//!   cancellation point of the engine polls.
 //! * **Crash isolation and retries** — transient failures (worker-quorum
 //!   loss, livelock, injected checkout/artifact faults) retry with capped
 //!   exponential backoff; a poisoned run quarantines its session (the slot
 //!   recycles to a fresh worker pool) so state never bleeds across jobs.
 //! * **Graceful degradation** — SIGTERM (or `POST /drain`) stops
-//!   admission, lets in-flight jobs finish or hit their deadlines, flushes
-//!   artifacts, then exits; `/readyz` flips to 503 the moment draining
+//!   admission, lets in-flight jobs finish or hit their deadlines (past
+//!   its grace, cancels every job's token), flushes artifacts, then exits; `/readyz` flips to 503 the moment draining
 //!   starts, `/metrics` exposes the queue/shed/retry/drain counters.
 //! * **Per-job accountability** — every admitted job accumulates a typed
 //!   [`JobTrace`] (admit → queue wait → checkout → attempts/backoffs →

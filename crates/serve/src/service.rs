@@ -23,10 +23,12 @@
 //! attempt. A *successful* run that still lost workers (the PEL-bequest
 //! recovery path) is also followed by a recycle.
 //!
-//! A job's deadline is its attempt's [`CancelToken`] deadline, which every
-//! cooperative cancellation point of the engine polls (the worker loop,
-//! the EDT passes, the stage boundaries); a backoff checks the same
-//! instant. No other timer exists.
+//! Each job has one [`CancelToken`] (`JobRecord::cancel`), made at
+//! admission with its deadline. Every attempt runs under a clone of it,
+//! and every cooperative cancellation point of the engine polls it (the
+//! worker loop, the EDT passes, the stage boundaries); the check before an
+//! attempt and a backoff read the same token. A drain out of grace cancels
+//! every job's token. No other timer exists.
 //!
 //! ## One account per job
 //!
@@ -57,7 +59,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -132,7 +134,8 @@ impl FailureClass {
 struct AttemptFailure {
     class: FailureClass,
     /// Stable error class for the job record (`cancelled`, `load`,
-    /// `kernel`, `worker_quorum_lost`, `livelock`, `checkout`, `io`).
+    /// `kernel`, `no_elements`, `worker_quorum_lost`, `livelock`,
+    /// `checkout`, `io`).
     kind: &'static str,
     message: String,
 }
@@ -147,6 +150,7 @@ impl AttemptFailure {
             ),
             RefineError::Livelock => (FailureClass::Transient { poison: true }, "livelock"),
             RefineError::Kernel(_) => (FailureClass::Deterministic, "kernel"),
+            RefineError::NoElements { .. } => (FailureClass::Deterministic, "no_elements"),
         };
         AttemptFailure {
             class,
@@ -238,8 +242,6 @@ pub struct MeshService {
     cfg: ServiceConfig,
     queue: JobQueue,
     jobs: Mutex<HashMap<JobId, JobRecord>>,
-    /// Cancel handles of attempts currently executing.
-    running: Mutex<HashMap<JobId, CancelToken>>,
     /// Service-lifetime metrics: the serve counters plus every finished
     /// job's engine metrics merged in.
     metrics: Mutex<MetricsSnapshot>,
@@ -249,8 +251,6 @@ pub struct MeshService {
     latency: Mutex<LatencyPanel>,
     next_id: AtomicU64,
     busy_slots: AtomicUsize,
-    /// Set when a drain exhausted its grace: attempts and backoffs abort.
-    abort: AtomicBool,
     handles: Mutex<Vec<JoinHandle<()>>>,
     started: Instant,
 }
@@ -267,13 +267,11 @@ impl MeshService {
         let svc = Arc::new(MeshService {
             queue: JobQueue::new(cfg.queue_capacity),
             jobs: Mutex::new(HashMap::new()),
-            running: Mutex::new(HashMap::new()),
             metrics: Mutex::new(MetricsSnapshot::new()),
             avg_run_s: Mutex::new(None),
             latency: Mutex::default(),
             next_id: AtomicU64::new(1),
             busy_slots: AtomicUsize::new(0),
-            abort: AtomicBool::new(false),
             handles: Mutex::new(Vec::new()),
             started: Instant::now(),
             cfg,
@@ -342,8 +340,10 @@ impl MeshService {
             }
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let deadline_s = spec.deadline_s.or(self.cfg.default_deadline_s);
-        let deadline = deadline_s.map(|s| Instant::now() + Duration::from_secs_f64(s));
+        let cancel = match spec.deadline_s.or(self.cfg.default_deadline_s) {
+            Some(s) => CancelToken::with_deadline(Duration::from_secs_f64(s)),
+            None => CancelToken::new(),
+        };
         let prio = spec.priority;
         let depth = self.queue.depth();
         // The jobs lock is held across admission, so a slot that pops the
@@ -357,7 +357,7 @@ impl MeshService {
         let mut jobs = self.jobs.lock();
         match self.queue.admit(id, prio, retry_after_s) {
             Ok(()) => {
-                let mut rec = JobRecord::new(id, spec, deadline);
+                let mut rec = JobRecord::new(id, spec, cancel);
                 rec.trace.push(0.0, admitted.clone());
                 jobs.insert(id, rec);
                 self.count(metrics::SERVE_JOBS_SUBMITTED, 1);
@@ -412,9 +412,10 @@ impl MeshService {
 
     /// Graceful drain: stop admitting, let in-flight jobs finish (or hit
     /// their own deadlines), then join every service thread. If the backlog
-    /// is not gone after `grace`, remaining attempts are force-cancelled
-    /// (they terminate `Cancelled`, typed). Returns `true` when everything
-    /// finished within the grace period.
+    /// is not gone after `grace`, every job's token is cancelled, so queued
+    /// jobs, attempts (loading or meshing) and backoffs all terminate
+    /// `Cancelled`, typed. Returns `true` when everything finished within
+    /// the grace period.
     pub fn drain(&self, grace: Duration) -> bool {
         self.begin_drain();
         let deadline = Instant::now() + grace;
@@ -424,11 +425,7 @@ impl MeshService {
                 break true;
             }
             if Instant::now() >= deadline {
-                // Out of grace: abort backoffs and cancel running attempts.
-                self.abort.store(true, Ordering::SeqCst);
-                for token in self.running.lock().values() {
-                    token.cancel();
-                }
+                self.cancel_all();
                 break false;
             }
             std::thread::sleep(Duration::from_millis(10));
@@ -497,6 +494,14 @@ impl MeshService {
         self.metrics.lock().add_counter(id, n);
     }
 
+    /// Cancel every job's token: whatever a job is doing (queued, loading,
+    /// meshing, backing off), it stops at its next check.
+    fn cancel_all(&self) {
+        for r in self.jobs.lock().values() {
+            r.cancel.cancel();
+        }
+    }
+
     // ---- slot side ------------------------------------------------------
 
     fn runner(self: Arc<Self>, slot: usize) {
@@ -511,7 +516,6 @@ impl MeshService {
                 Arc::clone(&self).run_job(&mut session, slot, id)
             }));
             if attempt.is_err() {
-                self.running.lock().remove(&id);
                 self.recycle(&mut session, slot, "panic escaped the attempt");
                 self.finish(
                     id,
@@ -629,11 +633,11 @@ impl MeshService {
     /// Execute one job to a typed terminal state, retrying transient
     /// failures with capped exponential backoff.
     fn run_job(self: Arc<Self>, session: &mut MeshingSession, slot: usize, id: JobId) {
-        let Some((spec, deadline, submitted)) = self
+        let Some((spec, cancel, submitted)) = self
             .jobs
             .lock()
             .get(&id)
-            .map(|r| (r.spec.clone(), r.deadline, r.submitted))
+            .map(|r| (r.spec.clone(), r.cancel.clone(), r.submitted))
         else {
             return; // record vanished (never happens in practice)
         };
@@ -672,7 +676,7 @@ impl MeshService {
                     session_generation: session.generation(),
                 },
             );
-            let fail = match self.attempt(session, slot, id, &spec, deadline, &on_stage) {
+            let fail = match self.attempt(session, slot, id, &spec, &cancel, &on_stage) {
                 Ok(done) => {
                     if done.dirty {
                         // The run finished (PEL bequest kept it sound) but
@@ -692,7 +696,7 @@ impl MeshService {
             };
             let will_retry = matches!(fail.class, FailureClass::Transient { .. })
                 && attempt <= max_retries
-                && !self.abort.load(Ordering::SeqCst);
+                && !cancel.is_cancelled();
             self.event(
                 id,
                 TraceEventKind::AttemptFailed {
@@ -725,11 +729,11 @@ impl MeshService {
                     backoff_s: backoff.as_secs_f64(),
                 },
             );
-            if !self.backoff(backoff, deadline) {
+            if !backoff_under(backoff, &cancel) {
                 let fail = AttemptFailure {
                     class: FailureClass::Cancelled,
                     kind: "cancelled",
-                    message: format!("deadline passed while backing off after: {}", fail.message),
+                    message: format!("cancelled while backing off after: {}", fail.message),
                 };
                 self.finish(id, Err(fail));
                 return;
@@ -751,7 +755,7 @@ impl MeshService {
         self.count(metrics::SERVE_SESSIONS_RECYCLED, 1);
     }
 
-    /// One attempt: checkout, load, mesh under the job's deadline token,
+    /// One attempt: checkout, load, mesh under the job's cancel token,
     /// flush the artifact.
     fn attempt(
         &self,
@@ -759,14 +763,14 @@ impl MeshService {
         slot: usize,
         id: JobId,
         spec: &JobSpec,
-        deadline: Option<Instant>,
+        cancel: &CancelToken,
         on_stage: &StageCallback,
     ) -> Result<AttemptSuccess, AttemptFailure> {
-        if self.abort.load(Ordering::SeqCst) {
+        if cancel.is_cancelled() {
             return Err(AttemptFailure {
                 class: FailureClass::Cancelled,
                 kind: "cancelled",
-                message: "drain grace period expired before the attempt started".into(),
+                message: "cancelled before the attempt started".into(),
             });
         }
         // Seeded fault site: a poisoned checkout is transient and
@@ -780,20 +784,6 @@ impl MeshService {
                 });
             }
         }
-        let remaining = match deadline {
-            Some(d) => {
-                let now = Instant::now();
-                if now >= d {
-                    return Err(AttemptFailure {
-                        class: FailureClass::Cancelled,
-                        kind: "cancelled",
-                        message: "deadline passed before the attempt started".into(),
-                    });
-                }
-                Some(d - now)
-            }
-            None => None,
-        };
         let img = load_input(&spec.input).map_err(|e| AttemptFailure {
             class: FailureClass::Deterministic,
             kind: "load",
@@ -809,21 +799,14 @@ impl MeshService {
             faults: self.cfg.faults.clone(),
             ..Default::default()
         };
-        let token = match remaining {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::new(),
-        };
-        self.running.lock().insert(id, token.clone());
         let t0 = Instant::now();
         let run_opts = RunOptions {
-            cancel: Some(token),
+            cancel: Some(cancel.clone()),
             on_stage: Some(on_stage.clone()),
         };
-        let result = session
+        let out = session
             .mesh_with(img, cfg, &run_opts)
-            .map_err(|e| AttemptFailure::from_refine(&e));
-        self.running.lock().remove(&id);
-        let out = result?;
+            .map_err(|e| AttemptFailure::from_refine(&e))?;
         let run_s = t0.elapsed().as_secs_f64();
         let dirty = out.stats.workers_died > 0;
         // Fold the job's engine metrics into the service-lifetime view
@@ -878,20 +861,20 @@ impl MeshService {
         })?;
         Ok(path)
     }
+}
 
-    /// Sleep out a retry backoff, aborting early on the job deadline or a
-    /// drain running out of grace. Returns `false` when the job must stop
-    /// retrying.
-    fn backoff(&self, backoff: Duration, deadline: Option<Instant>) -> bool {
-        let until = Instant::now() + backoff;
-        while Instant::now() < until {
-            if self.abort.load(Ordering::SeqCst) || deadline.is_some_and(|d| Instant::now() >= d) {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(5));
+/// Sleep out a retry backoff, stopping early when the job's token trips
+/// (its deadline, or a drain out of grace). Returns `false` when the job
+/// must stop retrying.
+fn backoff_under(backoff: Duration, cancel: &CancelToken) -> bool {
+    let until = Instant::now() + backoff;
+    while Instant::now() < until {
+        if cancel.is_cancelled() {
+            return false;
         }
-        true
+        std::thread::sleep(Duration::from_millis(5));
     }
+    true
 }
 
 /// The capped exponential backoff before retry `attempt + 1`.
@@ -906,10 +889,7 @@ impl Drop for MeshService {
         // Safety net for callers that never drained: stop the threads so
         // the process can exit. (Drain is the intended path.)
         self.queue.begin_drain();
-        self.abort.store(true, Ordering::SeqCst);
-        for token in self.running.lock().values() {
-            token.cancel();
-        }
+        self.cancel_all();
         for h in std::mem::take(&mut *self.handles.lock()) {
             let _ = h.join();
         }

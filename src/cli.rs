@@ -175,7 +175,7 @@ pub fn parse_args(raw: &[String]) -> Args {
 ///
 /// | code | class | meaning |
 /// |------|-------|---------|
-/// | 1 | `error` | generic failure (bad flags, unknown input, ...) |
+/// | 1 | `error` | generic failure (bad flags, unknown input, a run that meshed nothing, ...) |
 /// | 3 | `cancelled` | a deadline killed the run ([`RefineError::Cancelled`]) |
 /// | 4 | `io` | an input or artifact could not be read/written |
 /// | 5 | `integrity` | typed kernel/invariant violation or failed `--audit` |
@@ -227,6 +227,7 @@ impl CliError {
         match e {
             RefineError::Cancelled(_) => CliError::Cancelled(e.to_string()),
             RefineError::Kernel(_) => CliError::Integrity(e.to_string()),
+            RefineError::NoElements { .. } => CliError::Generic(e.to_string()),
             RefineError::WorkerQuorumLost { .. } | RefineError::Livelock => {
                 CliError::WorkerLoss(e.to_string())
             }
@@ -496,6 +497,9 @@ mod tests {
             6
         );
         assert_eq!(CliError::from_refine(&RefineError::Livelock).exit_code(), 6);
+        let empty = CliError::from_refine(&RefineError::NoElements { delta: 1.0 });
+        assert_eq!(empty.exit_code(), 1);
+        assert!(empty.to_string().contains("at delta 1.0 "), "{empty}");
     }
 
     #[test]

@@ -168,33 +168,74 @@ fn phantom_clamps_tiny_scale() {
 
 /// A δ near `f64::MAX` is valid but overflows the proximity query radius to
 /// `inf`; the grid then visits each bucket once instead of walking an
-/// unbounded cube of cells, so the run ends at once with an empty mesh. A
-/// watchdog kills the child and fails the test if it spins.
+/// unbounded cube of cells, so the run ends at once with no element: an
+/// error naming δ, and no mesh written. A watchdog kills the child and
+/// fails the test if it spins.
 #[test]
 fn mesh_with_huge_delta_terminates() {
     let dir = std::env::temp_dir().join(format!("pi2m-cli-delta-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let out = dir.join("m.vtk");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_pi2m"))
-        .args(["mesh", "phantom:sphere", "--delta", "1e308", "-o"])
-        .arg(&out)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("pi2m runs");
-    let t0 = std::time::Instant::now();
-    let status = loop {
-        if let Some(status) = child.try_wait().unwrap() {
-            break status;
-        }
-        if t0.elapsed() > std::time::Duration::from_secs(30) {
-            child.kill().ok();
-            child.wait().ok();
-            panic!("pi2m mesh --delta 1e308 still running after 30 s");
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
-    assert_eq!(status.code(), Some(0));
+    let args = [
+        "mesh",
+        "phantom:sphere",
+        "--delta",
+        "1e308",
+        "-o",
+        out.to_str().unwrap(),
+    ];
+    let (code, stderr) = pi2m_watched(&args);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("no elements") && stderr.contains("at delta 1e308"),
+        "{stderr}"
+    );
+    assert!(!out.exists(), "an empty mesh must not be written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run that converges to no element is an error naming δ, not an empty
+/// VTK: an 8³ image with one foreground voxel keeps nothing at δ = 1, and
+/// 34 tetrahedra at δ = 0.5.
+#[test]
+fn mesh_that_keeps_no_element_fails_naming_delta() {
+    let dir = std::env::temp_dir().join(format!("pi2m-cli-voxel-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let image = dir.join("one.pim");
+    let mut pim = b"PI2M-IMAGE 1\ndims 8 8 8\nspacing 1 1 1\norigin 0 0 0\ndata\n".to_vec();
+    let mut voxels = vec![0u8; 512];
+    voxels[4 + 8 * 4 + 64 * 4] = 1;
+    pim.extend(voxels);
+    std::fs::write(&image, pim).unwrap();
+    let image = image.to_str().unwrap();
+
+    let coarse = dir.join("coarse.vtk");
+    let (code, stderr) = pi2m_watched(&[
+        "mesh",
+        image,
+        "--delta",
+        "1",
+        "-o",
+        coarse.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("no elements") && stderr.contains("at delta 1.0 "),
+        "{stderr}"
+    );
+    assert!(!coarse.exists(), "an empty mesh must not be written");
+
+    let fine = dir.join("fine.vtk");
+    let (code, stderr) = pi2m_watched(&[
+        "mesh",
+        image,
+        "--delta",
+        "0.5",
+        "-o",
+        fine.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(fine.exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -257,6 +257,30 @@ fn deterministic_failure_fails_fast_without_retry() {
 }
 
 #[test]
+fn a_job_that_meshes_nothing_fails_deterministic() {
+    let svc = MeshService::start(ServiceConfig {
+        sessions: 1,
+        threads: 1,
+        queue_capacity: 4,
+        spool: spool("empty"),
+        ..Default::default()
+    })
+    .unwrap();
+    let id = svc
+        .submit(JobSpec {
+            delta: Some(1e308),
+            ..spec("phantom:sphere")
+        })
+        .unwrap();
+    let r = wait_terminal(&svc, id, Duration::from_secs(30));
+    assert_eq!(r.status, JobStatus::Failed);
+    assert_eq!(r.error_kind.as_deref(), Some("no_elements"));
+    assert_eq!(r.attempts, 1, "deterministic errors must not burn retries");
+    assert!(r.artifact.is_none());
+    assert!(svc.drain(Duration::from_secs(10)));
+}
+
+#[test]
 fn deadline_cancels_job_stuck_behind_slow_queue() {
     // The slot is held for 500ms; a job with a 100ms deadline behind it
     // must terminate Cancelled (deadline measured from submission).
@@ -492,6 +516,41 @@ fn drain_finishes_inflight_and_rejects_late_submits() {
     }
     assert_eq!(svc.counter(m::SERVE_DRAINS), 1);
     assert_eq!(svc.counter(m::SERVE_JOBS_SHED), 1);
+}
+
+#[test]
+fn drain_out_of_grace_cancels_an_attempt_still_loading() {
+    // The slot is held at checkout for 400ms, before the input loads; the
+    // drain's 50ms grace runs out inside that window. The job's one cancel
+    // token is cancelled there, so the attempt stops at the engine's first
+    // check instead of meshing the whole abdominal phantom.
+    let faults = FaultPlan::parse(
+        7,
+        "site=serve.session.checkout,kind=delay,delay_ms=400,count=1",
+    )
+    .unwrap();
+    let svc = MeshService::start(ServiceConfig {
+        sessions: 1,
+        threads: 1,
+        queue_capacity: 4,
+        spool: spool("drain-loading"),
+        faults: Some(Arc::new(faults)),
+        ..Default::default()
+    })
+    .unwrap();
+    let id = svc
+        .submit(JobSpec {
+            delta: Some(0.5),
+            ..spec("phantom:abdominal")
+        })
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let t0 = Instant::now();
+    assert!(!svc.drain(Duration::from_millis(50)), "grace must run out");
+    let took = t0.elapsed();
+    let r = svc.job(id).unwrap();
+    assert_eq!(r.status, JobStatus::Cancelled, "{:?}", r.error);
+    assert!(took < Duration::from_secs(2), "drain took {took:?}");
 }
 
 // ---- the spawned-binary drill ------------------------------------------
