@@ -24,6 +24,7 @@ mod stage;
 mod worker;
 
 pub use config::{MeshOutput, MesherConfig};
+pub(crate) use session::require_elements;
 pub use session::{CancelTelemetry, MeshingSession, RunOptions};
 pub use stage::{Stage, StageCallback, StageEvent, StageStatus};
 

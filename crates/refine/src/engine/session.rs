@@ -136,7 +136,12 @@ impl MeshingSession {
         cfg: MesherConfig,
         opts: &RunOptions,
     ) -> Result<MeshOutput, RefineError> {
-        self.mesh_seeded(img, cfg, opts, &[])
+        let (delta, max_operations) = (cfg.delta, cfg.max_operations);
+        require_elements(
+            self.mesh_seeded(img, cfg, opts, &[])?,
+            delta,
+            max_operations,
+        )
     }
 
     /// [`mesh_with`](Self::mesh_with) over a pre-seeded triangulation: the
@@ -146,6 +151,9 @@ impl MeshingSession {
     /// the union of the chunk meshes' vertices, and the repair work
     /// concentrates on the seam bands between chunks. A run with a seed
     /// also fires the `shard.stitch` fault site from its worker loop.
+    /// Unlike `mesh_with`, it returns an empty mesh as it is: a chunk run of a
+    /// sharded mesh may hold only background, and the caller applies
+    /// [`require_elements`] to the stitched result.
     pub(crate) fn mesh_seeded(
         &mut self,
         img: LabeledImage,
@@ -159,9 +167,8 @@ impl MeshingSession {
 
 /// Run the staged pipeline once over `pool`. A run that reaches refinement
 /// parks the warm resources before it returns, whatever the outcome. One
-/// that a majority of its workers did not survive, that the livelock
-/// watchdog stopped, or that converged to no element, then returns its
-/// typed error in place of the mesh. A
+/// that a majority of its workers did not survive, or that the livelock
+/// watchdog stopped, then returns its typed error in place of the mesh. A
 /// cancelled run returns [`RefineError::Cancelled`] carrying what it
 /// recorded up to the cancellation point.
 fn run_pipeline(
@@ -377,11 +384,6 @@ fn run_pipeline(
     if sync.livelocked() {
         return Err(RefineError::Livelock);
     }
-    // Nor is a converged run that kept no element; a capped run may simply
-    // have stopped before it made one.
-    if final_mesh.num_tets() == 0 && cfg.max_operations == 0 {
-        return Err(RefineError::NoElements { delta: cfg.delta });
-    }
 
     let stats = RefineStats {
         final_elements: final_mesh.num_tets(),
@@ -402,6 +404,20 @@ fn run_pipeline(
         flight_dropped,
         attribution,
     })
+}
+
+/// The contract of a final mesh: a converged run that kept no element is not
+/// one. A capped run (`max_operations > 0`) may simply have stopped before it
+/// made one, so it keeps its empty mesh.
+pub(crate) fn require_elements(
+    out: MeshOutput,
+    delta: f64,
+    max_operations: u64,
+) -> Result<MeshOutput, RefineError> {
+    if out.mesh.num_tets() == 0 && max_operations == 0 {
+        return Err(RefineError::NoElements { delta });
+    }
+    Ok(out)
 }
 
 /// One stage of a run: fires its `Started` and `Finished` events through the

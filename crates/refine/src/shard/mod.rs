@@ -27,7 +27,7 @@ mod stitch;
 
 pub use split::{split_plan, ChunkSpec, ShardError};
 
-use crate::engine::{MeshOutput, MesherConfig, MeshingSession, RunOptions};
+use crate::engine::{require_elements, MeshOutput, MesherConfig, MeshingSession, RunOptions};
 use crate::error::RefineError;
 use crate::output::FinalMesh;
 use parking_lot::Mutex;
@@ -159,8 +159,10 @@ pub fn mesh_sharded(
                     let chunk_img = img.crop(c.lo, c.hi);
                     let start_s = origin.elapsed().as_secs_f64();
                     let t0 = Instant::now();
+                    // A chunk of only background meshes to nothing and
+                    // seeds nothing; only the stitched mesh must keep an element.
                     let r = lane_session
-                        .mesh_with(chunk_img, chunk_cfg.clone(), &chunk_opts)
+                        .mesh_seeded(chunk_img, chunk_cfg.clone(), &chunk_opts, &[])
                         .map(|out| ChunkOut {
                             mesh: out.mesh,
                             metrics: out.metrics,
@@ -192,7 +194,12 @@ pub fn mesh_sharded(
     let chunk_meshes: Vec<FinalMesh> = chunk_outs.iter().map(|c| c.mesh.clone()).collect();
     let (seed, seed_duplicates) = stitch::gather_seed_points(&img, &plan, &chunk_meshes);
     let stitch_start = phases.now();
-    let mut out = session.mesh_seeded(img, cfg, opts, &seed)?;
+    let (delta, max_operations) = (cfg.delta, cfg.max_operations);
+    let mut out = require_elements(
+        session.mesh_seeded(img, cfg, opts, &seed)?,
+        delta,
+        max_operations,
+    )?;
     phases.record("shard_stitch", stitch_start, phases.now() - stitch_start);
 
     // One timeline: shift the stitch pipeline's stage spans onto the sharded

@@ -15,7 +15,8 @@
 use pi2m::image::phantoms;
 use pi2m::quality::mesh_quality;
 use pi2m::refine::{
-    audit_mesh, mesh_sharded, split_plan, MesherConfig, MeshingSession, ShardError, ShardSpec,
+    audit_mesh, mesh_sharded, split_plan, MesherConfig, MeshingSession, RefineError, ShardError,
+    ShardSpec,
 };
 use std::sync::Arc;
 
@@ -167,6 +168,52 @@ fn stitched_knee_leaves_no_element_over_the_radius_edge_bound() {
         "radius-edge {}",
         q.max_radius_edge
     );
+}
+
+#[test]
+fn a_chunk_of_background_adds_no_seed_and_the_stitch_goes_ahead() {
+    // A ball pushed against the low-x face of the image: on a 2x1x1 grid the
+    // high-x chunk (core from x = 12, halo 3) holds no foreground at all and
+    // meshes to nothing. That chunk contributes no seed point; only the
+    // stitched mesh of the whole image must keep an element.
+    let img = pi2m::image::LabeledImage::from_fn([24, 12, 12], [1.0; 3], |p| {
+        let d = [p.x - 4.5, p.y - 6.0, p.z - 6.0];
+        u8::from(d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= 3.5 * 3.5)
+    });
+    let mut session = MeshingSession::new(1);
+    let run = mesh_sharded(
+        &mut session,
+        img,
+        cfg(1.5, 1),
+        &Default::default(),
+        &ShardSpec::new([2, 1, 1]),
+    )
+    .unwrap();
+    assert_eq!(
+        run.chunks[1].tets, 0,
+        "the background chunk meshed something"
+    );
+    assert_eq!(run.chunks[1].vertices, 0);
+    assert!(run.chunks[0].tets > 0);
+    assert!(run.out.mesh.num_tets() > 0);
+    let audit = audit_mesh(&run.out.shared, 42);
+    assert!(audit.clean(), "{}", audit.summary());
+
+    // An image whose every feature is finer than delta still fails as a
+    // whole: the stitch keeps no element either.
+    let mut speck = pi2m::image::LabeledImage::new([8, 8, 8], [1.0; 3]);
+    speck.set(4, 4, 4, 1);
+    match mesh_sharded(
+        &mut session,
+        speck,
+        cfg(1.0, 1),
+        &Default::default(),
+        &ShardSpec::new([2, 1, 1]),
+    ) {
+        Err(ShardError::Run(RefineError::NoElements { delta })) => assert_eq!(delta, 1.0),
+        Err(other) => panic!("wrong error: {other:?}"),
+        Ok(run) => panic!("{} tets from a speck at delta 1", run.out.mesh.num_tets()),
+    }
 }
 
 // ---------------------------------------------------------------------------
