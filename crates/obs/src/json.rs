@@ -155,6 +155,10 @@ fn write_num(out: &mut String, v: f64) {
         out.push_str("null");
     } else if v.fract() == 0.0 && v.abs() < 9.0e15 {
         let _ = write!(out, "{}", v as i64);
+    } else if v.abs() >= 1e21 || v.abs() < 1e-6 {
+        // exponent form where JavaScript uses one: `Display` never does,
+        // and writes 1e308 as 309 digits
+        let _ = write!(out, "{v:e}");
     } else {
         // shortest roundtrip representation Rust provides
         let _ = write!(out, "{v}");
@@ -428,6 +432,24 @@ mod tests {
         assert_eq!(Json::int(7).dump(), "7");
         assert_eq!(Json::num(0.5).dump(), "0.5");
         assert_eq!(Json::num(f64::INFINITY).dump(), "null");
+    }
+
+    /// A number is written in a bounded width, in exponent form outside
+    /// [1e-6, 1e21) as JavaScript writes it, and reads back exactly.
+    #[test]
+    fn numbers_round_trip_in_a_bounded_width() {
+        for (v, text) in [
+            (1e308, "1e308"),
+            (1e-300, "1e-300"),
+            (6.6e-7, "6.6e-7"),
+            (0.5, "0.5"),
+            (3.0, "3"),
+            (1e16, "10000000000000000"),
+        ] {
+            let s = Json::num(v).dump();
+            assert_eq!(s, text);
+            assert_eq!(parse(&s).unwrap().as_f64(), Some(v), "{s}");
+        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! The workspace vendors no network stack, so this is a hand-rolled
 //! blocking server: a non-blocking accept loop polled against a stop
-//! predicate, one short-lived thread per connection (bounded; excess
-//! connections are answered `503` immediately — the same shedding
-//! philosophy as the job queue), `Connection: close` on every response.
+//! predicate hands each connection to an idle handler thread over a
+//! channel. Handlers are kept and reused; a new one starts only when every
+//! live one is busy, up to `MAX_CONNS`, and past that a connection is
+//! answered `503` at once — the same shedding philosophy as the job queue.
+//! `Connection: close` on every response.
 //!
 //! An artifact is never read into memory: its response holds the open
 //! spool file, which is copied onto the socket through the connection's
@@ -34,6 +36,7 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -41,7 +44,7 @@ use std::time::Duration;
 const MAX_HEAD: usize = 16 * 1024;
 /// Cap on body bytes before a request is rejected.
 const MAX_BODY: usize = 1024 * 1024;
-/// Concurrent connection threads before new connections are shed.
+/// Handler threads, all busy, before new connections are shed.
 const MAX_CONNS: usize = 64;
 /// The accept loop's first sleep after finding no connection; each further
 /// empty poll doubles it up to `IDLE_MAX`, and an accept resets it. A
@@ -317,9 +320,11 @@ fn recent_jobs(svc: &MeshService, n: &str) -> Response {
             &format!("recent: expected a count, got '{n}'"),
         );
     };
-    let mut jobs = svc.jobs();
-    jobs.reverse(); // jobs() is oldest-first
-    let summaries: Vec<Json> = jobs.iter().take(n).map(|r| r.summary_json()).collect();
+    let summaries: Vec<Json> = svc
+        .recent_jobs(n)
+        .iter()
+        .map(|r| r.summary_json())
+        .collect();
     Response::json(200, &Json::obj(vec![("jobs", Json::Arr(summaries))]))
 }
 
@@ -390,6 +395,8 @@ fn artifact(svc: &MeshService, name: &str) -> Response {
 /// delegated to [`handle`].
 pub struct HttpServer {
     listener: TcpListener,
+    /// Handler threads the running [`serve`](Self::serve) has started.
+    handlers: AtomicUsize,
 }
 
 impl HttpServer {
@@ -397,7 +404,10 @@ impl HttpServer {
     pub fn bind(addr: &str) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        Ok(HttpServer { listener })
+        Ok(HttpServer {
+            listener,
+            handlers: AtomicUsize::new(0),
+        })
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -406,45 +416,84 @@ impl HttpServer {
     }
 
     /// Serve until `stop()` turns true (polled between accepts, at least
-    /// every 5 ms). Each connection gets its own short-lived thread, bounded
-    /// at `MAX_CONNS` (64); beyond that, connections are answered `503`
-    /// inline.
+    /// every 5 ms). Each connection goes to an idle handler thread; a new
+    /// handler starts only when every live one is busy, up to `MAX_CONNS`
+    /// (64), and beyond that connections are answered `503` inline. The
+    /// handlers finish the connections they hold and are joined before
+    /// this returns.
     pub fn serve<F: Fn() -> bool>(&self, svc: Arc<MeshService>, stop: F) {
-        let live = Arc::new(AtomicUsize::new(0));
-        let mut idle = IDLE_MIN;
-        while !stop() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    idle = IDLE_MIN;
-                    if live.load(Ordering::SeqCst) >= MAX_CONNS {
-                        let mut stream = stream;
-                        let _ = Response::error(503, "overloaded", "too many connections")
-                            .write_to(&mut stream);
-                        continue;
+        let (tx, rx) = mpsc::channel::<TcpStream>();
+        let rx = parking_lot::Mutex::new(rx);
+        // Handlers free for a new stream and not yet claimed: a handler
+        // adds itself once its response is written, and the accept loop
+        // takes one off before each send, so no sent stream waits behind a
+        // busy handler.
+        let idle = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let mut idle_sleep = IDLE_MIN;
+            while !stop() {
+                match self.listener.accept() {
+                    Ok((stream, _)) => {
+                        idle_sleep = IDLE_MIN;
+                        let claimed = idle
+                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                            .is_ok();
+                        let started = !claimed
+                            && self.handlers.load(Ordering::SeqCst) < MAX_CONNS
+                            && std::thread::Builder::new()
+                                .name("pi2m-http-handler".into())
+                                .spawn_scoped(scope, || handler(&svc, &rx, &idle))
+                                .is_ok();
+                        if started {
+                            self.handlers.fetch_add(1, Ordering::SeqCst);
+                        }
+                        if claimed || started {
+                            let _ = tx.send(stream);
+                        } else {
+                            let mut stream = stream;
+                            let _ = Response::error(503, "overloaded", "too many connections")
+                                .write_to(&mut stream);
+                        }
                     }
-                    live.fetch_add(1, Ordering::SeqCst);
-                    let svc = Arc::clone(&svc);
-                    let live = Arc::clone(&live);
-                    let _ = std::thread::Builder::new()
-                        .name("pi2m-conn".into())
-                        .spawn(move || {
-                            handle_connection(&svc, stream);
-                            live.fetch_sub(1, Ordering::SeqCst);
-                        });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(idle);
-                    idle = (idle * 2).min(IDLE_MAX);
-                }
-                Err(e) => {
-                    // The sleep paces a flapping socket to at most 20
-                    // lines a second, so it cannot flood stderr.
-                    svc.journal()
-                        .warn("serve.accept_error", &[("error", Json::str(e.to_string()))]);
-                    std::thread::sleep(Duration::from_millis(50));
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(idle_sleep);
+                        idle_sleep = (idle_sleep * 2).min(IDLE_MAX);
+                    }
+                    Err(e) => {
+                        // The sleep paces a flapping socket to at most 20
+                        // lines a second, so it cannot flood stderr.
+                        svc.journal()
+                            .warn("serve.accept_error", &[("error", Json::str(e.to_string()))]);
+                        std::thread::sleep(Duration::from_millis(50));
+                    }
                 }
             }
-        }
+            // Every handler's next `recv` now fails, and the scope joins it.
+            drop(tx);
+        });
+        self.handlers.store(0, Ordering::SeqCst);
+    }
+}
+
+/// One handler thread: take streams off the channel and answer each, until
+/// the accept loop drops the sender. The handler counts itself idle once
+/// its response is written and before the socket closes, so a client that
+/// sends its next request after reading a whole response always finds it
+/// idle. A panic in a route (an injected `kind=panic` at
+/// `serve.queue.admit` fires on this thread) costs only its connection, not
+/// the scope that joins every handler.
+fn handler(
+    svc: &MeshService,
+    streams: &parking_lot::Mutex<Receiver<TcpStream>>,
+    idle: &AtomicUsize,
+) {
+    loop {
+        let Ok(stream) = streams.lock().recv() else {
+            return;
+        };
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| respond(svc, &stream)));
+        idle.fetch_add(1, Ordering::SeqCst);
+        let _ = stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
@@ -452,18 +501,17 @@ impl HttpServer {
 /// the head a byte at a time and `write_to` emits the head a line at a
 /// time, which unbuffered is a syscall per byte and per line, and on the
 /// client side a wake-up per segment.
-fn handle_connection(svc: &MeshService, stream: TcpStream) {
+fn respond(svc: &MeshService, stream: &TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_nonblocking(false);
-    let response = match read_request(&mut BufReader::new(&stream)) {
+    let response = match read_request(&mut BufReader::new(stream)) {
         Ok(req) => handle(svc, &req),
         Err(e) => Response::error(400, "bad_request", &e),
     };
     // `write_to` ends with a flush, so no write error is lost with the
     // buffer.
-    let _ = response.write_to(&mut BufWriter::new(&stream));
-    let _ = stream.shutdown(std::net::Shutdown::Both);
+    let _ = response.write_to(&mut BufWriter::new(stream));
 }
 
 #[cfg(test)]
@@ -509,6 +557,95 @@ mod tests {
         assert!(text.contains("Retry-After: 7\r\n"));
         assert!(text.contains("Content-Length: 4\r\n"));
         assert!(text.ends_with("\r\n\r\nbusy"));
+    }
+
+    /// Run `client` against a served `MeshService` (one slot), then stop
+    /// the server; returns what `client` returned and the handler threads
+    /// live when it returned. A test asserts on the result afterwards: an
+    /// assertion inside the scope would leave `serve` running and the
+    /// scope waiting for it.
+    fn with_server<T>(
+        faults: Option<pi2m_faults::FaultPlan>,
+        client: impl FnOnce(SocketAddr) -> T,
+    ) -> (T, usize) {
+        use crate::service::ServiceConfig;
+        use std::sync::atomic::AtomicBool;
+        static SPOOLS: AtomicUsize = AtomicUsize::new(0);
+
+        let spool = std::env::temp_dir().join(format!(
+            "pi2m-http-test-{}-{}",
+            std::process::id(),
+            SPOOLS.fetch_add(1, Ordering::SeqCst)
+        ));
+        let svc = MeshService::start(ServiceConfig {
+            sessions: 1,
+            threads: 1,
+            spool: spool.clone(),
+            faults: faults.map(Arc::new),
+            ..Default::default()
+        })
+        .unwrap();
+        let server = HttpServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let stop = AtomicBool::new(false);
+        let out = std::thread::scope(|s| {
+            s.spawn(|| server.serve(Arc::clone(&svc), || stop.load(Ordering::SeqCst)));
+            let out = client(addr);
+            let handlers = server.handlers.load(Ordering::SeqCst);
+            stop.store(true, Ordering::SeqCst);
+            (out, handlers)
+        });
+        assert_eq!(server.handlers.load(Ordering::SeqCst), 0);
+        assert!(svc.drain(Duration::from_secs(10)));
+        let _ = std::fs::remove_dir_all(&spool);
+        out
+    }
+
+    /// Send `req` on a fresh connection and read the reply to its end.
+    fn exchange(addr: SocketAddr, req: &[u8]) -> String {
+        let mut c = TcpStream::connect(addr).unwrap();
+        c.write_all(req).unwrap();
+        let mut out = Vec::new();
+        let _ = c.read_to_end(&mut out);
+        String::from_utf8_lossy(&out).into_owned()
+    }
+
+    /// Requests sent one after another are all answered by the first
+    /// handler thread: a handler is idle again before its client reads the
+    /// end of its response, so no request finds every handler busy.
+    #[test]
+    fn sequential_requests_reuse_one_handler() {
+        let (answers, handlers) = with_server(None, |addr| {
+            (0..20)
+                .map(|_| exchange(addr, b"GET /healthz HTTP/1.1\r\n\r\n"))
+                .collect::<Vec<_>>()
+        });
+        for out in &answers {
+            assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
+        }
+        assert_eq!(handlers, 1);
+    }
+
+    /// A route that panics (here an injected panic at admission) costs its
+    /// connection only: the same handler answers the next request, and
+    /// `serve` returns normally once stopped (a panic that escaped its
+    /// handler would fail the scope that joins it).
+    #[test]
+    fn a_panicking_route_costs_only_its_connection() {
+        let faults =
+            pi2m_faults::FaultPlan::parse(1, "site=serve.queue.admit,kind=panic,count=1").unwrap();
+        let body = r#"{"input":"phantom:sphere"}"#;
+        let post = format!(
+            "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let ((panicked, next), handlers) = with_server(Some(faults), |addr| {
+            let panicked = exchange(addr, post.as_bytes());
+            (panicked, exchange(addr, b"GET /healthz HTTP/1.1\r\n\r\n"))
+        });
+        assert_eq!(panicked, "", "the panicking request gets no answer");
+        assert!(next.starts_with("HTTP/1.1 200 OK"), "{next}");
+        assert_eq!(handlers, 1);
     }
 
     /// A file body goes out after the head exactly as the file holds it,

@@ -241,7 +241,10 @@ impl LatencyPanel {
 pub struct MeshService {
     cfg: ServiceConfig,
     queue: JobQueue,
-    jobs: Mutex<HashMap<JobId, JobRecord>>,
+    /// Each record is boxed: the table holds a pointer per slot, so its
+    /// spare slots and a resize (old and new tables alive at once) cost
+    /// 16 bytes a slot instead of a whole record.
+    jobs: Mutex<HashMap<JobId, Box<JobRecord>>>,
     /// Service-lifetime metrics: the serve counters plus every finished
     /// job's engine metrics merged in.
     metrics: Mutex<MetricsSnapshot>,
@@ -359,7 +362,7 @@ impl MeshService {
             Ok(()) => {
                 let mut rec = JobRecord::new(id, spec, cancel);
                 rec.trace.push(0.0, admitted.clone());
-                jobs.insert(id, rec);
+                jobs.insert(id, Box::new(rec));
                 self.count(metrics::SERVE_JOBS_SUBMITTED, 1);
                 self.journal_event(id, &admitted);
                 Ok(id)
@@ -391,14 +394,33 @@ impl MeshService {
 
     /// Snapshot one job record.
     pub fn job(&self, id: JobId) -> Option<JobRecord> {
-        self.jobs.lock().get(&id).cloned()
+        self.jobs.lock().get(&id).map(|r| JobRecord::clone(r))
     }
 
     /// Snapshot all job records, oldest first.
     pub fn jobs(&self) -> Vec<JobRecord> {
-        let mut v: Vec<JobRecord> = self.jobs.lock().values().cloned().collect();
+        let mut v: Vec<JobRecord> = self
+            .jobs
+            .lock()
+            .values()
+            .map(|r| JobRecord::clone(r))
+            .collect();
         v.sort_by_key(|r| r.id);
         v
+    }
+
+    /// Snapshot the `n` newest job records, newest first. The ids are
+    /// chosen under the lock and only their records are cloned, so a long
+    /// job table costs a scan of its keys, not a copy of every record.
+    pub fn recent_jobs(&self, n: usize) -> Vec<JobRecord> {
+        let jobs = self.jobs.lock();
+        let mut ids: Vec<JobId> = jobs.keys().copied().collect();
+        if n < ids.len() {
+            ids.select_nth_unstable_by(n, |a, b| b.cmp(a));
+            ids.truncate(n);
+        }
+        ids.sort_unstable_by(|a, b| b.cmp(a));
+        ids.iter().map(|id| JobRecord::clone(&jobs[id])).collect()
     }
 
     /// Stop admitting new jobs. Queued and running jobs keep going;
@@ -614,6 +636,9 @@ impl MeshService {
                 _ => {}
             }
             r.trace.push(age, kind.clone());
+            if r.status.is_terminal() {
+                r.trace.shrink_to_fit();
+            }
         }
         self.journal_event(id, &kind);
     }
@@ -893,5 +918,50 @@ impl Drop for MeshService {
         for h in std::mem::take(&mut *self.handles.lock()) {
             let _ = h.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::ONE_ATTEMPT_EVENTS;
+
+    /// A finished job holds its trace at exactly its events, and every
+    /// snapshot of the record shares that one copy. The first job here is
+    /// retried (an injected worker death), so its trace grew past one
+    /// attempt's reservation before its end trimmed it.
+    #[test]
+    fn a_finished_trace_is_stored_once_at_its_exact_size() {
+        let spool = std::env::temp_dir().join(format!("pi2m-trace-size-{}", std::process::id()));
+        let faults = FaultPlan::parse(7, "site=refine.engine.worker,kind=panic,nth=1,count=1");
+        let svc = MeshService::start(ServiceConfig {
+            sessions: 1,
+            threads: 1,
+            spool: spool.clone(),
+            faults: Some(Arc::new(faults.unwrap())),
+            ..Default::default()
+        })
+        .unwrap();
+        let spec = JobSpec {
+            input: "phantom:sphere".into(),
+            delta: Some(4.0),
+            threads: None,
+            priority: Priority::Normal,
+            deadline_s: None,
+            max_retries: None,
+        };
+        let retried = svc.submit(spec.clone()).unwrap();
+        let clean = svc.submit(spec).unwrap();
+        assert!(svc.drain(Duration::from_secs(60)));
+        for (id, attempts) in [(retried, 2), (clean, 1)] {
+            let (a, b) = (svc.job(id).unwrap(), svc.job(id).unwrap());
+            assert_eq!(a.status, JobStatus::Succeeded, "{:?}", a.error);
+            assert_eq!(a.attempts, attempts);
+            assert_eq!(a.trace.events().as_ptr(), b.trace.events().as_ptr());
+            assert_eq!(a.trace.capacity(), a.trace.events().len());
+        }
+        let clean = svc.job(clean).unwrap();
+        assert_eq!(clean.trace.events().len(), ONE_ATTEMPT_EVENTS);
+        let _ = std::fs::remove_dir_all(&spool);
     }
 }

@@ -21,6 +21,8 @@ use pi2m_obs::journal::Level;
 use pi2m_obs::json::Json;
 use pi2m_obs::metrics::ObsEvent;
 use pi2m_obs::report::TraceSpan;
+use pi2m_refine::Stage;
+use std::sync::Arc;
 
 /// Version of the trace wire schema (`schema` in the JSON, beside `kind`
 /// `"job_trace"`): the one `pi2m analyze` reads.
@@ -31,6 +33,11 @@ pub const TRACE_SCHEMA_VERSION: u32 = ArtifactKind::JobTrace.schema();
 /// cap the trace drops further events and records how many were lost, so a
 /// pathological job cannot grow its record without bound.
 pub const TRACE_EVENT_CAP: usize = 512;
+
+/// Events of a job that ends on its first attempt: admitted, queue wait,
+/// checkout, a start and a finish per pipeline stage, and terminal. A trace
+/// reserves this much at its first push, so a clean job never reallocates.
+pub const ONE_ATTEMPT_EVENTS: usize = 4 + 2 * Stage::ALL.len();
 
 /// One lifecycle moment. `t_s` is seconds since submission.
 #[derive(Clone, Debug)]
@@ -155,9 +162,13 @@ impl TraceEventKind {
 
 /// The accumulated lifecycle of one job. Owned by the job record; pushed
 /// to under the service's jobs lock.
+///
+/// The events live behind an [`Arc`], so a record snapshot (every poll, every
+/// listing) shares them instead of copying; a push to a shared trace copies
+/// it once ([`Arc::make_mut`]). A finished trace is held at its exact size.
 #[derive(Clone, Debug, Default)]
 pub struct JobTrace {
-    events: Vec<TraceEvent>,
+    events: Arc<Vec<TraceEvent>>,
     /// Events dropped past [`TRACE_EVENT_CAP`].
     dropped: u64,
 }
@@ -171,14 +182,31 @@ impl JobTrace {
             return;
         }
         let floor = self.events.last().map(|e| e.t_s).unwrap_or(0.0);
-        self.events.push(TraceEvent {
+        let events = Arc::make_mut(&mut self.events);
+        // Room for one whole attempt at once (a copy made by `make_mut`
+        // holds only what it copied); a retried job grows past it as usual.
+        events.reserve_exact(ONE_ATTEMPT_EVENTS.saturating_sub(events.len()));
+        events.push(TraceEvent {
             t_s: t_s.max(floor),
             kind,
         });
     }
 
+    /// Drop the spare capacity of a trace that takes no further event.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        if self.events.capacity() > self.events.len() {
+            Arc::make_mut(&mut self.events).shrink_to_fit();
+        }
+    }
+
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
+    }
+
+    /// Event slots the trace holds, used or not.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.events.capacity()
     }
 
     /// The wire form served at `GET /jobs/<id>/trace`.
@@ -216,7 +244,7 @@ impl JobTrace {
         let mut events: Vec<(u32, ObsEvent)> = Vec::new();
         // Open stage starts awaiting their finish, by stage name.
         let mut open: Vec<(&'static str, f64, f64)> = Vec::new(); // (stage, t_s, run_t_s)
-        for e in &self.events {
+        for e in self.events.iter() {
             match &e.kind {
                 TraceEventKind::QueueWait { wait_s } => phases.push(TraceSpan {
                     name: "queue_wait",
@@ -335,6 +363,21 @@ mod tests {
             },
         );
         assert_eq!(t.events()[1].t_s, 2.0);
+    }
+
+    /// A clone shares the events; a push to a shared trace copies them
+    /// once, with room for a whole attempt, and leaves the clone as it was.
+    #[test]
+    fn clones_share_events_until_a_push() {
+        let mut t = sample();
+        let snapshot = t.clone();
+        assert_eq!(snapshot.events().as_ptr(), t.events().as_ptr());
+        t.push(1.5, TraceEventKind::QueueWait { wait_s: 0.0 });
+        assert_ne!(snapshot.events().as_ptr(), t.events().as_ptr());
+        assert_eq!((snapshot.events().len(), t.events().len()), (6, 7));
+        assert_eq!(t.capacity(), ONE_ATTEMPT_EVENTS);
+        t.shrink_to_fit();
+        assert_eq!(t.capacity(), 7);
     }
 
     #[test]

@@ -391,7 +391,11 @@ fn mesh_one(
         &[
             (
                 "msg",
-                Json::str(format!("meshing {input}: δ={delta}, {threads} threads")),
+                // δ as its JSON field writes it, so a huge one stays short
+                Json::str(format!(
+                    "meshing {input}: δ={}, {threads} threads",
+                    Json::num(delta).dump()
+                )),
             ),
             ("input", Json::str(input)),
             ("delta", Json::num(delta)),

@@ -194,6 +194,21 @@ fn mesh_with_huge_delta_terminates() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A huge δ is logged in a bounded width: the `mesh.start` line writes it
+/// as `1e308`, in its message and in its `delta` field, not as 309 digits.
+#[test]
+fn mesh_start_line_writes_a_huge_delta_short() {
+    let (code, stderr) = pi2m_watched(&["mesh", "phantom:sphere", "--delta", "1e308", "--log"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    let line = stderr
+        .lines()
+        .find(|l| l.contains("\"mesh.start\""))
+        .unwrap_or_else(|| panic!("no mesh.start line: {stderr}"));
+    assert!(line.contains("δ=1e308"), "{line}");
+    assert!(line.contains("\"delta\":1e308"), "{line}");
+    assert!(line.len() < 300, "{} bytes: {line}", line.len());
+}
+
 /// A run that converges to no element is an error naming δ, not an empty
 /// VTK: an 8³ image with one foreground voxel keeps nothing at δ = 1, and
 /// 34 tetrahedra at δ = 0.5.

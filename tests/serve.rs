@@ -899,6 +899,81 @@ fn http_api_round_trips_jobs_and_metrics() {
     handle.join().unwrap();
 }
 
+/// The front door holds at most 64 connections (`MAX_CONNS` in
+/// `crates/serve/src/http.rs`). With every one of them stuck reading a
+/// request that never comes, the next connection is answered `503
+/// overloaded` at once; once the held ones close, the server serves again.
+#[test]
+fn connections_past_the_bound_are_shed_and_serving_resumes() {
+    use pi2m::serve::HttpServer;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    const MAX_CONNS: usize = 64;
+
+    let svc = MeshService::start(ServiceConfig {
+        sessions: 1,
+        threads: 1,
+        spool: spool("shed-conns"),
+        ..Default::default()
+    })
+    .unwrap();
+    let server = HttpServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let handle = {
+        let svc = Arc::clone(&svc);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            server.serve(svc, || stop.load(std::sync::atomic::Ordering::SeqCst))
+        })
+    };
+
+    // Each held connection sends nothing, so its handler waits in
+    // `read_request` (for up to its 5 s read timeout). The server accepts
+    // in connection order, so all of them are held before the next one.
+    let held: Vec<TcpStream> = (0..MAX_CONNS)
+        .map(|_| TcpStream::connect(&addr).unwrap())
+        .collect();
+    let t0 = Instant::now();
+    let mut extra = TcpStream::connect(&addr).unwrap();
+    extra
+        .set_read_timeout(Some(Duration::from_secs(4)))
+        .unwrap();
+    let mut raw = String::new();
+    extra
+        .read_to_string(&mut raw)
+        .expect("a shed answer, not a wait");
+    assert!(raw.starts_with("HTTP/1.1 503"), "{raw}");
+    assert!(raw.contains("overloaded"), "{raw}");
+    assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+
+    // Closing the held connections frees their handlers.
+    drop(held);
+    let healthz = || -> std::io::Result<String> {
+        let mut s = TcpStream::connect(&addr)?;
+        s.set_read_timeout(Some(Duration::from_secs(4)))?;
+        s.write_all(b"GET /healthz HTTP/1.1\r\n\r\n")?;
+        let mut raw = String::new();
+        s.read_to_string(&mut raw)?;
+        Ok(raw)
+    };
+    let t0 = Instant::now();
+    loop {
+        match healthz() {
+            Ok(raw) if raw.starts_with("HTTP/1.1 200") => break,
+            // a handler not yet back from its closed connection
+            Ok(raw) => assert!(raw.contains("overloaded"), "{raw}"),
+            Err(_) => {}
+        }
+        assert!(t0.elapsed() < Duration::from_secs(10), "never served again");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    handle.join().unwrap();
+    assert!(svc.drain(Duration::from_secs(10)));
+}
+
 /// `GET` over a fresh connection, returning the status, the
 /// `Content-Length` header and the body as raw bytes.
 fn http_bytes(addr: &str, path: &str) -> (u16, usize, Vec<u8>) {
