@@ -395,8 +395,6 @@ fn artifact(svc: &MeshService, name: &str) -> Response {
 /// delegated to [`handle`].
 pub struct HttpServer {
     listener: TcpListener,
-    /// Handler threads the running [`serve`](Self::serve) has started.
-    handlers: AtomicUsize,
 }
 
 impl HttpServer {
@@ -404,10 +402,7 @@ impl HttpServer {
     pub fn bind(addr: &str) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        Ok(HttpServer {
-            listener,
-            handlers: AtomicUsize::new(0),
-        })
+        Ok(HttpServer { listener })
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -418,60 +413,65 @@ impl HttpServer {
     /// Serve until `stop()` turns true (polled between accepts, at least
     /// every 5 ms). Each connection goes to an idle handler thread; a new
     /// handler starts only when every live one is busy, up to `MAX_CONNS`
-    /// (64), and beyond that connections are answered `503` inline. The
-    /// handlers finish the connections they hold and are joined before
-    /// this returns.
+    /// (64), and beyond that connections are answered `503` inline. This
+    /// returns as soon as `stop` is seen: a handler still holding a
+    /// connection finishes it on its own, and every handler exits at its
+    /// next wait for a stream.
     pub fn serve<F: Fn() -> bool>(&self, svc: Arc<MeshService>, stop: F) {
+        self.serve_counted(svc, stop);
+    }
+
+    /// [`serve`](Self::serve), returning how many handler threads it
+    /// started.
+    fn serve_counted<F: Fn() -> bool>(&self, svc: Arc<MeshService>, stop: F) -> usize {
         let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = parking_lot::Mutex::new(rx);
+        let rx = Arc::new(parking_lot::Mutex::new(rx));
         // Handlers free for a new stream and not yet claimed: a handler
         // adds itself once its response is written, and the accept loop
         // takes one off before each send, so no sent stream waits behind a
         // busy handler.
-        let idle = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let mut idle_sleep = IDLE_MIN;
-            while !stop() {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        idle_sleep = IDLE_MIN;
-                        let claimed = idle
-                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                            .is_ok();
-                        let started = !claimed
-                            && self.handlers.load(Ordering::SeqCst) < MAX_CONNS
-                            && std::thread::Builder::new()
-                                .name("pi2m-http-handler".into())
-                                .spawn_scoped(scope, || handler(&svc, &rx, &idle))
-                                .is_ok();
-                        if started {
-                            self.handlers.fetch_add(1, Ordering::SeqCst);
-                        }
-                        if claimed || started {
-                            let _ = tx.send(stream);
-                        } else {
-                            let mut stream = stream;
-                            let _ = Response::error(503, "overloaded", "too many connections")
-                                .write_to(&mut stream);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(idle_sleep);
-                        idle_sleep = (idle_sleep * 2).min(IDLE_MAX);
-                    }
-                    Err(e) => {
-                        // The sleep paces a flapping socket to at most 20
-                        // lines a second, so it cannot flood stderr.
-                        svc.journal()
-                            .warn("serve.accept_error", &[("error", Json::str(e.to_string()))]);
-                        std::thread::sleep(Duration::from_millis(50));
+        let idle = Arc::new(AtomicUsize::new(0));
+        let mut handlers = 0;
+        let mut idle_sleep = IDLE_MIN;
+        while !stop() {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    idle_sleep = IDLE_MIN;
+                    let claimed = idle
+                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                        .is_ok();
+                    let started = !claimed && handlers < MAX_CONNS && {
+                        let (svc, rx, idle) =
+                            (Arc::clone(&svc), Arc::clone(&rx), Arc::clone(&idle));
+                        std::thread::Builder::new()
+                            .name("pi2m-http-handler".into())
+                            .spawn(move || handler(&svc, &rx, &idle))
+                            .is_ok()
+                    };
+                    handlers += usize::from(started);
+                    if claimed || started {
+                        let _ = tx.send(stream);
+                    } else {
+                        let mut stream = stream;
+                        let _ = Response::error(503, "overloaded", "too many connections")
+                            .write_to(&mut stream);
                     }
                 }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(idle_sleep);
+                    idle_sleep = (idle_sleep * 2).min(IDLE_MAX);
+                }
+                Err(e) => {
+                    // The sleep paces a flapping socket to at most 20
+                    // lines a second, so it cannot flood stderr.
+                    svc.journal()
+                        .warn("serve.accept_error", &[("error", Json::str(e.to_string()))]);
+                    std::thread::sleep(Duration::from_millis(50));
+                }
             }
-            // Every handler's next `recv` now fails, and the scope joins it.
-            drop(tx);
-        });
-        self.handlers.store(0, Ordering::SeqCst);
+        }
+        // Returning drops the sender, so every handler's next `recv` fails.
+        handlers
     }
 }
 
@@ -480,8 +480,8 @@ impl HttpServer {
 /// its response is written and before the socket closes, so a client that
 /// sends its next request after reading a whole response always finds it
 /// idle. A panic in a route (an injected `kind=panic` at
-/// `serve.queue.admit` fires on this thread) costs only its connection, not
-/// the scope that joins every handler.
+/// `serve.queue.admit` fires on this thread) costs only its connection: the
+/// handler still counts itself idle and takes the next stream.
 fn handler(
     svc: &MeshService,
     streams: &parking_lot::Mutex<Receiver<TcpStream>>,
@@ -561,7 +561,7 @@ mod tests {
 
     /// Run `client` against a served `MeshService` (one slot), then stop
     /// the server; returns what `client` returned and the handler threads
-    /// live when it returned. A test asserts on the result afterwards: an
+    /// the server started. A test asserts on the result afterwards: an
     /// assertion inside the scope would leave `serve` running and the
     /// scope waiting for it.
     fn with_server<T>(
@@ -589,13 +589,12 @@ mod tests {
         let addr = server.local_addr().unwrap();
         let stop = AtomicBool::new(false);
         let out = std::thread::scope(|s| {
-            s.spawn(|| server.serve(Arc::clone(&svc), || stop.load(Ordering::SeqCst)));
+            let served =
+                s.spawn(|| server.serve_counted(Arc::clone(&svc), || stop.load(Ordering::SeqCst)));
             let out = client(addr);
-            let handlers = server.handlers.load(Ordering::SeqCst);
             stop.store(true, Ordering::SeqCst);
-            (out, handlers)
+            (out, served.join().unwrap())
         });
-        assert_eq!(server.handlers.load(Ordering::SeqCst), 0);
         assert!(svc.drain(Duration::from_secs(10)));
         let _ = std::fs::remove_dir_all(&spool);
         out
@@ -627,9 +626,9 @@ mod tests {
     }
 
     /// A route that panics (here an injected panic at admission) costs its
-    /// connection only: the same handler answers the next request, and
-    /// `serve` returns normally once stopped (a panic that escaped its
-    /// handler would fail the scope that joins it).
+    /// connection only: the same handler answers the next request (a panic
+    /// that escaped its handler would end that thread, and the next request
+    /// would start a second one).
     #[test]
     fn a_panicking_route_costs_only_its_connection() {
         let faults =

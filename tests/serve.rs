@@ -974,6 +974,59 @@ fn connections_past_the_bound_are_shed_and_serving_resumes() {
     assert!(svc.drain(Duration::from_secs(10)));
 }
 
+/// `serve` returns within a few accept polls of `stop`, even while a
+/// handler is held by a client that never sends its request: the handler
+/// finishes that connection on its own, so a silent or slow client cannot
+/// hold off the daemon's exit.
+#[test]
+fn serve_returns_promptly_while_a_connection_is_held() {
+    use pi2m::serve::HttpServer;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    let svc = MeshService::start(ServiceConfig {
+        sessions: 1,
+        threads: 1,
+        spool: spool("stop-held"),
+        ..Default::default()
+    })
+    .unwrap();
+    let server = HttpServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let handle = {
+        let svc = Arc::clone(&svc);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            server.serve(svc, || stop.load(std::sync::atomic::Ordering::SeqCst));
+            let _ = done_tx.send(());
+        })
+    };
+
+    let silent = TcpStream::connect(&addr).unwrap();
+    // Connections are accepted in order, so once this one is answered the
+    // silent one is held by a handler waiting in `read_request`.
+    let mut probe = TcpStream::connect(&addr).unwrap();
+    probe.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    probe.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+
+    let t0 = Instant::now();
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    let returned = done_rx.recv_timeout(Duration::from_secs(4));
+    let waited = t0.elapsed();
+    drop(silent);
+    handle.join().unwrap();
+    assert!(returned.is_ok(), "serve still running after {waited:?}");
+    assert!(
+        waited < Duration::from_millis(100),
+        "serve took {waited:?} to stop"
+    );
+    assert!(svc.drain(Duration::from_secs(10)));
+}
+
 /// `GET` over a fresh connection, returning the status, the
 /// `Content-Length` header and the body as raw bytes.
 fn http_bytes(addr: &str, path: &str) -> (u16, usize, Vec<u8>) {
